@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check fuzz bench bench-telemetry bench-wire bench-cache bench-tenant bench-fanout bench-obs fanout-race ledger-kill audit-kill prom-lint
+.PHONY: all build test race vet check fuzz bench fanout-race ledger-kill audit-kill prom-lint
 
 all: check
 
@@ -52,50 +52,13 @@ fuzz:
 	$(GO) test ./internal/compman -run xxx -fuzz FuzzDecodeWorkRequest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/compman -run xxx -fuzz FuzzDecodeWorkResponse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/compman -run xxx -fuzz FuzzWireEquivalence -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/compman -run xxx -fuzz FuzzFingerprint -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/query -run xxx -fuzz FuzzFingerprint -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ledger -run xxx -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME)
 
+# bench runs the one benchmark harness (BENCHMARK.json, bench/README.md):
+# seven fixed workloads, end-to-end metrics plus the per-layer table.
 bench:
-	$(GO) test -bench . -benchtime 1x -run xxx .
-
-# bench-telemetry measures instrumentation overhead on the query hot path
-# (untraced vs metrics-only vs fully traced) and regenerates the
-# checked-in report. Run on an idle machine; the experiment takes the best
-# of three passes to filter scheduler noise.
-bench-telemetry:
-	$(GO) run ./cmd/gupt-bench -quick -exp telemetry -json BENCH_PR5.json
-
-# bench-wire compares the legacy JSON wire against the binary framing on
-# both compman paths (client round trips / DP queries, worker block
-# shipping) and regenerates the checked-in report. Run on an idle machine.
-bench-wire:
-	$(GO) run ./cmd/gupt-bench -quick -exp wire -json BENCH_PR6.json
-
-# bench-cache measures the noisy-answer cache: hit-path vs cold-path
-# latency and cumulative ε over a repeat-heavy Zipf schedule with the
-# cache on vs off, and regenerates the checked-in report.
-bench-cache:
-	$(GO) run ./cmd/gupt-bench -quick -exp cache -json BENCH_PR7.json
-
-# bench-tenant measures the multi-tenant front door: authn + rate-limit +
-# quota hot-path overhead versus tenancy off, and rejection throughput
-# under a 95%-over-quota flood, and regenerates the checked-in report.
-bench-tenant:
-	$(GO) run ./cmd/gupt-bench -quick -exp tenant -json BENCH_PR8.json
-
-# bench-fanout measures the sharded block executor: QPS / p99 (bucketed) /
-# blocks-per-second over a 1->2->4 worker fleet with quantum-padded blocks,
-# plus a deadline-carrying overload burst against a starved scheduler
-# (expected: refusals with retry hints, zero late answers). Regenerates the
-# checked-in report.
-bench-fanout:
-	$(GO) run ./cmd/gupt-bench -quick -exp fanout -json BENCH_PR9.json
-
-# bench-obs measures what the query flight recorder, the ε burn-down
-# plane, and the per-block fan-out spans add on top of the tracing
-# baseline BENCH_PR5.json pinned, and regenerates the checked-in report.
-bench-obs:
-	$(GO) run ./cmd/gupt-bench -quick -exp obs -json BENCH_PR10.json
+	bash bench/run.sh
 
 # prom-lint runs the exposition-format gates by name: the /metrics text
 # must parse as valid Prometheus 0.0.4 and no raw duration may appear

@@ -60,25 +60,7 @@ func runners() map[string]runner {
 		"distribution": func(cfg experiments.Config) (tabler, error) {
 			return experiments.BudgetDistribution(cfg)
 		},
-		"optimizer": func(cfg experiments.Config) (tabler, error) { return experiments.Optimizer(cfg) },
-		"telemetry": func(cfg experiments.Config) (tabler, error) {
-			return experiments.TelemetryOverhead(cfg)
-		},
-		"obs": func(cfg experiments.Config) (tabler, error) {
-			return experiments.ObservabilityOverhead(cfg)
-		},
-		"wire": func(cfg experiments.Config) (tabler, error) {
-			return experiments.WireOverhead(cfg)
-		},
-		"cache": func(cfg experiments.Config) (tabler, error) {
-			return experiments.CacheEffect(cfg)
-		},
-		"tenant": func(cfg experiments.Config) (tabler, error) {
-			return experiments.TenancyOverhead(cfg)
-		},
-		"fanout": func(cfg experiments.Config) (tabler, error) {
-			return experiments.FanoutScaling(cfg)
-		},
+		"optimizer":    func(cfg experiments.Config) (tabler, error) { return experiments.Optimizer(cfg) },
 		"timing":       func(cfg experiments.Config) (tabler, error) { return experiments.TimingAttack(cfg) },
 		"budgetattack": func(cfg experiments.Config) (tabler, error) { return experiments.BudgetAttack(cfg) },
 		"stateattack":  runStateAttack,

@@ -3,7 +3,6 @@ package main
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -56,85 +55,5 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 	if fig9 := got.Experiments[2]; fig9.OK || fig9.Error != "boom" {
 		t.Fatalf("fig9 = %+v", fig9)
-	}
-}
-
-// The checked-in quick-run report must parse and look like a real run.
-func TestCheckedInBenchReport(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_PR2.json"))
-	if err != nil {
-		t.Skipf("BENCH_PR2.json not present: %v", err)
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		t.Fatalf("BENCH_PR2.json does not parse: %v", err)
-	}
-	if !r.Quick {
-		t.Fatal("checked-in report should be a -quick run")
-	}
-	if len(r.Experiments) == 0 {
-		t.Fatal("checked-in report has no experiments")
-	}
-	ids := map[string]bool{}
-	for _, e := range r.Experiments {
-		ids[e.ID] = true
-		if !e.OK {
-			t.Errorf("experiment %s failed in checked-in run: %s", e.ID, e.Error)
-		}
-	}
-	for _, want := range []string{"fig4", "fig9", "tab1"} {
-		if !ids[want] {
-			t.Errorf("checked-in report missing experiment %q", want)
-		}
-	}
-}
-
-// The checked-in fan-out report must show the sharded dispatcher actually
-// scaling (>=2x blocks/s from the smallest to the largest fleet) and the
-// overload burst refusing cleanly: retry hints on every refusal, no late
-// answers, no malformed failures.
-func TestCheckedInFanoutReport(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_PR9.json"))
-	if err != nil {
-		t.Skipf("BENCH_PR9.json not present: %v", err)
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		t.Fatalf("BENCH_PR9.json does not parse: %v", err)
-	}
-	var series *Series
-	for _, e := range r.Experiments {
-		if e.ID != "fanout" {
-			continue
-		}
-		if !e.OK {
-			t.Fatalf("fanout experiment failed in checked-in run: %s", e.Error)
-		}
-		series = e.Series
-	}
-	if series == nil {
-		t.Fatal("BENCH_PR9.json has no fanout series")
-	}
-	vals := map[string]string{}
-	for _, row := range series.Rows {
-		if len(row) == 3 {
-			vals[row[0]+"/"+row[1]] = row[2]
-		}
-	}
-	var speedup float64
-	if _, err := fmt.Sscanf(vals["speedup_blocks_per_sec/0"], "%g", &speedup); err != nil {
-		t.Fatalf("unreadable speedup %q: %v", vals["speedup_blocks_per_sec/0"], err)
-	}
-	if speedup < 2 {
-		t.Errorf("1->4 worker speedup %.2fx, want >= 2x", speedup)
-	}
-	if vals["overload_refused/0"] != vals["overload_retry_hints/0"] {
-		t.Errorf("refusals %s != retry hints %s: some refusal lacked a hint",
-			vals["overload_refused/0"], vals["overload_retry_hints/0"])
-	}
-	for _, zero := range []string{"overload_late_answers/0", "overload_other_errors/0"} {
-		if vals[zero] != "0" {
-			t.Errorf("%s = %s, want 0", zero, vals[zero])
-		}
 	}
 }

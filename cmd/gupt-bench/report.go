@@ -11,7 +11,7 @@ import (
 // Report is the machine-readable counterpart of gupt-bench's text tables:
 // one run of the harness, with per-experiment outcomes and (where the
 // experiment produces a plottable series) the parsed CSV data. It is what
-// -json writes and what BENCH_PR2.json in the repo root contains.
+// -json writes.
 type Report struct {
 	// Seed and Quick pin the parameters the run used, so a checked-in
 	// report is reproducible.

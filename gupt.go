@@ -41,7 +41,7 @@ import (
 	"gupt/internal/dataset"
 	"gupt/internal/dp"
 	"gupt/internal/mathutil"
-	"gupt/internal/qcache"
+	"gupt/internal/query"
 	"gupt/internal/sandbox"
 )
 
@@ -105,15 +105,15 @@ var ErrBudgetExhausted = dp.ErrBudgetExhausted
 // and the sample-and-aggregate engine behind one façade. It is safe for
 // concurrent use.
 type Platform struct {
-	reg   *dataset.Registry
-	mgr   *budget.Manager
-	cache *qcache.Cache // noisy-answer cache; nil until EnableCache
+	// stage is the query pipeline shared with the hosted server; its Cache
+	// is nil until EnableCache.
+	stage query.Stage
 }
 
 // New creates an empty platform.
 func New() *Platform {
 	reg := dataset.NewRegistry()
-	return &Platform{reg: reg, mgr: budget.NewManager(reg)}
+	return &Platform{stage: query.Stage{Registry: reg, Budget: budget.NewManager(reg)}}
 }
 
 // DatasetOptions configures dataset registration (the data-owner
@@ -160,7 +160,7 @@ func (p *Platform) Register(name string, rows [][]float64, cols []string, opts D
 		}
 		regOpts.Aged = aged
 	}
-	_, err := p.reg.Register(name, tbl, regOpts)
+	_, err := p.stage.Registry.Register(name, tbl, regOpts)
 	return err
 }
 
@@ -170,7 +170,7 @@ func (p *Platform) RegisterCSV(name, path string, header bool, opts DatasetOptio
 	if err != nil {
 		return err
 	}
-	_, err = p.reg.Register(name, tbl, dataset.RegisterOptions{
+	_, err = p.stage.Registry.Register(name, tbl, dataset.RegisterOptions{
 		TotalBudget:  opts.TotalBudget,
 		Ranges:       opts.Ranges,
 		AgedFraction: opts.AgedFraction,
@@ -181,16 +181,16 @@ func (p *Platform) RegisterCSV(name, path string, header bool, opts DatasetOptio
 
 // Unregister removes a dataset and drops its cached answers.
 func (p *Platform) Unregister(name string) error {
-	p.cache.Invalidate(name)
-	return p.reg.Unregister(name)
+	p.stage.Cache.Invalidate(name)
+	return p.stage.Registry.Unregister(name)
 }
 
 // Datasets lists registered dataset names.
-func (p *Platform) Datasets() []string { return p.reg.Names() }
+func (p *Platform) Datasets() []string { return p.stage.Registry.Names() }
 
 // RemainingBudget reports the unspent lifetime budget of a dataset.
 func (p *Platform) RemainingBudget(name string) (float64, error) {
-	return p.mgr.Remaining(name)
+	return p.stage.Budget.Remaining(name)
 }
 
 // Query describes one differentially private computation (the analyst
@@ -259,111 +259,53 @@ type Query struct {
 
 // Run executes the query and returns its differentially private result.
 // The privacy charge is settled against the dataset's ledger before the
-// computation runs; refused charges consume nothing.
+// computation runs; refused charges consume nothing. With EnableCache, an
+// exact repeat of a previously released query is re-served the same answer
+// at zero additional ε.
 func (p *Platform) Run(ctx context.Context, q Query) (*Result, error) {
-	reg, err := p.reg.Lookup(q.Dataset)
-	if err != nil {
-		return nil, err
-	}
-	if q.Program == nil {
-		return nil, errors.New("gupt: query needs a program")
-	}
-	label := fmt.Sprintf("%s:%s", q.Dataset, q.Program.Name())
-
-	// Noisy-answer cache (EnableCache): an exact repeat of a previously
-	// released query — same distribution-relevant fields, same dataset
-	// content version — is re-served the same published answer at zero
-	// additional ε. The re-release is journaled as a cache_hit ledger
-	// record; the accountant is never touched.
-	fp, cachable := p.queryFingerprint(&q, reg.ContentVersion())
-	if cachable {
-		if v, ok := p.cache.Get(fp); ok {
-			return p.cacheHitResult(q.Dataset, label, v.(Result))
-		}
-	}
-
-	spec := core.RangeSpec{
-		Mode: q.Mode, Output: q.OutputRanges, Translate: q.Translate,
-		PercentileLow: q.PercentileLow, PercentileHigh: q.PercentileHigh,
-	}
-	if q.Mode == Helper {
-		spec.Input = q.InputRanges
-		if spec.Input == nil {
-			spec.Input = reg.Private.Ranges()
-		}
-	}
-
-	rows := reg.Private.Rows()
-	opts := core.Options{
-		BlockSize:    q.BlockSize,
-		Gamma:        q.Gamma,
-		Seed:         q.Seed,
-		Quantum:      q.Quantum,
-		BlockTimeout: q.BlockTimeout,
-		MaxFailFrac:  q.MaxFailFrac,
-		NewChamber:   q.Chambers,
-		UserLevel:    q.UserLevel,
-		UserColumn:   q.UserColumn,
-	}
-
-	if q.AutoBlockSize && q.BlockSize == 0 {
-		if !reg.HasAged() {
-			return nil, aging.ErrNoAgedData
-		}
-		if q.OutputRanges == nil {
-			return nil, errors.New("gupt: AutoBlockSize requires output ranges")
-		}
-		planEps := q.Epsilon
-		if planEps <= 0 {
-			planEps = 1
-		}
-		choice, err := aging.OptimizeBlockSize(q.Program, reg.Aged.Rows(), len(rows), planEps, q.OutputRanges)
-		if err != nil {
-			return nil, err
-		}
-		opts.BlockSize = choice.BlockSize
-	}
-
-	switch {
-	case q.Epsilon > 0 && q.Accuracy != nil:
-		return nil, errors.New("gupt: set either Epsilon or Accuracy, not both")
-	case q.Epsilon > 0:
-		if err := p.mgr.Charge(q.Dataset, label, q.Epsilon); err != nil {
-			return nil, err
-		}
-		opts.Epsilon = q.Epsilon
-	case q.Accuracy != nil:
-		if q.OutputRanges == nil {
-			return nil, errors.New("gupt: accuracy goals need output ranges")
-		}
-		bs := opts.BlockSize
-		if bs == 0 {
-			bs = core.DefaultBlockSize(len(rows))
-		}
-		est, err := p.mgr.ChargeForAccuracy(q.Dataset, label, q.Program, bs, q.OutputRanges, *q.Accuracy)
-		if err != nil {
-			return nil, err
-		}
-		opts.Epsilon = est.Epsilon
-		opts.BlockSize = est.BlockSize
-	default:
-		return nil, errors.New("gupt: query needs a positive Epsilon or an Accuracy goal")
-	}
-
-	res, err := core.Run(ctx, q.Program, rows, spec, opts)
-	// Fill with clean releases only: a degraded answer is safe to re-serve
-	// but would pin the degradation past the fault that caused it.
-	if err == nil && cachable && res.FailedBlocks == 0 {
-		p.cache.Put(fp, q.Dataset, *res, resultCacheSize(res))
-	}
+	res, _, err := p.stage.Run(ctx, q.pipeline())
 	return res, err
+}
+
+// pipeline maps the public query onto the shared pipeline's description
+// (internal/query). Analyst-supplied chambers are opaque to the cache
+// fingerprint, so they make the query uncachable.
+func (q *Query) pipeline() *query.Query {
+	label := q.Dataset
+	if q.Program != nil {
+		label += ":" + q.Program.Name()
+	}
+	return &query.Query{
+		Dataset: q.Dataset,
+		Label:   label,
+		Program: q.Program,
+		Ranges: core.RangeSpec{
+			Mode: q.Mode, Output: q.OutputRanges, Input: q.InputRanges, Translate: q.Translate,
+			PercentileLow: q.PercentileLow, PercentileHigh: q.PercentileHigh,
+		},
+		Options: core.Options{
+			Epsilon:      q.Epsilon,
+			BlockSize:    q.BlockSize,
+			Gamma:        q.Gamma,
+			Seed:         q.Seed,
+			Quantum:      q.Quantum,
+			BlockTimeout: q.BlockTimeout,
+			MaxFailFrac:  q.MaxFailFrac,
+			NewChamber:   q.Chambers,
+			UserLevel:    q.UserLevel,
+			UserColumn:   q.UserColumn,
+		},
+		Accuracy:      q.Accuracy,
+		AutoBlockSize: q.AutoBlockSize,
+		Uncachable:    q.Chambers != nil,
+	}
 }
 
 // EstimateEpsilon previews the ε an accuracy goal would cost on a dataset
 // without charging anything — useful for analysts budgeting a session. It
 // requires the dataset to have an aged sample.
 func (p *Platform) EstimateEpsilon(name string, program Program, blockSize int, ranges []Range, goal AccuracyGoal) (float64, error) {
-	reg, err := p.reg.Lookup(name)
+	reg, err := p.stage.Registry.Lookup(name)
 	if err != nil {
 		return 0, err
 	}
@@ -400,7 +342,7 @@ func DistributeBudget(total float64, zetas []float64) ([]float64, error) {
 // treat as non-private. Requires the dataset to have registered attribute
 // ranges. bins controls the sketch resolution (0 selects 32).
 func (p *Platform) SynthesizeAgedSample(name string, eps float64, bins, count int, seed int64) error {
-	reg, err := p.reg.Lookup(name)
+	reg, err := p.stage.Registry.Lookup(name)
 	if err != nil {
 		return err
 	}
@@ -436,6 +378,6 @@ func (p *Platform) SynthesizeAgedSample(name string, eps float64, bins, count in
 	// content version (making every existing fingerprint unreachable) and
 	// eagerly drop the now-dead cache entries.
 	reg.BumpContentVersion()
-	p.cache.Invalidate(name)
+	p.stage.Cache.Invalidate(name)
 	return nil
 }

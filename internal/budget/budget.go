@@ -255,18 +255,8 @@ func (m *Manager) ChargeForAccuracyAs(tenant, datasetName, label string, program
 	if err != nil {
 		return aging.EpsilonEstimate{}, err
 	}
-	if tenant != "" && m.quotas != nil {
-		if err := m.quotas.Reserve(tenant, datasetName, est.Epsilon); err != nil {
-			m.tel.Counter("budget.tenant_quota_refusals").Inc()
-			return aging.EpsilonEstimate{}, m.record(datasetName, err)
-		}
-	}
-	if err := m.record(datasetName, r.SpendAs(tenant, label, est.Epsilon)); err != nil {
-		if tenant != "" && m.quotas != nil {
-			m.quotas.Release(tenant, datasetName, est.Epsilon)
-		}
+	if err := m.ChargeAs(tenant, datasetName, label, est.Epsilon); err != nil {
 		return aging.EpsilonEstimate{}, err
 	}
-	m.burn(tenant, datasetName, est.Epsilon, r)
 	return est, nil
 }

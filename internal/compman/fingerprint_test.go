@@ -1,205 +1,42 @@
 package compman
 
-import (
-	"bytes"
-	"encoding/json"
-	"sort"
-	"testing"
-)
+import "testing"
 
-// reorderJSONObject rewrites a JSON object with its top-level keys in
-// sorted order, values byte-identical. Go marshals struct fields in
-// declaration order, so this produces a different field ordering for any
-// message with two or more out-of-order fields without touching a single
-// value's representation.
-func reorderJSONObject(t *testing.T, line []byte) []byte {
-	t.Helper()
-	var fields map[string]json.RawMessage
-	if err := json.Unmarshal(line, &fields); err != nil {
-		t.Fatalf("unmarshal for reorder: %v", err)
-	}
-	keys := make([]string, 0, len(fields))
-	for k := range fields {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var buf bytes.Buffer
-	buf.WriteByte('{')
-	for i, k := range keys {
-		if i > 0 {
-			buf.WriteByte(',')
-		}
-		kb, _ := json.Marshal(k)
-		buf.Write(kb)
-		buf.WriteByte(':')
-		buf.Write(fields[k])
-	}
-	buf.WriteByte('}')
-	return buf.Bytes()
-}
-
-// TestFingerprintRepresentationStable feeds the same query through three
-// textual representations — Go-struct field order, sorted field order, and
-// hand-written JSON with eccentric float formatting — and requires one
-// fingerprint. The hasher sees the decoded struct, never the bytes.
+// TestFingerprintRepresentationStable sends one query through four textual
+// representations — Go-struct field order, sorted field order, eccentric
+// float formatting, and defaults spelled out (mode "tight") versus omitted
+// — and requires the later ones to be cache hits on the first: the cache
+// key (internal/query) is over the decoded, resolved query, never the
+// bytes.
 func TestFingerprintRepresentationStable(t *testing.T) {
-	structOrder := `{"op":"query","dataset":"census","program":{"type":"percentile","col":1,"p":0.5},` +
-		`"outputRanges":[{"lo":0,"hi":150}],"epsilon":0.5,"blockSize":250,"seed":42}`
-	reordered := `{"seed":42,"program":{"p":0.5,"col":1,"type":"percentile"},"outputRanges":[{"hi":150,"lo":0}],` +
-		`"op":"query","epsilon":0.5,"dataset":"census","blockSize":250}`
-	reformatted := `{"op":"query","dataset":"census","program":{"type":"percentile","col":1,"p":5e-1},` +
-		`"outputRanges":[{"lo":0e0,"hi":1.5e2}],"epsilon":0.50,"blockSize":250,"seed":42}`
-
-	var want qcacheFingerprint
-	for i, line := range []string{structOrder, reordered, reformatted} {
+	variants := []string{
+		`{"op":"query","dataset":"census","program":{"type":"percentile","col":0,"p":0.5},` +
+			`"outputRanges":[{"lo":0,"hi":150}],"epsilon":0.5,"blockSize":250,"seed":42}`,
+		`{"seed":42,"program":{"p":0.5,"col":0,"type":"percentile"},"outputRanges":[{"hi":150,"lo":0}],` +
+			`"op":"query","epsilon":0.5,"dataset":"census","blockSize":250}`,
+		`{"op":"query","dataset":"census","program":{"type":"percentile","col":0,"p":5e-1},` +
+			`"outputRanges":[{"lo":0e0,"hi":1.5e2}],"epsilon":0.50,"blockSize":250,"seed":42}`,
+		`{"op":"query","dataset":"census","mode":"tight","program":{"type":"percentile","p":0.5},` +
+			`"outputRanges":[{"lo":0,"hi":150}],"epsilon":0.5,"blockSize":250,"seed":42,"gamma":0}`,
+	}
+	client, _ := startCachedServer(t, censusRegistry(t, 100), ServerConfig{})
+	var first *Response
+	for i, line := range variants {
 		req, err := DecodeRequest([]byte(line))
 		if err != nil {
 			t.Fatalf("variant %d: %v", i, err)
 		}
-		fp := queryFingerprint(req, "", 7)
+		resp, err := client.Query(req)
+		if err != nil {
+			t.Fatalf("variant %d: %v", i, err)
+		}
 		if i == 0 {
-			want = fp
+			first = resp
 			continue
 		}
-		if fp != want {
-			t.Errorf("variant %d fingerprints %s, variant 0 %s; representation leaked into the key", i, fp, want)
+		if !resp.CacheHit || resp.EpsilonCharged != 0 || resp.Output[0] != first.Output[0] {
+			t.Errorf("variant %d missed the cache (hit=%v charged=%v); representation leaked into the key",
+				i, resp.CacheHit, resp.EpsilonCharged)
 		}
 	}
-}
-
-// qcacheFingerprint aliases the fingerprint type locally so the test above
-// can hold one without importing qcache under a second name.
-type qcacheFingerprint = [32]byte
-
-// TestFingerprintDistinct mutates every distribution-relevant field of a
-// base query one at a time and requires every mutant (plus a content
-// version bump) to fingerprint apart from the base and from each other.
-func TestFingerprintDistinct(t *testing.T) {
-	base := func() *Request {
-		return &Request{
-			Op:           OpQuery,
-			Dataset:      "census",
-			Program:      &ProgramSpec{Type: "mean", Col: 2},
-			Mode:         "tight",
-			OutputRanges: []RangeSpec{{Lo: 0, Hi: 150}},
-			Epsilon:      0.5,
-			BlockSize:    250,
-			Gamma:        3,
-			Seed:         42,
-		}
-	}
-	mutants := map[string]func(*Request){
-		"epsilon":        func(r *Request) { r.Epsilon = 0.6 },
-		"clamp-hi":       func(r *Request) { r.OutputRanges[0].Hi = 151 },
-		"clamp-lo":       func(r *Request) { r.OutputRanges[0].Lo = -1 },
-		"program-type":   func(r *Request) { r.Program.Type = "median" },
-		"program-col":    func(r *Request) { r.Program.Col = 3 },
-		"block-size":     func(r *Request) { r.BlockSize = 251 },
-		"gamma":          func(r *Request) { r.Gamma = 4 },
-		"auto-block":     func(r *Request) { r.AutoBlockSize = true },
-		"seed":           func(r *Request) { r.Seed = 43 },
-		"mode":           func(r *Request) { r.Mode = "loose" },
-		"dataset":        func(r *Request) { r.Dataset = "census2" },
-		"user-level":     func(r *Request) { r.UserLevel = true },
-		"accuracy":       func(r *Request) { r.Epsilon = 0; r.Accuracy = &AccuracySpec{Rho: 0.9, Confidence: 0.9} },
-		"quantum":        func(r *Request) { r.QuantumMillis = 100 },
-		"percentile-win": func(r *Request) { r.PercentileLow = 0.1; r.PercentileHigh = 0.9 },
-	}
-	seen := map[qcacheFingerprint]string{queryFingerprint(base(), "", 7): "base"}
-	if fp := queryFingerprint(base(), "", 8); seen[fp] != "" {
-		t.Error("content version bump did not change the fingerprint")
-	} else {
-		seen[fp] = "content-version"
-	}
-	// The cache is partitioned per tenant: the same query under different
-	// principals (and under the default principal) must key apart.
-	for _, tid := range []string{"alice", "bob"} {
-		if fp := queryFingerprint(base(), tid, 7); seen[fp] != "" {
-			t.Errorf("tenant %q shares a fingerprint with %s", tid, seen[fp])
-		} else {
-			seen[fp] = "tenant-" + tid
-		}
-	}
-	for name, mutate := range mutants {
-		req := base()
-		mutate(req)
-		fp := queryFingerprint(req, "", 7)
-		if prev, dup := seen[fp]; dup {
-			t.Errorf("%s collides with %s", name, prev)
-		}
-		seen[fp] = name
-	}
-}
-
-// FuzzFingerprint holds the fingerprint to its two contracts on arbitrary
-// decodable requests: byte-stability under JSON field reordering (the
-// values' bytes are preserved verbatim, only the ordering changes), and
-// distinctness under mutation of ε, clamp range, program parameters, block
-// geometry, and dataset content version.
-func FuzzFingerprint(f *testing.F) {
-	for _, req := range sampleRequests() {
-		if line, err := json.Marshal(req); err == nil {
-			f.Add(line)
-		}
-	}
-	f.Fuzz(func(t *testing.T, line []byte) {
-		req, err := DecodeRequest(line)
-		if err != nil || req.Op != OpQuery || req.Program == nil {
-			return
-		}
-		fp := queryFingerprint(req, "", 1)
-
-		// Determinism: hashing the same decoded request twice is identical.
-		if again := queryFingerprint(req, "", 1); again != fp {
-			t.Fatalf("fingerprint not deterministic: %s then %s", fp, again)
-		}
-
-		// Representation stability: re-encode, reorder the top-level fields
-		// byte-preservingly, decode again — the key must not move.
-		canon, err := json.Marshal(req)
-		if err == nil {
-			reordered := reorderJSONObject(t, canon)
-			req2, err := DecodeRequest(reordered)
-			if err != nil {
-				t.Fatalf("reordered request rejected: %v\n%s", err, reordered)
-			}
-			if fp2 := queryFingerprint(req2, "", 1); fp2 != fp {
-				t.Fatalf("field ordering changed the fingerprint:\n%s\n%s", canon, reordered)
-			}
-		}
-
-		// Distinctness: each mutation must move the key.
-		if queryFingerprint(req, "", 2) == fp {
-			t.Fatal("content version bump did not change the fingerprint")
-		}
-		if queryFingerprint(req, "alice", 1) == fp {
-			t.Fatal("tenant id did not partition the fingerprint")
-		}
-		mutants := []func(*Request){
-			func(r *Request) { r.Epsilon++ },
-			func(r *Request) { r.BlockSize++ },
-			func(r *Request) { r.Seed++ },
-			func(r *Request) { r.Program.Col++ },
-			func(r *Request) { r.OutputRanges = append(r.OutputRanges, RangeSpec{Lo: 0, Hi: 1}) },
-		}
-		for i, mutate := range mutants {
-			clone, err := DecodeRequest(mustJSON(t, req))
-			if err != nil {
-				return // request not JSON-representable (non-finite floats)
-			}
-			mutate(clone)
-			if queryFingerprint(clone, "", 1) == fp {
-				t.Fatalf("mutation %d did not change the fingerprint", i)
-			}
-		}
-	})
-}
-
-func mustJSON(t *testing.T, v any) []byte {
-	t.Helper()
-	line, err := json.Marshal(v)
-	if err != nil {
-		t.Skip("not JSON-representable")
-	}
-	return line
 }

@@ -156,31 +156,6 @@ type TranslateSpec struct {
 	Offset   []float64 `json:"offset"`
 }
 
-func (ts *TranslateSpec) toFunc(outputDims int) (func([]dp.Range) []dp.Range, error) {
-	if ts == nil {
-		return nil, nil
-	}
-	if len(ts.InputDim) != outputDims || len(ts.Scale) != outputDims || len(ts.Offset) != outputDims {
-		return nil, fmt.Errorf("compman: translate spec arity %d/%d/%d, want %d",
-			len(ts.InputDim), len(ts.Scale), len(ts.Offset), outputDims)
-	}
-	dims := append([]int(nil), ts.InputDim...)
-	scale := append([]float64(nil), ts.Scale...)
-	offset := append([]float64(nil), ts.Offset...)
-	return func(in []dp.Range) []dp.Range {
-		out := make([]dp.Range, outputDims)
-		for i := range out {
-			d := dims[i]
-			if d < 0 || d >= len(in) {
-				d = 0
-			}
-			r := in[d].Scale(scale[i])
-			out[i] = dp.Range{Lo: r.Lo + offset[i], Hi: r.Hi + offset[i]}
-		}
-		return out
-	}, nil
-}
-
 // AccuracySpec is a serializable accuracy goal (paper §5.1).
 type AccuracySpec struct {
 	Rho        float64 `json:"rho"`

@@ -9,44 +9,6 @@ import (
 	"gupt/internal/dp"
 )
 
-func TestTranslateSpecToFunc(t *testing.T) {
-	ts := &TranslateSpec{
-		InputDim: []int{0, 0},
-		Scale:    []float64{1, 2},
-		Offset:   []float64{0, -5},
-	}
-	fn, err := ts.toFunc(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := fn([]dp.Range{{Lo: 10, Hi: 20}})
-	if out[0].Lo != 10 || out[0].Hi != 20 {
-		t.Errorf("identity translation = %+v", out[0])
-	}
-	if out[1].Lo != 15 || out[1].Hi != 35 {
-		t.Errorf("scaled translation = %+v", out[1])
-	}
-	// Out-of-range input dim falls back to dim 0 rather than panicking.
-	ts2 := &TranslateSpec{InputDim: []int{7}, Scale: []float64{1}, Offset: []float64{0}}
-	fn2, err := ts2.toFunc(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fn2([]dp.Range{{Lo: 1, Hi: 2}}); got[0].Lo != 1 {
-		t.Errorf("fallback translation = %+v", got[0])
-	}
-	// Arity mismatch rejected.
-	if _, err := ts.toFunc(3); err == nil {
-		t.Error("arity mismatch accepted")
-	}
-	// Nil spec means no function.
-	var nilSpec *TranslateSpec
-	fn3, err := nilSpec.toFunc(1)
-	if err != nil || fn3 != nil {
-		t.Errorf("nil spec should yield nil func and nil error, got err=%v", err)
-	}
-}
-
 func TestRangesWire(t *testing.T) {
 	in := []dp.Range{{Lo: -1, Hi: 2}, {Lo: 0, Hi: 0}}
 	back, err := rangesFromWire(rangesToWire(in))

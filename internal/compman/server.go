@@ -13,14 +13,12 @@ import (
 	"sync"
 	"time"
 
-	"gupt/internal/aging"
-	"gupt/internal/analytics"
 	"gupt/internal/budget"
-	"gupt/internal/core"
 	"gupt/internal/dataset"
 	"gupt/internal/dp"
 	"gupt/internal/mathutil"
 	"gupt/internal/qcache"
+	"gupt/internal/query"
 	"gupt/internal/ratelimit"
 	"gupt/internal/sandbox"
 	"gupt/internal/telemetry"
@@ -138,7 +136,6 @@ type ServerConfig struct {
 // see block data inside chambers and the final private outputs.
 type Server struct {
 	reg      *dataset.Registry
-	mgr      *budget.Manager
 	cfg      ServerConfig
 	pool     *WorkerPool // nil when executing locally
 	poolErr  error       // non-nil when WorkerAddrs were set but unreachable
@@ -148,7 +145,7 @@ type Server struct {
 	inflight *telemetry.Inflight       // live query table, for /queries
 	flight   *telemetry.FlightRecorder // recent query flights, for /flight
 	plane    *telemetry.BudgetPlane    // ε burn-down rows, for /budget
-	cache    *qcache.Cache             // noisy-answer cache; nil when disabled
+	stage    query.Stage               // shared query pipeline: budget manager, cache, run policy
 	limiter  *ratelimit.Limiter        // per-tenant admission gate; nil when tenancy off
 	sched    *scheduler                // deadline-aware admission; nil when disabled
 
@@ -168,7 +165,6 @@ func NewServer(reg *dataset.Registry, cfg ServerConfig) *Server {
 	}
 	s := &Server{
 		reg:      reg,
-		mgr:      budget.NewManager(reg),
 		cfg:      cfg,
 		tel:      tel,
 		stats:    newStatsCollector(tel),
@@ -176,11 +172,22 @@ func NewServer(reg *dataset.Registry, cfg ServerConfig) *Server {
 		inflight: telemetry.NewInflight(tel.Counter("compman.queries_slow")),
 		flight:   telemetry.NewFlightRecorder(cfg.FlightRecorderSize),
 		plane:    telemetry.NewBudgetPlane(tel),
-		cache:    qcache.New(qcache.Config{MaxEntries: cfg.CacheEntries, TTL: cfg.CacheTTL, Telemetry: tel}),
 		conns:    make(map[net.Conn]struct{}),
 	}
-	s.mgr.Instrument(tel)
-	s.mgr.SetBurnDown(s.plane)
+	s.stage = query.Stage{
+		Registry: reg,
+		Budget:   budget.NewManager(reg),
+		Cache:    qcache.New(qcache.Config{MaxEntries: cfg.CacheEntries, TTL: cfg.CacheTTL, Telemetry: tel}),
+		Retries:  cfg.MaxQueryRetries,
+		Timeout:  cfg.QueryTimeout,
+		OnCharge: s.journalBudgets,
+		OnRetry: func(attempt int, err error) {
+			s.stats.recordRetry()
+			s.logf("compman: retrying query (attempt %d): %v", attempt+1, err)
+		},
+	}
+	s.stage.Budget.Instrument(tel)
+	s.stage.Budget.SetBurnDown(s.plane)
 	// Threshold crossings become tamper-evident audit records: "tenant X
 	// fell below a quarter of its quota on Y" is exactly the event an
 	// operator wants on the books before exhaustion, not after.
@@ -208,7 +215,7 @@ func NewServer(reg *dataset.Registry, cfg ServerConfig) *Server {
 	}
 	s.sched = newScheduler(cfg.Sched, tel)
 	if cfg.Tenants != nil {
-		s.mgr.SetQuotas(cfg.Tenants)
+		s.stage.Budget.SetQuotas(cfg.Tenants)
 		s.limiter = ratelimit.New()
 	}
 	// The slow-query watchdog flags queries stuck past the deployment's
@@ -264,7 +271,7 @@ func (s *Server) BudgetRows() []telemetry.BudgetRow { return s.plane.Rows() }
 
 // CacheStats snapshots the noisy-answer cache's counters — the /cache
 // admin endpoint's data source. All zeros when caching is disabled.
-func (s *Server) CacheStats() qcache.Stats { return s.cache.Stats() }
+func (s *Server) CacheStats() qcache.Stats { return s.stage.Cache.Stats() }
 
 // WorkerStats snapshots the per-worker fleet view (in-flight, answered and
 // failed counts, health) — the /workers admin endpoint's data source. Nil
@@ -279,7 +286,7 @@ func (s *Server) WorkerStats() []telemetry.WorkerStatus {
 // InvalidateCache drops every cached answer for the named dataset,
 // returning the count. Mutation paths call it after bumping the dataset's
 // content version; the version bump alone already guarantees correctness.
-func (s *Server) InvalidateCache(dataset string) int { return s.cache.Invalidate(dataset) }
+func (s *Server) InvalidateCache(dataset string) int { return s.stage.Cache.Invalidate(dataset) }
 
 // Addr returns the address Serve is listening on, or nil before Serve.
 func (s *Server) Addr() net.Addr {
@@ -502,13 +509,13 @@ func (s *Server) admit(tenantID string) (release func(), retryAfter time.Duratio
 // rateLimited builds the zero-ε rejection for a rate-limit refusal and
 // audits it (with the reason and retry hint): rejections are part of the
 // query record even though no budget moved, so a flood shows up in the
-// books. When the caller started a trace, the refusal gets a span, a ring
-// entry and a flight record too — refused queries are observable queries.
+// books. The refusal gets a span, a ring entry and a flight record too —
+// refused queries are observable queries.
 func (s *Server) rateLimited(tenantID, datasetName string, retryAfter time.Duration, tr *telemetry.Trace) Response {
 	resp := Response{
 		Error:            "rate limited: tenant " + tenantID + " over its admission policy",
 		RetryAfterMillis: maxInt64(retryAfter.Milliseconds(), 1),
-		TraceID:          traceIDOrNew(tr),
+		TraceID:          tr.ID,
 	}
 	tr.StartSpan(telemetry.StageSchedDecision).End("rate_limited")
 	s.auditRefusalAs(tenantID, datasetName, &resp, "rate_limited", "rate_limited")
@@ -516,21 +523,9 @@ func (s *Server) rateLimited(tenantID, datasetName string, retryAfter time.Durat
 	return resp
 }
 
-// traceIDOrNew returns the trace's id, minting a bare one for paths that
-// run untraced (sessions, direct tests).
-func traceIDOrNew(tr *telemetry.Trace) string {
-	if tr != nil {
-		return tr.ID
-	}
-	return telemetry.NewTraceID()
-}
-
 // recordRefusedTrace publishes a refused query's trace to the ring and the
 // flight recorder, so a refusal is as observable as a served query.
 func (s *Server) recordRefusedTrace(tr *telemetry.Trace, outcome, reason string, retryAfterMillis int64) {
-	if tr == nil {
-		return
-	}
 	s.traces.Add(tr, outcome)
 	s.flight.Record(tr, outcome, telemetry.FlightExtra{
 		Reason:           reason,
@@ -546,7 +541,7 @@ func (s *Server) recordRefusedTrace(tr *telemetry.Trace, outcome, reason string,
 // req.DeadlineMillis (zero when the client set none); execution must not
 // outlive it.
 //
-// tr, when non-nil, gets the scheduler's self-observation spans: a
+// tr gets the scheduler's self-observation spans: a
 // sched.queue span covering the time spent in the admission queue and a
 // sched.decision span whose status carries the verdict. Refusals publish
 // the trace to the ring and flight recorder before returning.
@@ -576,7 +571,7 @@ func (s *Server) schedule(ctx context.Context, tenantID string, req *Request, tr
 		resp := Response{
 			Error:            "server overloaded: query queue is full",
 			RetryAfterMillis: maxInt64(retryAfter.Milliseconds(), 1),
-			TraceID:          traceIDOrNew(tr),
+			TraceID:          tr.ID,
 		}
 		s.stats.recordOverloaded()
 		s.auditRefusalAs(tenantID, req.Dataset, &resp, "overloaded", "queue_full")
@@ -587,7 +582,7 @@ func (s *Server) schedule(ctx context.Context, tenantID string, req *Request, tr
 		resp := Response{
 			Error:            "deadline unmeetable: query would expire before a slot frees up",
 			RetryAfterMillis: maxInt64(retryAfter.Milliseconds(), 1),
-			TraceID:          traceIDOrNew(tr),
+			TraceID:          tr.ID,
 		}
 		s.stats.recordOverloaded()
 		s.auditRefusalAs(tenantID, req.Dataset, &resp, "overloaded", "deadline_unmeetable")
@@ -595,7 +590,7 @@ func (s *Server) schedule(ctx context.Context, tenantID string, req *Request, tr
 		return nil, deadline, &resp
 	default: // schedCancelled: the connection went away; the response is unsendable
 		decision.End(telemetry.StatusCancelled)
-		resp := Response{Error: "query cancelled while queued", TraceID: traceIDOrNew(tr)}
+		resp := Response{Error: "query cancelled while queued", TraceID: tr.ID}
 		// The client cannot see this response, but the books still should:
 		// a cancelled-while-queued query is a scheduler refusal too.
 		s.auditRefusalAs(tenantID, req.Dataset, &resp, "cancelled", "cancelled_while_queued")
@@ -639,35 +634,16 @@ func (s *Server) dispatchAs(tenantID string, req *Request) Response {
 			return Response{Error: fmt.Sprintf("tenant %q is not authorized to register datasets", tenantID)}
 		}
 		return s.handleRegister(req)
-	case OpSession:
-		if refusal := s.authorizeDataset(tenantID, req.Dataset); refusal != nil {
-			return *refusal
-		}
-		releaseSlot, retryAfter, ok := s.admit(tenantID)
-		if !ok {
-			return s.rateLimited(tenantID, req.Dataset, retryAfter, nil)
-		}
-		defer releaseSlot()
-		schedRelease, deadline, refusal := s.schedule(context.Background(), tenantID, req, nil)
-		if refusal != nil {
-			return *refusal
-		}
-		defer schedRelease()
-		start := time.Now()
-		resp := s.handleSession(req, tenantID, deadline)
-		resp.TraceID = telemetry.NewTraceID()
-		s.auditRecordAs(tenantID, req.Dataset, &resp, sessionOutcome(&resp), time.Since(start))
-		return resp
 	case OpBudget:
 		if refusal := s.authorizeDataset(tenantID, req.Dataset); refusal != nil {
 			return *refusal
 		}
-		rem, err := s.mgr.Remaining(req.Dataset)
+		rem, err := s.stage.Budget.Remaining(req.Dataset)
 		if err != nil {
 			return errResponse(err)
 		}
 		return Response{OK: true, Remaining: rem}
-	case OpQuery:
+	case OpQuery, OpSession:
 		if refusal := s.authorizeDataset(tenantID, req.Dataset); refusal != nil {
 			return *refusal
 		}
@@ -677,7 +653,9 @@ func (s *Server) dispatchAs(tenantID string, req *Request) Response {
 		// over the WorkSpec and comes back to the analyst on the response.
 		// The trace starts BEFORE admission so refused queries get traces
 		// too — a refusal's trace carries its sched.queue/sched.decision
-		// spans and lands in the ring and the flight recorder.
+		// spans and lands in the ring and the flight recorder. Sessions go
+		// through the same front door: one trace for the batch, the engine
+		// spans repeating per member.
 		tr := telemetry.NewTrace(s.tel, telemetry.NewTraceID(), req.Dataset)
 		tr.Tenant = tenantID
 		releaseSlot, retryAfter, ok := s.admit(tenantID)
@@ -695,7 +673,12 @@ func (s *Server) dispatchAs(tenantID string, req *Request) Response {
 		inflight.Inc()
 		live := s.inflight.BeginTenant(tr.ID, req.Dataset, tenantID)
 		tr.OnStage = live.SetStage
-		resp := s.handleQuery(req, tenantID, tr, deadline)
+		var resp Response
+		if req.Op == OpSession {
+			resp = s.handleSession(req, tenantID, tr, deadline)
+		} else {
+			resp = s.handleQuery(req, tenantID, tr, deadline)
+		}
 		live.End()
 		inflight.Dec()
 		resp.TraceID = tr.ID
@@ -725,16 +708,21 @@ func (s *Server) dispatchAs(tenantID string, req *Request) Response {
 
 func errResponse(err error) Response { return Response{Error: err.Error()} }
 
-// queryOutcome classifies a query response into the audit/trace outcome
-// vocabulary: ok, cache_hit (a previously released answer re-served at
-// zero ε), degraded (answered with substituted blocks), budget_refused
+// queryOutcome classifies a query or session response into the audit/trace
+// outcome vocabulary: ok, cache_hit (a previously released answer re-served
+// at zero ε), degraded (answered with substituted blocks, or a session with
+// failed members — its ε was charged atomically up front), budget_refused
 // (refused before any charge), aborted (failed with its charge consumed —
 // the §6.2 posture), or error.
 func queryOutcome(resp *Response) string {
+	degraded := resp.FailedBlocks > 0
+	for _, r := range resp.Session {
+		degraded = degraded || r.Error != "" || r.FailedBlocks > 0
+	}
 	switch {
 	case resp.OK && resp.CacheHit:
 		return "cache_hit"
-	case resp.OK && resp.FailedBlocks > 0:
+	case resp.OK && degraded:
 		return "degraded"
 	case resp.OK:
 		return "ok"
@@ -745,27 +733,6 @@ func queryOutcome(resp *Response) string {
 	default:
 		return "error"
 	}
-}
-
-// sessionOutcome classifies a session response; a session whose batch ran
-// with some member failures is degraded, not failed (its ε was charged
-// atomically up front).
-func sessionOutcome(resp *Response) string {
-	if !resp.OK {
-		if strings.Contains(resp.Error, dp.ErrBudgetExhausted.Error()) {
-			return "budget_refused"
-		}
-		return "error"
-	}
-	if resp.CacheHit {
-		return "cache_hit"
-	}
-	for _, r := range resp.Session {
-		if r.Error != "" || r.FailedBlocks > 0 {
-			return "degraded"
-		}
-	}
-	return "ok"
 }
 
 // auditRecordAs appends one tamper-evident record for a settled query,
@@ -844,406 +811,6 @@ func (s *Server) logTrace(tr *telemetry.Trace) {
 	}
 }
 
-// handleQuery is the trusted query path: resolve program and ranges, settle
-// the privacy charge against the platform-owned ledger, then run the
-// engine. The budget is charged before execution so an analyst cannot
-// observe partial results of a query that would overdraw.
-//
-// tenantID is the authenticated principal ("" = single-tenant mode): it
-// partitions the answer cache, attributes the ledger charge, and layers the
-// tenant's quota over the global budget. tr records the query's lifecycle
-// spans (admission → budget → engine stages → release); it may be nil in
-// direct tests. deadline is the client's absolute answer-by time (zero:
-// none); the engine run is bounded by it on top of the server's own
-// QueryTimeout.
-func (s *Server) handleQuery(req *Request, tenantID string, tr *telemetry.Trace, deadline time.Time) Response {
-	// Admission covers everything before the charge: dataset resolution,
-	// program and range validation, chamber selection, block-size planning.
-	// End keeps only its first call, so the deferred error status fires
-	// only when an early return skips the explicit ok below.
-	admission := tr.StartSpan(telemetry.StageAdmission)
-	defer admission.End(telemetry.StatusError)
-
-	reg, err := s.reg.Lookup(req.Dataset)
-	if err != nil {
-		return errResponse(err)
-	}
-	if req.Program == nil {
-		return Response{Error: "query missing program"}
-	}
-
-	// Noisy-answer cache: a repeat of a previously released query — same
-	// distribution-relevant fields, same dataset content version — is
-	// answered with the *same* already-published release at zero additional
-	// ε (DP is closed under post-processing). The hit is journaled as a
-	// cache_hit ledger record so the books show the re-release, but the
-	// accountant is never debited. Blocks are never scheduled on this path.
-	fp := queryFingerprint(req, tenantID, reg.ContentVersion())
-	if cached, ok := s.cache.Get(fp); ok {
-		resp := cached.(Response)
-		resp.CacheHit = true
-		resp.EpsilonCharged = 0
-		if err := s.mgr.CacheHitAs(tenantID, req.Dataset, fmt.Sprintf("%s:%s", req.Dataset, req.Program.Type)); err != nil {
-			s.logf("compman: recording cache hit: %v", err)
-		}
-		admission.End(telemetry.StatusOK)
-		return resp
-	}
-
-	program, isBinary, err := req.Program.resolve()
-	if err != nil {
-		return errResponse(err)
-	}
-	outputDims := req.Program.OutputDims
-	if !isBinary {
-		outputDims = program.OutputDims()
-	}
-
-	spec, err := s.buildRangeSpec(req, reg, outputDims)
-	if err != nil {
-		return errResponse(err)
-	}
-
-	opts := core.Options{
-		BlockSize:    req.BlockSize,
-		Gamma:        req.Gamma,
-		Seed:         req.Seed,
-		Quantum:      s.cfg.DefaultQuantum,
-		BlockTimeout: s.cfg.BlockTimeout,
-		MaxFailFrac:  s.cfg.MaxFailFrac,
-		UserLevel:    req.UserLevel,
-		UserColumn:   req.UserColumn,
-	}
-	if req.QuantumMillis > 0 {
-		opts.Quantum = time.Duration(req.QuantumMillis) * time.Millisecond
-	}
-	if isBinary {
-		// Uploaded executables always run under subprocess isolation; the
-		// in-process path is reserved for the platform's own library.
-		path, args := req.Program.Path, req.Program.Args
-		program = binaryProgram{spec: *req.Program}
-		opts.NewChamber = func(_ analytics.Program, pol sandbox.Policy) sandbox.Chamber {
-			return &sandbox.Subprocess{Path: path, Args: args, Policy: pol, ScratchRoot: s.cfg.ScratchRoot}
-		}
-	}
-
-	// Cluster execution: fan the blocks out over the worker daemons. The
-	// workers resolve the same program spec (and run binaries under their
-	// local subprocess chambers), so this overrides any local factory.
-	if s.poolErr != nil {
-		return errResponse(fmt.Errorf("compman: worker pool unavailable: %w", s.poolErr))
-	}
-	if s.pool != nil {
-		progSpec := *req.Program
-		traceID := ""
-		if tr != nil {
-			traceID = tr.ID
-		}
-		opts.NewChamber = func(_ analytics.Program, pol sandbox.Policy) sandbox.Chamber {
-			return s.pool.Chamber(WorkSpec{
-				Program:       progSpec,
-				QuantumMillis: pol.Quantum.Milliseconds(),
-				TraceID:       traceID,
-			}, tr)
-		}
-		opts.Parallelism = s.pool.Parallelism()
-	}
-	opts.NewChamber = s.wrapChamberFactory(opts.NewChamber)
-
-	rows := reg.Private.Rows()
-
-	// Auto block size (paper §4.3) from the aged sample, if requested.
-	if req.AutoBlockSize && req.BlockSize == 0 {
-		if !reg.HasAged() {
-			return errResponse(aging.ErrNoAgedData)
-		}
-		epsForPlan := req.Epsilon
-		if epsForPlan <= 0 {
-			epsForPlan = 1 // planning default when accuracy mode resolves ε later
-		}
-		planRanges := spec.Output
-		if planRanges == nil {
-			return Response{Error: "autoBlockSize requires output ranges"}
-		}
-		choice, err := aging.OptimizeBlockSize(program, reg.Aged.Rows(), len(rows), epsForPlan, planRanges)
-		if err != nil {
-			return errResponse(err)
-		}
-		opts.BlockSize = choice.BlockSize
-	}
-
-	admission.End(telemetry.StatusOK)
-
-	// Settle the privacy charge. Any successful charge is journaled before
-	// the computation runs, so a crash can never refund it.
-	charge := tr.StartSpan(telemetry.StageBudget)
-	defer charge.End(telemetry.StatusError)
-	label := fmt.Sprintf("%s:%s", req.Dataset, req.Program.Type)
-	switch {
-	case req.Epsilon > 0 && req.Accuracy != nil:
-		return Response{Error: "set either epsilon or accuracy, not both"}
-	case req.Epsilon > 0:
-		if err := s.mgr.ChargeAs(tenantID, req.Dataset, label, req.Epsilon); err != nil {
-			return errResponse(err)
-		}
-		s.journalBudgets()
-		opts.Epsilon = req.Epsilon
-	case req.Accuracy != nil:
-		if spec.Mode != core.ModeTight && spec.Mode != core.ModeLoose {
-			return Response{Error: "accuracy goals need output ranges (tight or loose mode)"}
-		}
-		goal := aging.AccuracyGoal{Rho: req.Accuracy.Rho, Confidence: req.Accuracy.Confidence}
-		bs := opts.BlockSize
-		if bs == 0 {
-			bs = core.DefaultBlockSize(len(rows))
-		}
-		est, err := s.mgr.ChargeForAccuracyAs(tenantID, req.Dataset, label, program, bs, spec.Output, goal)
-		if err != nil {
-			return errResponse(err)
-		}
-		s.journalBudgets()
-		opts.Epsilon = est.Epsilon
-		opts.BlockSize = est.BlockSize
-	default:
-		return Response{Error: "query needs a positive epsilon or an accuracy goal"}
-	}
-	charge.End(telemetry.StatusOK)
-
-	// The engine stages (partition → blocks → aggregation → noising) span
-	// themselves inside core.Run.
-	opts.Metrics = s.tel
-	opts.Trace = tr
-
-	res, err := s.runCharged(program, rows, spec, opts, deadline)
-	if err != nil {
-		// The charge is already settled; failed runs still consumed budget
-		// conservatively (§6.2 — aborts never refund). Report the failure
-		// along with the ε it cost.
-		resp := errResponse(err)
-		resp.EpsilonCharged = opts.Epsilon
-		return resp
-	}
-
-	release := tr.StartSpan(telemetry.StageRelease)
-	resp := Response{
-		OK:              true,
-		Output:          res.Output,
-		EpsilonSpent:    res.EpsilonSpent,
-		EpsilonCharged:  res.EpsilonSpent,
-		EffectiveRanges: rangesToWire(res.EffectiveRanges),
-		NumBlocks:       res.NumBlocks,
-		BlockSize:       res.BlockSize,
-		FailedBlocks:    res.FailedBlocks,
-	}
-	// Fill the cache with clean releases only: a degraded answer (blocks
-	// substituted) is safe to re-serve but pins the degradation — a repeat
-	// after the fault cleared should get a fresh, full-quality run. The
-	// stored value has CacheHit unset and TraceID empty; each hit gets its
-	// own trace id and the flag set on its own copy.
-	if resp.FailedBlocks == 0 {
-		s.cache.Put(fp, req.Dataset, resp, respCacheSize(&resp))
-	}
-	release.End(telemetry.StatusOK)
-	return resp
-}
-
-// respCacheSize approximates one cached response's in-memory footprint for
-// the qcache.bytes gauge: the float payloads plus a fixed struct overhead.
-func respCacheSize(resp *Response) int64 {
-	n := int64(160) // struct + map/list bookkeeping, approximate
-	n += int64(8 * len(resp.Output))
-	n += int64(16 * len(resp.EffectiveRanges))
-	for i := range resp.Session {
-		n += 64 + int64(8*len(resp.Session[i].Output)) + int64(len(resp.Session[i].Error))
-	}
-	return n
-}
-
-// runCharged executes the engine for a query whose privacy charge has
-// already settled, bounded by the configured query deadline, the client's
-// answer-by deadline (when set), and the retry budget. Retries are
-// deterministic (the seed is perturbed per attempt so a seed-dependent
-// failure is not replayed verbatim) and never re-charge: at most one
-// output is ever released for the single ε spent.
-func (s *Server) runCharged(program analytics.Program, rows []mathutil.Vec, spec core.RangeSpec, opts core.Options, deadline time.Time) (*core.Result, error) {
-	ctx := context.Background()
-	if s.cfg.QueryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
-		defer cancel()
-	}
-	if !deadline.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, deadline)
-		defer cancel()
-	}
-	retries := s.cfg.MaxQueryRetries
-	if retries < 0 {
-		retries = 0 // a negative config must still execute the charged query once
-	}
-	var res *core.Result
-	var err error
-	for attempt := 0; attempt <= retries; attempt++ {
-		runOpts := opts
-		if attempt > 0 {
-			runOpts.Seed = opts.Seed + int64(attempt)*0x9E3779B9
-			s.stats.recordRetry()
-			s.logf("compman: retrying query (attempt %d): %v", attempt+1, err)
-		}
-		res, err = core.Run(ctx, program, rows, spec, runOpts)
-		if err == nil {
-			return res, nil
-		}
-		if ctx.Err() != nil {
-			// The query deadline expired; further attempts cannot finish.
-			return nil, fmt.Errorf("compman: query deadline: %w", err)
-		}
-	}
-	return nil, err
-}
-
-// wrapChamberFactory applies the configured ChamberWrapper around a
-// chamber factory (nil selects the engine's in-process default).
-func (s *Server) wrapChamberFactory(base func(analytics.Program, sandbox.Policy) sandbox.Chamber) func(analytics.Program, sandbox.Policy) sandbox.Chamber {
-	if s.cfg.ChamberWrapper == nil {
-		return base
-	}
-	if base == nil {
-		base = func(prog analytics.Program, pol sandbox.Policy) sandbox.Chamber {
-			return &sandbox.InProcess{Program: prog, Policy: pol}
-		}
-	}
-	return func(prog analytics.Program, pol sandbox.Policy) sandbox.Chamber {
-		return s.cfg.ChamberWrapper(base(prog, pol))
-	}
-}
-
-// handleSession runs a §5.2 budget-distributed batch: ε allocated across
-// the queries in proportion to their noise scales, the total charged
-// atomically before anything runs. tenantID attributes the charge and
-// partitions the session cache ("" = single-tenant mode).
-func (s *Server) handleSession(req *Request, tenantID string, deadline time.Time) Response {
-	spec := req.Session
-	if spec == nil {
-		return Response{Error: "session op missing payload"}
-	}
-	if len(spec.Queries) == 0 {
-		return Response{Error: "empty session"}
-	}
-	reg, err := s.reg.Lookup(req.Dataset)
-	if err != nil {
-		return errResponse(err)
-	}
-
-	// Sessions cache as one unit — their ε is distributed and charged
-	// atomically, so the repeat of an identical batch re-releases the whole
-	// already-published result set at zero additional ε.
-	fp := sessionFingerprint(req, tenantID, reg.ContentVersion())
-	if cached, ok := s.cache.Get(fp); ok {
-		resp := cached.(Response)
-		resp.CacheHit = true
-		resp.EpsilonCharged = 0
-		label := fmt.Sprintf("session:%s:%d-queries", req.Dataset, len(spec.Queries))
-		if err := s.mgr.CacheHitAs(tenantID, req.Dataset, label); err != nil {
-			s.logf("compman: recording cache hit: %v", err)
-		}
-		return resp
-	}
-
-	n := reg.Private.NumRows()
-
-	type member struct {
-		program analytics.Program
-		ranges  []dp.Range
-		beta    int
-	}
-	members := make([]member, len(spec.Queries))
-	zetas := make([]float64, len(spec.Queries))
-	for i, q := range spec.Queries {
-		program, isBinary, err := q.Program.resolve()
-		if err != nil {
-			return errResponse(fmt.Errorf("session query %d: %w", i, err))
-		}
-		if isBinary {
-			return Response{Error: fmt.Sprintf("session query %d: binary programs are not supported in sessions", i)}
-		}
-		ranges, err := rangesFromWire(q.OutputRanges)
-		if err != nil {
-			return errResponse(fmt.Errorf("session query %d: %w", i, err))
-		}
-		if len(ranges) != program.OutputDims() {
-			return Response{Error: fmt.Sprintf("session query %d: %d ranges for %d output dims",
-				i, len(ranges), program.OutputDims())}
-		}
-		beta := q.BlockSize
-		if beta == 0 {
-			beta = core.DefaultBlockSize(n)
-		}
-		z, err := budget.Zeta(ranges, beta, n)
-		if err != nil {
-			return errResponse(fmt.Errorf("session query %d: %w", i, err))
-		}
-		members[i] = member{program: program, ranges: ranges, beta: beta}
-		zetas[i] = z
-	}
-	alloc, err := budget.Distribute(spec.TotalEpsilon, zetas)
-	if err != nil {
-		return errResponse(err)
-	}
-
-	label := fmt.Sprintf("session:%s:%d-queries", req.Dataset, len(spec.Queries))
-	if err := s.mgr.ChargeAs(tenantID, req.Dataset, label, spec.TotalEpsilon); err != nil {
-		return errResponse(err)
-	}
-	s.journalBudgets()
-
-	// The whole session's ε is already charged; a query that fails from
-	// here on reports its error in its slot while the rest of the batch
-	// still runs. Aborting the batch would waste the survivors' budget —
-	// and refunding any of it would reopen the §6.2 attack.
-	rows := reg.Private.Rows()
-	results := make([]SessionResult, len(members))
-	for i, m := range members {
-		res, err := s.runCharged(m.program, rows,
-			core.RangeSpec{Mode: core.ModeTight, Output: m.ranges},
-			core.Options{
-				Epsilon:      alloc[i],
-				BlockSize:    m.beta,
-				Gamma:        spec.Queries[i].Gamma,
-				Seed:         spec.Queries[i].Seed,
-				Quantum:      s.cfg.DefaultQuantum,
-				BlockTimeout: s.cfg.BlockTimeout,
-				MaxFailFrac:  s.cfg.MaxFailFrac,
-				NewChamber:   s.wrapChamberFactory(nil),
-				Metrics:      s.tel,
-			}, deadline)
-		if err != nil {
-			results[i] = SessionResult{Error: err.Error(), EpsilonSpent: alloc[i]}
-			continue
-		}
-		results[i] = SessionResult{
-			Output:       res.Output,
-			EpsilonSpent: res.EpsilonSpent,
-			FailedBlocks: res.FailedBlocks,
-		}
-	}
-	resp := Response{OK: true, Session: results, EpsilonCharged: spec.TotalEpsilon}
-	// Cache only sessions where every member released cleanly, same stance
-	// as single queries: re-serving a partially failed batch would pin the
-	// failures.
-	clean := true
-	for i := range results {
-		if results[i].Error != "" || results[i].FailedBlocks > 0 {
-			clean = false
-			break
-		}
-	}
-	if clean {
-		s.cache.Put(fp, req.Dataset, resp, respCacheSize(&resp))
-	}
-	return resp
-}
-
 // handleRegister is the data-owner path: build a table from the inline
 // rows and register it with its lifetime budget.
 func (s *Server) handleRegister(req *Request) Response {
@@ -1273,7 +840,7 @@ func (s *Server) handleRegister(req *Request) Response {
 	// A (re-)registered dataset starts at a fresh content version, so old
 	// cache entries are already unreachable; dropping them eagerly just
 	// reclaims the memory.
-	s.cache.Invalidate(spec.Name)
+	s.stage.Cache.Invalidate(spec.Name)
 	if r, err := s.reg.Lookup(spec.Name); err == nil {
 		s.plane.Seed("", spec.Name, r.Accountant.Spent(), r.Accountant.Total())
 	}
@@ -1292,53 +859,4 @@ func (s *Server) journalBudgets() {
 	if err := s.reg.SaveBudgets(s.cfg.StatePath); err != nil {
 		s.logf("compman: journaling budgets: %v", err)
 	}
-}
-
-func (s *Server) buildRangeSpec(req *Request, reg *dataset.Registered, outputDims int) (core.RangeSpec, error) {
-	outRanges, err := rangesFromWire(req.OutputRanges)
-	if err != nil {
-		return core.RangeSpec{}, err
-	}
-	inRanges, err := rangesFromWire(req.InputRanges)
-	if err != nil {
-		return core.RangeSpec{}, err
-	}
-	if inRanges == nil {
-		inRanges = reg.Private.Ranges() // data-owner-registered bounds
-	}
-	spec := core.RangeSpec{
-		PercentileLow:  req.PercentileLow,
-		PercentileHigh: req.PercentileHigh,
-	}
-	switch req.Mode {
-	case "tight", "":
-		spec.Mode, spec.Output = core.ModeTight, outRanges
-	case "loose":
-		spec.Mode, spec.Output = core.ModeLoose, outRanges
-	case "helper":
-		translate, err := req.Translate.toFunc(outputDims)
-		if err != nil {
-			return core.RangeSpec{}, err
-		}
-		if translate == nil {
-			return core.RangeSpec{}, errors.New("compman: helper mode needs a translate spec")
-		}
-		spec.Mode, spec.Input, spec.Translate = core.ModeHelper, inRanges, translate
-	default:
-		return core.RangeSpec{}, fmt.Errorf("compman: unknown mode %q", req.Mode)
-	}
-	return spec, nil
-}
-
-// binaryProgram satisfies analytics.Program for uploaded executables; Run is
-// never called because the subprocess chamber executes the binary itself,
-// but the engine needs the declared output dimensionality and a name.
-type binaryProgram struct {
-	spec ProgramSpec
-}
-
-func (b binaryProgram) Name() string    { return "binary:" + b.spec.Path }
-func (b binaryProgram) OutputDims() int { return b.spec.OutputDims }
-func (b binaryProgram) Run([]mathutil.Vec) (mathutil.Vec, error) {
-	return nil, errors.New("compman: binary programs run only inside subprocess chambers")
 }

@@ -8,7 +8,8 @@ import (
 )
 
 // ServerStats is an operator-facing snapshot of a server's activity since
-// start. All fields are monotonic counters except the latency aggregate.
+// start. All fields are monotonic counters except the latency aggregate. A
+// session (OpSession) counts as one query.
 type ServerStats struct {
 	// QueriesOK counts successfully answered queries.
 	QueriesOK int64 `json:"queriesOK"`

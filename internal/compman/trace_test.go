@@ -285,8 +285,8 @@ func TestSessionOutcomeClassification(t *testing.T) {
 		{"error", Response{Error: "bad batch"}, "error"},
 	}
 	for _, tc := range cases {
-		if got := sessionOutcome(&tc.resp); got != tc.want {
-			t.Errorf("%s: sessionOutcome = %q, want %q", tc.name, got, tc.want)
+		if got := queryOutcome(&tc.resp); got != tc.want {
+			t.Errorf("%s: queryOutcome = %q, want %q", tc.name, got, tc.want)
 		}
 	}
 }

@@ -175,48 +175,3 @@ func TestGammaSampler(t *testing.T) {
 		}
 	}
 }
-
-func TestRepeatMix(t *testing.T) {
-	const n, distinct = 400, 40
-	mix := RepeatMix(7, n, distinct)
-	if len(mix) != n {
-		t.Fatalf("len = %d, want %d", len(mix), n)
-	}
-	counts := make([]int, distinct)
-	for _, idx := range mix {
-		if idx < 0 || idx >= distinct {
-			t.Fatalf("index %d out of [0, %d)", idx, distinct)
-		}
-		counts[idx]++
-	}
-	for i, c := range counts {
-		if c == 0 {
-			t.Errorf("query %d never scheduled; coverage guarantee broken", i)
-		}
-	}
-	// Zipf head-heaviness: the most popular query dominates the median one.
-	if counts[0] < 4*counts[distinct/2] {
-		t.Errorf("schedule not repeat-heavy: head %d vs median %d", counts[0], counts[distinct/2])
-	}
-	// Determinism and seed sensitivity.
-	again := RepeatMix(7, n, distinct)
-	for i := range mix {
-		if mix[i] != again[i] {
-			t.Fatal("RepeatMix is not a pure function of its seed")
-		}
-	}
-	other := RepeatMix(8, n, distinct)
-	same := 0
-	for i := range mix {
-		if mix[i] == other[i] {
-			same++
-		}
-	}
-	if same == n {
-		t.Error("different seeds produced an identical schedule")
-	}
-	// n smaller than distinct clips rather than padding.
-	if short := RepeatMix(7, 5, distinct); len(short) != 5 {
-		t.Fatalf("short mix len = %d, want 5", len(short))
-	}
-}
