@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check fuzz bench fanout-race ledger-kill audit-kill prom-lint
+.PHONY: all build test race vet check fuzz bench bench-smoke fanout-race ledger-kill audit-kill prom-lint
 
 all: check
 
@@ -34,10 +34,15 @@ audit-kill:
 fanout-race:
 	$(GO) test -race -count=1 -run 'TestFanout|TestScheduler|TestServerOverload|TestServerDeadline|TestWorker' ./internal/compman
 
+# bench-smoke compiles and runs every micro-benchmark on the data path once,
+# so the allocation benchmarks next to the copy-boundary guards cannot rot.
+bench-smoke:
+	$(GO) test -run xxx -bench . -benchtime 1x ./internal/core ./internal/sandbox ./internal/dataset ./internal/compman ./internal/query
+
 # check is the pre-merge gate: static analysis plus the full suite under
 # the race detector, plus dedicated passes of both kill matrices and the
-# fan-out concurrency tests.
-check: vet race fanout-race ledger-kill audit-kill
+# fan-out concurrency tests, plus one iteration of every micro-benchmark.
+check: vet race fanout-race ledger-kill audit-kill bench-smoke
 
 # fuzz runs each fuzz target briefly; lengthen FUZZTIME for soak runs.
 FUZZTIME ?= 10s

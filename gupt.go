@@ -315,7 +315,7 @@ func (p *Platform) EstimateEpsilon(name string, program Program, blockSize int, 
 	if blockSize == 0 {
 		blockSize = core.DefaultBlockSize(reg.Private.NumRows())
 	}
-	est, err := aging.EstimateEpsilon(program, reg.Aged.Rows(), reg.Private.NumRows(), blockSize, ranges, goal)
+	est, err := aging.EstimateEpsilon(program, reg.Aged.View(), reg.Private.NumRows(), blockSize, ranges, goal)
 	if err != nil {
 		return 0, err
 	}
@@ -362,7 +362,7 @@ func (p *Platform) SynthesizeAgedSample(name string, eps float64, bins, count in
 	if err := reg.Spend("synthesize-aged", eps); err != nil {
 		return err
 	}
-	rows, err := aging.SynthesizeAged(mathutil.NewRNG(seed), reg.Private.Rows(), ranges, bins, count, eps)
+	rows, err := aging.SynthesizeAged(mathutil.NewRNG(seed), reg.Private.View(), ranges, bins, count, eps)
 	if err != nil {
 		return err
 	}

@@ -80,7 +80,7 @@ func OptimizeBlockSize(program analytics.Program, aged []mathutil.Vec, n int, ep
 	}
 
 	nnp := len(aged)
-	full, err := program.Run(cloneRows(aged))
+	full, err := program.Run(mathutil.CloneRows(aged))
 	if err != nil {
 		return BlockSizeChoice{}, fmt.Errorf("aging: program failed on aged data: %w", err)
 	}
@@ -204,7 +204,7 @@ func BlockOutputs(program analytics.Program, aged []mathutil.Vec, beta int) ([]m
 	numBlocks := nnp / beta
 	outs := make([]mathutil.Vec, 0, numBlocks)
 	for b := 0; b < numBlocks; b++ {
-		block := cloneRows(aged[b*beta : (b+1)*beta])
+		block := mathutil.CloneRows(aged[b*beta : (b+1)*beta])
 		o, err := program.Run(block)
 		if err != nil {
 			return nil, err
@@ -226,12 +226,4 @@ func betaForAlpha(n int, alpha float64, nnp int) int {
 		beta = nnp
 	}
 	return beta
-}
-
-func cloneRows(rows []mathutil.Vec) []mathutil.Vec {
-	out := make([]mathutil.Vec, len(rows))
-	for i, r := range rows {
-		out[i] = r.Clone()
-	}
-	return out
 }

@@ -80,7 +80,7 @@ func EstimateEpsilon(program analytics.Program, aged []mathutil.Vec, n, beta int
 		return EpsilonEstimate{}, fmt.Errorf("aging: invalid n=%d beta=%d", n, beta)
 	}
 
-	full, err := program.Run(cloneRows(aged))
+	full, err := program.Run(mathutil.CloneRows(aged))
 	if err != nil {
 		return EpsilonEstimate{}, fmt.Errorf("aging: program failed on aged data: %w", err)
 	}

@@ -251,7 +251,7 @@ func (m *Manager) ChargeForAccuracyAs(tenant, datasetName, label string, program
 	if blockSize == 0 {
 		blockSize = core.DefaultBlockSize(n)
 	}
-	est, err := aging.EstimateEpsilon(program, r.Aged.Rows(), n, blockSize, ranges, goal)
+	est, err := aging.EstimateEpsilon(program, r.Aged.View(), n, blockSize, ranges, goal)
 	if err != nil {
 		return aging.EpsilonEstimate{}, err
 	}

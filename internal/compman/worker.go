@@ -245,7 +245,9 @@ func (w *Worker) execute(req *WorkRequest) WorkResponse {
 			ScratchRoot: w.cfg.ScratchRoot,
 		}
 	} else {
-		chamber = &sandbox.InProcess{Program: program, Policy: pol}
+		// The decoded work frame is private to this request, so it is the
+		// program's one copy of the block already.
+		chamber = &sandbox.InProcess{Program: program, Policy: pol, OwnsBlock: true}
 	}
 	if w.cfg.ChamberWrapper != nil {
 		chamber = w.cfg.ChamberWrapper(chamber)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"gupt/internal/analytics"
 	"gupt/internal/mathutil"
 	"gupt/internal/sandbox"
 )
@@ -286,3 +287,72 @@ func TestWorkerPoolRecoversFromWorkerRestart(t *testing.T) {
 // The worker chamber satisfies the sandbox.Chamber contract used by the
 // engine.
 var _ sandbox.Chamber = (*poolChamber)(nil)
+
+// workFrame encodes one mean-of-column-0 work request over an n-row block.
+func workFrame(tb testing.TB, n int) []byte {
+	tb.Helper()
+	req := WorkRequest{Spec: WorkSpec{Program: ProgramSpec{Type: "mean", Col: 0}}, Block: make([][]float64, n)}
+	for i, r := range workerBlock(n) {
+		req.Block[i] = r
+	}
+	frame, err := AppendWorkRequestFrame(nil, &req)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return frame
+}
+
+// The decoded work frame is the worker's private copy of the block: the
+// program runs on those very rows, and nothing on the worker allocates per
+// row after the decode.
+func TestWorkerRunsProgramOnDecodedBlock(t *testing.T) {
+	var saw *float64
+	w := NewWorker(WorkerConfig{ChamberWrapper: func(inner sandbox.Chamber) sandbox.Chamber {
+		c := *inner.(*sandbox.InProcess)
+		c.Program = analytics.Func{ProgName: "probe", Dims: 1, F: func(block []mathutil.Vec) (mathutil.Vec, error) {
+			saw = &block[0][0]
+			return mathutil.Vec{0}, nil
+		}}
+		return &c
+	}})
+	req, _, err := DecodeWorkRequestFrame(workFrame(t, 385))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp := w.execute(req); resp.Error != "" {
+		t.Fatal(resp.Error)
+	}
+	if saw != &req.Block[0][0] {
+		t.Error("the worker copied the decoded block again before the program ran")
+	}
+
+	w = NewWorker(WorkerConfig{})
+	allocs := testing.AllocsPerRun(50, func() {
+		if resp := w.execute(req); resp.Error != "" {
+			t.Fatal(resp.Error)
+		}
+	})
+	if allocs > 16 {
+		t.Errorf("executing a decoded 385-row block allocates %.0f times, want <= 16 (no per-row clone)", allocs)
+	}
+}
+
+// BenchmarkWorkerHandleBlock is one block's life on a worker, socket
+// excluded: decode the work frame, execute it, encode the response.
+func BenchmarkWorkerHandleBlock(b *testing.B) {
+	w := NewWorker(WorkerConfig{})
+	frame := workFrame(b, 385)
+	var out []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req, _, err := DecodeWorkRequestFrame(frame)
+		if err != nil {
+			b.Fatal(err)
+		}
+		resp := w.execute(req)
+		if out, err = AppendWorkResponseFrame(out[:0], &resp); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -78,6 +78,23 @@ func TestViewAllocations(t *testing.T) {
 	}
 }
 
+// TestRunAllocations pins the engine's copy boundary on the 20 000×1 census
+// shape: no per-row allocation anywhere — one flat private copy per block in
+// the chamber, view headers reused per parallelism slot, γ = 1 blocks
+// aliasing the permutation.
+func TestRunAllocations(t *testing.T) {
+	rows := benchRows(20000)
+	spec := RangeSpec{Mode: ModeTight, Output: []dp.Range{{Lo: 0, Hi: 150}}}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := Run(context.Background(), analytics.Mean{Col: 0}, rows, spec, Options{Epsilon: 1, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1000 {
+		t.Errorf("Run over 20000 rows allocates %.0f times, want <= 1000", allocs)
+	}
+}
+
 func BenchmarkPartitionView(b *testing.B) {
 	rng := mathutil.NewRNG(7)
 	rows := benchRows(30000)

@@ -308,8 +308,10 @@ func runBlocks(ctx context.Context, program analytics.Program, rows []mathutil.V
 	// consistent block→worker assignment; the index never affects results —
 	// block outputs are keyed by index in the output matrix regardless.
 	blockChamber, _ := chamber.(sandbox.BlockChamber)
-	// Chambers declaring they never mutate rows get zero-copy views of the
-	// partition instead of per-block clones.
+	// Chambers declaring they neither mutate nor retain the block get
+	// zero-copy views of the shared rows and make the one private copy (or
+	// wire encoding) themselves; any other chamber gets a private flat copy
+	// here, because rows may be the registered table itself.
 	zeroCopy := false
 	if ro, ok := chamber.(sandbox.ReadOnlyChamber); ok {
 		zeroCopy = ro.ReadOnlyBlocks()
@@ -324,21 +326,33 @@ func runBlocks(ctx context.Context, program analytics.Program, rows []mathutil.V
 
 	outputs := newBlockMatrix(part.NumBlocks(), len(substitute))
 	written := make([]bool, part.NumBlocks())
-	sem := make(chan struct{}, opts.Parallelism)
+	// One slot per concurrent block, each carrying the view-header scratch
+	// its blocks gather into: a chamber is done with the headers when it
+	// returns, so the next block on the slot overwrites them.
+	slots := make(chan []mathutil.Vec, opts.Parallelism)
+	for i := 0; i < opts.Parallelism; i++ {
+		slots <- nil
+	}
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	failed := 0
 	var ctxErr error
 
 	for i := range part.Blocks {
+		// A cancelled query must not wait out a running (quantum-padded)
+		// block just to learn it has nothing left to start.
+		var scratch []mathutil.Vec
+		select {
+		case scratch = <-slots:
+		case <-ctx.Done():
+		}
 		if ctx.Err() != nil {
 			break
 		}
 		wg.Add(1)
-		sem <- struct{}{}
 		go func(i int) {
 			defer wg.Done()
-			defer func() { <-sem }()
+			defer func() { slots <- scratch }()
 			// Per-block deadline: a wedged chamber (hung worker socket,
 			// stuck subprocess) fails just this block, never the query.
 			bctx := ctx
@@ -346,11 +360,10 @@ func runBlocks(ctx context.Context, program analytics.Program, rows []mathutil.V
 			if opts.BlockTimeout > 0 {
 				bctx, cancel = context.WithTimeout(ctx, opts.BlockTimeout)
 			}
-			var block []mathutil.Vec
-			if zeroCopy {
-				block = part.View(rows, i)
-			} else {
-				block = part.Materialize(rows, i)
+			scratch = part.viewInto(scratch, rows, i)
+			block := scratch
+			if !zeroCopy {
+				block = mathutil.CloneRows(scratch)
 			}
 			inflight.Inc()
 			var out mathutil.Vec

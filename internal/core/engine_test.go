@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -458,5 +460,103 @@ func TestRunWithSubprocessStyleChamberFactory(t *testing.T) {
 	}
 	if !used {
 		t.Error("custom chamber factory was not invoked")
+	}
+}
+
+// stubbornChamber pads every block to the policy's quantum and ignores
+// cancellation, like a chamber blocked in a syscall.
+type stubbornChamber struct {
+	quantum time.Duration
+	runs    *atomic.Int32
+}
+
+func (c stubbornChamber) Execute(context.Context, []mathutil.Vec) (mathutil.Vec, error) {
+	c.runs.Add(1)
+	time.Sleep(c.quantum)
+	return mathutil.Vec{1}, nil
+}
+
+// A cancelled run stops dispatching at once: it must not sit on the
+// parallelism semaphore until the running quantum-padded block ends and
+// then start another one.
+func TestRunCancelDoesNotWaitForASlot(t *testing.T) {
+	const quantum = 200 * time.Millisecond
+	var runs atomic.Int32
+	opts := Options{
+		Epsilon: 1, BlockSize: 100, Parallelism: 1, Quantum: quantum,
+		NewChamber: func(_ analytics.Program, pol sandbox.Policy) sandbox.Chamber {
+			return stubbornChamber{quantum: pol.Quantum, runs: &runs}
+		},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(quantum/4, cancel)
+	start := time.Now()
+	_, err := Run(ctx, analytics.Mean{Col: 0}, ageRows(13, 1000), tightSpec(dp.Range{Lo: 0, Hi: 150}), opts)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got := runs.Load(); got != 1 {
+		t.Errorf("%d blocks started, want only the one running when the query was cancelled", got)
+	}
+	if elapsed := time.Since(start); elapsed >= 2*quantum {
+		t.Errorf("cancelled run returned after %v, want within one %v quantum", elapsed, quantum)
+	}
+}
+
+// hoardingChamber makes no ReadOnlyBlocks promise: it runs the program on
+// the very block it is handed, then vandalises and keeps it.
+type hoardingChamber struct {
+	prog analytics.Program
+	mu   *sync.Mutex
+	kept *[][]mathutil.Vec
+}
+
+func (c hoardingChamber) Execute(_ context.Context, block []mathutil.Vec) (mathutil.Vec, error) {
+	out, err := c.prog.Run(block)
+	for _, r := range block {
+		r[0] = -1
+	}
+	c.mu.Lock()
+	*c.kept = append(*c.kept, block)
+	c.mu.Unlock()
+	return out, err
+}
+
+// Chambers that do not declare ReadOnlyBlocks get a private copy of every
+// block: the caller's rows (the registered table, on the query path)
+// survive them, the rows shared between resampled blocks stay honest, and
+// a block kept past Execute is not overwritten by the next one on its slot.
+func TestRunCopiesBlocksForUndeclaredChambers(t *testing.T) {
+	rows := ageRows(14, 2000)
+	want := mathutil.CloneRows(rows)
+	spec := tightSpec(dp.Range{Lo: 0, Hi: 150})
+	opts := Options{Epsilon: 1, Seed: 3, BlockSize: 100, Gamma: 2, Parallelism: 2}
+	ref, err := Run(context.Background(), analytics.Mean{Col: 0}, rows, spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var kept [][]mathutil.Vec
+	opts.NewChamber = func(prog analytics.Program, _ sandbox.Policy) sandbox.Chamber {
+		return hoardingChamber{prog: prog, mu: &mu, kept: &kept}
+	}
+	got, err := Run(context.Background(), analytics.Mean{Col: 0}, rows, spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got.Output[0]) != math.Float64bits(ref.Output[0]) {
+		t.Errorf("released %v through the mutating chamber, %v through the default one", got.Output, ref.Output)
+	}
+	for i := range rows {
+		if rows[i][0] != want[i][0] {
+			t.Fatalf("row %d = %v after the run, want %v: the chamber reached the caller's rows", i, rows[i], want[i])
+		}
+	}
+	for b, block := range kept {
+		for _, r := range block {
+			if r[0] != -1 {
+				t.Fatalf("kept block %d was overwritten after its chamber returned", b)
+			}
+		}
 	}
 }

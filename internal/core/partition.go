@@ -96,7 +96,9 @@ func MakePartition(rng *mathutil.RNG, n, blockSize, gamma int) (*Partition, erro
 			if b < extra {
 				size++
 			}
-			blocks[b] = append([]int(nil), perm[pos:pos+size]...)
+			// Blocks alias the permutation (capacity cut so an append
+			// cannot run into the next block) instead of re-copying it.
+			blocks[b] = perm[pos : pos+size : pos+size]
 			pos += size
 		}
 		return &Partition{Blocks: blocks, BlockSize: blockSize, Gamma: 1, N: n}, nil
@@ -203,14 +205,11 @@ func (p *Partition) Sensitivity(width float64) float64 {
 	return float64(p.Gamma) * width / float64(p.NumBlocks())
 }
 
-// Materialize returns the rows of block i as copies drawn from rows.
+// Materialize returns a private flat copy of block i's rows (see
+// mathutil.CloneRows) — what a chamber that does not declare
+// sandbox.ReadOnlyChamber is handed.
 func (p *Partition) Materialize(rows []mathutil.Vec, i int) []mathutil.Vec {
-	idx := p.Blocks[i]
-	out := make([]mathutil.Vec, len(idx))
-	for j, r := range idx {
-		out[j] = rows[r].Clone()
-	}
-	return out
+	return mathutil.CloneRows(p.View(rows, i))
 }
 
 // View returns the rows of block i aliasing rows directly — one slice
@@ -219,10 +218,19 @@ func (p *Partition) Materialize(rows []mathutil.Vec, i int) []mathutil.Vec {
 // dataset for every other block sharing those rows (γ > 1) and for every
 // later query.
 func (p *Partition) View(rows []mathutil.Vec, i int) []mathutil.Vec {
+	return p.viewInto(nil, rows, i)
+}
+
+// viewInto is View gathering into buf's storage, which it grows only when
+// block i is larger than any block buf held before.
+func (p *Partition) viewInto(buf, rows []mathutil.Vec, i int) []mathutil.Vec {
 	idx := p.Blocks[i]
-	out := make([]mathutil.Vec, len(idx))
-	for j, r := range idx {
-		out[j] = rows[r]
+	if cap(buf) < len(idx) {
+		buf = make([]mathutil.Vec, len(idx))
 	}
-	return out
+	buf = buf[:len(idx)]
+	for j, r := range idx {
+		buf[j] = rows[r]
+	}
+	return buf
 }

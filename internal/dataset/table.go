@@ -20,7 +20,8 @@ var ErrDimensionMismatch = errors.New("dataset: row dimension mismatch")
 // Table is an immutable-after-build collection of k-dimensional real-valued
 // records, the unit of data that GUPT computations run against. A table may
 // carry optional column names and per-column attribute ranges supplied by
-// the data owner.
+// the data owner. Once registered, its rows are shared read-only by every
+// concurrent query (View); only copies ever reach an analysis program.
 type Table struct {
 	cols   []string
 	rows   []mathutil.Vec
@@ -77,16 +78,17 @@ func (t *Table) Columns() []string { return append([]string(nil), t.cols...) }
 // Row returns a copy of record i.
 func (t *Table) Row(i int) mathutil.Vec { return t.rows[i].Clone() }
 
-// Rows returns a deep copy of all records. Computations receive copies so
-// an untrusted program can never mutate the registered data (part of the
-// state-attack defense).
-func (t *Table) Rows() []mathutil.Vec {
-	out := make([]mathutil.Vec, len(t.rows))
-	for i, r := range t.rows {
-		out[i] = r.Clone()
-	}
-	return out
-}
+// Rows returns a deep copy of all records, which the caller owns. The
+// query pipeline does not use it: the engine reads the shared View and the
+// chamber makes the one private copy per block.
+func (t *Table) Rows() []mathutil.Vec { return mathutil.CloneRows(t.rows) }
+
+// View returns the table's records without copying them. The result is
+// shared with every other reader and must be treated as read-only — rows
+// and row headers alike. It exists for the trusted engine, which reads it
+// to partition and hands untrusted programs a private copy of each block
+// (the state-attack defense); nothing outside the trusted side may see it.
+func (t *Table) View() []mathutil.Vec { return t.rows }
 
 // Column returns a copy of column j across all records.
 func (t *Table) Column(j int) []float64 {

@@ -56,6 +56,11 @@ func TestTableRowsAreCopies(t *testing.T) {
 	if tbl.Row(0)[0] != 1 {
 		t.Error("Rows exposed internal storage")
 	}
+	// View is the one accessor that does not copy: the trusted engine reads
+	// the registered rows through it in place.
+	if view := tbl.View(); len(view) != 1 || &view[0][0] != &tbl.rows[0][0] {
+		t.Error("View copied the table instead of aliasing it")
+	}
 }
 
 func TestTableRaggedRejected(t *testing.T) {
@@ -214,5 +219,23 @@ func TestCSVFileRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadCSVFile(path+".missing", false); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// BenchmarkTableRows is the cost of taking a private copy of a whole table
+// (callers outside the query path: experiments, examples, the bench twin).
+func BenchmarkTableRows(b *testing.B) {
+	tbl := New(nil)
+	for i := 0; i < 20000; i++ {
+		if err := tbl.Append(mathutil.Vec{float64(i % 150)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rows := tbl.Rows(); len(rows) != tbl.NumRows() {
+			b.Fatal("short copy")
+		}
 	}
 }

@@ -22,6 +22,26 @@ func (v Vec) Clone() Vec {
 	return out
 }
 
+// CloneRows returns a deep copy of rows laid out flat: one header slice and
+// one contiguous backing array, two allocations however many rows there
+// are. Each copied row's capacity is cut to its length, so appending to one
+// row reallocates it instead of running into its neighbour.
+func CloneRows(rows []Vec) []Vec {
+	total := 0
+	for _, r := range rows {
+		total += len(r)
+	}
+	backing := make([]float64, total)
+	out := make([]Vec, len(rows))
+	off := 0
+	for i, r := range rows {
+		end := off + copy(backing[off:], r)
+		out[i] = backing[off:end:end]
+		off = end
+	}
+	return out
+}
+
 // Add returns v + w. It panics if the lengths differ; mismatched dimensions
 // are a programming error, not a data error.
 func (v Vec) Add(w Vec) Vec {

@@ -143,3 +143,34 @@ func anyNaNInf(v Vec) bool {
 	}
 	return false
 }
+
+func TestCloneRows(t *testing.T) {
+	rows := []Vec{{1, 2}, {}, {3}, {4, 5, 6}}
+	got := CloneRows(rows)
+	if len(got) != len(rows) {
+		t.Fatalf("cloned %d rows, want %d", len(got), len(rows))
+	}
+	for i := range rows {
+		if len(got[i]) != len(rows[i]) {
+			t.Fatalf("row %d has %d values, want %d", i, len(got[i]), len(rows[i]))
+		}
+		for j := range rows[i] {
+			if got[i][j] != rows[i][j] {
+				t.Errorf("row %d = %v, want %v", i, got[i], rows[i])
+			}
+			got[i][j] = -1
+		}
+	}
+	if rows[0][0] != 1 || rows[3][2] != 6 {
+		t.Fatalf("CloneRows aliases its input: %v", rows)
+	}
+	// Rows share one backing array, so a row must not be able to grow into
+	// the next one.
+	got[0] = append(got[0], 99)
+	if got[2][0] != -1 {
+		t.Fatalf("append to row 0 overwrote row 2: %v", got[2])
+	}
+	if allocs := testing.AllocsPerRun(50, func() { CloneRows(rows) }); allocs != 2 {
+		t.Errorf("CloneRows allocates %.0f times, want 2 (headers + backing)", allocs)
+	}
+}

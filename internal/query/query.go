@@ -227,7 +227,6 @@ func (s *Stage) Run(ctx context.Context, q *Query) (*core.Result, float64, error
 	if err != nil {
 		return nil, 0, err
 	}
-	rows := reg.Private.Rows()
 	opts := q.Options
 
 	// Auto block size (§4.3) from the aged sample.
@@ -239,7 +238,7 @@ func (s *Stage) Run(ctx context.Context, q *Query) (*core.Result, float64, error
 		if planEps <= 0 {
 			planEps = 1 // planning default when the accuracy goal resolves ε later
 		}
-		choice, err := aging.OptimizeBlockSize(q.Program, reg.Aged.Rows(), len(rows), planEps, q.planRanges())
+		choice, err := aging.OptimizeBlockSize(q.Program, reg.Aged.View(), reg.Private.NumRows(), planEps, q.planRanges())
 		if err != nil {
 			return nil, 0, err
 		}
@@ -266,8 +265,11 @@ func (s *Stage) Run(ctx context.Context, q *Query) (*core.Result, float64, error
 	charge.End(telemetry.StatusOK)
 
 	// The engine stages (partition → blocks → aggregation → noising) span
-	// themselves inside core.Run.
-	res, err := s.execute(ctx, q.Program, rows, spec, opts, q.Deadline)
+	// themselves inside core.Run. It reads the registered rows in place —
+	// nothing before this point touched row data, so refusals and cache
+	// hits cost the same on any table size — and the chamber makes each
+	// block's private copy.
+	res, err := s.execute(ctx, q.Program, reg.Private.View(), spec, opts, q.Deadline)
 	if err != nil {
 		return nil, opts.Epsilon, err
 	}

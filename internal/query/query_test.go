@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 
 	"gupt/internal/analytics"
@@ -92,5 +93,89 @@ func TestCacheHitJournalFailureFailsRequest(t *testing.T) {
 	}
 	if rem := r.Accountant.Remaining(); rem != 8 {
 		t.Errorf("remaining = %v, want 8 (two cold charges, nothing for the refused hits)", rem)
+	}
+}
+
+// noQuota refuses every tenant-attributed reservation.
+type noQuota struct{}
+
+func (noQuota) Reserve(string, string, float64) error { return errors.New("tenant quota exhausted") }
+func (noQuota) Release(string, string, float64)       {}
+
+// refusalStage serves an n-row table through a stage whose tenant quota
+// layer refuses every charge, and returns a query that layer refuses
+// (tenant "t") and one the dataset's own budget refuses (ε over the total).
+func refusalStage(tb testing.TB, n int) (s *Stage, quota, overBudget *Query) {
+	tb.Helper()
+	rows := make([]mathutil.Vec, n)
+	for i := range rows {
+		rows[i] = mathutil.Vec{float64(i % 50)}
+	}
+	tbl, err := dataset.FromRows([]string{"v"}, rows)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	reg := dataset.NewRegistry()
+	if _, err := reg.Register("ds", tbl, dataset.RegisterOptions{TotalBudget: 10}); err != nil {
+		tb.Fatal(err)
+	}
+	mgr := budget.NewManager(reg)
+	mgr.SetQuotas(noQuota{})
+	q := Query{
+		Dataset: "ds", Program: analytics.Mean{},
+		Ranges:  core.RangeSpec{Output: []dp.Range{{Lo: 0, Hi: 50}}},
+		Options: core.Options{Epsilon: 1},
+	}
+	quotaQ, overQ := q, q
+	quotaQ.Tenant = "t"
+	overQ.Options.Epsilon = 11
+	return &Stage{Registry: reg, Budget: mgr}, &quotaQ, &overQ
+}
+
+// bytesPerRun is the mean heap bytes one call of f allocates.
+func bytesPerRun(f func()) uint64 {
+	const runs = 20
+	f() // warm up lazily initialised state
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// Nothing before the charge touches row data: a refusal costs the same
+// bytes on a 1 000-row table as on a 100 000-row one.
+func TestRefusalCostIndependentOfTableSize(t *testing.T) {
+	ctx := context.Background()
+	var cost [2][2]uint64 // [table][quota, over-budget]
+	for i, n := range []int{1000, 100000} {
+		s, quota, over := refusalStage(t, n)
+		for j, q := range []*Query{quota, over} {
+			cost[i][j] = bytesPerRun(func() {
+				if res, charged, err := s.Run(ctx, q); err == nil || res != nil || charged != 0 {
+					t.Fatalf("query ran: res %v, charged %v, err %v", res, charged, err)
+				}
+			})
+		}
+	}
+	for j, kind := range []string{"quota-refused", "over-budget"} {
+		small, large := cost[0][j], cost[1][j]
+		if large > small+1024 {
+			t.Errorf("%s query allocates %d B on 1000 rows but %d B on 100000 rows", kind, small, large)
+		}
+	}
+}
+
+func BenchmarkStageRunRefused(b *testing.B) {
+	s, quota, _ := refusalStage(b, 20000)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := s.Run(ctx, quota); err == nil {
+			b.Fatal("refused query ran")
+		}
 	}
 }

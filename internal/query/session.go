@@ -128,7 +128,7 @@ func (s *Stage) RunSession(ctx context.Context, sess *Session) ([]MemberResult, 
 		s.OnCharge()
 	}
 
-	rows := reg.Private.Rows()
+	rows := reg.Private.View()
 	clean := true
 	for i := range sess.Members {
 		m := &sess.Members[i]

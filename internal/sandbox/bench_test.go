@@ -21,6 +21,7 @@ func BenchmarkInProcessExecute(b *testing.B) {
 	ch := &InProcess{Program: analytics.Mean{Col: 0}}
 	block := benchBlock(500)
 	ctx := context.Background()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ch.Execute(ctx, block); err != nil {

@@ -132,12 +132,19 @@ func (p Policy) holdRemaining(ctx context.Context, start time.Time) {
 type InProcess struct {
 	Program analytics.Program
 	Policy  Policy
+	// OwnsBlock declares that every block handed to Execute is already
+	// private to that call — the worker daemon's freshly decoded work frame
+	// — so the program runs on it directly instead of on a second copy.
+	// Set in code by such a caller, never from configuration; the zero
+	// value copies.
+	OwnsBlock bool
 }
 
-// ReadOnlyBlocks implements ReadOnlyChamber: Execute clones the block into
-// a private copy before the program runs, so the caller's rows are never
-// touched and the engine may skip its own per-block clone.
-func (c *InProcess) ReadOnlyBlocks() bool { return true }
+// ReadOnlyBlocks implements ReadOnlyChamber: unless the chamber owns its
+// blocks, Execute copies each into private storage before the program runs,
+// so the caller's rows are never touched and the engine skips its own copy.
+// That copy is what keeps an untrusted program off the registered table.
+func (c *InProcess) ReadOnlyBlocks() bool { return !c.OwnsBlock }
 
 // Execute implements Chamber.
 func (c *InProcess) Execute(ctx context.Context, block []mathutil.Vec) (mathutil.Vec, error) {
@@ -147,10 +154,11 @@ func (c *InProcess) Execute(ctx context.Context, block []mathutil.Vec) (mathutil
 	c.Policy.Metrics.Counter("sandbox.inprocess.spawns").Inc()
 	start := time.Now()
 
-	// The program gets its own copy: it can never mutate the caller's data.
-	private := make([]mathutil.Vec, len(block))
-	for i, r := range block {
-		private[i] = r.Clone()
+	// The program gets its own copy — the one copy per (record, block) the
+	// state-attack defense needs: it can never mutate the caller's data.
+	private := block
+	if !c.OwnsBlock {
+		private = mathutil.CloneRows(block)
 	}
 
 	type result struct {

@@ -130,6 +130,51 @@ func TestInProcessDataIsolation(t *testing.T) {
 	}
 }
 
+// A chamber that owns its blocks (the worker daemon's, over a freshly
+// decoded work frame) runs the program on the block itself, and therefore
+// must not be offered zero-copy views of shared rows.
+func TestInProcessOwnsBlock(t *testing.T) {
+	var saw *float64
+	probe := analytics.Func{ProgName: "probe", Dims: 1, F: func(block []mathutil.Vec) (mathutil.Vec, error) {
+		saw = &block[0][0]
+		return mathutil.Vec{0}, nil
+	}}
+	block := testBlock(3)
+	owning := &InProcess{Program: probe, OwnsBlock: true}
+	if _, err := owning.Execute(context.Background(), block); err != nil {
+		t.Fatal(err)
+	}
+	if saw != &block[0][0] {
+		t.Error("owning chamber copied a block it was told is already private")
+	}
+	if owning.ReadOnlyBlocks() {
+		t.Error("owning chamber claims ReadOnlyBlocks: the engine would hand it shared rows")
+	}
+	copying := &InProcess{Program: probe}
+	if _, err := copying.Execute(context.Background(), block); err != nil {
+		t.Fatal(err)
+	}
+	if saw == &block[0][0] || !copying.ReadOnlyBlocks() {
+		t.Error("zero-value chamber must copy the block and declare ReadOnlyBlocks")
+	}
+}
+
+// The chamber's private copy is flat: headers plus one backing array, so
+// the per-block allocation count does not grow with the block.
+func TestInProcessExecuteAllocations(t *testing.T) {
+	ch := &InProcess{Program: analytics.Mean{Col: 0}}
+	block := testBlock(385)
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := ch.Execute(ctx, block); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Errorf("Execute on a 385-row block allocates %.0f times, want <= 8", allocs)
+	}
+}
+
 func TestInProcessPanicIsolation(t *testing.T) {
 	bomb := analytics.Func{ProgName: "bomb", Dims: 1, F: func([]mathutil.Vec) (mathutil.Vec, error) {
 		panic("boom")

@@ -2,13 +2,18 @@ package gupt
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"gupt/internal/compman"
 	"gupt/internal/dataset"
 	"gupt/internal/mathutil"
+	"gupt/internal/sandbox"
 )
 
 // The embedded Platform and the hosted compman.Server are adapters over one
@@ -46,19 +51,24 @@ var (
 )
 
 // servedHost starts a compman.Server over the shared table, executing
-// locally or fanned out over in-process workers, with the cache on.
-func servedHost(t *testing.T, workers int) *compman.Client {
+// locally or fanned out over in-process workers, with the cache on. wrap,
+// when non-nil, wraps the in-process chambers of whichever side runs the
+// programs. The registered private table comes back for integrity checks.
+func servedHost(t *testing.T, workers int, wrap func(sandbox.Chamber) sandbox.Chamber) (*compman.Client, *dataset.Table) {
 	t.Helper()
-	var addrs []string
+	cfg := compman.ServerConfig{CacheEntries: 64}
+	if workers == 0 {
+		cfg.ChamberWrapper = wrap
+	}
 	for i := 0; i < workers; i++ {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		wk := compman.NewWorker(compman.WorkerConfig{})
+		wk := compman.NewWorker(compman.WorkerConfig{ChamberWrapper: wrap})
 		go wk.Serve(l) // returns when Close runs
 		t.Cleanup(func() { wk.Close() })
-		addrs = append(addrs, l.Addr().String())
+		cfg.WorkerAddrs = append(cfg.WorkerAddrs, l.Addr().String())
 	}
 	tbl := dataset.New(pipeCols)
 	for _, r := range pipelineRows() {
@@ -67,12 +77,13 @@ func servedHost(t *testing.T, workers int) *compman.Client {
 		}
 	}
 	reg := dataset.NewRegistry()
-	if _, err := reg.Register("ds", tbl, dataset.RegisterOptions{
+	registered, err := reg.Register("ds", tbl, dataset.RegisterOptions{
 		TotalBudget: pipeBudget, Ranges: pipeRanges, AgedFraction: 0.1, Seed: 5,
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	srv := compman.NewServer(reg, compman.ServerConfig{WorkerAddrs: addrs, CacheEntries: 64})
+	srv := compman.NewServer(reg, cfg)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +95,38 @@ func servedHost(t *testing.T, workers int) *compman.Client {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return c
+	return c, registered.Private
+}
+
+// embeddedHost is the same table behind a gupt.Platform.
+func embeddedHost(t *testing.T) (*Platform, *dataset.Table) {
+	t.Helper()
+	p := New()
+	if err := p.Register("ds", pipelineRows(), pipeCols, DatasetOptions{
+		TotalBudget: pipeBudget, Ranges: pipeRanges, AgedFraction: 0.1, Seed: 5,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	registered, err := p.stage.Registry.Lookup("ds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, registered.Private
+}
+
+// tableHash digests every value of every registered row in order, with row
+// boundaries, so zeroed, reordered, resized or swapped rows all show.
+func tableHash(tbl *dataset.Table) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, r := range tbl.View() {
+		for _, v := range r {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+		h.Write([]byte{0xff})
+	}
+	return h.Sum64()
 }
 
 func wireRanges(rs []Range) []compman.RangeSpec {
@@ -184,14 +226,14 @@ func TestPipelineEquivalence(t *testing.T) {
 		},
 	}
 
-	p := New()
-	if err := p.Register("ds", pipelineRows(), pipeCols, DatasetOptions{
-		TotalBudget: pipeBudget, Ranges: pipeRanges, AgedFraction: 0.1, Seed: 5,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	p, embeddedTable := embeddedHost(t)
 	p.EnableCache(64, 0)
-	served := map[string]*compman.Client{"local": servedHost(t, 0), "2 workers": servedHost(t, 2)}
+	tables := map[string]*dataset.Table{"embedded": embeddedTable}
+	served := map[string]*compman.Client{}
+	for host, workers := range map[string]int{"local": 0, "2 workers": 2} {
+		served[host], tables[host] = servedHost(t, workers, nil)
+	}
+	registeredHash := tableHash(embeddedTable)
 	ctx := context.Background()
 
 	remaining := func(t *testing.T) float64 {
@@ -332,6 +374,155 @@ func TestPipelineEquivalence(t *testing.T) {
 			}
 		}
 	})
+
+	// Every query above read the registered rows in place; none may have
+	// changed them.
+	for host, tbl := range tables {
+		if got := tableHash(tbl); got != registeredHash {
+			t.Errorf("%s table hashes %x after the whole table ran, %x at registration", host, got, registeredHash)
+		}
+	}
+}
+
+// vandal is the state-attack program: it computes its inner program's
+// honest answer, then zeroes every row of its block and reverses the block.
+// If any of that reached storage another block or a later query reads, an
+// answer or the table hash changes.
+type vandal struct{ Program }
+
+func (v vandal) Name() string { return "vandal:" + v.Program.Name() }
+func (v vandal) Run(block []mathutil.Vec) (mathutil.Vec, error) {
+	out, err := v.Program.Run(block)
+	for i, j := 0, len(block)-1; i < j; i, j = i+1, j-1 {
+		block[i], block[j] = block[j], block[i]
+	}
+	for _, r := range block {
+		for k := range r {
+			r[k] = 0
+		}
+	}
+	return out, err
+}
+
+// bareChamber runs the program on the very block it is handed and makes no
+// ReadOnlyBlocks promise, so the engine owes it a private copy.
+type bareChamber struct{ prog Program }
+
+func (c bareChamber) Execute(_ context.Context, block []mathutil.Vec) (mathutil.Vec, error) {
+	return c.prog.Run(block)
+}
+
+// TestMutatingProgramCannotReachTheTable is the invariant the shared
+// read-only table view rests on: queries read the registered rows in place,
+// so the one private copy per (record, block) must stand between every
+// program and them — in the in-process chamber (embedded and served), in
+// the worker's decoded frame, and in the engine for chambers that do not
+// declare ReadOnlyBlocks. γ = 2 puts every record in two blocks.
+func TestMutatingProgramCannotReachTheTable(t *testing.T) {
+	ctx := context.Background()
+	age := []Range{{Lo: 0, Hi: 150}}
+	query := func(seed int64) Query {
+		return Query{Dataset: "ds", Program: Mean{Col: 3}, OutputRanges: age, Epsilon: 1, BlockSize: 100, Gamma: 2, Seed: seed}
+	}
+	request := func(seed int64) *compman.Request {
+		return &compman.Request{Dataset: "ds", Program: &compman.ProgramSpec{Type: "mean", Col: 3},
+			OutputRanges: wireRanges(age), Epsilon: 1, BlockSize: 100, Gamma: 2, Seed: seed}
+	}
+
+	// What a platform no vandal ever touched releases for each seed.
+	fresh, freshTable := embeddedHost(t)
+	registeredHash := tableHash(freshTable)
+	want := map[int64][]float64{}
+	for seed := int64(31); seed <= 34; seed++ {
+		res, err := fresh.Run(ctx, query(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[seed] = res.Output
+	}
+
+	type host struct {
+		name  string
+		table *dataset.Table
+		run   func(seed int64, attack bool) ([]float64, error)
+	}
+	embedded := func(name string, chambers func(Program, sandbox.Policy) sandbox.Chamber) host {
+		p, tbl := embeddedHost(t)
+		return host{name, tbl, func(seed int64, attack bool) ([]float64, error) {
+			q := query(seed)
+			if attack {
+				q.Program, q.Chambers = vandal{q.Program}, chambers
+			}
+			res, err := p.Run(ctx, q)
+			if err != nil {
+				return nil, err
+			}
+			return res.Output, nil
+		}}
+	}
+	// Served programs come from the wire's fixed vocabulary, so the attack
+	// is armed by swapping the vandal into the in-process chamber the
+	// server (or worker) built, keeping everything else about it.
+	served := func(name string, workers int) host {
+		var armed atomic.Bool
+		c, tbl := servedHost(t, workers, func(inner sandbox.Chamber) sandbox.Chamber {
+			if !armed.Load() {
+				return inner
+			}
+			ch := *inner.(*sandbox.InProcess)
+			ch.Program = vandal{ch.Program}
+			return &ch
+		})
+		return host{name, tbl, func(seed int64, attack bool) ([]float64, error) {
+			armed.Store(attack)
+			resp, err := c.Query(request(seed))
+			if err != nil {
+				return nil, err
+			}
+			return resp.Output, nil
+		}}
+	}
+	hosts := []host{
+		embedded("embedded", nil),
+		served("local server", 0),
+		served("2-worker fan-out", 2),
+		embedded("undeclared chamber", func(prog Program, _ sandbox.Policy) sandbox.Chamber { return bareChamber{prog} }),
+	}
+
+	for _, h := range hosts {
+		t.Run(h.name, func(t *testing.T) {
+			check := func(seed int64, attack bool) {
+				got, err := h.run(seed, attack)
+				if err != nil {
+					t.Errorf("seed %d: %v", seed, err)
+				} else if !sameBits(got, want[seed]) {
+					t.Errorf("seed %d (attack=%v) released %v, an untouched platform %v", seed, attack, got, want[seed])
+				}
+			}
+			if got := tableHash(h.table); got != registeredHash {
+				t.Fatalf("table hashes %x before any query, the reference %x", got, registeredHash)
+			}
+			// The vandal's own answer already proves blocks sharing a record
+			// did not share storage; the honest query after it, that later
+			// queries did not either.
+			check(31, true)
+			check(32, false)
+			// Two attacks at once: under -race, any write that reached shared
+			// rows races with the other query's reads.
+			var wg sync.WaitGroup
+			for _, seed := range []int64{33, 34} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					check(seed, true)
+				}()
+			}
+			wg.Wait()
+			if got := tableHash(h.table); got != registeredHash {
+				t.Errorf("table hashes %x after the attacks, %x at registration", got, registeredHash)
+			}
+		})
+	}
 }
 
 func mustRemaining(t *testing.T, p *Platform) float64 {
