@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check fuzz bench bench-smoke fanout-race ledger-kill audit-kill prom-lint
+.PHONY: all build test race vet check fuzz bench bench-smoke alloc-guards repro fanout-race ledger-kill audit-kill prom-lint
 
 all: check
 
@@ -35,14 +35,33 @@ fanout-race:
 	$(GO) test -race -count=1 -run 'TestFanout|TestScheduler|TestServerOverload|TestServerDeadline|TestWorker' ./internal/compman
 
 # bench-smoke compiles and runs every micro-benchmark on the data path once,
-# so the allocation benchmarks next to the copy-boundary guards cannot rot.
+# so the allocation benchmarks next to the copy-boundary guards cannot rot;
+# -benchmem puts their bytes per operation in the CI log.
 bench-smoke:
-	$(GO) test -run xxx -bench . -benchtime 1x ./internal/core ./internal/sandbox ./internal/dataset ./internal/compman ./internal/query
+	$(GO) test -run xxx -bench . -benchtime 1x -benchmem ./internal/core ./internal/sandbox ./internal/dataset ./internal/compman ./internal/query ./internal/analytics ./internal/mathutil .
+
+# alloc-guards runs the allocation count and byte guards of the block path
+# without the race detector: under it sync.Pool drops a quarter of what is
+# Put on purpose, so the byte guards skip themselves in the race pass.
+alloc-guards:
+	$(GO) test -count=1 -run 'Allocations|SteadyStateBytes|TestRowBuf|TestCloneRows' ./internal/mathutil ./internal/core ./internal/sandbox ./internal/compman
+
+# repro regenerates the paper's figures (~35 s) and requires the six
+# mechanism figures to come out byte-identical to results/: the cheapest
+# whole-system proof that a data-path change left every released number
+# alone. Fig. 6 and the timing tables are wall-clock and are not compared.
+repro:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) run ./cmd/gupt-bench -seed 42 -csv "$$dir" >/dev/null && \
+	for f in fig3 fig4 fig5 fig7 fig8 fig9; do \
+		cmp "$$dir/$$f.csv" results/$$f.csv || exit 1; \
+	done && echo "repro: fig3/4/5/7/8/9.csv byte-identical to results/"
 
 # check is the pre-merge gate: static analysis plus the full suite under
 # the race detector, plus dedicated passes of both kill matrices and the
-# fan-out concurrency tests, plus one iteration of every micro-benchmark.
-check: vet race fanout-race ledger-kill audit-kill bench-smoke
+# fan-out concurrency tests, plus the allocation guards, one iteration of
+# every micro-benchmark and the figure reproduction.
+check: vet race fanout-race ledger-kill audit-kill alloc-guards bench-smoke repro
 
 # fuzz runs each fuzz target briefly; lengthen FUZZTIME for soak runs.
 FUZZTIME ?= 10s

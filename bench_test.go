@@ -234,21 +234,40 @@ func BenchmarkBudgetDistribution(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineThroughput measures the raw engine: one private mean query
-// over the census dataset per iteration (not a paper artifact; a
-// performance baseline for regressions).
-func BenchmarkEngineThroughput(b *testing.B) {
+// BenchmarkEmbeddedMean20k is the harness's embedded_mean workload as a
+// micro-benchmark: one private mean query over a 20,000×1 census table per
+// iteration, bytes and allocations reported (not a paper artifact; the
+// regression baseline for the block path's recycled storage).
+func BenchmarkEmbeddedMean20k(b *testing.B) {
+	benchEmbedded(b, censusRows(1, 20000), Mean{Col: 0}, []Range{{Lo: 0, Hi: 150}})
+}
+
+// BenchmarkEmbeddedKMeans20k is served_ml's k-means query on the embedded
+// path: 20,000×11 rows, k = 4 over ten features, 20 iterations per block.
+func BenchmarkEmbeddedKMeans20k(b *testing.B) {
+	rng := mathutil.NewRNG(1)
+	rows := make([][]float64, 20000)
+	for i := range rows {
+		rows[i] = make([]float64, 11)
+		for j := range rows[i] {
+			rows[i][j] = mathutil.Clamp(float64(i%4)*4-6+rng.NormFloat64(), -10, 10)
+		}
+	}
+	benchEmbedded(b, rows, KMeans{K: 4, FeatureDims: 10, Iters: 20, Seed: 42}, repeat(Range{Lo: -10, Hi: 10}, 40))
+}
+
+func benchEmbedded(b *testing.B, rows [][]float64, prog Program, ranges []Range) {
 	p := New()
-	rows := censusRows(1, 20000)
-	if err := p.Register("census", rows, nil, DatasetOptions{TotalBudget: float64(b.N) + 1e9}); err != nil {
+	if err := p.Register("ds", rows, nil, DatasetOptions{TotalBudget: float64(b.N) + 1e9}); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := p.Run(benchCtx, Query{
-			Dataset:      "census",
-			Program:      Mean{Col: 0},
-			OutputRanges: []Range{{Lo: 0, Hi: 150}},
+			Dataset:      "ds",
+			Program:      prog,
+			OutputRanges: ranges,
 			Epsilon:      1,
 			Seed:         int64(i),
 		})

@@ -42,7 +42,9 @@ func (k KMeans) Run(block []mathutil.Vec) (mathutil.Vec, error) {
 	}
 	pts := make([]mathutil.Vec, len(block))
 	for i, r := range block {
-		pts[i] = r[:k.FeatureDims].Clone()
+		// The block is already this run's private copy and is only read
+		// below; the cut capacity keeps an append out of the label columns.
+		pts[i] = r[:k.FeatureDims:k.FeatureDims]
 	}
 	rng := mathutil.NewRNG(k.Seed)
 	centers := kmeansPlusPlus(rng, pts, k.K)

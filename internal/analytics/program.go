@@ -10,6 +10,7 @@ package analytics
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"gupt/internal/mathutil"
 )
@@ -67,6 +68,14 @@ func column(block []mathutil.Vec, col int) []float64 {
 	return out
 }
 
+// sortedColumn is column in ascending order: the copy column makes is the
+// one sorted, so order statistics cost one copy of the column, not two.
+func sortedColumn(block []mathutil.Vec, col int) []float64 {
+	out := column(block, col)
+	sort.Float64s(out)
+	return out
+}
+
 // Mean computes the mean of one column.
 type Mean struct{ Col int }
 
@@ -81,7 +90,13 @@ func (m Mean) Run(block []mathutil.Vec) (mathutil.Vec, error) {
 	if err := checkBlock(block, m.Col); err != nil {
 		return nil, err
 	}
-	return mathutil.Vec{mathutil.Mean(column(block, m.Col))}, nil
+	// Summed in block order straight off the rows — the order (and so the
+	// bits) mathutil.Mean over a copied column would give, without the copy.
+	var sum float64
+	for _, r := range block {
+		sum += r[m.Col]
+	}
+	return mathutil.Vec{sum / float64(len(block))}, nil
 }
 
 // Median computes the median of one column.
@@ -98,7 +113,7 @@ func (m Median) Run(block []mathutil.Vec) (mathutil.Vec, error) {
 	if err := checkBlock(block, m.Col); err != nil {
 		return nil, err
 	}
-	return mathutil.Vec{mathutil.Median(column(block, m.Col))}, nil
+	return mathutil.Vec{mathutil.MedianSorted(sortedColumn(block, m.Col))}, nil
 }
 
 // Variance computes the population variance of one column (Example 4 in the
@@ -136,5 +151,5 @@ func (p Percentile) Run(block []mathutil.Vec) (mathutil.Vec, error) {
 	if err := checkBlock(block, p.Col); err != nil {
 		return nil, err
 	}
-	return mathutil.Vec{mathutil.Quantile(column(block, p.Col), p.P)}, nil
+	return mathutil.Vec{mathutil.QuantileSorted(sortedColumn(block, p.Col), p.P)}, nil
 }

@@ -162,3 +162,69 @@ func TestLogisticRegressionValidation(t *testing.T) {
 		t.Error("empty block accepted")
 	}
 }
+
+// The one-column programs skip copies the reference formulas make; the
+// answers must not move by a bit, and the block must come back untouched
+// (k-means now reads the block's rows in place too).
+func TestProgramsMatchReferenceBitsAndLeaveBlockAlone(t *testing.T) {
+	rng := mathutil.NewRNG(3)
+	for _, n := range []int{1, 2, 384, 385} {
+		block := make([]mathutil.Vec, n)
+		for i := range block {
+			block[i] = mathutil.Vec{rng.NormFloat64(), 40 + 10*rng.NormFloat64(), float64(i % 2)}
+		}
+		before := mathutil.CloneRows(block)
+		col := column(block, 1)
+		for _, c := range []struct {
+			prog Program
+			want float64
+		}{
+			{Mean{Col: 1}, mathutil.Mean(col)},
+			{Median{Col: 1}, mathutil.Median(col)},
+			{Percentile{Col: 1, P: 0.25}, mathutil.Quantile(col, 0.25)},
+			{Percentile{Col: 1, P: 0.9}, mathutil.Quantile(col, 0.9)},
+		} {
+			out, err := c.prog.Run(block)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(out[0]) != math.Float64bits(c.want) {
+				t.Errorf("n=%d %s = %v, reference %v", n, c.prog.Name(), out[0], c.want)
+			}
+		}
+		if n >= 2 {
+			if _, err := (KMeans{K: 2, FeatureDims: 2, Iters: 5, Seed: 1}).Run(block); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range block {
+			if !block[i].Equal(before[i], 0) || len(block[i]) != 3 {
+				t.Fatalf("n=%d: row %d = %v after the programs ran, was %v", n, i, block[i], before[i])
+			}
+		}
+	}
+}
+
+func BenchmarkMeanBlock(b *testing.B) { benchProgram(b, Mean{Col: 0}, 385, 1) }
+
+func BenchmarkKMeansBlock(b *testing.B) {
+	benchProgram(b, KMeans{K: 4, FeatureDims: 10, Iters: 20, Seed: 1}, 385, 11)
+}
+
+func benchProgram(b *testing.B, prog Program, n, cols int) {
+	rng := mathutil.NewRNG(1)
+	block := make([]mathutil.Vec, n)
+	for i := range block {
+		block[i] = make(mathutil.Vec, cols)
+		for j := range block[i] {
+			block[i][j] = rng.NormFloat64()
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := prog.Run(block); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

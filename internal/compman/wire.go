@@ -50,6 +50,7 @@ import (
 	"sync"
 	"unicode/utf8"
 
+	"gupt/internal/mathutil"
 	"gupt/internal/telemetry"
 )
 
@@ -601,25 +602,13 @@ func (d *wireDecoder) rangesf() []RangeSpec {
 func (d *wireDecoder) matrix() [][]float64 {
 	switch d.u8() {
 	case 1:
-		rows := uint64(d.u32())
-		cols := uint64(d.u32())
-		if d.err != nil {
-			return nil
-		}
-		if rows*cols*8 > uint64(len(d.b)) {
-			d.failf("%w: matrix %dx%d exceeds payload", ErrWireFrame, rows, cols)
-			return nil
-		}
+		rows, cols, raw := d.uniformCells()
 		if rows == 0 {
 			return nil
 		}
 		out := make([][]float64, rows)
 		if cols == 0 {
 			return out
-		}
-		raw := d.take(int(8 * rows * cols))
-		if raw == nil {
-			return nil
 		}
 		backing := make([]float64, rows*cols)
 		for i := range backing {
@@ -643,6 +632,47 @@ func (d *wireDecoder) matrix() [][]float64 {
 		d.failf("%w: matrix layout byte out of range", ErrWireFrame)
 		return nil
 	}
+}
+
+// uniformCells reads a uniform matrix's shape, bounded by the payload before
+// anything is allocated, and takes its raw little-endian cells. rows is 0 on
+// any error and for an empty matrix.
+func (d *wireDecoder) uniformCells() (rows, cols uint64, raw []byte) {
+	rows, cols = uint64(d.u32()), uint64(d.u32())
+	if d.err != nil {
+		return 0, 0, nil
+	}
+	// Divided, not multiplied: rows*cols*8 can wrap uint64 to something small.
+	if cols != 0 && rows > uint64(len(d.b))/(8*cols) {
+		d.failf("%w: matrix %dx%d exceeds payload", ErrWireFrame, rows, cols)
+		return 0, 0, nil
+	}
+	return rows, cols, d.take(int(8 * rows * cols))
+}
+
+// matrixInto is matrix for the worker's serve loop: a uniform matrix — every
+// engine block — is decoded straight into buf's recycled storage as the
+// []mathutil.Vec a chamber takes, every header rewritten with its capacity
+// cut (mathutil.RowBuf). A ragged one is rare and decoded fresh.
+func (d *wireDecoder) matrixInto(buf *mathutil.RowBuf) []mathutil.Vec {
+	if len(d.b) == 0 || d.b[0] != 1 {
+		ragged := d.matrix()
+		out := make([]mathutil.Vec, len(ragged))
+		for i, r := range ragged {
+			out[i] = r
+		}
+		return out
+	}
+	d.u8()
+	rows, cols, raw := d.uniformCells()
+	out := buf.Grid(int(rows), int(cols))
+	for i, r := range out {
+		base := raw[8*i*int(cols):]
+		for j := range r {
+			r[j] = math.Float64frombits(binary.LittleEndian.Uint64(base[8*j:]))
+		}
+	}
+	return out
 }
 
 // --- message bodies ---
@@ -927,15 +957,16 @@ func encodeWorkRequestBody(e *wireEncoder, req *WorkRequest) {
 	e.matrix(req.Block)
 }
 
-func decodeWorkRequestBody(d *wireDecoder) *WorkRequest {
-	return &WorkRequest{
-		Spec: WorkSpec{
-			Program:       decodeProgramSpec(d),
-			QuantumMillis: d.i64(),
-			TraceID:       d.str(),
-		},
-		Block: d.matrix(),
+func decodeWorkSpec(d *wireDecoder) WorkSpec {
+	return WorkSpec{
+		Program:       decodeProgramSpec(d),
+		QuantumMillis: d.i64(),
+		TraceID:       d.str(),
 	}
+}
+
+func decodeWorkRequestBody(d *wireDecoder) *WorkRequest {
+	return &WorkRequest{Spec: decodeWorkSpec(d), Block: d.matrix()}
 }
 
 func encodeWorkResponseBody(e *wireEncoder, resp *WorkResponse) {

@@ -199,13 +199,7 @@ func (w *Worker) serveBinary(conn net.Conn, br *bufio.Reader) {
 			}
 			return
 		}
-		var resp WorkResponse
-		if req, derr := decodePayload(payload, wireMsgWorkRequest, "work request", decodeWorkRequestBody); derr != nil {
-			resp.Error = derr.Error()
-		} else {
-			resp = w.execute(req)
-		}
-		frame, err := AppendWorkResponseFrame((*wbuf)[:0], &resp)
+		frame, err := w.handle(payload, (*wbuf)[:0])
 		if err != nil {
 			w.logf("compman: worker encode response: %v", err)
 			return
@@ -218,43 +212,72 @@ func (w *Worker) serveBinary(conn net.Conn, br *bufio.Reader) {
 	}
 }
 
-func (w *Worker) execute(req *WorkRequest) WorkResponse {
-	resp := WorkResponse{TraceID: req.Spec.TraceID}
+// handle is one block's life on the worker, socket excluded: decode the work
+// payload into recycled storage, execute it, append the response frame to dst.
+func (w *Worker) handle(payload, dst []byte) ([]byte, error) {
+	var resp WorkResponse
+	buf := mathutil.GetRowBuf()
+	if spec, block, derr := decodeWork(payload, buf); derr != nil {
+		resp.Error = derr.Error()
+	} else {
+		resp = w.execute(spec, block, buf.Release)
+	}
+	return AppendWorkResponseFrame(dst, &resp)
+}
+
+// decodeWork is the serve loop's decodePayload: the same checks as
+// DecodeWorkRequestFrame's body, but the block lands in buf's recycled
+// storage, already typed for a chamber, instead of in fresh allocations.
+func decodeWork(payload []byte, buf *mathutil.RowBuf) (WorkSpec, []mathutil.Vec, error) {
+	var block []mathutil.Vec
+	spec, err := decodePayload(payload, wireMsgWorkRequest, "work request", func(d *wireDecoder) *WorkSpec {
+		spec := decodeWorkSpec(d)
+		block = d.matrixInto(buf)
+		return &spec
+	})
+	if err != nil {
+		return WorkSpec{}, nil, err
+	}
+	return *spec, block, nil
+}
+
+// execute runs one decoded block. The block is private to this request —
+// the program's one copy — and release, which gives its storage back, is
+// handed to the in-process chamber to call once the program is really done
+// (sandbox.InProcess.Release). Every other outcome — a subprocess chamber, a
+// wrapper that never reaches the program, an error — just drops the storage
+// for the collector, which is always safe.
+func (w *Worker) execute(spec WorkSpec, block []mathutil.Vec, release func()) WorkResponse {
+	resp := WorkResponse{TraceID: spec.TraceID}
 
 	// The worker records its own spans — chamber setup and block execution —
 	// and ships them back for merging into the server-side trace. Durations
 	// also feed the worker's local bucketed histograms so a worker node is
 	// observable on its own admin endpoint.
 	setupStart := time.Now()
-	program, isBinary, err := req.Spec.Program.resolve()
+	program, isBinary, err := spec.Program.resolve()
 	if err != nil {
 		resp.Error = err.Error()
 		resp.Spans = append(resp.Spans, w.span(telemetry.StageWorkerSetup, telemetry.StatusError, setupStart))
 		return resp
 	}
 	pol := sandbox.Policy{Metrics: w.cfg.Telemetry}
-	if req.Spec.QuantumMillis > 0 {
-		pol.Quantum = time.Duration(req.Spec.QuantumMillis) * time.Millisecond
+	if spec.QuantumMillis > 0 {
+		pol.Quantum = time.Duration(spec.QuantumMillis) * time.Millisecond
 	}
 	var chamber sandbox.Chamber
 	if isBinary {
 		chamber = &sandbox.Subprocess{
-			Path:        req.Spec.Program.Path,
-			Args:        req.Spec.Program.Args,
+			Path:        spec.Program.Path,
+			Args:        spec.Program.Args,
 			Policy:      pol,
 			ScratchRoot: w.cfg.ScratchRoot,
 		}
 	} else {
-		// The decoded work frame is private to this request, so it is the
-		// program's one copy of the block already.
-		chamber = &sandbox.InProcess{Program: program, Policy: pol, OwnsBlock: true}
+		chamber = &sandbox.InProcess{Program: program, Policy: pol, OwnsBlock: true, Release: release}
 	}
 	if w.cfg.ChamberWrapper != nil {
 		chamber = w.cfg.ChamberWrapper(chamber)
-	}
-	block := make([]mathutil.Vec, len(req.Block))
-	for i, r := range req.Block {
-		block[i] = mathutil.Vec(r)
 	}
 	resp.Spans = append(resp.Spans, w.span(telemetry.StageWorkerSetup, telemetry.StatusOK, setupStart))
 

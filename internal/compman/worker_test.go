@@ -2,8 +2,11 @@ package compman
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 	"net"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -288,19 +291,34 @@ func TestWorkerPoolRecoversFromWorkerRestart(t *testing.T) {
 // engine.
 var _ sandbox.Chamber = (*poolChamber)(nil)
 
-// workFrame encodes one mean-of-column-0 work request over an n-row block.
-func workFrame(tb testing.TB, n int) []byte {
+// workPayload encodes one work request and strips the checked frame header:
+// what the serve loop hands Worker.handle.
+func workPayload(tb testing.TB, spec WorkSpec, block [][]float64) []byte {
 	tb.Helper()
-	req := WorkRequest{Spec: WorkSpec{Program: ProgramSpec{Type: "mean", Col: 0}}, Block: make([][]float64, n)}
-	for i, r := range workerBlock(n) {
-		req.Block[i] = r
-	}
-	frame, err := AppendWorkRequestFrame(nil, &req)
+	frame, err := AppendWorkRequestFrame(nil, &WorkRequest{Spec: spec, Block: block})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return frame
+	payload, _, err := DecodeFrame(frame)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return payload
 }
+
+// gridBlock is an n×cols block whose cells are all distinct.
+func gridBlock(n, cols int) [][]float64 {
+	block := make([][]float64, n)
+	for i := range block {
+		block[i] = make([]float64, cols)
+		for j := range block[i] {
+			block[i][j] = float64(i*cols + j)
+		}
+	}
+	return block
+}
+
+var meanSpec = WorkSpec{Program: ProgramSpec{Type: "mean", Col: 0}}
 
 // The decoded work frame is the worker's private copy of the block: the
 // program runs on those very rows, and nothing on the worker allocates per
@@ -315,20 +333,20 @@ func TestWorkerRunsProgramOnDecodedBlock(t *testing.T) {
 		}}
 		return &c
 	}})
-	req, _, err := DecodeWorkRequestFrame(workFrame(t, 385))
+	spec, block, err := decodeWork(workPayload(t, meanSpec, gridBlock(385, 1)), new(mathutil.RowBuf))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp := w.execute(req); resp.Error != "" {
+	if resp := w.execute(spec, block, nil); resp.Error != "" {
 		t.Fatal(resp.Error)
 	}
-	if saw != &req.Block[0][0] {
+	if saw != &block[0][0] {
 		t.Error("the worker copied the decoded block again before the program ran")
 	}
 
 	w = NewWorker(WorkerConfig{})
 	allocs := testing.AllocsPerRun(50, func() {
-		if resp := w.execute(req); resp.Error != "" {
+		if resp := w.execute(spec, block, nil); resp.Error != "" {
 			t.Fatal(resp.Error)
 		}
 	})
@@ -338,21 +356,204 @@ func TestWorkerRunsProgramOnDecodedBlock(t *testing.T) {
 }
 
 // BenchmarkWorkerHandleBlock is one block's life on a worker, socket
-// excluded: decode the work frame, execute it, encode the response.
+// excluded: decode the work frame into recycled storage, execute it, encode
+// the response.
 func BenchmarkWorkerHandleBlock(b *testing.B) {
 	w := NewWorker(WorkerConfig{})
-	frame := workFrame(b, 385)
+	payload := workPayload(b, meanSpec, gridBlock(385, 1))
 	var out []byte
+	var err error
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		req, _, err := DecodeWorkRequestFrame(frame)
+		if out, err = w.handle(payload, out[:0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// respOutput decodes the response frame Worker.handle appended.
+func respOutput(t *testing.T, frame []byte) []float64 {
+	t.Helper()
+	resp, _, err := DecodeWorkResponseFrame(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Error != "" {
+		t.Fatal(resp.Error)
+	}
+	return resp.Output
+}
+
+// The serve loop's recycled path — decode, execute, encode — allocates no
+// row storage in steady state. With a fresh decode plus a second header
+// slice per block, a 385×11 frame cost ≈ 62 KiB here.
+func TestWorkerSteadyStateBytes(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("sync.Pool is deliberately lossy under the race detector")
+			}
+		}
+	}
+	w := NewWorker(WorkerConfig{})
+	payload := workPayload(t, meanSpec, gridBlock(385, 11))
+	var out []byte
+	run := func() {
+		var err error
+		if out, err = w.handle(payload, out[:0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if got := respOutput(t, out); len(got) != 1 || got[0] != 192*11 {
+		t.Fatalf("mean of column 0 = %v, want [2112]", got)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 20; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	// Measured 712 bytes; the bound is that + 20 %.
+	if bytes := (after.TotalAlloc - before.TotalAlloc) / 20; bytes > 854 {
+		t.Errorf("one 385×11 block through the worker allocates %d bytes in steady state, want <= 854", bytes)
+	}
+}
+
+// A ragged block is legal on the wire and rare; the recycled decode must
+// hand the program the same rows the allocating decode would.
+func TestWorkerDecodesRaggedBlock(t *testing.T) {
+	ragged := [][]float64{{4, 1}, {6}, {8, 2, 3}}
+	spec, block, err := decodeWork(workPayload(t, meanSpec, ragged), new(mathutil.RowBuf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(block) != len(ragged) {
+		t.Fatalf("decoded %d rows, want %d", len(block), len(ragged))
+	}
+	for i := range ragged {
+		if !block[i].Equal(ragged[i], 0) {
+			t.Errorf("row %d = %v, want %v", i, block[i], ragged[i])
+		}
+	}
+	if resp := NewWorker(WorkerConfig{}).execute(spec, block, nil); resp.Error != "" || resp.Output[0] != 6 {
+		t.Errorf("mean over the ragged block = %+v, want 6", resp)
+	}
+}
+
+// After a 500-row frame, a 100-row frame decoded into the same storage
+// cannot be re-sliced back to the other 400 rows or past any row's end, and
+// the rows it does see are its own.
+func TestWorkerDecodedBlockCannotReachBack(t *testing.T) {
+	var buf mathutil.RowBuf
+	if _, _, err := decodeWork(workPayload(t, meanSpec, gridBlock(500, 11)), &buf); err != nil {
+		t.Fatal(err)
+	}
+	small := gridBlock(100, 3)
+	_, block, err := decodeWork(workPayload(t, meanSpec, small), &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(block) != 100 || cap(block) != 100 {
+		t.Fatalf("block has len %d cap %d, want 100 and 100", len(block), cap(block))
+	}
+	for i, r := range block {
+		if cap(r) != len(r) || !r.Equal(small[i], 0) {
+			t.Fatalf("row %d = %v (cap %d), want %v with cap == len", i, r, cap(r), small[i])
+		}
+	}
+}
+
+// A quantum-killed program on a worker keeps reading its decoded block while
+// the serve loop decodes 50 more frames; its storage must not be among the
+// buffers they recycle. Under -race any reuse is a reported data race.
+func TestWorkerAbandonedProgramKeepsItsFrame(t *testing.T) {
+	sum := func(block []mathutil.Vec) (s float64) {
+		for _, r := range block {
+			s += r[0]
+		}
+		return s
+	}
+	done := make(chan float64, 1)
+	straggler := analytics.Func{ProgName: "straggler", Dims: 1, F: func(block []mathutil.Vec) (mathutil.Vec, error) {
+		if block[0][0] >= 0 {
+			return mathutil.Vec{sum(block)}, nil
+		}
+		var last float64
+		for end := time.Now().Add(200 * time.Millisecond); time.Now().Before(end); {
+			last = sum(block)
+		}
+		done <- last
+		return mathutil.Vec{last}, nil
+	}}
+	w := NewWorker(WorkerConfig{ChamberWrapper: func(inner sandbox.Chamber) sandbox.Chamber {
+		c := *inner.(*sandbox.InProcess)
+		c.Program = straggler
+		return &c
+	}})
+	spec := WorkSpec{Program: ProgramSpec{Type: "mean", Col: 0}, QuantumMillis: 20}
+
+	slow := gridBlock(385, 1)
+	slow[0][0] = -1
+	want := -1.0
+	for _, r := range slow[1:] {
+		want += r[0]
+	}
+	frame, err := w.handle(workPayload(t, spec, slow), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, _, err := DecodeWorkResponseFrame(frame); err != nil || !strings.Contains(resp.Error, "quantum") {
+		t.Fatalf("killed block answered %+v, %v; want the quantum kill", resp, err)
+	}
+	other := gridBlock(385, 1)
+	for _, r := range other {
+		r[0] += 1000 // nothing like the straggler's values
+	}
+	payload := workPayload(t, spec, other)
+	for i := 0; i < 50; i++ {
+		if frame, err = w.handle(payload, frame[:0]); err != nil {
+			t.Fatal(err)
+		}
+		resp, _, err := DecodeWorkResponseFrame(frame)
 		if err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
-		resp := w.execute(req)
-		if out, err = AppendWorkResponseFrame(out[:0], &resp); err != nil {
-			b.Fatal(err)
+		if strings.Contains(resp.Error, "quantum") {
+			continue // a loaded box may kill an honest block too
 		}
+		if resp.Error != "" || resp.Output[0] != want+1+385*1000 {
+			t.Fatalf("block %d answered %+v, want %v", i, resp, want+1+385*1000)
+		}
+	}
+	select {
+	case got := <-done:
+		if got != want {
+			t.Errorf("the straggler's last sum was %v, its own block sums to %v: its frame was reused under it", got, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the straggler never finished")
+	}
+}
+
+// A forged uniform-matrix header whose rows×cols×8 wraps uint64 to zero must
+// be refused before anything is sized from it, by both decoders.
+func TestWorkMatrixShapeOverflowRefused(t *testing.T) {
+	payload := workPayload(t, meanSpec, gridBlock(1, 1))
+	// The matrix is the payload's tail: layout byte, rows, cols, one cell.
+	hdr := payload[len(payload)-17:]
+	if hdr[0] != 1 {
+		t.Fatalf("layout byte = %d, want the uniform layout", hdr[0])
+	}
+	forged := append([]byte(nil), payload[:len(payload)-8]...) // drop the cell
+	shape := forged[len(forged)-8:]
+	binary.LittleEndian.PutUint32(shape[0:], 1<<31)
+	binary.LittleEndian.PutUint32(shape[4:], 1<<30)
+	if _, err := decodePayload(forged, wireMsgWorkRequest, "work request", decodeWorkRequestBody); err == nil || !strings.Contains(err.Error(), "exceeds payload") {
+		t.Errorf("allocating decode of a 2^31×2^30 header: %v, want a refusal", err)
+	}
+	if _, _, err := decodeWork(forged, new(mathutil.RowBuf)); err == nil || !strings.Contains(err.Error(), "exceeds payload") {
+		t.Errorf("recycled decode of a 2^31×2^30 header: %v, want a refusal", err)
 	}
 }

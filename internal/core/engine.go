@@ -184,6 +184,9 @@ func Run(ctx context.Context, program analytics.Program, rows []mathutil.Vec, sp
 	if err != nil {
 		return nil, err
 	}
+	// Every goroutine that reads the partition has ended by the time Run
+	// returns (runBlocks waits for its own; chambers copy what they keep).
+	defer part.release()
 
 	// Theorem 1 budget split.
 	var split dp.BudgetSplit

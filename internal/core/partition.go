@@ -16,6 +16,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"gupt/internal/mathutil"
 )
@@ -51,6 +52,21 @@ type Partition struct {
 	Gamma int
 	// N is the number of dataset rows partitioned.
 	N int
+	// perm is the recycled permutation a γ = 1 partition's Blocks alias.
+	perm *[]int
+}
+
+// permPool recycles γ = 1 permutations (n ints per query) between runs.
+var permPool = sync.Pool{New: func() any { return new([]int) }}
+
+// release gives the partition's permutation back for the next run to draw
+// into; the partition and every view of it are dead afterwards. Optional: a
+// partition that is never released is simply collected.
+func (p *Partition) release() {
+	if p.perm != nil {
+		permPool.Put(p.perm)
+		p.perm, p.Blocks = nil, nil
+	}
 }
 
 // NumBlocks returns ℓ, the number of blocks.
@@ -87,7 +103,12 @@ func MakePartition(rng *mathutil.RNG, n, blockSize, gamma int) (*Partition, erro
 	// an empty block would be substituted by the range midpoint and bias
 	// the aggregate.
 	if gamma == 1 {
-		perm := rng.Perm(n)
+		recycled := permPool.Get().(*[]int)
+		if cap(*recycled) < n {
+			*recycled = make([]int, n)
+		}
+		perm := (*recycled)[:n]
+		rng.PermInto(perm)
 		blocks := make([][]int, numBlocks)
 		base, extra := n/numBlocks, n%numBlocks
 		pos := 0
@@ -101,7 +122,7 @@ func MakePartition(rng *mathutil.RNG, n, blockSize, gamma int) (*Partition, erro
 			blocks[b] = perm[pos : pos+size : pos+size]
 			pos += size
 		}
-		return &Partition{Blocks: blocks, BlockSize: blockSize, Gamma: 1, N: n}, nil
+		return &Partition{Blocks: blocks, BlockSize: blockSize, Gamma: 1, N: n, perm: recycled}, nil
 	}
 
 	blocks := make([][]int, numBlocks)
@@ -203,13 +224,6 @@ func containsInt(xs []int, v int) bool {
 // β·width/n when ℓ = γn/β exactly (the Lap(β·|max−min|/(n·ε)) of §4.2).
 func (p *Partition) Sensitivity(width float64) float64 {
 	return float64(p.Gamma) * width / float64(p.NumBlocks())
-}
-
-// Materialize returns a private flat copy of block i's rows (see
-// mathutil.CloneRows) — what a chamber that does not declare
-// sandbox.ReadOnlyChamber is handed.
-func (p *Partition) Materialize(rows []mathutil.Vec, i int) []mathutil.Vec {
-	return mathutil.CloneRows(p.View(rows, i))
 }
 
 // View returns the rows of block i aliasing rows directly — one slice

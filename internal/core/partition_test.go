@@ -205,24 +205,6 @@ func TestPartitionSensitivity(t *testing.T) {
 	}
 }
 
-func TestPartitionMaterialize(t *testing.T) {
-	rng := mathutil.NewRNG(4)
-	rows := []mathutil.Vec{{0}, {1}, {2}, {3}}
-	p, err := MakePartition(rng, 4, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	block := p.Materialize(rows, 0)
-	if len(block) != len(p.Blocks[0]) {
-		t.Fatalf("materialized %d rows for block of %d", len(block), len(p.Blocks[0]))
-	}
-	// Materialized rows are copies.
-	block[0][0] = 99
-	if rows[p.Blocks[0][0]][0] == 99 {
-		t.Error("Materialize aliased dataset rows")
-	}
-}
-
 func TestMakePartitionDeterministic(t *testing.T) {
 	a, err := MakePartition(mathutil.NewRNG(9), 200, 20, 2)
 	if err != nil {

@@ -87,7 +87,8 @@ func (t *Table) Rows() []mathutil.Vec { return mathutil.CloneRows(t.rows) }
 // shared with every other reader and must be treated as read-only — rows
 // and row headers alike. It exists for the trusted engine, which reads it
 // to partition and hands untrusted programs a private copy of each block
-// (the state-attack defense); nothing outside the trusted side may see it.
+// in recycled storage (the state-attack defense; sandbox.InProcess has the
+// rules); nothing outside the trusted side may see it.
 func (t *Table) View() []mathutil.Vec { return t.rows }
 
 // Column returns a copy of column j across all records.

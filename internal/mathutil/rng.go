@@ -60,9 +60,23 @@ func (g *RNG) NormFloat64() float64 {
 
 // Perm returns a uniform random permutation of [0, n).
 func (g *RNG) Perm(n int) []int {
+	m := make([]int, n)
+	g.PermInto(m)
+	return m
+}
+
+// PermInto overwrites m with a uniform random permutation of [0, len(m)).
+// It repeats math/rand's Perm draw for draw (the inside-out shuffle), so a
+// seed yields the same permutation whether or not m is recycled storage:
+// what m held is only ever copied onto itself (j == i) and then overwritten.
+func (g *RNG) PermInto(m []int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.r.Perm(n)
+	for i := range m {
+		j := g.r.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
 }
 
 // Shuffle pseudo-randomizes the order of n elements using swap.

@@ -41,12 +41,17 @@ func StdDev(xs []float64) float64 {
 // slice. For even lengths it returns the mean of the two central order
 // statistics.
 func Median(xs []float64) float64 {
-	n := len(xs)
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return MedianSorted(s)
+}
+
+// MedianSorted is Median for an already-sorted slice; it does not copy.
+func MedianSorted(s []float64) float64 {
+	n := len(s)
 	if n == 0 {
 		return 0
 	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
 	if n%2 == 1 {
 		return s[n/2]
 	}

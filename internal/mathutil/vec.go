@@ -27,19 +27,7 @@ func (v Vec) Clone() Vec {
 // are. Each copied row's capacity is cut to its length, so appending to one
 // row reallocates it instead of running into its neighbour.
 func CloneRows(rows []Vec) []Vec {
-	total := 0
-	for _, r := range rows {
-		total += len(r)
-	}
-	backing := make([]float64, total)
-	out := make([]Vec, len(rows))
-	off := 0
-	for i, r := range rows {
-		end := off + copy(backing[off:], r)
-		out[i] = backing[off:end:end]
-		off = end
-	}
-	return out
+	return new(RowBuf).CopyRows(rows)
 }
 
 // Add returns v + w. It panics if the lengths differ; mismatched dimensions

@@ -2,10 +2,11 @@
 // A chamber runs one untrusted analysis program on one data block and
 // enforces the platform's side-channel defenses:
 //
-//   - State attacks: each execution gets fresh copies of its block, and the
-//     subprocess chamber gives each run a brand-new OS process with a
-//     private scratch directory that is wiped afterwards, so no state can
-//     flow between blocks or between queries.
+//   - State attacks: each execution gets a private copy of its block (in
+//     recycled storage, see InProcess), and the subprocess chamber gives
+//     each run a brand-new OS process with a private scratch directory that
+//     is wiped afterwards, so no state can flow between blocks or between
+//     queries.
 //   - Timing attacks: with a positive Quantum every block consumes exactly
 //     the same wall-clock time — early finishers are held until the quantum
 //     elapses, and overruns are killed and replaced by a data-independent
@@ -129,15 +130,33 @@ func (p Policy) holdRemaining(ctx context.Context, start time.Time) {
 // hosted platform uses Subprocess chambers for analyst-supplied code.
 // InProcess is intended for platform-trusted programs and for benchmarking
 // the isolation overhead (paper §6.1).
+//
+// The private copy lives in recycled storage (mathutil.RowBuf), not in a
+// fresh allocation, which is as safe under four rules. The storage is
+// released only by the goroutine that ran the program, once Run has returned
+// or panicked: a quantum-killed or cancelled block's abandoned goroutine
+// keeps its buffer until it really ends. The output vector is copied out
+// first, since it may alias the block. Every use rewrites all row headers
+// and cuts both capacities, so re-slicing cannot reach a previous block's,
+// dataset's or tenant's bytes. And only a holder that can know the program
+// is done recycles at all. A program that kept its block past Run could as
+// well have copied it to a global while running, so recycling grants it
+// nothing new.
 type InProcess struct {
 	Program analytics.Program
 	Policy  Policy
 	// OwnsBlock declares that every block handed to Execute is already
-	// private to that call — the worker daemon's freshly decoded work frame
-	// — so the program runs on it directly instead of on a second copy.
-	// Set in code by such a caller, never from configuration; the zero
-	// value copies.
+	// private to that call — the worker daemon's decoded work frame — so
+	// the program runs on it directly instead of on a second copy. Set in
+	// code by such a caller, never from configuration; the zero value
+	// copies.
 	OwnsBlock bool
+	// Release, when set, is called once per Execute that started the
+	// program, by the goroutine that ran it, after Run has returned or
+	// panicked and its output has been copied out: the moment an owned
+	// block's storage may be reused. It is never called on behalf of a
+	// program that is still running. Code-only, like OwnsBlock.
+	Release func()
 }
 
 // ReadOnlyBlocks implements ReadOnlyChamber: unless the chamber owns its
@@ -157,8 +176,10 @@ func (c *InProcess) Execute(ctx context.Context, block []mathutil.Vec) (mathutil
 	// The program gets its own copy — the one copy per (record, block) the
 	// state-attack defense needs: it can never mutate the caller's data.
 	private := block
+	var buf *mathutil.RowBuf // nil when the chamber owns its block
 	if !c.OwnsBlock {
-		private = mathutil.CloneRows(block)
+		buf = mathutil.GetRowBuf()
+		private = buf.CopyRows(block)
 	}
 
 	type result struct {
@@ -167,13 +188,22 @@ func (c *InProcess) Execute(ctx context.Context, block []mathutil.Vec) (mathutil
 	}
 	done := make(chan result, 1)
 	go func() {
+		var res result
+		// Only here is the program known to be done with its block, however
+		// long ago Execute stopped waiting for it.
 		defer func() {
 			if r := recover(); r != nil {
-				done <- result{err: fmt.Errorf("%w: %v", ErrPanicked, r)}
+				res = result{err: fmt.Errorf("%w: %v", ErrPanicked, r)}
 			}
+			buf.Release()
+			if c.Release != nil {
+				c.Release()
+			}
+			done <- res
 		}()
 		out, err := c.Program.Run(private)
-		done <- result{out: out, err: err}
+		// out may alias the block, which the deferred release hands on.
+		res = result{out: out.Clone(), err: err}
 	}()
 
 	var deadline <-chan time.Time
@@ -193,7 +223,8 @@ func (c *InProcess) Execute(ctx context.Context, block []mathutil.Vec) (mathutil
 		c.Policy.holdRemaining(ctx, start)
 		return r.out, nil
 	case <-deadline:
-		// The goroutine is abandoned; it holds only its private copy.
+		// The goroutine is abandoned; it holds only its private copy, whose
+		// storage it gives back itself if it ever ends — never from here.
 		c.Policy.Metrics.Counter("sandbox.inprocess.kills").Inc()
 		return c.Policy.failureOutput(ErrKilled, c.Program.Name())
 	case <-ctx.Done():

@@ -159,22 +159,6 @@ func TestInProcessOwnsBlock(t *testing.T) {
 	}
 }
 
-// The chamber's private copy is flat: headers plus one backing array, so
-// the per-block allocation count does not grow with the block.
-func TestInProcessExecuteAllocations(t *testing.T) {
-	ch := &InProcess{Program: analytics.Mean{Col: 0}}
-	block := testBlock(385)
-	ctx := context.Background()
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := ch.Execute(ctx, block); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 8 {
-		t.Errorf("Execute on a 385-row block allocates %.0f times, want <= 8", allocs)
-	}
-}
-
 func TestInProcessPanicIsolation(t *testing.T) {
 	bomb := analytics.Func{ProgName: "bomb", Dims: 1, F: func([]mathutil.Vec) (mathutil.Vec, error) {
 		panic("boom")

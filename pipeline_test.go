@@ -525,6 +525,76 @@ func TestMutatingProgramCannotReachTheTable(t *testing.T) {
 	}
 }
 
+// TestAliasedOutputReleasedIntact covers the one way recycled block storage
+// could reach an answer: a program whose output vector is a slice of its
+// block. The chamber copies the output out before the storage moves on to
+// the next block, so every host must release the bits a program returning
+// a private copy of the same cell releases. (The engine and the worker copy
+// an output onward as soon as Execute returns, so here a missed copy shows
+// only when a parallel block wins that race; sandbox's
+// TestAliasedOutputSurvivesReuse is the deterministic form.)
+func TestAliasedOutputReleasedIntact(t *testing.T) {
+	ctx := context.Background()
+	age := []Range{{Lo: 0, Hi: 150}}
+	aliased := ProgramFunc{ProgName: "first-age", Dims: 1, F: func(block []mathutil.Vec) (mathutil.Vec, error) {
+		return block[0][3:4], nil
+	}}
+	copied := ProgramFunc{ProgName: "first-age", Dims: 1, F: func(block []mathutil.Vec) (mathutil.Vec, error) {
+		return mathutil.Vec{block[0][3]}, nil
+	}}
+	query := func(prog Program, seed int64) Query {
+		return Query{Dataset: "ds", Program: prog, OutputRanges: age, Epsilon: 1, BlockSize: 100, Seed: seed}
+	}
+	seeds := []int64{41, 42, 43}
+	reference, _ := embeddedHost(t)
+	want := map[int64][]float64{}
+	for _, seed := range seeds {
+		res, err := reference.Run(ctx, query(copied, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[seed] = res.Output
+	}
+
+	embedded, _ := embeddedHost(t)
+	hosts := map[string]func(seed int64) ([]float64, error){
+		"embedded": func(seed int64) ([]float64, error) {
+			res, err := embedded.Run(ctx, query(aliased, seed))
+			if err != nil {
+				return nil, err
+			}
+			return res.Output, nil
+		},
+	}
+	// Served programs come from the wire's fixed vocabulary: swap the
+	// aliasing program into the in-process chamber the host built.
+	for name, workers := range map[string]int{"local server": 0, "2-worker fan-out": 2} {
+		c, _ := servedHost(t, workers, func(inner sandbox.Chamber) sandbox.Chamber {
+			ch := *inner.(*sandbox.InProcess)
+			ch.Program = aliased
+			return &ch
+		})
+		hosts[name] = func(seed int64) ([]float64, error) {
+			resp, err := c.Query(&compman.Request{Dataset: "ds", Program: &compman.ProgramSpec{Type: "mean", Col: 3},
+				OutputRanges: wireRanges(age), Epsilon: 1, BlockSize: 100, Seed: seed})
+			if err != nil {
+				return nil, err
+			}
+			return resp.Output, nil
+		}
+	}
+	for name, run := range hosts {
+		for _, seed := range seeds {
+			got, err := run(seed)
+			if err != nil {
+				t.Errorf("%s seed %d: %v", name, seed, err)
+			} else if !sameBits(got, want[seed]) {
+				t.Errorf("%s seed %d released %v for the aliased output, %v for the copied one", name, seed, got, want[seed])
+			}
+		}
+	}
+}
+
 func mustRemaining(t *testing.T, p *Platform) float64 {
 	t.Helper()
 	rem, err := p.RemainingBudget("ds")
