@@ -41,10 +41,12 @@ bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x -benchmem ./internal/core ./internal/sandbox ./internal/dataset ./internal/compman ./internal/query ./internal/analytics ./internal/mathutil .
 
 # alloc-guards runs the allocation count and byte guards of the block path
+# and the served-query retention guard (live heap per answered query)
 # without the race detector: under it sync.Pool drops a quarter of what is
-# Put on purpose, so the byte guards skip themselves in the race pass.
+# Put on purpose and 12,000 served queries take minutes, so these guards
+# skip themselves in the race pass.
 alloc-guards:
-	$(GO) test -count=1 -run 'Allocations|SteadyStateBytes|TestRowBuf|TestCloneRows' ./internal/mathutil ./internal/core ./internal/sandbox ./internal/compman
+	$(GO) test -count=1 -run 'Allocations|SteadyStateBytes|RetainedBytes|TestRowBuf|TestCloneRows' ./internal/mathutil ./internal/core ./internal/sandbox ./internal/compman
 
 # repro regenerates the paper's figures (~35 s) and requires the six
 # mechanism figures to come out byte-identical to results/: the cheapest

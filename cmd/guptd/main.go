@@ -61,8 +61,7 @@ func main() {
 		scratch      = flag.String("scratch", "", "root for subprocess chamber scratch dirs (default: system temp)")
 		state        = flag.String("state", "", "legacy budget state file; superseded by -ledger-dir")
 		ledgerDir    = flag.String("ledger-dir", "", "durable privacy-ledger directory (write-ahead log + snapshots); spent budget survives crashes")
-		ledgerSync   = flag.String("ledger-sync", "batched", "ledger fsync policy: 'record' (fsync every charge) or 'batched' (group commit)")
-		ledgerFlush  = flag.Duration("ledger-flush", 2*time.Millisecond, "group-commit accumulation window for -ledger-sync=batched")
+		ledgerSync   = flag.String("ledger-sync", "batched", "ledger fsync policy: 'record' (fsync every charge) or 'batched' (group commit: concurrent charges share an fsync)")
 		workers      = flag.String("workers", "", "comma-separated gupt-worker addresses for cluster execution")
 		workerConns  = flag.Int("worker-conns", 1, "concurrent block exchanges per worker host; engine parallelism is workers x this")
 		straggler    = flag.Duration("straggler-after", 0, "duplicate a block to the next-ranked worker when its home worker is this late; first result wins (0 disables)")
@@ -149,10 +148,9 @@ func main() {
 		}
 		var err error
 		led, err = ledger.Open(*ledgerDir, ledger.Options{
-			Sync:          policy,
-			FlushInterval: *ledgerFlush,
-			Telemetry:     tel,
-			Logger:        log.Default(),
+			Sync:      policy,
+			Telemetry: tel,
+			Logger:    log.Default(),
 		})
 		if err != nil {
 			log.Fatalf("opening privacy ledger: %v", err)

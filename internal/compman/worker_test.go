@@ -6,7 +6,6 @@ import (
 	"math"
 	"net"
 	"runtime"
-	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -389,13 +388,7 @@ func respOutput(t *testing.T, frame []byte) []float64 {
 // row storage in steady state. With a fresh decode plus a second header
 // slice per block, a 385×11 frame cost ≈ 62 KiB here.
 func TestWorkerSteadyStateBytes(t *testing.T) {
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				t.Skip("sync.Pool is deliberately lossy under the race detector")
-			}
-		}
-	}
+	skipUnderRace(t, "sync.Pool is deliberately lossy under the race detector")
 	w := NewWorker(WorkerConfig{})
 	payload := workPayload(t, meanSpec, gridBlock(385, 11))
 	var out []byte

@@ -47,7 +47,7 @@ type Registered struct {
 	// aging-based optimizers then fall back to defaults.
 	Aged *Table
 	// Accountant enforces the dataset's lifetime ε budget. Read budget
-	// state (Remaining, Spent, History) here; route debits through Spend
+	// state (Remaining, Spent, Queries) here; route debits through Spend
 	// so a durable charger, when bound, sees every charge.
 	Accountant *dp.Accountant
 

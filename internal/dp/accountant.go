@@ -4,20 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 )
 
 // ErrBudgetExhausted is returned by Accountant.Spend when a charge would
 // push cumulative spend past the total budget. Queries that fail with this
 // error consume nothing.
 var ErrBudgetExhausted = errors.New("dp: privacy budget exhausted")
-
-// Charge records one debit against a privacy budget.
-type Charge struct {
-	Label   string    // what the budget was spent on (query name, subroutine)
-	Epsilon float64   // amount of ε consumed
-	At      time.Time // wall-clock time of the debit
-}
 
 // Accountant tracks cumulative ε consumption against a fixed total budget
 // under sequential composition (the composition lemma of Dwork et al. cited
@@ -34,10 +26,10 @@ type Charge struct {
 // serialized under that lock (Registry.mu → Ledger.mu → Accountant.mu).
 // Never acquire another system lock from inside this package.
 type Accountant struct {
-	mu    sync.Mutex
-	total float64
-	spent float64
-	log   []Charge
+	mu      sync.Mutex
+	total   float64
+	spent   float64
+	queries int
 }
 
 // NewAccountant returns an accountant with the given total ε budget.
@@ -70,9 +62,11 @@ func (a *Accountant) Remaining() float64 {
 	return a.total - a.spent
 }
 
-// Spend atomically debits eps from the budget, recording the charge under
-// label. It returns ErrBudgetExhausted (wrapped with the shortfall) if the
-// debit would exceed the total; in that case nothing is consumed.
+// Spend atomically debits eps from the budget. It returns
+// ErrBudgetExhausted (wrapped with the shortfall) if the debit would exceed
+// the total; in that case nothing is consumed. The accountant keeps no
+// per-charge record — label is for chargers that journal it (the durable
+// ledger writes it to the WAL) — so its memory does not grow with queries.
 func (a *Accountant) Spend(label string, eps float64) error {
 	if err := checkEpsilon(eps); err != nil {
 		return err
@@ -86,20 +80,13 @@ func (a *Accountant) Spend(label string, eps float64) error {
 		return fmt.Errorf("%w: requested %v, remaining %v", ErrBudgetExhausted, eps, a.total-a.spent)
 	}
 	a.spent += eps
-	a.log = append(a.log, Charge{Label: label, Epsilon: eps, At: time.Now()})
+	a.queries++
 	return nil
-}
-
-// History returns a copy of all charges in order.
-func (a *Accountant) History() []Charge {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]Charge(nil), a.log...)
 }
 
 // Queries returns the number of successful charges.
 func (a *Accountant) Queries() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.log)
+	return a.queries
 }

@@ -42,15 +42,21 @@ func FuzzAccountant(f *testing.F) {
 			return
 		}
 		a := NewAccountant(total)
+		accepted := 0
 		for _, b := range raw {
 			eps := float64(b) / 64
 			if eps == 0 {
 				continue
 			}
-			_ = a.Spend("f", eps)
+			if a.Spend("f", eps) == nil {
+				accepted++
+			}
 			if a.Spent() > a.Total()*(1+1e-9)+1e-12 {
 				t.Fatalf("spent %v exceeds total %v", a.Spent(), a.Total())
 			}
+		}
+		if got := a.Queries(); got != accepted {
+			t.Fatalf("Queries = %d, want %d accepted spends", got, accepted)
 		}
 	})
 }

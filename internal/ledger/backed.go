@@ -94,7 +94,7 @@ func (b *Backed) RecordCacheHitAs(tenant, label string) error {
 }
 
 // Accountant exposes the wrapped in-memory accountant (read paths:
-// Remaining, Spent, History).
+// Remaining, Spent, Queries).
 func (b *Backed) Accountant() *dp.Accountant { return b.acct }
 
 // Ledger returns the ledger this binding writes to.

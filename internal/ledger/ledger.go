@@ -21,12 +21,12 @@ var ErrClosed = errors.New("ledger: closed")
 // code never sets the hook; tests use it to SIGKILL the process at exact
 // fsync and rename boundaries and prove recovery never under-counts.
 const (
-	CrashAfterAppend       = "append.after-write"    // record written, not yet fsync'd
-	CrashAfterSync         = "append.after-fsync"    // record durable, accountant not yet debited
-	CrashAfterSpend        = "charge.after-spend"    // accountant debited, ack not yet returned
-	CrashAfterRefund       = "refund.after-write"    // refund written (possibly volatile)
-	CrashAfterSnapshot     = "compact.after-snapshot" // snapshot renamed, old WAL still whole
-	CrashAfterWALSwap      = "compact.after-swap"    // fresh WAL renamed into place
+	CrashAfterAppend          = "append.after-write"             // record written, not yet fsync'd
+	CrashAfterSync            = "append.after-fsync"             // record durable, accountant not yet debited
+	CrashAfterSpend           = "charge.after-spend"             // accountant debited, ack not yet returned
+	CrashAfterRefund          = "refund.after-write"             // refund written (possibly volatile)
+	CrashAfterSnapshot        = "compact.after-snapshot"         // snapshot renamed, old WAL still whole
+	CrashAfterWALSwap         = "compact.after-swap"             // fresh WAL renamed into place
 	CrashBeforeSnapshotRename = "compact.before-snapshot-rename" // temp written, rename pending
 )
 
@@ -34,10 +34,12 @@ const (
 type Options struct {
 	// Sync selects the fsync policy; default SyncEveryRecord.
 	Sync SyncPolicy
-	// FlushInterval is the group-commit accumulation window for
-	// SyncBatched; the flush leader waits this long before syncing so
-	// concurrent charges share the fsync. Default 2ms. Ignored under
-	// SyncEveryRecord.
+	// FlushInterval is ignored.
+	//
+	// Deprecated: SyncBatched has no accumulation window any more (the
+	// flush leader fsyncs at once, see SyncBatched). The field stays only
+	// because bench/ still sets it; the next benchmark PR deletes it
+	// together with bench's ledgerFlush.
 	FlushInterval time.Duration
 	// SnapshotThreshold compacts the WAL into a snapshot once the log file
 	// exceeds this many bytes. Default 1 MiB; negative disables
@@ -58,9 +60,6 @@ type Options struct {
 
 func (o *Options) withDefaults() Options {
 	out := *o
-	if out.FlushInterval <= 0 {
-		out.FlushInterval = 2 * time.Millisecond
-	}
 	if out.SnapshotThreshold == 0 {
 		out.SnapshotThreshold = 1 << 20
 	}
@@ -217,7 +216,7 @@ func (l *Ledger) waitDurable(seq uint64) error {
 	if l.opts.Sync == SyncEveryRecord {
 		return nil // appendLocked already synced
 	}
-	batch, err := l.wal.waitSynced(seq, l.opts.FlushInterval)
+	batch, err := l.wal.waitSynced(seq)
 	if batch > 0 {
 		l.fsyncs.Inc()
 		l.syncedRecords.Add(batch)

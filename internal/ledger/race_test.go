@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"errors"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -18,7 +19,7 @@ func TestConcurrentChargesOneDataset(t *testing.T) {
 	for _, policy := range []SyncPolicy{SyncEveryRecord, SyncBatched} {
 		t.Run(policy.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			l := openTest(t, dir, Options{Sync: policy, FlushInterval: 200 * time.Microsecond})
+			l := openTest(t, dir, Options{Sync: policy})
 			const total = 10.0
 			acct := dp.NewAccountant(total)
 			b, err := l.Bind("ds", acct)
@@ -90,7 +91,6 @@ func TestGroupCommitRacesCompaction(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, dir, Options{
 		Sync:              SyncBatched,
-		FlushInterval:     100 * time.Microsecond,
 		SnapshotThreshold: 256, // compact every handful of records
 	})
 	b, err := l.Bind("ds", dp.NewAccountant(1e6))
@@ -125,17 +125,20 @@ func TestGroupCommitRacesCompaction(t *testing.T) {
 	}
 }
 
-// The widest version of the same race: a long flush interval keeps the
-// group-commit leader asleep (fd in hand) across entire explicit Compact
+// The widest version of the same race: a slowed leader fsync keeps the
+// group-commit leader (fd in hand) busy across entire explicit Compact
 // calls issued from another goroutine, so without the flushMu handshake
 // the leader would fsync the swapped-out, closed fd.
 func TestExplicitCompactRacesFlushLeader(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, dir, Options{
 		Sync:              SyncBatched,
-		FlushInterval:     2 * time.Millisecond,
 		SnapshotThreshold: -1, // only the explicit Compact loop below
 	})
+	l.wal.leaderSync = func(f *os.File) error {
+		time.Sleep(2 * time.Millisecond) // widens the window; nothing waits on it
+		return f.Sync()
+	}
 	b, err := l.Bind("ds", dp.NewAccountant(1e6))
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +185,7 @@ func TestExplicitCompactRacesFlushLeader(t *testing.T) {
 // commits interleave across datasets without crosstalk.
 func TestConcurrentChargesManyDatasets(t *testing.T) {
 	dir := t.TempDir()
-	l := openTest(t, dir, Options{Sync: SyncBatched, FlushInterval: 200 * time.Microsecond})
+	l := openTest(t, dir, Options{Sync: SyncBatched})
 	names := []string{"a", "b", "c", "d"}
 	backed := make(map[string]*Backed, len(names))
 	for _, n := range names {

@@ -17,12 +17,15 @@ const (
 	// Maximum durability, one fsync per charge on the query path.
 	SyncEveryRecord SyncPolicy = iota
 	// SyncBatched acknowledges a record only once an fsync covering it has
-	// completed, but lets concurrent appenders share one fsync (group
-	// commit): the first waiter becomes the flush leader, sleeps up to
-	// FlushInterval to let a batch accumulate, syncs once, and releases
-	// everyone it covered. Same never-under-count guarantee as
-	// SyncEveryRecord — an acknowledged charge is always durable — at a
-	// fraction of the fsync cost under concurrency.
+	// completed, but lets concurrent appenders share one fsync (natural
+	// group commit): the first waiter becomes the flush leader and fsyncs
+	// at once, outside the ledger mutex; whoever appends while that fsync
+	// is in flight rides the next one, which covers everything written
+	// before it starts. There is no accumulation window: a lone charger
+	// pays one fsync, a waiter under load at most the fsync in flight plus
+	// its own. Same never-under-count guarantee as SyncEveryRecord — an
+	// acknowledged charge is always durable — at a fraction of the fsync
+	// cost under concurrency.
 	SyncBatched
 )
 
@@ -65,6 +68,10 @@ type wal struct {
 	syncErr   error  // first fsync failure; latches, fails all later acks
 	syncing   bool   // a flush leader is currently syncing
 	lastSync  time.Time
+
+	// leaderSync is the flush leader's fsync, (*os.File).Sync outside
+	// tests; the batching tests wrap it to hold a leader mid-flush.
+	leaderSync func(*os.File) error
 }
 
 // openWAL opens (creating if needed) dir/wal.log for appending. size is
@@ -81,7 +88,7 @@ func openWAL(dir string, size int64, lastSeq uint64) (*wal, error) {
 		f.Close()
 		return nil, fmt.Errorf("ledger: seek wal: %w", err)
 	}
-	w := &wal{f: f, path: path, dir: dir, size: size}
+	w := &wal{f: f, path: path, dir: dir, size: size, leaderSync: (*os.File).Sync}
 	w.flushCond = sync.NewCond(&w.flushMu)
 	w.appended.Store(lastSeq)
 	w.synced = lastSeq
@@ -126,28 +133,26 @@ func (w *wal) sync() error {
 // commit). The caller must NOT hold the Ledger mutex. Returns the number
 // of records the caller's flush covered when it acted as leader (for
 // batch-size telemetry), or 0 when it rode along as a follower.
-func (w *wal) waitSynced(seq uint64, interval time.Duration) (int64, error) {
+func (w *wal) waitSynced(seq uint64) (int64, error) {
 	w.flushMu.Lock()
 	for w.synced < seq && w.syncErr == nil {
 		if w.syncing {
-			// A leader is already flushing; ride its batch.
+			// A leader is already flushing. Its fsync covers seq if the
+			// record was written before it started; if not, the loop
+			// comes round again and this waiter may lead the next one.
 			w.flushCond.Wait()
 			continue
 		}
-		// Become the flush leader. syncing=true keeps swap (compaction)
-		// and close from replacing or closing the fd mid-fsync — both
-		// wait for it to clear. Sleep briefly so concurrent appenders
-		// join this batch, then sync once outside the lock.
+		// Become the flush leader and sync at once, outside the lock.
+		// syncing=true keeps swap (compaction) and close from replacing
+		// or closing the fd mid-fsync — both wait for it to clear — so f
+		// cannot go stale. Records appended while this fsync runs are
+		// past target; their waiters loop and one of them leads the next.
 		w.syncing = true
-		w.flushMu.Unlock()
-		if interval > 0 {
-			time.Sleep(interval)
-		}
-		w.flushMu.Lock()
-		f := w.f // cannot go stale: swap waits while syncing is set
+		f := w.f
 		w.flushMu.Unlock()
 		target := w.appended.Load() // everything written before the fsync below
-		err := f.Sync()
+		err := w.leaderSync(f)
 		w.flushMu.Lock()
 		w.syncing = false
 		w.lastSync = time.Now()

@@ -82,8 +82,10 @@ type burnRow struct {
 	charges   int64
 	// ratePerSec is the EWMA burn rate in ε/second.
 	ratePerSec float64
-	// window holds the charges inside the sliding window, oldest first;
-	// windowSum is their ε total, maintained incrementally.
+	// window holds the ε charged inside the sliding window, one sample per
+	// wall-clock second that saw a charge, oldest first — so its length is
+	// bounded by the window's seconds, not by the query rate. windowSum is
+	// the samples' ε total, maintained incrementally.
 	window    []burnSample
 	windowSum float64
 	// crossed[i] is true once burnThresholds[i] has fired.
@@ -93,8 +95,9 @@ type burnRow struct {
 	burnGauge      *FloatGauge
 }
 
+// burnSample is the ε charged during one wall-clock second.
 type burnSample struct {
-	at  time.Time
+	sec int64 // Unix second
 	eps float64
 }
 
@@ -188,12 +191,19 @@ func (p *BudgetPlane) Observe(tenant, dataset string, eps, spent, total float64)
 	r.unlimited = total <= 0
 	r.charges++
 
-	// Sliding window: append, then drop samples at or past window age.
-	r.window = append(r.window, burnSample{at: now, eps: eps})
+	// Sliding window: fold the charge into its second's sample (a wall
+	// clock stepped backwards folds into the newest one, keeping the
+	// samples ordered), then drop samples at or past window age.
+	sec := now.Unix()
+	if n := len(r.window); n > 0 && r.window[n-1].sec >= sec {
+		r.window[n-1].eps += eps
+	} else {
+		r.window = append(r.window, burnSample{sec: sec, eps: eps})
+	}
 	r.windowSum += eps
-	cutoff := now.Add(-p.window)
+	cutoff := p.cutoffSec(now)
 	trim := 0
-	for trim < len(r.window) && !r.window[trim].at.After(cutoff) {
+	for trim < len(r.window) && r.window[trim].sec <= cutoff {
 		r.windowSum -= r.window[trim].eps
 		trim++
 	}
@@ -240,6 +250,12 @@ func (p *BudgetPlane) Observe(tenant, dataset string, eps, spent, total float64)
 	}
 }
 
+// cutoffSec is the newest Unix second that has aged out of the window
+// ending at now: samples at or before it no longer count.
+func (p *BudgetPlane) cutoffSec(now time.Time) int64 {
+	return now.Unix() - int64(p.window.Seconds())
+}
+
 func (p *BudgetPlane) publishLocked(r *burnRow) {
 	if r.unlimited {
 		r.remainingGauge.Set(0)
@@ -257,8 +273,7 @@ func (p *BudgetPlane) Rows() []BudgetRow {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	now := p.now()
-	cutoff := now.Add(-p.window)
+	cutoff := p.cutoffSec(p.now())
 	out := make([]BudgetRow, 0, len(p.rows))
 	for k, r := range p.rows {
 		row := BudgetRow{
@@ -281,7 +296,7 @@ func (p *BudgetPlane) Rows() []BudgetRow {
 			}
 		}
 		for _, s := range r.window {
-			if !s.at.Before(cutoff) {
+			if s.sec > cutoff {
 				row.WindowEpsilon += s.eps
 			}
 		}

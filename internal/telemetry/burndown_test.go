@@ -129,6 +129,35 @@ func TestBudgetPlaneSlidingWindow(t *testing.T) {
 	}
 }
 
+// The window costs memory per second that saw a charge, not per charge: a
+// long-running server at any query rate holds at most window-seconds
+// samples per row, and the coalesced samples still sum to the ε charged.
+func TestBudgetPlaneWindowBoundedByItsSeconds(t *testing.T) {
+	p := NewBudgetPlane(nil)
+	now := planeClock(p)
+	const perSecond = 200
+	windowSec := int(DefaultBurnWindow.Seconds())
+	spent := 0.0
+	for s := 0; s < 2*windowSec; s++ {
+		for i := 0; i < perSecond; i++ {
+			spent += 0.001
+			p.Observe("", "d", 0.001, spent, 1e6)
+			*now = now.Add(time.Second / perSecond)
+		}
+		if n := len(p.rows[burnKey{"", "d"}].window); n > windowSec {
+			t.Fatalf("after %d s the window holds %d samples, want <= %d", s+1, n, windowSec)
+		}
+	}
+	rows := p.Rows()
+	want := 0.001 * perSecond * float64(windowSec)
+	if math.Abs(rows[0].WindowEpsilon-want) > 0.001*perSecond+1e-9 {
+		t.Fatalf("window ε = %v, want %v to within one second of charges", rows[0].WindowEpsilon, want)
+	}
+	if rows[0].Charges != 2*int64(windowSec)*perSecond {
+		t.Fatalf("charges = %d", rows[0].Charges)
+	}
+}
+
 func TestBudgetPlaneThresholdEvents(t *testing.T) {
 	p := NewBudgetPlane(nil)
 	planeClock(p)
