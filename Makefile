@@ -61,9 +61,10 @@ repro:
 
 # check is the pre-merge gate: static analysis plus the full suite under
 # the race detector, plus dedicated passes of both kill matrices and the
-# fan-out concurrency tests, plus the allocation guards, one iteration of
-# every micro-benchmark and the figure reproduction.
-check: vet race fanout-race ledger-kill audit-kill alloc-guards bench-smoke repro
+# fan-out concurrency tests, plus the allocation guards, the Prometheus
+# exposition lint, one iteration of every micro-benchmark and the figure
+# reproduction.
+check: vet race fanout-race ledger-kill audit-kill alloc-guards prom-lint bench-smoke repro
 
 # fuzz runs each fuzz target briefly; lengthen FUZZTIME for soak runs.
 FUZZTIME ?= 10s
@@ -73,10 +74,6 @@ fuzz:
 	$(GO) test ./internal/dataset -run xxx -fuzz FuzzReadCSV -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dp -run xxx -fuzz FuzzPercentile -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dp -run xxx -fuzz FuzzAccountant -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/compman -run xxx -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/compman -run xxx -fuzz FuzzDecodeResponse -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/compman -run xxx -fuzz FuzzDecodeWorkRequest -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/compman -run xxx -fuzz FuzzDecodeWorkResponse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/compman -run xxx -fuzz FuzzWireEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query -run xxx -fuzz FuzzFingerprint -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ledger -run xxx -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME)

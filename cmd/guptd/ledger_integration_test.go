@@ -109,7 +109,7 @@ func TestLedgerSurvivesPlatformRestart(t *testing.T) {
 		t.Fatalf("/ledger shows unsynced acknowledged charges: synced %d < records %d", st.SyncedRecords, st.Records)
 	}
 
-	// Crash: no graceful shutdown, no SaveBudgets. (Process-level SIGKILL
+	// Crash: no graceful shutdown, no final flush. (Process-level SIGKILL
 	// durability is proven by the internal/ledger kill matrix; here the
 	// platform layers above it are exercised end to end.)
 

@@ -59,7 +59,6 @@ func main() {
 		auditFsync   = flag.Bool("audit-fsync", false, "fsync the audit log after every record (durability over throughput)")
 		quantum      = flag.Duration("quantum", 0, "per-block timing quantum applied to all queries (0 disables)")
 		scratch      = flag.String("scratch", "", "root for subprocess chamber scratch dirs (default: system temp)")
-		state        = flag.String("state", "", "legacy budget state file; superseded by -ledger-dir")
 		ledgerDir    = flag.String("ledger-dir", "", "durable privacy-ledger directory (write-ahead log + snapshots); spent budget survives crashes")
 		ledgerSync   = flag.String("ledger-sync", "batched", "ledger fsync policy: 'record' (fsync every charge) or 'batched' (group commit: concurrent charges share an fsync)")
 		workers      = flag.String("workers", "", "comma-separated gupt-worker addresses for cluster execution")
@@ -97,15 +96,6 @@ func main() {
 		}
 	}
 
-	if *state != "" && *ledgerDir == "" {
-		if _, err := os.Stat(*state); err == nil {
-			if err := reg.RestoreBudgets(*state); err != nil {
-				log.Fatalf("restoring budget ledger: %v", err)
-			}
-			log.Printf("restored budget ledger from %s", *state)
-		}
-	}
-
 	var workerAddrs []string
 	if *workers != "" {
 		workerAddrs = strings.Split(*workers, ",")
@@ -134,9 +124,6 @@ func main() {
 	// log, then route every future charge through it (log-before-charge).
 	var led *ledger.Ledger
 	if *ledgerDir != "" {
-		if *state != "" {
-			log.Printf("-state is superseded by -ledger-dir; skipping the legacy state-file restore")
-		}
 		var policy ledger.SyncPolicy
 		switch *ledgerSync {
 		case "record":
@@ -180,10 +167,6 @@ func main() {
 			}
 		}
 	}
-	statePath := *state
-	if led != nil {
-		statePath = "" // the WAL is authoritative; don't double-journal
-	}
 
 	// Tamper-evident audit log: every settled query and session appends a
 	// hash-chained record. Opening recovers the chain tip (and truncates a
@@ -202,7 +185,6 @@ func main() {
 	cfg := compman.ServerConfig{
 		DefaultQuantum:     *quantum,
 		ScratchRoot:        *scratch,
-		StatePath:          statePath,
 		WorkerAddrs:        workerAddrs,
 		IdleTimeout:        *idle,
 		BlockTimeout:       *blockTimeout,
@@ -263,11 +245,6 @@ func main() {
 	go func() {
 		<-sig
 		log.Print("shutting down")
-		if statePath != "" {
-			if err := reg.SaveBudgets(statePath); err != nil {
-				log.Printf("final budget-state flush failed: %v", err)
-			}
-		}
 		if led != nil {
 			// Flush the group-commit tail so a clean shutdown leaves
 			// nothing volatile (a crash here would still only over-count).

@@ -13,30 +13,22 @@ import (
 // safe for concurrent use; requests are serialized on the single
 // connection.
 type Client struct {
-	mu      sync.Mutex
-	conn    net.Conn
-	r       *bufio.Reader
-	version uint8
-	apiKey  string // stamped onto every request when the wire speaks v3
-	wbuf    []byte // reused binary encode buffer
-	rbuf    []byte // reused binary frame read buffer
+	mu     sync.Mutex
+	conn   net.Conn
+	r      *bufio.Reader
+	apiKey string // stamped onto every request that carries none
+	wbuf   []byte // reused binary encode buffer
+	rbuf   []byte // reused binary frame read buffer
 }
 
-// Dial connects to a computation-manager server, negotiating the newest
-// wire version both ends speak. A server that only speaks the retired
-// version-0 JSON wire is refused with ErrPeerTooOld.
+// Dial connects to a computation-manager server and performs the wire
+// handshake (see NewClient).
 func Dial(addr string) (*Client, error) {
-	return DialVersion(addr, LatestWireVersion)
-}
-
-// DialVersion connects offering at most the given wire version.
-// WireVersionJSON (0) is retired and fails closed with a clear error.
-func DialVersion(addr string, version uint8) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("compman: dial %s: %w", addr, err)
 	}
-	c, err := NewClientVersion(conn, version)
+	c, err := NewClient(conn)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -44,34 +36,21 @@ func DialVersion(addr string, version uint8) (*Client, error) {
 	return c, nil
 }
 
-// NewClient wraps an established connection, negotiating the newest wire
-// version. It is NewClientVersion at LatestWireVersion; the error contract
-// is the same.
+// NewClient wraps an established connection, performing the connect-time
+// handshake. A server on a retired wire version fails with ErrPeerTooOld,
+// a garbled handshake with ErrWireNegotiation; on error the caller still
+// owns the connection.
 func NewClient(conn net.Conn) (*Client, error) {
-	return NewClientVersion(conn, LatestWireVersion)
-}
-
-// NewClientVersion wraps an established connection, performing the
-// connect-time version handshake up to the given version. A garbled
-// handshake fails closed with ErrWireNegotiation, a pre-binary peer with
-// ErrPeerTooOld; the caller still owns the connection.
-func NewClientVersion(conn net.Conn, version uint8) (*Client, error) {
 	c := &Client{conn: conn, r: bufio.NewReaderSize(conn, 1<<20)}
-	v, err := negotiateWire(conn, c.r, version)
-	if err != nil {
+	if err := negotiateWire(conn, c.r); err != nil {
 		return nil, err
 	}
-	c.version = v
 	return c, nil
 }
 
-// WireVersion reports the negotiated wire version.
-func (c *Client) WireVersion() uint8 { return c.version }
-
-// SetAPIKey attaches tenant credentials to every subsequent request. The
-// key only travels on wire version 3+; against an older server it is
-// silently dropped by the framing, and a tenancy-enabled server will then
-// refuse admission — fail closed, never fail open.
+// SetAPIKey attaches tenant credentials to every subsequent request. A
+// tenancy-enabled server refuses requests without a valid key; a
+// tenancy-off server ignores it.
 func (c *Client) SetAPIKey(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -106,7 +85,7 @@ func (c *Client) roundTrip(req *Request) (*Response, error) {
 		q.APIKey = c.apiKey
 		req = &q
 	}
-	frame, err := AppendRequestFrameV(c.wbuf[:0], req, c.version)
+	frame, err := AppendRequestFrame(c.wbuf[:0], req)
 	if err != nil {
 		return nil, fmt.Errorf("compman: encode: %w", err)
 	}

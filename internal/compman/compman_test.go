@@ -1,8 +1,6 @@
 package compman
 
 import (
-	"bufio"
-	"io"
 	"math"
 	"net"
 	"strings"
@@ -64,6 +62,26 @@ func startServerCfg(t *testing.T, totalBudget float64, cfg ServerConfig) (*Clien
 	}
 	t.Cleanup(func() { client.Close() })
 	return client, srv
+}
+
+// buildCensusRegistry mirrors startServer's dataset without the server.
+func buildCensusRegistry(t *testing.T, totalBudget float64) *dataset.Registry {
+	t.Helper()
+	reg := dataset.NewRegistry()
+	rng := mathutil.NewRNG(1)
+	tbl := dataset.New([]string{"age"})
+	for i := 0; i < 2000; i++ {
+		if err := tbl.Append(mathutil.Vec{mathutil.Clamp(40+10*rng.NormFloat64(), 0, 150)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := reg.Register("census", tbl, dataset.RegisterOptions{
+		TotalBudget: totalBudget,
+		Ranges:      []dp.Range{{Lo: 0, Hi: 150}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return reg
 }
 
 func TestPingAndList(t *testing.T) {
@@ -250,31 +268,38 @@ func TestQueryValidationErrors(t *testing.T) {
 }
 
 func TestMalformedWireRequest(t *testing.T) {
-	_, srv := startServer(t, 100)
-	// A connection that opens with anything but a binary hello is treated
-	// as a pre-binary peer: one JSON farewell naming the retired wire, then
-	// close. (On a negotiated binary connection garbage is
-	// indistinguishable from a desynchronized frame stream and fails closed
-	// — see wire tests.)
-	conn, err := net.Dial("tcp", srv.Addr().String())
+	client, srv := startServer(t, 100)
+	// A connection that opens with anything but a hello is dropped without
+	// a reply.
+	checkServerDrops(t, srv, []byte("this is not a hello\n"))
+
+	// On a live connection, a well-framed request whose body does not parse
+	// is answered with an error, and the connection stays usable: the frame
+	// boundary proved the stream is still in sync. (A bad length or CRC
+	// instead tears the connection down — see the wire tests.)
+	e := newFrameEncoder(nil)
+	e.u8(wireMsgRequest)
+	e.b = append(e.b, "not a request body"...)
+	frame, err := e.finishFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte("this is not a hello\n")); err != nil {
+	if _, err := client.conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	r := bufio.NewReader(conn)
-	line, err := r.ReadBytes('\n')
+	payload, err := readWireFrame(client.r, &client.rbuf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(line), "retired") {
-		t.Errorf("response to garbage = %s", line)
+	resp, err := decodePayload(payload, wireMsgResponse, "response", decodeResponseBody)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := r.ReadByte(); err != io.EOF {
-		t.Errorf("server kept the connection after a garbled open (err=%v)", err)
+	if resp.OK || !strings.Contains(resp.Error, "malformed request") {
+		t.Errorf("response to a garbled body = %+v", resp)
+	}
+	if err := client.Ping(); err != nil {
+		t.Errorf("connection unusable after a garbled body: %v", err)
 	}
 }
 

@@ -2,30 +2,45 @@ package compman
 
 import "testing"
 
-// TestFingerprintRepresentationStable sends one query through four textual
-// representations — Go-struct field order, sorted field order, eccentric
-// float formatting, and defaults spelled out (mode "tight") versus omitted
-// — and requires the later ones to be cache hits on the first: the cache
-// key (internal/query) is over the decoded, resolved query, never the
-// bytes.
+// TestFingerprintRepresentationStable sends one query in several spellings
+// — defaults spelled out (mode "tight", an explicit zero Col and Gamma, an
+// empty rather than absent InputRanges) versus omitted, and floats written
+// in other notations — and requires the later ones to be cache hits on the
+// first: the cache key (internal/query) is over the decoded, resolved
+// query, never the request's representation.
 func TestFingerprintRepresentationStable(t *testing.T) {
-	variants := []string{
-		`{"op":"query","dataset":"census","program":{"type":"percentile","col":0,"p":0.5},` +
-			`"outputRanges":[{"lo":0,"hi":150}],"epsilon":0.5,"blockSize":250,"seed":42}`,
-		`{"seed":42,"program":{"p":0.5,"col":0,"type":"percentile"},"outputRanges":[{"hi":150,"lo":0}],` +
-			`"op":"query","epsilon":0.5,"dataset":"census","blockSize":250}`,
-		`{"op":"query","dataset":"census","program":{"type":"percentile","col":0,"p":5e-1},` +
-			`"outputRanges":[{"lo":0e0,"hi":1.5e2}],"epsilon":0.50,"blockSize":250,"seed":42}`,
-		`{"op":"query","dataset":"census","mode":"tight","program":{"type":"percentile","p":0.5},` +
-			`"outputRanges":[{"lo":0,"hi":150}],"epsilon":0.5,"blockSize":250,"seed":42,"gamma":0}`,
+	variants := []*Request{
+		{
+			Dataset:      "census",
+			Program:      &ProgramSpec{Type: "percentile", P: 0.5},
+			OutputRanges: []RangeSpec{{Lo: 0, Hi: 150}},
+			Epsilon:      0.5,
+			BlockSize:    250,
+			Seed:         42,
+		},
+		{
+			Dataset:      "census",
+			Mode:         "tight",
+			Program:      &ProgramSpec{Type: "percentile", Col: 0, P: 0.5},
+			OutputRanges: []RangeSpec{{Lo: 0, Hi: 150}},
+			InputRanges:  []RangeSpec{},
+			Epsilon:      0.5,
+			BlockSize:    250,
+			Gamma:        0,
+			Seed:         42,
+		},
+		{
+			Seed:         42,
+			Program:      &ProgramSpec{P: 5e-1, Type: "percentile"},
+			OutputRanges: []RangeSpec{{Hi: 1.5e2, Lo: 0e0}},
+			Epsilon:      0.50,
+			Dataset:      "census",
+			BlockSize:    250,
+		},
 	}
 	client, _ := startCachedServer(t, censusRegistry(t, 100), ServerConfig{})
 	var first *Response
-	for i, line := range variants {
-		req, err := DecodeRequest([]byte(line))
-		if err != nil {
-			t.Fatalf("variant %d: %v", i, err)
-		}
+	for i, req := range variants {
 		resp, err := client.Query(req)
 		if err != nil {
 			t.Fatalf("variant %d: %v", i, err)

@@ -39,20 +39,6 @@ func goldenMessages() []struct {
 			name  string
 			frame func() ([]byte, error)
 		}{"request-" + name, func() ([]byte, error) { return AppendRequestFrame(nil, req) }})
-		// The v2 framing (no tenant tails) stays negotiable for pre-tenancy
-		// clients, so its bytes stay pinned alongside the current version's.
-		out = append(out, struct {
-			name  string
-			frame func() ([]byte, error)
-		}{"request-" + name + "-v2", func() ([]byte, error) { return AppendRequestFrameV(nil, req, WireVersionBinary) }})
-		// The v3 framing (tenant tail, no deadline tail) likewise stays
-		// negotiable for pre-scheduler clients. Responses need no v3 pins:
-		// the response grammar did not change between v3 and v4, so v3
-		// response bytes are exactly the unversioned pins above.
-		out = append(out, struct {
-			name  string
-			frame func() ([]byte, error)
-		}{"request-" + name + "-v3", func() ([]byte, error) { return AppendRequestFrameV(nil, req, WireVersionBinary3) }})
 	}
 	resps := sampleResponses()
 	respNames := make([]string, 0, len(resps))
@@ -66,10 +52,6 @@ func goldenMessages() []struct {
 			name  string
 			frame func() ([]byte, error)
 		}{"response-" + name, func() ([]byte, error) { return AppendResponseFrame(nil, resp) }})
-		out = append(out, struct {
-			name  string
-			frame func() ([]byte, error)
-		}{"response-" + name + "-v2", func() ([]byte, error) { return AppendResponseFrameV(nil, resp, WireVersionBinary) }})
 	}
 	out = append(out, struct {
 		name  string

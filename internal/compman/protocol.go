@@ -4,13 +4,10 @@
 // accountants directly — they submit a query over a length-prefixed binary
 // framed protocol (wire.go); the trusted server resolves the dataset,
 // charges the budget, runs the sample-and-aggregate engine across isolated
-// chambers, and returns only the differentially private answer. The JSON
-// codecs below remain for the admin HTTP surface and the one terminal
-// error line sent to retired JSON-wire peers.
+// chambers, and returns only the differentially private answer.
 package compman
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -34,8 +31,8 @@ const (
 
 // RangeSpec is a serializable [lo, hi] interval.
 type RangeSpec struct {
-	Lo float64 `json:"lo"`
-	Hi float64 `json:"hi"`
+	Lo float64
+	Hi float64
 }
 
 func (r RangeSpec) toRange() (dp.Range, error) { return dp.NewRange(r.Lo, r.Hi) }
@@ -71,31 +68,31 @@ type ProgramSpec struct {
 	// Type selects the program: "mean", "median", "variance", "percentile",
 	// "covariance", "histogram", "kmeans", "logreg", "linreg",
 	// "naivebayes", or "binary".
-	Type string `json:"type"`
+	Type string
 	// Col is the target column for the scalar statistics; ColB is the
 	// second column for "covariance".
-	Col  int `json:"col,omitempty"`
-	ColB int `json:"colB,omitempty"`
+	Col  int
+	ColB int
 	// P is the quantile for "percentile".
-	P float64 `json:"p,omitempty"`
+	P float64
 	// Lo, Hi and Bins parameterize "histogram".
-	Lo   float64 `json:"lo,omitempty"`
-	Hi   float64 `json:"hi,omitempty"`
-	Bins int     `json:"bins,omitempty"`
+	Lo   float64
+	Hi   float64
+	Bins int
 	// K, FeatureDims, Iters, Seed parameterize "kmeans"; FeatureDims,
 	// LabelCol, Iters also parameterize "logreg".
-	K           int     `json:"k,omitempty"`
-	FeatureDims int     `json:"featureDims,omitempty"`
-	LabelCol    int     `json:"labelCol,omitempty"`
-	Iters       int     `json:"iters,omitempty"`
-	LearnRate   float64 `json:"learnRate,omitempty"`
-	Seed        int64   `json:"seed,omitempty"`
+	K           int
+	FeatureDims int
+	LabelCol    int
+	Iters       int
+	LearnRate   float64
+	Seed        int64
 	// Path, Args and OutputDims describe an uploaded executable for
 	// Type "binary": it speaks the sandbox stdin/stdout protocol and is
 	// always run inside a subprocess chamber.
-	Path       string   `json:"path,omitempty"`
-	Args       []string `json:"args,omitempty"`
-	OutputDims int      `json:"outputDims,omitempty"`
+	Path       string
+	Args       []string
+	OutputDims int
 }
 
 // ErrBadProgram is returned for unresolvable program specifications.
@@ -151,15 +148,15 @@ func (ps ProgramSpec) resolve() (analytics.Program, bool, error) {
 // translation function: output dimension i gets the (scaled, shifted)
 // estimated input range of input dimension InputDim[i].
 type TranslateSpec struct {
-	InputDim []int     `json:"inputDim"`
-	Scale    []float64 `json:"scale"`
-	Offset   []float64 `json:"offset"`
+	InputDim []int
+	Scale    []float64
+	Offset   []float64
 }
 
 // AccuracySpec is a serializable accuracy goal (paper §5.1).
 type AccuracySpec struct {
-	Rho        float64 `json:"rho"`
-	Confidence float64 `json:"confidence"`
+	Rho        float64
+	Confidence float64
 }
 
 // RegisterSpec is the data-owner side of the protocol (paper Fig. 2): a
@@ -168,34 +165,34 @@ type AccuracySpec struct {
 // analysts should front the endpoint with transport-level authentication,
 // which is out of scope here (as in the paper).
 type RegisterSpec struct {
-	Name string `json:"name"`
+	Name string
 	// Rows carries the records inline; Columns optionally names them.
-	Rows    [][]float64 `json:"rows"`
-	Columns []string    `json:"columns,omitempty"`
+	Rows    [][]float64
+	Columns []string
 	// TotalBudget is the dataset's lifetime ε budget.
-	TotalBudget float64 `json:"totalBudget"`
+	TotalBudget float64
 	// Ranges optionally declares public attribute bounds.
-	Ranges []RangeSpec `json:"ranges,omitempty"`
+	Ranges []RangeSpec
 	// AgedFraction carves out the aged, non-private sample (§3.3).
-	AgedFraction float64 `json:"agedFraction,omitempty"`
-	Seed         int64   `json:"seed,omitempty"`
+	AgedFraction float64
+	Seed         int64
 }
 
 // SessionQuery is one member of a budget-distributed batch: a program plus
 // its (tight) output ranges; the session, not the query, carries the ε.
 type SessionQuery struct {
-	Program      ProgramSpec `json:"program"`
-	OutputRanges []RangeSpec `json:"outputRanges"`
-	BlockSize    int         `json:"blockSize,omitempty"`
-	Gamma        int         `json:"gamma,omitempty"`
-	Seed         int64       `json:"seed,omitempty"`
+	Program      ProgramSpec
+	OutputRanges []RangeSpec
+	BlockSize    int
+	Gamma        int
+	Seed         int64
 }
 
 // SessionSpec is the wire form of the §5.2 session: a total ε split across
 // the queries in proportion to their noise scales and charged atomically.
 type SessionSpec struct {
-	TotalEpsilon float64        `json:"totalEpsilon"`
-	Queries      []SessionQuery `json:"queries"`
+	TotalEpsilon float64
+	Queries      []SessionQuery
 }
 
 // SessionResult is one query's outcome within a session response. A
@@ -203,69 +200,66 @@ type SessionSpec struct {
 // mid-session reports its error here while the rest of the batch still
 // runs; its allocated ε is consumed either way (§6.2).
 type SessionResult struct {
-	Output       []float64 `json:"output,omitempty"`
-	EpsilonSpent float64   `json:"epsilonSpent"`
-	Error        string    `json:"error,omitempty"`
-	FailedBlocks int       `json:"failedBlocks,omitempty"`
+	Output       []float64
+	EpsilonSpent float64
+	Error        string
+	FailedBlocks int
 }
 
 // Request is one protocol message from client to server.
 type Request struct {
-	Op      Op     `json:"op"`
-	Dataset string `json:"dataset,omitempty"`
+	Op      Op
+	Dataset string
 
-	Program *ProgramSpec `json:"program,omitempty"`
+	Program *ProgramSpec
 	// Mode is "tight", "loose" or "helper".
-	Mode         string         `json:"mode,omitempty"`
-	OutputRanges []RangeSpec    `json:"outputRanges,omitempty"`
-	InputRanges  []RangeSpec    `json:"inputRanges,omitempty"`
-	Translate    *TranslateSpec `json:"translate,omitempty"`
+	Mode         string
+	OutputRanges []RangeSpec
+	InputRanges  []RangeSpec
+	Translate    *TranslateSpec
 
 	// Exactly one of Epsilon and Accuracy must be set for OpQuery.
-	Epsilon  float64       `json:"epsilon,omitempty"`
-	Accuracy *AccuracySpec `json:"accuracy,omitempty"`
+	Epsilon  float64
+	Accuracy *AccuracySpec
 
 	// Register carries the dataset payload for OpRegister.
-	Register *RegisterSpec `json:"register,omitempty"`
+	Register *RegisterSpec
 
 	// Session carries the batch for OpSession.
-	Session *SessionSpec `json:"session,omitempty"`
+	Session *SessionSpec
 
-	BlockSize     int   `json:"blockSize,omitempty"`
-	Gamma         int   `json:"gamma,omitempty"`
-	AutoBlockSize bool  `json:"autoBlockSize,omitempty"`
-	Seed          int64 `json:"seed,omitempty"`
+	BlockSize     int
+	Gamma         int
+	AutoBlockSize bool
+	Seed          int64
 	// QuantumMillis arms the timing defense for this query's blocks.
-	QuantumMillis int64 `json:"quantumMillis,omitempty"`
+	QuantumMillis int64
 	// UserLevel and UserColumn switch the privacy unit from records to
 	// users identified by a column (paper §8.1, extension).
-	UserLevel  bool `json:"userLevel,omitempty"`
-	UserColumn int  `json:"userColumn,omitempty"`
+	UserLevel  bool
+	UserColumn int
 	// PercentileLow/High select the Loose/Helper range-estimation pair;
 	// zero selects the paper's default (0.25, 0.75).
-	PercentileLow  float64 `json:"percentileLow,omitempty"`
-	PercentileHigh float64 `json:"percentileHigh,omitempty"`
+	PercentileLow  float64
+	PercentileHigh float64
 
 	// APIKey authenticates the caller when the server runs with tenancy
-	// enabled (PR 8). Wire version 3 carries it as an optional tail; a
-	// version-2 peer simply never sends one. The server resolves it to a
-	// tenant id and NEVER echoes, logs, or audits the key itself.
-	APIKey string `json:"apiKey,omitempty"`
+	// enabled. The server resolves it to a tenant id and NEVER echoes,
+	// logs, or audits the key itself.
+	APIKey string
 
 	// DeadlineMillis is the caller's answer-by budget in milliseconds,
 	// measured from the server's receipt of the request. The deadline-aware
 	// scheduler orders queued queries earliest-deadline-first and refuses —
 	// with a RetryAfterMillis hint, before any ε is charged — queries whose
 	// deadline would expire in the queue. Zero means no client deadline.
-	// Wire version 4 carries it as an optional request tail; older peers
-	// simply never send one.
-	DeadlineMillis int64 `json:"deadlineMillis,omitempty"`
+	DeadlineMillis int64
 }
 
 // Response is one protocol message from server to client.
 type Response struct {
-	OK    bool   `json:"ok"`
-	Error string `json:"error,omitempty"`
+	OK    bool
+	Error string
 
 	// TraceID is the server-assigned correlation id for this operation
 	// (queries and sessions): a random 128-bit hex string, never derived
@@ -273,81 +267,39 @@ type Response struct {
 	// find the query at /traces and in the audit log. Requests carry no
 	// trace field at all — accepting analyst-supplied ids would let an
 	// analyst forge audit correlation.
-	TraceID string `json:"traceId,omitempty"`
+	TraceID string
 
 	// Query results.
-	Output          []float64   `json:"output,omitempty"`
-	EpsilonSpent    float64     `json:"epsilonSpent,omitempty"`
-	EffectiveRanges []RangeSpec `json:"effectiveRanges,omitempty"`
-	NumBlocks       int         `json:"numBlocks,omitempty"`
-	BlockSize       int         `json:"blockSize,omitempty"`
-	FailedBlocks    int         `json:"failedBlocks,omitempty"`
+	Output          []float64
+	EpsilonSpent    float64
+	EffectiveRanges []RangeSpec
+	NumBlocks       int
+	BlockSize       int
+	FailedBlocks    int
 	// EpsilonCharged is the privacy budget the operation consumed whether
 	// or not it succeeded. A query that aborts after its charge settled
 	// reports Error plus a non-zero EpsilonCharged — the §6.2 defense:
 	// forcing failures never refunds budget.
-	EpsilonCharged float64 `json:"epsilonCharged,omitempty"`
+	EpsilonCharged float64
 
 	// CacheHit marks an answer served from the noisy-answer cache: the
 	// identical already-published release, re-sent at zero additional ε
 	// (post-processing). EpsilonSpent then reports the ε the original
 	// release consumed, while EpsilonCharged is zero — nothing was debited
 	// for this repeat.
-	CacheHit bool `json:"cacheHit,omitempty"`
+	CacheHit bool
 
 	// Budget / list / stats / session results.
-	Remaining float64         `json:"remaining,omitempty"`
-	Datasets  []string        `json:"datasets,omitempty"`
-	Stats     *ServerStats    `json:"stats,omitempty"`
-	Session   []SessionResult `json:"session,omitempty"`
+	Remaining float64
+	Datasets  []string
+	Stats     *ServerStats
+	Session   []SessionResult
 
 	// Tenant is the principal the server resolved and billed for this
-	// operation (PR 8). Empty on tenancy-off servers. Wire version 3
-	// carries it as an optional response tail.
-	Tenant string `json:"tenant,omitempty"`
+	// operation. Empty on tenancy-off servers.
+	Tenant string
 	// RetryAfterMillis is set on rate-limit rejections: the client should
 	// back off at least this long before retrying. The rejection charged
 	// zero ε — it happened before any budget admission.
-	RetryAfterMillis int64 `json:"retryAfterMillis,omitempty"`
-}
-
-// The wire decoders below are the single entry points for every byte
-// stream an untrusted peer controls: analyst requests into the server,
-// server responses into the client, and worker replies into the pool.
-// They are fuzzed (fuzz_test.go) and must never panic on arbitrary input.
-
-// DecodeRequest parses one analyst request line.
-func DecodeRequest(line []byte) (*Request, error) {
-	var req Request
-	if err := json.Unmarshal(line, &req); err != nil {
-		return nil, fmt.Errorf("malformed request: %w", err)
-	}
-	return &req, nil
-}
-
-// DecodeResponse parses one server response line.
-func DecodeResponse(line []byte) (*Response, error) {
-	var resp Response
-	if err := json.Unmarshal(line, &resp); err != nil {
-		return nil, fmt.Errorf("malformed response: %w", err)
-	}
-	return &resp, nil
-}
-
-// DecodeWorkRequest parses one block-execution request line.
-func DecodeWorkRequest(line []byte) (*WorkRequest, error) {
-	var req WorkRequest
-	if err := json.Unmarshal(line, &req); err != nil {
-		return nil, fmt.Errorf("malformed work request: %w", err)
-	}
-	return &req, nil
-}
-
-// DecodeWorkResponse parses one worker reply line.
-func DecodeWorkResponse(line []byte) (*WorkResponse, error) {
-	var resp WorkResponse
-	if err := json.Unmarshal(line, &resp); err != nil {
-		return nil, fmt.Errorf("malformed work response: %w", err)
-	}
-	return &resp, nil
+	RetryAfterMillis int64
 }

@@ -3,7 +3,6 @@ package compman
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -35,11 +34,6 @@ type ServerConfig struct {
 	// ScratchRoot hosts per-execution scratch directories for subprocess
 	// chambers; empty means the OS temp dir.
 	ScratchRoot string
-	// StatePath, when set, makes the budget ledger durable: the registry's
-	// per-dataset spends are journaled there after every successful charge
-	// and should be restored (Registry.RestoreBudgets) before serving.
-	// Without it, a crash would silently refund all spent privacy budget.
-	StatePath string
 	// WorkerAddrs lists worker daemons (cmd/gupt-worker) to distribute
 	// block executions across — the paper's cluster deployment. Empty
 	// keeps execution on the server node.
@@ -180,7 +174,6 @@ func NewServer(reg *dataset.Registry, cfg ServerConfig) *Server {
 		Cache:    qcache.New(qcache.Config{MaxEntries: cfg.CacheEntries, TTL: cfg.CacheTTL, Telemetry: tel}),
 		Retries:  cfg.MaxQueryRetries,
 		Timeout:  cfg.QueryTimeout,
-		OnCharge: s.journalBudgets,
 		OnRetry: func(attempt int, err error) {
 			s.stats.recordRetry()
 			s.logf("compman: retrying query (attempt %d): %v", attempt+1, err)
@@ -376,35 +369,26 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	br := bufio.NewReaderSize(conn, 64*1024)
-	// Connect-time handshake: a binary hello selects the framed wire;
-	// anything else means a pre-binary JSON client (refused by name with
-	// one terminal error line the legacy release can parse) or a garbled
-	// hello (dropped silently — fail closed, § wire.go).
+	// Connect-time handshake: anything but a current hello is dropped
+	// without a reply — fail closed, § wire.go.
 	if s.cfg.IdleTimeout > 0 {
 		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 	}
-	v, err := sniffWire(conn, br, LatestWireVersion)
-	if err != nil {
-		if errors.Is(err, ErrPeerTooOld) {
-			_ = json.NewEncoder(conn).Encode(Response{Error: ErrPeerTooOld.Error()})
-		}
+	if err := sniffWire(conn, br); err != nil {
 		if err != io.EOF {
 			s.logf("compman: wire sniff: %v", err)
 		}
 		return
 	}
-	s.serveBinary(conn, br, v)
+	s.serveBinary(conn, br)
 }
 
-// serveBinary is the framed-wire request loop at the negotiated version v.
-// Both scratch buffers are checked out of the shared pool once per
-// connection and reused for every message; a body-level decode error
-// answers like a malformed JSON line, while a frame-level error (bad length
-// or CRC) means the stream can no longer be trusted to be in sync and tears
-// the connection down. Responses are framed at v, so a v2 client never sees
-// the v3 tenant tail; a tenancy-enabled server instead refuses its requests
-// at admission (no API key can arrive over v2 — fail closed).
-func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader, v uint8) {
+// serveBinary is the framed-wire request loop. Both scratch buffers are
+// checked out of the shared pool once per connection and reused for every
+// message; a body-level decode error is answered with an error response,
+// while a frame-level error (bad length or CRC) means the stream can no
+// longer be trusted to be in sync and tears the connection down.
+func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
 	rbuf, wbuf := getWireBuf(), getWireBuf()
 	defer putWireBuf(rbuf)
 	defer putWireBuf(wbuf)
@@ -425,7 +409,7 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader, v uint8) {
 		} else {
 			resp = s.dispatch(req)
 		}
-		frame, err := AppendResponseFrameV((*wbuf)[:0], &resp, v)
+		frame, err := AppendResponseFrame((*wbuf)[:0], &resp)
 		if err != nil {
 			s.logf("compman: encode response: %v", err)
 			return
@@ -457,8 +441,7 @@ func (s *Server) dispatch(req *Request) Response {
 // resolveTenant authenticates the request's API key. Tenancy off admits
 // everything as the default principal (""). Refusals are uniform — absent,
 // unknown, and disabled keys all produce the same error — so the front door
-// does not confirm which keys exist; a v2 client structurally cannot send a
-// key and lands here too.
+// does not confirm which keys exist.
 func (s *Server) resolveTenant(req *Request) (string, *Response) {
 	if s.cfg.Tenants == nil {
 		return "", nil
@@ -738,9 +721,8 @@ func queryOutcome(resp *Response) string {
 // auditRecordAs appends one tamper-evident record for a settled query,
 // session, or rate-limit rejection, attributed to the tenant that ran it
 // ("" = single-tenant mode; the field is then omitted, keeping pre-tenancy
-// chains byte-identical). Append failures are logged, not fatal, same
-// stance as journalBudgets: refusing queries on a disk error would be a
-// denial-of-service lever.
+// chains byte-identical). Append failures are logged, not fatal: refusing
+// queries on a disk error would be a denial-of-service lever.
 func (s *Server) auditRecordAs(tenantID, dataset string, resp *Response, outcome string, elapsed time.Duration) {
 	if s.cfg.Audit == nil {
 		return
@@ -844,19 +826,5 @@ func (s *Server) handleRegister(req *Request) Response {
 	if r, err := s.reg.Lookup(spec.Name); err == nil {
 		s.plane.Seed("", spec.Name, r.Accountant.Spent(), r.Accountant.Total())
 	}
-	s.journalBudgets()
 	return Response{OK: true}
-}
-
-// journalBudgets persists the ledger after a charge. Persistence failures
-// are logged, not fatal: the in-memory ledger remains authoritative for
-// this process's lifetime, and refusing queries on a transient disk error
-// would be a denial-of-service lever.
-func (s *Server) journalBudgets() {
-	if s.cfg.StatePath == "" {
-		return
-	}
-	if err := s.reg.SaveBudgets(s.cfg.StatePath); err != nil {
-		s.logf("compman: journaling budgets: %v", err)
-	}
 }

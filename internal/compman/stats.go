@@ -12,31 +12,31 @@ import (
 // session (OpSession) counts as one query.
 type ServerStats struct {
 	// QueriesOK counts successfully answered queries.
-	QueriesOK int64 `json:"queriesOK"`
+	QueriesOK int64
 	// QueriesFailed counts queries refused for any reason other than
 	// budget (validation errors, engine failures).
-	QueriesFailed int64 `json:"queriesFailed"`
+	QueriesFailed int64
 	// BudgetRefusals counts queries refused because a dataset's budget
 	// could not cover them. Broken out because a spike here is the normal
 	// end-of-life signal for a dataset, not an error.
-	BudgetRefusals int64 `json:"budgetRefusals"`
+	BudgetRefusals int64
 	// QueriesAborted counts queries that failed *after* their privacy
 	// charge settled: their ε is consumed (the §6.2 privacy-budget-attack
 	// defense). Every aborted query is also counted in QueriesFailed.
-	QueriesAborted int64 `json:"queriesAborted"`
+	QueriesAborted int64
 	// QueriesDegraded counts successful queries in which at least one
 	// block was substituted — answers released at reduced fidelity.
-	QueriesDegraded int64 `json:"queriesDegraded"`
+	QueriesDegraded int64
 	// BlocksSubstituted accumulates substituted block executions across
 	// all successful queries; the engine replaced these with the
 	// data-independent range midpoint.
-	BlocksSubstituted int64 `json:"blocksSubstituted"`
+	BlocksSubstituted int64
 	// QueryRetries counts engine re-runs after a post-charge failure
 	// (bounded by ServerConfig.MaxQueryRetries). Retries never re-charge.
-	QueryRetries int64 `json:"queryRetries"`
+	QueryRetries int64
 	// TotalQueryMillis accumulates wall-clock time spent answering
 	// successful queries; divide by QueriesOK for the mean latency.
-	TotalQueryMillis int64 `json:"totalQueryMillis"`
+	TotalQueryMillis int64
 }
 
 // statsCollector is the server's activity ledger, rebased onto the

@@ -269,33 +269,3 @@ func TestTenancyOffBackwardCompatible(t *testing.T) {
 		t.Errorf("single-tenant response echoes tenant %q", resp.Tenant)
 	}
 }
-
-// TestV2ClientAgainstTenancyServer: a pre-tenancy (v2) client structurally
-// cannot present a key, so a tenancy-enabled server refuses it at admission
-// — fail closed — while a tenancy-off server still serves it fine.
-func TestV2ClientAgainstTenancyServer(t *testing.T) {
-	srv, _, keys := startTenantServer(t, 100, ServerConfig{})
-	old, err := DialVersion(srv.Addr().String(), WireVersionBinary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer old.Close()
-	if old.WireVersion() != WireVersionBinary {
-		t.Fatalf("negotiated %d, want v2", old.WireVersion())
-	}
-	old.SetAPIKey(keys["alice"]) // silently dropped by the v2 framing
-	_, err = old.Query(meanQuery(0.5, 250))
-	if err == nil || !strings.Contains(err.Error(), tenant.ErrUnauthenticated.Error()) {
-		t.Fatalf("v2 client admitted to a tenancy-enabled server: err = %v", err)
-	}
-
-	clientOffSrv, _ := startServer(t, 100)
-	oldOff, err := DialVersion(clientOffSrv.conn.RemoteAddr().String(), WireVersionBinary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer oldOff.Close()
-	if _, err := oldOff.Query(meanQuery(0.5, 250)); err != nil {
-		t.Errorf("v2 client against tenancy-off server: %v", err)
-	}
-}

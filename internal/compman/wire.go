@@ -1,28 +1,23 @@
 package compman
 
-// Binary wire protocol. The original compman wire was newline-delimited
-// JSON; encode/decode dominated small queries and capped block fan-out
-// (every one of a query's ℓ blocks crosses the manager↔worker path). This
-// file replaces it with a length-prefixed binary framing reusing the
-// ledger's CRC32C frame idiom — and its fuzz-everything discipline. The
-// JSON wire shipped for one release as a negotiated fallback and has now
-// been retired: version 0 is rejected at the handshake with ErrPeerTooOld,
-// and there is no negotiate-down path. (The JSON *line* codecs in
-// protocol.go remain — they serve the admin HTTP surface, not the wire.)
+// Binary wire protocol: a length-prefixed framing reusing the ledger's
+// CRC32C frame idiom — and its fuzz-everything discipline. Every one of a
+// query's ℓ blocks crosses the manager↔worker path, so the codec is built
+// to allocate nothing per message in steady state.
 //
-// Negotiation. A client opens with a 5-byte hello line
+// Handshake. A client opens with a 5-byte hello line
 //
 //	| 0xB1 | 'G' | 'W' | version | '\n' |
 //
-// The magic byte 0xB1 can never begin a JSON value, so a peer that opens
-// with anything else is identified as a pre-binary (JSON-only) release and
-// refused with ErrPeerTooOld. The server answers the hello with its own
-// hello carrying min(client version, server version); both sides then
-// speak frames. Anything else — a truncated hello, a garbled echo, an
-// upward version, a version-0 hello — fails closed: the connection is
-// dropped rather than risking frame misparses.
+// and the server answers with its own hello carrying WireVersion; both
+// sides then speak frames. There is one live version and no negotiating
+// down: a hello below WireVersion is refused with ErrPeerTooOld, and
+// anything else — an opening that is not a hello, a truncated or garbled
+// hello, an echo above the client's version — fails closed with
+// ErrWireNegotiation. Either way the connection is dropped without a
+// reply rather than risking frame misparses.
 //
-// Framing (after negotiation), little-endian, as in internal/ledger:
+// Framing (after the handshake), little-endian, as in internal/ledger:
 //
 //	| length uint32 | crc32c(payload) uint32 | payload (length bytes) |
 //
@@ -54,43 +49,16 @@ import (
 	"gupt/internal/telemetry"
 )
 
-// Wire versions. Version 0 was the newline-delimited JSON wire, retired
-// after its one-release fallback window. Version 1 was the first CRC32C
-// binary framing; it was retired in the same release that retired version
-// 0, when the Response body grew the cache-hit flag (a version-1 decoder
-// would misparse the new frames). Peers offering either retired version
-// are refused with ErrPeerTooOld.
-//
-// Version 3 (PR 8, multi-tenancy) extends version 2 with OPTIONAL TAILS
-// rather than a breaking relayout: a request may end with the API key
-// string, a response with the resolved tenant id + retry-after hint.
-// Decoders read the tail only when payload bytes remain past the version-2
-// grammar, so a version-2 frame decodes unchanged under a version-3
-// decoder and version 2 stays a live negotiation target — old clients keep
-// working against single-tenant (tenancy-off) servers with no flag day. A
-// tenancy-ON server rejects version-2 clients at admission (they cannot
-// present a key), not at the handshake.
-//
-// Version 4 (PR 9, deadline-aware scheduling) appends the client's query
-// deadline budget (DeadlineMillis) to the request tail, after the API key.
-// It cannot ride the version-3 tail in place — decodePayload rejects
-// trailing bytes, so a version-3 server would refuse extended frames —
-// hence the bump. The response grammar is unchanged; versions 2 and 3
-// remain live negotiation targets and their frames decode unchanged under
-// a version-4 decoder (each tail field is read only when bytes remain).
-const (
-	WireVersionJSON    uint8 = 0 // retired; named only to reject it by name
-	WireVersionBinary1 uint8 = 1 // retired: pre-cache-hit binary framing
-	WireVersionBinary  uint8 = 2 // still negotiable: pre-tenancy framing
-	WireVersionBinary3 uint8 = 3 // still negotiable: tenant tails on request/response
-	WireVersionBinary4 uint8 = 4 // current: request tail gains the deadline budget
-	// LatestWireVersion is what Dial and NewWorkerPool negotiate for.
-	LatestWireVersion = WireVersionBinary4
-)
+// WireVersion is the one wire version this release speaks. Versions 0
+// (newline-delimited JSON), 1 (pre-cache-hit), 2 (pre-tenancy) and 3
+// (pre-deadline) are retired; a peer offering one is refused by name with
+// ErrPeerTooOld. The version-4 grammar is every field unconditionally: a
+// frame missing the request's API key and deadline, or the response's
+// tenant and retry hint, is a truncated payload, not an older dialect.
+const WireVersion uint8 = 4
 
-// WireMagic is the first byte of a binary-wire hello. It is outside every
-// byte a JSON text can start with, which is what makes connect-time
-// sniffing unambiguous. internal/faultinject's chaos proxy sniffs it too.
+// WireMagic is the first byte of a binary-wire hello; a connection that
+// opens with any other byte is dropped at once.
 const WireMagic byte = 0xB1
 
 // WireHelloLen is the exact length of a hello line.
@@ -106,14 +74,11 @@ const (
 	wireMark1 byte = 'W'
 
 	wireFrameHeaderLen = 8
-	// MaxWireFrame bounds one frame's payload — the binary analogue of the
-	// JSON scanner's line cap, and the bound on decode allocation.
+	// MaxWireFrame bounds one frame's payload, and with it decode
+	// allocation.
 	MaxWireFrame = 64 << 20
 	// maxWireString bounds any single string field.
 	maxWireString = 1 << 20
-	// maxNegotiationLine bounds the hello-reply line a client will buffer
-	// before declaring the negotiation garbled.
-	maxNegotiationLine = 1 << 16
 )
 
 // Message kinds (the payload's first byte).
@@ -128,21 +93,20 @@ var wireCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrWireNegotiation reports a connect-time handshake that could not be
 // completed safely. Negotiation failures are terminal for the connection:
-// proceeding after a garbled hello risks misparsing frames as JSON or vice
-// versa, so both ends fail closed.
+// proceeding after a garbled hello risks misparsing frames, so both ends
+// fail closed.
 var ErrWireNegotiation = errors.New("compman: wire negotiation failed")
 
 // ErrWireFrame reports a frame whose length, checksum or grammar is
-// invalid. Like a corrupted JSON worker reply, it means the stream can no
-// longer be trusted to be in sync.
+// invalid. It means the stream can no longer be trusted to be in sync.
 var ErrWireFrame = errors.New("compman: invalid wire frame")
 
-// ErrPeerTooOld reports a handshake with a peer that only speaks a retired
-// wire — the version-0 JSON wire or the version-1 pre-cache-hit binary
-// framing. It is deliberately a distinct error from ErrWireNegotiation (a
-// garbled or tampered handshake): the operator's fix for a too-old peer is
-// an upgrade, not a network investigation, and pool construction surfaces
-// it by name so a stale worker build is diagnosed from the error alone.
+// ErrPeerTooOld reports a well-formed hello offering a version below
+// WireVersion. It is deliberately a distinct error from ErrWireNegotiation
+// (a garbled or tampered handshake): the operator's fix for a too-old peer
+// is an upgrade, not a network investigation, and pool construction
+// surfaces it by name so a stale worker build is diagnosed from the error
+// alone.
 var ErrPeerTooOld = errors.New("compman: peer speaks only a retired wire version; upgrade the peer to this release")
 
 // wireBufPool recycles encode/decode scratch across connections. Each
@@ -163,120 +127,62 @@ func wireHello(version uint8) []byte {
 	return []byte{WireMagic, wireMark0, wireMark1, version, '\n'}
 }
 
-// parseWireHello validates a hello (or hello echo) line. A structurally
-// valid hello offering a retired version (0 or 1) is distinguished from
-// garbage: it is a well-built peer that is merely too old, not a corrupted
-// stream.
-func parseWireHello(line []byte) (uint8, error) {
-	if len(line) != WireHelloLen || line[0] != WireMagic ||
-		line[1] != wireMark0 || line[2] != wireMark1 || line[4] != '\n' {
-		return 0, fmt.Errorf("%w: garbled hello %q", ErrWireNegotiation, clipForError(line))
+// readWireHello reads and validates one hello (or hello echo). A
+// structurally valid hello offering a retired version is distinguished
+// from garbage: it is a well-built peer that is merely too old, not a
+// corrupted stream.
+func readWireHello(r *bufio.Reader) (uint8, error) {
+	var line [WireHelloLen]byte
+	if _, err := io.ReadFull(r, line[:]); err != nil {
+		return 0, fmt.Errorf("%w: reading hello: %v", ErrWireNegotiation, err)
 	}
-	if line[3] < WireVersionBinary {
+	if line[0] != WireMagic || line[1] != wireMark0 || line[2] != wireMark1 || line[4] != '\n' {
+		return 0, fmt.Errorf("%w: garbled hello %q", ErrWireNegotiation, line[:])
+	}
+	if line[3] < WireVersion {
 		return 0, ErrPeerTooOld
 	}
 	return line[3], nil
 }
 
-// clipForError bounds raw wire bytes quoted into an error message.
-func clipForError(b []byte) []byte {
-	if len(b) > 64 {
-		return b[:64]
-	}
-	return b
-}
-
-// readLineBounded reads one newline-terminated line of at most max bytes.
-// Unlike bufio.Reader.ReadBytes it refuses to buffer unbounded garbage
-// from a peer that never sends the delimiter.
-func readLineBounded(r *bufio.Reader, max int) ([]byte, error) {
-	line := make([]byte, 0, 64)
-	for {
-		b, err := r.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		line = append(line, b)
-		if b == '\n' {
-			return line, nil
-		}
-		if len(line) >= max {
-			return nil, fmt.Errorf("line exceeds %d bytes without terminator", max)
-		}
-	}
-}
-
 // negotiateWire performs the client side of the handshake on a fresh
-// connection. want is the highest version the caller speaks; the result is
-// the negotiated version. A reply that is not a valid hello echo fails
-// closed: ErrPeerTooOld when the peer is recognizably a pre-binary JSON
-// release (it echoed our hello as a malformed-JSON error line, or offered
-// version 0), ErrWireNegotiation for anything garbled.
-func negotiateWire(conn net.Conn, r *bufio.Reader, want uint8) (uint8, error) {
-	if want < WireVersionBinary {
-		return 0, fmt.Errorf("%w: wire version %d is retired", ErrWireNegotiation, want)
+// connection: offer WireVersion and require it echoed. An echo above it
+// means the bytes were tampered with or desynchronized.
+func negotiateWire(conn net.Conn, r *bufio.Reader) error {
+	if _, err := conn.Write(wireHello(WireVersion)); err != nil {
+		return fmt.Errorf("%w: sending hello: %v", ErrWireNegotiation, err)
 	}
-	if want > LatestWireVersion {
-		want = LatestWireVersion
-	}
-	if _, err := conn.Write(wireHello(want)); err != nil {
-		return 0, fmt.Errorf("%w: sending hello: %v", ErrWireNegotiation, err)
-	}
-	line, err := readLineBounded(r, maxNegotiationLine)
+	v, err := readWireHello(r)
 	if err != nil {
-		return 0, fmt.Errorf("%w: reading hello reply: %v", ErrWireNegotiation, err)
+		return err
 	}
-	switch line[0] {
-	case WireMagic:
-		v, err := parseWireHello(line)
-		if err != nil {
-			return 0, err
-		}
-		if v > want {
-			// A server must negotiate down, never up; an upward echo means
-			// the bytes were tampered with or desynchronized.
-			return 0, fmt.Errorf("%w: server echoed version %d above offered %d", ErrWireNegotiation, v, want)
-		}
-		return v, nil
-	case '{':
-		// A pre-binary JSON server read the hello as a malformed JSON line
-		// and answered with an error response. The fallback window is over:
-		// identify the peer by name and refuse the connection.
-		return 0, ErrPeerTooOld
-	default:
-		return 0, fmt.Errorf("%w: unrecognized hello reply %q", ErrWireNegotiation, clipForError(line))
+	if v > WireVersion {
+		return fmt.Errorf("%w: server echoed version %d above offered %d", ErrWireNegotiation, v, WireVersion)
 	}
+	return nil
 }
 
 // sniffWire performs the server side of the handshake on a just-accepted
-// connection: read the hello, echo the negotiated-down version. A first
-// byte that is not the wire magic means a pre-binary JSON client —
-// ErrPeerTooOld, which the server answers with one terminal JSON error
-// line so the legacy client sees the reason instead of a silent hangup.
-// A magic byte followed by a garbled hello is a terminal error.
-func sniffWire(conn net.Conn, r *bufio.Reader, maxVersion uint8) (uint8, error) {
+// connection: read the hello, echo WireVersion. An opening byte that is
+// not the wire magic is refused before anything else is read, so a peer
+// speaking some other protocol is dropped at once instead of holding the
+// connection for the rest of a hello. A clean close before the first byte
+// returns io.EOF untouched.
+func sniffWire(conn net.Conn, r *bufio.Reader) error {
 	first, err := r.Peek(1)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if first[0] != WireMagic {
-		return 0, ErrPeerTooOld
+		return fmt.Errorf("%w: opening byte %#x is not a hello", ErrWireNegotiation, first[0])
 	}
-	hello := make([]byte, WireHelloLen)
-	if _, err := io.ReadFull(r, hello); err != nil {
-		return 0, fmt.Errorf("%w: reading hello: %v", ErrWireNegotiation, err)
+	if _, err := readWireHello(r); err != nil {
+		return err
 	}
-	v, err := parseWireHello(hello)
-	if err != nil {
-		return 0, err
+	if _, err := conn.Write(wireHello(WireVersion)); err != nil {
+		return fmt.Errorf("%w: sending hello echo: %v", ErrWireNegotiation, err)
 	}
-	if v > maxVersion {
-		v = maxVersion
-	}
-	if _, err := conn.Write(wireHello(v)); err != nil {
-		return 0, fmt.Errorf("%w: sending hello echo: %v", ErrWireNegotiation, err)
-	}
-	return v, nil
+	return nil
 }
 
 // readWireFrame reads one frame's payload into *buf (grown as needed and
@@ -533,9 +439,8 @@ func (d *wireDecoder) str() string {
 		return ""
 	}
 	if !utf8.Valid(b) {
-		// The JSON wire can never deliver invalid UTF-8 (encoding/json
-		// coerces it); rejecting it here keeps the two wires semantically
-		// identical — see FuzzWireEquivalence.
+		// Every string on the wire is text the server may echo into logs,
+		// labels and errors; bytes that are not UTF-8 are a forged frame.
 		d.failf("%w: string field is not valid UTF-8", ErrWireFrame)
 		return ""
 	}
@@ -717,7 +622,7 @@ func decodeProgramSpec(d *wireDecoder) ProgramSpec {
 	}
 }
 
-func encodeRequestBody(e *wireEncoder, req *Request, version uint8) {
+func encodeRequestBody(e *wireEncoder, req *Request) {
 	e.str(string(req.Op))
 	e.str(req.Dataset)
 	e.boolb(req.Program != nil)
@@ -771,17 +676,8 @@ func encodeRequestBody(e *wireEncoder, req *Request, version uint8) {
 	e.i64(int64(req.UserColumn))
 	e.f64(req.PercentileLow)
 	e.f64(req.PercentileHigh)
-	if version >= WireVersionBinary3 {
-		// Version-3 tail. On a version-2 connection the key is simply not
-		// sent — the tenancy-off server never asks for it.
-		e.str(req.APIKey)
-	}
-	if version >= WireVersionBinary4 {
-		// Version-4 tail: the client's deadline budget for the scheduler.
-		// On an older connection it is simply not sent — the query runs
-		// without a client deadline, exactly the pre-scheduler behavior.
-		e.i64(req.DeadlineMillis)
-	}
+	e.str(req.APIKey)
+	e.i64(req.DeadlineMillis)
 }
 
 func decodeRequestBody(d *wireDecoder) *Request {
@@ -846,20 +742,12 @@ func decodeRequestBody(d *wireDecoder) *Request {
 	req.UserColumn = d.intf()
 	req.PercentileLow = d.f64()
 	req.PercentileHigh = d.f64()
-	if d.err == nil && len(d.b) > 0 {
-		// Version-3 optional tail; absent on version-2 frames. A PARTIAL
-		// tail still latches a decode error through str(), so truncation
-		// inside the tail is a frame error, not a silent downgrade.
-		req.APIKey = d.str()
-	}
-	if d.err == nil && len(d.b) > 0 {
-		// Version-4 optional tail; absent on version-2/3 frames.
-		req.DeadlineMillis = d.i64()
-	}
+	req.APIKey = d.str()
+	req.DeadlineMillis = d.i64()
 	return req
 }
 
-func encodeResponseBody(e *wireEncoder, resp *Response, version uint8) {
+func encodeResponseBody(e *wireEncoder, resp *Response) {
 	e.boolb(resp.OK)
 	e.str(resp.Error)
 	e.str(resp.TraceID)
@@ -893,13 +781,8 @@ func encodeResponseBody(e *wireEncoder, resp *Response, version uint8) {
 		e.str(r.Error)
 		e.i64(int64(r.FailedBlocks))
 	}
-	if version >= WireVersionBinary3 {
-		// Version-3 tail: the resolved tenant id (echoed so clients can
-		// confirm which principal was billed) and the retry-after hint for
-		// rate-limit rejections. A version-2 client never sees either.
-		e.str(resp.Tenant)
-		e.i64(resp.RetryAfterMillis)
-	}
+	e.str(resp.Tenant)
+	e.i64(resp.RetryAfterMillis)
 }
 
 func decodeResponseBody(d *wireDecoder) *Response {
@@ -942,11 +825,8 @@ func decodeResponseBody(d *wireDecoder) *Response {
 			}
 		}
 	}
-	if d.err == nil && len(d.b) > 0 {
-		// Version-3 optional tail; absent on version-2 frames.
-		resp.Tenant = d.str()
-		resp.RetryAfterMillis = d.i64()
-	}
+	resp.Tenant = d.str()
+	resp.RetryAfterMillis = d.i64()
 	return resp
 }
 
@@ -1005,40 +885,20 @@ func decodeWorkResponseBody(d *wireDecoder) *WorkResponse {
 // --- framed message entry points ---
 
 // AppendRequestFrame appends the framed binary encoding of req to dst and
-// returns the extended slice, at the latest wire version. dst[:0] of a
-// pooled buffer makes this allocation-free in steady state.
+// returns the extended slice. dst[:0] of a pooled buffer makes this
+// allocation-free in steady state.
 func AppendRequestFrame(dst []byte, req *Request) ([]byte, error) {
-	return AppendRequestFrameV(dst, req, LatestWireVersion)
-}
-
-// AppendRequestFrameV encodes at an explicitly negotiated wire version:
-// version 2 omits the tenant tail (for pre-tenancy servers), version 3
-// carries it. Versions below 2 are retired and refused.
-func AppendRequestFrameV(dst []byte, req *Request, version uint8) ([]byte, error) {
-	if version < WireVersionBinary {
-		return nil, fmt.Errorf("%w: cannot encode retired wire version %d", ErrWireFrame, version)
-	}
 	e := newFrameEncoder(dst)
 	e.u8(wireMsgRequest)
-	encodeRequestBody(e, req, version)
+	encodeRequestBody(e, req)
 	return e.finishFrame()
 }
 
-// AppendResponseFrame appends the framed binary encoding of resp to dst,
-// at the latest wire version.
+// AppendResponseFrame appends the framed binary encoding of resp to dst.
 func AppendResponseFrame(dst []byte, resp *Response) ([]byte, error) {
-	return AppendResponseFrameV(dst, resp, LatestWireVersion)
-}
-
-// AppendResponseFrameV encodes at an explicitly negotiated wire version;
-// see AppendRequestFrameV.
-func AppendResponseFrameV(dst []byte, resp *Response, version uint8) ([]byte, error) {
-	if version < WireVersionBinary {
-		return nil, fmt.Errorf("%w: cannot encode retired wire version %d", ErrWireFrame, version)
-	}
 	e := newFrameEncoder(dst)
 	e.u8(wireMsgResponse)
-	encodeResponseBody(e, resp, version)
+	encodeResponseBody(e, resp)
 	return e.finishFrame()
 }
 

@@ -4,8 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math"
 	"net"
@@ -225,8 +226,8 @@ func TestWireRoundTrip(t *testing.T) {
 }
 
 // TestWireRoundTripNonFinite checks NaN and ±Inf survive the binary wire
-// bit-exactly (JSON cannot carry them at all). DeepEqual rejects NaN, so
-// stability is asserted on the canonical frame bytes.
+// bit-exactly. DeepEqual rejects NaN, so stability is asserted on the
+// canonical frame bytes.
 func TestWireRoundTripNonFinite(t *testing.T) {
 	resp := &Response{
 		OK:     true,
@@ -254,8 +255,8 @@ func TestWireRoundTripNonFinite(t *testing.T) {
 	}
 }
 
-// TestWireEmptyNormalization checks the binary decoder mirrors the JSON
-// wire's omitempty semantics: zero-length collections decode to nil.
+// TestWireEmptyNormalization checks zero-length collections decode to nil,
+// so empty and absent are one value after the wire.
 func TestWireEmptyNormalization(t *testing.T) {
 	req := &Request{
 		Op:           OpQuery,
@@ -278,18 +279,14 @@ func TestWireEmptyNormalization(t *testing.T) {
 	}
 }
 
-// TestWireBinaryQuery runs a real query over the binary wire — the only
-// wire left after the JSON fallback's one-release window closed.
+// TestWireBinaryQuery runs a real query over a freshly dialed connection.
 func TestWireBinaryQuery(t *testing.T) {
 	_, srv := startServer(t, 100)
-	client, err := DialVersion(srv.Addr().String(), LatestWireVersion)
+	client, err := Dial(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if v := client.WireVersion(); v != LatestWireVersion {
-		t.Fatalf("negotiated version %d, want %d", v, LatestWireVersion)
-	}
 	resp, err := client.Query(meanQuery(0.5, 250))
 	if err != nil {
 		t.Fatalf("query: %v", err)
@@ -309,107 +306,27 @@ func TestWireBinaryQuery(t *testing.T) {
 	}
 }
 
-// TestWireJSONRetired covers every party to the retired version-0 wire:
-// a caller pinning version 0 is refused locally, a server facing a legacy
-// JSON client answers with one terminal JSON error line naming the reason,
-// and a pool facing a legacy JSON worker fails construction with
-// ErrPeerTooOld and the worker's address.
-func TestWireJSONRetired(t *testing.T) {
-	t.Run("client-pin-refused", func(t *testing.T) {
+// TestWireOldPeersFailClosed: version 4 is the only wire. A peer on a
+// retired version — or speaking no version at all — is refused, never
+// served in an older dialect.
+func TestWireOldPeersFailClosed(t *testing.T) {
+	t.Run("server-refuses-v3-hello", func(t *testing.T) {
 		_, srv := startServer(t, 100)
-		_, err := DialVersion(srv.Addr().String(), WireVersionJSON)
-		if !errors.Is(err, ErrWireNegotiation) {
-			t.Errorf("DialVersion(0) error = %v, want ErrWireNegotiation", err)
-		}
+		checkServerDrops(t, srv, wireHello(3))
 	})
-	t.Run("pool-pin-refused", func(t *testing.T) {
+	t.Run("tenancy-server-refuses-v2-hello", func(t *testing.T) {
+		// A v2 client could not carry an API key; it is now refused at the
+		// handshake rather than reaching the tenancy check keyless.
+		srv, _, _ := startTenantServer(t, 100, ServerConfig{})
+		checkServerDrops(t, srv, wireHello(2))
+	})
+	t.Run("server-drops-json-line", func(t *testing.T) {
 		_, srv := startServer(t, 100)
-		_, err := NewWorkerPoolVersion([]string{srv.Addr().String()}, WireVersionJSON)
-		if !errors.Is(err, ErrWireNegotiation) {
-			t.Errorf("NewWorkerPoolVersion(0) error = %v, want ErrWireNegotiation", err)
-		}
+		checkServerDrops(t, srv, []byte(`{"op":"ping"}`+"\n"))
 	})
-	t.Run("legacy-json-client", func(t *testing.T) {
-		// A pre-binary client opens with a bare JSON request line. The server
-		// must answer with exactly one JSON error line — the only bytes the
-		// old release can parse — and then close.
-		_, srv := startServer(t, 100)
-		conn, err := net.Dial("tcp", srv.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		if _, err := conn.Write([]byte(`{"op":"ping"}` + "\n")); err != nil {
-			t.Fatal(err)
-		}
-		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		r := bufio.NewReader(conn)
-		line, err := r.ReadBytes('\n')
-		if err != nil {
-			t.Fatalf("reading farewell line: %v", err)
-		}
-		var resp Response
-		if err := json.Unmarshal(line, &resp); err != nil {
-			t.Fatalf("farewell is not JSON: %v (%q)", err, line)
-		}
-		if resp.OK || !strings.Contains(resp.Error, "retired") {
-			t.Errorf("farewell = %+v, want an error naming the retired wire", resp)
-		}
-		if _, err := r.ReadByte(); err != io.EOF {
-			t.Errorf("server kept talking after the farewell (err=%v); must close", err)
-		}
-	})
-	t.Run("version-zero-hello", func(t *testing.T) {
-		// A structurally valid hello offering version 0 is a well-built peer
-		// that is merely too old; it gets the same JSON farewell.
-		_, srv := startServer(t, 100)
-		conn, err := net.Dial("tcp", srv.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		if _, err := conn.Write(wireHello(WireVersionJSON)); err != nil {
-			t.Fatal(err)
-		}
-		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		r := bufio.NewReader(conn)
-		line, err := r.ReadBytes('\n')
-		if err != nil {
-			t.Fatalf("reading farewell line: %v", err)
-		}
-		var resp Response
-		if err := json.Unmarshal(line, &resp); err != nil {
-			t.Fatalf("farewell is not JSON: %v (%q)", err, line)
-		}
-		if !strings.Contains(resp.Error, "retired") {
-			t.Errorf("farewell = %+v, want an error naming the retired wire", resp)
-		}
-		if _, err := r.ReadByte(); err != io.EOF {
-			t.Errorf("server kept talking after the farewell (err=%v); must close", err)
-		}
-	})
-	t.Run("legacy-json-worker", func(t *testing.T) {
-		// A fake pre-binary worker reads the pool's hello as a garbled JSON
-		// line and answers with a JSON error. Pool construction must fail
-		// with ErrPeerTooOld naming the worker.
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		go func() {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-			hello := make([]byte, WireHelloLen)
-			if _, err := io.ReadFull(conn, hello); err != nil {
-				return
-			}
-			_, _ = conn.Write([]byte(`{"error":"parsing request: invalid character '\\xb1'"}` + "\n"))
-		}()
-		_, err = NewWorkerPool([]string{l.Addr().String()})
+	t.Run("pool-refuses-v3-worker", func(t *testing.T) {
+		l := fakePeer(t, wireHello(3))
+		_, err := NewWorkerPool([]string{l.Addr().String()})
 		if !errors.Is(err, ErrPeerTooOld) {
 			t.Fatalf("pool error = %v, want ErrPeerTooOld", err)
 		}
@@ -417,6 +334,88 @@ func TestWireJSONRetired(t *testing.T) {
 			t.Errorf("pool error %q does not name the stale worker %s", err, l.Addr())
 		}
 	})
+	t.Run("tail-less-frames-refused", func(t *testing.T) {
+		// Older dialects ended the request before the API key and deadline
+		// and the response before the tenant and retry hint. Cut those
+		// fields off a current frame and re-seal it under a valid CRC: the
+		// decoder must see a truncated payload, not an older version.
+		req := sampleRequests()["query"]
+		req.APIKey = "gupt_key"
+		reqFrame, err := AppendRequestFrame(nil, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		respFrame, err := AppendResponseFrame(nil, sampleResponses()["ok"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, frame := range map[string][]byte{
+			"request-v3":  resealCut(reqFrame, 8),
+			"request-v2":  resealCut(reqFrame, 8+4+len(req.APIKey)),
+			"response-v2": resealCut(respFrame, 8+4),
+		} {
+			var err error
+			if strings.HasPrefix(name, "request") {
+				_, _, err = DecodeRequestFrame(frame)
+			} else {
+				_, _, err = DecodeResponseFrame(frame)
+			}
+			if !errors.Is(err, ErrWireFrame) || !strings.Contains(err.Error(), "truncated") {
+				t.Errorf("%s: decode error = %v, want a truncated-payload ErrWireFrame", name, err)
+			}
+		}
+	})
+}
+
+// resealCut drops the last n payload bytes of a frame and recomputes its
+// header, so only the grammar — not the length or CRC — can reject it.
+func resealCut(frame []byte, n int) []byte {
+	payload := frame[wireFrameHeaderLen : len(frame)-n]
+	out := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, wireCRCTable))
+	return append(out, payload...)
+}
+
+// checkServerDrops opens a connection with the given bytes and asserts the
+// server closes it without writing anything back.
+func checkServerDrops(t *testing.T, srv *Server, opening []byte) {
+	t.Helper()
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(opening); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if b, err := bufio.NewReader(conn).ReadByte(); err != io.EOF {
+		t.Errorf("server answered %q with %#x (err=%v); must close without a reply", opening, b, err)
+	}
+}
+
+// fakePeer listens for one connection, reads the dialer's hello and
+// answers it with reply.
+func fakePeer(t *testing.T, reply []byte) net.Listener {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		hello := make([]byte, WireHelloLen)
+		if _, err := io.ReadFull(conn, hello); err != nil {
+			return
+		}
+		_, _ = conn.Write(reply)
+	}()
+	return l
 }
 
 // TestWorkerPoolChaos runs the binary pool↔worker wire through the
@@ -467,49 +466,26 @@ func TestWorkerPoolChaos(t *testing.T) {
 }
 
 // TestWireNegotiationFailClosed covers the garbled-handshake paths: every
-// reply a client cannot prove is a valid downgrade echo terminates the
-// connection (a recognizably JSON reply is the distinct ErrPeerTooOld),
-// and a server that sees a mangled hello drops the client instead of
-// guessing a wire.
+// reply a client cannot prove is a valid hello echo terminates the
+// connection, and a server that sees a mangled hello drops the client
+// instead of guessing a wire.
 func TestWireNegotiationFailClosed(t *testing.T) {
 	t.Run("client-garbage-reply", func(t *testing.T) {
 		checkClientRejects(t, []byte("XYZ garbage\n"))
 	})
 	t.Run("client-upward-version", func(t *testing.T) {
-		checkClientRejects(t, wireHello(LatestWireVersion+1))
+		checkClientRejects(t, wireHello(WireVersion+1))
 	})
 	t.Run("client-mangled-echo", func(t *testing.T) {
 		checkClientRejects(t, []byte{WireMagic, 'G', 'X', 1, '\n'})
 	})
 	t.Run("client-truncated-reply", func(t *testing.T) {
-		// The fake server closes after 2 bytes; the client must error, not
-		// fall back to JSON on a half-read echo.
+		// The fake server closes after 2 bytes; the client must error on
+		// the half-read echo.
 		checkClientRejects(t, []byte{WireMagic, 'G'})
 	})
 	t.Run("client-json-reply", func(t *testing.T) {
-		// Any JSON reply to our hello identifies a pre-binary server: that is
-		// ErrPeerTooOld (upgrade the peer), not a garbled handshake.
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		go func() {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-			hello := make([]byte, WireHelloLen)
-			if _, err := io.ReadFull(conn, hello); err != nil {
-				return
-			}
-			_, _ = conn.Write([]byte("{not json}\n"))
-		}()
-		_, err = DialVersion(l.Addr().String(), LatestWireVersion)
-		if !errors.Is(err, ErrPeerTooOld) {
-			t.Errorf("negotiation error = %v, want ErrPeerTooOld", err)
-		}
+		checkClientRejects(t, []byte("{not json}\n"))
 	})
 
 	serverCases := map[string][]byte{
@@ -546,44 +522,21 @@ func TestWireNegotiationFailClosed(t *testing.T) {
 // with the given bytes and asserts negotiation fails closed.
 func checkClientRejects(t *testing.T, reply []byte) {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		hello := make([]byte, WireHelloLen)
-		if _, err := io.ReadFull(conn, hello); err != nil {
-			return
-		}
-		_, _ = conn.Write(reply)
-	}()
-	_, err = DialVersion(l.Addr().String(), LatestWireVersion)
-	if !errors.Is(err, ErrWireNegotiation) {
+	l := fakePeer(t, reply)
+	if _, err := Dial(l.Addr().String()); !errors.Is(err, ErrWireNegotiation) {
 		t.Errorf("negotiation error = %v, want ErrWireNegotiation", err)
 	}
-	<-done
 }
 
 // TestWireFrameCorruptionFailsClosed checks a binary connection is torn
 // down on the first bad frame rather than resynchronized by guesswork.
 func TestWireFrameCorruptionFailsClosed(t *testing.T) {
 	_, srv := startServer(t, 100)
-	client, err := DialVersion(srv.Addr().String(), LatestWireVersion)
+	client, err := Dial(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if client.WireVersion() != LatestWireVersion {
-		t.Fatalf("negotiated %d, want latest binary", client.WireVersion())
-	}
 	frame, err := AppendRequestFrame(nil, &Request{Op: OpQuantum})
 	if err != nil {
 		t.Fatal(err)

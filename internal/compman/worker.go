@@ -3,7 +3,6 @@ package compman
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -31,20 +30,20 @@ import (
 type WorkSpec struct {
 	// Program selects the computation; binary specs are executed under the
 	// worker's local subprocess chambers.
-	Program ProgramSpec `json:"program"`
+	Program ProgramSpec
 	// QuantumMillis arms the timing-attack defense on the worker.
-	QuantumMillis int64 `json:"quantumMillis,omitempty"`
+	QuantumMillis int64
 	// TraceID propagates the server's trace context: the worker labels its
 	// spans with it and echoes it in the response, so one query yields one
 	// cross-process span tree. Always server-generated (telemetry.NewTraceID),
 	// never analyst input.
-	TraceID string `json:"traceId,omitempty"`
+	TraceID string
 }
 
 // WorkRequest is one block execution.
 type WorkRequest struct {
-	Spec  WorkSpec    `json:"spec"`
-	Block [][]float64 `json:"block"`
+	Spec  WorkSpec
+	Block [][]float64
 }
 
 // WorkResponse is the execution result. Spans carry the worker's own trace
@@ -53,12 +52,12 @@ type WorkRequest struct {
 // platform-internal wire but are bucketed before any export (see
 // telemetry.RemoteSpan).
 type WorkResponse struct {
-	Output []float64 `json:"output,omitempty"`
-	Error  string    `json:"error,omitempty"`
+	Output []float64
+	Error  string
 	// TraceID echoes the request's trace context; the pool treats a
 	// mismatched echo as a desynchronized stream.
-	TraceID string                 `json:"traceId,omitempty"`
-	Spans   []telemetry.RemoteSpan `json:"spans,omitempty"`
+	TraceID string
+	Spans   []telemetry.RemoteSpan
 }
 
 // WorkerConfig tunes a worker daemon.
@@ -160,20 +159,12 @@ func (w *Worker) handleConn(conn net.Conn) {
 		w.mu.Unlock()
 	}()
 	br := bufio.NewReaderSize(conn, 64*1024)
-	version, err := sniffWire(conn, br, LatestWireVersion)
-	if err != nil {
-		if errors.Is(err, ErrPeerTooOld) {
-			// A pre-binary server dialed in speaking raw JSON lines. Answer
-			// with one terminal JSON error line — the only thing that peer
-			// can parse — so its operator sees the reason, then hang up.
-			_ = json.NewEncoder(conn).Encode(WorkResponse{Error: ErrPeerTooOld.Error()})
-		}
+	if err := sniffWire(conn, br); err != nil {
 		if err != io.EOF {
 			w.logf("compman: worker wire sniff: %v", err)
 		}
 		return
 	}
-	_ = version // sniffWire only succeeds at WireVersionBinary or newer
 	w.serveBinary(conn, br)
 }
 
@@ -328,9 +319,6 @@ type WorkerPool struct {
 type PoolConfig struct {
 	// Addrs lists the worker daemons; all must be reachable at construction.
 	Addrs []string
-	// Version caps the wire version offered on every (re)dial; 0 means
-	// LatestWireVersion.
-	Version uint8
 	// ConnsPerWorker bounds concurrent block exchanges per worker host;
 	// 0 means 1 (one in-flight block per worker, the historical behavior).
 	ConnsPerWorker int
@@ -368,8 +356,6 @@ func (p *WorkerPool) Instrument(tel *telemetry.Registry) {
 type workerConn struct {
 	mu      sync.Mutex
 	addr    string
-	want    uint8 // wire version to offer on every (re)dial
-	version uint8 // wire version this connection negotiated
 	conn    net.Conn
 	r       *bufio.Reader
 	wbuf    []byte // reused binary encode buffer
@@ -378,23 +364,11 @@ type workerConn struct {
 	redials *telemetry.Counter
 }
 
-// NewWorkerPool dials every worker address, negotiating the newest wire
-// version each worker speaks. All must be reachable; a worker still on the
-// retired JSON wire fails pool construction with an error naming the
-// worker and wrapping ErrPeerTooOld.
+// NewWorkerPool dials every worker address. All must be reachable; a
+// worker on a retired wire version fails pool construction with an error
+// naming the worker and wrapping ErrPeerTooOld.
 func NewWorkerPool(addrs []string) (*WorkerPool, error) {
 	return NewWorkerPoolConfig(PoolConfig{Addrs: addrs})
-}
-
-// NewWorkerPoolVersion dials every worker address offering at most the
-// given wire version. WireVersionJSON (0) is retired and fails closed.
-func NewWorkerPoolVersion(addrs []string, version uint8) (*WorkerPool, error) {
-	if version == 0 {
-		// PoolConfig treats 0 as "latest", so the retired-JSON refusal the
-		// negotiator would produce is issued here instead.
-		return nil, fmt.Errorf("%w: wire version %d is retired", ErrWireNegotiation, version)
-	}
-	return NewWorkerPoolConfig(PoolConfig{Addrs: addrs, Version: version})
 }
 
 // NewWorkerPoolConfig dials every configured worker address. One connection
@@ -404,10 +378,6 @@ func NewWorkerPoolVersion(addrs []string, version uint8) (*WorkerPool, error) {
 func NewWorkerPoolConfig(cfg PoolConfig) (*WorkerPool, error) {
 	if len(cfg.Addrs) == 0 {
 		return nil, errors.New("compman: worker pool needs at least one address")
-	}
-	version := cfg.Version
-	if version == 0 {
-		version = LatestWireVersion
 	}
 	connsPer := cfg.ConnsPerWorker
 	if connsPer < 1 {
@@ -419,14 +389,13 @@ func NewWorkerPoolConfig(cfg PoolConfig) (*WorkerPool, error) {
 		stragglerAfter: cfg.StragglerAfter,
 	}
 	for _, addr := range cfg.Addrs {
-		wc, err := dialWorker(addr, version)
+		wc, err := dialWorker(addr)
 		if err != nil {
 			p.Close()
 			return nil, err
 		}
 		h := &workerHost{
 			addr:  addr,
-			want:  version,
 			pool:  p,
 			slots: make(chan *workerConn, connsPer),
 		}
@@ -457,7 +426,6 @@ func metricLabel(addr string) string {
 // least-loaded selection and straggler re-dispatch.
 type workerHost struct {
 	addr        string
-	want        uint8
 	pool        *WorkerPool
 	gaugeSuffix string
 
@@ -519,7 +487,7 @@ func (h *workerHost) acquire(ctx context.Context) (*workerConn, error) {
 		if wc != nil {
 			return wc, nil
 		}
-		fresh, err := dialWorker(h.addr, h.want)
+		fresh, err := dialWorker(h.addr)
 		if err != nil {
 			h.slots <- nil // hand the slot back undialed
 			return nil, err
@@ -574,21 +542,19 @@ func (h *workerHost) do(ctx context.Context, req *WorkRequest) (*WorkResponse, e
 
 var errPoolClosed = errors.New("compman: worker pool is closed")
 
-func dialWorker(addr string, version uint8) (*workerConn, error) {
+func dialWorker(addr string) (*workerConn, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("compman: dial worker %s: %w", addr, err)
 	}
 	wc := &workerConn{
 		addr: addr,
-		want: version,
 		conn: conn,
 		r:    bufio.NewReaderSize(conn, 1<<20),
 	}
-	// Negotiation re-runs on every redial: a worker restarted on a
-	// different release renegotiates instead of desynchronizing.
-	v, err := negotiateWire(conn, wc.r, version)
-	if err != nil {
+	// The handshake re-runs on every redial: a worker restarted on a
+	// different release is refused instead of desynchronizing.
+	if err := negotiateWire(conn, wc.r); err != nil {
 		conn.Close()
 		if errors.Is(err, ErrPeerTooOld) {
 			// Name the stale worker explicitly: "dial failed" would send the
@@ -597,7 +563,6 @@ func dialWorker(addr string, version uint8) (*workerConn, error) {
 		}
 		return nil, fmt.Errorf("compman: worker %s: %w", addr, err)
 	}
-	wc.version = v
 	return wc, nil
 }
 
@@ -926,13 +891,12 @@ func (wc *workerConn) execute(ctx context.Context, req *WorkRequest) (*WorkRespo
 // redialLocked replaces a broken connection; the caller holds wc.mu.
 func (wc *workerConn) redialLocked() error {
 	wc.redials.Inc()
-	fresh, err := dialWorker(wc.addr, wc.want)
+	fresh, err := dialWorker(wc.addr)
 	if err != nil {
 		return err
 	}
 	wc.conn.Close()
 	wc.conn, wc.r, wc.broken = fresh.conn, fresh.r, false
-	wc.version = fresh.version
 	return nil
 }
 

@@ -14,8 +14,8 @@
 //     garbage (non-finite) output, out-of-range output, wrong output
 //     arity, and slow starts.
 //   - Proxy sits on the wire between a compman.WorkerPool and a worker
-//     daemon and injects protocol-level faults: malformed NDJSON replies,
-//     truncated replies, stalled replies, and mid-session disconnects.
+//     daemon and injects protocol-level faults into reply frames: corrupted
+//     frames, truncated frames, stalled replies, and mid-session disconnects.
 //
 // All injection decisions derive from a Schedule seeded explicitly, so a
 // fault pattern that breaks an invariant reproduces exactly from its seed.

@@ -2,15 +2,17 @@ package faultinject
 
 import (
 	"bufio"
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"net"
 	"testing"
 	"time"
 
 	"gupt/internal/analytics"
+	"gupt/internal/compman"
 	"gupt/internal/mathutil"
 	"gupt/internal/sandbox"
 )
@@ -144,10 +146,15 @@ func TestChamberHangHonorsContext(t *testing.T) {
 	}
 }
 
-// echoWorker is a minimal NDJSON server standing in for a gupt-worker: it
-// replies {"output":[42]} to every line.
-func echoWorker(t *testing.T) net.Addr {
+// framedEchoWorker stands in for a gupt-worker on the binary wire: it
+// echoes the hello and answers every request frame with one work-response
+// frame carrying the output [42].
+func framedEchoWorker(t *testing.T) net.Addr {
 	t.Helper()
+	reply, err := compman.AppendWorkResponseFrame(nil, &compman.WorkResponse{Output: []float64{42}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -161,9 +168,19 @@ func echoWorker(t *testing.T) net.Addr {
 			}
 			go func(conn net.Conn) {
 				defer conn.Close()
-				sc := bufio.NewScanner(conn)
-				for sc.Scan() {
-					if _, err := conn.Write([]byte(`{"output":[42]}` + "\n")); err != nil {
+				r := bufio.NewReader(conn)
+				hello := make([]byte, wireHelloLen)
+				if _, err := io.ReadFull(r, hello); err != nil {
+					return
+				}
+				if _, err := conn.Write(hello); err != nil {
+					return
+				}
+				for {
+					if _, err := readFrameUnit(r); err != nil {
+						return
+					}
+					if _, err := conn.Write(reply); err != nil {
 						return
 					}
 				}
@@ -174,7 +191,7 @@ func echoWorker(t *testing.T) net.Addr {
 }
 
 func TestProxyFaults(t *testing.T) {
-	upstream := echoWorker(t)
+	upstream := framedEchoWorker(t)
 	proxy := &Proxy{
 		Upstream: upstream.String(),
 		Schedule: &ProtoSchedule{Plan: []ProtoFault{
@@ -192,41 +209,62 @@ func TestProxyFaults(t *testing.T) {
 	}
 	defer conn.Close()
 	r := bufio.NewReader(conn)
-	send := func() (string, error) {
-		if _, err := conn.Write([]byte("{}\n")); err != nil {
-			return "", err
+	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+
+	// The hello echo is bookkeeping and always passes through untouched.
+	hello := []byte{compman.WireMagic, 'G', 'W', compman.WireVersion, '\n'}
+	if _, err := conn.Write(hello); err != nil {
+		t.Fatal(err)
+	}
+	echo := make([]byte, len(hello))
+	if _, err := io.ReadFull(r, echo); err != nil || !bytes.Equal(echo, hello) {
+		t.Fatalf("hello echo = %q (%v), want %q", echo, err, hello)
+	}
+
+	request, err := compman.AppendWorkRequestFrame(nil, &compman.WorkRequest{Block: [][]float64{{1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func() ([]byte, error) {
+		if _, err := conn.Write(request); err != nil {
+			return nil, err
 		}
-		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-		line, err := r.ReadString('\n')
-		return line, err
+		_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		return readFrameUnit(r)
 	}
 
 	// Reply 1 passes through intact.
-	line, err := send()
+	clean, err := send()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var resp struct{ Output []float64 }
-	if err := json.Unmarshal([]byte(line), &resp); err != nil || len(resp.Output) != 1 {
-		t.Fatalf("clean reply corrupted: %q (%v)", line, err)
+	resp, _, err := compman.DecodeWorkResponseFrame(clean)
+	if err != nil || len(resp.Output) != 1 || resp.Output[0] != 42 {
+		t.Fatalf("clean reply corrupted: %x (%v)", clean, err)
 	}
 
-	// Reply 2 is corrupted into non-JSON.
-	line, err = send()
+	// Reply 2 keeps its shape but fails its CRC.
+	corrupt, err := send()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if json.Unmarshal([]byte(line), &resp) == nil {
-		t.Fatalf("corrupt fault produced valid JSON: %q", line)
+	if len(corrupt) != len(clean) {
+		t.Errorf("corrupt frame is %d bytes, want the clean frame's %d", len(corrupt), len(clean))
+	}
+	if _, _, err := compman.DecodeWorkResponseFrame(corrupt); !errors.Is(err, compman.ErrWireFrame) {
+		t.Fatalf("corrupt fault decoded: err = %v, want ErrWireFrame", err)
 	}
 
-	// Reply 3 is truncated mid-record.
-	line, err = send()
+	// Reply 3 declares half the payload under the original CRC.
+	torn, err := send()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if json.Unmarshal([]byte(line), &resp) == nil {
-		t.Fatalf("truncate fault produced valid JSON: %q", line)
+	if len(torn) >= len(clean) {
+		t.Errorf("truncated frame is %d bytes, not shorter than the clean %d", len(torn), len(clean))
+	}
+	if _, _, err := compman.DecodeWorkResponseFrame(torn); !errors.Is(err, compman.ErrWireFrame) {
+		t.Fatalf("truncate fault decoded: err = %v, want ErrWireFrame", err)
 	}
 
 	// Reply 4 never arrives: the connection drops.

@@ -17,23 +17,24 @@ import (
 // the other way). compman's wire tests pin these against the canonical
 // constants so they cannot drift silently.
 const (
-	wireMagic          = 0xB1
 	wireHelloLen       = 5
 	wireFrameHeaderLen = 8
 	maxWireFrame       = 64 << 20
 )
 
 // ProtoFault enumerates the wire-level faults a Proxy can inject into the
-// worker protocol's NDJSON reply stream.
+// worker protocol's reply frames.
 type ProtoFault int
 
 const (
 	// ProtoNone relays the reply untouched.
 	ProtoNone ProtoFault = iota
-	// ProtoCorrupt replaces the reply line with bytes that are not JSON.
+	// ProtoCorrupt flips every payload byte under the original header, so
+	// the frame fails its CRC.
 	ProtoCorrupt
-	// ProtoTruncate forwards only a prefix of the reply line (still
-	// newline-terminated, so the reader sees a short, broken record).
+	// ProtoTruncate forwards a frame whose header declares half the
+	// payload but keeps the original CRC, so the receiver sees a short,
+	// broken frame at once instead of waiting for bytes that never come.
 	ProtoTruncate
 	// ProtoDisconnect drops the client connection instead of replying —
 	// a worker that died mid-exchange.
@@ -133,9 +134,9 @@ func (s *ProtoSchedule) stallFor() time.Duration {
 	return 50 * time.Millisecond
 }
 
-// Proxy is a chaos TCP proxy for the newline-delimited JSON worker
-// protocol. It forwards request lines to the upstream address verbatim and
-// injects schedule-driven faults into the reply stream. Point a
+// Proxy is a chaos TCP proxy for the binary worker wire. It forwards
+// requests to the upstream address verbatim and injects schedule-driven
+// faults into the reply frames. Point a
 // compman.WorkerPool at the proxy's address instead of the worker's to
 // exercise the pool's redial/retry and the engine's substitution paths.
 type Proxy struct {
@@ -222,13 +223,10 @@ func (p *Proxy) serve(l net.Listener) {
 }
 
 // handle relays one client connection. Requests stream upstream untouched;
-// replies pass through the fault schedule one protocol unit at a time — a
-// newline-terminated line on the JSON wire, a CRC32C frame on the binary
-// wire. The proxy sniffs which wire a connection negotiated from the
-// upstream's first reply byte (a binary hello echo starts with
-// wireMagic, which no JSON reply can) and relays the hello echo
-// verbatim: negotiation is connection bookkeeping, not a reply, and
-// garbling it is the job of the directed fail-closed tests.
+// replies pass through the fault schedule one CRC32C frame at a time. The
+// upstream's hello echo is relayed verbatim: the handshake is connection
+// bookkeeping, not a reply, and garbling it is the job of the directed
+// fail-closed tests.
 func (p *Proxy) handle(client net.Conn) {
 	defer func() {
 		client.Close()
@@ -249,28 +247,15 @@ func (p *Proxy) handle(client net.Conn) {
 	}()
 
 	r := bufio.NewReaderSize(upstream, 1<<20)
-	first, err := r.Peek(1)
-	if err != nil {
+	hello := make([]byte, wireHelloLen)
+	if _, err := io.ReadFull(r, hello); err != nil {
 		return
 	}
-	framed := first[0] == wireMagic
-	if framed {
-		hello := make([]byte, wireHelloLen)
-		if _, err := io.ReadFull(r, hello); err != nil {
-			return
-		}
-		if _, err := client.Write(hello); err != nil {
-			return
-		}
+	if _, err := client.Write(hello); err != nil {
+		return
 	}
 	for {
-		var unit []byte
-		var err error
-		if framed {
-			unit, err = readFrameUnit(r)
-		} else {
-			unit, err = r.ReadBytes('\n')
-		}
+		unit, err := readFrameUnit(r)
 		if err != nil {
 			return
 		}
@@ -280,11 +265,11 @@ func (p *Proxy) handle(client net.Conn) {
 				return
 			}
 		case ProtoCorrupt:
-			if _, err := client.Write(corruptUnit(unit, framed)); err != nil {
+			if _, err := client.Write(corruptUnit(unit)); err != nil {
 				return
 			}
 		case ProtoTruncate:
-			if _, err := client.Write(truncateUnit(unit, framed)); err != nil {
+			if _, err := client.Write(truncateUnit(unit)); err != nil {
 				return
 			}
 		case ProtoDisconnect:
@@ -318,14 +303,10 @@ func readFrameUnit(r *bufio.Reader) ([]byte, error) {
 	return unit, nil
 }
 
-// corruptUnit returns a same-shape reply whose content cannot decode: junk
-// bytes on the JSON wire, a bit-flipped payload under an unchanged header
-// (guaranteed CRC mismatch) on the binary wire. Either way the receiver
-// sees an immediately detectable corruption, not a stall.
-func corruptUnit(unit []byte, framed bool) []byte {
-	if !framed {
-		return []byte("!!not-json-at-all!!\n")
-	}
+// corruptUnit returns a same-shape frame whose payload bytes are all
+// flipped under an unchanged header: a guaranteed CRC mismatch the
+// receiver detects at once, not a stall.
+func corruptUnit(unit []byte) []byte {
 	out := append([]byte(nil), unit...)
 	for i := wireFrameHeaderLen; i < len(out); i++ {
 		out[i] ^= 0xFF
@@ -333,19 +314,11 @@ func corruptUnit(unit []byte, framed bool) []byte {
 	return out
 }
 
-// truncateUnit returns a torn reply the receiver detects immediately: a
-// short newline-terminated prefix on the JSON wire; on the binary wire a
-// frame whose header declares half the payload but keeps the original
-// checksum, so the length/CRC cross-check fails on arrival instead of the
-// reader blocking for bytes that never come.
-func truncateUnit(unit []byte, framed bool) []byte {
-	if !framed {
-		cut := len(unit) / 2
-		if cut == 0 {
-			cut = 1
-		}
-		return append(unit[:cut:cut], '\n')
-	}
+// truncateUnit returns a torn frame the receiver detects immediately: the
+// header declares half the payload but keeps the original checksum, so the
+// length/CRC cross-check fails on arrival instead of the reader blocking
+// for bytes that never come.
+func truncateUnit(unit []byte) []byte {
 	cut := (len(unit) - wireFrameHeaderLen) / 2
 	out := make([]byte, wireFrameHeaderLen+cut)
 	binary.LittleEndian.PutUint32(out[0:4], uint32(cut))

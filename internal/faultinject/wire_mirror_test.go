@@ -12,9 +12,6 @@ import (
 // the canonical constants in compman/wire.go move, this fails before any
 // chaos test silently degrades into relaying garbage.
 func TestWireConstantsMirrorCompman(t *testing.T) {
-	if wireMagic != compman.WireMagic {
-		t.Errorf("wireMagic %#x != compman.WireMagic %#x", wireMagic, compman.WireMagic)
-	}
 	if wireHelloLen != compman.WireHelloLen {
 		t.Errorf("wireHelloLen %d != compman.WireHelloLen %d", wireHelloLen, compman.WireHelloLen)
 	}

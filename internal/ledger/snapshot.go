@@ -9,9 +9,9 @@ import (
 )
 
 // Snapshot compaction. When the WAL grows past Options.SnapshotThreshold,
-// the ledger writes the full replayed state to snapshot.json with the same
-// atomic discipline as dataset/persist.go — write a temp file, fsync it,
-// rename into place, fsync the directory — then starts a fresh WAL whose
+// the ledger writes the full replayed state to snapshot.json atomically —
+// write a temp file, fsync it, rename into place, fsync the directory —
+// then starts a fresh WAL whose
 // first record is a snapshot-marker. Every record carries a sequence
 // number and recovery skips records at or below the snapshot's LastSeq, so
 // a crash between the two renames (new snapshot + old WAL) replays

@@ -47,10 +47,6 @@ type Stage struct {
 	// run that exceeds it aborts with its charge consumed — forced slowness
 	// never refunds budget (§6.2).
 	Timeout time.Duration
-	// OnCharge runs after every settled charge, before the computation
-	// starts, so a host that journals its books can never lose a spend to
-	// a crash mid-run.
-	OnCharge func()
 	// OnRetry observes each retry (attempt counts from 1) with the error
 	// that caused it.
 	OnRetry func(attempt int, err error)
@@ -258,9 +254,6 @@ func (s *Stage) Run(ctx context.Context, q *Query) (*core.Result, float64, error
 	if err != nil {
 		charge.End(telemetry.StatusError)
 		return nil, 0, err
-	}
-	if s.OnCharge != nil {
-		s.OnCharge()
 	}
 	charge.End(telemetry.StatusOK)
 

@@ -124,9 +124,6 @@ func (s *Stage) RunSession(ctx context.Context, sess *Session) ([]MemberResult, 
 	if err := s.Budget.ChargeAs(sess.Tenant, sess.Dataset, sess.Label, sess.TotalEpsilon); err != nil {
 		return nil, 0, err
 	}
-	if s.OnCharge != nil {
-		s.OnCharge()
-	}
 
 	rows := reg.Private.View()
 	clean := true
