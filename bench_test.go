@@ -17,6 +17,7 @@ import (
 	"gupt/internal/experiments"
 	"gupt/internal/mathutil"
 	"gupt/internal/sandbox"
+	"gupt/internal/workload"
 )
 
 var benchCtx = context.Background()
@@ -239,7 +240,7 @@ func BenchmarkBudgetDistribution(b *testing.B) {
 // iteration, bytes and allocations reported (not a paper artifact; the
 // regression baseline for the block path's recycled storage).
 func BenchmarkEmbeddedMean20k(b *testing.B) {
-	benchEmbedded(b, censusRows(1, 20000), Mean{Col: 0}, []Range{{Lo: 0, Hi: 150}})
+	benchEmbedded(b, censusRows(1, 20000), Mean{Col: 0}, Tight, []Range{{Lo: 0, Hi: 150}})
 }
 
 // BenchmarkEmbeddedKMeans20k is served_ml's k-means query on the embedded
@@ -253,10 +254,23 @@ func BenchmarkEmbeddedKMeans20k(b *testing.B) {
 			rows[i][j] = mathutil.Clamp(float64(i%4)*4-6+rng.NormFloat64(), -10, 10)
 		}
 	}
-	benchEmbedded(b, rows, KMeans{K: 4, FeatureDims: 10, Iters: 20, Seed: 42}, repeat(Range{Lo: -10, Hi: 10}, 40))
+	benchEmbedded(b, rows, KMeans{K: 4, FeatureDims: 10, Iters: 20, Seed: 42}, Tight, repeat(Range{Lo: -10, Hi: 10}, 40))
 }
 
-func benchEmbedded(b *testing.B, rows [][]float64, prog Program, ranges []Range) {
+// BenchmarkEmbeddedLogReg20k is served_ml's loose-mode logreg query on the
+// embedded path: the 20,000-row LifeSci table (ten features and a 0/1
+// label), 50 gradient passes per block.
+func BenchmarkEmbeddedLogReg20k(b *testing.B) {
+	table := workload.LifeSci(1, 20000).View()
+	rows := make([][]float64, len(table))
+	for i, r := range table {
+		rows[i] = r
+	}
+	prog := LogisticRegression{FeatureDims: workload.LifeSciDims, LabelCol: workload.LifeSciDims, Iters: 50, LearnRate: 0.5}
+	benchEmbedded(b, rows, prog, Loose, repeat(Range{Lo: -6, Hi: 6}, workload.LifeSciDims+1))
+}
+
+func benchEmbedded(b *testing.B, rows [][]float64, prog Program, mode RangeMode, ranges []Range) {
 	p := New()
 	if err := p.Register("ds", rows, nil, DatasetOptions{TotalBudget: float64(b.N) + 1e9}); err != nil {
 		b.Fatal(err)
@@ -267,6 +281,7 @@ func benchEmbedded(b *testing.B, rows [][]float64, prog Program, ranges []Range)
 		_, err := p.Run(benchCtx, Query{
 			Dataset:      "ds",
 			Program:      prog,
+			Mode:         mode,
 			OutputRanges: ranges,
 			Epsilon:      1,
 			Seed:         int64(i),

@@ -1,0 +1,157 @@
+package analytics
+
+import (
+	"math"
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"gupt/internal/mathutil"
+)
+
+// kernelBlock is an n-row block of cols columns: points around a few
+// centers, exact duplicates, and, when poison is set, NaN and ±Inf cells in
+// feature and label columns alike (registered tables are not checked for
+// finiteness).
+func kernelBlock(rng *mathutil.RNG, n, cols int, poison bool) []mathutil.Vec {
+	block := make([]mathutil.Vec, n)
+	for i := range block {
+		if i > 0 && rng.Intn(8) == 0 {
+			block[i] = block[rng.Intn(i)].Clone()
+			continue
+		}
+		row := make(mathutil.Vec, cols)
+		center := float64(rng.Intn(3)) * 5
+		for j := range row {
+			row[j] = center + rng.NormFloat64()
+		}
+		if rng.Intn(2) == 0 {
+			row[cols-1] = float64(rng.Intn(2)) // a 0/1 label
+		}
+		if poison {
+			for j := range row {
+				switch rng.Intn(12) {
+				case 0:
+					row[j] = math.NaN()
+				case 1:
+					row[j] = math.Inf(1)
+				case 2:
+					row[j] = math.Inf(-1)
+				}
+			}
+		}
+		block[i] = row
+	}
+	return block
+}
+
+// The flat kernels must release exactly what the plain loops they replaced
+// release (reference_test.go), bit for bit, across seeds, block sizes around
+// the two-row and four-center strides, every K up to 9, feature widths
+// narrower than the row, both penalties, and blocks holding NaN and ±Inf —
+// and must leave the block as they found it.
+func TestKernelsMatchReference(t *testing.T) {
+	seeds := 200
+	if testing.Short() {
+		seeds = 20
+	}
+	var poisoned, ran int
+	for seed := int64(0); seed < int64(seeds); seed++ {
+		rng := mathutil.NewRNG(seed)
+		for _, n := range []int{1, 2, 3, 5, 385, 386} {
+			f := 1 + int(seed)%4
+			poison := seed%3 == 0
+			block := kernelBlock(rng, n, f+1+int(seed)%2, poison)
+			before := mathutil.CloneRows(block)
+			check := func(name string, got, want mathutil.Vec, gerr, werr error) {
+				t.Helper()
+				if (gerr == nil) != (werr == nil) {
+					t.Fatalf("seed %d n=%d %s: error %v, reference %v", seed, n, name, gerr, werr)
+				}
+				if !sameBits(got, want) {
+					t.Fatalf("seed %d n=%d %s:\n kernel    %v\n reference %v", seed, n, name, got, want)
+				}
+				for i, r := range block {
+					for j := range r {
+						if math.Float64bits(r[j]) != math.Float64bits(before[i][j]) {
+							t.Fatalf("seed %d n=%d %s: row %d = %v after the run, was %v", seed, n, name, i, r, before[i])
+						}
+					}
+				}
+				ran++
+				if poison {
+					poisoned++
+				}
+			}
+			for k := 1; k <= 9; k++ {
+				km := KMeans{K: k, FeatureDims: f, Iters: 1 + int(seed)%5, Seed: seed*31 + int64(k)}
+				got, gerr := km.Run(block)
+				want, werr := referenceKMeans(km, block)
+				check(km.Name(), got, want, gerr, werr)
+			}
+			lr := LogisticRegression{FeatureDims: f, LabelCol: len(block[0]) - 1, Iters: 1 + int(seed)%7,
+				LearnRate: 0.3, L2: 0.01}
+			if seed%3 != 1 {
+				lr.L1 = 0.005
+			}
+			got, gerr := lr.Run(block)
+			want, werr := referenceLogReg(lr, block)
+			check(lr.Name(), got, want, gerr, werr)
+		}
+	}
+	t.Logf("%d runs matched, %d of them over blocks with non-finite cells", ran, poisoned)
+}
+
+// skipUnderRace skips a guard that counts on sync.Pool keeping what is Put;
+// under the race detector it drops a quarter of it on purpose.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("sync.Pool is deliberately lossy under the race detector")
+			}
+		}
+	}
+}
+
+// blockAllocations returns the mean allocations and bytes of prog.Run on a
+// 385×11 block once the generator pool is warm.
+func blockAllocations(t *testing.T, prog Program) (allocs float64, bytes uint64) {
+	skipUnderRace(t)
+	block := kernelBlock(mathutil.NewRNG(1), 385, 11, false)
+	run := func() {
+		if _, err := prog.Run(block); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs = testing.AllocsPerRun(20, run) // warms once first
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 20; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	return allocs, (after.TotalAlloc - before.TotalAlloc) / 20
+}
+
+// One k-means block allocates its scratch once and nothing per iteration
+// or per point; the per-center loop it replaced made 215 allocations
+// (37.5 KB) on this shape.
+func TestKMeansBlockAllocations(t *testing.T) {
+	allocs, bytes := blockAllocations(t, KMeans{K: 4, FeatureDims: 10, Iters: 20, Seed: 1})
+	// Measured 8 allocations, 4,076 bytes; the bounds are that + 20 %.
+	if allocs > 9 || bytes > 4891 {
+		t.Errorf("a 385×11 k-means block allocates %.0f times, %d bytes; want <= 9 and <= 4891", allocs, bytes)
+	}
+}
+
+// One logistic-regression block allocates its weights (with room for the
+// bias) and its gradient, and nothing per iteration.
+func TestLogRegBlockAllocations(t *testing.T) {
+	allocs, bytes := blockAllocations(t, LogisticRegression{FeatureDims: 10, LabelCol: 10, Iters: 50, LearnRate: 0.5})
+	// Measured 2 allocations, 176 bytes; the bounds are that + 20 %.
+	if allocs > 2 || bytes > 211 {
+		t.Errorf("a 385×11 logreg block allocates %.0f times, %d bytes; want <= 2 and <= 211", allocs, bytes)
+	}
+}

@@ -30,6 +30,12 @@ func (k KMeans) Name() string {
 func (k KMeans) OutputDims() int { return k.K * k.FeatureDims }
 
 // Run implements Program.
+//
+// The kernel keeps the K centers in one flat K·F slice and its scratch is
+// allocated once per call. Each float operation happens in the order of the
+// plain per-center loop (Vec.Dist2, nearest, AddInPlace, Scale), so the
+// released bits are that loop's (TestKernelsMatchReference). The block is
+// this run's private copy and is only read.
 func (k KMeans) Run(block []mathutil.Vec) (mathutil.Vec, error) {
 	if len(block) == 0 {
 		return nil, ErrEmptyBlock
@@ -40,62 +46,128 @@ func (k KMeans) Run(block []mathutil.Vec) (mathutil.Vec, error) {
 	if len(block[0]) < k.FeatureDims {
 		return nil, fmt.Errorf("analytics: rows have %d dims, kmeans needs %d", len(block[0]), k.FeatureDims)
 	}
-	pts := make([]mathutil.Vec, len(block))
-	for i, r := range block {
-		// The block is already this run's private copy and is only read
-		// below; the cut capacity keeps an append out of the label columns.
-		pts[i] = r[:k.FeatureDims:k.FeatureDims]
+	n, f := len(block), k.FeatureDims
+	rng := mathutil.GetRNG(k.Seed)
+	defer rng.Release()
+
+	// k-means++ seeding: the first center uniformly, each later one with
+	// probability proportional to the squared distance from the nearest
+	// center chosen so far.
+	centers := make([]float64, k.K*f)
+	copy(centers, block[rng.Intn(n)][:f])
+	d2 := make([]float64, n)
+	for m := 1; m < k.K; m++ {
+		for i, r := range block {
+			_, d2[i] = nearestFlat(centers[:m*f], r[:f])
+		}
+		copy(centers[m*f:(m+1)*f], block[rng.Categorical(d2)][:f])
 	}
-	rng := mathutil.NewRNG(k.Seed)
-	centers := kmeansPlusPlus(rng, pts, k.K)
-	assign := make([]int, len(pts))
+
+	sums := make([]float64, k.K*f)
+	counts := make([]int, k.K)
 	for iter := 0; iter < k.Iters; iter++ {
-		// Assignment step.
-		for i, p := range pts {
-			assign[i] = nearest(centers, p)
-		}
-		// Update step.
-		counts := make([]int, k.K)
-		sums := make([]mathutil.Vec, k.K)
-		for c := range sums {
-			sums[c] = make(mathutil.Vec, k.FeatureDims)
-		}
-		for i, p := range pts {
-			c := assign[i]
+		// Assignment and accumulation in one pass: the centers do not move
+		// until every point is assigned, and each center's sum still adds
+		// its points in block order.
+		clear(sums)
+		clear(counts)
+		for _, r := range block {
+			p := r[:f]
+			c, _ := nearestFlat(centers, p)
 			counts[c]++
-			sums[c].AddInPlace(p)
+			s := sums[c*f : (c+1)*f]
+			for j, x := range p {
+				s[j] += x
+			}
 		}
-		for c := range centers {
-			if counts[c] == 0 {
+		for c, cnt := range counts {
+			center := centers[c*f : (c+1)*f]
+			if cnt == 0 {
 				// Empty cluster: reseed to a random point so K is preserved.
-				centers[c] = pts[rng.Intn(len(pts))].Clone()
+				copy(center, block[rng.Intn(n)][:f])
 				continue
 			}
-			centers[c] = sums[c].Scale(1 / float64(counts[c]))
+			inv := 1 / float64(cnt)
+			for j, s := range sums[c*f : (c+1)*f] {
+				center[j] = s * inv
+			}
 		}
 	}
-	SortCenters(centers)
-	out := make(mathutil.Vec, 0, k.K*k.FeatureDims)
-	for _, c := range centers {
+
+	sorted := make([]mathutil.Vec, k.K)
+	for c := range sorted {
+		sorted[c] = centers[c*f : (c+1)*f]
+	}
+	SortCenters(sorted)
+	out := sums[:0] // the sums are spent; their storage becomes the output
+	for _, c := range sorted {
 		out = append(out, c...)
 	}
 	return out, nil
 }
 
-// kmeansPlusPlus seeds k centers: the first uniformly, each subsequent one
-// with probability proportional to squared distance from the nearest chosen
-// center.
-func kmeansPlusPlus(rng *mathutil.RNG, pts []mathutil.Vec, k int) []mathutil.Vec {
-	centers := make([]mathutil.Vec, 0, k)
-	centers = append(centers, pts[rng.Intn(len(pts))].Clone())
-	d2 := make([]float64, len(pts))
-	for len(centers) < k {
-		for i, p := range pts {
-			d2[i] = p.Dist2(centers[nearest(centers, p)])
+// nearestFlat returns the index of the center in the flat slice centers
+// nearest p, and its squared distance. It decides exactly as nearest does —
+// the first center strictly closer than every one before it — but runs four
+// centers' distance chains side by side, each summing (p[i]−c[i])² in index
+// order like Vec.Dist2. When no center is closer than +Inf (NaN or ±Inf
+// cells) it returns center 0 with center 0's distance, which is what
+// Dist2 against nearest's answer computes.
+func nearestFlat(centers, p []float64) (int, float64) {
+	f := len(p)
+	k := len(centers) / f
+	best, bestIdx, first := math.Inf(1), 0, 0.0
+	c := 0
+	for ; c+4 <= k; c += 4 {
+		c0 := centers[c*f:][:f]
+		c1 := centers[(c+1)*f:][:f]
+		c2 := centers[(c+2)*f:][:f]
+		c3 := centers[(c+3)*f:][:f]
+		var s0, s1, s2, s3 float64
+		for i, x := range p {
+			d0 := x - c0[i]
+			s0 += d0 * d0
+			d1 := x - c1[i]
+			s1 += d1 * d1
+			d2 := x - c2[i]
+			s2 += d2 * d2
+			d3 := x - c3[i]
+			s3 += d3 * d3
 		}
-		centers = append(centers, pts[rng.Categorical(d2)].Clone())
+		if c == 0 {
+			first = s0
+		}
+		if s0 < best {
+			best, bestIdx = s0, c
+		}
+		if s1 < best {
+			best, bestIdx = s1, c+1
+		}
+		if s2 < best {
+			best, bestIdx = s2, c+2
+		}
+		if s3 < best {
+			best, bestIdx = s3, c+3
+		}
 	}
-	return centers
+	for ; c < k; c++ {
+		cc := centers[c*f:][:f]
+		var s float64
+		for i, x := range p {
+			d := x - cc[i]
+			s += d * d
+		}
+		if c == 0 {
+			first = s
+		}
+		if s < best {
+			best, bestIdx = s, c
+		}
+	}
+	if math.IsInf(best, 1) {
+		return 0, first
+	}
+	return bestIdx, best
 }
 
 func nearest(centers []mathutil.Vec, p mathutil.Vec) int {

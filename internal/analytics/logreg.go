@@ -33,6 +33,11 @@ func (l LogisticRegression) Name() string {
 func (l LogisticRegression) OutputDims() int { return l.FeatureDims + 1 }
 
 // Run implements Program.
+//
+// Each gradient pass takes two rows at a time: their dot products run as
+// two independent chains, each in index order like Vec.Dot, and grad and
+// gradB take row i's term before row i+1's, so the released bits are the
+// one-row loop's (TestKernelsMatchReference).
 func (l LogisticRegression) Run(block []mathutil.Vec) (mathutil.Vec, error) {
 	if len(block) == 0 {
 		return nil, ErrEmptyBlock
@@ -45,23 +50,37 @@ func (l LogisticRegression) Run(block []mathutil.Vec) (mathutil.Vec, error) {
 			len(block[0]), l.FeatureDims, l.LabelCol)
 	}
 
-	w := make(mathutil.Vec, l.FeatureDims)
+	f := l.FeatureDims
+	w := make(mathutil.Vec, f, f+1) // the bias is appended in place
 	var b float64
 	n := float64(len(block))
-	grad := make(mathutil.Vec, l.FeatureDims)
+	grad := make([]float64, f)
 
 	for iter := 0; iter < l.Iters; iter++ {
-		for j := range grad {
-			grad[j] = 0
-		}
+		clear(grad)
 		var gradB float64
-		for _, row := range block {
-			x := row[:l.FeatureDims]
-			y := 0.0
-			if row[l.LabelCol] >= 0.5 {
-				y = 1
+		i := 0
+		for ; i+1 < len(block); i += 2 {
+			x0, x1 := block[i][:f], block[i+1][:f]
+			var dot0, dot1 float64
+			for j, wj := range w {
+				dot0 += wj * x0[j]
+				dot1 += wj * x1[j]
 			}
-			err := Sigmoid(w.Dot(x)+b) - y
+			err0 := Sigmoid(dot0+b) - label(block[i][l.LabelCol])
+			err1 := Sigmoid(dot1+b) - label(block[i+1][l.LabelCol])
+			for j := range grad {
+				grad[j] = grad[j] + err0*x0[j] + err1*x1[j]
+			}
+			gradB = gradB + err0 + err1
+		}
+		if i < len(block) {
+			x := block[i][:f]
+			var dot float64
+			for j, wj := range w {
+				dot += wj * x[j]
+			}
+			err := Sigmoid(dot+b) - label(block[i][l.LabelCol])
 			for j := range grad {
 				grad[j] += err * x[j]
 			}
@@ -76,6 +95,14 @@ func (l LogisticRegression) Run(block []mathutil.Vec) (mathutil.Vec, error) {
 		b -= l.LearnRate * gradB / n
 	}
 	return append(w, b), nil
+}
+
+// label thresholds a label cell at 0.5 into the class 0 or 1.
+func label(v float64) float64 {
+	if v >= 0.5 {
+		return 1
+	}
+	return 0
 }
 
 // Sigmoid is the logistic function 1/(1+e^-z), computed stably.
@@ -117,11 +144,7 @@ func ClassificationAccuracy(params mathutil.Vec, rows []mathutil.Vec, featureDim
 	}
 	correct := 0
 	for _, r := range rows {
-		want := 0.0
-		if r[labelCol] >= 0.5 {
-			want = 1
-		}
-		if PredictLogistic(params, r[:featureDims]) == want {
+		if PredictLogistic(params, r[:featureDims]) == label(r[labelCol]) {
 			correct++
 		}
 	}

@@ -163,9 +163,10 @@ func TestLogisticRegressionValidation(t *testing.T) {
 	}
 }
 
-// The one-column programs skip copies the reference formulas make; the
-// answers must not move by a bit, and the block must come back untouched
-// (k-means now reads the block's rows in place too).
+// The one-column programs skip copies the reference formulas make, and
+// k-means and logistic regression run flat kernels; the answers must not
+// move by a bit, and the block must come back untouched (the kernels read
+// the block's rows in place).
 func TestProgramsMatchReferenceBitsAndLeaveBlockAlone(t *testing.T) {
 	rng := mathutil.NewRNG(3)
 	for _, n := range []int{1, 2, 384, 385} {
@@ -192,9 +193,21 @@ func TestProgramsMatchReferenceBitsAndLeaveBlockAlone(t *testing.T) {
 				t.Errorf("n=%d %s = %v, reference %v", n, c.prog.Name(), out[0], c.want)
 			}
 		}
-		if n >= 2 {
-			if _, err := (KMeans{K: 2, FeatureDims: 2, Iters: 5, Seed: 1}).Run(block); err != nil {
+		km := KMeans{K: 2, FeatureDims: 2, Iters: 5, Seed: 1}
+		lr := LogisticRegression{FeatureDims: 2, LabelCol: 2, Iters: 20, LearnRate: 0.1, L2: 0.01, L1: 0.001}
+		for _, c := range []struct {
+			prog Program
+			ref  func() (mathutil.Vec, error)
+		}{
+			{km, func() (mathutil.Vec, error) { return referenceKMeans(km, block) }},
+			{lr, func() (mathutil.Vec, error) { return referenceLogReg(lr, block) }},
+		} {
+			out, err := c.prog.Run(block)
+			if err != nil {
 				t.Fatal(err)
+			}
+			if want, err := c.ref(); err != nil || !sameBits(out, want) {
+				t.Errorf("n=%d %s = %v, reference %v (%v)", n, c.prog.Name(), out, want, err)
 			}
 		}
 		for i := range block {
@@ -209,6 +222,12 @@ func BenchmarkMeanBlock(b *testing.B) { benchProgram(b, Mean{Col: 0}, 385, 1) }
 
 func BenchmarkKMeansBlock(b *testing.B) {
 	benchProgram(b, KMeans{K: 4, FeatureDims: 10, Iters: 20, Seed: 1}, 385, 11)
+}
+
+// BenchmarkLogRegBlock is served_ml's logreg block: 385 rows, ten features
+// and a 0/1 label, 50 gradient passes.
+func BenchmarkLogRegBlock(b *testing.B) {
+	benchProgram(b, LogisticRegression{FeatureDims: 10, LabelCol: 10, Iters: 50, LearnRate: 0.5}, 385, 11)
 }
 
 func benchProgram(b *testing.B, prog Program, n, cols int) {

@@ -313,6 +313,9 @@ func (e *wireEncoder) matrix(rows [][]float64) {
 	cols := 0
 	if len(rows) > 0 {
 		cols = len(rows[0])
+		// Zero-width rows go per-row, where each costs its 4-byte length:
+		// in the uniform layout no cell would bound how many there are.
+		uniform = cols > 0
 		for _, r := range rows[1:] {
 			if len(r) != cols {
 				uniform = false
@@ -512,9 +515,6 @@ func (d *wireDecoder) matrix() [][]float64 {
 			return nil
 		}
 		out := make([][]float64, rows)
-		if cols == 0 {
-			return out
-		}
 		backing := make([]float64, rows*cols)
 		for i := range backing {
 			backing[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
@@ -545,6 +545,12 @@ func (d *wireDecoder) matrix() [][]float64 {
 func (d *wireDecoder) uniformCells() (rows, cols uint64, raw []byte) {
 	rows, cols = uint64(d.u32()), uint64(d.u32())
 	if d.err != nil {
+		return 0, 0, nil
+	}
+	if cols == 0 && rows != 0 {
+		// Nothing in the payload bounds a count of zero-width rows, and the
+		// encoder sends such rows per-row.
+		d.failf("%w: uniform matrix of %d zero-width rows", ErrWireFrame, rows)
 		return 0, 0, nil
 	}
 	// Divided, not multiplied: rows*cols*8 can wrap uint64 to something small.

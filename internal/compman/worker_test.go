@@ -550,3 +550,69 @@ func TestWorkMatrixShapeOverflowRefused(t *testing.T) {
 		t.Errorf("recycled decode of a 2^31×2^30 header: %v, want a refusal", err)
 	}
 }
+
+// A forged work frame declaring 2^24 rows of zero width must be refused
+// before anything is sized from the row count — by the allocating decoder
+// and by the worker's recycled one alike. Sized from it, the row headers
+// alone are 384 MiB. Zero-width rows travel per-row, 4 bytes each.
+func TestWorkMatrixZeroColumnRowsBounded(t *testing.T) {
+	payload := workPayload(t, meanSpec, gridBlock(1, 1))
+	forged := append([]byte(nil), payload[:len(payload)-8]...) // drop the cell
+	shape := forged[len(forged)-8:]
+	binary.LittleEndian.PutUint32(shape[0:], 1<<24)
+	binary.LittleEndian.PutUint32(shape[4:], 0)
+	e := newFrameEncoder(nil)
+	e.b = append(e.b, forged...)
+	frame, err := e.finishFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorker(WorkerConfig{})
+	for _, c := range []struct {
+		name string
+		run  func() string // the refusal's text
+	}{
+		{"DecodeWorkRequestFrame", func() string {
+			if _, _, err := DecodeWorkRequestFrame(frame); err != nil {
+				return err.Error()
+			}
+			return ""
+		}},
+		{"Worker.handle", func() string {
+			out, err := w.handle(forged, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, _, err := DecodeWorkResponseFrame(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return resp.Error
+		}},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		msg := c.run()
+		runtime.ReadMemStats(&after)
+		if !strings.Contains(msg, ErrWireFrame.Error()) {
+			t.Errorf("%s on %d zero-width rows: %q, want %v", c.name, 1<<24, msg, ErrWireFrame)
+		}
+		if bytes := after.TotalAlloc - before.TotalAlloc; bytes >= 1<<20 {
+			t.Errorf("%s allocated %d bytes refusing a %d-byte frame, want < 1 MiB", c.name, bytes, len(frame))
+		}
+	}
+
+	// The zero-width blocks the encoder does send still round-trip.
+	rows := [][]float64{{}, {}, {}}
+	if frame, err = AppendWorkRequestFrame(nil, &WorkRequest{Spec: meanSpec, Block: rows}); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := DecodeWorkRequestFrame(frame)
+	if err != nil || len(got.Block) != 3 || len(got.Block[2]) != 0 {
+		t.Errorf("3 zero-width rows decoded as %+v, %v", got, err)
+	}
+	_, block, err := decodeWork(workPayload(t, meanSpec, rows), new(mathutil.RowBuf))
+	if err != nil || len(block) != 3 || len(block[0]) != 0 {
+		t.Errorf("3 zero-width rows recycled-decoded as %v, %v", block, err)
+	}
+}

@@ -160,10 +160,17 @@ func Run(ctx context.Context, program analytics.Program, rows []mathutil.Vec, sp
 		return nil, err
 	}
 
-	rng := mathutil.NewRNG(opts.Seed)
-	partRNG := rng.Split()
-	rangeRNG := rng.Split()
-	noiseRNG := rng.Split()
+	// The root and its three splits are pooled generators (the same streams
+	// as NewRNG and Split). Every draw from them is made on this goroutine
+	// and none is kept past Run, so they go back when Run returns.
+	rng := mathutil.GetRNG(opts.Seed)
+	defer rng.Release()
+	partRNG := mathutil.GetRNG(rng.Int63())
+	defer partRNG.Release()
+	rangeRNG := mathutil.GetRNG(rng.Int63())
+	defer rangeRNG.Release()
+	noiseRNG := mathutil.GetRNG(rng.Int63())
+	defer noiseRNG.Release()
 
 	// Span pattern: End keeps only its first call, so the deferred error
 	// status fires only when an early return skips the explicit ok.

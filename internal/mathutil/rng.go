@@ -22,6 +22,25 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(rand.NewSource(seed))}
 }
 
+// rngPool recycles generators: a fresh one allocates a 607-word source
+// state, about 5 KiB, which a per-query or per-block RNG need not pay.
+var rngPool sync.Pool
+
+// GetRNG returns an RNG from the process-wide pool, reseeded with seed. Its
+// stream is NewRNG(seed)'s draw for draw, whatever its previous holder drew:
+// (*rand.Rand).Seed rewrites the whole source state and the read position.
+func GetRNG(seed int64) *RNG {
+	if g, ok := rngPool.Get().(*RNG); ok {
+		g.r.Seed(seed)
+		return g
+	}
+	return NewRNG(seed)
+}
+
+// Release returns g to the pool. Only the goroutine that drew from g may
+// release it, after its last draw; g must not be used afterwards.
+func (g *RNG) Release() { rngPool.Put(g) }
+
 // Split derives a new, independently seeded RNG from r. The child's stream
 // is a deterministic function of r's state, so splitting is reproducible.
 func (g *RNG) Split() *RNG {

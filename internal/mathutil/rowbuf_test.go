@@ -1,7 +1,9 @@
 package mathutil
 
 import (
+	"math"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 )
 
@@ -118,6 +120,71 @@ func TestPermIntoMatchesRandPerm(t *testing.T) {
 	r.Perm(385)
 	if a, b := g.Int63(), r.Int63(); a != b {
 		t.Errorf("next draw after PermInto = %d, after rand.Perm = %d", a, b)
+	}
+}
+
+// drawMix takes a fixed mix of every draw kind from g.
+func drawMix(g *RNG, n int) []float64 {
+	out := make([]float64, 0, 8*n)
+	perm := make([]int, 7)
+	for i := 0; i < n; i++ {
+		g.PermInto(perm)
+		out = append(out, g.Float64(), g.NormFloat64(), g.Exponential(1), g.Laplace(2),
+			float64(g.Intn(1+i)), float64(g.Int63()), float64(perm[i%7]))
+	}
+	return out
+}
+
+// A pooled generator is reseeded whole: after any amount of use by an
+// earlier holder it yields exactly NewRNG(seed)'s stream.
+func TestGetRNGMatchesNewRNG(t *testing.T) {
+	for seed := int64(-5); seed < 300; seed++ {
+		g := GetRNG(seed)
+		got, want := drawMix(g, 40), drawMix(NewRNG(seed), 40)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("seed %d: pooled draw %d = %v, fresh NewRNG gives %v", seed, i, got[i], want[i])
+			}
+		}
+		drawMix(g, int(seed&15)) // leave it dirty for the next holder
+		g.Release()
+	}
+}
+
+// Reseeding a pooled generator allocates nothing; a fresh one costs its
+// 607-word source state.
+func TestGetRNGAllocations(t *testing.T) {
+	skipUnderRace(t)
+	GetRNG(1).Release()
+	if allocs := testing.AllocsPerRun(100, func() { GetRNG(7).Release() }); allocs != 0 {
+		t.Errorf("GetRNG + Release allocates %.0f times, want 0", allocs)
+	}
+}
+
+// skipUnderRace skips a guard that counts on sync.Pool keeping what is Put;
+// under the race detector it drops a quarter of it on purpose.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("sync.Pool is deliberately lossy under the race detector")
+			}
+		}
+	}
+}
+
+func BenchmarkNewRNG(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		NewRNG(int64(i))
+	}
+}
+
+func BenchmarkGetRNG(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		GetRNG(int64(i)).Release()
 	}
 }
 
