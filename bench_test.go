@@ -26,14 +26,12 @@ var benchCtx = context.Background()
 // BenchmarkSandboxOverhead, mirroring the re-exec pattern used by the
 // sandbox package's own tests.
 func TestMain(m *testing.M) {
-	if os.Getenv("GUPT_BENCH_APP") == "kmeans" {
+	if os.Getenv("GUPT_BENCH_APP") == "logreg" {
 		iters, err := strconv.Atoi(os.Getenv("GUPT_APP_ITERS"))
 		if err != nil || iters <= 0 {
 			iters = 10
 		}
-		err = sandbox.ServeApp(os.Stdin, os.Stdout, func(block []mathutil.Vec) (mathutil.Vec, error) {
-			return KMeans{K: 4, FeatureDims: 10, Iters: iters, Seed: 42}.Run(block)
-		})
+		err = sandbox.ServeApp(os.Stdin, os.Stdout, experiments.OverheadLogReg(iters).Run)
 		if err != nil {
 			os.Exit(1)
 		}
@@ -89,7 +87,8 @@ func BenchmarkFig5PINQComparison(b *testing.B) {
 }
 
 // BenchmarkFig6Scalability regenerates Figure 6: wall-clock time of
-// non-private vs GUPT-helper vs GUPT-loose k-means as iterations grow.
+// non-private vs GUPT-helper vs GUPT-loose logistic regression as its
+// gradient passes grow.
 func BenchmarkFig6Scalability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.Fig6(benchConfig())
@@ -162,7 +161,7 @@ func BenchmarkSandboxOverhead(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.SandboxOverhead(benchConfig(), exe, nil, []string{"GUPT_BENCH_APP=kmeans"})
+		r, err := experiments.SandboxOverhead(benchConfig(), exe, nil, []string{"GUPT_BENCH_APP=logreg"})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -33,7 +33,7 @@ func main() {
 		k       = flag.Int("k", 2, "cluster count for -program kmeans")
 		dims    = flag.Int("dims", 1, "feature dimensions for kmeans/logreg")
 		label   = flag.Int("label", 0, "label column for -program logreg")
-		iters   = flag.Int("iters", 20, "iterations for kmeans/logreg")
+		iters   = flag.Int("iters", 20, "logreg: gradient passes; kmeans: at most N Lloyd iterations")
 		rate    = flag.Float64("rate", 0.1, "learning rate for -program logreg")
 		seed    = flag.Int64("seed", 1, "seed for -program kmeans")
 	)

@@ -99,8 +99,7 @@ func runOverhead(cfg experiments.Config) (tabler, error) {
 		return nil, fmt.Errorf("building gupt-app: %w", err)
 	}
 	appArgs := []string{
-		"-program", "kmeans", "-k", "4", "-dims", "10", "-iters", "{iters}",
-		"-seed", fmt.Sprint(cfg.Seed),
+		"-program", "logreg", "-dims", "10", "-label", "10", "-rate", "0.5", "-iters", "{iters}",
 	}
 	return experiments.SandboxOverhead(cfg, appPath, appArgs, nil)
 }

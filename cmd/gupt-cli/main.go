@@ -89,7 +89,7 @@ func main() {
 		k          = flag.Int("k", 2, "clusters for -program kmeans")
 		dims       = flag.Int("dims", 1, "feature dims for kmeans/logreg/linreg/naivebayes")
 		labelCol   = flag.Int("label", 0, "label/target column for logreg/linreg/naivebayes")
-		iters      = flag.Int("iters", 20, "iterations for kmeans/logreg")
+		iters      = flag.Int("iters", 20, "logreg: gradient passes; kmeans: at most N Lloyd iterations")
 		mode       = flag.String("mode", "tight", "range mode: tight | loose | helper")
 		epsilon    = flag.Float64("epsilon", 0, "privacy budget for this query")
 		accuracy   = flag.Float64("accuracy", 0, "accuracy goal rho in (0,1); replaces -epsilon")

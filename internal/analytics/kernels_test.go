@@ -45,61 +45,143 @@ func kernelBlock(rng *mathutil.RNG, n, cols int, poison bool) []mathutil.Vec {
 	return block
 }
 
+// mixtureBlock is an n-row block of cols columns drawn from four
+// well-separated unit Gaussians: the clustered data on which k-means reaches
+// its fixed point within a few iterations.
+func mixtureBlock(rng *mathutil.RNG, n, cols int) []mathutil.Vec {
+	block := make([]mathutil.Vec, n)
+	for i := range block {
+		row := make(mathutil.Vec, cols)
+		center := float64(rng.Intn(4)) * 8
+		for j := range row {
+			row[j] = center + rng.NormFloat64()
+		}
+		block[i] = row
+	}
+	return block
+}
+
+// fewDistinctBlock is an n-row block of copies of one to three distinct
+// rows, and the number of distinct rows it holds. With K above that count
+// some cluster is empty in every Lloyd iteration, so k-means reseeds in
+// iterations where the occupied centers may not move at all.
+func fewDistinctBlock(rng *mathutil.RNG, n, cols int) ([]mathutil.Vec, int) {
+	distinct := make([]mathutil.Vec, 1+rng.Intn(3))
+	for i := range distinct {
+		distinct[i] = make(mathutil.Vec, cols)
+		for j := range distinct[i] {
+			distinct[i][j] = float64(i) + float64(rng.Intn(3))/4
+		}
+	}
+	block := make([]mathutil.Vec, n)
+	used := map[int]bool{}
+	for i := range block {
+		d := rng.Intn(len(distinct))
+		block[i] = distinct[d].Clone()
+		used[d] = true
+	}
+	return block, len(used)
+}
+
 // The flat kernels must release exactly what the plain loops they replaced
 // release (reference_test.go), bit for bit, across seeds, block sizes around
-// the two-row and four-center strides, every K up to 9, feature widths
-// narrower than the row, both penalties, and blocks holding NaN and ±Inf —
-// and must leave the block as they found it.
+// the two-row and four-center strides, every K up to 9, up to 25 iterations,
+// feature widths narrower than the row, both penalties, and blocks holding
+// NaN and ±Inf — and must leave the block as they found it. The reference
+// runs every iteration; k-means stops at its fixed point, so the clustered
+// family must see most of its runs stop early, and the few-distinct family,
+// whose empty clusters reseed every iteration, must see none stop early.
 func TestKernelsMatchReference(t *testing.T) {
-	seeds := 200
+	const (
+		unclustered = iota
+		mixture
+		fewDistinct
+	)
+	familyName := [...]string{"unclustered", "mixture", "few-distinct"}
+	// The unclustered family, the only one with non-finite cells, runs the
+	// full seed count; the other two only aim at the fixed-point exit.
+	seeds := [...]int64{unclustered: 200, mixture: 40, fewDistinct: 40}
 	if testing.Short() {
-		seeds = 20
+		seeds = [...]int64{unclustered: 20, mixture: 10, fewDistinct: 10}
 	}
-	var poisoned, ran int
-	for seed := int64(0); seed < int64(seeds); seed++ {
-		rng := mathutil.NewRNG(seed)
-		for _, n := range []int{1, 2, 3, 5, 385, 386} {
-			f := 1 + int(seed)%4
-			poison := seed%3 == 0
-			block := kernelBlock(rng, n, f+1+int(seed)%2, poison)
-			before := mathutil.CloneRows(block)
-			check := func(name string, got, want mathutil.Vec, gerr, werr error) {
-				t.Helper()
-				if (gerr == nil) != (werr == nil) {
-					t.Fatalf("seed %d n=%d %s: error %v, reference %v", seed, n, name, gerr, werr)
+	var poisoned, ran, mixtureRuns, mixtureEarly, reseedingRuns int
+	for family := unclustered; family <= fewDistinct; family++ {
+		for seed := int64(0); seed < seeds[family]; seed++ {
+			rng := mathutil.NewRNG(seed)
+			for _, n := range []int{1, 2, 3, 5, 385, 386} {
+				f := 1 + int(seed)%4
+				cols := f + 1 + int(seed)%2
+				poison := family == unclustered && seed%3 == 0
+				var block []mathutil.Vec
+				distinct := n
+				switch family {
+				case unclustered:
+					block = kernelBlock(rng, n, cols, poison)
+				case mixture:
+					block = mixtureBlock(rng, n, cols)
+				case fewDistinct:
+					block, distinct = fewDistinctBlock(rng, n, cols)
 				}
-				if !sameBits(got, want) {
-					t.Fatalf("seed %d n=%d %s:\n kernel    %v\n reference %v", seed, n, name, got, want)
+				before := mathutil.CloneRows(block)
+				check := func(name string, got, want mathutil.Vec, gerr, werr error) {
+					t.Helper()
+					if (gerr == nil) != (werr == nil) {
+						t.Fatalf("seed %d n=%d %s %s: error %v, reference %v", seed, n, familyName[family], name, gerr, werr)
+					}
+					if !sameBits(got, want) {
+						t.Fatalf("seed %d n=%d %s %s:\n kernel    %v\n reference %v", seed, n, familyName[family], name, got, want)
+					}
+					for i, r := range block {
+						for j := range r {
+							if math.Float64bits(r[j]) != math.Float64bits(before[i][j]) {
+								t.Fatalf("seed %d n=%d %s %s: row %d = %v after the run, was %v",
+									seed, n, familyName[family], name, i, r, before[i])
+							}
+						}
+					}
+					ran++
+					if poison {
+						poisoned++
+					}
 				}
-				for i, r := range block {
-					for j := range r {
-						if math.Float64bits(r[j]) != math.Float64bits(before[i][j]) {
-							t.Fatalf("seed %d n=%d %s: row %d = %v after the run, was %v", seed, n, name, i, r, before[i])
+				for k := 1; k <= 9; k++ {
+					km := KMeans{K: k, FeatureDims: f, Iters: 1 + rng.Intn(25), Seed: seed*31 + int64(k)}
+					got, executed, gerr := km.run(block)
+					want, werr := referenceKMeans(km, block)
+					check(km.Name(), got, want, gerr, werr)
+					switch {
+					case family == mixture && n > 5:
+						mixtureRuns++
+						if executed < km.Iters {
+							mixtureEarly++
+						}
+					case family == fewDistinct && k > distinct:
+						reseedingRuns++
+						if executed != km.Iters {
+							t.Fatalf("seed %d n=%d %s over %d distinct rows stopped after %d iterations; every one reseeds",
+								seed, n, km.Name(), distinct, executed)
 						}
 					}
 				}
-				ran++
-				if poison {
-					poisoned++
+				lr := LogisticRegression{FeatureDims: f, LabelCol: cols - 1, Iters: 1 + int(seed)%7,
+					LearnRate: 0.3, L2: 0.01}
+				if seed%3 != 1 {
+					lr.L1 = 0.005
 				}
+				got, gerr := lr.Run(block)
+				want, werr := referenceLogReg(lr, block)
+				check(lr.Name(), got, want, gerr, werr)
 			}
-			for k := 1; k <= 9; k++ {
-				km := KMeans{K: k, FeatureDims: f, Iters: 1 + int(seed)%5, Seed: seed*31 + int64(k)}
-				got, gerr := km.Run(block)
-				want, werr := referenceKMeans(km, block)
-				check(km.Name(), got, want, gerr, werr)
-			}
-			lr := LogisticRegression{FeatureDims: f, LabelCol: len(block[0]) - 1, Iters: 1 + int(seed)%7,
-				LearnRate: 0.3, L2: 0.01}
-			if seed%3 != 1 {
-				lr.L1 = 0.005
-			}
-			got, gerr := lr.Run(block)
-			want, werr := referenceLogReg(lr, block)
-			check(lr.Name(), got, want, gerr, werr)
 		}
 	}
-	t.Logf("%d runs matched, %d of them over blocks with non-finite cells", ran, poisoned)
+	t.Logf("%d runs matched, %d of them over blocks with non-finite cells; %d of %d clustered k-means runs stopped early; %d reseeding runs",
+		ran, poisoned, mixtureEarly, mixtureRuns, reseedingRuns)
+	if 2*mixtureEarly <= mixtureRuns {
+		t.Errorf("only %d of %d k-means runs on clustered blocks stopped before Iters", mixtureEarly, mixtureRuns)
+	}
+	if reseedingRuns == 0 {
+		t.Error("no k-means run had more clusters than distinct rows")
+	}
 }
 
 // skipUnderRace skips a guard that counts on sync.Pool keeping what is Put;

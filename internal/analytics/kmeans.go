@@ -8,8 +8,12 @@ import (
 	"gupt/internal/mathutil"
 )
 
-// KMeans is Lloyd's algorithm with k-means++ seeding, run for a fixed
-// number of iterations on the first FeatureDims columns of each record.
+// KMeans is Lloyd's algorithm with k-means++ seeding, run for at most Iters
+// iterations on the first FeatureDims columns of each record. It stops at
+// the first iteration that leaves every center bit for bit where it was and
+// reseeds no empty cluster: every later iteration would repeat it exactly,
+// so the output is that of all Iters iterations, and the block's runtime
+// depends on how fast it converges (SECURITY.md, "Timing side channel").
 // Its output is the K cluster centers, flattened after sorting by first
 // coordinate — the canonical ordering the paper applies so that centers
 // from different blocks average meaningfully (§8, "Ordering of multiple
@@ -17,7 +21,7 @@ import (
 type KMeans struct {
 	K           int
 	FeatureDims int // number of leading columns to cluster on
-	Iters       int
+	Iters       int // at most this many Lloyd iterations
 	Seed        int64
 }
 
@@ -34,17 +38,24 @@ func (k KMeans) OutputDims() int { return k.K * k.FeatureDims }
 // The kernel keeps the K centers in one flat K·F slice and its scratch is
 // allocated once per call. Each float operation happens in the order of the
 // plain per-center loop (Vec.Dist2, nearest, AddInPlace, Scale), so the
-// released bits are that loop's (TestKernelsMatchReference). The block is
-// this run's private copy and is only read.
+// released bits are that loop's run for all Iters iterations, even when the
+// kernel stops at a fixed point first (TestKernelsMatchReference). The block
+// is this run's private copy and is only read.
 func (k KMeans) Run(block []mathutil.Vec) (mathutil.Vec, error) {
+	out, _, err := k.run(block)
+	return out, err
+}
+
+// run is Run, also returning how many Lloyd iterations it executed.
+func (k KMeans) run(block []mathutil.Vec) (mathutil.Vec, int, error) {
 	if len(block) == 0 {
-		return nil, ErrEmptyBlock
+		return nil, 0, ErrEmptyBlock
 	}
 	if k.K <= 0 || k.Iters <= 0 || k.FeatureDims <= 0 {
-		return nil, fmt.Errorf("analytics: kmeans needs positive K, Iters, FeatureDims; got %+v", k)
+		return nil, 0, fmt.Errorf("analytics: kmeans needs positive K, Iters, FeatureDims; got %+v", k)
 	}
 	if len(block[0]) < k.FeatureDims {
-		return nil, fmt.Errorf("analytics: rows have %d dims, kmeans needs %d", len(block[0]), k.FeatureDims)
+		return nil, 0, fmt.Errorf("analytics: rows have %d dims, kmeans needs %d", len(block[0]), k.FeatureDims)
 	}
 	n, f := len(block), k.FeatureDims
 	rng := mathutil.GetRNG(k.Seed)
@@ -65,7 +76,9 @@ func (k KMeans) Run(block []mathutil.Vec) (mathutil.Vec, error) {
 
 	sums := make([]float64, k.K*f)
 	counts := make([]int, k.K)
-	for iter := 0; iter < k.Iters; iter++ {
+	iters := 0
+	for moved := true; moved && iters < k.Iters; iters++ {
+		moved = false
 		// Assignment and accumulation in one pass: the centers do not move
 		// until every point is assigned, and each center's sum still adds
 		// its points in block order.
@@ -80,16 +93,26 @@ func (k KMeans) Run(block []mathutil.Vec) (mathutil.Vec, error) {
 				s[j] += x
 			}
 		}
+		// An iteration is a pure function of the centers, the block and the
+		// generator's state. One that changes none of them — no center
+		// coordinate gets new bits, no reseed draws — hands the next
+		// iteration its own inputs, so the loop ends there.
 		for c, cnt := range counts {
 			center := centers[c*f : (c+1)*f]
 			if cnt == 0 {
 				// Empty cluster: reseed to a random point so K is preserved.
+				// The draw advances the generator, so it counts as a move
+				// even when the point is where the center already was.
 				copy(center, block[rng.Intn(n)][:f])
+				moved = true
 				continue
 			}
 			inv := 1 / float64(cnt)
 			for j, s := range sums[c*f : (c+1)*f] {
-				center[j] = s * inv
+				if v := s * inv; math.Float64bits(v) != math.Float64bits(center[j]) {
+					center[j] = v
+					moved = true
+				}
 			}
 		}
 	}
@@ -103,7 +126,7 @@ func (k KMeans) Run(block []mathutil.Vec) (mathutil.Vec, error) {
 	for _, c := range sorted {
 		out = append(out, c...)
 	}
-	return out, nil
+	return out, iters, nil
 }
 
 // nearestFlat returns the index of the center in the flat slice centers

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gupt/internal/mathutil"
+	"gupt/internal/workload"
 )
 
 func rowsOf(xs ...float64) []mathutil.Vec {
@@ -220,8 +221,25 @@ func TestProgramsMatchReferenceBitsAndLeaveBlockAlone(t *testing.T) {
 
 func BenchmarkMeanBlock(b *testing.B) { benchProgram(b, Mean{Col: 0}, 385, 1) }
 
+// BenchmarkKMeansBlock is a 385×11 k-means block of unclustered Gaussian
+// rows: the slow-converging worst case, which runs most of its 20 iterations.
 func BenchmarkKMeansBlock(b *testing.B) {
 	benchProgram(b, KMeans{K: 4, FeatureDims: 10, Iters: 20, Seed: 1}, 385, 11)
+}
+
+// BenchmarkKMeansBlockClustered is served_ml's k-means block: 385 LifeSci
+// rows (four planted clusters), K = 4, at most 20 iterations. It reaches its
+// fixed point in a few.
+func BenchmarkKMeansBlockClustered(b *testing.B) {
+	block := workload.LifeSci(1, 385).Rows()
+	prog := KMeans{K: workload.LifeSciClusters, FeatureDims: workload.LifeSciDims, Iters: 20, Seed: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := prog.Run(block); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkLogRegBlock is served_ml's logreg block: 385 rows, ten features

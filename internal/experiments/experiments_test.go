@@ -32,14 +32,12 @@ func TestMain(m *testing.M) {
 		}
 		os.Exit(0)
 	}
-	if os.Getenv("GUPT_EXP_APP") == "kmeans" {
+	if os.Getenv("GUPT_EXP_APP") == "logreg" {
 		iters, err := strconv.Atoi(os.Getenv("GUPT_APP_ITERS"))
 		if err != nil || iters <= 0 {
 			iters = 10
 		}
-		err = sandbox.ServeApp(os.Stdin, os.Stdout, func(block []mathutil.Vec) (mathutil.Vec, error) {
-			return lifeSciKMeans(iters, 42).Run(block)
-		})
+		err = sandbox.ServeApp(os.Stdin, os.Stdout, OverheadLogReg(iters).Run)
 		if err != nil {
 			os.Exit(1)
 		}
@@ -273,7 +271,7 @@ func TestSandboxOverheadRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := SandboxOverhead(quick, exe, nil, []string{"GUPT_EXP_APP=kmeans"})
+	r, err := SandboxOverhead(quick, exe, nil, []string{"GUPT_EXP_APP=logreg"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ type Fig4Result struct {
 	BaselineICV float64 // raw (unnormalized) non-private ICV
 }
 
-// lifeSciKMeans is the black box of Figs. 4–6.
+// lifeSciKMeans is the black box of Figs. 4 and 5.
 func lifeSciKMeans(iters int, seed int64) analytics.KMeans {
 	return analytics.KMeans{
 		K:           workload.LifeSciClusters,

@@ -13,9 +13,9 @@ import (
 	"gupt/internal/workload"
 )
 
-// OverheadMeasurement is one row of the §6.1 reproduction: the same k-means
-// computation through in-process versus subprocess chambers at one
-// per-block workload (fixed rows, varying iteration count).
+// OverheadMeasurement is one row of the §6.1 reproduction: the same
+// logistic regression through in-process versus subprocess chambers at one
+// per-block workload (fixed rows, varying gradient-pass count).
 type OverheadMeasurement struct {
 	Iters        int
 	Runs         int
@@ -30,21 +30,32 @@ type OverheadMeasurement struct {
 // isolation, so the absolute percentage differs by construction. The claim
 // that transfers — and that the two rows demonstrate — is that isolation
 // costs a small *constant per block*, so its relative overhead shrinks as
-// the per-block computation grows.
+// the per-block computation grows. The computation grows with logistic
+// regression's gradient passes, not k-means iterations: KMeans stops at its
+// fixed point, so iterations past it add no work.
 type OverheadResult struct {
 	Light OverheadMeasurement
 	Heavy OverheadMeasurement
 }
 
-// SandboxOverhead measures chamber overhead on a k-means block at a light
-// and a heavy iteration count (same rows, so the chamber's fixed
-// per-execution costs — spawn and serialization — stay constant while the
-// computation grows). appPath, appArgs and appEnv identify an executable
-// speaking the sandbox protocol that runs the same k-means computation;
-// any "{iters}" in appArgs is substituted per measurement, and the
-// environment additionally carries GUPT_APP_ITERS (the benchmarks pass the
-// test binary re-executed in app mode, which reads that variable;
-// cmd/gupt-app takes -iters {iters}).
+// OverheadLogReg is the §6.1 block program at iters gradient passes: Fig. 3's
+// logistic regression without the L2 penalty, which is what `gupt-app
+// -program logreg -dims 10 -label 10 -rate 0.5 -iters N` runs.
+func OverheadLogReg(iters int) analytics.LogisticRegression {
+	lr := lifeSciLogReg(iters)
+	lr.L2 = 0
+	return lr
+}
+
+// SandboxOverhead measures chamber overhead on a logistic-regression block
+// at a light and a heavy gradient-pass count (same rows, so the chamber's
+// fixed per-execution costs — spawn and serialization — stay constant while
+// the computation grows). appPath, appArgs and appEnv identify an executable
+// speaking the sandbox protocol that runs OverheadLogReg; any "{iters}" in
+// appArgs is substituted per measurement, and the environment additionally
+// carries GUPT_APP_ITERS (the benchmarks pass the test binary re-executed
+// in app mode, which reads that variable; cmd/gupt-app takes -iters
+// {iters}).
 func SandboxOverhead(cfg Config, appPath string, appArgs, appEnv []string) (*OverheadResult, error) {
 	res := &OverheadResult{}
 	runs := cfg.scale(25, 4)
@@ -62,8 +73,8 @@ func SandboxOverhead(cfg Config, appPath string, appArgs, appEnv []string) (*Ove
 }
 
 func measureOverhead(cfg Config, iters, runs int, appPath string, appArgs, appEnv []string) (OverheadMeasurement, error) {
-	features := lifeSciFeatureRows(workload.LifeSci(cfg.Seed, cfg.scale(2000, 400)).Rows())
-	prog := analytics.KMeans{K: workload.LifeSciClusters, FeatureDims: workload.LifeSciDims, Iters: iters, Seed: cfg.Seed}
+	rows := workload.LifeSci(cfg.Seed, cfg.scale(2000, 400)).Rows()
+	prog := OverheadLogReg(iters)
 	m := OverheadMeasurement{Iters: iters, Runs: runs}
 
 	args := make([]string, len(appArgs))
@@ -76,7 +87,7 @@ func measureOverhead(cfg Config, iters, runs int, appPath string, appArgs, appEn
 	inproc := &sandbox.InProcess{Program: prog}
 	start := time.Now()
 	for i := 0; i < runs; i++ {
-		if _, err := inproc.Execute(ctx, features); err != nil {
+		if _, err := inproc.Execute(ctx, rows); err != nil {
 			return m, fmt.Errorf("overhead: in-process run %d: %w", i, err)
 		}
 	}
@@ -85,7 +96,7 @@ func measureOverhead(cfg Config, iters, runs int, appPath string, appArgs, appEn
 	subproc := &sandbox.Subprocess{Path: appPath, Args: args, ExtraEnv: env}
 	start = time.Now()
 	for i := 0; i < runs; i++ {
-		out, err := subproc.Execute(ctx, features)
+		out, err := subproc.Execute(ctx, rows)
 		if err != nil {
 			return m, fmt.Errorf("overhead: subprocess run %d: %w", i, err)
 		}
@@ -101,7 +112,7 @@ func measureOverhead(cfg Config, iters, runs int, appPath string, appArgs, appEn
 
 // Table renders the measurement.
 func (r *OverheadResult) Table() string {
-	t := newTable("kmeans iters", "runs", "in-process/run", "subprocess/run", "overhead")
+	t := newTable("logreg passes", "runs", "in-process/run", "subprocess/run", "overhead")
 	for _, m := range []OverheadMeasurement{r.Light, r.Heavy} {
 		t.addRow(fmt.Sprintf("%d", m.Iters), fmt.Sprintf("%d", m.Runs),
 			(m.InProcess / time.Duration(m.Runs)).Round(time.Microsecond).String(),
