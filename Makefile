@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check fuzz bench bench-smoke alloc-guards repro fanout-race ledger-kill audit-kill prom-lint
+.PHONY: all build test race vet bench-vet check fuzz bench bench-smoke alloc-guards repro fanout-race ledger-kill audit-kill prom-lint
 
 all: check
 
@@ -15,6 +15,13 @@ vet:
 
 race:
 	$(GO) test -race ./...
+
+# bench-vet type-checks the benchmark harness, a module of its own
+# (bench/go.mod) that the root ./... patterns skip, against the names it
+# imports from this one, so renaming or removing one of them fails here
+# and not only in CI's bench step (which also runs its tests).
+bench-vet:
+	cd bench && $(GO) vet ./...
 
 # ledger-kill runs the SIGKILL recovery matrix for the durable privacy
 # ledger: child processes are killed at every fsync/rename boundary and at
@@ -60,12 +67,12 @@ repro:
 		cmp "$$dir/$$f.csv" results/$$f.csv || exit 1; \
 	done && echo "repro: fig3/4/5/7/8/9.csv byte-identical to results/"
 
-# check is the pre-merge gate: static analysis plus the full suite under
-# the race detector, plus dedicated passes of both kill matrices and the
-# fan-out concurrency tests, plus the allocation guards, the Prometheus
-# exposition lint, one iteration of every micro-benchmark and the figure
-# reproduction.
-check: vet race fanout-race ledger-kill audit-kill alloc-guards prom-lint bench-smoke repro
+# check is the pre-merge gate: static analysis of both modules plus the
+# full suite under the race detector, plus dedicated passes of both kill
+# matrices and the fan-out concurrency tests, plus the allocation guards,
+# the Prometheus exposition lint, one iteration of every micro-benchmark
+# and the figure reproduction.
+check: vet bench-vet race fanout-race ledger-kill audit-kill alloc-guards prom-lint bench-smoke repro
 
 # fuzz runs each fuzz target briefly; lengthen FUZZTIME for soak runs.
 FUZZTIME ?= 10s

@@ -17,9 +17,9 @@ import (
 // newAdminHandler assembles guptd's admin endpoint: the shared telemetry
 // registry at /metrics (JSON or Prometheus text by content negotiation),
 // per-dataset budget state at /datasets, the durable ledger's status at
-// /ledger (per-tenant spend slices via ?tenant=), completed query traces at
-// /traces, the live query table at /queries, the ε burn-down plane at
-// /budget, the flight recorder's recent query timelines at /flight, tenant
+// /ledger (per-tenant spend slices via ?tenant=), the server's flight
+// recorder at /queries (open queries), /flight (recent query timelines)
+// and /traces (their traces), the ε burn-down plane at /budget, tenant
 // administration at /tenants (tenancy mode only), /healthz, and
 // /debug/pprof/. A non-empty token gates everything but /healthz. The
 // endpoint is operator-facing — bind it to loopback or an ops network,
@@ -41,12 +41,10 @@ func newAdminConfig(tel *telemetry.Registry, reg *dataset.Registry, led *ledger.
 		Token:    token,
 	}
 	if srv != nil {
-		cfg.Traces = srv.Traces
-		cfg.Queries = srv.LiveQueries
+		cfg.Recorder = srv.Recorder()
 		cfg.Cache = func() telemetry.CacheStatus { return cacheStatus(srv.CacheStats()) }
 		cfg.Workers = srv.WorkerStats
 		cfg.Budget = srv.BudgetRows
-		cfg.Flight = srv.Flights
 	}
 	if tenants != nil {
 		cfg.Extra = tenantHandlers(tenants)

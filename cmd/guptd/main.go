@@ -52,8 +52,6 @@ func main() {
 		adminAddr    = flag.String("admin-addr", "", "operator admin HTTP endpoint (/metrics, /healthz, /datasets, /debug/pprof); empty disables")
 		traceLog     = flag.Bool("unsafe-trace-log", false, "log per-query lifecycle traces with raw stage durations; UNSAFE where analysts can read logs (see SECURITY.md)")
 		traceSlower  = flag.Duration("trace-threshold", 0, "with -unsafe-trace-log, only log queries at least this slow (0 logs all)")
-		traceBufSize = flag.Int("trace-buffer", 0, "completed-trace ring capacity served at /traces (0 = default 256)")
-		flightSize   = flag.Int("flight-records", 0, "flight-recorder ring capacity served at /flight and rendered by 'gupt-cli top' (0 = default 128)")
 		auditDir     = flag.String("audit-dir", "", "tamper-evident audit log directory (hash-chained query records, verifiable with 'gupt-cli audit verify'); empty disables")
 		auditMax     = flag.Int64("audit-max-bytes", 0, "rotate audit segments at this size (0 = default 4MiB)")
 		auditFsync   = flag.Bool("audit-fsync", false, "fsync the audit log after every record (durability over throughput)")
@@ -183,24 +181,22 @@ func main() {
 	}
 
 	cfg := compman.ServerConfig{
-		DefaultQuantum:     *quantum,
-		ScratchRoot:        *scratch,
-		WorkerAddrs:        workerAddrs,
-		IdleTimeout:        *idle,
-		BlockTimeout:       *blockTimeout,
-		QueryTimeout:       *queryTimeout,
-		MaxQueryRetries:    *retries,
-		MaxFailFrac:        *maxFailFrac,
-		Logger:             log.Default(),
-		Telemetry:          tel,
-		Audit:              alog,
-		TraceBufferSize:    *traceBufSize,
-		FlightRecorderSize: *flightSize,
-		CacheEntries:       *cacheEntries,
-		CacheTTL:           *cacheTTL,
-		Tenants:            tenants,
-		WorkerConns:        *workerConns,
-		StragglerAfter:     *straggler,
+		DefaultQuantum:  *quantum,
+		ScratchRoot:     *scratch,
+		WorkerAddrs:     workerAddrs,
+		IdleTimeout:     *idle,
+		BlockTimeout:    *blockTimeout,
+		QueryTimeout:    *queryTimeout,
+		MaxQueryRetries: *retries,
+		MaxFailFrac:     *maxFailFrac,
+		Logger:          log.Default(),
+		Telemetry:       tel,
+		Audit:           alog,
+		CacheEntries:    *cacheEntries,
+		CacheTTL:        *cacheTTL,
+		Tenants:         tenants,
+		WorkerConns:     *workerConns,
+		StragglerAfter:  *straggler,
 		Sched: compman.SchedConfig{
 			MaxConcurrent: *maxConc,
 			MaxQueue:      *maxQueue,

@@ -12,6 +12,7 @@ import (
 	"gupt/internal/faultinject"
 	"gupt/internal/mathutil"
 	"gupt/internal/sandbox"
+	"gupt/internal/telemetry/audit"
 )
 
 // chamberFunc adapts a function to sandbox.Chamber for test wrappers.
@@ -300,6 +301,73 @@ func TestSessionPartialFailureKeepsFullCharge(t *testing.T) {
 	}
 	if math.Abs(rem-(10-total)) > 1e-9 {
 		t.Errorf("remaining budget %v, want %v (whole session charged atomically)", rem, 10-total)
+	}
+}
+
+// A session whose members substitute blocks is degraded everywhere it is
+// recorded: the audit outcome, the stats op and /metrics agree, and
+// BlocksSubstituted counts every member's substitutions.
+func TestChaosSessionStatsAgreeWithAudit(t *testing.T) {
+	sched := &faultinject.Schedule{
+		Seed: 13,
+		Rates: map[faultinject.Kind]float64{
+			faultinject.CrashBefore: 0.15,
+			faultinject.Garbage:     0.10,
+		},
+	}
+	dir := t.TempDir()
+	alog, err := audit.Open(dir, audit.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer alog.Close()
+	c, srv := startServerCfg(t, 10, ServerConfig{ChamberWrapper: faultWrapper(sched), Audit: alog})
+
+	member := func(seed int64) SessionQuery {
+		return SessionQuery{
+			Program:      ProgramSpec{Type: "mean", Col: 0},
+			OutputRanges: []RangeSpec{{Lo: 0, Hi: 150}},
+			BlockSize:    250,
+			Seed:         seed,
+		}
+	}
+	results, err := c.Session("census", &SessionSpec{TotalEpsilon: 1, Queries: []SessionQuery{member(1), member(2)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	substituted := 0
+	for i, r := range results {
+		if r.Error != "" {
+			t.Fatalf("member %d failed: %s", i, r.Error)
+		}
+		substituted += r.FailedBlocks
+	}
+	if substituted == 0 {
+		t.Fatal("fault schedule injected nothing — vacuous chaos test")
+	}
+
+	var outcomes []string
+	for _, rec := range readAuditRecords(t, dir) {
+		if rec.Type == audit.TypeQuery {
+			outcomes = append(outcomes, rec.Outcome)
+		}
+	}
+	if len(outcomes) != 1 || outcomes[0] != "degraded" {
+		t.Fatalf("audit outcomes = %v, want [degraded]", outcomes)
+	}
+	stats, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.QueriesOK != 1 || stats.QueriesDegraded != 1 {
+		t.Errorf("QueriesOK = %d, QueriesDegraded = %d; the audit says one degraded session",
+			stats.QueriesOK, stats.QueriesDegraded)
+	}
+	if stats.BlocksSubstituted != int64(substituted) {
+		t.Errorf("BlocksSubstituted = %d, members substituted %d", stats.BlocksSubstituted, substituted)
+	}
+	if got := srv.Telemetry().Counter("compman.queries_degraded").Value(); got != 1 {
+		t.Errorf("compman.queries_degraded = %d, want 1", got)
 	}
 }
 

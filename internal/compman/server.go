@@ -86,13 +86,6 @@ type ServerConfig struct {
 	// unsafe_raw records, so the side-channel exposure is itself on the
 	// audit record. Nil disables auditing.
 	Audit *audit.Log
-	// TraceBufferSize caps the /traces ring buffer of completed query
-	// traces; zero means telemetry.DefaultTraceBufferSize.
-	TraceBufferSize int
-	// FlightRecorderSize caps the /flight ring of recent query flights
-	// (bucketed timeline + fan-out attribution + cost per query, including
-	// refused queries); zero means telemetry.DefaultFlightRecorderSize.
-	FlightRecorderSize int
 	// CacheEntries bounds the noisy-answer cache (internal/qcache): repeat
 	// queries whose fingerprint matches a previously released answer are
 	// served that same answer at zero additional ε. Zero or negative
@@ -135,9 +128,8 @@ type Server struct {
 	poolErr  error       // non-nil when WorkerAddrs were set but unreachable
 	tel      *telemetry.Registry
 	stats    *statsCollector
-	traces   *telemetry.TraceBuffer    // completed query traces, for /traces
-	inflight *telemetry.Inflight       // live query table, for /queries
-	flight   *telemetry.FlightRecorder // recent query flights, for /flight
+	flight   *telemetry.FlightRecorder // the per-query record: /queries, /flight, /traces
+	inflight *telemetry.Gauge          // compman.queries_inflight
 	plane    *telemetry.BudgetPlane    // ε burn-down rows, for /budget
 	stage    query.Stage               // shared query pipeline: budget manager, cache, run policy
 	limiter  *ratelimit.Limiter        // per-tenant admission gate; nil when tenancy off
@@ -162,9 +154,8 @@ func NewServer(reg *dataset.Registry, cfg ServerConfig) *Server {
 		cfg:      cfg,
 		tel:      tel,
 		stats:    newStatsCollector(tel),
-		traces:   telemetry.NewTraceBuffer(cfg.TraceBufferSize),
-		inflight: telemetry.NewInflight(tel.Counter("compman.queries_slow")),
-		flight:   telemetry.NewFlightRecorder(cfg.FlightRecorderSize),
+		flight:   telemetry.NewFlightRecorder(0),
+		inflight: tel.Gauge("compman.queries_inflight"),
 		plane:    telemetry.NewBudgetPlane(tel),
 		conns:    make(map[net.Conn]struct{}),
 	}
@@ -215,7 +206,7 @@ func NewServer(reg *dataset.Registry, cfg ServerConfig) *Server {
 	// query deadline — the operator's early warning for a wedged worker or
 	// chamber before (or without) the timeout abort.
 	if cfg.QueryTimeout > 0 {
-		s.inflight.StartWatchdog(cfg.QueryTimeout, time.Second)
+		s.flight.StartWatchdog(tel.Counter("compman.queries_slow"), cfg.QueryTimeout, time.Second)
 	}
 	if len(cfg.WorkerAddrs) > 0 {
 		pool, err := NewWorkerPoolConfig(PoolConfig{
@@ -244,17 +235,21 @@ func (s *Server) Registry() *dataset.Registry { return s.reg }
 // endpoint (telemetry.AdminHandler) or asserting counters in tests.
 func (s *Server) Telemetry() *telemetry.Registry { return s.tel }
 
-// Traces returns the completed-trace ring buffer's snapshots, newest
-// first — the /traces admin endpoint's data source. Durations are
-// bucketed (§6.3).
-func (s *Server) Traces() []telemetry.TraceSnapshot { return s.traces.Snapshots() }
+// Recorder exposes the server's per-query record, the one source behind
+// the /queries, /flight and /traces admin endpoints
+// (telemetry.AdminConfig.Recorder).
+func (s *Server) Recorder() *telemetry.FlightRecorder { return s.flight }
 
-// LiveQueries returns the in-flight query table (stage + elapsed bucket),
-// the /queries admin endpoint's data source.
-func (s *Server) LiveQueries() []telemetry.InflightSnapshot { return s.inflight.Snapshots() }
+// Traces returns the trace of each recorded flight, newest first — what
+// /traces serves. Durations are bucketed (§6.3).
+func (s *Server) Traces() []telemetry.TraceSnapshot { return s.flight.Traces() }
 
-// Flights returns the query flight recorder's ring, newest first — the
-// /flight admin endpoint's data source. Every timing inside is bucketed.
+// LiveQueries returns the recorder's open traces (stage + elapsed bucket),
+// oldest first — what /queries serves.
+func (s *Server) LiveQueries() []telemetry.InflightSnapshot { return s.flight.Live() }
+
+// Flights returns the recorder's ring, newest first — what /flight serves.
+// Every timing inside is bucketed.
 func (s *Server) Flights() []telemetry.FlightRecord { return s.flight.Snapshots() }
 
 // BudgetRows returns the ε burn-down plane's rows (remaining budget, EWMA
@@ -351,7 +346,7 @@ func (s *Server) Close() error {
 	if s.pool != nil {
 		s.pool.Close()
 	}
-	s.inflight.Stop()
+	s.flight.Stop()
 	return err
 }
 
@@ -492,8 +487,8 @@ func (s *Server) admit(tenantID string) (release func(), retryAfter time.Duratio
 // rateLimited builds the zero-ε rejection for a rate-limit refusal and
 // audits it (with the reason and retry hint): rejections are part of the
 // query record even though no budget moved, so a flood shows up in the
-// books. The refusal gets a span, a ring entry and a flight record too —
-// refused queries are observable queries.
+// books. The refusal gets a span and a flight record too — refused queries
+// are observable queries.
 func (s *Server) rateLimited(tenantID, datasetName string, retryAfter time.Duration, tr *telemetry.Trace) Response {
 	resp := Response{
 		Error:            "rate limited: tenant " + tenantID + " over its admission policy",
@@ -506,10 +501,10 @@ func (s *Server) rateLimited(tenantID, datasetName string, retryAfter time.Durat
 	return resp
 }
 
-// recordRefusedTrace publishes a refused query's trace to the ring and the
-// flight recorder, so a refusal is as observable as a served query.
+// recordRefusedTrace publishes a refused query's trace to the flight
+// recorder (/flight and /traces), so a refusal is as observable as a served
+// query.
 func (s *Server) recordRefusedTrace(tr *telemetry.Trace, outcome, reason string, retryAfterMillis int64) {
-	s.traces.Add(tr, outcome)
 	s.flight.Record(tr, outcome, telemetry.FlightExtra{
 		Reason:           reason,
 		RetryAfterMillis: retryAfterMillis,
@@ -527,7 +522,7 @@ func (s *Server) recordRefusedTrace(tr *telemetry.Trace, outcome, reason string,
 // tr gets the scheduler's self-observation spans: a
 // sched.queue span covering the time spent in the admission queue and a
 // sched.decision span whose status carries the verdict. Refusals publish
-// the trace to the ring and flight recorder before returning.
+// the trace to the flight recorder before returning.
 func (s *Server) schedule(ctx context.Context, tenantID string, req *Request, tr *telemetry.Trace) (release func(), deadline time.Time, refusal *Response) {
 	if req.DeadlineMillis > 0 {
 		deadline = time.Now().Add(time.Duration(req.DeadlineMillis) * time.Millisecond)
@@ -636,9 +631,9 @@ func (s *Server) dispatchAs(tenantID string, req *Request) Response {
 		// over the WorkSpec and comes back to the analyst on the response.
 		// The trace starts BEFORE admission so refused queries get traces
 		// too — a refusal's trace carries its sched.queue/sched.decision
-		// spans and lands in the ring and the flight recorder. Sessions go
-		// through the same front door: one trace for the batch, the engine
-		// spans repeating per member.
+		// spans and lands in the flight recorder. Sessions go through the
+		// same front door: one trace for the batch, the engine spans
+		// repeating per member.
 		tr := telemetry.NewTrace(s.tel, telemetry.NewTraceID(), req.Dataset)
 		tr.Tenant = tenantID
 		releaseSlot, retryAfter, ok := s.admit(tenantID)
@@ -652,31 +647,18 @@ func (s *Server) dispatchAs(tenantID string, req *Request) Response {
 		}
 		defer schedRelease()
 		start := time.Now()
-		inflight := s.tel.Gauge("compman.queries_inflight")
-		inflight.Inc()
-		live := s.inflight.BeginTenant(tr.ID, req.Dataset, tenantID)
-		tr.OnStage = live.SetStage
+		s.inflight.Inc()
+		s.flight.Begin(tr)
 		var resp Response
 		if req.Op == OpSession {
 			resp = s.handleSession(req, tenantID, tr, deadline)
 		} else {
 			resp = s.handleQuery(req, tenantID, tr, deadline)
 		}
-		live.End()
-		inflight.Dec()
+		s.inflight.Dec()
 		resp.TraceID = tr.ID
 		outcome := queryOutcome(&resp)
-		if resp.OK {
-			s.stats.recordOK(time.Since(start))
-			if resp.FailedBlocks > 0 {
-				s.stats.recordDegraded(resp.FailedBlocks)
-			}
-		} else {
-			s.stats.recordFailure(
-				strings.Contains(resp.Error, dp.ErrBudgetExhausted.Error()),
-				resp.EpsilonCharged > 0)
-		}
-		s.traces.Add(tr, outcome)
+		s.stats.record(outcome, &resp, time.Since(start))
 		s.flight.Record(tr, outcome, telemetry.FlightExtra{
 			EpsilonCharged: resp.EpsilonCharged,
 			Blocks:         resp.NumBlocks,

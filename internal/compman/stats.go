@@ -24,12 +24,14 @@ type ServerStats struct {
 	// charge settled: their ε is consumed (the §6.2 privacy-budget-attack
 	// defense). Every aborted query is also counted in QueriesFailed.
 	QueriesAborted int64
-	// QueriesDegraded counts successful queries in which at least one
-	// block was substituted — answers released at reduced fidelity.
+	// QueriesDegraded counts successful queries whose outcome was degraded
+	// — answers released at reduced fidelity: a query with at least one
+	// substituted block, or a session in which at least one member
+	// substituted blocks or failed.
 	QueriesDegraded int64
 	// BlocksSubstituted accumulates substituted block executions across
-	// all successful queries; the engine replaced these with the
-	// data-independent range midpoint.
+	// all degraded queries, session members included; the engine replaced
+	// these with the data-independent range midpoint.
 	BlocksSubstituted int64
 	// QueryRetries counts engine re-runs after a post-charge failure
 	// (bounded by ServerConfig.MaxQueryRetries). Retries never re-charge.
@@ -81,29 +83,32 @@ func newStatsCollector(tel *telemetry.Registry) *statsCollector {
 	}
 }
 
-func (c *statsCollector) recordOK(d time.Duration) {
-	c.queriesOK.Inc()
-	c.totalQueryMillis.Add(d.Milliseconds())
-	c.latency.Observe(d)
-}
-
-// recordFailure tallies a refused query; budget refusals and post-charge
-// aborts get their own counters on top of the general one.
-func (c *statsCollector) recordFailure(budget, charged bool) {
-	if budget {
+// record tallies one settled query or session under the outcome
+// queryOutcome gave it — the same classification the trace, the flight
+// record and the audit log carry, so the counters cannot disagree with
+// them. d is the query's service time.
+func (c *statsCollector) record(outcome string, resp *Response, d time.Duration) {
+	switch outcome {
+	case "ok", "cache_hit", "degraded":
+		c.queriesOK.Inc()
+		c.totalQueryMillis.Add(d.Milliseconds())
+		c.latency.Observe(d)
+		if outcome == "degraded" {
+			c.queriesDegraded.Inc()
+			substituted := resp.FailedBlocks
+			for _, m := range resp.Session {
+				substituted += m.FailedBlocks
+			}
+			c.blocksSubstituted.Add(int64(substituted))
+		}
+	case "budget_refused":
 		c.budgetRefusals.Inc()
-		return
-	}
-	c.queriesFailed.Inc()
-	if charged {
+	case "aborted":
+		c.queriesFailed.Inc()
 		c.queriesAborted.Inc()
+	default:
+		c.queriesFailed.Inc()
 	}
-}
-
-// recordDegraded tallies a successful query that substituted blocks.
-func (c *statsCollector) recordDegraded(blocks int) {
-	c.queriesDegraded.Inc()
-	c.blocksSubstituted.Add(int64(blocks))
 }
 
 func (c *statsCollector) recordRetry() {

@@ -3,6 +3,7 @@ package compman
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"log"
 	"os"
@@ -10,8 +11,11 @@ import (
 	"regexp"
 	"sync"
 	"testing"
+	"time"
 
 	"gupt/internal/dp"
+	"gupt/internal/mathutil"
+	"gupt/internal/sandbox"
 	"gupt/internal/telemetry"
 	"gupt/internal/telemetry/audit"
 )
@@ -192,9 +196,86 @@ func TestQueryTraceCrossProcess(t *testing.T) {
 		t.Errorf("trace log %q does not reference the trace id", got)
 	}
 
-	// The inflight table must be empty once the query settled.
+	// The live view must be empty once the query settled.
 	if live := srv.LiveQueries(); len(live) != 0 {
 		t.Errorf("LiveQueries() = %v after query settled, want empty", live)
+	}
+}
+
+// TestLiveQueryIsTheOpenTrace watches a query from outside while it runs.
+// The live view is the flight recorder's set of open traces, so a query
+// wedged in its blocks stage is there exactly once, under its trace id and
+// tenant, until the watchdog flags it (counted once). After it settles it
+// has left the live view, and the same trace id heads /traces and /flight.
+func TestLiveQueryIsTheOpenTrace(t *testing.T) {
+	// The gate holds every block and ignores the query's cancellation, the
+	// way a wedged worker does: a chamber that honours the short
+	// QueryTimeout (slowWrapper) would end the query before the watchdog's
+	// first one-second sweep could see it.
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	free := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(free)
+	wedged := func(inner sandbox.Chamber) sandbox.Chamber {
+		return chamberFunc(func(ctx context.Context, block []mathutil.Vec) (mathutil.Vec, error) {
+			<-release
+			return inner.Execute(context.WithoutCancel(ctx), block)
+		})
+	}
+	srv, _, keys := startTenantServer(t, 100, ServerConfig{
+		ChamberWrapper: wedged,
+		QueryTimeout:   50 * time.Millisecond,
+	})
+	slow := srv.Telemetry().Counter("compman.queries_slow")
+
+	req := meanQuery(0.5, 250)
+	req.Op = OpQuery
+	req.APIKey = keys["alice"]
+	done := make(chan Response, 1)
+	go func() { done <- srv.dispatch(req) }()
+
+	var live telemetry.InflightSnapshot
+	for deadline := time.Now().Add(10 * time.Second); !live.Stuck; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("watchdog never flagged the wedged query; live view %+v", srv.LiveQueries())
+		}
+		if queries := srv.LiveQueries(); len(queries) == 1 {
+			live = queries[0]
+		} else if len(queries) > 1 {
+			t.Fatalf("live view holds %d queries, want 1: %+v", len(queries), queries)
+		}
+	}
+	if live.Stage != telemetry.StageBlocks || live.Tenant != "alice" || live.Dataset != "census" {
+		t.Errorf("live entry = %+v, want census/alice in stage blocks", live)
+	}
+	// Past the next sweep the query is still stuck, and still counted once.
+	time.Sleep(1100 * time.Millisecond)
+	if queries := srv.LiveQueries(); len(queries) != 1 || !queries[0].Stuck || queries[0].ID != live.ID {
+		t.Errorf("live view after another sweep = %+v", queries)
+	}
+	if got := slow.Value(); got != 1 {
+		t.Errorf("compman.queries_slow = %d, want 1", got)
+	}
+
+	free()
+	var resp Response
+	select {
+	case resp = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("query did not settle after release")
+	}
+	if resp.TraceID != live.ID || resp.Tenant != live.Tenant {
+		t.Errorf("live entry %s/%s, response %s/%s", live.ID, live.Tenant, resp.TraceID, resp.Tenant)
+	}
+	if queries := srv.LiveQueries(); len(queries) != 0 {
+		t.Errorf("live view after settle = %+v, want empty", queries)
+	}
+	traces, flights := srv.Traces(), srv.Flights()
+	if len(traces) != 1 || len(flights) != 1 || traces[0].ID != resp.TraceID || flights[0].ID != resp.TraceID {
+		t.Fatalf("after settle: %d traces, %d flights, want exactly one each with id %s", len(traces), len(flights), resp.TraceID)
+	}
+	if got := slow.Value(); got != 1 {
+		t.Errorf("compman.queries_slow = %d after settle, want 1", got)
 	}
 }
 

@@ -145,21 +145,17 @@ type AdminConfig struct {
 	Cache func() CacheStatus
 	// Health reports serving health for /healthz; nil means always healthy.
 	Health func() error
-	// Traces supplies recently completed trace snapshots for /traces
-	// (bucketed durations only); nil serves an empty list.
-	Traces func() []TraceSnapshot
-	// Queries supplies the in-flight query table for /queries; nil serves
-	// an empty list.
-	Queries func() []InflightSnapshot
+	// Recorder is the per-query record behind three routes: /queries
+	// serves its open traces, /flight its ring of settled flights and
+	// /traces the trace snapshot inside each ring entry (bucketed durations
+	// only). Nil serves empty lists on all three.
+	Recorder *FlightRecorder
 	// Workers supplies the per-worker fleet rows for /workers; nil serves
 	// an empty list (local execution, no fleet).
 	Workers func() []WorkerStatus
 	// Budget supplies the ε burn-down rows for /budget; nil serves an
 	// empty list.
 	Budget func() []BudgetRow
-	// Flight supplies the flight-recorder ring for /flight, newest first;
-	// nil serves an empty list.
-	Flight func() []FlightRecord
 	// TenantSpend supplies one tenant's per-dataset spend for
 	// /ledger?tenant=<id>; nil means the tenant slice is unavailable and
 	// /ledger always serves the global LedgerStatus.
@@ -189,11 +185,11 @@ type AdminConfig struct {
 //	/ledger        JSON LedgerStatus for the durable budget ledger;
 //	               ?tenant=<id> serves that tenant's per-dataset spend
 //	/cache         JSON CacheStatus for the noisy-answer cache
-//	/traces        JSON []TraceSnapshot, newest first (ring buffer of
-//	               completed cross-process traces, durations bucketed);
-//	               ?tenant=<id> narrows to one tenant's queries
-//	/queries       JSON []InflightSnapshot (live queries: stage + elapsed
-//	               bucket); ?tenant=<id> narrows
+//	/traces        JSON []TraceSnapshot, newest first (the trace of each
+//	               recorded flight: cross-process spans, durations
+//	               bucketed); ?tenant=<id> narrows to one tenant's queries
+//	/queries       JSON []InflightSnapshot, oldest first (the recorder's
+//	               open traces: stage + elapsed bucket); ?tenant=<id> narrows
 //	/workers       JSON []WorkerStatus (fleet skew: per-worker in-flight,
 //	               answered/failed counts, health)
 //	/budget        JSON []BudgetRow (ε burn-down: remaining budget, EWMA
@@ -264,29 +260,11 @@ func adminRoutes(cfg AdminConfig) map[string]http.Handler {
 	})
 
 	handle("/traces", func(w http.ResponseWriter, req *http.Request) {
-		var traces []TraceSnapshot
-		if cfg.Traces != nil {
-			traces = cfg.Traces()
-		}
-		traces = filterTenant(traces, tenantParam(req),
-			func(t TraceSnapshot) string { return t.Tenant })
-		if traces == nil {
-			traces = []TraceSnapshot{}
-		}
-		writeJSON(w, traces)
+		writeTenantList(w, req, cfg.Recorder.Traces(), func(t TraceSnapshot) string { return t.Tenant })
 	})
 
 	handle("/queries", func(w http.ResponseWriter, req *http.Request) {
-		var queries []InflightSnapshot
-		if cfg.Queries != nil {
-			queries = cfg.Queries()
-		}
-		queries = filterTenant(queries, tenantParam(req),
-			func(q InflightSnapshot) string { return q.Tenant })
-		if queries == nil {
-			queries = []InflightSnapshot{}
-		}
-		writeJSON(w, queries)
+		writeTenantList(w, req, cfg.Recorder.Live(), func(q InflightSnapshot) string { return q.Tenant })
 	})
 
 	handle("/workers", func(w http.ResponseWriter, req *http.Request) {
@@ -305,25 +283,11 @@ func adminRoutes(cfg AdminConfig) map[string]http.Handler {
 		if cfg.Budget != nil {
 			rows = cfg.Budget()
 		}
-		rows = filterTenant(rows, tenantParam(req),
-			func(r BudgetRow) string { return r.Tenant })
-		if rows == nil {
-			rows = []BudgetRow{}
-		}
-		writeJSON(w, rows)
+		writeTenantList(w, req, rows, func(r BudgetRow) string { return r.Tenant })
 	})
 
 	handle("/flight", func(w http.ResponseWriter, req *http.Request) {
-		var flights []FlightRecord
-		if cfg.Flight != nil {
-			flights = cfg.Flight()
-		}
-		flights = filterTenant(flights, tenantParam(req),
-			func(f FlightRecord) string { return f.Tenant })
-		if flights == nil {
-			flights = []FlightRecord{}
-		}
-		writeJSON(w, flights)
+		writeTenantList(w, req, cfg.Recorder.Snapshots(), func(f FlightRecord) string { return f.Tenant })
 	})
 
 	handle("/ledger", func(w http.ResponseWriter, req *http.Request) {
@@ -380,20 +344,20 @@ func tenantParam(req *http.Request) string {
 	return req.URL.Query().Get("tenant")
 }
 
-// filterTenant keeps the items belonging to tenant; an empty tenant keeps
-// everything. The tenant id is operator-visible metadata the audit log and
-// ledger already record per query, so narrowing by it reveals nothing new.
-func filterTenant[T any](items []T, tenant string, of func(T) string) []T {
-	if tenant == "" {
-		return items
-	}
+// writeTenantList serves items as a JSON array (never null), narrowed to
+// the request's ?tenant=<id> when one is given. The tenant id is
+// operator-visible metadata the audit log and ledger already record per
+// query, so narrowing by it reveals nothing new; an unknown tenant gets an
+// empty array, not an error.
+func writeTenantList[T any](w http.ResponseWriter, req *http.Request, items []T, tenantOf func(T) string) {
 	kept := make([]T, 0, len(items))
+	tenant := tenantParam(req)
 	for _, it := range items {
-		if of(it) == tenant {
+		if tenant == "" || tenantOf(it) == tenant {
 			kept = append(kept, it)
 		}
 	}
-	return kept
+	writeJSON(w, kept)
 }
 
 // tokenGate requires the admin token on every route except /healthz. Both

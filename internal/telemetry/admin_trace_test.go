@@ -98,16 +98,16 @@ func TestPrometheusMetricsExportHasNoRawDurations(t *testing.T) {
 }
 
 func TestAdminTracesEndpoint(t *testing.T) {
-	buf := NewTraceBuffer(8)
+	rec := NewFlightRecorder(8)
 	tr := NewTrace(nil, "abc123", "census")
 	tr.StartSpan(StageAdmission).End(StatusOK)
 	tr.AddRemoteSpans("worker:w1", []RemoteSpan{{Stage: StageWorkerExecute, Millis: 3}})
-	buf.Add(tr, "ok")
+	rec.Record(tr, "ok", FlightExtra{})
 
 	srv := httptest.NewServer(AdminHandler(AdminConfig{
 		Registry:           NewRegistry(),
 		SkipRuntimeMetrics: true,
-		Traces:             buf.Snapshots,
+		Recorder:           rec,
 	}))
 	defer srv.Close()
 
@@ -131,19 +131,30 @@ func TestAdminTracesEndpoint(t *testing.T) {
 	if worker == nil || worker.Stage != StageWorkerExecute {
 		t.Fatalf("worker span missing from /traces: %+v", traces[0].Spans)
 	}
+
+	// /flight serves the same record, with its trace embedded.
+	code, body = adminGet(t, srv, "/flight")
+	var flights []FlightRecord
+	if err := json.Unmarshal(body, &flights); err != nil || code != http.StatusOK {
+		t.Fatalf("/flight = %d %v", code, err)
+	}
+	if len(flights) != 1 || flights[0].ID != "abc123" || len(flights[0].Workers) != 1 {
+		t.Fatalf("/flight = %+v", flights)
+	}
 }
 
 func TestAdminQueriesEndpoint(t *testing.T) {
-	in := NewInflight(nil)
-	defer in.Stop()
-	q := in.Begin("q1", "census")
-	defer q.End()
-	q.SetStage(StageNoising)
+	rec := NewFlightRecorder(8)
+	defer rec.Stop()
+	tr := NewTrace(nil, "q1", "census")
+	rec.Begin(tr)
+	defer rec.Record(tr, "ok", FlightExtra{})
+	tr.StartSpan(StageNoising)
 
 	srv := httptest.NewServer(AdminHandler(AdminConfig{
 		Registry:           NewRegistry(),
 		SkipRuntimeMetrics: true,
-		Queries:            in.Snapshots,
+		Recorder:           rec,
 	}))
 	defer srv.Close()
 
@@ -163,7 +174,7 @@ func TestAdminQueriesEndpoint(t *testing.T) {
 func TestAdminTracesQueriesEmpty(t *testing.T) {
 	srv := httptest.NewServer(AdminHandler(AdminConfig{Registry: NewRegistry(), SkipRuntimeMetrics: true}))
 	defer srv.Close()
-	for _, path := range []string{"/traces", "/queries", "/workers"} {
+	for _, path := range []string{"/traces", "/queries", "/flight", "/budget", "/workers"} {
 		code, body := adminGet(t, srv, path)
 		if code != http.StatusOK || strings.TrimSpace(string(body)) != "[]" {
 			t.Fatalf("%s = %d %q, want empty JSON array", path, code, body)
@@ -172,18 +183,24 @@ func TestAdminTracesQueriesEmpty(t *testing.T) {
 }
 
 func TestAdminTracesTenantFilter(t *testing.T) {
-	buf := NewTraceBuffer(8)
+	rec := NewFlightRecorder(8)
 	for _, c := range []struct{ id, tenant string }{
 		{"t-acme-1", "acme"}, {"t-globex", "globex"}, {"t-acme-2", "acme"}, {"t-solo", ""},
 	} {
 		tr := NewTrace(nil, c.id, "census")
 		tr.Tenant = c.tenant
-		buf.Add(tr, "ok")
+		rec.Record(tr, "ok", FlightExtra{})
+	}
+	// One open query per tenant too: /queries narrows the same way.
+	for _, tenant := range []string{"acme", "globex"} {
+		tr := NewTrace(nil, "live-"+tenant, "census")
+		tr.Tenant = tenant
+		rec.Begin(tr)
 	}
 	srv := httptest.NewServer(AdminHandler(AdminConfig{
 		Registry:           NewRegistry(),
 		SkipRuntimeMetrics: true,
-		Traces:             buf.Snapshots,
+		Recorder:           rec,
 	}))
 	defer srv.Close()
 
@@ -222,6 +239,16 @@ func TestAdminTracesTenantFilter(t *testing.T) {
 	}
 	if len(traces) != 4 {
 		t.Fatalf("unfiltered /traces kept %d traces, want 4", len(traces))
+	}
+
+	var flights []FlightRecord
+	if _, body = adminGet(t, srv, "/flight?tenant=acme"); json.Unmarshal(body, &flights) != nil || len(flights) != 2 {
+		t.Fatalf("/flight?tenant=acme = %s", body)
+	}
+	var live []InflightSnapshot
+	if _, body = adminGet(t, srv, "/queries?tenant=globex"); json.Unmarshal(body, &live) != nil ||
+		len(live) != 1 || live[0].ID != "live-globex" {
+		t.Fatalf("/queries?tenant=globex = %s", body)
 	}
 }
 

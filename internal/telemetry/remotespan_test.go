@@ -75,14 +75,17 @@ func TestAddRemoteSpansCap(t *testing.T) {
 	}
 }
 
-func TestTraceOnStageHook(t *testing.T) {
+func TestTraceStageIsLastOpenedSpan(t *testing.T) {
 	tr := NewTrace(nil, "q1", "census")
-	var stages []string
-	tr.OnStage = func(stage string) { stages = append(stages, stage) }
+	if got := tr.stage(); got != StageAdmission {
+		t.Fatalf("stage before any span = %q, want admission", got)
+	}
 	tr.StartSpan(StageAdmission).End(StatusOK)
-	tr.StartSpan(StageBudget).End(StatusOK)
-	if len(stages) != 2 || stages[0] != StageAdmission || stages[1] != StageBudget {
-		t.Fatalf("OnStage saw %v", stages)
+	budget := tr.StartSpan(StageBudget)
+	budget.End(StatusOK) // ending a span does not move the stage
+	tr.AddRemoteSpans("worker:a", []RemoteSpan{{Stage: StageWorkerExecute, Millis: 1}})
+	if got := tr.stage(); got != StageBudget {
+		t.Fatalf("stage = %q, want budget (the last span this process opened)", got)
 	}
 }
 

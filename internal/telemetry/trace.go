@@ -126,16 +126,12 @@ type Trace struct {
 	// single-tenant deployments. Set before the first span starts. It is an
 	// id only — key material never reaches the telemetry layer.
 	Tenant string
-	// OnStage, when set before the first span starts, is invoked with each
-	// stage name as its span opens — the hook the in-flight query table
-	// uses to show where a query currently is. It must be fast and must
-	// not call back into the trace.
-	OnStage func(stage string)
 
 	mu            sync.Mutex
 	reg           *Registry
 	start         time.Time
 	spans         []*Span
+	lastStage     string // stage of the last span StartSpan opened
 	remoteCount   int
 	remoteDropped int
 }
@@ -157,11 +153,21 @@ func (t *Trace) StartSpan(stage string) *Span {
 	s := &Span{Stage: stage, tr: t, start: time.Now()}
 	t.mu.Lock()
 	t.spans = append(t.spans, s)
+	t.lastStage = stage
 	t.mu.Unlock()
-	if t.OnStage != nil {
-		t.OnStage(stage)
-	}
 	return s
+}
+
+// stage is where the query currently is: the stage of the last span this
+// process opened (merged worker spans do not count), StageAdmission before
+// any.
+func (t *Trace) stage() string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.lastStage == "" {
+		return StageAdmission
+	}
+	return t.lastStage
 }
 
 // AddRemoteSpans merges spans recorded by another process (a worker) into
