@@ -85,6 +85,7 @@ fuzz:
 	$(GO) test ./internal/compman -run xxx -fuzz FuzzWireEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query -run xxx -fuzz FuzzFingerprint -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ledger -run xxx -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mathutil -run xxx -fuzz FuzzRNGMatchesMathRand -fuzztime $(FUZZTIME)
 
 # bench runs the one benchmark harness (BENCHMARK.json, bench/README.md):
 # seven fixed workloads, end-to-end metrics plus the per-layer table.

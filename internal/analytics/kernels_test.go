@@ -2,10 +2,9 @@ package analytics
 
 import (
 	"math"
-	"runtime"
-	"runtime/debug"
 	"testing"
 
+	"gupt/internal/allocguard"
 	"gupt/internal/mathutil"
 )
 
@@ -184,37 +183,59 @@ func TestKernelsMatchReference(t *testing.T) {
 	}
 }
 
-// skipUnderRace skips a guard that counts on sync.Pool keeping what is Put;
-// under the race detector it drops a quarter of it on purpose.
-func skipUnderRace(t *testing.T) {
-	t.Helper()
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				t.Skip("sync.Pool is deliberately lossy under the race detector")
+// When the row k-means++ picks first holds a NaN or ±Inf feature, every
+// round-1 distance is non-finite, and each later round must keep center 0's
+// distance until a finite one beats +Inf — NaN included, which no
+// comparison replaces. TestKernelsMatchReference reaches this only when its
+// random poison happens to land on that row; here it always does, for K up
+// to 6 and every Iters up to 20.
+func TestKMeansSeedingNonFiniteFirstCenter(t *testing.T) {
+	poisons := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	seeds := int64(6)
+	if testing.Short() {
+		seeds = 2
+	}
+	ran := 0
+	for seed := int64(0); seed < seeds; seed++ {
+		rng := mathutil.NewRNG(seed)
+		for _, n := range []int{2, 3, 5, 60, 385} {
+			f := 1 + int(seed)%3
+			clean := mixtureBlock(rng, n, f+1)
+			for k := 1; k <= 6; k++ {
+				for p, poison := range poisons {
+					km := KMeans{K: k, FeatureDims: f, Seed: seed*101 + int64(k)}
+					block := mathutil.CloneRows(clean)
+					block[mathutil.NewRNG(km.Seed).Intn(n)][rng.Intn(f)] = poison
+					if p > 0 { // and a second poisoned row the seeding may reach
+						block[rng.Intn(n)][rng.Intn(f)] = poisons[rng.Intn(len(poisons))]
+					}
+					for km.Iters = 1; km.Iters <= 20; km.Iters++ {
+						got, err := km.Run(block)
+						want, werr := referenceKMeans(km, block)
+						if err != nil || werr != nil || !sameBits(got, want) {
+							t.Fatalf("seed %d n=%d %s, first center holds %v:\n kernel    %v (%v)\n reference %v (%v)",
+								seed, n, km.Name(), poison, got, err, want, werr)
+						}
+						ran++
+					}
+				}
 			}
 		}
 	}
+	t.Logf("%d runs matched", ran)
 }
 
 // blockAllocations returns the mean allocations and bytes of prog.Run on a
 // 385×11 block once the generator pool is warm.
 func blockAllocations(t *testing.T, prog Program) (allocs float64, bytes uint64) {
-	skipUnderRace(t)
+	allocguard.SkipUnderRace(t, "sync.Pool is deliberately lossy under the race detector")
 	block := kernelBlock(mathutil.NewRNG(1), 385, 11, false)
 	run := func() {
 		if _, err := prog.Run(block); err != nil {
 			t.Fatal(err)
 		}
 	}
-	allocs = testing.AllocsPerRun(20, run) // warms once first
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < 20; i++ {
-		run()
-	}
-	runtime.ReadMemStats(&after)
-	return allocs, (after.TotalAlloc - before.TotalAlloc) / 20
+	return testing.AllocsPerRun(20, run), allocguard.Bytes(run)
 }
 
 // One k-means block allocates its scratch once and nothing per iteration

@@ -39,8 +39,10 @@ func (k KMeans) OutputDims() int { return k.K * k.FeatureDims }
 // allocated once per call. Each float operation happens in the order of the
 // plain per-center loop (Vec.Dist2, nearest, AddInPlace, Scale), so the
 // released bits are that loop's run for all Iters iterations, even when the
-// kernel stops at a fixed point first (TestKernelsMatchReference). The block
-// is this run's private copy and is only read.
+// kernel stops at a fixed point first (TestKernelsMatchReference). k-means++
+// makes one distance pass per new center, K−1 in all, where the plain loop
+// remeasures every earlier center in each round. The block is this run's
+// private copy and is only read.
 func (k KMeans) Run(block []mathutil.Vec) (mathutil.Vec, error) {
 	out, _, err := k.run(block)
 	return out, err
@@ -63,13 +65,25 @@ func (k KMeans) run(block []mathutil.Vec) (mathutil.Vec, int, error) {
 
 	// k-means++ seeding: the first center uniformly, each later one with
 	// probability proportional to the squared distance from the nearest
-	// center chosen so far.
+	// center chosen so far. d2[i] is point i's distance to the center
+	// nearest picks among those chosen so far, so round m measures center
+	// m−1 alone: a strictly smaller distance takes over, and while every
+	// distance so far is +Inf or NaN nearest picks center 0 and d2[i] keeps
+	// its distance — d2[i] is non-finite exactly then.
 	centers := make([]float64, k.K*f)
 	copy(centers, block[rng.Intn(n)][:f])
 	d2 := make([]float64, n)
 	for m := 1; m < k.K; m++ {
+		c := centers[(m-1)*f : m*f]
 		for i, r := range block {
-			_, d2[i] = nearestFlat(centers[:m*f], r[:f])
+			var s float64
+			for j, x := range r[:f] {
+				d := x - c[j]
+				s += d * d
+			}
+			if m == 1 || s < d2[i] || (d2[i] != d2[i] && s < math.Inf(1)) {
+				d2[i] = s
+			}
 		}
 		copy(centers[m*f:(m+1)*f], block[rng.Categorical(d2)][:f])
 	}
@@ -86,7 +100,7 @@ func (k KMeans) run(block []mathutil.Vec) (mathutil.Vec, int, error) {
 		clear(counts)
 		for _, r := range block {
 			p := r[:f]
-			c, _ := nearestFlat(centers, p)
+			c := nearestFlat(centers, p)
 			counts[c]++
 			s := sums[c*f : (c+1)*f]
 			for j, x := range p {
@@ -130,16 +144,14 @@ func (k KMeans) run(block []mathutil.Vec) (mathutil.Vec, int, error) {
 }
 
 // nearestFlat returns the index of the center in the flat slice centers
-// nearest p, and its squared distance. It decides exactly as nearest does —
-// the first center strictly closer than every one before it — but runs four
-// centers' distance chains side by side, each summing (p[i]−c[i])² in index
-// order like Vec.Dist2. When no center is closer than +Inf (NaN or ±Inf
-// cells) it returns center 0 with center 0's distance, which is what
-// Dist2 against nearest's answer computes.
-func nearestFlat(centers, p []float64) (int, float64) {
+// nearest p. It decides exactly as nearest does — the first center strictly
+// closer than every one before it, center 0 when none is closer than +Inf —
+// but runs four centers' distance chains side by side, each summing
+// (p[i]−c[i])² in index order like Vec.Dist2.
+func nearestFlat(centers, p []float64) int {
 	f := len(p)
 	k := len(centers) / f
-	best, bestIdx, first := math.Inf(1), 0, 0.0
+	best, bestIdx := math.Inf(1), 0
 	c := 0
 	for ; c+4 <= k; c += 4 {
 		c0 := centers[c*f:][:f]
@@ -156,9 +168,6 @@ func nearestFlat(centers, p []float64) (int, float64) {
 			s2 += d2 * d2
 			d3 := x - c3[i]
 			s3 += d3 * d3
-		}
-		if c == 0 {
-			first = s0
 		}
 		if s0 < best {
 			best, bestIdx = s0, c
@@ -180,17 +189,11 @@ func nearestFlat(centers, p []float64) (int, float64) {
 			d := x - cc[i]
 			s += d * d
 		}
-		if c == 0 {
-			first = s
-		}
 		if s < best {
 			best, bestIdx = s, c
 		}
 	}
-	if math.IsInf(best, 1) {
-		return 0, first
-	}
-	return bestIdx, best
+	return bestIdx
 }
 
 func nearest(centers []mathutil.Vec, p mathutil.Vec) int {

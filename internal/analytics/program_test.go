@@ -242,10 +242,97 @@ func BenchmarkKMeansBlockClustered(b *testing.B) {
 	}
 }
 
-// BenchmarkLogRegBlock is served_ml's logreg block: 385 rows, ten features
-// and a 0/1 label, 50 gradient passes.
+// BenchmarkLogRegBlock is served_ml's logreg block: 385 LifeSci rows, ten
+// features and the 0/1 label, 50 gradient passes ("block"). The other
+// sub-benchmarks time one part of it each over the same rows and passes:
+// "exp" the sigmoid's 19,250 math.Exp calls on the arguments the passes
+// feed it, "dots" the two-row dot products, "update" the gradient sums.
 func BenchmarkLogRegBlock(b *testing.B) {
-	benchProgram(b, LogisticRegression{FeatureDims: 10, LabelCol: 10, Iters: 50, LearnRate: 0.5}, 385, 11)
+	block := workload.LifeSci(1, 385).Rows()
+	f := workload.LifeSciDims
+	prog := LogisticRegression{FeatureDims: f, LabelCol: f, Iters: 50, LearnRate: 0.5}
+	zs, errs := logRegPasses(prog, block)
+	w := make([]float64, f)
+	for j := range w {
+		w[j] = 0.1 * float64(j+1)
+	}
+	grad := make([]float64, f)
+	b.Run("block", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := prog.Run(block); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("exp", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, z := range zs {
+				benchSink += math.Exp(-math.Abs(z)) // Sigmoid's one Exp, either branch
+			}
+		}
+	})
+	b.Run("dots", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for pass := 0; pass < prog.Iters; pass++ {
+				for r := 0; r+1 < len(block); r += 2 {
+					x0, x1 := block[r][:f], block[r+1][:f]
+					var dot0, dot1 float64
+					for j, wj := range w {
+						dot0 += wj * x0[j]
+						dot1 += wj * x1[j]
+					}
+					benchSink += dot0 + dot1
+				}
+			}
+		}
+	})
+	b.Run("update", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for pass := 0; pass < prog.Iters; pass++ {
+				e := errs[pass*len(block):]
+				clear(grad)
+				for r := 0; r+1 < len(block); r += 2 {
+					x0, x1 := block[r][:f], block[r+1][:f]
+					for j := range grad {
+						grad[j] = grad[j] + e[r]*x0[j] + e[r+1]*x1[j]
+					}
+				}
+				benchSink += grad[0]
+			}
+		}
+	})
+}
+
+// benchSink keeps the logreg parts' results live.
+var benchSink float64
+
+// logRegPasses replays l's gradient passes over block one row at a time and
+// returns each row's sigmoid argument and error term, pass after pass.
+func logRegPasses(l LogisticRegression, block []mathutil.Vec) (zs, errs []float64) {
+	w := make(mathutil.Vec, l.FeatureDims)
+	grad := make(mathutil.Vec, l.FeatureDims)
+	var b float64
+	n := float64(len(block))
+	for iter := 0; iter < l.Iters; iter++ {
+		clear(grad)
+		var gradB float64
+		for _, row := range block {
+			x := row[:l.FeatureDims]
+			z := w.Dot(x) + b
+			e := Sigmoid(z) - label(row[l.LabelCol])
+			zs, errs = append(zs, z), append(errs, e)
+			for j := range grad {
+				grad[j] += e * x[j]
+			}
+			gradB += e
+		}
+		for j := range w {
+			w[j] -= l.LearnRate * (grad[j]/n + l.L2*w[j])
+		}
+		b -= l.LearnRate * gradB / n
+	}
+	return zs, errs
 }
 
 func benchProgram(b *testing.B, prog Program, n, cols int) {

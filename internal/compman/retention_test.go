@@ -2,27 +2,15 @@ package compman
 
 import (
 	"runtime"
-	"runtime/debug"
 	"testing"
 	"time"
 
+	"gupt/internal/allocguard"
 	"gupt/internal/ledger"
 	"gupt/internal/telemetry"
 	"gupt/internal/telemetry/audit"
 	"gupt/internal/tenant"
 )
-
-// skipUnderRace skips a guard whose measurement the race detector distorts.
-func skipUnderRace(t *testing.T, why string) {
-	t.Helper()
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				t.Skip(why)
-			}
-		}
-	}
-}
 
 // A long-running server must not keep memory per query it has answered:
 // with the ledger, tenancy, the audit log and the cache all on, the live
@@ -34,7 +22,7 @@ func TestServerRetainedBytesPerQuery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("12,000 served queries")
 	}
-	skipUnderRace(t, "12,000 served queries are too slow under the race detector")
+	allocguard.SkipUnderRace(t, "12,000 served queries are too slow under the race detector")
 
 	reg := censusRegistry(t, 1e9)
 	led, err := ledger.Open(t.TempDir(), ledger.Options{Sync: ledger.SyncBatched})

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"gupt/internal/allocguard"
 	"gupt/internal/analytics"
 	"gupt/internal/mathutil"
 	"gupt/internal/sandbox"
@@ -388,7 +389,7 @@ func respOutput(t *testing.T, frame []byte) []float64 {
 // row storage in steady state. With a fresh decode plus a second header
 // slice per block, a 385×11 frame cost ≈ 62 KiB here.
 func TestWorkerSteadyStateBytes(t *testing.T) {
-	skipUnderRace(t, "sync.Pool is deliberately lossy under the race detector")
+	allocguard.SkipUnderRace(t, "sync.Pool is deliberately lossy under the race detector")
 	w := NewWorker(WorkerConfig{})
 	payload := workPayload(t, meanSpec, gridBlock(385, 11))
 	var out []byte
@@ -402,14 +403,8 @@ func TestWorkerSteadyStateBytes(t *testing.T) {
 	if got := respOutput(t, out); len(got) != 1 || got[0] != 192*11 {
 		t.Fatalf("mean of column 0 = %v, want [2112]", got)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < 20; i++ {
-		run()
-	}
-	runtime.ReadMemStats(&after)
 	// Measured 712 bytes; the bound is that + 20 %.
-	if bytes := (after.TotalAlloc - before.TotalAlloc) / 20; bytes > 854 {
+	if bytes := allocguard.Bytes(run); bytes > 854 {
 		t.Errorf("one 385×11 block through the worker allocates %d bytes in steady state, want <= 854", bytes)
 	}
 }

@@ -2,11 +2,10 @@ package core
 
 import (
 	"context"
-	"runtime"
-	"runtime/debug"
 	"sync"
 	"testing"
 
+	"gupt/internal/allocguard"
 	"gupt/internal/analytics"
 	"gupt/internal/dp"
 	"gupt/internal/mathutil"
@@ -89,13 +88,7 @@ func TestViewAllocations(t *testing.T) {
 // a fresh copy per block and a fresh permutation per query this measured
 // ≈ 1,035 KiB in 554 allocations; with four fresh generators, 75 KiB in 449.
 func TestRunAllocations(t *testing.T) {
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				t.Skip("sync.Pool is deliberately lossy under the race detector")
-			}
-		}
-	}
+	allocguard.SkipUnderRace(t, "sync.Pool is deliberately lossy under the race detector")
 	rows := benchRows(20000)
 	spec := RangeSpec{Mode: ModeTight, Output: []dp.Range{{Lo: 0, Hi: 150}}}
 	run := func() {
@@ -107,13 +100,7 @@ func TestRunAllocations(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, run); allocs > 524 {
 		t.Errorf("Run over 20000 rows allocates %.0f times, want <= 524", allocs)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < 20; i++ {
-		run()
-	}
-	runtime.ReadMemStats(&after)
-	if kib := float64(after.TotalAlloc-before.TotalAlloc) / 20 / 1024; kib > 65 {
+	if kib := float64(allocguard.Bytes(run)) / 1024; kib > 65 {
 		t.Errorf("Run over 20000 rows allocates %.0f KiB, want <= 65", kib)
 	}
 }

@@ -13,13 +13,20 @@ import (
 // RNG is safe for concurrent use; the underlying generator is guarded by a
 // mutex. For hot loops, Split off a child per goroutine instead of sharing.
 type RNG struct {
-	mu sync.Mutex
-	r  *rand.Rand
+	mu  sync.Mutex
+	src source
+	r   *rand.Rand // over &src
 }
 
-// NewRNG returns an RNG seeded with seed.
+// NewRNG returns an RNG seeded with seed. Its stream is
+// rand.New(rand.NewSource(seed))'s draw for draw: the source is math/rand's
+// own generator (source.go), and every draw but PermInto's goes through
+// math/rand's algorithms.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	g := new(RNG)
+	g.src.Seed(seed)
+	g.r = rand.New(&g.src)
+	return g
 }
 
 // rngPool recycles generators: a fresh one allocates a 607-word source
@@ -28,7 +35,8 @@ var rngPool sync.Pool
 
 // GetRNG returns an RNG from the process-wide pool, reseeded with seed. Its
 // stream is NewRNG(seed)'s draw for draw, whatever its previous holder drew:
-// (*rand.Rand).Seed rewrites the whole source state and the read position.
+// (*rand.Rand).Seed has the source rewrite all 607 words and both indices,
+// and resets the read position.
 func GetRNG(seed int64) *RNG {
 	if g, ok := rngPool.Get().(*RNG); ok {
 		g.r.Seed(seed)
@@ -88,11 +96,21 @@ func (g *RNG) Perm(n int) []int {
 // It repeats math/rand's Perm draw for draw (the inside-out shuffle), so a
 // seed yields the same permutation whether or not m is recycled storage:
 // what m held is only ever copied onto itself (j == i) and then overwritten.
+// Each draw is the source's int31n, which is the Int31n that Perm's
+// Intn(i+1) reaches, called without going through rand.Rand.
 func (g *RNG) PermInto(m []int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if len(m) > math.MaxInt32 { // past Int31n's range, Intn switches to Int63n
+		for i := range m {
+			j := g.r.Intn(i + 1)
+			m[i] = m[j]
+			m[j] = i
+		}
+		return
+	}
 	for i := range m {
-		j := g.r.Intn(i + 1)
+		j := g.src.int31n(int32(i + 1))
 		m[i] = m[j]
 		m[j] = i
 	}

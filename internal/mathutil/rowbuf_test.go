@@ -3,8 +3,9 @@ package mathutil
 import (
 	"math"
 	"math/rand"
-	"runtime/debug"
 	"testing"
+
+	"gupt/internal/allocguard"
 )
 
 func gridRows(n, cols int, base float64) []Vec {
@@ -154,23 +155,10 @@ func TestGetRNGMatchesNewRNG(t *testing.T) {
 // Reseeding a pooled generator allocates nothing; a fresh one costs its
 // 607-word source state.
 func TestGetRNGAllocations(t *testing.T) {
-	skipUnderRace(t)
+	allocguard.SkipUnderRace(t, "sync.Pool is deliberately lossy under the race detector")
 	GetRNG(1).Release()
 	if allocs := testing.AllocsPerRun(100, func() { GetRNG(7).Release() }); allocs != 0 {
 		t.Errorf("GetRNG + Release allocates %.0f times, want 0", allocs)
-	}
-}
-
-// skipUnderRace skips a guard that counts on sync.Pool keeping what is Put;
-// under the race detector it drops a quarter of it on purpose.
-func skipUnderRace(t *testing.T) {
-	t.Helper()
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				t.Skip("sync.Pool is deliberately lossy under the race detector")
-			}
-		}
 	}
 }
 

@@ -3,9 +3,9 @@ package query
 import (
 	"context"
 	"errors"
-	"runtime"
 	"testing"
 
+	"gupt/internal/allocguard"
 	"gupt/internal/analytics"
 	"gupt/internal/budget"
 	"gupt/internal/core"
@@ -132,19 +132,6 @@ func refusalStage(tb testing.TB, n int) (s *Stage, quota, overBudget *Query) {
 	return &Stage{Registry: reg, Budget: mgr}, &quotaQ, &overQ
 }
 
-// bytesPerRun is the mean heap bytes one call of f allocates.
-func bytesPerRun(f func()) uint64 {
-	const runs = 20
-	f() // warm up lazily initialised state
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return (after.TotalAlloc - before.TotalAlloc) / runs
-}
-
 // Nothing before the charge touches row data: a refusal costs the same
 // bytes on a 1 000-row table as on a 100 000-row one.
 func TestRefusalCostIndependentOfTableSize(t *testing.T) {
@@ -153,7 +140,7 @@ func TestRefusalCostIndependentOfTableSize(t *testing.T) {
 	for i, n := range []int{1000, 100000} {
 		s, quota, over := refusalStage(t, n)
 		for j, q := range []*Query{quota, over} {
-			cost[i][j] = bytesPerRun(func() {
+			cost[i][j] = allocguard.Bytes(func() {
 				if res, charged, err := s.Run(ctx, q); err == nil || res != nil || charged != 0 {
 					t.Fatalf("query ran: res %v, charged %v, err %v", res, charged, err)
 				}

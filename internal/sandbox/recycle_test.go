@@ -3,10 +3,10 @@ package sandbox
 import (
 	"context"
 	"runtime"
-	"runtime/debug"
 	"testing"
 	"time"
 
+	"gupt/internal/allocguard"
 	"gupt/internal/analytics"
 	"gupt/internal/mathutil"
 )
@@ -16,32 +16,11 @@ import (
 // InProcess). They mean most under -race: a buffer handed on while a
 // program still reads it is a data race.
 
-// steadyBytes warms f once and returns the mean bytes allocated by 20 more
-// calls. It skips under the race detector, where sync.Pool drops a quarter
-// of what is Put on purpose and recycling is therefore lossy by design.
-func steadyBytes(t *testing.T, f func()) uint64 {
-	t.Helper()
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				t.Skip("sync.Pool is deliberately lossy under the race detector")
-			}
-		}
-	}
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < 20; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return (after.TotalAlloc - before.TotalAlloc) / 20
-}
-
 // The chamber's private copy is flat and recycled: after one warm call a
 // block costs the goroutine, the result channel and the output vector, not
 // its rows. A fresh copy per block cost 16 KiB in 7 allocations here.
 func TestInProcessExecuteAllocations(t *testing.T) {
+	allocguard.SkipUnderRace(t, "sync.Pool is deliberately lossy under the race detector")
 	ch := &InProcess{Program: analytics.Mean{Col: 0}}
 	block := testBlock(385)
 	ctx := context.Background()
@@ -51,7 +30,7 @@ func TestInProcessExecuteAllocations(t *testing.T) {
 		}
 	}
 	// Measured 240 bytes in 5 allocations; the bounds are that + 20 %.
-	if bytes := steadyBytes(t, run); bytes > 288 {
+	if bytes := allocguard.Bytes(run); bytes > 288 {
 		t.Errorf("Execute on a 385-row block allocates %d bytes in steady state, want <= 288", bytes)
 	}
 	if allocs := testing.AllocsPerRun(50, run); allocs > 6 {
