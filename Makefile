@@ -35,11 +35,16 @@ ledger-kill:
 audit-kill:
 	$(GO) test -race -count=1 -run 'TestKill' ./internal/telemetry/audit
 
-# fanout-race runs the sharded-dispatch and scheduler tests under the race
-# detector: concurrent block fan-out, straggler duplication, failover and
-# EDF admission are the raciest paths in the tree.
+# fanout-race runs the raciest paths in the tree under the race detector:
+# the sharded-dispatch and scheduler tests (concurrent block fan-out,
+# straggler duplication, failover, EDF admission), then five passes each of
+# the engine's block workers (index claims, cancellation, a worker replaced
+# after its goroutine ended, concurrent runs on recycled storage) and of the
+# in-process chamber's two arms and abandoned buffers.
 fanout-race:
 	$(GO) test -race -count=1 -run 'TestFanout|TestScheduler|TestServerOverload|TestServerDeadline|TestWorker' ./internal/compman
+	$(GO) test -race -count=5 -run 'TestRun|TestConcurrentRuns' ./internal/core
+	$(GO) test -race -count=5 -run 'TestInProcess|TestAbandoned' ./internal/sandbox
 
 # bench-smoke compiles and runs every micro-benchmark on the data path once,
 # so the allocation benchmarks next to the copy-boundary guards cannot rot;
@@ -48,13 +53,13 @@ bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x -benchmem ./internal/core ./internal/sandbox ./internal/dataset ./internal/compman ./internal/query ./internal/analytics ./internal/mathutil .
 
 # alloc-guards runs the allocation count and byte guards of the block path
-# (chamber, worker, engine and the k-means/logreg kernels), the RNG pool's
-# and the served-query retention guard (live heap per answered query)
-# without the race detector: under it sync.Pool drops a quarter of what is
-# Put on purpose and 12,000 served queries take minutes, so these guards
-# skip themselves in the race pass.
+# (chamber, worker, engine and the k-means/logreg kernels), the RNG pool's,
+# the table builder's row index and the served-query retention guard (live
+# heap per answered query) without the race detector: under it sync.Pool
+# drops a quarter of what is Put on purpose and 12,000 served queries take
+# minutes, so these guards skip themselves in the race pass.
 alloc-guards:
-	$(GO) test -count=1 -run 'Allocations|SteadyStateBytes|RetainedBytes|TestRowBuf|TestCloneRows' ./internal/mathutil ./internal/analytics ./internal/core ./internal/sandbox ./internal/compman
+	$(GO) test -count=1 -run 'Allocations|SteadyStateBytes|RetainedBytes|TestRowBuf|TestCloneRows' ./internal/mathutil ./internal/analytics ./internal/core ./internal/sandbox ./internal/compman ./internal/dataset
 
 # repro regenerates the paper's figures (~35 s) and requires the six
 # mechanism figures to come out byte-identical to results/: the cheapest

@@ -140,6 +140,7 @@ type DatasetOptions struct {
 // under the given name. cols optionally names the columns.
 func (p *Platform) Register(name string, rows [][]float64, cols []string, opts DatasetOptions) error {
 	tbl := dataset.New(cols)
+	tbl.Grow(len(rows))
 	for i, r := range rows {
 		if err := tbl.Append(mathutil.Vec(r)); err != nil {
 			return fmt.Errorf("gupt: row %d: %w", i, err)
@@ -153,6 +154,7 @@ func (p *Platform) Register(name string, rows [][]float64, cols []string, opts D
 	}
 	if opts.AgedRows != nil {
 		aged := dataset.New(cols)
+		aged.Grow(len(opts.AgedRows))
 		for i, r := range opts.AgedRows {
 			if err := aged.Append(mathutil.Vec(r)); err != nil {
 				return fmt.Errorf("gupt: aged row %d: %w", i, err)
@@ -367,6 +369,7 @@ func (p *Platform) SynthesizeAgedSample(name string, eps float64, bins, count in
 		return err
 	}
 	aged := dataset.New(reg.Private.Columns())
+	aged.Grow(len(rows))
 	for i, r := range rows {
 		if err := aged.Append(r); err != nil {
 			return fmt.Errorf("gupt: synthetic row %d: %w", i, err)

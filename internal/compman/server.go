@@ -787,6 +787,7 @@ func (s *Server) handleRegister(req *Request) Response {
 		return errResponse(err)
 	}
 	tbl := dataset.New(spec.Columns)
+	tbl.Grow(len(spec.Rows))
 	for i, r := range spec.Rows {
 		if err := tbl.Append(mathutil.Vec(r)); err != nil {
 			return Response{Error: fmt.Sprintf("row %d: %v", i, err)}

@@ -81,12 +81,14 @@ func TestViewAllocations(t *testing.T) {
 
 // TestRunAllocations pins the engine's copy boundary on the 20 000×1 census
 // shape, in counts and in bytes: the private block copies and the
-// permutation live in recycled storage, view headers are reused per
-// parallelism slot, γ = 1 blocks alias the permutation, and Mean reads its
-// column in place, and the four generators come from the RNG pool. What is
-// left is per-query bookkeeping (slot scratch, a goroutine per block). With
+// permutation live in recycled storage, view headers are reused per worker,
+// γ = 1 blocks alias the permutation, Mean reads its column in place, the
+// four generators come from the RNG pool, and each block runs on its worker
+// with no goroutine of its own. What is left is per-query bookkeeping (the
+// workers, their scratch, the output matrix) and each block's output. With
 // a fresh copy per block and a fresh permutation per query this measured
-// ≈ 1,035 KiB in 554 allocations; with four fresh generators, 75 KiB in 449.
+// ≈ 1,035 KiB in 554 allocations; with four fresh generators, 75 KiB in
+// 449; with two goroutines per block, 54 KiB in 437.
 func TestRunAllocations(t *testing.T) {
 	allocguard.SkipUnderRace(t, "sync.Pool is deliberately lossy under the race detector")
 	rows := benchRows(20000)
@@ -96,12 +98,12 @@ func TestRunAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Measured 437 allocations and 54 KiB; the bounds are that + 20 %.
-	if allocs := testing.AllocsPerRun(10, run); allocs > 524 {
-		t.Errorf("Run over 20000 rows allocates %.0f times, want <= 524", allocs)
+	// Measured 126 allocations and 22 KiB; the bounds are that + 20 %.
+	if allocs := testing.AllocsPerRun(10, run); allocs > 151 {
+		t.Errorf("Run over 20000 rows allocates %.0f times, want <= 151", allocs)
 	}
-	if kib := float64(allocguard.Bytes(run)) / 1024; kib > 65 {
-		t.Errorf("Run over 20000 rows allocates %.0f KiB, want <= 65", kib)
+	if kib := float64(allocguard.Bytes(run)) / 1024; kib > 27 {
+		t.Errorf("Run over 20000 rows allocates %.0f KiB, want <= 27", kib)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gupt/internal/analytics"
@@ -30,7 +31,9 @@ type Options struct {
 	// Seed makes the run deterministic: partitioning, range estimation and
 	// noise all derive from it.
 	Seed int64
-	// Parallelism bounds concurrent block executions; 0 selects GOMAXPROCS.
+	// Parallelism is the number of workers that run the query's blocks, so
+	// no more than this many blocks execute at once; 0 selects GOMAXPROCS.
+	// A run with fewer blocks starts one worker per block.
 	Parallelism int
 	// Quantum, when positive, enforces the timing-attack defense: every
 	// block execution consumes exactly this wall-clock time (paper §6.2).
@@ -304,11 +307,13 @@ func Run(ctx context.Context, program analytics.Program, rows []mathutil.Vec, sp
 }
 
 // runBlocks executes the program on every block through isolation chambers,
-// bounded by opts.Parallelism. A block that fails in any way (killed,
-// crashed, hung past its deadline, program error, wrong output arity,
-// non-finite values) contributes the substitute vector, so the release
-// pipeline sees a complete, well-formed matrix of block outputs. Only
-// cancellation of the caller's context aborts the run.
+// on min(opts.Parallelism, ℓ) workers that each claim the next unrun block
+// index until none is left. A block's output is stored under its index, so
+// which worker ran it never shows in the result. A block that fails in any
+// way (killed, crashed, hung past its deadline, program error, wrong output
+// arity, non-finite values) contributes the substitute vector, so the
+// release pipeline sees a complete, well-formed matrix of block outputs.
+// Only cancellation of the caller's context aborts the run.
 func runBlocks(ctx context.Context, program analytics.Program, rows []mathutil.Vec, part *Partition, substitute mathutil.Vec, opts Options) (*blockMatrix, int, error) {
 	// engine substitutes itself, to count failures
 	pol := sandbox.Policy{Quantum: opts.Quantum, Metrics: opts.Metrics}
@@ -334,83 +339,101 @@ func runBlocks(ctx context.Context, program analytics.Program, rows []mathutil.V
 	blocksTimedOut := opts.Metrics.Counter("engine.blocks_timed_out")
 	inflight := opts.Metrics.Gauge("engine.blocks_inflight")
 
-	outputs := newBlockMatrix(part.NumBlocks(), len(substitute))
-	written := make([]bool, part.NumBlocks())
-	// One slot per concurrent block, each carrying the view-header scratch
-	// its blocks gather into: a chamber is done with the headers when it
-	// returns, so the next block on the slot overwrites them.
-	slots := make(chan []mathutil.Vec, opts.Parallelism)
-	for i := 0; i < opts.Parallelism; i++ {
-		slots <- nil
-	}
-	var wg sync.WaitGroup
+	nb := part.NumBlocks()
+	outputs := newBlockMatrix(nb, len(substitute))
+	written := make([]bool, nb)
 	var mu sync.Mutex
 	failed := 0
 	var ctxErr error
 
-	for i := range part.Blocks {
-		// A cancelled query must not wait out a running (quantum-padded)
-		// block just to learn it has nothing left to start.
+	// runBlock executes block i on the calling worker and records its
+	// outcome. scratch is the worker's view-header scratch: a chamber is done
+	// with the headers when it returns, so the worker's next block overwrites
+	// them.
+	runBlock := func(i int, scratch []mathutil.Vec) []mathutil.Vec {
+		// Per-block deadline: a wedged chamber (hung worker socket,
+		// stuck subprocess) fails just this block, never the query.
+		bctx := ctx
+		if opts.BlockTimeout > 0 {
+			var cancel context.CancelFunc
+			bctx, cancel = context.WithTimeout(ctx, opts.BlockTimeout)
+			defer cancel()
+		}
+		scratch = part.viewInto(scratch, rows, i)
+		block := scratch
+		if !zeroCopy {
+			block = mathutil.CloneRows(scratch)
+		}
+		inflight.Inc()
+		defer inflight.Dec()
+		var out mathutil.Vec
+		var err error
+		if blockChamber != nil {
+			out, err = blockChamber.ExecuteBlock(bctx, i, block)
+		} else {
+			out, err = chamber.Execute(bctx, block)
+		}
+		if err != nil && bctx.Err() == context.DeadlineExceeded && ctx.Err() == nil {
+			// The per-block deadline expired while the parent context was
+			// still live: this block timed out (and will be substituted).
+			blocksTimedOut.Inc()
+		}
+		if err != nil && ctx.Err() != nil {
+			// The caller's context ended; the whole run aborts. A
+			// block-deadline expiry alone never takes this path — the
+			// parent context is still live there.
+			mu.Lock()
+			ctxErr = ctx.Err()
+			mu.Unlock()
+			return scratch
+		}
+		if err != nil || !wellFormedOutput(out, len(substitute)) {
+			mu.Lock()
+			failed++
+			mu.Unlock()
+			blocksSubstituted.Inc()
+			out = substitute
+		} else {
+			blocksOK.Inc()
+		}
+		outputs.setRow(i, out)
+		written[i] = true
+		return scratch
+	}
+
+	// Each worker claims the next block index until none is left. It checks
+	// the context before every claim, so a cancelled query starts no further
+	// block, though it still waits for the ones already running.
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	var work func()
+	work = func() {
+		defer wg.Done()
+		ended := false
+		defer func() {
+			if !ended {
+				// A chamber ended this goroutine mid-block (a program run in
+				// place called runtime.Goexit): that block stays unwritten
+				// and is substituted below, and a new worker takes this one's
+				// place for the blocks still unclaimed.
+				wg.Add(1)
+				go work()
+			}
+		}()
 		var scratch []mathutil.Vec
-		select {
-		case scratch = <-slots:
-		case <-ctx.Done():
+		for ctx.Err() == nil {
+			i := int(next.Add(1) - 1)
+			if i >= nb {
+				break
+			}
+			scratch = runBlock(i, scratch)
 		}
-		if ctx.Err() != nil {
-			break
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { slots <- scratch }()
-			// Per-block deadline: a wedged chamber (hung worker socket,
-			// stuck subprocess) fails just this block, never the query.
-			bctx := ctx
-			cancel := func() {}
-			if opts.BlockTimeout > 0 {
-				bctx, cancel = context.WithTimeout(ctx, opts.BlockTimeout)
-			}
-			scratch = part.viewInto(scratch, rows, i)
-			block := scratch
-			if !zeroCopy {
-				block = mathutil.CloneRows(scratch)
-			}
-			inflight.Inc()
-			var out mathutil.Vec
-			var err error
-			if blockChamber != nil {
-				out, err = blockChamber.ExecuteBlock(bctx, i, block)
-			} else {
-				out, err = chamber.Execute(bctx, block)
-			}
-			inflight.Dec()
-			if err != nil && bctx.Err() == context.DeadlineExceeded && ctx.Err() == nil {
-				// The per-block deadline expired while the parent context was
-				// still live: this block timed out (and will be substituted).
-				blocksTimedOut.Inc()
-			}
-			cancel()
-			if err != nil && ctx.Err() != nil {
-				// The caller's context ended; the whole run aborts. A
-				// block-deadline expiry alone never takes this path — the
-				// parent context is still live there.
-				mu.Lock()
-				ctxErr = ctx.Err()
-				mu.Unlock()
-				return
-			}
-			if err != nil || !wellFormedOutput(out, len(substitute)) {
-				mu.Lock()
-				failed++
-				mu.Unlock()
-				blocksSubstituted.Inc()
-				out = substitute
-			} else {
-				blocksOK.Inc()
-			}
-			outputs.setRow(i, out)
-			written[i] = true
-		}(i)
+		ended = true
+	}
+	workers := min(opts.Parallelism, nb)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go work()
 	}
 	wg.Wait()
 	if ctxErr != nil {
@@ -419,8 +442,9 @@ func runBlocks(ctx context.Context, program analytics.Program, rows []mathutil.V
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
-	// Blocks skipped by an early break (can only happen on cancellation,
-	// already returned above) would be unwritten; guard anyway.
+	// A block is unwritten only when its worker's goroutine ended inside
+	// the chamber, or when cancellation stopped the claims (already
+	// returned above): it is substituted like any other failed block.
 	for i, ok := range written {
 		if !ok {
 			outputs.setRow(i, substitute)

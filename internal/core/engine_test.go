@@ -525,7 +525,7 @@ func (c hoardingChamber) Execute(_ context.Context, block []mathutil.Vec) (mathu
 // Chambers that do not declare ReadOnlyBlocks get a private copy of every
 // block: the caller's rows (the registered table, on the query path)
 // survive them, the rows shared between resampled blocks stay honest, and
-// a block kept past Execute is not overwritten by the next one on its slot.
+// a block kept past Execute is not overwritten by the next one on its worker.
 func TestRunCopiesBlocksForUndeclaredChambers(t *testing.T) {
 	rows := ageRows(14, 2000)
 	want := mathutil.CloneRows(rows)

@@ -8,6 +8,7 @@ package dataset
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"gupt/internal/dp"
 	"gupt/internal/mathutil"
@@ -39,6 +40,7 @@ func New(cols []string) *Table {
 // rectangular. The rows are copied.
 func FromRows(cols []string, rows []mathutil.Vec) (*Table, error) {
 	t := New(cols)
+	t.Grow(len(rows))
 	for i, r := range rows {
 		if err := t.Append(r); err != nil {
 			return nil, fmt.Errorf("row %d: %w", i, err)
@@ -58,6 +60,14 @@ func (t *Table) Append(row mathutil.Vec) error {
 	}
 	t.rows = append(t.rows, row.Clone())
 	return nil
+}
+
+// Grow makes room for n more rows, so that the next n Appends do not
+// reallocate the row index. A builder that knows its row count calls it
+// first: growing a 20,000-row index one Append at a time allocates about
+// five times its final size.
+func (t *Table) Grow(n int) {
+	t.rows = slices.Grow(t.rows, n)
 }
 
 // NumRows returns the number of records.
@@ -105,6 +115,7 @@ func (t *Table) Column(j int) []float64 {
 func (t *Table) Subset(indices []int) *Table {
 	sub := New(t.cols)
 	sub.ranges = append([]dp.Range(nil), t.ranges...)
+	sub.Grow(len(indices))
 	for _, i := range indices {
 		sub.rows = append(sub.rows, t.rows[i].Clone())
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"gupt/internal/allocguard"
 	"gupt/internal/dp"
 	"gupt/internal/mathutil"
 )
@@ -67,6 +68,39 @@ func TestTableRaggedRejected(t *testing.T) {
 	_, err := FromRows(nil, []mathutil.Vec{{1, 2}, {3}})
 	if !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("ragged rows accepted, err=%v", err)
+	}
+}
+
+// A builder that calls Grow first allocates the row index once: a table
+// built by FromRows costs one allocation per row plus that index, never the
+// chain of ever-larger indices that appending row by row leaves behind.
+func TestTableBuildAllocations(t *testing.T) {
+	const n = 2000
+	rows := make([]mathutil.Vec, n)
+	for i := range rows {
+		rows[i] = mathutil.Vec{float64(i)}
+	}
+	tbl := New(nil)
+	tbl.Grow(n)
+	index := &tbl.rows[:1][0]
+	for _, r := range rows {
+		if err := tbl.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if &tbl.rows[0] != index {
+		t.Error("Append reallocated the row index after Grow")
+	}
+
+	allocguard.SkipUnderRace(t, "the race detector adds allocations of its own")
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := FromRows([]string{"x"}, rows); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// n row copies, the index, the table and its column names.
+	if max := float64(n + 3); allocs > max {
+		t.Errorf("FromRows(%d rows) made %.0f allocations, want ≤ %.0f", n, allocs, max)
 	}
 }
 

@@ -131,9 +131,24 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	r, err := Fig6(quick)
-	if err != nil {
-		t.Fatal(err)
+	// Every point is wall-clock time, and a loaded machine can stall any
+	// single run of one, so each point is the fastest of three runs of the
+	// whole figure.
+	var r *Fig6Result
+	for rep := 0; rep < 3; rep++ {
+		run, err := Fig6(quick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r == nil {
+			r = run
+			continue
+		}
+		for i := range r.Iterations {
+			r.NonPrivate[i] = min(r.NonPrivate[i], run.NonPrivate[i])
+			r.GUPTHelper[i] = min(r.GUPTHelper[i], run.GUPTHelper[i])
+			r.GUPTLoose[i] = min(r.GUPTLoose[i], run.GUPTLoose[i])
+		}
 	}
 	last := len(r.Iterations) - 1
 	// All runtimes grow with iterations.

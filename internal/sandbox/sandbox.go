@@ -104,6 +104,15 @@ func (p Policy) failureOutput(base error, detail string) (mathutil.Vec, error) {
 	return nil, base
 }
 
+// settle turns a program's result into the chamber's: an error resolves
+// through failureOutput, anything else passes through.
+func (p Policy) settle(out mathutil.Vec, err error) (mathutil.Vec, error) {
+	if err != nil {
+		return p.failureOutput(err, "")
+	}
+	return out, nil
+}
+
 // holdRemaining sleeps until the quantum has fully elapsed since start, so
 // completion time does not depend on the data. A nil-deadline context can
 // cut the wait short (caller cancellation is not data-dependent).
@@ -130,6 +139,11 @@ func (p Policy) holdRemaining(ctx context.Context, start time.Time) {
 // hosted platform uses Subprocess chambers for analyst-supplied code.
 // InProcess is intended for platform-trusted programs and for benchmarking
 // the isolation overhead (paper §6.1).
+//
+// The program runs on the goroutine that called Execute when nothing can
+// interrupt it (no quantum, a context that cannot be cancelled), and on a
+// goroutine of its own otherwise, so that a quantum kill or a cancellation
+// can return without it.
 //
 // The private copy lives in recycled storage (mathutil.RowBuf), not in a
 // fresh allocation, which is as safe under four rules. The storage is
@@ -165,7 +179,12 @@ type InProcess struct {
 // That copy is what keeps an untrusted program off the registered table.
 func (c *InProcess) ReadOnlyBlocks() bool { return !c.OwnsBlock }
 
-// Execute implements Chamber.
+// Execute implements Chamber. With Policy.Quantum <= 0 and a ctx whose Done
+// is nil, the program runs on the calling goroutine, and a program that
+// calls runtime.Goexit ends the caller's goroutine (the engine's workers
+// replace themselves when that happens). Otherwise it runs on a goroutine
+// of its own, and Execute returns at the quantum or at ctx's end whether or
+// not the program has.
 func (c *InProcess) Execute(ctx context.Context, block []mathutil.Vec) (mathutil.Vec, error) {
 	if c.Program == nil {
 		return nil, errors.New("sandbox: InProcess chamber has no program")
@@ -182,6 +201,13 @@ func (c *InProcess) Execute(ctx context.Context, block []mathutil.Vec) (mathutil
 		private = buf.CopyRows(block)
 	}
 
+	if c.Policy.Quantum <= 0 && ctx.Done() == nil {
+		// No quantum can kill this block and no context can cancel it, so
+		// the select below could only ever return through done: run the
+		// program here, on the caller's goroutine.
+		return c.Policy.settle(c.run(private, buf))
+	}
+
 	type result struct {
 		out mathutil.Vec
 		err error
@@ -189,21 +215,10 @@ func (c *InProcess) Execute(ctx context.Context, block []mathutil.Vec) (mathutil
 	done := make(chan result, 1)
 	go func() {
 		var res result
-		// Only here is the program known to be done with its block, however
-		// long ago Execute stopped waiting for it.
-		defer func() {
-			if r := recover(); r != nil {
-				res = result{err: fmt.Errorf("%w: %v", ErrPanicked, r)}
-			}
-			buf.Release()
-			if c.Release != nil {
-				c.Release()
-			}
-			done <- res
-		}()
-		out, err := c.Program.Run(private)
-		// out may alias the block, which the deferred release hands on.
-		res = result{out: out.Clone(), err: err}
+		// Sent even when the program ends its goroutine (runtime.Goexit):
+		// the empty result is then a malformed output.
+		defer func() { done <- res }()
+		res.out, res.err = c.run(private, buf)
 	}()
 
 	var deadline <-chan time.Time
@@ -215,13 +230,9 @@ func (c *InProcess) Execute(ctx context.Context, block []mathutil.Vec) (mathutil
 
 	select {
 	case r := <-done:
-		if r.err != nil {
-			out, err := c.Policy.failureOutput(r.err, "")
-			c.Policy.holdRemaining(ctx, start)
-			return out, err
-		}
+		out, err := c.Policy.settle(r.out, r.err)
 		c.Policy.holdRemaining(ctx, start)
-		return r.out, nil
+		return out, err
 	case <-deadline:
 		// The goroutine is abandoned; it holds only its private copy, whose
 		// storage it gives back itself if it ever ends — never from here.
@@ -230,4 +241,24 @@ func (c *InProcess) Execute(ctx context.Context, block []mathutil.Vec) (mathutil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
+}
+
+// run runs the program on its private block, on whichever goroutine Execute
+// chose. Only here is the program known to be done with its block, however
+// long ago Execute stopped waiting for it: when Run returns, panics or ends
+// the goroutine, the deferred release hands the storage on — buf, or the
+// owner's through Release — after the output, which may alias the block,
+// was copied out.
+func (c *InProcess) run(private []mathutil.Vec, buf *mathutil.RowBuf) (out mathutil.Vec, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			out, err = nil, fmt.Errorf("%w: %v", ErrPanicked, r)
+		}
+		buf.Release()
+		if c.Release != nil {
+			c.Release()
+		}
+	}()
+	out, err = c.Program.Run(private)
+	return out.Clone(), err
 }

@@ -62,6 +62,7 @@ func LifeSci(seed int64, n int) *dataset.Table {
 	}
 	cols[LifeSciDims] = "reactive"
 	t := dataset.New(cols)
+	t.Grow(n)
 	for i := 0; i < n; i++ {
 		comp := rng.Intn(LifeSciClusters)
 		row := make(mathutil.Vec, LifeSciDims+1)
@@ -131,6 +132,7 @@ func CensusIncome(seed int64, n int) *dataset.Table {
 	// exact true mean; the shift is < 1 year and preserves the shape.
 	shift := CensusTrueMean - mathutil.Mean(ages)
 	t := dataset.New([]string{"age"})
+	t.Grow(n)
 	for _, a := range ages {
 		if err := t.Append(mathutil.Vec{mathutil.Clamp(a+shift, 0, 150)}); err != nil {
 			panic(err)
@@ -151,6 +153,7 @@ const AdsRows = 3279
 func InternetAds(seed int64, n int) *dataset.Table {
 	rng := mathutil.NewRNG(seed)
 	t := dataset.New([]string{"aspect"})
+	t.Grow(n)
 	for i := 0; i < n; i++ {
 		r := rng.LogNormal(1.5, 0.8)
 		if err := t.Append(mathutil.Vec{mathutil.Clamp(r, 0.1, 60)}); err != nil {
