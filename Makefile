@@ -31,9 +31,12 @@ ledger-kill:
 
 # audit-kill is the same matrix for the tamper-evident audit log: SIGKILL
 # at every append/head-write boundary must leave a chain that verifies,
-# with at most benign crash artifacts (torn tail, lagged head).
+# with at most benign crash artifacts (torn tail, lagged head) and a HEAD
+# of exactly its fixed width. Five more passes of the random-instant kills
+# land more of them inside the in-place head write.
 audit-kill:
 	$(GO) test -race -count=1 -run 'TestKill' ./internal/telemetry/audit
+	$(GO) test -race -count=5 -run 'TestKillRandomTiming' ./internal/telemetry/audit
 
 # fanout-race runs the raciest paths in the tree under the race detector:
 # the sharded-dispatch and scheduler tests (concurrent block fan-out,
@@ -54,12 +57,13 @@ bench-smoke:
 
 # alloc-guards runs the allocation count and byte guards of the block path
 # (chamber, worker, engine and the k-means/logreg kernels), the RNG pool's,
-# the table builder's row index and the served-query retention guard (live
-# heap per answered query) without the race detector: under it sync.Pool
+# the table builder's row index, a client connection's read buffer, the
+# audit append and the served-query retention guard (live heap per answered
+# query) without the race detector: under it sync.Pool
 # drops a quarter of what is Put on purpose and 12,000 served queries take
 # minutes, so these guards skip themselves in the race pass.
 alloc-guards:
-	$(GO) test -count=1 -run 'Allocations|SteadyStateBytes|RetainedBytes|TestRowBuf|TestCloneRows' ./internal/mathutil ./internal/analytics ./internal/core ./internal/sandbox ./internal/compman ./internal/dataset
+	$(GO) test -count=1 -run 'Allocations|SteadyStateBytes|RetainedBytes|TestRowBuf|TestCloneRows' ./internal/mathutil ./internal/analytics ./internal/core ./internal/sandbox ./internal/compman ./internal/dataset ./internal/telemetry/audit
 
 # repro regenerates the paper's figures (~35 s) and requires the six
 # mechanism figures to come out byte-identical to results/: the cheapest

@@ -41,7 +41,7 @@ func Dial(addr string) (*Client, error) {
 // a garbled handshake with ErrWireNegotiation; on error the caller still
 // owns the connection.
 func NewClient(conn net.Conn) (*Client, error) {
-	c := &Client{conn: conn, r: bufio.NewReaderSize(conn, 1<<20)}
+	c := &Client{conn: conn, r: bufio.NewReaderSize(conn, 64*1024)}
 	if err := negotiateWire(conn, c.r); err != nil {
 		return nil, err
 	}

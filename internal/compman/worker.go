@@ -550,7 +550,7 @@ func dialWorker(addr string) (*workerConn, error) {
 	wc := &workerConn{
 		addr: addr,
 		conn: conn,
-		r:    bufio.NewReaderSize(conn, 1<<20),
+		r:    bufio.NewReaderSize(conn, 64*1024),
 	}
 	// The handshake re-runs on every redial: a worker restarted on a
 	// different release is refused instead of desynchronizing.

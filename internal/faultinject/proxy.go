@@ -246,7 +246,7 @@ func (p *Proxy) handle(client net.Conn) {
 		upstream.Close()
 	}()
 
-	r := bufio.NewReaderSize(upstream, 1<<20)
+	r := bufio.NewReaderSize(upstream, 64*1024)
 	hello := make([]byte, wireHelloLen)
 	if _, err := io.ReadFull(r, hello); err != nil {
 		return

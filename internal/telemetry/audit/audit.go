@@ -3,6 +3,8 @@
 // which every record carries the SHA-256 hash of its predecessor. Editing
 // a byte, removing a record, or truncating the tail breaks the chain (or
 // contradicts the head sidecar) in a way `gupt-cli audit verify` detects.
+// The head sidecar is a fixed-width file the log keeps open and overwrites
+// in place after every record: one write, no temporary file, no rename.
 //
 // The log records platform events only: dataset names, epsilon charged and
 // refunded, block counts, outcomes, trace ids and BUCKETED latencies.
@@ -20,16 +22,21 @@
 package audit
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 )
 
 // Record types.
@@ -96,9 +103,16 @@ type Record struct {
 	Hash string `json:"hash"`
 }
 
-// head is the sidecar: the chain tip after the most recent append,
-// rewritten atomically (temp + rename) after every record. Verify uses it
-// to detect tail truncation, which the intra-record chain alone cannot see.
+// head is the sidecar: the chain tip after the most recent append. Verify
+// uses it to detect tail truncation, which the intra-record chain alone
+// cannot see. On disk it is this struct's JSON padded with spaces to
+// headSize bytes, the last one '\n', and every append overwrites it in
+// place with one write at offset 0. A write that small cannot be torn by
+// SIGKILL (the kernel checks for fatal signals only between page-sized
+// chunks), so a killed process leaves the old tip or the new one, as a
+// rename did. A HEAD of any other size is one written before the padding
+// (or missing); the first append of a process replaces it through a
+// temporary file and a rename, once.
 type head struct {
 	Seq  uint64 `json:"seq"`
 	Hash string `json:"hash"`
@@ -107,6 +121,7 @@ type head struct {
 
 const (
 	headFile   = "HEAD"
+	headSize   = 256
 	filePrefix = "audit-"
 	fileSuffix = ".log"
 	// maxDetailLen bounds the Detail field (unsafe trace strings are
@@ -124,10 +139,11 @@ type Options struct {
 	// past this size. Zero means DefaultMaxBytes.
 	MaxBytes int64
 	// Fsync syncs the segment after every append (before the head sidecar
-	// is updated, so the head never refers to a record the disk might not
-	// have). Off by default: the audit log is tamper-evidence, not the
-	// budget ledger, and a crash losing the last instants of audit is
-	// recorded as a lagging head, not silent corruption.
+	// is overwritten, so the head never refers to a record the disk might
+	// not have). The head itself is not synced. Off by default: the audit
+	// log is tamper-evidence, not the budget ledger, and a crash losing the
+	// last instants of audit is recorded as a lagging head, not silent
+	// corruption.
 	Fsync bool
 	// CrashPoint, when set, is invoked at named durability boundaries —
 	// fault-injection hook for the SIGKILL tests.
@@ -148,6 +164,15 @@ type Log struct {
 	lastSeq  uint64
 	lastHash string
 	closed   bool
+	// err, once set, fails every later Append: a segment write failed and
+	// its partial bytes could not be cut away, so they must stay the tail.
+	err error
+
+	line     bytes.Buffer  // the record being appended, reused
+	enc      *json.Encoder // encodes into line
+	headF    *os.File      // HEAD, opened by the first writeHead
+	headTail []byte        // `","file":"<segment>"}`, set with fileName
+	headBuf  [headSize]byte
 
 	// RecoveredTornTail reports that Open truncated a partial final line
 	// (expected after a crash mid-append).
@@ -166,6 +191,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		return nil, fmt.Errorf("audit: %w", err)
 	}
 	l := &Log{dir: dir, opts: opts, fileIdx: 1}
+	l.enc = json.NewEncoder(&l.line)
 
 	segs, err := segments(dir)
 	if err != nil {
@@ -188,9 +214,9 @@ func Open(dir string, opts Options) (*Log, error) {
 				}
 			}
 		}
-		l.fileName = last
+		l.setSegment(last)
 	} else {
-		l.fileName = segName(l.fileIdx)
+		l.setSegment(segName(l.fileIdx))
 	}
 
 	path := filepath.Join(dir, l.fileName)
@@ -261,21 +287,41 @@ func (l *Log) Append(rec Record) error {
 	if l.closed {
 		return fmt.Errorf("audit: log closed")
 	}
+	if l.err != nil {
+		return l.err
+	}
 	if len(rec.Detail) > maxDetailLen {
-		rec.Detail = rec.Detail[:maxDetailLen]
+		// Cut at a rune boundary. A split rune is invalid UTF-8, which
+		// json.Marshal writes as \ufffd; that decodes to a valid U+FFFD
+		// that marshals raw, so the record would fail Verify as edited.
+		cut := maxDetailLen
+		for cut > 0 && !utf8.RuneStart(rec.Detail[cut]) {
+			cut--
+		}
+		rec.Detail = rec.Detail[:cut]
 	}
 	rec.Seq = l.lastSeq + 1
 	if rec.Time == 0 {
 		rec.Time = time.Now().Unix()
 	}
 	rec.Prev = l.lastHash
-	rec.Hash = recordHash(rec)
+	rec.Hash = ""
 
-	line, err := json.Marshal(rec)
-	if err != nil {
+	// The record is marshaled once. Hash is Record's last field and is not
+	// omitempty, so the encoding ends in `"hash":""}` + '\n': without the
+	// newline it is recordHash's input, and splicing the digest between
+	// the two quotes gives json.Marshal of the finished record.
+	l.line.Reset()
+	if err := l.enc.Encode(rec); err != nil {
 		return fmt.Errorf("audit: %w", err)
 	}
-	line = append(line, '\n')
+	sum := sha256.Sum256(l.line.Bytes()[:l.line.Len()-1])
+	var digest [2 * sha256.Size]byte
+	hex.Encode(digest[:], sum[:])
+	l.line.Truncate(l.line.Len() - len("\"}\n"))
+	l.line.Write(digest[:])
+	l.line.WriteString("\"}\n")
+	line := l.line.Bytes()
 
 	if l.size > 0 && l.size+int64(len(line)) > l.opts.MaxBytes {
 		if err := l.rotate(); err != nil {
@@ -283,15 +329,15 @@ func (l *Log) Append(rec Record) error {
 		}
 	}
 	if _, err := l.f.Write(line); err != nil {
-		return fmt.Errorf("audit: %w", err)
+		return l.cutFailedWrite(err)
 	}
-	l.size += int64(len(line))
 	if l.opts.Fsync {
 		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("audit: %w", err)
+			return l.cutFailedWrite(err)
 		}
 	}
-	l.lastSeq, l.lastHash = rec.Seq, rec.Hash
+	l.size += int64(len(line))
+	l.lastSeq, l.lastHash = rec.Seq, string(digest[:])
 	l.crash(CrashAfterAppend)
 	if err := l.writeHead(); err != nil {
 		return err
@@ -306,7 +352,7 @@ func (l *Log) rotate() error {
 		return fmt.Errorf("audit: %w", err)
 	}
 	l.fileIdx++
-	l.fileName = segName(l.fileIdx)
+	l.setSegment(segName(l.fileIdx))
 	f, err := os.OpenFile(filepath.Join(l.dir, l.fileName), os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("audit: %w", err)
@@ -315,17 +361,84 @@ func (l *Log) rotate() error {
 	return nil
 }
 
-// writeHead atomically replaces the head sidecar with the current tip.
+// cutFailedWrite handles a segment write or sync that failed after the
+// record may have reached the file in part or whole. It cuts the segment
+// back to the last appended record, so the next record cannot land after
+// the fragment; if the cut fails too, the fragment must stay the tail,
+// which Open heals, and every later Append fails.
+func (l *Log) cutFailedWrite(werr error) error {
+	if err := l.f.Truncate(l.size); err != nil {
+		l.err = fmt.Errorf("audit: appending stopped: a failed write could not be cut back (%v); reopen the log: %w", err, werr)
+		return l.err
+	}
+	return fmt.Errorf("audit: %w", werr)
+}
+
+// setSegment makes name the current segment and caches the end of the
+// head document that names it.
+func (l *Log) setSegment(name string) {
+	quoted, _ := json.Marshal(name) // a string cannot fail to marshal
+	l.fileName = name
+	l.headTail = append(append([]byte(`","file":`), quoted...), '}')
+}
+
+// writeHead overwrites the head sidecar with the current tip: one write of
+// headSize bytes at offset 0 (see head).
 func (l *Log) writeHead() error {
-	b, err := json.Marshal(head{Seq: l.lastSeq, Hash: l.lastHash, File: l.fileName})
-	if err != nil {
+	b := append(l.headBuf[:0], `{"seq":`...)
+	b = strconv.AppendUint(b, l.lastSeq, 10)
+	b = append(b, `,"hash":"`...)
+	b = append(b, l.lastHash...)
+	b = append(b, l.headTail...)
+	if len(b) >= headSize {
+		return fmt.Errorf("audit: head naming segment %q exceeds %d bytes", l.fileName, headSize)
+	}
+	n := len(b)
+	b = b[:headSize]
+	for i := n; i < headSize-1; i++ {
+		b[i] = ' '
+	}
+	b[headSize-1] = '\n'
+	if l.headF == nil {
+		if err := l.openHead(b); err != nil {
+			return err
+		}
+	}
+	if _, err := l.headF.WriteAt(b, 0); err != nil {
 		return fmt.Errorf("audit: %w", err)
 	}
-	tmp := filepath.Join(l.dir, headFile+".tmp")
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
+	return nil
+}
+
+// openHead opens HEAD for in-place writes. A HEAD that is missing or not
+// headSize bytes is first replaced whole with b through a temporary file
+// and a rename.
+func (l *Log) openHead(b []byte) error {
+	path := filepath.Join(l.dir, headFile)
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	switch {
+	case err == nil:
+		st, err := f.Stat()
+		if err != nil {
+			f.Close()
+			return fmt.Errorf("audit: %w", err)
+		}
+		if st.Size() == headSize {
+			l.headF = f
+			return nil
+		}
+		f.Close()
+	case !errors.Is(err, fs.ErrNotExist):
 		return fmt.Errorf("audit: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(l.dir, headFile)); err != nil {
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+		return fmt.Errorf("audit: %w", err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("audit: %w", err)
+	}
+	if l.headF, err = os.OpenFile(path, os.O_WRONLY, 0); err != nil {
 		return fmt.Errorf("audit: %w", err)
 	}
 	return nil
@@ -353,13 +466,18 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
+	var err error
 	if l.opts.Fsync {
-		if err := l.f.Sync(); err != nil {
-			l.f.Close()
-			return fmt.Errorf("audit: %w", err)
-		}
+		err = l.f.Sync()
 	}
-	return l.f.Close()
+	err = errors.Join(err, l.f.Close())
+	if l.headF != nil {
+		err = errors.Join(err, l.headF.Close())
+	}
+	if err != nil {
+		return fmt.Errorf("audit: %w", err)
+	}
+	return nil
 }
 
 func (l *Log) crash(point string) {
