@@ -1,0 +1,229 @@
+package main
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"reflect"
+	"sort"
+	"strconv"
+	"testing"
+
+	"gupt/internal/compman"
+)
+
+// setter names how one server setting gets its value: the guptd flag whose
+// variable main.go assigns to it, or the code-only caller that sets it.
+// Exactly one of the two is non-empty.
+type setter struct {
+	flag string
+	code string
+}
+
+// serverKnobs is the inventory of every compman.ServerConfig field, with
+// SchedConfig's fields as "Sched.<name>". A setting nobody but its own
+// unit test sets has no row to go in.
+var serverKnobs = map[string]setter{
+	"DefaultQuantum":      {flag: "quantum"},
+	"ScratchRoot":         {flag: "scratch"},
+	"WorkerAddrs":         {code: "wiring: the -workers list, split at commas"},
+	"IdleTimeout":         {flag: "idle"},
+	"BlockTimeout":        {flag: "block-timeout"},
+	"QueryTimeout":        {flag: "query-timeout"},
+	"MaxQueryRetries":     {flag: "retries"},
+	"MaxFailFrac":         {flag: "max-fail-frac"},
+	"ChamberWrapper":      {code: "internal/faultinject (chaos drills)"},
+	"Logger":              {code: "wiring: guptd's process log"},
+	"Telemetry":           {code: "wiring: the registry the admin endpoint serves"},
+	"UnsafeTraces":        {flag: "unsafe-trace-log"},
+	"Audit":               {code: "wiring: the log -audit-dir opens"},
+	"CacheEntries":        {flag: "cache-entries"},
+	"CacheTTL":            {flag: "cache-ttl"},
+	"Tenants":             {code: "wiring: the registry -tenancy loads"},
+	"WorkerConns":         {flag: "worker-conns"},
+	"StragglerAfter":      {flag: "straggler-after"},
+	"Sched.MaxConcurrent": {flag: "max-concurrent"},
+	"Sched.MaxQueue":      {flag: "max-queue"},
+}
+
+// otherFlags lists the guptd flags that set no server field, with what
+// each one configures instead.
+var otherFlags = map[string]string{
+	"listen":          "the analyst wire's listen address",
+	"admin-addr":      "the admin HTTP endpoint",
+	"admin-token":     "the admin endpoint's token gate",
+	"audit-dir":       "audit.Open, which becomes ServerConfig.Audit",
+	"audit-max-bytes": "audit.Options.MaxBytes",
+	"audit-fsync":     "audit.Options.Fsync",
+	"ledger-dir":      "ledger.Open and ledger.Attach",
+	"workers":         "the list that becomes ServerConfig.WorkerAddrs",
+	"tenancy":         "tenant.Load, which becomes ServerConfig.Tenants",
+	"tenants-file":    "the file tenant.Load reads",
+	"dataset":         "registerSpec, one table per use",
+}
+
+const (
+	wantFlags        = 25
+	wantServerFields = 20
+)
+
+// mainFlags parses main.go and returns each flag's name mapped to the
+// variable its value lands in, plus the identifiers each field of the
+// ServerConfig and SchedConfig literals is built from.
+func mainFlags(t *testing.T) (flags map[string]string, fieldVars map[string]map[string]bool) {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags = map[string]string{}
+	fieldVars = map[string]map[string]bool{}
+	flagName := func(call *ast.CallExpr, arg int) (string, bool) {
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || len(call.Args) <= arg {
+			return "", false
+		}
+		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+			return "", false
+		}
+		lit, ok := call.Args[arg].(*ast.BasicLit)
+		if !ok || lit.Kind != token.STRING {
+			return "", false
+		}
+		name, err := strconv.Unquote(lit.Value)
+		return name, err == nil
+	}
+	literal := func(lit *ast.CompositeLit, prefix string) {
+		for _, elt := range lit.Elts {
+			kv, ok := elt.(*ast.KeyValueExpr)
+			if !ok {
+				continue
+			}
+			vars := map[string]bool{}
+			ast.Inspect(kv.Value, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					vars[id.Name] = true
+				}
+				return true
+			})
+			fieldVars[prefix+kv.Key.(*ast.Ident).Name] = vars
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.ValueSpec:
+			for i, v := range n.Values {
+				if call, ok := v.(*ast.CallExpr); ok {
+					if name, ok := flagName(call, 0); ok {
+						flags[name] = n.Names[i].Name
+					}
+				}
+			}
+		case *ast.CallExpr:
+			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Var" {
+				if name, ok := flagName(n, 1); ok {
+					flags[name] = "" // bound to a flag.Value, not a variable
+				}
+			}
+		case *ast.CompositeLit:
+			sel, ok := n.Type.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			switch sel.Sel.Name {
+			case "ServerConfig":
+				literal(n, "")
+			case "SchedConfig":
+				literal(n, "Sched.")
+			}
+		}
+		return true
+	})
+	return flags, fieldVars
+}
+
+// serverFields lists ServerConfig's fields by reflection, with the struct
+// Sched expanded into SchedConfig's fields.
+func serverFields() []string {
+	var fields []string
+	cfg := reflect.TypeOf(compman.ServerConfig{})
+	for i := 0; i < cfg.NumField(); i++ {
+		f := cfg.Field(i)
+		if f.Type != reflect.TypeOf(compman.SchedConfig{}) {
+			fields = append(fields, f.Name)
+			continue
+		}
+		for j := 0; j < f.Type.NumField(); j++ {
+			fields = append(fields, f.Name+"."+f.Type.Field(j).Name)
+		}
+	}
+	return fields
+}
+
+// Every knob has a caller: each server setting is set by a guptd flag or by
+// a named piece of code, each flag sets a server setting or is listed with
+// its other use, and the counts move only when this inventory does.
+func TestKnobInventory(t *testing.T) {
+	flags, fieldVars := mainFlags(t)
+
+	fields := serverFields()
+	if len(fields) != wantServerFields {
+		t.Errorf("ServerConfig + SchedConfig have %d fields, want %d", len(fields), wantServerFields)
+	}
+	flagSetsField := map[string]string{}
+	for _, field := range fields {
+		row, ok := serverKnobs[field]
+		switch {
+		case !ok:
+			t.Errorf("field %s has no row: name the flag or code that sets it, or delete it", field)
+			continue
+		case (row.flag == "") == (row.code == ""):
+			t.Errorf("field %s: a row names a flag or a code-only caller, exactly one", field)
+			continue
+		case row.code != "":
+			continue
+		}
+		v, defined := flags[row.flag]
+		if !defined {
+			t.Errorf("field %s names flag -%s, which main.go does not define", field, row.flag)
+			continue
+		}
+		if !fieldVars[field][v] {
+			t.Errorf("main.go does not set %s from -%s", field, row.flag)
+		}
+		flagSetsField[row.flag] = field
+	}
+	known := map[string]bool{}
+	for _, f := range fields {
+		known[f] = true
+	}
+	for field := range serverKnobs {
+		if !known[field] {
+			t.Errorf("row for %s, which ServerConfig does not have", field)
+		}
+	}
+
+	if len(flags) != wantFlags {
+		names := make([]string, 0, len(flags))
+		for name := range flags {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		t.Errorf("guptd defines %d flags, want %d: %v", len(flags), wantFlags, names)
+	}
+	for name := range flags {
+		_, other := otherFlags[name]
+		field, sets := flagSetsField[name]
+		switch {
+		case !other && !sets:
+			t.Errorf("flag -%s has no row: name the server field it sets or its other use", name)
+		case other && sets:
+			t.Errorf("flag -%s is listed both as setting %s and as %q", name, field, otherFlags[name])
+		}
+	}
+	for name := range otherFlags {
+		if _, ok := flags[name]; !ok {
+			t.Errorf("row for flag -%s, which main.go does not define", name)
+		}
+	}
+}

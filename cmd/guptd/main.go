@@ -50,22 +50,18 @@ func main() {
 	var (
 		listen       = flag.String("listen", "127.0.0.1:7113", "address to listen on")
 		adminAddr    = flag.String("admin-addr", "", "operator admin HTTP endpoint (/metrics, /healthz, /datasets, /debug/pprof); empty disables")
-		traceLog     = flag.Bool("unsafe-trace-log", false, "log per-query lifecycle traces with raw stage durations; UNSAFE where analysts can read logs (see SECURITY.md)")
-		traceSlower  = flag.Duration("trace-threshold", 0, "with -unsafe-trace-log, only log queries at least this slow (0 logs all)")
+		traceLog     = flag.Bool("unsafe-trace-log", false, "write each query's lifecycle trace with raw stage durations into the audit log as an unsafe_raw record (requires -audit-dir); UNSAFE where analysts can read it (see SECURITY.md)")
 		auditDir     = flag.String("audit-dir", "", "tamper-evident audit log directory (hash-chained query records, verifiable with 'gupt-cli audit verify'); empty disables")
 		auditMax     = flag.Int64("audit-max-bytes", 0, "rotate audit segments at this size (0 = default 4MiB)")
 		auditFsync   = flag.Bool("audit-fsync", false, "fsync the audit log after every record (durability over throughput)")
 		quantum      = flag.Duration("quantum", 0, "per-block timing quantum applied to all queries (0 disables)")
 		scratch      = flag.String("scratch", "", "root for subprocess chamber scratch dirs (default: system temp)")
 		ledgerDir    = flag.String("ledger-dir", "", "durable privacy-ledger directory (write-ahead log + snapshots); spent budget survives crashes")
-		ledgerSync   = flag.String("ledger-sync", "batched", "ledger fsync policy: 'record' (fsync every charge) or 'batched' (group commit: concurrent charges share an fsync)")
 		workers      = flag.String("workers", "", "comma-separated gupt-worker addresses for cluster execution")
 		workerConns  = flag.Int("worker-conns", 1, "concurrent block exchanges per worker host; engine parallelism is workers x this")
 		straggler    = flag.Duration("straggler-after", 0, "duplicate a block to the next-ranked worker when its home worker is this late; first result wins (0 disables)")
 		maxConc      = flag.Int("max-concurrent", 0, "deadline-aware scheduler: queries executing at once; overflow queues earliest-deadline-first (0 disables scheduling)")
 		maxQueue     = flag.Int("max-queue", 0, "scheduler wait-queue bound; arrivals past it are refused with a retry hint (0 = 4x max-concurrent)")
-		maxPerDs     = flag.Int("max-per-dataset", 0, "scheduler cap on concurrent queries per dataset (0 = no cap)")
-		maxPerTen    = flag.Int("max-per-tenant", 0, "scheduler cap on concurrent queries per tenant (0 = no cap)")
 		idle         = flag.Duration("idle", 0, "disconnect clients idle for this long (0 disables)")
 		blockTimeout = flag.Duration("block-timeout", 0, "per-block execution deadline; overruns are substituted (0 disables)")
 		queryTimeout = flag.Duration("query-timeout", 0, "whole-query deadline; overruns abort with budget consumed (0 disables)")
@@ -84,6 +80,12 @@ func main() {
 	if len(datasets) == 0 {
 		fmt.Fprintln(os.Stderr, "guptd: at least one -dataset is required")
 		flag.Usage()
+		os.Exit(2)
+	}
+	if *traceLog && *auditDir == "" {
+		// The audit chain is the raw traces' only sink: without it the flag
+		// would silently do nothing.
+		fmt.Fprintln(os.Stderr, "guptd: -unsafe-trace-log requires -audit-dir")
 		os.Exit(2)
 	}
 
@@ -122,18 +124,11 @@ func main() {
 	// log, then route every future charge through it (log-before-charge).
 	var led *ledger.Ledger
 	if *ledgerDir != "" {
-		var policy ledger.SyncPolicy
-		switch *ledgerSync {
-		case "record":
-			policy = ledger.SyncEveryRecord
-		case "batched":
-			policy = ledger.SyncBatched
-		default:
-			log.Fatalf("-ledger-sync must be 'record' or 'batched', got %q", *ledgerSync)
-		}
+		// Group commit: the flush leader fsyncs at once, so a lone charge
+		// pays one fsync and concurrent charges share theirs.
 		var err error
 		led, err = ledger.Open(*ledgerDir, ledger.Options{
-			Sync:      policy,
+			Sync:      ledger.SyncBatched,
 			Telemetry: tel,
 			Logger:    log.Default(),
 		})
@@ -144,8 +139,8 @@ func main() {
 			log.Fatalf("attaching privacy ledger: %v", err)
 		}
 		rec := led.Recovered()
-		log.Printf("privacy ledger %s: recovered %d dataset(s), %d WAL record(s), lastSeq %d (sync=%s)",
-			*ledgerDir, len(rec.Datasets), rec.WALRecords, rec.LastSeq, policy)
+		log.Printf("privacy ledger %s: recovered %d dataset(s), %d WAL record(s), lastSeq %d",
+			*ledgerDir, len(rec.Datasets), rec.WALRecords, rec.LastSeq)
 		if rec.TornTail {
 			log.Printf("privacy ledger: truncated a torn final record (crash mid-append); spent budget is intact")
 		}
@@ -197,18 +192,15 @@ func main() {
 		Tenants:         tenants,
 		WorkerConns:     *workerConns,
 		StragglerAfter:  *straggler,
+		UnsafeTraces:    *traceLog,
 		Sched: compman.SchedConfig{
 			MaxConcurrent: *maxConc,
 			MaxQueue:      *maxQueue,
-			MaxPerDataset: *maxPerDs,
-			MaxPerTenant:  *maxPerTen,
 		},
 	}
 	if *traceLog {
-		log.Print("WARNING: -unsafe-trace-log exposes raw per-stage query timings in the log; " +
-			"keep this log operator-private (SECURITY.md §timing)")
-		cfg.TraceLogger = log.Default()
-		cfg.TraceThreshold = *traceSlower
+		log.Print("WARNING: -unsafe-trace-log writes raw per-stage query timings into the audit log; " +
+			"keep it operator-private (SECURITY.md §timing)")
 	}
 	srv := compman.NewServer(reg, cfg)
 

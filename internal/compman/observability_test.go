@@ -31,7 +31,7 @@ func TestFanoutQueryObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snaps := srv.Traces()
+	snaps := srv.Recorder().Traces()
 	if len(snaps) != 1 {
 		t.Fatalf("Traces() returned %d traces, want 1", len(snaps))
 	}
@@ -89,7 +89,7 @@ func TestFanoutQueryObservability(t *testing.T) {
 	}
 
 	// The same query in the flight recorder, with cost and fan-out tallies.
-	flights := srv.Flights()
+	flights := srv.Recorder().Snapshots()
 	if len(flights) != 1 {
 		t.Fatalf("Flights() returned %d records, want 1", len(flights))
 	}
@@ -161,7 +161,7 @@ func TestRefusalObservability(t *testing.T) {
 
 	// Refused queries get traces too, with the verdict on the decision span.
 	var refusedTraces int
-	for _, tr := range srv.Traces() {
+	for _, tr := range srv.Recorder().Traces() {
 		if tr.Outcome != "overloaded" {
 			continue
 		}
@@ -182,7 +182,7 @@ func TestRefusalObservability(t *testing.T) {
 
 	// The flight recorder names the reason and the retry hint, at zero ε.
 	var refusedFlights int
-	for _, fl := range srv.Flights() {
+	for _, fl := range srv.Recorder().Snapshots() {
 		if fl.Outcome != "overloaded" {
 			continue
 		}

@@ -25,7 +25,9 @@ import (
 
 // SchedConfig configures the deadline-aware admission scheduler. The zero
 // value disables scheduling entirely: every query runs immediately, the
-// pre-scheduler behavior.
+// pre-scheduler behavior. Per-tenant concurrency is not the scheduler's:
+// a tenant's MaxInflight is enforced by the rate limiter before a query
+// reaches it.
 type SchedConfig struct {
 	// MaxConcurrent bounds queries executing at once across the server.
 	// Zero or negative disables the scheduler.
@@ -34,13 +36,6 @@ type SchedConfig struct {
 	// bound is refused with a RetryAfterMillis hint. Zero selects
 	// 4×MaxConcurrent.
 	MaxQueue int
-	// MaxPerDataset bounds concurrent queries per dataset (a hot dataset
-	// cannot starve the rest). Zero means no per-dataset cap.
-	MaxPerDataset int
-	// MaxPerTenant bounds concurrent queries per tenant id. Zero means no
-	// per-tenant cap. With tenancy off every query shares the default
-	// principal, so this cap then equals MaxConcurrent semantics.
-	MaxPerTenant int
 }
 
 func (c SchedConfig) enabled() bool { return c.MaxConcurrent > 0 }
@@ -69,13 +64,10 @@ const (
 
 // waiter is one queued query.
 type waiter struct {
-	dataset  string
-	tenant   string
 	deadline time.Time // zero: no client deadline (sorts after all deadlines)
 	seq      uint64    // FIFO tiebreak
 	ready    chan struct{}
 	index    int // heap position; -1 once popped
-	expired  bool
 	admitted bool
 }
 
@@ -124,8 +116,6 @@ type scheduler struct {
 
 	mu         sync.Mutex
 	running    int
-	perDataset map[string]int
-	perTenant  map[string]int
 	queue      schedHeap
 	seq        uint64
 	ewmaMillis float64 // smoothed query service time, for retry hints
@@ -143,37 +133,18 @@ func newScheduler(cfg SchedConfig, tel *telemetry.Registry) *scheduler {
 		return nil
 	}
 	return &scheduler{
-		cfg:        cfg,
-		perDataset: make(map[string]int),
-		perTenant:  make(map[string]int),
-		gDepth:     tel.Gauge("compman.sched.queue_depth"),
-		gRunning:   tel.Gauge("compman.sched.running"),
-		cAdmitted:  tel.Counter("compman.sched.admitted"),
-		cQueued:    tel.Counter("compman.sched.queued"),
-		cBusy:      tel.Counter("compman.sched.rejected_busy"),
-		cExpired:   tel.Counter("compman.sched.rejected_expired"),
+		cfg:       cfg,
+		gDepth:    tel.Gauge("compman.sched.queue_depth"),
+		gRunning:  tel.Gauge("compman.sched.running"),
+		cAdmitted: tel.Counter("compman.sched.admitted"),
+		cQueued:   tel.Counter("compman.sched.queued"),
+		cBusy:     tel.Counter("compman.sched.rejected_busy"),
+		cExpired:  tel.Counter("compman.sched.rejected_expired"),
 	}
 }
 
-// canRunLocked reports whether a query on (dataset, tenant) fits every
-// concurrency cap right now. s.mu held.
-func (s *scheduler) canRunLocked(dataset, tenant string) bool {
-	if s.running >= s.cfg.MaxConcurrent {
-		return false
-	}
-	if s.cfg.MaxPerDataset > 0 && s.perDataset[dataset] >= s.cfg.MaxPerDataset {
-		return false
-	}
-	if s.cfg.MaxPerTenant > 0 && s.perTenant[tenant] >= s.cfg.MaxPerTenant {
-		return false
-	}
-	return true
-}
-
-func (s *scheduler) startLocked(dataset, tenant string) {
+func (s *scheduler) startLocked() {
 	s.running++
-	s.perDataset[dataset]++
-	s.perTenant[tenant]++
 	s.gRunning.Set(int64(s.running))
 	s.cAdmitted.Inc()
 }
@@ -198,8 +169,9 @@ func (s *scheduler) retryHintLocked() time.Duration {
 // release func (call exactly once, when the query settles), or a rejection
 // verdict with a retry hint. deadline zero means no client deadline; a
 // deadline that expires while queued converts to schedExpired without the
-// query ever charging ε.
-func (s *scheduler) admit(ctx context.Context, dataset, tenant string, deadline time.Time) (release func(), retryAfter time.Duration, verdict schedVerdict) {
+// query ever charging ε. Every expiry is counted once, by whichever of
+// admit and promoteLocked decides it.
+func (s *scheduler) admit(ctx context.Context, deadline time.Time) (release func(), retryAfter time.Duration, verdict schedVerdict) {
 	if s == nil {
 		return func() {}, 0, schedAdmitted
 	}
@@ -210,10 +182,12 @@ func (s *scheduler) admit(ctx context.Context, dataset, tenant string, deadline 
 		s.mu.Unlock()
 		return nil, hint, schedExpired
 	}
-	if s.canRunLocked(dataset, tenant) {
-		s.startLocked(dataset, tenant)
+	// A free slot implies an empty queue: a release promotes a waiter
+	// into the slot it frees.
+	if s.running < s.cfg.MaxConcurrent {
+		s.startLocked()
 		s.mu.Unlock()
-		return s.releaseFunc(dataset, tenant, time.Now()), 0, schedAdmitted
+		return s.releaseFunc(time.Now()), 0, schedAdmitted
 	}
 	if len(s.queue) >= s.cfg.maxQueue() {
 		hint := s.retryHintLocked()
@@ -222,8 +196,6 @@ func (s *scheduler) admit(ctx context.Context, dataset, tenant string, deadline 
 		return nil, hint, schedBusy
 	}
 	w := &waiter{
-		dataset:  dataset,
-		tenant:   tenant,
 		deadline: deadline,
 		seq:      s.seq,
 		ready:    make(chan struct{}),
@@ -235,23 +207,16 @@ func (s *scheduler) admit(ctx context.Context, dataset, tenant string, deadline 
 	s.mu.Unlock()
 
 	// A queued waiter with a deadline also arms a timer: expiry must not
-	// wait for the next release to be noticed.
+	// wait for the next release to be noticed. (w.deadline belongs to the
+	// heap now and is read only under s.mu.)
 	var expiry <-chan time.Time
-	if !w.deadline.IsZero() {
-		t := time.NewTimer(time.Until(w.deadline))
+	if !deadline.IsZero() {
+		t := time.NewTimer(time.Until(deadline))
 		defer t.Stop()
 		expiry = t.C
 	}
 	select {
 	case <-w.ready:
-		s.mu.Lock()
-		admitted := w.admitted
-		hint := s.retryHintLocked()
-		s.mu.Unlock()
-		if admitted {
-			return s.releaseFunc(dataset, tenant, time.Now()), 0, schedAdmitted
-		}
-		return nil, hint, schedExpired
 	case <-expiry:
 		if s.abandon(w) {
 			s.mu.Lock()
@@ -262,17 +227,6 @@ func (s *scheduler) admit(ctx context.Context, dataset, tenant string, deadline 
 		}
 		// Lost the race: a release admitted (or expired) us first.
 		<-w.ready
-		s.mu.Lock()
-		admitted := w.admitted
-		hint := s.retryHintLocked()
-		if !admitted {
-			s.cExpired.Inc()
-		}
-		s.mu.Unlock()
-		if admitted {
-			return s.releaseFunc(dataset, tenant, time.Now()), 0, schedAdmitted
-		}
-		return nil, hint, schedExpired
 	case <-ctx.Done():
 		if s.abandon(w) {
 			return nil, 0, schedCancelled
@@ -284,11 +238,18 @@ func (s *scheduler) admit(ctx context.Context, dataset, tenant string, deadline 
 		if admitted {
 			// Admitted in the same instant the caller gave up; hand the
 			// slot straight back so it is not leaked.
-			s.releaseFunc(dataset, tenant, time.Now())()
-			return nil, 0, schedCancelled
+			s.releaseFunc(time.Now())()
 		}
 		return nil, 0, schedCancelled
 	}
+	s.mu.Lock()
+	admitted := w.admitted
+	hint := s.retryHintLocked()
+	s.mu.Unlock()
+	if admitted {
+		return s.releaseFunc(time.Now()), 0, schedAdmitted
+	}
+	return nil, hint, schedExpired
 }
 
 // abandon removes a still-queued waiter; false means it already left the
@@ -305,7 +266,7 @@ func (s *scheduler) abandon(w *waiter) bool {
 }
 
 // releaseFunc frees the slot taken at start and promotes queued waiters.
-func (s *scheduler) releaseFunc(dataset, tenant string, start time.Time) func() {
+func (s *scheduler) releaseFunc(start time.Time) func() {
 	return func() {
 		elapsed := float64(time.Since(start)) / float64(time.Millisecond)
 		s.mu.Lock()
@@ -317,48 +278,27 @@ func (s *scheduler) releaseFunc(dataset, tenant string, start time.Time) func() 
 			s.ewmaMillis = 0.8*s.ewmaMillis + 0.2*elapsed
 		}
 		s.running--
-		if s.perDataset[dataset]--; s.perDataset[dataset] <= 0 {
-			delete(s.perDataset, dataset)
-		}
-		if s.perTenant[tenant]--; s.perTenant[tenant] <= 0 {
-			delete(s.perTenant, tenant)
-		}
 		s.gRunning.Set(int64(s.running))
 		s.promoteLocked()
 		s.mu.Unlock()
 	}
 }
 
-// promoteLocked pops waiters in EDF order: expired ones are rejected (they
-// can no longer be served in time), and the earliest-deadline waiter whose
-// caps have room is admitted. Waiters blocked only by a per-dataset or
-// per-tenant cap are skipped over — EDF across the eligible set, not
-// head-of-line blocking. s.mu held.
+// promoteLocked fills free slots from the queue in EDF order: a waiter
+// whose deadline has passed is rejected and counted here (it can no longer
+// be served in time), and the earliest-deadline live waiter is admitted.
+// s.mu held.
 func (s *scheduler) promoteLocked() {
 	now := time.Now()
-	var skipped []*waiter
-	for len(s.queue) > 0 {
+	for len(s.queue) > 0 && s.running < s.cfg.MaxConcurrent {
 		w := heap.Pop(&s.queue).(*waiter)
 		if !w.deadline.IsZero() && !now.Before(w.deadline) {
-			w.expired = true
-			close(w.ready)
-			continue
-		}
-		if s.canRunLocked(w.dataset, w.tenant) {
+			s.cExpired.Inc()
+		} else {
 			w.admitted = true
-			s.startLocked(w.dataset, w.tenant)
-			close(w.ready)
-			break
+			s.startLocked()
 		}
-		if s.running >= s.cfg.MaxConcurrent {
-			// No global room: nothing else can be admitted either.
-			skipped = append(skipped, w)
-			break
-		}
-		skipped = append(skipped, w) // blocked by a scoped cap; try the next
-	}
-	for _, w := range skipped {
-		heap.Push(&s.queue, w)
+		close(w.ready)
 	}
 	s.gDepth.Set(int64(len(s.queue)))
 }

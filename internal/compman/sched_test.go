@@ -33,7 +33,7 @@ func TestSchedulerDisabled(t *testing.T) {
 	}
 	// The nil scheduler is a no-op admit: every query runs immediately.
 	var s *scheduler
-	release, retryAfter, verdict := s.admit(context.Background(), "ds", "", time.Time{})
+	release, retryAfter, verdict := s.admit(context.Background(), time.Time{})
 	if verdict != schedAdmitted || retryAfter != 0 {
 		t.Fatalf("nil scheduler admit = %v, %v", verdict, retryAfter)
 	}
@@ -45,7 +45,7 @@ func TestSchedulerDisabled(t *testing.T) {
 func TestSchedulerEDFOrder(t *testing.T) {
 	s := testSched(SchedConfig{MaxConcurrent: 1, MaxQueue: 8})
 	ctx := context.Background()
-	release, _, verdict := s.admit(ctx, "ds", "", time.Time{})
+	release, _, verdict := s.admit(ctx, time.Time{})
 	if verdict != schedAdmitted {
 		t.Fatalf("first admit = %v", verdict)
 	}
@@ -56,7 +56,7 @@ func TestSchedulerEDFOrder(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rel, _, v := s.admit(ctx, "ds", "", deadline)
+			rel, _, v := s.admit(ctx, deadline)
 			if v != schedAdmitted {
 				t.Errorf("waiter %s verdict = %v", name, v)
 				return
@@ -91,13 +91,13 @@ func TestSchedulerEDFOrder(t *testing.T) {
 func TestSchedulerQueueFullBusy(t *testing.T) {
 	s := testSched(SchedConfig{MaxConcurrent: 1, MaxQueue: 1})
 	ctx := context.Background()
-	release, _, _ := s.admit(ctx, "ds", "", time.Time{})
+	release, _, _ := s.admit(ctx, time.Time{})
 
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		rel, _, v := s.admit(ctx, "ds", "", time.Time{})
+		rel, _, v := s.admit(ctx, time.Time{})
 		if v == schedAdmitted {
 			rel()
 		}
@@ -105,7 +105,7 @@ func TestSchedulerQueueFullBusy(t *testing.T) {
 	waitQueueDepth(t, s, 1)
 
 	// Queue full: the third arrival is refused with a positive retry hint.
-	rel, retryAfter, verdict := s.admit(ctx, "ds", "", time.Time{})
+	rel, retryAfter, verdict := s.admit(ctx, time.Time{})
 	if verdict != schedBusy {
 		if rel != nil {
 			rel()
@@ -126,7 +126,7 @@ func TestSchedulerDeadlineExpiry(t *testing.T) {
 	s := testSched(SchedConfig{MaxConcurrent: 1})
 	ctx := context.Background()
 
-	_, retryAfter, verdict := s.admit(ctx, "ds", "", time.Now().Add(-time.Second))
+	_, retryAfter, verdict := s.admit(ctx, time.Now().Add(-time.Second))
 	if verdict != schedExpired {
 		t.Fatalf("past deadline verdict = %v, want schedExpired", verdict)
 	}
@@ -134,9 +134,9 @@ func TestSchedulerDeadlineExpiry(t *testing.T) {
 		t.Errorf("expired rejection retry hint = %v, want > 0", retryAfter)
 	}
 
-	release, _, _ := s.admit(ctx, "ds", "", time.Time{}) // occupy the slot
+	release, _, _ := s.admit(ctx, time.Time{}) // occupy the slot
 	start := time.Now()
-	_, _, verdict = s.admit(ctx, "ds", "", time.Now().Add(50*time.Millisecond))
+	_, _, verdict = s.admit(ctx, time.Now().Add(50*time.Millisecond))
 	if verdict != schedExpired {
 		t.Fatalf("queued-past-deadline verdict = %v, want schedExpired", verdict)
 	}
@@ -146,69 +146,59 @@ func TestSchedulerDeadlineExpiry(t *testing.T) {
 	release()
 
 	// No slot leaked: the next query is admitted immediately.
-	rel, _, verdict := s.admit(ctx, "ds", "", time.Time{})
+	rel, _, verdict := s.admit(ctx, time.Time{})
 	if verdict != schedAdmitted {
 		t.Fatalf("post-expiry admit = %v", verdict)
 	}
 	rel()
 }
 
-// Scoped caps: a dataset (or tenant) at its cap queues, but does not block
-// other datasets — EDF over the eligible set, not head-of-line blocking.
-func TestSchedulerScopedCaps(t *testing.T) {
-	s := testSched(SchedConfig{MaxConcurrent: 4, MaxPerDataset: 1, MaxPerTenant: 2})
+// An expiry is counted once, where it is decided. Here a release finds the
+// queued waiter past its deadline (moved into the past under s.mu, so the
+// waiter's own timer, an hour out, cannot decide it first): the release's
+// promotion rejects it, and the waiter returns schedExpired without
+// counting it a second time.
+func TestSchedulerExpiryCountedOnce(t *testing.T) {
+	s := testSched(SchedConfig{MaxConcurrent: 1})
 	ctx := context.Background()
+	release, _, _ := s.admit(ctx, time.Time{}) // occupy the slot
 
-	relHot, _, verdict := s.admit(ctx, "hot", "acme", time.Time{})
-	if verdict != schedAdmitted {
-		t.Fatalf("first hot admit = %v", verdict)
-	}
-
-	hotDone := make(chan struct{})
+	done := make(chan schedVerdict, 1)
 	go func() {
-		defer close(hotDone)
-		rel, _, v := s.admit(ctx, "hot", "acme", time.Time{})
-		if v != schedAdmitted {
-			t.Errorf("queued hot query verdict = %v", v)
-			return
+		rel, _, v := s.admit(ctx, time.Now().Add(time.Hour))
+		if v == schedAdmitted {
+			rel()
 		}
-		rel()
+		done <- v
 	}()
 	waitQueueDepth(t, s, 1)
-
-	// A different dataset sails through while "hot" is capped.
-	relCold, _, verdict := s.admit(ctx, "cold", "acme", time.Time{})
-	if verdict != schedAdmitted {
-		t.Fatalf("cold dataset admit = %v; per-dataset cap must not block other datasets", verdict)
-	}
-
-	// The tenant cap bites now: two acme queries are running.
 	s.mu.Lock()
-	canRun := s.canRunLocked("other", "acme")
+	s.queue[0].deadline = time.Now().Add(-time.Second)
 	s.mu.Unlock()
-	if canRun {
-		t.Error("tenant acme at MaxPerTenant=2 still admits")
-	}
-	s.mu.Lock()
-	canRun = s.canRunLocked("other", "globex")
-	s.mu.Unlock()
-	if !canRun {
-		t.Error("tenant globex blocked by acme's cap")
-	}
+	release()
 
-	relHot() // frees the dataset cap; the queued hot query promotes
-	<-hotDone
-	relCold()
+	if v := <-done; v != schedExpired {
+		t.Fatalf("verdict = %v, want schedExpired", v)
+	}
+	if got := s.cExpired.Value(); got != 1 {
+		t.Errorf("compman.sched.rejected_expired = %d, want 1", got)
+	}
+	// The rejected waiter took no slot.
+	rel, _, v := s.admit(ctx, time.Time{})
+	if v != schedAdmitted {
+		t.Fatalf("post-expiry admit = %v", v)
+	}
+	rel()
 }
 
 func TestSchedulerCancelledWhileQueued(t *testing.T) {
 	s := testSched(SchedConfig{MaxConcurrent: 1})
-	release, _, _ := s.admit(context.Background(), "ds", "", time.Time{})
+	release, _, _ := s.admit(context.Background(), time.Time{})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan schedVerdict, 1)
 	go func() {
-		_, _, v := s.admit(ctx, "ds", "", time.Time{})
+		_, _, v := s.admit(ctx, time.Time{})
 		done <- v
 	}()
 	waitQueueDepth(t, s, 1)

@@ -70,21 +70,19 @@ type ServerConfig struct {
 	// shared registry here (see internal/telemetry and cmd/guptd
 	// -admin-addr).
 	Telemetry *telemetry.Registry
-	// TraceLogger, when set, receives one line per traced query with RAW
-	// per-stage durations — the opt-in slow-query trace log. This reopens
-	// the §6.3 timing side channel for anyone who can read the log, so it
-	// must stay operator-private and off in adversarial deployments; see
-	// SECURITY.md before enabling.
-	TraceLogger *log.Logger
-	// TraceThreshold suppresses trace-log lines for queries faster than
-	// this; zero logs every query when TraceLogger is set.
-	TraceThreshold time.Duration
+	// UnsafeTraces writes each settled query's trace line, with RAW
+	// per-stage durations, into the audit chain as an unsafe_raw record.
+	// This reopens the §6.3 timing side channel for anyone who can read
+	// the audit log, so it must stay operator-private and off in
+	// adversarial deployments; see SECURITY.md before enabling. The audit
+	// chain is its only sink: without Audit it does nothing, and the line
+	// never reaches a process log.
+	UnsafeTraces bool
 	// Audit, when set, receives one tamper-evident record per settled query
 	// and session (dataset, ε movements, outcome, trace id, bucketed
-	// latency — never outputs or raw durations). When TraceLogger is also
-	// set, its raw-duration lines are additionally folded in as explicit
-	// unsafe_raw records, so the side-channel exposure is itself on the
-	// audit record. Nil disables auditing.
+	// latency — never outputs or raw durations), plus the unsafe_raw trace
+	// records UnsafeTraces asks for, so the side-channel exposure is itself
+	// on the audit record. Nil disables auditing.
 	Audit *audit.Log
 	// CacheEntries bounds the noisy-answer cache (internal/qcache): repeat
 	// queries whose fingerprint matches a previously released answer are
@@ -104,8 +102,8 @@ type ServerConfig struct {
 	// every request runs as the default principal.
 	Tenants *tenant.Registry
 	// Sched configures the deadline-aware admission scheduler: bounded
-	// query queue, EDF ordering, global/per-dataset/per-tenant concurrency
-	// caps, RetryAfterMillis backpressure. The zero value disables it (every
+	// query queue, EDF ordering under one global concurrency cap,
+	// RetryAfterMillis backpressure. The zero value disables it (every
 	// query runs immediately, the pre-scheduler behavior).
 	Sched SchedConfig
 	// WorkerConns bounds concurrent block exchanges per worker host; zero
@@ -239,18 +237,6 @@ func (s *Server) Telemetry() *telemetry.Registry { return s.tel }
 // the /queries, /flight and /traces admin endpoints
 // (telemetry.AdminConfig.Recorder).
 func (s *Server) Recorder() *telemetry.FlightRecorder { return s.flight }
-
-// Traces returns the trace of each recorded flight, newest first — what
-// /traces serves. Durations are bucketed (§6.3).
-func (s *Server) Traces() []telemetry.TraceSnapshot { return s.flight.Traces() }
-
-// LiveQueries returns the recorder's open traces (stage + elapsed bucket),
-// oldest first — what /queries serves.
-func (s *Server) LiveQueries() []telemetry.InflightSnapshot { return s.flight.Live() }
-
-// Flights returns the recorder's ring, newest first — what /flight serves.
-// Every timing inside is bucketed.
-func (s *Server) Flights() []telemetry.FlightRecord { return s.flight.Snapshots() }
 
 // BudgetRows returns the ε burn-down plane's rows (remaining budget, EWMA
 // burn rate, time-to-exhaustion per tenant/dataset) — the /budget admin
@@ -528,7 +514,7 @@ func (s *Server) schedule(ctx context.Context, tenantID string, req *Request, tr
 		deadline = time.Now().Add(time.Duration(req.DeadlineMillis) * time.Millisecond)
 	}
 	queue := tr.StartSpan(telemetry.StageSchedQueue)
-	release, retryAfter, verdict := s.sched.admit(ctx, req.Dataset, tenantID, deadline)
+	release, retryAfter, verdict := s.sched.admit(ctx, deadline)
 	queue.End(telemetry.StatusOK)
 	decision := tr.StartSpan(telemetry.StageSchedDecision)
 	switch verdict {
@@ -664,7 +650,7 @@ func (s *Server) dispatchAs(tenantID string, req *Request) Response {
 			Blocks:         resp.NumBlocks,
 		})
 		s.auditRecordAs(tenantID, req.Dataset, &resp, outcome, tr.Elapsed())
-		s.logTrace(tr)
+		s.auditUnsafeTrace(tr)
 		return resp
 	default:
 		return Response{Error: fmt.Sprintf("unknown op %q", req.Op)}
@@ -746,32 +732,24 @@ func (s *Server) auditRefusalAs(tenantID, dataset string, resp *Response, outcom
 	}
 }
 
-// logTrace emits the opt-in slow-query trace line. Raw per-stage durations
-// leave the process ONLY through this path, and only when the operator
-// explicitly configured TraceLogger — see SECURITY.md on why that log is
-// unsafe to expose to adversarial analysts. When the audit log is enabled
-// too, the same line is folded in as an explicit unsafe_raw record, so the
-// side-channel exposure is itself tamper-evidently recorded.
-func (s *Server) logTrace(tr *telemetry.Trace) {
-	if s.cfg.TraceLogger == nil || tr == nil {
+// auditUnsafeTrace folds a settled query's raw-duration trace line into
+// the audit chain as an explicit unsafe_raw record. Raw per-stage
+// durations leave the process ONLY through this path, and only when the
+// operator set UnsafeTraces — see SECURITY.md on why they are unsafe to
+// expose to adversarial analysts.
+func (s *Server) auditUnsafeTrace(tr *telemetry.Trace) {
+	if !s.cfg.UnsafeTraces || s.cfg.Audit == nil {
 		return
 	}
-	if elapsed := tr.Elapsed(); elapsed < s.cfg.TraceThreshold {
-		return
-	}
-	line := tr.String()
-	s.cfg.TraceLogger.Printf("%s", line)
-	if s.cfg.Audit != nil {
-		err := s.cfg.Audit.Append(audit.Record{
-			Type:      audit.TypeUnsafeTrace,
-			TraceID:   tr.ID,
-			Dataset:   tr.Dataset,
-			UnsafeRaw: true,
-			Detail:    line,
-		})
-		if err != nil {
-			s.logf("compman: audit append: %v", err)
-		}
+	err := s.cfg.Audit.Append(audit.Record{
+		Type:      audit.TypeUnsafeTrace,
+		TraceID:   tr.ID,
+		Dataset:   tr.Dataset,
+		UnsafeRaw: true,
+		Detail:    tr.String(),
+	})
+	if err != nil {
+		s.logf("compman: audit append: %v", err)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -23,7 +24,7 @@ import (
 var traceIDRe = regexp.MustCompile(`^[0-9a-f]{32}$`)
 
 // lockedBuf makes a bytes.Buffer safe to share between the server's
-// connection goroutine (which writes trace-log lines) and the test.
+// connection goroutine (which writes its diagnostics) and the test.
 type lockedBuf struct {
 	mu sync.Mutex
 	b  bytes.Buffer
@@ -85,8 +86,8 @@ func readAuditRecords(t *testing.T, dir string) []audit.Record {
 // package level: one query through a server backed by an out-of-process
 // worker must yield ONE trace whose span tree includes the worker's own
 // setup and execute spans, an audit record carrying the same trace id,
-// and — because the unsafe trace log is on — an explicit unsafe_raw
-// record folding the raw-duration line into the tamper-evident chain.
+// and — because unsafe traces are on — an explicit unsafe_raw record
+// carrying the raw-duration line, which reaches no other sink.
 func TestQueryTraceCrossProcess(t *testing.T) {
 	addr := startWorker(t)
 	dir := t.TempDir()
@@ -95,11 +96,12 @@ func TestQueryTraceCrossProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer alog.Close()
-	var traceLog lockedBuf
+	var serverLog lockedBuf
 	client, srv := startServerCfg(t, 100, ServerConfig{
-		WorkerAddrs: []string{addr},
-		Audit:       alog,
-		TraceLogger: log.New(&traceLog, "", 0),
+		WorkerAddrs:  []string{addr},
+		Audit:        alog,
+		UnsafeTraces: true,
+		Logger:       log.New(&serverLog, "", 0),
 	})
 
 	resp, err := client.Query(meanRequest())
@@ -110,7 +112,7 @@ func TestQueryTraceCrossProcess(t *testing.T) {
 		t.Fatalf("Response.TraceID = %q, want 32 lowercase hex", resp.TraceID)
 	}
 
-	snaps := srv.Traces()
+	snaps := srv.Recorder().Traces()
 	if len(snaps) != 1 {
 		t.Fatalf("Traces() returned %d traces, want 1", len(snaps))
 	}
@@ -138,7 +140,7 @@ func TestQueryTraceCrossProcess(t *testing.T) {
 
 	// The query must have settled into the audit chain before the response
 	// reached the client: a query record with the same trace id, plus the
-	// unsafe_raw record for the trace-log line. The chain must verify.
+	// unsafe_raw record for the raw trace line. The chain must verify.
 	rep, err := audit.Verify(dir)
 	if err != nil {
 		t.Fatalf("audit verify: %v", err)
@@ -180,7 +182,7 @@ func TestQueryTraceCrossProcess(t *testing.T) {
 		t.Errorf("audit LatencyBucketMillis = 0, want a bucket bound or -1")
 	}
 	if unsafe == nil {
-		t.Fatal("no unsafe_raw record in audit log despite TraceLogger being set")
+		t.Fatal("no unsafe_raw record in audit log despite UnsafeTraces being set")
 	}
 	if !unsafe.UnsafeRaw {
 		t.Error("unsafe trace record does not set unsafe_raw")
@@ -191,13 +193,13 @@ func TestQueryTraceCrossProcess(t *testing.T) {
 	if unsafe.Detail == "" || !regexp.MustCompile(`worker\.execute@worker:`).MatchString(unsafe.Detail) {
 		t.Errorf("unsafe record detail %q does not carry the worker span line", unsafe.Detail)
 	}
-	// And the raw line itself went to the operator's trace log.
-	if got := traceLog.String(); !regexp.MustCompile(`trace [0-9a-f]{32}`).MatchString(got) {
-		t.Errorf("trace log %q does not reference the trace id", got)
+	// The audit chain is the raw line's only sink.
+	if got := serverLog.String(); strings.Contains(got, resp.TraceID) {
+		t.Errorf("server log carries the raw trace line: %q", got)
 	}
 
 	// The live view must be empty once the query settled.
-	if live := srv.LiveQueries(); len(live) != 0 {
+	if live := srv.Recorder().Live(); len(live) != 0 {
 		t.Errorf("LiveQueries() = %v after query settled, want empty", live)
 	}
 }
@@ -237,9 +239,9 @@ func TestLiveQueryIsTheOpenTrace(t *testing.T) {
 	var live telemetry.InflightSnapshot
 	for deadline := time.Now().Add(10 * time.Second); !live.Stuck; time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("watchdog never flagged the wedged query; live view %+v", srv.LiveQueries())
+			t.Fatalf("watchdog never flagged the wedged query; live view %+v", srv.Recorder().Live())
 		}
-		if queries := srv.LiveQueries(); len(queries) == 1 {
+		if queries := srv.Recorder().Live(); len(queries) == 1 {
 			live = queries[0]
 		} else if len(queries) > 1 {
 			t.Fatalf("live view holds %d queries, want 1: %+v", len(queries), queries)
@@ -250,7 +252,7 @@ func TestLiveQueryIsTheOpenTrace(t *testing.T) {
 	}
 	// Past the next sweep the query is still stuck, and still counted once.
 	time.Sleep(1100 * time.Millisecond)
-	if queries := srv.LiveQueries(); len(queries) != 1 || !queries[0].Stuck || queries[0].ID != live.ID {
+	if queries := srv.Recorder().Live(); len(queries) != 1 || !queries[0].Stuck || queries[0].ID != live.ID {
 		t.Errorf("live view after another sweep = %+v", queries)
 	}
 	if got := slow.Value(); got != 1 {
@@ -267,10 +269,10 @@ func TestLiveQueryIsTheOpenTrace(t *testing.T) {
 	if resp.TraceID != live.ID || resp.Tenant != live.Tenant {
 		t.Errorf("live entry %s/%s, response %s/%s", live.ID, live.Tenant, resp.TraceID, resp.Tenant)
 	}
-	if queries := srv.LiveQueries(); len(queries) != 0 {
+	if queries := srv.Recorder().Live(); len(queries) != 0 {
 		t.Errorf("live view after settle = %+v, want empty", queries)
 	}
-	traces, flights := srv.Traces(), srv.Flights()
+	traces, flights := srv.Recorder().Traces(), srv.Recorder().Snapshots()
 	if len(traces) != 1 || len(flights) != 1 || traces[0].ID != resp.TraceID || flights[0].ID != resp.TraceID {
 		t.Fatalf("after settle: %d traces, %d flights, want exactly one each with id %s", len(traces), len(flights), resp.TraceID)
 	}
@@ -298,7 +300,7 @@ func TestQueryTraceLocalChamber(t *testing.T) {
 	if first.TraceID == second.TraceID {
 		t.Fatalf("two queries share trace id %q", first.TraceID)
 	}
-	snaps := srv.Traces()
+	snaps := srv.Recorder().Traces()
 	if len(snaps) != 2 {
 		t.Fatalf("Traces() returned %d traces, want 2", len(snaps))
 	}
@@ -325,7 +327,7 @@ func TestBudgetRefusedTraceOutcome(t *testing.T) {
 	if _, err := client.Query(req); err == nil {
 		t.Fatal("query over budget succeeded")
 	}
-	snaps := srv.Traces()
+	snaps := srv.Recorder().Traces()
 	if len(snaps) != 1 {
 		t.Fatalf("Traces() returned %d traces, want 1", len(snaps))
 	}

@@ -315,7 +315,8 @@ func Run(ctx context.Context, program analytics.Program, rows []mathutil.Vec, sp
 // release pipeline sees a complete, well-formed matrix of block outputs.
 // Only cancellation of the caller's context aborts the run.
 func runBlocks(ctx context.Context, program analytics.Program, rows []mathutil.Vec, part *Partition, substitute mathutil.Vec, opts Options) (*blockMatrix, int, error) {
-	// engine substitutes itself, to count failures
+	// Chambers report failures as errors; substitution happens below, the
+	// one place it happens, so every failed block is counted.
 	pol := sandbox.Policy{Quantum: opts.Quantum, Metrics: opts.Metrics}
 	chamber := opts.NewChamber(program, pol)
 

@@ -25,7 +25,9 @@ type Backed struct {
 
 // Bind attaches a dataset's accountant to the ledger. It registers the
 // dataset (appending a register record when new or when the lifetime total
-// changed) and replays any recovered spent ε into the fresh accountant.
+// changed) and replays any recovered spent ε into the accountant, which
+// should be fresh: whatever it had already spent is kept on top of the
+// replay, an over-count.
 // When the recovered spend exceeds the accountant's budget — refund
 // records lost to a crash, or an owner who lowered the total — the
 // accountant is clamped to exhausted rather than failing the boot: the
@@ -44,11 +46,6 @@ func (l *Ledger) Bind(name string, acct *dp.Accountant) (*Backed, error) {
 	l.mu.Lock()
 	recovered := st.spent
 	l.mu.Unlock()
-	if already := acct.Spent(); already > 0 {
-		// The accountant was pre-charged (e.g. a legacy state-file restore
-		// ran first). Only replay the shortfall, never double-charge.
-		recovered -= already
-	}
 	if recovered > 0 {
 		if remaining := acct.Remaining(); recovered > remaining {
 			recovered = remaining // clamp to exhausted, never error at boot

@@ -86,14 +86,14 @@ func TestExhaustedChargeIsRefunded(t *testing.T) {
 
 	l2 := openTest(t, dir, Options{})
 	acct2 := dp.NewAccountant(1)
-	if _, err := l2.Bind("ds", acct2); err != nil {
+	b2, err := l2.Bind("ds", acct2)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := acct2.Spent(); got != 0.75 {
 		t.Fatalf("recovered spent = %v, want 0.75", got)
 	}
 	// The refused charge must still be spendable after recovery.
-	b2, _ := l2.Bind("ds", acct2)
 	if err := b2.Spend("refill", 0.25); err != nil {
 		t.Fatalf("spending the refunded budget after recovery: %v", err)
 	}

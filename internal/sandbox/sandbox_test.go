@@ -163,16 +163,10 @@ func TestInProcessPanicIsolation(t *testing.T) {
 	bomb := analytics.Func{ProgName: "bomb", Dims: 1, F: func([]mathutil.Vec) (mathutil.Vec, error) {
 		panic("boom")
 	}}
-	// Without a substitute, the panic surfaces as an error.
+	// The panic surfaces as an error; the engine substitutes the block.
 	_, err := (&InProcess{Program: bomb}).Execute(context.Background(), testBlock(1))
 	if !errors.Is(err, ErrPanicked) {
 		t.Errorf("err = %v, want ErrPanicked", err)
-	}
-	// With a substitute, the platform releases the constant instead.
-	ch := &InProcess{Program: bomb, Policy: Policy{Substitute: mathutil.Vec{7}}}
-	out, err := ch.Execute(context.Background(), testBlock(1))
-	if err != nil || out[0] != 7 {
-		t.Errorf("substituted output = %v, %v; want 7", out, err)
 	}
 }
 
@@ -181,22 +175,13 @@ func TestInProcessKillOnQuantum(t *testing.T) {
 		time.Sleep(5 * time.Second)
 		return mathutil.Vec{1}, nil
 	}}
-	ch := &InProcess{Program: slow, Policy: Policy{Quantum: 50 * time.Millisecond, Substitute: mathutil.Vec{42}}}
+	ch := &InProcess{Program: slow, Policy: Policy{Quantum: 50 * time.Millisecond}}
 	start := time.Now()
-	out, err := ch.Execute(context.Background(), testBlock(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 42 {
-		t.Errorf("killed block output = %v, want substitute 42", out[0])
+	if _, err := ch.Execute(context.Background(), testBlock(1)); !errors.Is(err, ErrKilled) {
+		t.Errorf("err = %v, want ErrKilled", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("kill took %v, quantum was 50ms", elapsed)
-	}
-	// Without a substitute the kill is an error.
-	ch2 := &InProcess{Program: slow, Policy: Policy{Quantum: 50 * time.Millisecond}}
-	if _, err := ch2.Execute(context.Background(), testBlock(1)); !errors.Is(err, ErrKilled) {
-		t.Errorf("err = %v, want ErrKilled", err)
 	}
 }
 
@@ -204,7 +189,7 @@ func TestInProcessKillOnQuantum(t *testing.T) {
 // the quantum — completion time is data-independent.
 func TestInProcessTimingNormalization(t *testing.T) {
 	const quantum = 150 * time.Millisecond
-	ch := &InProcess{Program: analytics.Mean{Col: 0}, Policy: Policy{Quantum: quantum, Substitute: mathutil.Vec{0}}}
+	ch := &InProcess{Program: analytics.Mean{Col: 0}, Policy: Policy{Quantum: quantum}}
 	start := time.Now()
 	if _, err := ch.Execute(context.Background(), testBlock(3)); err != nil {
 		t.Fatal(err)
@@ -245,30 +230,20 @@ func TestSubprocessBasic(t *testing.T) {
 }
 
 func TestSubprocessKillOnQuantum(t *testing.T) {
-	ch := subprocessChamber(t, "sleep", Policy{Quantum: 200 * time.Millisecond, Substitute: mathutil.Vec{9}})
+	ch := subprocessChamber(t, "sleep", Policy{Quantum: 200 * time.Millisecond})
 	start := time.Now()
-	out, err := ch.Execute(context.Background(), testBlock(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 9 {
-		t.Errorf("killed subprocess output = %v, want substitute 9", out[0])
+	if _, err := ch.Execute(context.Background(), testBlock(3)); !errors.Is(err, ErrKilled) {
+		t.Errorf("err = %v, want ErrKilled", err)
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Errorf("kill took %v", elapsed)
 	}
 }
 
-func TestSubprocessCrashSubstitute(t *testing.T) {
-	ch := subprocessChamber(t, "crash", Policy{Substitute: mathutil.Vec{5}})
-	out, err := ch.Execute(context.Background(), testBlock(1))
-	if err != nil || out[0] != 5 {
-		t.Errorf("crash substitute = %v, %v; want 5", out, err)
-	}
-	// Without a substitute the crash is an error.
-	ch2 := subprocessChamber(t, "crash", Policy{})
-	if _, err := ch2.Execute(context.Background(), testBlock(1)); err == nil {
-		t.Error("crash with no substitute must error")
+func TestSubprocessCrashIsError(t *testing.T) {
+	ch := subprocessChamber(t, "crash", Policy{})
+	if _, err := ch.Execute(context.Background(), testBlock(1)); err == nil {
+		t.Error("crash must error")
 	}
 }
 
@@ -333,9 +308,12 @@ func TestSubprocessScratchWiped(t *testing.T) {
 
 func TestSubprocessTimingNormalization(t *testing.T) {
 	const quantum = 300 * time.Millisecond
-	ch := subprocessChamber(t, "mean", Policy{Quantum: quantum, Substitute: mathutil.Vec{0}})
+	ch := subprocessChamber(t, "mean", Policy{Quantum: quantum})
 	start := time.Now()
-	if _, err := ch.Execute(context.Background(), testBlock(2)); err != nil {
+	// A loaded box (or a race-instrumented app) may not start in time, and
+	// the block is then killed at the quantum: either way Execute returns
+	// no earlier than the quantum.
+	if _, err := ch.Execute(context.Background(), testBlock(2)); err != nil && !errors.Is(err, ErrKilled) {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed < quantum {
@@ -348,12 +326,11 @@ func TestSubprocessMissingExecutable(t *testing.T) {
 	if _, err := ch.Execute(context.Background(), testBlock(1)); err == nil {
 		t.Error("empty path accepted")
 	}
-	ch2 := &Subprocess{Path: "/nonexistent/gupt-app", Policy: Policy{Substitute: mathutil.Vec{1}}}
-	// Even a missing binary resolves to the substitute when configured: the
-	// platform never exposes failure modes to the output channel.
-	out, err := ch2.Execute(context.Background(), testBlock(1))
-	if err != nil || out[0] != 1 {
-		t.Errorf("missing exe substitute = %v, %v", out, err)
+	// A missing binary is an error like any other failed block, which the
+	// engine substitutes.
+	ch2 := &Subprocess{Path: "/nonexistent/gupt-app"}
+	if _, err := ch2.Execute(context.Background(), testBlock(1)); err == nil {
+		t.Error("missing executable accepted")
 	}
 }
 

@@ -28,8 +28,8 @@ const ScratchEnv = "GUPT_SCRATCH"
 //   - a private scratch directory, wiped after the run;
 //   - the block arrives on stdin and the output leaves on stdout
 //     (sandbox.Request / sandbox.Response); there is no other channel;
-//   - the process is killed if it outlives the quantum, and the
-//     data-independent substitute is released in its place.
+//   - the process is killed if it outlives the quantum, which Execute
+//     reports as ErrKilled (the engine substitutes the block).
 type Subprocess struct {
 	// Path and Args name the analysis app executable (e.g. cmd/gupt-app).
 	Path string
@@ -90,29 +90,22 @@ func (c *Subprocess) Execute(ctx context.Context, block []mathutil.Vec) (mathuti
 	runErr := cmd.Run()
 
 	if runCtx.Err() == context.DeadlineExceeded {
-		// Killed by the quantum: release the substitute. No hold needed;
-		// we are already exactly at the quantum.
+		// Killed by the quantum. No hold needed; we are already exactly at
+		// the quantum.
 		c.Policy.Metrics.Counter("sandbox.subprocess.kills").Inc()
-		return c.Policy.failureOutput(ErrKilled, c.Path)
+		return nil, fmt.Errorf("%w: %s", ErrKilled, c.Path)
 	}
 	if ctx.Err() != nil {
 		return nil, ctx.Err()
 	}
 	if runErr != nil {
-		out, err := c.Policy.failureOutput(
-			fmt.Errorf("sandbox: app process failed: %w (stderr: %s)", runErr, truncate(stderr.String(), 256)), "")
 		c.Policy.holdRemaining(ctx, start)
-		return out, err
+		return nil, fmt.Errorf("sandbox: app process failed: %w (stderr: %s)", runErr, truncate(stderr.String(), 256))
 	}
 
 	result, err := ReadResponse(&stdout)
-	if err != nil {
-		out, ferr := c.Policy.failureOutput(err, "")
-		c.Policy.holdRemaining(ctx, start)
-		return out, ferr
-	}
 	c.Policy.holdRemaining(ctx, start)
-	return result, nil
+	return result, err
 }
 
 func truncate(s string, n int) string {

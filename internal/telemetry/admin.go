@@ -160,10 +160,6 @@ type AdminConfig struct {
 	// /ledger?tenant=<id>; nil means the tenant slice is unavailable and
 	// /ledger always serves the global LedgerStatus.
 	TenantSpend func(tenant string) []TenantSpendRow
-	// SkipRuntimeMetrics disables sampling Go runtime health
-	// (runtime.goroutines, runtime.heap_objects_bytes, runtime.gc_cycles,
-	// runtime.gc_pause_millis) into the registry on each /metrics scrape.
-	SkipRuntimeMetrics bool
 	// Token, when non-empty, gates every route except /healthz behind a
 	// shared admin secret: requests must carry it as `Authorization: Bearer
 	// <token>` or `X-Admin-Token: <token>`. Comparison is constant-time.
@@ -244,10 +240,7 @@ func adminRoutes(cfg AdminConfig) map[string]http.Handler {
 		w.Write([]byte("ok\n"))
 	})
 
-	var sampler *RuntimeSampler
-	if !cfg.SkipRuntimeMetrics {
-		sampler = NewRuntimeSampler(cfg.Registry)
-	}
+	sampler := NewRuntimeSampler(cfg.Registry)
 	handle("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		sampler.Sample()
 		snap := cfg.Registry.Snapshot()

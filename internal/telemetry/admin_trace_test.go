@@ -33,7 +33,7 @@ func adminGetAccept(t *testing.T, srv *httptest.Server, path, accept string) (*h
 func TestMetricsContentNegotiation(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("compman.queries_ok").Inc()
-	srv := httptest.NewServer(AdminHandler(AdminConfig{Registry: reg, SkipRuntimeMetrics: true}))
+	srv := httptest.NewServer(AdminHandler(AdminConfig{Registry: reg}))
 	defer srv.Close()
 
 	// Default (no Accept preference): JSON, for existing dashboards/CLI.
@@ -73,7 +73,7 @@ func TestPrometheusMetricsExportHasNoRawDurations(t *testing.T) {
 	reg := NewRegistry()
 	reg.Histogram("lat", []float64{1, 10}).ObserveMillis(7.777)
 	reg.Counter("ok").Inc()
-	srv := httptest.NewServer(AdminHandler(AdminConfig{Registry: reg})) // runtime metrics on, like production
+	srv := httptest.NewServer(AdminHandler(AdminConfig{Registry: reg}))
 	defer srv.Close()
 
 	_, body := adminGetAccept(t, srv, "/metrics?format=prometheus", "")
@@ -105,9 +105,8 @@ func TestAdminTracesEndpoint(t *testing.T) {
 	rec.Record(tr, "ok", FlightExtra{})
 
 	srv := httptest.NewServer(AdminHandler(AdminConfig{
-		Registry:           NewRegistry(),
-		SkipRuntimeMetrics: true,
-		Recorder:           rec,
+		Registry: NewRegistry(),
+		Recorder: rec,
 	}))
 	defer srv.Close()
 
@@ -152,9 +151,8 @@ func TestAdminQueriesEndpoint(t *testing.T) {
 	tr.StartSpan(StageNoising)
 
 	srv := httptest.NewServer(AdminHandler(AdminConfig{
-		Registry:           NewRegistry(),
-		SkipRuntimeMetrics: true,
-		Recorder:           rec,
+		Registry: NewRegistry(),
+		Recorder: rec,
 	}))
 	defer srv.Close()
 
@@ -172,7 +170,7 @@ func TestAdminQueriesEndpoint(t *testing.T) {
 }
 
 func TestAdminTracesQueriesEmpty(t *testing.T) {
-	srv := httptest.NewServer(AdminHandler(AdminConfig{Registry: NewRegistry(), SkipRuntimeMetrics: true}))
+	srv := httptest.NewServer(AdminHandler(AdminConfig{Registry: NewRegistry()}))
 	defer srv.Close()
 	for _, path := range []string{"/traces", "/queries", "/flight", "/budget", "/workers"} {
 		code, body := adminGet(t, srv, path)
@@ -198,9 +196,8 @@ func TestAdminTracesTenantFilter(t *testing.T) {
 		rec.Begin(tr)
 	}
 	srv := httptest.NewServer(AdminHandler(AdminConfig{
-		Registry:           NewRegistry(),
-		SkipRuntimeMetrics: true,
-		Recorder:           rec,
+		Registry: NewRegistry(),
+		Recorder: rec,
 	}))
 	defer srv.Close()
 
@@ -254,8 +251,7 @@ func TestAdminTracesTenantFilter(t *testing.T) {
 
 func TestAdminWorkersEndpoint(t *testing.T) {
 	srv := httptest.NewServer(AdminHandler(AdminConfig{
-		Registry:           NewRegistry(),
-		SkipRuntimeMetrics: true,
+		Registry: NewRegistry(),
 		Workers: func() []WorkerStatus {
 			return []WorkerStatus{
 				{Addr: "10.0.0.1:7200", Conns: 2, MaxConns: 4, Inflight: 1, Done: 17, Failed: 0},

@@ -9,10 +9,10 @@
 // The log records platform events only: dataset names, epsilon charged and
 // refunded, block counts, outcomes, trace ids and BUCKETED latencies.
 // Query outputs and raw durations never appear — with one explicit,
-// opt-in exception: when the operator enables the unsafe trace sink,
-// its raw-duration trace lines are folded in as records with Type
-// "unsafe_trace" and UnsafeRaw set, so their presence is itself on the
-// audit record (see SECURITY.md on the §6.3 timing side channel).
+// opt-in exception: when the operator enables unsafe traces (guptd
+// -unsafe-trace-log), each settled query's raw-duration trace line is
+// written here, and only here, as a record with Type "unsafe_trace" and
+// UnsafeRaw set, so their presence is itself on the audit record (see SECURITY.md on the §6.3 timing side channel).
 //
 // Threat model: the chain makes the log tamper-EVIDENT, not tamper-proof.
 // An attacker with write access to the directory can rewrite the whole
@@ -44,9 +44,10 @@ const (
 	// TypeQuery is one settled query: admission through release (or the
 	// failure that ended it).
 	TypeQuery = "query"
-	// TypeUnsafeTrace is a raw-duration trace line from the opt-in unsafe
-	// trace sink. Records of this type always have UnsafeRaw true; their
-	// Detail carries the §6.3-sensitive payload.
+	// TypeUnsafeTrace is one settled query's raw-duration trace line,
+	// written when the operator opted in to unsafe traces; the audit chain
+	// is that line's only sink. Records of this type always have UnsafeRaw
+	// true; their Detail carries the §6.3-sensitive payload.
 	TypeUnsafeTrace = "unsafe_trace"
 	// TypeBudgetThreshold is a burn-down threshold crossing: a tenant's or
 	// dataset's remaining ε dropped below a fraction of its total for the

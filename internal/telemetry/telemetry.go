@@ -8,9 +8,9 @@
 // exported timing is a fixed-bucket count: /metrics can tell an operator
 // "most queries land in the 50–100ms bucket", never "query 17 took
 // 73.218ms". Raw per-span durations exist only inside Trace and leave the
-// process solely through the explicitly opt-in slow-query trace log
-// (compman.ServerConfig.TraceLogger), which SECURITY.md documents as unsafe
-// to expose to adversarial analysts. See DESIGN.md §8 and SECURITY.md
+// process solely through the explicitly opt-in unsafe_trace audit record
+// (compman.ServerConfig.UnsafeTraces), which SECURITY.md documents as
+// unsafe to expose to adversarial analysts. See DESIGN.md §8 and SECURITY.md
 // ("Telemetry and the observability side channel").
 //
 // All types are nil-safe: methods on a nil *Registry, *Counter, *Gauge,

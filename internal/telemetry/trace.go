@@ -30,11 +30,12 @@ const (
 )
 
 // Scheduler and fan-out stages, recorded server-side around admission and
-// block dispatch. A refused query's trace ends after StageSchedDecision; an
-// admitted query that waited carries a StageSchedQueue span covering the
-// time it sat in the EDF queue.
+// block dispatch. Every query that reaches the scheduler carries a
+// StageSchedQueue span covering its time in admission (near zero when a
+// slot was free) and then a StageSchedDecision span; a refused query's
+// trace ends after the decision.
 const (
-	StageSchedQueue    = "sched.queue"    // wait in the admission queue (absent if admitted immediately)
+	StageSchedQueue    = "sched.queue"    // time in admission, queued or not
 	StageSchedDecision = "sched.decision" // the admit/refuse verdict itself
 	// StageFanoutDispatch is one block's dispatch to one worker; the span's
 	// Process carries the worker attribution ("worker:<addr>").
@@ -60,8 +61,8 @@ const (
 
 // Span is one stage of a query's lifecycle. Its raw duration stays inside
 // the process: the registry sees only the bucketed histogram observation,
-// and the duration is printed only by Trace.String for the opt-in trace
-// log (or the unsafe_trace audit record).
+// and the duration is printed only by Trace.String for the opt-in
+// unsafe_trace audit record.
 type Span struct {
 	Stage  string
 	Status string
@@ -240,9 +241,9 @@ func (t *Trace) Elapsed() time.Duration {
 
 // String renders the trace with raw per-span durations. This is the ONLY
 // place raw durations leave the telemetry layer, and it must only ever be
-// written to the opt-in slow-query trace sink (the -unsafe-trace-log
-// logger, or the unsafe_trace audit record — see SECURITY.md): handing
-// this string to an analyst reopens the §6.3 timing side channel.
+// written to the opt-in unsafe_trace audit record (guptd -unsafe-trace-log;
+// see SECURITY.md): handing this string to an analyst reopens the §6.3
+// timing side channel.
 func (t *Trace) String() string {
 	if t == nil {
 		return ""
