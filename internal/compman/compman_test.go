@@ -11,6 +11,7 @@ import (
 	"gupt/internal/dataset"
 	"gupt/internal/dp"
 	"gupt/internal/mathutil"
+	"gupt/internal/sandbox"
 )
 
 // startServer spins up a server on a loopback listener with a census-like
@@ -124,6 +125,41 @@ func TestQueryMeanEndToEnd(t *testing.T) {
 	}
 	if math.Abs(rem-95) > 1e-9 {
 		t.Errorf("remaining = %v, want 95", rem)
+	}
+}
+
+// The operator's quantum is a floor: a query's QuantumMillis can lengthen
+// it but not shorten it, or a client could switch off the timing defense
+// for its own blocks.
+func TestQueryCannotLowerDefaultQuantum(t *testing.T) {
+	var mu sync.Mutex
+	var quanta []time.Duration
+	record := func(inner sandbox.Chamber) sandbox.Chamber {
+		if in, ok := inner.(*sandbox.InProcess); ok {
+			mu.Lock()
+			quanta = append(quanta, in.Policy.Quantum)
+			mu.Unlock()
+		}
+		return inner
+	}
+	client, _ := startServerCfg(t, 10, ServerConfig{DefaultQuantum: 30 * time.Millisecond, ChamberWrapper: record})
+	for _, c := range []struct {
+		millis int64
+		want   time.Duration
+	}{{1, 30 * time.Millisecond}, {50, 50 * time.Millisecond}} {
+		req := meanQuery(0.5, 1500) // 4500 private rows: three blocks
+		req.QuantumMillis = c.millis
+		mu.Lock()
+		quanta = nil
+		mu.Unlock()
+		if _, err := client.Query(req); err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		if len(quanta) != 1 || quanta[0] != c.want {
+			t.Errorf("QuantumMillis %d ran under %v, want [%v]", c.millis, quanta, c.want)
+		}
+		mu.Unlock()
 	}
 }
 

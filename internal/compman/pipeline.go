@@ -113,9 +113,9 @@ func (s *Server) pipelineQuery(req *Request, tenantID string, tr *telemetry.Trac
 	if a := req.Accuracy; a != nil {
 		q.Accuracy = &aging.AccuracyGoal{Rho: a.Rho, Confidence: a.Confidence}
 	}
-	if req.QuantumMillis > 0 {
-		q.Options.Quantum = time.Duration(req.QuantumMillis) * time.Millisecond
-	}
+	// A query can lengthen the operator's quantum, never shorten it: a
+	// shorter one would switch off the timing defense for its blocks.
+	q.Options.Quantum = max(q.Options.Quantum, time.Duration(req.QuantumMillis)*time.Millisecond)
 	if isBinary {
 		// Uploaded executables always run under subprocess isolation; the
 		// in-process path is reserved for the platform's own library.

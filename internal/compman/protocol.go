@@ -232,7 +232,9 @@ type Request struct {
 	Gamma         int
 	AutoBlockSize bool
 	Seed          int64
-	// QuantumMillis arms the timing defense for this query's blocks.
+	// QuantumMillis arms the timing defense for this query's blocks. The
+	// server runs them under the larger of this and its DefaultQuantum, so
+	// a client can lengthen the operator's quantum but never shorten it.
 	QuantumMillis int64
 	// UserLevel and UserColumn switch the privacy unit from records to
 	// users identified by a column (paper §8.1, extension).

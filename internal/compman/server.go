@@ -27,8 +27,9 @@ import (
 
 // ServerConfig tunes the trusted server component.
 type ServerConfig struct {
-	// DefaultQuantum is applied to queries that do not set their own (the
-	// hosted platform's timing-attack defense). Zero leaves timing
+	// DefaultQuantum is the least quantum every query's blocks run under
+	// (the hosted platform's timing-attack defense): a query's
+	// QuantumMillis can raise it, never lower it. Zero leaves timing
 	// normalization off unless a query requests it.
 	DefaultQuantum time.Duration
 	// ScratchRoot hosts per-execution scratch directories for subprocess

@@ -653,22 +653,38 @@ type poolChamber struct {
 	tr   *telemetry.Trace
 }
 
-// ReadOnlyBlocks declares the zero-copy contract: the pool chamber only
-// reads block rows (straight into the wire encoder's contiguous float
-// path), so the engine may hand it partition views without cloning.
-func (c *poolChamber) ReadOnlyBlocks() bool { return true }
-
 // Execute implements sandbox.Chamber for callers without a block index:
 // the block goes to the least-loaded healthy worker.
 func (c *poolChamber) Execute(ctx context.Context, block []mathutil.Vec) (mathutil.Vec, error) {
-	return c.run(ctx, -1, block)
+	return c.run(ctx, -1, wireBlock(block))
 }
 
 // ExecuteBlock implements sandbox.BlockChamber: block idx is
 // rendezvous-assigned its home worker so assignment is stable under fleet
 // membership changes (only blocks homed on a removed worker move).
 func (c *poolChamber) ExecuteBlock(ctx context.Context, idx int, block []mathutil.Vec) (mathutil.Vec, error) {
-	return c.run(ctx, idx, block)
+	return c.run(ctx, idx, wireBlock(block))
+}
+
+// ExecuteRows implements sandbox.RowChamber, the engine's path: the work
+// frame's block is filled from rows[idx[j]] in one pass, and the wire
+// encoder reads the row floats in place, so the block is copied once, onto
+// the wire. Assignment is as under ExecuteBlock.
+func (c *poolChamber) ExecuteRows(ctx context.Context, block int, rows []mathutil.Vec, idx []int) (mathutil.Vec, error) {
+	b := make([][]float64, len(idx))
+	for j, i := range idx {
+		b[j] = rows[i]
+	}
+	return c.run(ctx, block, b)
+}
+
+// wireBlock is block as a work frame's rows, aliasing block's floats.
+func wireBlock(block []mathutil.Vec) [][]float64 {
+	b := make([][]float64, len(block))
+	for i, r := range block {
+		b[i] = r
+	}
+	return b
 }
 
 // run dispatches one block. Transport-level failures (worker restart,
@@ -682,11 +698,8 @@ func (c *poolChamber) ExecuteBlock(ctx context.Context, idx int, block []mathuti
 // background, keeping its connection synchronized. Application-level
 // errors come back as resp.Error and are never retried: the worker is
 // healthy, the computation itself failed.
-func (c *poolChamber) run(ctx context.Context, idx int, block []mathutil.Vec) (mathutil.Vec, error) {
-	req := WorkRequest{Spec: c.spec, Block: make([][]float64, len(block))}
-	for i, r := range block {
-		req.Block[i] = r
-	}
+func (c *poolChamber) run(ctx context.Context, idx int, block [][]float64) (mathutil.Vec, error) {
+	req := WorkRequest{Spec: c.spec, Block: block}
 
 	inflight := c.pool.gauge("compman.pool.inflight")
 	inflight.Inc()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -89,7 +90,7 @@ func chaosRun(t *testing.T, seed int64) (*Result, *faultinject.Schedule) {
 			faultinject.WrongArity,
 			faultinject.SlowStart,
 		},
-		HangFor: 10 * time.Second,      // backstop only; BlockTimeout reclaims hung blocks
+		HangFor: 10 * time.Second,       // backstop only; BlockTimeout reclaims hung blocks
 		SlowBy:  500 * time.Microsecond, // well inside BlockTimeout: slow-starts must succeed
 	}
 	res, err := Run(context.Background(), analytics.Mean{Col: 0}, rows,
@@ -257,5 +258,50 @@ func TestNonFiniteOutputSubstituted(t *testing.T) {
 	}
 	if math.IsNaN(res.Output[0]) {
 		t.Error("NaN leaked into the released output")
+	}
+}
+
+// A chamber that makes no promise about its rows still cannot reach the
+// table when it sits inside a fault-injecting one, which is a RowChamber:
+// with no fault scheduled, faultinject.Chamber hands its inner chamber the
+// block through sandbox.Rows, whose adapter gives every block a fresh
+// private copy. The release is the default chamber's, bit for bit, the
+// caller's rows are unchanged, and no kept block is overwritten.
+func TestFaultChamberCopiesBlocksForUndeclaredInner(t *testing.T) {
+	rows := ageRows(14, 2000)
+	want := mathutil.CloneRows(rows)
+	spec := tightSpec(dp.Range{Lo: 0, Hi: 150})
+	opts := Options{Epsilon: 1, Seed: 3, BlockSize: 100, Gamma: 2, Parallelism: 2}
+	ref, err := Run(context.Background(), analytics.Mean{Col: 0}, rows, spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var kept [][]mathutil.Vec
+	sched := &faultinject.Schedule{Seed: 1}
+	opts.NewChamber = func(prog analytics.Program, _ sandbox.Policy) sandbox.Chamber {
+		return &faultinject.Chamber{Inner: hoardingChamber{prog: prog, mu: &mu, kept: &kept}, Schedule: sched, OutputDims: 1}
+	}
+	got, err := Run(context.Background(), analytics.Mean{Col: 0}, rows, spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got.Output[0]) != math.Float64bits(ref.Output[0]) {
+		t.Errorf("released %v through the fault chamber, %v through the default one", got.Output, ref.Output)
+	}
+	if n := sched.Counts()[faultinject.None]; n != ref.NumBlocks || len(kept) != ref.NumBlocks {
+		t.Fatalf("%d untouched executions and %d kept blocks, want %d of each", n, len(kept), ref.NumBlocks)
+	}
+	for i := range rows {
+		if rows[i][0] != want[i][0] {
+			t.Fatalf("row %d = %v after the run, want %v: the inner chamber reached the caller's rows", i, rows[i], want[i])
+		}
+	}
+	for b, block := range kept {
+		for _, r := range block {
+			if r[0] != -1 {
+				t.Fatalf("kept block %d was overwritten after its chamber returned", b)
+			}
+		}
 	}
 }

@@ -318,20 +318,14 @@ func runBlocks(ctx context.Context, program analytics.Program, rows []mathutil.V
 	// Chambers report failures as errors; substitution happens below, the
 	// one place it happens, so every failed block is counted.
 	pol := sandbox.Policy{Quantum: opts.Quantum, Metrics: opts.Metrics}
-	chamber := opts.NewChamber(program, pol)
-
-	// Chambers that take a block index (the distributed pool) get it for
-	// consistent block→worker assignment; the index never affects results —
-	// block outputs are keyed by index in the output matrix regardless.
-	blockChamber, _ := chamber.(sandbox.BlockChamber)
-	// Chambers declaring they neither mutate nor retain the block get
-	// zero-copy views of the shared rows and make the one private copy (or
-	// wire encoding) themselves; any other chamber gets a private flat copy
-	// here, because rows may be the registered table itself.
-	zeroCopy := false
-	if ro, ok := chamber.(sandbox.ReadOnlyChamber); ok {
-		zeroCopy = ro.ReadOnlyBlocks()
-	}
+	// Every chamber gets the shared rows and the block's index list, and
+	// makes the one private copy (or wire encoding) itself, straight from
+	// rows. A chamber that makes no promise about the rows it is handed gets
+	// a fresh copy of each block from sandbox.Rows instead, because rows may
+	// be the registered table itself. The block index is routing metadata
+	// (the distributed pool's block→worker assignment); block outputs are
+	// keyed by index in the output matrix regardless.
+	chamber := sandbox.Rows(opts.NewChamber(program, pol))
 
 	// Block-outcome counters and the occupancy gauge. All nil-safe: with
 	// opts.Metrics nil each event costs one branch.
@@ -348,10 +342,8 @@ func runBlocks(ctx context.Context, program analytics.Program, rows []mathutil.V
 	var ctxErr error
 
 	// runBlock executes block i on the calling worker and records its
-	// outcome. scratch is the worker's view-header scratch: a chamber is done
-	// with the headers when it returns, so the worker's next block overwrites
-	// them.
-	runBlock := func(i int, scratch []mathutil.Vec) []mathutil.Vec {
+	// outcome.
+	runBlock := func(i int) {
 		// Per-block deadline: a wedged chamber (hung worker socket,
 		// stuck subprocess) fails just this block, never the query.
 		bctx := ctx
@@ -360,20 +352,9 @@ func runBlocks(ctx context.Context, program analytics.Program, rows []mathutil.V
 			bctx, cancel = context.WithTimeout(ctx, opts.BlockTimeout)
 			defer cancel()
 		}
-		scratch = part.viewInto(scratch, rows, i)
-		block := scratch
-		if !zeroCopy {
-			block = mathutil.CloneRows(scratch)
-		}
 		inflight.Inc()
 		defer inflight.Dec()
-		var out mathutil.Vec
-		var err error
-		if blockChamber != nil {
-			out, err = blockChamber.ExecuteBlock(bctx, i, block)
-		} else {
-			out, err = chamber.Execute(bctx, block)
-		}
+		out, err := chamber.ExecuteRows(bctx, i, rows, part.Blocks[i])
 		if err != nil && bctx.Err() == context.DeadlineExceeded && ctx.Err() == nil {
 			// The per-block deadline expired while the parent context was
 			// still live: this block timed out (and will be substituted).
@@ -386,7 +367,7 @@ func runBlocks(ctx context.Context, program analytics.Program, rows []mathutil.V
 			mu.Lock()
 			ctxErr = ctx.Err()
 			mu.Unlock()
-			return scratch
+			return
 		}
 		if err != nil || !wellFormedOutput(out, len(substitute)) {
 			mu.Lock()
@@ -399,7 +380,6 @@ func runBlocks(ctx context.Context, program analytics.Program, rows []mathutil.V
 		}
 		outputs.setRow(i, out)
 		written[i] = true
-		return scratch
 	}
 
 	// Each worker claims the next block index until none is left. It checks
@@ -421,13 +401,12 @@ func runBlocks(ctx context.Context, program analytics.Program, rows []mathutil.V
 				go work()
 			}
 		}()
-		var scratch []mathutil.Vec
 		for ctx.Err() == nil {
 			i := int(next.Add(1) - 1)
 			if i >= nb {
 				break
 			}
-			scratch = runBlock(i, scratch)
+			runBlock(i)
 		}
 		ended = true
 	}

@@ -503,8 +503,9 @@ func TestRunCancelDoesNotWaitForASlot(t *testing.T) {
 	}
 }
 
-// hoardingChamber makes no ReadOnlyBlocks promise: it runs the program on
-// the very block it is handed, then vandalises and keeps it.
+// hoardingChamber is not a sandbox.RowChamber and makes no promise about
+// the rows it is handed: it runs the program on the very block it is
+// handed, then vandalises and keeps it.
 type hoardingChamber struct {
 	prog analytics.Program
 	mu   *sync.Mutex
@@ -522,10 +523,11 @@ func (c hoardingChamber) Execute(_ context.Context, block []mathutil.Vec) (mathu
 	return out, err
 }
 
-// Chambers that do not declare ReadOnlyBlocks get a private copy of every
-// block: the caller's rows (the registered table, on the query path)
-// survive them, the rows shared between resampled blocks stay honest, and
-// a block kept past Execute is not overwritten by the next one on its worker.
+// Chambers that are not sandbox.RowChambers get a fresh private copy of
+// every block from sandbox.Rows: the caller's rows (the registered table,
+// on the query path) survive them, the rows shared between resampled blocks
+// stay honest, and a block kept past Execute is not overwritten by the next
+// one on its worker.
 func TestRunCopiesBlocksForUndeclaredChambers(t *testing.T) {
 	rows := ageRows(14, 2000)
 	want := mathutil.CloneRows(rows)

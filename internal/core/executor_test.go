@@ -26,22 +26,20 @@ type countingChamber struct {
 	peak  *atomic.Int32
 }
 
-func (c countingChamber) ReadOnlyBlocks() bool { return true }
-
 func (c countingChamber) Execute(context.Context, []mathutil.Vec) (mathutil.Vec, error) {
-	panic("the engine calls ExecuteBlock on a BlockChamber")
+	panic("the engine calls ExecuteRows on a RowChamber")
 }
 
-func (c countingChamber) ExecuteBlock(ctx context.Context, idx int, block []mathutil.Vec) (mathutil.Vec, error) {
+func (c countingChamber) ExecuteRows(ctx context.Context, block int, rows []mathutil.Vec, idx []int) (mathutil.Vec, error) {
 	now := c.cur.Add(1)
 	defer c.cur.Add(-1)
 	for peak := c.peak.Load(); now > peak && !c.peak.CompareAndSwap(peak, now); peak = c.peak.Load() {
 	}
 	c.mu.Lock()
-	c.runs[idx]++
+	c.runs[block]++
 	c.mu.Unlock()
 	runtime.Gosched() // let the other workers into a block meanwhile
-	return c.inner.Execute(ctx, block)
+	return c.inner.ExecuteRows(ctx, block, rows, idx)
 }
 
 // Every block index runs exactly once however many workers share the

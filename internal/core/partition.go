@@ -227,24 +227,16 @@ func (p *Partition) Sensitivity(width float64) float64 {
 }
 
 // View returns the rows of block i aliasing rows directly — one slice
-// header allocation, zero row copies. Only hand views to chambers that
-// declare sandbox.ReadOnlyChamber: a mutating consumer would corrupt the
-// dataset for every other block sharing those rows (γ > 1) and for every
-// later query.
+// header allocation, zero row copies. The engine does not build views: it
+// hands chambers rows and p.Blocks[i] (sandbox.RowChamber), and each
+// chamber's one copy reads the block straight from rows. A view handed to
+// a mutating consumer would corrupt the dataset for every other block
+// sharing those rows (γ > 1) and for every later query.
 func (p *Partition) View(rows []mathutil.Vec, i int) []mathutil.Vec {
-	return p.viewInto(nil, rows, i)
-}
-
-// viewInto is View gathering into buf's storage, which it grows only when
-// block i is larger than any block buf held before.
-func (p *Partition) viewInto(buf, rows []mathutil.Vec, i int) []mathutil.Vec {
 	idx := p.Blocks[i]
-	if cap(buf) < len(idx) {
-		buf = make([]mathutil.Vec, len(idx))
-	}
-	buf = buf[:len(idx)]
+	view := make([]mathutil.Vec, len(idx))
 	for j, r := range idx {
-		buf[j] = rows[r]
+		view[j] = rows[r]
 	}
-	return buf
+	return view
 }

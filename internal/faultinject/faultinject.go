@@ -207,17 +207,6 @@ type Chamber struct {
 	OutputDims int
 }
 
-// ReadOnlyBlocks implements sandbox.ReadOnlyChamber by delegation: the
-// fault chamber itself only forges outputs, errors and delays — it never
-// touches block rows — so the zero-copy contract is exactly the inner
-// chamber's.
-func (c *Chamber) ReadOnlyBlocks() bool {
-	if ro, ok := c.Inner.(sandbox.ReadOnlyChamber); ok {
-		return ro.ReadOnlyBlocks()
-	}
-	return false
-}
-
 // Execute implements sandbox.Chamber.
 func (c *Chamber) Execute(ctx context.Context, block []mathutil.Vec) (mathutil.Vec, error) {
 	return c.execute(ctx, func(ctx context.Context) (mathutil.Vec, error) {
@@ -225,16 +214,14 @@ func (c *Chamber) Execute(ctx context.Context, block []mathutil.Vec) (mathutil.V
 	})
 }
 
-// ExecuteBlock implements sandbox.BlockChamber, forwarding the block index
-// to an index-aware inner chamber (the distributed pool keeps its
-// block→worker assignment under fault injection). An index-oblivious inner
-// chamber just gets Execute.
-func (c *Chamber) ExecuteBlock(ctx context.Context, idx int, block []mathutil.Vec) (mathutil.Vec, error) {
+// ExecuteRows implements sandbox.RowChamber by delegation through
+// sandbox.Rows: the fault chamber itself only forges outputs, errors and
+// delays and never touches the rows, so an inner RowChamber (the
+// distributed pool keeps its block→worker assignment) reads them in place,
+// and any other inner chamber gets a private copy of each block.
+func (c *Chamber) ExecuteRows(ctx context.Context, block int, rows []mathutil.Vec, idx []int) (mathutil.Vec, error) {
 	return c.execute(ctx, func(ctx context.Context) (mathutil.Vec, error) {
-		if bc, ok := c.Inner.(sandbox.BlockChamber); ok {
-			return bc.ExecuteBlock(ctx, idx, block)
-		}
-		return c.Inner.Execute(ctx, block)
+		return sandbox.Rows(c.Inner).ExecuteRows(ctx, block, rows, idx)
 	})
 }
 

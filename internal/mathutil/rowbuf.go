@@ -58,6 +58,51 @@ func (b *RowBuf) CopyRows(src []Vec) []Vec {
 	return rows
 }
 
+// Gather deep-copies src[idx[0]], src[idx[1]], … into b's storage and
+// returns the copy, laid out like CopyRows: one flat backing array, each
+// row's capacity cut to its length. It is CopyRows over a view of those
+// rows without building the view, so a block is read from the table once.
+func (b *RowBuf) Gather(src []Vec, idx []int) []Vec {
+	// Sized for rectangular rows, so that each row is visited once; a row
+	// longer than the first sends the gather round again at the exact size.
+	total := 0
+	if len(idx) > 0 {
+		total = len(idx) * len(src[idx[0]])
+	}
+	if rows, ok := b.gather(src, idx, total); ok {
+		return rows
+	}
+	total = 0
+	for _, i := range idx {
+		total += len(src[i])
+	}
+	rows, _ := b.gather(src, idx, total)
+	return rows
+}
+
+// gather is Gather into total floats of b's storage; it reports false when
+// the rows do not fit.
+func (b *RowBuf) gather(src []Vec, idx []int, total int) ([]Vec, bool) {
+	rows, data := b.grow(len(idx), total)
+	off := 0
+	for j, i := range idx {
+		r := src[i]
+		if len(r) > len(data)-off {
+			return nil, false
+		}
+		end := off + len(r)
+		dst := data[off:end:end]
+		if len(r) == 1 {
+			dst[0] = r[0] // a one-column table: a store beats a memmove call
+		} else {
+			copy(dst, r)
+		}
+		rows[j] = dst
+		off = end
+	}
+	return rows, true
+}
+
 // Grid returns n rows of cols stale floats each in b's storage, for a
 // caller (the work-frame decoder) that fills every cell itself.
 func (b *RowBuf) Grid(n, cols int) []Vec {

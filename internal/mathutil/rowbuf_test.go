@@ -70,6 +70,86 @@ func TestRowBufCopyRowsReuse(t *testing.T) {
 	}
 }
 
+// view is the header gather Gather replaces: src[idx[0]], src[idx[1]], …
+// aliasing src.
+func view(src []Vec, idx []int) []Vec {
+	out := make([]Vec, len(idx))
+	for j, i := range idx {
+		out[j] = src[i]
+	}
+	return out
+}
+
+// assertSameRows fails unless got and want hold the same rows, bit for bit
+// and in the same order.
+func assertSameRows(t *testing.T, got, want []Vec) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("row %d has %d cells, want %d", i, len(got[i]), len(want[i]))
+		}
+		for k := range want[i] {
+			if math.Float64bits(got[i][k]) != math.Float64bits(want[i][k]) {
+				t.Fatalf("row %d = %v, want %v", i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// Gather is CopyRows over the view of the same index list: the same rows in
+// the same order, every capacity cut, and nothing aliased, for rectangular
+// rows, ragged rows and an empty list, into fresh and into reused storage.
+func TestRowBufGatherMatchesCopyRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	ragged := make([]Vec, 300)
+	for i := range ragged {
+		ragged[i] = make(Vec, rng.Intn(6))
+		for k := range ragged[i] {
+			ragged[i][k] = rng.NormFloat64()
+		}
+	}
+	cases := map[string]struct {
+		src []Vec
+		idx []int
+	}{
+		"rectangular": {gridRows(400, 3, 0), rng.Perm(400)[:150]},
+		"repeats":     {gridRows(50, 2, 7), []int{4, 4, 0, 49, 4, 17}},
+		"ragged":      {ragged, rng.Perm(300)},
+		"empty":       {gridRows(10, 3, 0), []int{}},
+		"nil":         {gridRows(10, 3, 0), nil},
+	}
+	var reused RowBuf
+	reused.Grid(1000, 5) // a larger earlier use left stale storage behind
+	for name, c := range cases {
+		want := new(RowBuf).CopyRows(view(c.src, c.idx))
+		for _, buf := range []*RowBuf{new(RowBuf), &reused} {
+			got := buf.Gather(c.src, c.idx)
+			assertSameRows(t, got, want)
+			assertNoReachBack(t, got)
+			for j, i := range c.idx {
+				if len(got[j]) > 0 && &got[j][0] == &c.src[i][0] {
+					t.Fatalf("%s: row %d aliases source row %d", name, j, i)
+				}
+			}
+		}
+	}
+}
+
+// Gathering into storage that already fits allocates nothing: a chamber's
+// pooled buffer serves block after block.
+func TestRowBufGatherReuseAllocations(t *testing.T) {
+	src := gridRows(2000, 1, 0)
+	idx := rand.New(rand.NewSource(5)).Perm(len(src))[:300]
+	var buf RowBuf
+	buf.Gather(src, idx)
+	if allocs := testing.AllocsPerRun(50, func() { buf.Gather(src, idx) }); allocs != 0 {
+		t.Errorf("Gather into storage that already fits allocates %.0f times, want 0", allocs)
+	}
+}
+
 func TestRowBufGridReuse(t *testing.T) {
 	var buf RowBuf
 	buf.Grid(500, 11)
@@ -200,6 +280,19 @@ func BenchmarkRowBufCopyRows(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buf := GetRowBuf()
 		buf.CopyRows(rows)
+		buf.Release()
+	}
+}
+
+// The same block gathered from a 20,000-row table by index, as the
+// in-process chamber copies a block.
+func BenchmarkRowBufGather(b *testing.B) {
+	src := gridRows(20000, 11, 0)
+	idx := rand.New(rand.NewSource(1)).Perm(len(src))[:385]
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf := GetRowBuf()
+		buf.Gather(src, idx)
 		buf.Release()
 	}
 }

@@ -24,10 +24,20 @@ type Response struct {
 
 // WriteRequest encodes a block as a Request on w.
 func WriteRequest(w io.Writer, block []mathutil.Vec) error {
-	req := Request{Block: make([][]float64, len(block))}
+	return requestOf(block).write(w)
+}
+
+// requestOf returns a Request whose Block aliases block's rows.
+func requestOf(block []mathutil.Vec) *Request {
+	req := &Request{Block: make([][]float64, len(block))}
 	for i, r := range block {
 		req.Block[i] = r
 	}
+	return req
+}
+
+// write encodes req on w. Block may alias shared rows: they are only read.
+func (req *Request) write(w io.Writer) error {
 	if err := json.NewEncoder(w).Encode(req); err != nil {
 		return fmt.Errorf("sandbox: encode request: %w", err)
 	}

@@ -6,7 +6,9 @@
 //     recycled storage, see InProcess), and the subprocess chamber gives
 //     each run a brand-new OS process with a private scratch directory that
 //     is wiped afterwards, so no state can flow between blocks or between
-//     queries.
+//     queries. The engine hands a chamber the shared table and the block's
+//     index list (RowChamber), and the chamber's one copy reads the block
+//     straight from the table: the program sees only that copy.
 //   - Timing attacks: with a positive Quantum every block consumes exactly
 //     the same wall-clock time — early finishers are held until the quantum
 //     elapses, and overruns are killed at it. Block runtime is therefore
@@ -45,7 +47,7 @@ type Chamber interface {
 
 // BlockChamber is an optional Chamber extension for implementations that
 // want the block's index within its query — the hook distributed chambers
-// use for consistent block→worker assignment. The engine calls
+// use for consistent block→worker assignment. Rows' adapter calls
 // ExecuteBlock when a chamber implements it and falls back to Execute
 // otherwise. The index must not influence the computation's result: it is
 // routing metadata only.
@@ -54,17 +56,38 @@ type BlockChamber interface {
 	ExecuteBlock(ctx context.Context, idx int, block []mathutil.Vec) (mathutil.Vec, error)
 }
 
-// ReadOnlyChamber is an optional Chamber extension declaring that Execute
-// never mutates the rows of the block it is handed (and does not retain
-// them after returning). The engine hands such chambers zero-copy views of
-// the dataset partition instead of per-block clones — the block rows flow
-// straight into the wire encoder or the chamber's own private copy.
-// Chambers that cannot make this promise simply don't implement it.
-type ReadOnlyChamber interface {
-	// ReadOnlyBlocks returns true when the chamber treats block rows as
-	// immutable. A false return disables the zero-copy path (useful for
-	// wrappers that forward to an unknown inner chamber).
-	ReadOnlyBlocks() bool
+// RowChamber is the Chamber extension the engine calls: a block handed
+// over as the shared rows plus the block's index list, so that the
+// chamber's one copy of the block (a private buffer, a work frame, stdin
+// JSON) reads straight from the table and no view of the block is built
+// first. ExecuteRows reads rows only through idx, never writes them, and
+// keeps nothing of them after returning; the untrusted program sees only
+// the chamber's copy. block is routing metadata only, as in BlockChamber.
+type RowChamber interface {
+	Chamber
+	ExecuteRows(ctx context.Context, block int, rows []mathutil.Vec, idx []int) (mathutil.Vec, error)
+}
+
+// Rows returns c as a RowChamber: c itself when it is one, and otherwise an
+// adapter that gathers each block into a fresh private copy and hands that
+// to c's ExecuteBlock, or to its Execute. A chamber that makes no promise
+// about the rows it is handed may mutate or keep them, so it never sees the
+// shared rows, and a copy it keeps is never reused for another block.
+func Rows(c Chamber) RowChamber {
+	if rc, ok := c.(RowChamber); ok {
+		return rc
+	}
+	return copyingChamber{c}
+}
+
+type copyingChamber struct{ Chamber }
+
+func (c copyingChamber) ExecuteRows(ctx context.Context, block int, rows []mathutil.Vec, idx []int) (mathutil.Vec, error) {
+	private := new(mathutil.RowBuf).Gather(rows, idx)
+	if bc, ok := c.Chamber.(BlockChamber); ok {
+		return bc.ExecuteBlock(ctx, block, private)
+	}
+	return c.Chamber.Execute(ctx, private)
 }
 
 // ErrKilled is returned (wrapped) when a computation exceeded its quantum.
@@ -115,10 +138,10 @@ func (p Policy) holdRemaining(ctx context.Context, start time.Time) {
 // InProcess is intended for platform-trusted programs and for benchmarking
 // the isolation overhead (paper §6.1).
 //
-// The program runs on the goroutine that called Execute when nothing can
-// interrupt it (no quantum, a context that cannot be cancelled), and on a
-// goroutine of its own otherwise, so that a quantum kill or a cancellation
-// can return without it.
+// The program runs on the goroutine that called Execute or ExecuteRows
+// when nothing can interrupt it (no quantum, a context that cannot be
+// cancelled), and on a goroutine of its own otherwise, so that a quantum
+// kill or a cancellation can return without it.
 //
 // The private copy lives in recycled storage (mathutil.RowBuf), not in a
 // fresh allocation, which is as safe under four rules. The storage is
@@ -138,9 +161,9 @@ type InProcess struct {
 	// private to that call — the worker daemon's decoded work frame — so
 	// the program runs on it directly instead of on a second copy. Set in
 	// code by such a caller, never from configuration; the zero value
-	// copies.
+	// copies, and ExecuteRows, whose rows are shared, always copies.
 	OwnsBlock bool
-	// Release, when set, is called once per Execute that started the
+	// Release, when set, is called once per execution that started the
 	// program, by the goroutine that ran it, after Run has returned or
 	// panicked and its output has been copied out: the moment an owned
 	// block's storage may be reused. It is never called on behalf of a
@@ -148,34 +171,51 @@ type InProcess struct {
 	Release func()
 }
 
-// ReadOnlyBlocks implements ReadOnlyChamber: unless the chamber owns its
-// blocks, Execute copies each into private storage before the program runs,
-// so the caller's rows are never touched and the engine skips its own copy.
-// That copy is what keeps an untrusted program off the registered table.
-func (c *InProcess) ReadOnlyBlocks() bool { return !c.OwnsBlock }
-
 // Execute implements Chamber. With Policy.Quantum <= 0 and a ctx whose Done
 // is nil, the program runs on the calling goroutine, and a program that
 // calls runtime.Goexit ends the caller's goroutine (the engine's workers
 // replace themselves when that happens). Otherwise it runs on a goroutine
 // of its own, and Execute returns at the quantum or at ctx's end whether or
-// not the program has.
+// not the program has. Unless the chamber owns its blocks, the program runs
+// on a private copy of block.
 func (c *InProcess) Execute(ctx context.Context, block []mathutil.Vec) (mathutil.Vec, error) {
+	start, err := c.begin()
+	if err != nil {
+		return nil, err
+	}
+	if c.OwnsBlock {
+		return c.execute(ctx, start, block, nil)
+	}
+	buf := mathutil.GetRowBuf()
+	return c.execute(ctx, start, buf.CopyRows(block), buf)
+}
+
+// ExecuteRows implements RowChamber: the block is gathered from rows into
+// the program's private copy in one pass, whatever OwnsBlock says, and runs
+// as under Execute.
+func (c *InProcess) ExecuteRows(ctx context.Context, _ int, rows []mathutil.Vec, idx []int) (mathutil.Vec, error) {
+	start, err := c.begin()
+	if err != nil {
+		return nil, err
+	}
+	buf := mathutil.GetRowBuf()
+	return c.execute(ctx, start, buf.Gather(rows, idx), buf)
+}
+
+// begin checks the chamber and counts a spawn; the quantum runs from the
+// time it returns, the private copy included.
+func (c *InProcess) begin() (time.Time, error) {
 	if c.Program == nil {
-		return nil, errors.New("sandbox: InProcess chamber has no program")
+		return time.Time{}, errors.New("sandbox: InProcess chamber has no program")
 	}
 	c.Policy.Metrics.Counter("sandbox.inprocess.spawns").Inc()
-	start := time.Now()
+	return time.Now(), nil
+}
 
-	// The program gets its own copy — the one copy per (record, block) the
-	// state-attack defense needs: it can never mutate the caller's data.
-	private := block
-	var buf *mathutil.RowBuf // nil when the chamber owns its block
-	if !c.OwnsBlock {
-		buf = mathutil.GetRowBuf()
-		private = buf.CopyRows(block)
-	}
-
+// execute runs the program on private — the one copy per (record, block)
+// the state-attack defense needs, in buf's storage, or the owner's when buf
+// is nil — under the policy's quantum.
+func (c *InProcess) execute(ctx context.Context, start time.Time, private []mathutil.Vec, buf *mathutil.RowBuf) (mathutil.Vec, error) {
 	if c.Policy.Quantum <= 0 && ctx.Done() == nil {
 		// No quantum can kill this block and no context can cancel it, so
 		// the select below could only ever return through done: run the
@@ -217,7 +257,7 @@ func (c *InProcess) Execute(ctx context.Context, block []mathutil.Vec) (mathutil
 	}
 }
 
-// run runs the program on its private block, on whichever goroutine Execute
+// run runs the program on its private block, on whichever goroutine execute
 // chose. Only here is the program known to be done with its block, however
 // long ago Execute stopped waiting for it: when Run returns, panics or ends
 // the goroutine, the deferred release hands the storage on — buf, or the

@@ -131,8 +131,9 @@ func TestInProcessDataIsolation(t *testing.T) {
 }
 
 // A chamber that owns its blocks (the worker daemon's, over a freshly
-// decoded work frame) runs the program on the block itself, and therefore
-// must not be offered zero-copy views of shared rows.
+// decoded work frame) runs the program on the block Execute is handed
+// itself, but rows handed to ExecuteRows are shared, so it still copies
+// those.
 func TestInProcessOwnsBlock(t *testing.T) {
 	var saw *float64
 	probe := analytics.Func{ProgName: "probe", Dims: 1, F: func(block []mathutil.Vec) (mathutil.Vec, error) {
@@ -147,15 +148,114 @@ func TestInProcessOwnsBlock(t *testing.T) {
 	if saw != &block[0][0] {
 		t.Error("owning chamber copied a block it was told is already private")
 	}
-	if owning.ReadOnlyBlocks() {
-		t.Error("owning chamber claims ReadOnlyBlocks: the engine would hand it shared rows")
+	if _, err := owning.ExecuteRows(context.Background(), 0, block, []int{0, 1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if saw == &block[0][0] {
+		t.Error("owning chamber ran the program on shared rows handed to ExecuteRows")
 	}
 	copying := &InProcess{Program: probe}
 	if _, err := copying.Execute(context.Background(), block); err != nil {
 		t.Fatal(err)
 	}
-	if saw == &block[0][0] || !copying.ReadOnlyBlocks() {
-		t.Error("zero-value chamber must copy the block and declare ReadOnlyBlocks")
+	if saw == &block[0][0] {
+		t.Error("zero-value chamber must copy the block")
+	}
+}
+
+// ExecuteRows runs the program on a private copy of rows[idx[0]],
+// rows[idx[1]], … in that order; whatever the program does to its copy, the
+// shared rows are untouched.
+func TestInProcessExecuteRows(t *testing.T) {
+	var saw []float64
+	var first *float64
+	vandal := analytics.Func{ProgName: "vandal", Dims: 1, F: func(block []mathutil.Vec) (mathutil.Vec, error) {
+		first = &block[0][0]
+		for _, r := range block {
+			saw = append(saw, r[0])
+			r[0] = -999
+		}
+		return mathutil.Vec{float64(len(block))}, nil
+	}}
+	rows := testBlock(10)
+	idx := []int{7, 2, 2, 9}
+	out, err := (&InProcess{Program: vandal}).ExecuteRows(context.Background(), 3, rows, idx)
+	if err != nil || len(out) != 1 || out[0] != 4 {
+		t.Fatalf("out = %v, err = %v, want [4]", out, err)
+	}
+	if fmt.Sprint(saw) != "[7 2 2 9]" {
+		t.Errorf("program saw %v, want the rows of idx in order", saw)
+	}
+	if first == &rows[7][0] {
+		t.Error("program ran on the shared rows")
+	}
+	for i, r := range rows {
+		if r[0] != float64(i) {
+			t.Fatalf("shared row %d = %v after the run", i, r[0])
+		}
+	}
+}
+
+// hoarder is a chamber that makes no promise about the rows it is handed:
+// it vandalises and keeps every block. indexedHoarder also takes block
+// indexes, and records them.
+type hoarder struct {
+	kept    [][]mathutil.Vec
+	indexes []int
+}
+
+func (h *hoarder) Execute(_ context.Context, block []mathutil.Vec) (mathutil.Vec, error) {
+	for _, r := range block {
+		r[0] = -1
+	}
+	h.kept = append(h.kept, block)
+	return mathutil.Vec{float64(len(block))}, nil
+}
+
+type indexedHoarder struct{ hoarder }
+
+func (h *indexedHoarder) ExecuteBlock(ctx context.Context, i int, block []mathutil.Vec) (mathutil.Vec, error) {
+	h.indexes = append(h.indexes, i)
+	return h.Execute(ctx, block)
+}
+
+// Rows returns a RowChamber unchanged, and wraps any other chamber so that
+// each block reaches it as a fresh private copy — through ExecuteBlock,
+// with its index, when it has one — and a kept block is never reused.
+func TestRowsAdaptsUndeclaredChambers(t *testing.T) {
+	in := &InProcess{Program: analytics.Mean{Col: 0}}
+	if Rows(in) != RowChamber(in) {
+		t.Error("Rows wrapped a chamber that already is a RowChamber")
+	}
+	plain, indexed := &hoarder{}, &indexedHoarder{}
+	for _, c := range []Chamber{plain, indexed} {
+		rows := testBlock(6)
+		rc := Rows(c)
+		for b, idx := range [][]int{{5, 1}, {1, 3, 4}} {
+			if out, err := rc.ExecuteRows(context.Background(), b+10, rows, idx); err != nil || out[0] != float64(len(idx)) {
+				t.Fatalf("block %d: out = %v, err = %v", b, out, err)
+			}
+		}
+		for i, r := range rows {
+			if r[0] != float64(i) {
+				t.Fatalf("%T reached shared row %d", c, i)
+			}
+		}
+	}
+	for _, h := range []*hoarder{plain, &indexed.hoarder} {
+		if len(h.kept) != 2 || len(h.kept[0]) != 2 || len(h.kept[1]) != 3 {
+			t.Fatalf("kept %v, want blocks of 2 and 3 rows", h.kept)
+		}
+		for b, block := range h.kept {
+			for _, r := range block {
+				if r[0] != -1 {
+					t.Fatalf("kept block %d was overwritten after its chamber returned", b)
+				}
+			}
+		}
+	}
+	if fmt.Sprint(plain.indexes, indexed.indexes) != "[] [10 11]" {
+		t.Errorf("block indexes %v and %v, want none and [10 11]", plain.indexes, indexed.indexes)
 	}
 }
 
@@ -226,6 +326,18 @@ func TestSubprocessBasic(t *testing.T) {
 	}
 	if out[0] != 2 {
 		t.Errorf("subprocess mean = %v, want 2", out[0])
+	}
+}
+
+// ExecuteRows sends the app rows[idx[0]], rows[idx[1]], … in that order.
+func TestSubprocessExecuteRows(t *testing.T) {
+	ch := subprocessChamber(t, "mean", Policy{})
+	out, err := ch.ExecuteRows(context.Background(), 0, testBlock(5), []int{4, 4, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[0] != 3 {
+		t.Errorf("subprocess mean = %v, want 3", out[0])
 	}
 }
 

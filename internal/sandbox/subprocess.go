@@ -46,12 +46,23 @@ type Subprocess struct {
 	ExtraEnv []string
 }
 
-// ReadOnlyBlocks implements ReadOnlyChamber: the block is serialized onto
-// the child's stdin and never mutated in this process.
-func (c *Subprocess) ReadOnlyBlocks() bool { return true }
-
 // Execute implements Chamber.
 func (c *Subprocess) Execute(ctx context.Context, block []mathutil.Vec) (mathutil.Vec, error) {
+	return c.run(ctx, requestOf(block))
+}
+
+// ExecuteRows implements RowChamber: the block's rows are encoded onto the
+// child's stdin straight from rows, which this process never mutates.
+func (c *Subprocess) ExecuteRows(ctx context.Context, _ int, rows []mathutil.Vec, idx []int) (mathutil.Vec, error) {
+	req := Request{Block: make([][]float64, len(idx))}
+	for j, i := range idx {
+		req.Block[j] = rows[i]
+	}
+	return c.run(ctx, &req)
+}
+
+// run executes the app once on req.
+func (c *Subprocess) run(ctx context.Context, req *Request) (mathutil.Vec, error) {
 	if c.Path == "" {
 		return nil, errors.New("sandbox: Subprocess chamber has no executable path")
 	}
@@ -73,7 +84,7 @@ func (c *Subprocess) Execute(ctx context.Context, block []mathutil.Vec) (mathuti
 	}
 
 	var stdin bytes.Buffer
-	if err := WriteRequest(&stdin, block); err != nil {
+	if err := req.write(&stdin); err != nil {
 		return nil, err
 	}
 	var stdout, stderr bytes.Buffer

@@ -404,8 +404,8 @@ func (v vandal) Run(block []mathutil.Vec) (mathutil.Vec, error) {
 	return out, err
 }
 
-// bareChamber runs the program on the very block it is handed and makes no
-// ReadOnlyBlocks promise, so the engine owes it a private copy.
+// bareChamber runs the program on the very block it is handed and is not a
+// sandbox.RowChamber, so sandbox.Rows owes it a private copy.
 type bareChamber struct{ prog Program }
 
 func (c bareChamber) Execute(_ context.Context, block []mathutil.Vec) (mathutil.Vec, error) {
@@ -416,8 +416,8 @@ func (c bareChamber) Execute(_ context.Context, block []mathutil.Vec) (mathutil.
 // read-only table view rests on: queries read the registered rows in place,
 // so the one private copy per (record, block) must stand between every
 // program and them — in the in-process chamber (embedded and served), in
-// the worker's decoded frame, and in the engine for chambers that do not
-// declare ReadOnlyBlocks. γ = 2 puts every record in two blocks.
+// the worker's decoded frame, and in sandbox.Rows for chambers that are
+// not RowChambers. γ = 2 puts every record in two blocks.
 func TestMutatingProgramCannotReachTheTable(t *testing.T) {
 	ctx := context.Background()
 	age := []Range{{Lo: 0, Hi: 150}}
