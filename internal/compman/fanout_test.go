@@ -1,6 +1,7 @@
 package compman
 
 import (
+	"context"
 	"math"
 	"net"
 	"sort"
@@ -9,6 +10,8 @@ import (
 	"time"
 
 	"gupt/internal/faultinject"
+	"gupt/internal/sandbox"
+	"gupt/internal/telemetry"
 )
 
 // startKillableWorker is startWorker with an explicit kill switch, for
@@ -241,5 +244,90 @@ func TestFanoutStragglerAndDeadWorker(t *testing.T) {
 	failovers := srv.Telemetry().Counter("compman.pool.failovers").Value()
 	if redispatch+failovers == 0 {
 		t.Error("no straggler redispatch and no failover happened — chaos never bit")
+	}
+}
+
+// The pool resolves its metric handles once per registry, not once per
+// block, so a registry handed to Instrument after the pool was built must
+// still see every gauge and counter move: the pool's and a worker's
+// in-flight gauges, a straggler duplicate, failovers, redials and a
+// demotion with its unhealthy gauge.
+func TestFanoutLateInstrumentStillCounts(t *testing.T) {
+	healthy := startWorker(t)
+	stalled := startWorker(t)
+	proxy := &faultinject.Proxy{
+		Upstream: stalled,
+		Schedule: &faultinject.ProtoSchedule{
+			Plan:     []faultinject.ProtoFault{faultinject.ProtoStall},
+			StallFor: 500 * time.Millisecond,
+		},
+	}
+	if err := proxy.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { proxy.Close() })
+	slow := proxy.Addr().String()
+	dead, kill := startKillableWorker(t)
+	addrs := []string{healthy, slow, dead}
+	pool, err := NewWorkerPoolConfig(PoolConfig{Addrs: addrs, StragglerAfter: 150 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	chamber := pool.Chamber(meanSpec, nil).(sandbox.BlockChamber)
+	// homedOn is a block index ranked home, then second.
+	homedOn := func(home, second string) int {
+		for idx := 0; ; idx++ {
+			if r := rankAddrs(addrs, idx); r[0] == home && r[1] == second {
+				return idx
+			}
+		}
+	}
+	execute := func(idx int) {
+		t.Helper()
+		if out, err := chamber.ExecuteBlock(context.Background(), idx, workerBlock(5)); err != nil || out[0] != 2 {
+			t.Fatalf("block %d: mean %v, %v; want 2", idx, out, err)
+		}
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	execute(homedOn(healthy, slow)) // before Instrument: nowhere to count
+	tel := telemetry.NewRegistry()
+	pool.Instrument(tel)
+
+	inflight := tel.Gauge("compman.pool.inflight")
+	slowInflight := tel.Gauge("compman.pool.worker.inflight." + metricLabel(slow))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		execute(homedOn(slow, healthy))
+	}()
+	waitFor("both in-flight gauges at 1", func() bool { return inflight.Value() == 1 && slowInflight.Value() == 1 })
+	<-done
+	waitFor("both in-flight gauges back at 0", func() bool { return inflight.Value() == 0 && slowInflight.Value() == 0 })
+
+	kill()
+	execute(homedOn(dead, healthy)) // fails over after one redial
+	execute(homedOn(dead, healthy)) // a second failure in a row demotes it
+
+	for name, want := range map[string]int64{
+		"compman.pool.straggler_redispatch": 1,
+		"compman.pool.failovers":            2,
+		"compman.pool.redials":              2,
+		"compman.pool.demotions":            1,
+	} {
+		if got := tel.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d after a late Instrument, want %d", name, got, want)
+		}
+	}
+	if got := tel.Gauge("compman.pool.worker.unhealthy." + metricLabel(dead)).Value(); got != 1 {
+		t.Errorf("the dead worker's unhealthy gauge = %d, want 1", got)
 	}
 }

@@ -1,0 +1,390 @@
+package compman
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"net"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"gupt/internal/allocguard"
+	"gupt/internal/mathutil"
+	"gupt/internal/sandbox"
+)
+
+// referenceMatrix is the matrix encoder the pool's one-pass encoder
+// replaced, kept verbatim as the reference for its bytes: it measures the
+// whole view first and then writes it.
+func referenceMatrix(e *wireEncoder, rows [][]float64) {
+	uniform := true
+	cols := 0
+	if len(rows) > 0 {
+		cols = len(rows[0])
+		uniform = cols > 0
+		for _, r := range rows[1:] {
+			if len(r) != cols {
+				uniform = false
+				break
+			}
+		}
+	}
+	if uniform {
+		e.u8(1)
+		e.u32(uint32(len(rows)))
+		e.u32(uint32(cols))
+		off := len(e.b)
+		e.b = append(e.b, make([]byte, 8*len(rows)*cols)...)
+		for i, r := range rows {
+			base := off + 8*i*cols
+			for j, x := range r {
+				binary.LittleEndian.PutUint64(e.b[base+8*j:], math.Float64bits(x))
+			}
+		}
+		return
+	}
+	e.u8(0)
+	e.u32(uint32(len(rows)))
+	for _, r := range rows {
+		e.f64s(r)
+	}
+}
+
+// referenceWorkFrame is the work request frame for spec and block as the
+// reference encoder writes it.
+func referenceWorkFrame(t *testing.T, spec *WorkSpec, block [][]float64) []byte {
+	t.Helper()
+	e := newFrameEncoder(nil)
+	e.u8(wireMsgWorkRequest)
+	encodeWorkSpec(e, spec)
+	referenceMatrix(e, block)
+	frame, err := e.finishFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// randomShape draws one table and one index list: rectangular, ragged
+// (the first row's width, or another, first), a zero-width first row, an
+// empty or nil index list, and repeated indices.
+func randomShape(rng *rand.Rand) (rows []mathutil.Vec, idx []int, shape string) {
+	n := 1 + rng.Intn(40)
+	cols := rng.Intn(6)
+	rows = make([]mathutil.Vec, n)
+	for i := range rows {
+		rows[i] = make(mathutil.Vec, cols)
+	}
+	shape = fmt.Sprintf("%d×%d", n, cols)
+	switch rng.Intn(4) {
+	case 1: // ragged: one row of another width
+		r := rng.Intn(n)
+		rows[r] = make(mathutil.Vec, (cols+1+rng.Intn(3))%5)
+		shape += fmt.Sprintf(" ragged at %d", r)
+	case 2: // every row its own width
+		for i := range rows {
+			rows[i] = make(mathutil.Vec, rng.Intn(4))
+		}
+		shape += " widths random"
+	case 3: // zero-width first row
+		rows[0] = mathutil.Vec{}
+		shape += " zero-width first"
+	}
+	for _, r := range rows {
+		for j := range r {
+			r[j] = rng.NormFloat64()
+		}
+	}
+	switch rng.Intn(5) {
+	case 0:
+		return rows, nil, shape + ", idx nil"
+	case 1:
+		return rows, []int{}, shape + ", idx empty"
+	case 2: // repeated indices, the γ > 1 case
+		idx = make([]int, rng.Intn(2*n))
+		for j := range idx {
+			idx[j] = rng.Intn(n)
+		}
+		if len(idx) > 1 {
+			idx[1] = idx[0]
+		}
+		return rows, idx, shape + ", idx repeats"
+	default: // a shuffled subset
+		idx = rng.Perm(n)[:rng.Intn(n+1)]
+		return rows, idx, shape + ", idx subset"
+	}
+}
+
+// The pool encodes a block straight from the table, one row at a time; the
+// frame must be the one the public encoder writes over a view of the same
+// rows, and that the replaced encoder wrote, byte for byte, for every shape.
+// An empty block is the uniform 0×0 layout, a zero-width first row or a
+// ragged block the per-row one.
+func TestWorkFrameMatchesRequestEncoder(t *testing.T) {
+	spec := sampleWorkRequest().Spec
+	rng := rand.New(rand.NewSource(38))
+	check := func(rows []mathutil.Vec, idx []int, shape string) {
+		t.Helper()
+		view := make([][]float64, 0, len(rows))
+		if idx == nil {
+			for _, r := range rows {
+				view = append(view, r)
+			}
+		} else {
+			for _, i := range idx {
+				view = append(view, rows[i])
+			}
+		}
+		want := referenceWorkFrame(t, &spec, view)
+		public, err := AppendWorkRequestFrame(nil, &WorkRequest{Spec: spec, Block: view})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(public, want) {
+			t.Fatalf("%s: AppendWorkRequestFrame differs from the reference encoder", shape)
+		}
+		// Into a dirty buffer, as the pool's recycled frames are.
+		got, err := appendWorkFrame([]byte("stale bytes of an earlier frame"), &spec, rows, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: appendWorkFrame differs from the reference encoder", shape)
+		}
+	}
+	check(nil, nil, "no rows, idx nil")
+	check([]mathutil.Vec{{1, 2}}, []int{}, "idx empty")
+	check([]mathutil.Vec{{}, {}}, []int{1, 0}, "zero-width rows only")
+	check([]mathutil.Vec{{1, 2}, {3}, {4, 5}}, []int{0, 2, 1}, "ragged last")
+	for i := 0; i < 500; i++ {
+		rows, idx, shape := randomShape(rng)
+		check(rows, idx, shape)
+	}
+}
+
+// recordingWorker starts a worker whose chamber records every block it
+// executes, as a string of its values, then holds it for hold and runs the
+// mean program on it. stop closes the worker, waits for what it is
+// executing and returns the records.
+func recordingWorker(t *testing.T, hold time.Duration) (addr string, stop func() []string) {
+	t.Helper()
+	var mu sync.Mutex
+	var records []string
+	w := NewWorker(WorkerConfig{ChamberWrapper: func(inner sandbox.Chamber) sandbox.Chamber {
+		return chamberFunc(func(ctx context.Context, block []mathutil.Vec) (mathutil.Vec, error) {
+			s := blockString(block)
+			mu.Lock()
+			records = append(records, s)
+			mu.Unlock()
+			time.Sleep(hold)
+			return inner.Execute(ctx, block)
+		})
+	}})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_ = w.Serve(l)
+	}()
+	t.Cleanup(func() {
+		w.Close()
+		wg.Wait()
+	})
+	return l.Addr().String(), func() []string {
+		w.Close()
+		wg.Wait()
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]string(nil), records...)
+	}
+}
+
+func blockString(block []mathutil.Vec) string {
+	var b strings.Builder
+	for _, r := range block {
+		fmt.Fprint(&b, []float64(r), ";")
+	}
+	return b.String()
+}
+
+// An engine block with no rows may arrive as a nil index list; the pool
+// must send it as an empty block, not as the whole table.
+func TestPoolChamberNilIndexIsEmptyBlock(t *testing.T) {
+	addr, stop := recordingWorker(t, 0)
+	pool, err := NewWorkerPool([]string{addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	rows := []mathutil.Vec{{1}, {2}, {3}}
+	chamber := pool.Chamber(meanSpec, nil).(sandbox.RowChamber)
+	_, _ = chamber.ExecuteRows(context.Background(), 0, rows, nil)
+	if got := stop(); len(got) != 1 || got[0] != "" {
+		t.Errorf("a nil index list reached the worker as %q, want one empty block", got)
+	}
+}
+
+// A cancelled block's run returns while its exchanges finish in the
+// background, and the engine then gives the block's index list back for the
+// next query. Nothing may read it after ExecuteRows returns: the test
+// overwrites every block's indices at once, so under -race a late read is a
+// reported race, and a worker that executed a block must have seen the rows
+// the block had when it was handed over.
+func TestFanoutCancelledBlocksLeaveIndicesAlone(t *testing.T) {
+	addr, stop := recordingWorker(t, 200*time.Microsecond)
+	pool, err := NewWorkerPoolConfig(PoolConfig{Addrs: []string{addr}, ConnsPerWorker: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chamber := pool.Chamber(meanSpec, nil).(sandbox.RowChamber)
+
+	const n, blocks, size, parallel = 4000, 96, 20, 8
+	rows := make([]mathutil.Vec, n)
+	for i := range rows {
+		rows[i] = mathutil.Vec{float64(i)}
+	}
+	rng := rand.New(rand.NewSource(7))
+	perm := rng.Perm(n)
+	delays := make([]time.Duration, blocks)
+	for b := range delays {
+		if b%2 == 1 {
+			delays[b] = time.Duration(rng.Intn(1500)) * time.Microsecond
+		}
+	}
+	handed := make(map[string]bool, blocks)
+	means := make([]float64, blocks)
+	for b := range means {
+		var block []mathutil.Vec
+		sum := 0.0
+		for _, i := range perm[b*size : (b+1)*size] {
+			block = append(block, rows[i])
+			sum += rows[i][0]
+		}
+		handed[blockString(block)] = true
+		means[b] = sum / size
+	}
+
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var nAnswered, nCancelled int
+	sem := make(chan struct{}, parallel)
+	for b := 0; b < blocks; b++ {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(b int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			idx := perm[b*size : (b+1)*size]
+			ctx := context.Background()
+			if delays[b] > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, delays[b])
+				defer cancel()
+			}
+			out, err := chamber.ExecuteRows(ctx, b, rows, idx)
+			// The block is over for its caller: its indices now belong to
+			// another query.
+			for j := range idx {
+				idx[j] = (idx[j] + 1) % n
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if err != nil {
+				nCancelled++
+				return
+			}
+			nAnswered++
+			if out[0] != means[b] {
+				t.Errorf("block %d answered %v, want %v", b, out[0], means[b])
+			}
+		}(b)
+	}
+	wg.Wait()
+	pool.Close()
+	for _, s := range stop() {
+		if !handed[s] {
+			t.Errorf("a worker executed rows no block was handed: %s", s)
+		}
+	}
+	if nAnswered == 0 || nCancelled == 0 {
+		t.Errorf("%d blocks answered, %d cancelled; the test needs both", nAnswered, nCancelled)
+	}
+}
+
+// poolBlock runs a 385×11 table, in shuffled order, as one block through a
+// pool chamber and a loopback worker of this process.
+func poolBlock(tb testing.TB) func() (mathutil.Vec, error) {
+	tb.Helper()
+	w := NewWorker(WorkerConfig{})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_ = w.Serve(l)
+	}()
+	pool, err := NewWorkerPool([]string{l.Addr().String()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() {
+		pool.Close()
+		w.Close()
+		wg.Wait()
+	})
+	grid := gridBlock(385, 11)
+	rows := make([]mathutil.Vec, len(grid))
+	for i, r := range grid {
+		rows[i] = r
+	}
+	idx := rand.New(rand.NewSource(1)).Perm(len(rows))
+	chamber := pool.Chamber(meanSpec, nil).(sandbox.RowChamber)
+	return func() (mathutil.Vec, error) { return chamber.ExecuteRows(context.Background(), 0, rows, idx) }
+}
+
+// A fanned-out block costs the pool its one work frame, recycled, and the
+// reply: nothing per row. With a [][]float64 view of the block per call it
+// cost 385 × 24 bytes more.
+func TestPoolChamberSteadyStateBytes(t *testing.T) {
+	allocguard.SkipUnderRace(t, "sync.Pool is deliberately lossy under the race detector")
+	block := poolBlock(t)
+	run := func() {
+		out, err := block()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != 1 || out[0] != 192*11 {
+			t.Fatalf("mean of column 0 = %v, want [2112]", out)
+		}
+	}
+	// Measured 1,048 bytes, the worker's ≈ 0.7 KiB included; the bound is
+	// that + 20 %. With the view it was 10,824.
+	if bytes := allocguard.Bytes(run); bytes > 1258 {
+		t.Errorf("one 385×11 block through the pool allocates %d bytes in steady state, want <= 1258", bytes)
+	}
+}
+
+// BenchmarkPoolChamberBlock is one block's round trip through the pool to a
+// loopback worker of this process, both sides' allocations included.
+func BenchmarkPoolChamberBlock(b *testing.B) {
+	block := poolBlock(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := block(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

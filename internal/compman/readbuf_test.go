@@ -108,7 +108,12 @@ func TestWorkerConnReadsFrameLargerThanItsBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wc.conn.Close()
-	resp, err := wc.execute(context.Background(), sampleWorkRequest())
+	req := sampleWorkRequest()
+	frame, err := AppendWorkRequestFrame(nil, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := wc.execute(context.Background(), frame, req.Spec.TraceID)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,6 +42,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"unicode/utf8"
 
@@ -304,44 +305,59 @@ func (e *wireEncoder) ranges(rs []RangeSpec) {
 	}
 }
 
-// matrix encodes [][]float64. The uniform case — every row the same width,
-// which is every engine block and every registered table — is laid out as
-// one contiguous run of rows*cols values so the decoder can rebuild it
-// with two allocations total. Ragged inputs fall back to per-row encoding.
-func (e *wireEncoder) matrix(rows [][]float64) {
-	uniform := true
+// appendMatrix encodes the matrix rows[idx[0]], rows[idx[1]], … — every row
+// in order when idx is nil — reading each row once and building no view of
+// it. The uniform case, every row the width of the first, which is every
+// engine block and every registered table, is laid out as one contiguous
+// run of rows*cols values so the decoder can rebuild it with two
+// allocations total. A later row of another width sends the encoder back
+// to the matrix's start, in the per-row layout. Zero-width rows go per-row
+// too, where each costs its 4-byte length: in the uniform layout no cell
+// would bound how many there are. An empty matrix is uniform 0×0.
+func appendMatrix[R ~[]float64](e *wireEncoder, rows []R, idx []int) {
+	n := len(rows)
+	if idx != nil {
+		n = len(idx)
+	}
+	start := len(e.b)
 	cols := 0
-	if len(rows) > 0 {
-		cols = len(rows[0])
-		// Zero-width rows go per-row, where each costs its 4-byte length:
-		// in the uniform layout no cell would bound how many there are.
-		uniform = cols > 0
-		for _, r := range rows[1:] {
+	if n > 0 {
+		cols = len(rowAt(rows, idx, 0))
+	}
+	if n == 0 || cols > 0 {
+		e.u8(1)
+		e.u32(uint32(n))
+		e.u32(uint32(cols))
+		b := slices.Grow(e.b, 8*n*cols)
+		i := 0
+		for ; i < n; i++ {
+			r := rowAt(rows, idx, i)
 			if len(r) != cols {
-				uniform = false
 				break
 			}
-		}
-	}
-	if uniform {
-		e.u8(1)
-		e.u32(uint32(len(rows)))
-		e.u32(uint32(cols))
-		off := len(e.b)
-		e.b = append(e.b, make([]byte, 8*len(rows)*cols)...)
-		for i, r := range rows {
-			base := off + 8*i*cols
-			for j, x := range r {
-				binary.LittleEndian.PutUint64(e.b[base+8*j:], math.Float64bits(x))
+			for _, x := range r {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
 			}
 		}
-		return
+		if i == n {
+			e.b = b
+			return
+		}
+		e.b = b[:start]
 	}
 	e.u8(0)
-	e.u32(uint32(len(rows)))
-	for _, r := range rows {
-		e.f64s(r)
+	e.u32(uint32(n))
+	for i := 0; i < n; i++ {
+		e.f64s(rowAt(rows, idx, i))
 	}
+}
+
+// rowAt is appendMatrix's i-th row.
+func rowAt[R ~[]float64](rows []R, idx []int, i int) []float64 {
+	if idx == nil {
+		return rows[i]
+	}
+	return rows[idx[i]]
 }
 
 // --- decoder ---
@@ -653,7 +669,7 @@ func encodeRequestBody(e *wireEncoder, req *Request) {
 	e.boolb(req.Register != nil)
 	if req.Register != nil {
 		e.str(req.Register.Name)
-		e.matrix(req.Register.Rows)
+		appendMatrix(e, req.Register.Rows, nil)
 		e.strs(req.Register.Columns)
 		e.f64(req.Register.TotalBudget)
 		e.ranges(req.Register.Ranges)
@@ -836,11 +852,10 @@ func decodeResponseBody(d *wireDecoder) *Response {
 	return resp
 }
 
-func encodeWorkRequestBody(e *wireEncoder, req *WorkRequest) {
-	encodeProgramSpec(e, &req.Spec.Program)
-	e.i64(req.Spec.QuantumMillis)
-	e.str(req.Spec.TraceID)
-	e.matrix(req.Block)
+func encodeWorkSpec(e *wireEncoder, spec *WorkSpec) {
+	encodeProgramSpec(e, &spec.Program)
+	e.i64(spec.QuantumMillis)
+	e.str(spec.TraceID)
 }
 
 func decodeWorkSpec(d *wireDecoder) WorkSpec {
@@ -910,9 +925,18 @@ func AppendResponseFrame(dst []byte, resp *Response) ([]byte, error) {
 
 // AppendWorkRequestFrame appends the framed binary encoding of req to dst.
 func AppendWorkRequestFrame(dst []byte, req *WorkRequest) ([]byte, error) {
+	return appendWorkFrame(dst, &req.Spec, req.Block, nil)
+}
+
+// appendWorkFrame appends the work request frame of spec and the block
+// rows[idx[0]], rows[idx[1]], … (every row when idx is nil) to dst: the
+// frame AppendWorkRequestFrame would encode from a view of those rows,
+// without the view.
+func appendWorkFrame[R ~[]float64](dst []byte, spec *WorkSpec, rows []R, idx []int) ([]byte, error) {
 	e := newFrameEncoder(dst)
 	e.u8(wireMsgWorkRequest)
-	encodeWorkRequestBody(e, req)
+	encodeWorkSpec(e, spec)
+	appendMatrix(e, rows, idx)
 	return e.finishFrame()
 }
 

@@ -307,9 +307,12 @@ func (w *Worker) span(stage, status string, start time.Time) telemetry.RemoteSpa
 type WorkerPool struct {
 	mu       sync.Mutex
 	hosts    []*workerHost
-	tel      *telemetry.Registry
 	closed   bool
 	closedCh chan struct{}
+
+	// metrics holds the pool's metric handles, resolved once per registry
+	// so that a block looks none of them up.
+	metrics atomic.Pointer[poolMetrics]
 
 	connsPer       int
 	stragglerAfter time.Duration
@@ -334,31 +337,51 @@ type PoolConfig struct {
 // (blocks retried on a different worker), compman.pool.straggler_redispatch
 // (duplicate dispatches racing a slow home worker), compman.pool.demotions
 // (workers demoted to last-resort after consecutive transport failures), the
-// compman.pool.inflight
-// depth gauge, and the per-worker compman.pool.worker.inflight.<addr> /
-// compman.pool.worker.unhealthy.<addr> gauges. Nil-safe throughout; call
-// before serving.
+// compman.pool.inflight depth gauge, and the per-worker
+// compman.pool.worker.inflight.<addr> / compman.pool.worker.unhealthy.<addr>
+// gauges. It resolves every handle once, here; blocks only load them. Nil-safe
+// throughout; a later call moves the pool to the new registry.
 func (p *WorkerPool) Instrument(tel *telemetry.Registry) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.tel = tel
+	m := newPoolMetrics(tel)
+	p.metrics.Store(m)
 	for _, h := range p.hosts {
+		h.instrument(tel)
 		h.mu.Lock()
 		for _, wc := range h.all {
 			wc.mu.Lock()
-			wc.redials = tel.Counter("compman.pool.redials")
+			wc.redials = m.redials
 			wc.mu.Unlock()
 		}
 		h.mu.Unlock()
 	}
 }
 
+// poolMetrics is the pool's metric handles in one registry (nil handles
+// with no registry).
+type poolMetrics struct {
+	inflight                                  *telemetry.Gauge
+	redials, failovers, stragglers, demotions *telemetry.Counter
+}
+
+func newPoolMetrics(tel *telemetry.Registry) *poolMetrics {
+	return &poolMetrics{
+		inflight:   tel.Gauge("compman.pool.inflight"),
+		redials:    tel.Counter("compman.pool.redials"),
+		failovers:  tel.Counter("compman.pool.failovers"),
+		stragglers: tel.Counter("compman.pool.straggler_redispatch"),
+		demotions:  tel.Counter("compman.pool.demotions"),
+	}
+}
+
+// workerConn is one connection to a worker. It sends work frames encoded
+// before its exchange began and keeps only its read buffer.
 type workerConn struct {
 	mu      sync.Mutex
 	addr    string
 	conn    net.Conn
 	r       *bufio.Reader
-	wbuf    []byte // reused binary encode buffer
 	rbuf    []byte // reused binary frame read buffer
 	broken  bool   // transport failed; redial before reuse
 	redials *telemetry.Counter
@@ -388,6 +411,7 @@ func NewWorkerPoolConfig(cfg PoolConfig) (*WorkerPool, error) {
 		connsPer:       connsPer,
 		stragglerAfter: cfg.StragglerAfter,
 	}
+	p.metrics.Store(newPoolMetrics(nil))
 	for _, addr := range cfg.Addrs {
 		wc, err := dialWorker(addr)
 		if err != nil {
@@ -396,10 +420,11 @@ func NewWorkerPoolConfig(cfg PoolConfig) (*WorkerPool, error) {
 		}
 		h := &workerHost{
 			addr:  addr,
+			label: "worker:" + addr,
 			pool:  p,
 			slots: make(chan *workerConn, connsPer),
 		}
-		h.gaugeSuffix = metricLabel(addr)
+		h.instrument(nil)
 		h.all = append(h.all, wc)
 		h.slots <- wc
 		for i := 1; i < connsPer; i++ {
@@ -425,9 +450,12 @@ func metricLabel(addr string) string {
 // connections plus the in-flight and health accounting that drives
 // least-loaded selection and straggler re-dispatch.
 type workerHost struct {
-	addr        string
-	pool        *WorkerPool
-	gaugeSuffix string
+	addr  string
+	label string // "worker:<addr>", the process of its spans in a trace
+	pool  *WorkerPool
+
+	// metrics holds the host's gauges, resolved once per registry.
+	metrics atomic.Pointer[hostMetrics]
 
 	// slots is the connection budget: a *workerConn ready for use, or nil
 	// meaning "a connection may be dialed". Taking a slot bounds this
@@ -449,12 +477,18 @@ type workerHost struct {
 // successful exchange clears it.
 const unhealthyAfter = 2
 
-func (h *workerHost) inflightGauge() *telemetry.Gauge {
-	return h.pool.gauge("compman.pool.worker.inflight." + h.gaugeSuffix)
+// hostMetrics is one host's gauges in one registry.
+type hostMetrics struct {
+	inflight, unhealthy *telemetry.Gauge
 }
 
-func (h *workerHost) unhealthyGauge() *telemetry.Gauge {
-	return h.pool.gauge("compman.pool.worker.unhealthy." + h.gaugeSuffix)
+// instrument resolves h's gauges in tel (nil handles when tel is nil).
+func (h *workerHost) instrument(tel *telemetry.Registry) {
+	suffix := metricLabel(h.addr)
+	h.metrics.Store(&hostMetrics{
+		inflight:  tel.Gauge("compman.pool.worker.inflight." + suffix),
+		unhealthy: tel.Gauge("compman.pool.worker.unhealthy." + suffix),
+	})
 }
 
 // saturated reports whether every connection slot is busy.
@@ -465,8 +499,8 @@ func (h *workerHost) saturated() bool {
 func (h *workerHost) noteFailure() {
 	h.failed.Add(1)
 	if h.streak.Add(1) >= unhealthyAfter && !h.sick.Swap(true) {
-		h.unhealthyGauge().Set(1)
-		h.pool.counter("compman.pool.demotions").Inc()
+		h.metrics.Load().unhealthy.Set(1)
+		h.pool.metrics.Load().demotions.Inc()
 	}
 }
 
@@ -474,7 +508,7 @@ func (h *workerHost) noteSuccess() {
 	h.done.Add(1)
 	h.streak.Store(0)
 	if h.sick.Swap(false) {
-		h.unhealthyGauge().Set(0)
+		h.metrics.Load().unhealthy.Set(0)
 	}
 }
 
@@ -492,7 +526,7 @@ func (h *workerHost) acquire(ctx context.Context) (*workerConn, error) {
 			h.slots <- nil // hand the slot back undialed
 			return nil, err
 		}
-		fresh.redials = h.pool.counter("compman.pool.redials")
+		fresh.redials = h.pool.metrics.Load().redials
 		h.mu.Lock()
 		h.all = append(h.all, fresh)
 		h.mu.Unlock()
@@ -513,11 +547,12 @@ func (h *workerHost) release(wc *workerConn) {
 }
 
 // do runs one block exchange on this host, maintaining its in-flight and
-// health accounting. Errors are transport-level (retryable elsewhere);
+// health accounting: it sends frame, a complete work request frame whose
+// spec carries traceID. Errors are transport-level (retryable elsewhere);
 // application failures arrive inside the response.
-func (h *workerHost) do(ctx context.Context, req *WorkRequest) (*WorkResponse, error) {
+func (h *workerHost) do(ctx context.Context, frame []byte, traceID string) (*WorkResponse, error) {
 	h.inflight.Add(1)
-	g := h.inflightGauge()
+	g := h.metrics.Load().inflight
 	g.Inc()
 	defer func() {
 		h.inflight.Add(-1)
@@ -530,7 +565,7 @@ func (h *workerHost) do(ctx context.Context, req *WorkRequest) (*WorkResponse, e
 		}
 		return nil, err
 	}
-	resp, err := wc.execute(ctx, req)
+	resp, err := wc.execute(ctx, frame, traceID)
 	h.release(wc)
 	if err != nil {
 		h.noteFailure()
@@ -656,54 +691,76 @@ type poolChamber struct {
 // Execute implements sandbox.Chamber for callers without a block index:
 // the block goes to the least-loaded healthy worker.
 func (c *poolChamber) Execute(ctx context.Context, block []mathutil.Vec) (mathutil.Vec, error) {
-	return c.run(ctx, -1, wireBlock(block))
+	return c.send(ctx, -1, block, nil)
 }
 
 // ExecuteBlock implements sandbox.BlockChamber: block idx is
 // rendezvous-assigned its home worker so assignment is stable under fleet
 // membership changes (only blocks homed on a removed worker move).
 func (c *poolChamber) ExecuteBlock(ctx context.Context, idx int, block []mathutil.Vec) (mathutil.Vec, error) {
-	return c.run(ctx, idx, wireBlock(block))
+	return c.send(ctx, idx, block, nil)
 }
 
-// ExecuteRows implements sandbox.RowChamber, the engine's path: the work
-// frame's block is filled from rows[idx[j]] in one pass, and the wire
-// encoder reads the row floats in place, so the block is copied once, onto
-// the wire. Assignment is as under ExecuteBlock.
+// ExecuteRows implements sandbox.RowChamber, the engine's path: the block
+// is encoded straight from rows[idx[j]] into its work frame, so it is
+// copied once, onto the wire. Assignment is as under ExecuteBlock.
 func (c *poolChamber) ExecuteRows(ctx context.Context, block int, rows []mathutil.Vec, idx []int) (mathutil.Vec, error) {
-	b := make([][]float64, len(idx))
-	for j, i := range idx {
-		b[j] = rows[i]
+	if idx == nil {
+		idx = []int{} // an empty block: to the encoder, nil means every row
 	}
-	return c.run(ctx, block, b)
+	return c.send(ctx, block, rows, idx)
 }
 
-// wireBlock is block as a work frame's rows, aliasing block's floats.
-func wireBlock(block []mathutil.Vec) [][]float64 {
-	b := make([][]float64, len(block))
-	for i, r := range block {
-		b[i] = r
+// send encodes the block rows[idx[j]] (every row when idx is nil) into a
+// pooled work frame and dispatches it. The frame is complete before any
+// exchange starts, and every exchange of the block sends that same frame,
+// so nothing reads rows or idx after send returns: idx may alias the
+// engine's recycled permutation, which the next query overwrites while a
+// cancelled block's exchanges are still finishing in the background.
+func (c *poolChamber) send(ctx context.Context, block int, rows []mathutil.Vec, idx []int) (mathutil.Vec, error) {
+	f := workFramePool.Get().(*workFrame)
+	f.refs.Store(1)
+	defer f.release()
+	b, err := appendWorkFrame(f.b[:0], &c.spec, rows, idx)
+	if err != nil {
+		return nil, fmt.Errorf("compman: encode block: %w", err)
 	}
-	return b
+	f.b = b
+	return c.run(ctx, block, f)
 }
 
-// run dispatches one block. Transport-level failures (worker restart,
-// network blip, corrupted reply) are retried — first by the connection's
-// own redial, then by failing over down the candidate ranking, each
-// remaining worker once — so a flaky or dead worker degrades accuracy (the
-// engine substitutes blocks only when the whole fleet is unusable) rather
-// than aborting the query. When StragglerAfter is set and the first worker
-// has not answered in time, the block is duplicated to the next-ranked
-// worker and the first result wins; the loser's exchange completes in the
-// background, keeping its connection synchronized. Application-level
-// errors come back as resp.Error and are never retried: the worker is
-// healthy, the computation itself failed.
-func (c *poolChamber) run(ctx context.Context, idx int, block [][]float64) (mathutil.Vec, error) {
-	req := WorkRequest{Spec: c.spec, Block: block}
+// workFrame is one block's encoded work request, shared by every exchange
+// of the block. refs counts its holders: send until run returns, and each
+// launched exchange until its workerHost.do returns. The last one puts the
+// frame back in workFramePool.
+type workFrame struct {
+	b    []byte
+	refs atomic.Int32
+}
 
-	inflight := c.pool.gauge("compman.pool.inflight")
-	inflight.Inc()
-	defer inflight.Dec()
+var workFramePool = sync.Pool{New: func() any { return new(workFrame) }}
+
+func (f *workFrame) release() {
+	if f.refs.Add(-1) == 0 {
+		workFramePool.Put(f)
+	}
+}
+
+// run dispatches one encoded block. Transport-level failures (worker
+// restart, network blip, corrupted reply) are retried — first by the
+// connection's own redial, then by failing over down the candidate ranking,
+// each remaining worker once — so a flaky or dead worker degrades accuracy
+// (the engine substitutes blocks only when the whole fleet is unusable)
+// rather than aborting the query. When StragglerAfter is set and the first
+// worker has not answered in time, the block is duplicated to the
+// next-ranked worker and the first result wins; the loser's exchange
+// completes in the background, keeping its connection synchronized.
+// Application-level errors come back as resp.Error and are never retried:
+// the worker is healthy, the computation itself failed.
+func (c *poolChamber) run(ctx context.Context, idx int, f *workFrame) (mathutil.Vec, error) {
+	m := c.pool.metrics.Load()
+	m.inflight.Inc()
+	defer m.inflight.Dec()
 
 	cands := c.pool.candidates(idx)
 	if len(cands) == 0 {
@@ -722,7 +779,7 @@ func (c *poolChamber) run(ctx context.Context, idx int, block [][]float64) (math
 	// launch dispatches the block to the next-ranked candidate, tagging the
 	// exchange with its dispatch kind (first try, straggler duplicate, or
 	// failover) so the observed outcome becomes a per-worker fan-out span in
-	// the query trace.
+	// the query trace. The exchange holds the frame until it is done.
 	launch := func(stage string) bool {
 		if next >= len(cands) {
 			return false
@@ -730,8 +787,10 @@ func (c *poolChamber) run(ctx context.Context, idx int, block [][]float64) (math
 		h := cands[next]
 		next++
 		start := time.Now()
+		f.refs.Add(1)
 		go func() {
-			resp, err := h.do(ctx, &req)
+			resp, err := h.do(ctx, f.b, c.spec.TraceID)
+			f.release()
 			results <- result{h, resp, err, stage, start}
 		}()
 		return true
@@ -756,7 +815,7 @@ func (c *poolChamber) run(ctx context.Context, idx int, block [][]float64) (math
 			straggler = nil
 			if launch(telemetry.StageFanoutStraggler) {
 				pending++
-				c.pool.counter("compman.pool.straggler_redispatch").Inc()
+				m.stragglers.Inc()
 			}
 		case r := <-results:
 			pending--
@@ -765,7 +824,7 @@ func (c *poolChamber) run(ctx context.Context, idx int, block [][]float64) (math
 				lastErr = r.err // transport-level: retryable on another worker
 				if launch(telemetry.StageFanoutFailover) {
 					pending++
-					c.pool.counter("compman.pool.failovers").Inc()
+					m.failovers.Inc()
 				} else if pending == 0 {
 					return nil, lastErr
 				}
@@ -774,7 +833,7 @@ func (c *poolChamber) run(ctx context.Context, idx int, block [][]float64) (math
 			// The reply's spans merge into the query trace whether the block
 			// succeeded or failed — a failing chamber is exactly what the
 			// operator wants visible in the span tree.
-			c.tr.AddRemoteSpans("worker:"+r.host.addr, r.resp.Spans)
+			c.tr.AddRemoteSpans(r.host.label, r.resp.Spans)
 			if r.resp.Error != "" {
 				// Application-level: the worker is healthy, the computation
 				// itself failed. Never retried.
@@ -796,7 +855,7 @@ func (c *poolChamber) noteDispatch(h *workerHost, stage string, start time.Time,
 	if !ok {
 		status = telemetry.StatusError
 	}
-	c.tr.AddRemoteSpans("worker:"+h.addr, []telemetry.RemoteSpan{{
+	c.tr.AddRemoteSpans(h.label, []telemetry.RemoteSpan{{
 		Stage:  stage,
 		Status: status,
 		Millis: float64(time.Since(start)) / float64(time.Millisecond),
@@ -878,11 +937,12 @@ func rendezvousScore(addr string, idx int) uint64 {
 	return h
 }
 
-// execute runs one exchange on this worker, redialing a broken connection
-// before and once after a transport failure. A non-nil error is always
-// transport-level (retryable on another worker); application failures come
-// back inside the response.
-func (wc *workerConn) execute(ctx context.Context, req *WorkRequest) (*WorkResponse, error) {
+// execute sends frame, a work request frame whose spec carries traceID, on
+// this worker, redialing a broken connection before and once after a
+// transport failure; the retry sends the same frame. A non-nil error is
+// always transport-level (retryable on another worker); application
+// failures come back inside the response.
+func (wc *workerConn) execute(ctx context.Context, frame []byte, traceID string) (*WorkResponse, error) {
 	wc.mu.Lock()
 	defer wc.mu.Unlock()
 	if wc.broken {
@@ -890,7 +950,7 @@ func (wc *workerConn) execute(ctx context.Context, req *WorkRequest) (*WorkRespo
 			return nil, dialErr
 		}
 	}
-	resp, err := wc.roundTrip(ctx, req)
+	resp, err := wc.roundTrip(ctx, frame, traceID)
 	if err == nil {
 		return resp, nil
 	}
@@ -898,7 +958,7 @@ func (wc *workerConn) execute(ctx context.Context, req *WorkRequest) (*WorkRespo
 	if dialErr := wc.redialLocked(); dialErr != nil {
 		return nil, fmt.Errorf("compman: worker %s unreachable after %v", wc.addr, err)
 	}
-	return wc.roundTrip(ctx, req)
+	return wc.roundTrip(ctx, frame, traceID)
 }
 
 // redialLocked replaces a broken connection; the caller holds wc.mu.
@@ -916,13 +976,13 @@ func (wc *workerConn) redialLocked() error {
 // roundTrip performs one request/response exchange; the caller holds wc.mu.
 // On transport failure it marks the connection broken. Errors are
 // transport-level only; an application failure arrives in resp.Error.
-func (wc *workerConn) roundTrip(ctx context.Context, req *WorkRequest) (*WorkResponse, error) {
+func (wc *workerConn) roundTrip(ctx context.Context, frame []byte, traceID string) (*WorkResponse, error) {
 	if deadline, ok := ctx.Deadline(); ok {
 		_ = wc.conn.SetDeadline(deadline)
 	} else {
 		_ = wc.conn.SetDeadline(time.Time{})
 	}
-	resp, err := wc.exchangeBinary(req)
+	resp, err := wc.exchangeBinary(frame)
 	if err != nil {
 		// Send/receive failures and corrupted replies all leave the stream
 		// unsynchronized; drop the connection rather than risk pairing
@@ -930,27 +990,21 @@ func (wc *workerConn) roundTrip(ctx context.Context, req *WorkRequest) (*WorkRes
 		wc.broken = true
 		return nil, err
 	}
-	if req.Spec.TraceID != "" && resp.TraceID != "" && resp.TraceID != req.Spec.TraceID {
+	if traceID != "" && resp.TraceID != "" && resp.TraceID != traceID {
 		// A reply for a different request means request/response pairing
 		// slipped — same treatment as a corrupted stream.
 		wc.broken = true
-		return nil, fmt.Errorf("compman: worker %s: trace echo %q for request %q (stream desynchronized)", wc.addr, resp.TraceID, req.Spec.TraceID)
+		return nil, fmt.Errorf("compman: worker %s: trace echo %q for request %q (stream desynchronized)", wc.addr, resp.TraceID, traceID)
 	}
 	return resp, nil
 }
 
-// exchangeBinary runs one exchange on the framed wire; wc.mu held. The
-// connection-owned buffers persist across blocks, so the per-block framing
-// cost is the contiguous float64 copy and nothing else.
-func (wc *workerConn) exchangeBinary(req *WorkRequest) (*WorkResponse, error) {
-	frame, err := AppendWorkRequestFrame(wc.wbuf[:0], req)
-	if err != nil {
-		return nil, fmt.Errorf("compman: worker %s encode: %w", wc.addr, err)
-	}
+// exchangeBinary sends frame and reads the reply on the framed wire; wc.mu
+// held. The read buffer persists across blocks.
+func (wc *workerConn) exchangeBinary(frame []byte) (*WorkResponse, error) {
 	if _, err := wc.conn.Write(frame); err != nil {
 		return nil, fmt.Errorf("compman: worker %s send: %w", wc.addr, err)
 	}
-	wc.wbuf = frame[:0]
 	payload, err := readWireFrame(wc.r, &wc.rbuf)
 	if err != nil {
 		return nil, fmt.Errorf("compman: worker %s receive: %w", wc.addr, err)
@@ -960,18 +1014,4 @@ func (wc *workerConn) exchangeBinary(req *WorkRequest) (*WorkResponse, error) {
 		return nil, fmt.Errorf("compman: worker %s: %w", wc.addr, err)
 	}
 	return resp, nil
-}
-
-// counter and gauge resolve pool metrics through the (possibly nil)
-// telemetry registry.
-func (p *WorkerPool) counter(name string) *telemetry.Counter {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.tel.Counter(name)
-}
-
-func (p *WorkerPool) gauge(name string) *telemetry.Gauge {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.tel.Gauge(name)
 }
