@@ -95,6 +95,7 @@ fuzz:
 	$(GO) test ./internal/query -run xxx -fuzz FuzzFingerprint -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ledger -run xxx -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mathutil -run xxx -fuzz FuzzRNGMatchesMathRand -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mathutil -run xxx -fuzz FuzzGatherMatchesCopyRows -fuzztime $(FUZZTIME)
 
 # bench runs the one benchmark harness (BENCHMARK.json, bench/README.md):
 # seven fixed workloads, end-to-end metrics plus the per-layer table.

@@ -163,17 +163,23 @@ func Run(ctx context.Context, program analytics.Program, rows []mathutil.Vec, sp
 		return nil, err
 	}
 
-	// The root and its three splits are pooled generators (the same streams
-	// as NewRNG and Split). Every draw from them is made on this goroutine
-	// and none is kept past Run, so they go back when Run returns.
+	// The root and its splits are pooled generators (the same streams as
+	// NewRNG and Split). Every draw from them is made on this goroutine
+	// and none is kept past Run, so they go back when Run returns. The
+	// range seed is drawn in every mode, so the noise seed after it stays
+	// put, but only loose and helper ranges seed a generator from it.
 	rng := mathutil.GetRNG(opts.Seed)
 	defer rng.Release()
 	partRNG := mathutil.GetRNG(rng.Int63())
 	defer partRNG.Release()
-	rangeRNG := mathutil.GetRNG(rng.Int63())
-	defer rangeRNG.Release()
+	rangeSeed := rng.Int63()
 	noiseRNG := mathutil.GetRNG(rng.Int63())
 	defer noiseRNG.Release()
+	var rangeRNG *mathutil.RNG
+	if spec.Mode != ModeTight {
+		rangeRNG = mathutil.GetRNG(rangeSeed)
+		defer rangeRNG.Release()
+	}
 
 	// Span pattern: End keeps only its first call, so the deferred error
 	// status fires only when an early return skips the explicit ok.

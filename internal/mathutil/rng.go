@@ -96,8 +96,9 @@ func (g *RNG) Perm(n int) []int {
 // It repeats math/rand's Perm draw for draw (the inside-out shuffle), so a
 // seed yields the same permutation whether or not m is recycled storage:
 // what m held is only ever copied onto itself (j == i) and then overwritten.
-// Each draw is the source's int31n, which is the Int31n that Perm's
-// Intn(i+1) reaches, called without going through rand.Rand.
+// Below 2³¹ elements the source shuffles by itself (source.perm): each draw
+// is the Int31n that Perm's Intn(i+1) reaches, taken without going through
+// rand.Rand.
 func (g *RNG) PermInto(m []int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -109,11 +110,7 @@ func (g *RNG) PermInto(m []int) {
 		}
 		return
 	}
-	for i := range m {
-		j := g.src.int31n(int32(i + 1))
-		m[i] = m[j]
-		m[j] = i
-	}
+	g.src.perm(m)
 }
 
 // Shuffle pseudo-randomizes the order of n elements using swap.

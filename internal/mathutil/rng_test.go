@@ -2,7 +2,10 @@ package mathutil
 
 import (
 	"math"
+	"math/rand"
 	"testing"
+
+	"gupt/internal/allocguard"
 )
 
 func TestInt63NonNegative(t *testing.T) {
@@ -24,6 +27,165 @@ func TestShuffleIsPermutation(t *testing.T) {
 			t.Fatalf("duplicate after shuffle: %v", xs)
 		}
 		seen[x] = true
+	}
+}
+
+// PermInto must be math/rand's Perm draw for draw, whatever the recycled
+// slice held, so that seeds keep producing the partitions they always did.
+func TestPermIntoMatchesRandPerm(t *testing.T) {
+	for _, n := range []int{1, 2, 385, 20000} {
+		m := make([]int, n)
+		for seed := int64(0); seed < 100; seed++ {
+			for i := range m {
+				m[i] = -7 // stale contents of a recycled slice
+			}
+			NewRNG(seed).PermInto(m)
+			want := rand.New(rand.NewSource(seed)).Perm(n)
+			for i := range want {
+				if m[i] != want[i] {
+					t.Fatalf("n=%d seed=%d: PermInto[%d] = %d, rand.Perm gives %d", n, seed, i, m[i], want[i])
+				}
+			}
+		}
+	}
+	// The generator is left where rand.Perm leaves it.
+	g, r := NewRNG(5), rand.New(rand.NewSource(5))
+	g.PermInto(make([]int, 385))
+	r.Perm(385)
+	if a, b := g.Int63(), r.Int63(); a != b {
+		t.Errorf("next draw after PermInto = %d, after rand.Perm = %d", a, b)
+	}
+}
+
+// countingSource is math/rand's source, counting the Int63 draws a
+// rand.Rand takes from it.
+type countingSource struct {
+	rand.Source
+	draws int
+}
+
+func (c *countingSource) Int63() int64 {
+	c.draws++
+	return c.Source.Int63()
+}
+
+// assertPermLikeRand fails unless PermInto over len(m) elements from seed
+// gives rand.Perm's permutation and leaves the generator where rand.Perm
+// leaves it, so that the next three draws agree. It returns the number of
+// draws rand.Perm took.
+func assertPermLikeRand(t *testing.T, seed int64, m []int) int {
+	t.Helper()
+	src := &countingSource{Source: rand.NewSource(seed)}
+	r := rand.New(src)
+	want := r.Perm(len(m))
+	draws := src.draws
+	g := NewRNG(seed)
+	g.PermInto(m)
+	for i := range want {
+		if m[i] != want[i] {
+			t.Fatalf("n=%d seed=%d: PermInto[%d] = %d, rand.Perm gives %d", len(m), seed, i, m[i], want[i])
+		}
+	}
+	for k := 0; k < 3; k++ {
+		if a, b := g.Int63(), r.Int63(); a != b {
+			t.Fatalf("n=%d seed=%d: draw %d after PermInto = %d, after rand.Perm = %d", len(m), seed, k, a, b)
+		}
+	}
+	return draws
+}
+
+// A shuffle of n elements takes n draws unless Int31n rejects one. At
+// n = 20,000 about one seed in twenty does, so the test finds its own; at
+// n = 385 about one in 50,000 does, so the seeds below were found by the
+// same count over a longer scan, and each must still reject. Through the
+// rejected draws PermInto must stay rand.Perm's, draw for draw.
+func TestPermIntoRejectsLikeRandPerm(t *testing.T) {
+	m := make([]int, 20000)
+	rejecting := 0
+	for seed := int64(0); seed < 64; seed++ {
+		if assertPermLikeRand(t, seed, m) > len(m) {
+			rejecting++
+		}
+	}
+	if rejecting < 3 {
+		t.Fatalf("%d of 64 seeds reject a draw in a 20,000-element shuffle, want at least 3", rejecting)
+	}
+	m = m[:385]
+	for _, seed := range []int64{12613, 49065, 66364, 88794, 224192} {
+		if assertPermLikeRand(t, seed, m) == len(m) {
+			t.Errorf("seed %d: rand.Perm(385) rejects no draw", seed)
+		}
+	}
+}
+
+// After PermInto the stream goes on where rand.Perm's does, also when the
+// last draw's bound is a power of two, which Int31n masks.
+func TestPermIntoLeavesStreamLikeRandPerm(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4, 385, 20000} {
+		m := make([]int, n)
+		for seed := int64(0); seed < 20; seed++ {
+			assertPermLikeRand(t, seed, m)
+		}
+	}
+}
+
+// drawMix takes a fixed mix of every draw kind from g.
+func drawMix(g *RNG, n int) []float64 {
+	out := make([]float64, 0, 8*n)
+	perm := make([]int, 7)
+	for i := 0; i < n; i++ {
+		g.PermInto(perm)
+		out = append(out, g.Float64(), g.NormFloat64(), g.Exponential(1), g.Laplace(2),
+			float64(g.Intn(1+i)), float64(g.Int63()), float64(perm[i%7]))
+	}
+	return out
+}
+
+// A pooled generator is reseeded whole: after any amount of use by an
+// earlier holder it yields exactly NewRNG(seed)'s stream.
+func TestGetRNGMatchesNewRNG(t *testing.T) {
+	for seed := int64(-5); seed < 300; seed++ {
+		g := GetRNG(seed)
+		got, want := drawMix(g, 40), drawMix(NewRNG(seed), 40)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("seed %d: pooled draw %d = %v, fresh NewRNG gives %v", seed, i, got[i], want[i])
+			}
+		}
+		drawMix(g, int(seed&15)) // leave it dirty for the next holder
+		g.Release()
+	}
+}
+
+// Reseeding a pooled generator allocates nothing; a fresh one costs its
+// 607-word source state.
+func TestGetRNGAllocations(t *testing.T) {
+	allocguard.SkipUnderRace(t, "sync.Pool is deliberately lossy under the race detector")
+	GetRNG(1).Release()
+	if allocs := testing.AllocsPerRun(100, func() { GetRNG(7).Release() }); allocs != 0 {
+		t.Errorf("GetRNG + Release allocates %.0f times, want 0", allocs)
+	}
+}
+
+func BenchmarkNewRNG(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		NewRNG(int64(i))
+	}
+}
+
+func BenchmarkGetRNG(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		GetRNG(int64(i)).Release()
+	}
+}
+
+func BenchmarkPermInto(b *testing.B) {
+	g, m := NewRNG(1), make([]int, 20000)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g.PermInto(m)
 	}
 }
 

@@ -63,11 +63,18 @@ func (b *RowBuf) CopyRows(src []Vec) []Vec {
 // row's capacity cut to its length. It is CopyRows over a view of those
 // rows without building the view, so a block is read from the table once.
 func (b *RowBuf) Gather(src []Vec, idx []int) []Vec {
-	// Sized for rectangular rows, so that each row is visited once; a row
-	// longer than the first sends the gather round again at the exact size.
 	total := 0
 	if len(idx) > 0 {
-		total = len(idx) * len(src[idx[0]])
+		width := len(src[idx[0]])
+		if width == 1 {
+			if rows, ok := b.gatherColumn(src, idx); ok {
+				return rows
+			}
+		}
+		// Sized for rectangular rows, so that each row is visited once; a
+		// row longer than the first sends the gather round again at the
+		// exact size.
+		total = len(idx) * width
 	}
 	if rows, ok := b.gather(src, idx, total); ok {
 		return rows
@@ -80,8 +87,27 @@ func (b *RowBuf) Gather(src []Vec, idx []int) []Vec {
 	return rows
 }
 
-// gather is Gather into total floats of b's storage; it reports false when
-// the rows do not fit.
+// gatherColumn is Gather for a block of one-cell rows, in two passes: the
+// cells first, one load and one store each, then the headers, which are
+// sequential and independent of the table. It reports false, leaving the
+// storage for gather to overwrite, at the first row of another width.
+func (b *RowBuf) gatherColumn(src []Vec, idx []int) ([]Vec, bool) {
+	rows, data := b.grow(len(idx), len(idx))
+	for j, i := range idx {
+		r := src[i]
+		if len(r) != 1 {
+			return nil, false
+		}
+		data[j] = r[0]
+	}
+	for j := range rows {
+		rows[j] = data[j : j+1 : j+1]
+	}
+	return rows, true
+}
+
+// gather is Gather into total floats of b's storage, one row at a time; it
+// reports false when the rows do not fit.
 func (b *RowBuf) gather(src []Vec, idx []int, total int) ([]Vec, bool) {
 	rows, data := b.grow(len(idx), total)
 	off := 0
@@ -90,14 +116,8 @@ func (b *RowBuf) gather(src []Vec, idx []int, total int) ([]Vec, bool) {
 		if len(r) > len(data)-off {
 			return nil, false
 		}
-		end := off + len(r)
-		dst := data[off:end:end]
-		if len(r) == 1 {
-			dst[0] = r[0] // a one-column table: a store beats a memmove call
-		} else {
-			copy(dst, r)
-		}
-		rows[j] = dst
+		end := off + copy(data[off:], r)
+		rows[j] = data[off:end:end]
 		off = end
 	}
 	return rows, true

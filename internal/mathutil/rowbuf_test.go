@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"gupt/internal/allocguard"
 )
 
 func gridRows(n, cols int, base float64) []Vec {
@@ -101,7 +99,9 @@ func assertSameRows(t *testing.T, got, want []Vec) {
 
 // Gather is CopyRows over the view of the same index list: the same rows in
 // the same order, every capacity cut, and nothing aliased, for rectangular
-// rows, ragged rows and an empty list, into fresh and into reused storage.
+// rows, ragged rows, one-column rows (with and without a row of another
+// width further on) and an empty list, into fresh storage and into storage
+// a larger, wider block left stale.
 func TestRowBufGatherMatchesCopyRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ragged := make([]Vec, 300)
@@ -111,20 +111,28 @@ func TestRowBufGatherMatchesCopyRows(t *testing.T) {
 			ragged[i][k] = rng.NormFloat64()
 		}
 	}
+	colWider := gridRows(60, 1, 0)
+	colWider[37] = Vec{-1, -2, -3}
+	colEmpty := gridRows(60, 1, 0)
+	colEmpty[37] = Vec{}
 	cases := map[string]struct {
 		src []Vec
 		idx []int
 	}{
-		"rectangular": {gridRows(400, 3, 0), rng.Perm(400)[:150]},
-		"repeats":     {gridRows(50, 2, 7), []int{4, 4, 0, 49, 4, 17}},
-		"ragged":      {ragged, rng.Perm(300)},
-		"empty":       {gridRows(10, 3, 0), []int{}},
-		"nil":         {gridRows(10, 3, 0), nil},
+		"rectangular":            {gridRows(400, 3, 0), rng.Perm(400)[:150]},
+		"repeats":                {gridRows(50, 2, 7), []int{4, 4, 0, 49, 4, 17}},
+		"ragged":                 {ragged, rng.Perm(300)},
+		"empty":                  {gridRows(10, 3, 0), []int{}},
+		"nil":                    {gridRows(10, 3, 0), nil},
+		"one column":             {gridRows(400, 1, 0), rng.Perm(400)[:150]},
+		"one column, then wider": {colWider, []int{0, 5, 37, 2, 59, 37}},
+		"one column, then empty": {colEmpty, []int{0, 5, 37, 2, 59, 37}},
 	}
-	var reused RowBuf
-	reused.Grid(1000, 5) // a larger earlier use left stale storage behind
+	stale := gridRows(1000, 5, -1e6)
 	for name, c := range cases {
 		want := new(RowBuf).CopyRows(view(c.src, c.idx))
+		var reused RowBuf
+		reused.CopyRows(stale)
 		for _, buf := range []*RowBuf{new(RowBuf), &reused} {
 			got := buf.Gather(c.src, c.idx)
 			assertSameRows(t, got, want)
@@ -136,6 +144,44 @@ func TestRowBufGatherMatchesCopyRows(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzGatherMatchesCopyRows builds a table from one byte string, a byte per
+// row giving its width (0–11), and an index list from the other, and checks
+// Gather against CopyRows over the view, into fresh storage and into storage
+// that a larger, wider block left stale.
+func FuzzGatherMatchesCopyRows(f *testing.F) {
+	f.Add([]byte{1, 1, 1, 1}, []byte{3, 0, 2, 0})
+	f.Add([]byte{1, 1, 4, 1}, []byte{0, 2, 1})
+	f.Add([]byte{1, 0, 1}, []byte{0, 1, 2, 1})
+	f.Add([]byte{11, 11, 11}, []byte{2, 1, 0})
+	f.Add([]byte{3, 1, 2}, []byte{})
+	f.Fuzz(func(t *testing.T, widths, picks []byte) {
+		if len(widths) == 0 {
+			return
+		}
+		src := make([]Vec, len(widths))
+		cell := 0.0
+		for i, w := range widths {
+			src[i] = make(Vec, w%12)
+			for k := range src[i] {
+				cell++
+				src[i][k] = cell
+			}
+		}
+		idx := make([]int, len(picks))
+		for j, p := range picks {
+			idx[j] = int(p) % len(src)
+		}
+		want := new(RowBuf).CopyRows(view(src, idx))
+		var reused RowBuf
+		reused.Grid(len(idx)+3, 12)
+		for _, buf := range []*RowBuf{new(RowBuf), &reused} {
+			got := buf.Gather(src, idx)
+			assertSameRows(t, got, want)
+			assertNoReachBack(t, got)
+		}
+	})
 }
 
 // Gathering into storage that already fits allocates nothing: a chamber's
@@ -177,85 +223,6 @@ func TestRowBufGridReuse(t *testing.T) {
 	}
 }
 
-// PermInto must be math/rand's Perm draw for draw, whatever the recycled
-// slice held, so that seeds keep producing the partitions they always did.
-func TestPermIntoMatchesRandPerm(t *testing.T) {
-	for _, n := range []int{1, 2, 385, 20000} {
-		m := make([]int, n)
-		for seed := int64(0); seed < 100; seed++ {
-			for i := range m {
-				m[i] = -7 // stale contents of a recycled slice
-			}
-			NewRNG(seed).PermInto(m)
-			want := rand.New(rand.NewSource(seed)).Perm(n)
-			for i := range want {
-				if m[i] != want[i] {
-					t.Fatalf("n=%d seed=%d: PermInto[%d] = %d, rand.Perm gives %d", n, seed, i, m[i], want[i])
-				}
-			}
-		}
-	}
-	// The generator is left where rand.Perm leaves it.
-	g, r := NewRNG(5), rand.New(rand.NewSource(5))
-	g.PermInto(make([]int, 385))
-	r.Perm(385)
-	if a, b := g.Int63(), r.Int63(); a != b {
-		t.Errorf("next draw after PermInto = %d, after rand.Perm = %d", a, b)
-	}
-}
-
-// drawMix takes a fixed mix of every draw kind from g.
-func drawMix(g *RNG, n int) []float64 {
-	out := make([]float64, 0, 8*n)
-	perm := make([]int, 7)
-	for i := 0; i < n; i++ {
-		g.PermInto(perm)
-		out = append(out, g.Float64(), g.NormFloat64(), g.Exponential(1), g.Laplace(2),
-			float64(g.Intn(1+i)), float64(g.Int63()), float64(perm[i%7]))
-	}
-	return out
-}
-
-// A pooled generator is reseeded whole: after any amount of use by an
-// earlier holder it yields exactly NewRNG(seed)'s stream.
-func TestGetRNGMatchesNewRNG(t *testing.T) {
-	for seed := int64(-5); seed < 300; seed++ {
-		g := GetRNG(seed)
-		got, want := drawMix(g, 40), drawMix(NewRNG(seed), 40)
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("seed %d: pooled draw %d = %v, fresh NewRNG gives %v", seed, i, got[i], want[i])
-			}
-		}
-		drawMix(g, int(seed&15)) // leave it dirty for the next holder
-		g.Release()
-	}
-}
-
-// Reseeding a pooled generator allocates nothing; a fresh one costs its
-// 607-word source state.
-func TestGetRNGAllocations(t *testing.T) {
-	allocguard.SkipUnderRace(t, "sync.Pool is deliberately lossy under the race detector")
-	GetRNG(1).Release()
-	if allocs := testing.AllocsPerRun(100, func() { GetRNG(7).Release() }); allocs != 0 {
-		t.Errorf("GetRNG + Release allocates %.0f times, want 0", allocs)
-	}
-}
-
-func BenchmarkNewRNG(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		NewRNG(int64(i))
-	}
-}
-
-func BenchmarkGetRNG(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		GetRNG(int64(i)).Release()
-	}
-}
-
 func TestMedianSortedMatchesMedian(t *testing.T) {
 	for _, xs := range [][]float64{nil, {3}, {1, 2}, {1, 2, 4}, {-1, 0, 0.5, 9}} {
 		if got, want := MedianSorted(xs), Median(xs); got != want {
@@ -294,13 +261,5 @@ func BenchmarkRowBufGather(b *testing.B) {
 		buf := GetRowBuf()
 		buf.Gather(src, idx)
 		buf.Release()
-	}
-}
-
-func BenchmarkPermInto(b *testing.B) {
-	g, m := NewRNG(1), make([]int, 20000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.PermInto(m)
 	}
 }

@@ -8,7 +8,8 @@ import "math/rand"
 // (TestSourceMatchesMathRand), so a rand.Rand over it runs math/rand's own
 // Float64, NormFloat64, ExpFloat64, Intn and Shuffle on the same stream. What
 // owning it buys is speed: Seed multiplies instead of walking a serial
-// chain, and PermInto draws through int31n without an interface call.
+// chain, and PermInto shuffles with the generator's indices in registers
+// and no interface call per draw.
 type source struct {
 	tap, feed int
 	vec       [rngLen]uint64
@@ -129,21 +130,49 @@ func (s *source) Uint64() uint64 {
 // Int63 returns the next value with its top bit cleared.
 func (s *source) Int63() int64 { return int64(s.Uint64() & rngMask) }
 
-// int31n is (*rand.Rand).Int31n on this source, draw for draw, for n > 0.
-// The one difference is when the rejection bound 2³¹−1 − 2³¹ mod n is
-// computed: since 2³¹ mod n < n, the bound is at least 2³¹−n, so a draw
-// v ≤ 2³¹−1−n is accepted without it and only a larger v pays for the
-// division.
-func (s *source) int31n(n int32) int32 {
+// reduce31 is (*rand.Rand).Int31n's rule for n > 0, applied to one draw
+// v = Int63()>>32: it returns the value Int31n returns, or −1 when Int31n
+// rejects v and draws again. A power of two is masked and never rejects.
+// Otherwise the one difference from Int31n is when the rejection bound
+// 2³¹−1 − 2³¹ mod n is computed: since 2³¹ mod n < n, the bound is at least
+// 2³¹−n, so a draw v ≤ 2³¹−1−n is accepted without it and only a larger v
+// pays for the division.
+func reduce31(v, n int32) int32 {
 	if n&(n-1) == 0 { // n is a power of two, can mask
-		return int32(s.Int63()>>32) & (n - 1)
+		return v & (n - 1)
 	}
-	v := int32(s.Int63() >> 32)
-	if v > int32max-n {
-		bound := int32(int32max - (1<<31)%uint32(n))
-		for v > bound {
-			v = int32(s.Int63() >> 32)
+	if v > int32max-n && v > int32(int32max-(1<<31)%uint32(n)) {
+		return -1
+	}
+	return int32(uint32(v) % uint32(n)) // v ≥ 0: no sign to fix up
+}
+
+// perm is (*rand.Rand).Perm's inside-out shuffle into m, for len(m) ≤
+// 2³¹−1, drawing what Perm draws and leaving the source where Perm leaves
+// it. Each draw is Uint64's step taken inline, with tap and feed held in
+// locals and written back once at the end: through the pointer, every draw
+// would store both indices and the next would wait to load them again.
+func (s *source) perm(m []int) {
+	tap, feed := s.tap, s.feed
+	vec := &s.vec
+	for i := 0; i < len(m); {
+		tap--
+		if tap < 0 {
+			tap += rngLen
 		}
+		feed--
+		if feed < 0 {
+			feed += rngLen
+		}
+		x := vec[feed] + vec[tap]
+		vec[feed] = x
+		j := reduce31(int32(x&rngMask>>32), int32(i+1))
+		if j < 0 {
+			continue // rejected: draw again for the same i
+		}
+		m[i] = m[j]
+		m[j] = i
+		i++
 	}
-	return v % n
+	s.tap, s.feed = tap, feed
 }
