@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench-vet check fuzz bench bench-smoke alloc-guards repro fanout-race ledger-kill audit-kill prom-lint
+.PHONY: all build test race vet fmt bench-vet check fuzz bench bench-smoke alloc-guards repro fanout-race ledger-kill audit-kill prom-lint
 
 all: check
 
@@ -15,6 +15,11 @@ vet:
 
 race:
 	$(GO) test -race ./...
+
+# fmt fails when any Go file in the tree, the benchmark harness's module
+# included, is not gofmt-formatted, and lists the files that are not.
+fmt:
+	@out=$$(gofmt -l .) && if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # bench-vet type-checks the benchmark harness, a module of its own
 # (bench/go.mod) that the root ./... patterns skip, against the names it
@@ -76,12 +81,12 @@ repro:
 		cmp "$$dir/$$f.csv" results/$$f.csv || exit 1; \
 	done && echo "repro: fig3/4/5/7/8/9.csv byte-identical to results/"
 
-# check is the pre-merge gate: static analysis of both modules plus the
-# full suite under the race detector, plus dedicated passes of both kill
-# matrices and the fan-out concurrency tests, plus the allocation guards,
-# the Prometheus exposition lint, one iteration of every micro-benchmark
-# and the figure reproduction.
-check: vet bench-vet race fanout-race ledger-kill audit-kill alloc-guards prom-lint bench-smoke repro
+# check is the pre-merge gate: the gofmt gate and static analysis of both
+# modules plus the full suite under the race detector, plus dedicated passes
+# of both kill matrices and the fan-out concurrency tests, plus the
+# allocation guards, the Prometheus exposition lint, one iteration of every
+# micro-benchmark and the figure reproduction.
+check: fmt vet bench-vet race fanout-race ledger-kill audit-kill alloc-guards prom-lint bench-smoke repro
 
 # fuzz runs each fuzz target briefly; lengthen FUZZTIME for soak runs.
 FUZZTIME ?= 10s
@@ -96,6 +101,7 @@ fuzz:
 	$(GO) test ./internal/ledger -run xxx -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mathutil -run xxx -fuzz FuzzRNGMatchesMathRand -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mathutil -run xxx -fuzz FuzzGatherMatchesCopyRows -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/analytics -run xxx -fuzz FuzzKMeansMatchesParent -fuzztime $(FUZZTIME)
 
 # bench runs the one benchmark harness (BENCHMARK.json, bench/README.md):
 # seven fixed workloads, end-to-end metrics plus the per-layer table.

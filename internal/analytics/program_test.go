@@ -2,6 +2,7 @@ package analytics
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -239,6 +240,37 @@ func BenchmarkKMeansBlockClustered(b *testing.B) {
 		if _, err := prog.Run(block); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkKMeansPartition is served_ml's k-means query without the
+// platform: one op runs every block of one default-size partition of a
+// 20,000-row LifeSci table (52 blocks of 384–385 rows, β = n^0.6), K = 4,
+// at most 20 iterations, each block its own copy as a chamber gets it.
+// Unlike the one clustered block above, which stops after 2 iterations,
+// the partition's blocks take about 4 on average, with a tail to 20. The
+// K = 1 sub-benchmark is the same partition with a single cluster.
+func BenchmarkKMeansPartition(b *testing.B) {
+	rows := workload.LifeSci(1, 20000).Rows()
+	numBlocks := len(rows) / int(math.Round(math.Pow(float64(len(rows)), 0.6)))
+	perm := mathutil.NewRNG(1).Perm(len(rows))
+	blocks := make([][]mathutil.Vec, numBlocks)
+	for i, r := range perm {
+		blocks[i%numBlocks] = append(blocks[i%numBlocks], rows[r].Clone())
+	}
+	for _, k := range []int{workload.LifeSciClusters, 1} {
+		prog := KMeans{K: k, FeatureDims: workload.LifeSciDims, Iters: 20, Seed: 7}
+		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, block := range blocks {
+					if _, err := prog.Run(block); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*numBlocks), "ns/block")
+		})
 	}
 }
 

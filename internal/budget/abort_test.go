@@ -22,10 +22,10 @@ import (
 type outcome int
 
 const (
-	execOK outcome = iota
-	execAborted      // engine failed after the charge settled
-	execRetriedOK    // first run failed, a retry released the output
-	execRetriedAbort // every retry failed; nothing was released
+	execOK           outcome = iota
+	execAborted              // engine failed after the charge settled
+	execRetriedOK            // first run failed, a retry released the output
+	execRetriedAbort         // every retry failed; nothing was released
 )
 
 func TestBudgetChargedOnAbortSequences(t *testing.T) {

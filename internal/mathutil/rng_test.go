@@ -189,6 +189,43 @@ func BenchmarkPermInto(b *testing.B) {
 	}
 }
 
+// BenchmarkPermIntoCold splits the cost of a shuffle whose memory is cold,
+// as it is between two partitions of a query, into its two parts: the
+// 20,000-int permutation buffer (160 KB) and the generator state (607
+// words). "warm" shuffles one buffer with one generator; "cold-perm" takes
+// each buffer from a ring of 8 MiB of them, with one generator; "cold-rng"
+// takes each generator from a ring of 8 MiB of them, into one buffer; and
+// "cold-both" cycles both rings. A ring entry is touched again only after
+// the rest of its ring, well past any L2, has passed through the cache.
+func BenchmarkPermIntoCold(b *testing.B) {
+	const n, ringBytes = 20000, 8 << 20
+	bufs := make([][]int, ringBytes/(8*n))
+	for i := range bufs {
+		bufs[i] = make([]int, n)
+	}
+	gens := make([]*RNG, ringBytes/(8*rngLen))
+	for i := range gens {
+		gens[i] = NewRNG(int64(i))
+	}
+	for _, c := range []struct {
+		name             string
+		coldBuf, coldGen bool
+	}{{"warm", false, false}, {"cold-perm", true, false}, {"cold-rng", false, true}, {"cold-both", true, true}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m, g := bufs[0], gens[0]
+				if c.coldBuf {
+					m = bufs[i%len(bufs)]
+				}
+				if c.coldGen {
+					g = gens[i%len(gens)]
+				}
+				g.PermInto(m)
+			}
+		})
+	}
+}
+
 func TestExponentialMean(t *testing.T) {
 	g := NewRNG(3)
 	const mean = 4.0
