@@ -161,8 +161,8 @@ func main() {
 		}
 		fmt.Printf("queries ok: %d   failed: %d   budget refusals: %d\n",
 			stats.QueriesOK, stats.QueriesFailed, stats.BudgetRefusals)
-		fmt.Printf("aborted (budget kept): %d   degraded: %d   blocks substituted: %d   retries: %d\n",
-			stats.QueriesAborted, stats.QueriesDegraded, stats.BlocksSubstituted, stats.QueryRetries)
+		fmt.Printf("aborted (budget kept): %d   degraded: %d   blocks substituted: %d\n",
+			stats.QueriesAborted, stats.QueriesDegraded, stats.BlocksSubstituted)
 		if stats.QueriesOK > 0 {
 			fmt.Printf("mean query latency: %dms\n", stats.TotalQueryMillis/stats.QueriesOK)
 		}

@@ -4,9 +4,12 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"os"
+	"path"
 	"reflect"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"gupt/internal/compman"
@@ -30,8 +33,6 @@ var serverKnobs = map[string]setter{
 	"IdleTimeout":         {flag: "idle"},
 	"BlockTimeout":        {flag: "block-timeout"},
 	"QueryTimeout":        {flag: "query-timeout"},
-	"MaxQueryRetries":     {flag: "retries"},
-	"MaxFailFrac":         {flag: "max-fail-frac"},
 	"ChamberWrapper":      {code: "internal/faultinject (chaos drills)"},
 	"Logger":              {code: "wiring: guptd's process log"},
 	"Telemetry":           {code: "wiring: the registry the admin endpoint serves"},
@@ -63,8 +64,8 @@ var otherFlags = map[string]string{
 }
 
 const (
-	wantFlags        = 25
-	wantServerFields = 20
+	wantFlags        = 23
+	wantServerFields = 18
 )
 
 // mainFlags parses main.go and returns each flag's name mapped to the
@@ -224,6 +225,77 @@ func TestKnobInventory(t *testing.T) {
 	for name := range otherFlags {
 		if _, ok := flags[name]; !ok {
 			t.Errorf("row for flag -%s, which main.go does not define", name)
+		}
+	}
+}
+
+// runnableDocs are the documents whose code blocks launch guptd.
+var runnableDocs = []string{"../../README.md", "../../.claude/skills/verify/SKILL.md"}
+
+// docFlags returns every -name token that follows a guptd command in the
+// fenced code blocks of a Markdown document, with backslash continuations
+// joined, up to the first shell operator or comment.
+func docFlags(doc string) []string {
+	var names []string
+	inCode := false
+	var cmd strings.Builder
+	for _, line := range strings.Split(doc, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			inCode = !inCode
+			cmd.Reset()
+			continue
+		}
+		if !inCode {
+			continue
+		}
+		if cont, ok := strings.CutSuffix(strings.TrimRight(line, " \t"), "\\"); ok {
+			cmd.WriteString(cont + " ")
+			continue
+		}
+		cmd.WriteString(line)
+		launched := false
+		for _, tok := range strings.Fields(cmd.String()) {
+			if tok[0] == '#' {
+				break
+			}
+			if strings.ContainsAny(tok, "&|;<>") {
+				launched = false
+				continue
+			}
+			if path.Base(tok) == "guptd" {
+				launched = true
+				continue
+			}
+			name, ok := strings.CutPrefix(tok, "-")
+			name = strings.TrimPrefix(name, "-")
+			if launched && ok && name != "" && name[0] >= 'a' && name[0] <= 'z' {
+				name, _, _ = strings.Cut(name, "=")
+				names = append(names, name)
+			}
+		}
+		cmd.Reset()
+	}
+	return names
+}
+
+// A guptd command line in a runnable document uses only flags main.go
+// defines: a deleted flag makes the documented command exit with "flag
+// provided but not defined".
+func TestDocsUseDefinedFlags(t *testing.T) {
+	flags, _ := mainFlags(t)
+	for _, doc := range runnableDocs {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := docFlags(string(b))
+		if len(names) == 0 {
+			t.Errorf("%s: no guptd command line found", doc)
+		}
+		for _, name := range names {
+			if _, ok := flags[name]; !ok {
+				t.Errorf("%s launches guptd with -%s, which main.go does not define", doc, name)
+			}
 		}
 	}
 }

@@ -65,8 +65,6 @@ func main() {
 		idle         = flag.Duration("idle", 0, "disconnect clients idle for this long (0 disables)")
 		blockTimeout = flag.Duration("block-timeout", 0, "per-block execution deadline; overruns are substituted (0 disables)")
 		queryTimeout = flag.Duration("query-timeout", 0, "whole-query deadline; overruns abort with budget consumed (0 disables)")
-		retries      = flag.Int("retries", 0, "engine re-runs after a post-charge failure (never re-charges)")
-		maxFailFrac  = flag.Float64("max-fail-frac", 0, "abort queries when more than this fraction of blocks was substituted (0 disables)")
 		cacheEntries = flag.Int("cache-entries", 1024, "noisy-answer cache capacity: repeat queries are re-served their published answer at zero extra ε (0 disables)")
 		cacheTTL     = flag.Duration("cache-ttl", 10*time.Minute, "expire cached answers after this long (0 keeps them until evicted)")
 		tenancy      = flag.Bool("tenancy", false, "require tenant API keys: authenticate, authorize, rate-limit, and quota every request (see -tenants-file)")
@@ -176,23 +174,21 @@ func main() {
 	}
 
 	cfg := compman.ServerConfig{
-		DefaultQuantum:  *quantum,
-		ScratchRoot:     *scratch,
-		WorkerAddrs:     workerAddrs,
-		IdleTimeout:     *idle,
-		BlockTimeout:    *blockTimeout,
-		QueryTimeout:    *queryTimeout,
-		MaxQueryRetries: *retries,
-		MaxFailFrac:     *maxFailFrac,
-		Logger:          log.Default(),
-		Telemetry:       tel,
-		Audit:           alog,
-		CacheEntries:    *cacheEntries,
-		CacheTTL:        *cacheTTL,
-		Tenants:         tenants,
-		WorkerConns:     *workerConns,
-		StragglerAfter:  *straggler,
-		UnsafeTraces:    *traceLog,
+		DefaultQuantum: *quantum,
+		ScratchRoot:    *scratch,
+		WorkerAddrs:    workerAddrs,
+		IdleTimeout:    *idle,
+		BlockTimeout:   *blockTimeout,
+		QueryTimeout:   *queryTimeout,
+		Logger:         log.Default(),
+		Telemetry:      tel,
+		Audit:          alog,
+		CacheEntries:   *cacheEntries,
+		CacheTTL:       *cacheTTL,
+		Tenants:        tenants,
+		WorkerConns:    *workerConns,
+		StragglerAfter: *straggler,
+		UnsafeTraces:   *traceLog,
 		Sched: compman.SchedConfig{
 			MaxConcurrent: *maxConc,
 			MaxQueue:      *maxQueue,

@@ -243,11 +243,6 @@ type Query struct {
 	// data-independent substitute value instead of stalling the query. Use
 	// it whenever Chambers may wedge (remote workers, subprocesses).
 	BlockTimeout time.Duration
-	// MaxFailFrac aborts the query with core.ErrTooManyFailures when more
-	// than this fraction of blocks was substituted — a quality guard for
-	// operational failures. The privacy charge stands on abort. Zero
-	// disables the guard.
-	MaxFailFrac float64
 	// Chambers optionally overrides the isolation chamber used for block
 	// executions (e.g. subprocess isolation for untrusted binaries); nil
 	// selects in-process chambers.
@@ -292,7 +287,6 @@ func (q *Query) pipeline() *query.Query {
 			Seed:         q.Seed,
 			Quantum:      q.Quantum,
 			BlockTimeout: q.BlockTimeout,
-			MaxFailFrac:  q.MaxFailFrac,
 			NewChamber:   q.Chambers,
 			UserLevel:    q.UserLevel,
 			UserColumn:   q.UserColumn,

@@ -10,7 +10,7 @@ import (
 
 // The §6.2 privacy-budget-attack defense rests on an ordering contract:
 // every query's ε is charged before its execution starts, and no execution
-// outcome — success, abort, retry — ever writes to the ledger. These
+// outcome — success, degraded release, abort — ever writes to the ledger. These
 // table-driven tests pin that contract at the ledger level by replaying
 // charge/execute sequences in which executions fail in various ways, and
 // checking the ledger ends exactly where the charges alone put it.
@@ -22,10 +22,8 @@ import (
 type outcome int
 
 const (
-	execOK           outcome = iota
-	execAborted              // engine failed after the charge settled
-	execRetriedOK            // first run failed, a retry released the output
-	execRetriedAbort         // every retry failed; nothing was released
+	execOK      outcome = iota
+	execAborted         // engine failed after the charge settled
 )
 
 func TestBudgetChargedOnAbortSequences(t *testing.T) {
@@ -55,16 +53,16 @@ func TestBudgetChargedOnAbortSequences(t *testing.T) {
 			total: 1.0,
 			steps: []step{
 				{eps: 0.5, out: execAborted},
-				{eps: 0.5, out: execRetriedAbort},
+				{eps: 0.5, out: execAborted},
 				{eps: 0.1, out: execOK, wantFail: true},
 			},
 			wantRem: 0,
 		},
 		{
-			name:  "retry does not double-charge",
+			name:  "each run charges once",
 			total: 1.0,
 			steps: []step{
-				{eps: 0.6, out: execRetriedOK},
+				{eps: 0.6, out: execOK},
 				{eps: 0.4, out: execOK},
 			},
 			wantRem: 0,
@@ -98,7 +96,7 @@ func TestBudgetChargedOnAbortSequences(t *testing.T) {
 				charged += s.eps
 				// The execution happens here and ends in s.out. Whatever it
 				// is, there is no ledger operation to perform: the charge
-				// already settled, aborts (§6.2) and retries change nothing.
+				// already settled, and aborts (§6.2) change nothing.
 				_ = s.out
 				rem, err := m.Remaining(name)
 				if err != nil {

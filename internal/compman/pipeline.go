@@ -89,7 +89,6 @@ func (s *Server) pipelineQuery(req *Request, tenantID string, tr *telemetry.Trac
 			Seed:         req.Seed,
 			Quantum:      s.cfg.DefaultQuantum,
 			BlockTimeout: s.cfg.BlockTimeout,
-			MaxFailFrac:  s.cfg.MaxFailFrac,
 			UserLevel:    req.UserLevel,
 			UserColumn:   req.UserColumn,
 			Metrics:      s.tel,

@@ -366,3 +366,32 @@ func TestServerDeadlineUnmeetableRefusal(t *testing.T) {
 		t.Errorf("remaining budget %v, want %v (only the served query may charge)", rem, want)
 	}
 }
+
+// A refusal's retry hint leaves the server only as a bucket ceiling: the
+// wait rounds up to the next telemetry.DefaultLatencyBuckets bound, to
+// whole seconds above the top bound, and never below 1 ms.
+func TestRetryHintRoundsUpToBuckets(t *testing.T) {
+	cases := []struct {
+		wait time.Duration
+		want int64
+	}{
+		{0, 1},
+		{time.Nanosecond, 1},
+		{time.Millisecond, 1},
+		{time.Millisecond + time.Nanosecond, 2},
+		{3 * time.Millisecond, 5},
+		{10 * time.Millisecond, 10},
+		{11 * time.Millisecond, 25},
+		{999 * time.Millisecond, 1000},
+		{1001 * time.Millisecond, 2500},
+		{30 * time.Second, 30000},
+		{30*time.Second + time.Nanosecond, 31000},
+		{31 * time.Second, 31000},
+		{90*time.Second + 500*time.Millisecond, 91000},
+	}
+	for _, c := range cases {
+		if got := retryHintMillis(c.wait); got != c.want {
+			t.Errorf("retryHintMillis(%v) = %d, want %d", c.wait, got, c.want)
+		}
+	}
+}

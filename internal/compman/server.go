@@ -51,13 +51,6 @@ type ServerConfig struct {
 	// it aborts with its privacy charge consumed — the analyst cannot
 	// convert forced slowness into refunded budget (§6.2). Zero disables.
 	QueryTimeout time.Duration
-	// MaxQueryRetries re-runs the engine up to this many times when a run
-	// fails after its charge settled. Retries never re-charge: the ε was
-	// spent once, and re-running releases at most one output for it.
-	MaxQueryRetries int
-	// MaxFailFrac aborts queries whose substituted-block fraction exceeds
-	// it (see core.Options.MaxFailFrac). Zero disables the guard.
-	MaxFailFrac float64
 	// ChamberWrapper, when set, wraps every chamber the server builds —
 	// in-process, subprocess and worker-pool alike. This is the fault
 	// injection surface (internal/faultinject) and an ops hook for
@@ -162,12 +155,7 @@ func NewServer(reg *dataset.Registry, cfg ServerConfig) *Server {
 		Registry: reg,
 		Budget:   budget.NewManager(reg),
 		Cache:    qcache.New(qcache.Config{MaxEntries: cfg.CacheEntries, TTL: cfg.CacheTTL, Telemetry: tel}),
-		Retries:  cfg.MaxQueryRetries,
 		Timeout:  cfg.QueryTimeout,
-		OnRetry: func(attempt int, err error) {
-			s.stats.recordRetry()
-			s.logf("compman: retrying query (attempt %d): %v", attempt+1, err)
-		},
 	}
 	s.stage.Budget.Instrument(tel)
 	s.stage.Budget.SetBurnDown(s.plane)
@@ -479,7 +467,7 @@ func (s *Server) admit(tenantID string) (release func(), retryAfter time.Duratio
 func (s *Server) rateLimited(tenantID, datasetName string, retryAfter time.Duration, tr *telemetry.Trace) Response {
 	resp := Response{
 		Error:            "rate limited: tenant " + tenantID + " over its admission policy",
-		RetryAfterMillis: maxInt64(retryAfter.Milliseconds(), 1),
+		RetryAfterMillis: retryHintMillis(retryAfter),
 		TraceID:          tr.ID,
 	}
 	tr.StartSpan(telemetry.StageSchedDecision).End("rate_limited")
@@ -535,7 +523,7 @@ func (s *Server) schedule(ctx context.Context, tenantID string, req *Request, tr
 		decision.End(telemetry.StatusRefusedBusy)
 		resp := Response{
 			Error:            "server overloaded: query queue is full",
-			RetryAfterMillis: maxInt64(retryAfter.Milliseconds(), 1),
+			RetryAfterMillis: retryHintMillis(retryAfter),
 			TraceID:          tr.ID,
 		}
 		s.stats.recordOverloaded()
@@ -546,7 +534,7 @@ func (s *Server) schedule(ctx context.Context, tenantID string, req *Request, tr
 		decision.End(telemetry.StatusRefusedExpired)
 		resp := Response{
 			Error:            "deadline unmeetable: query would expire before a slot frees up",
-			RetryAfterMillis: maxInt64(retryAfter.Milliseconds(), 1),
+			RetryAfterMillis: retryHintMillis(retryAfter),
 			TraceID:          tr.ID,
 		}
 		s.stats.recordOverloaded()
@@ -564,11 +552,15 @@ func (s *Server) schedule(ctx context.Context, tenantID string, req *Request, tr
 	}
 }
 
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
+// retryHintMillis rounds a refusal's wait, which derives from every tenant's
+// service times, up to its telemetry.DefaultLatencyBuckets ceiling (whole
+// seconds above the top one, never below 1 ms): bucket resolution (§6.3).
+func retryHintMillis(wait time.Duration) int64 {
+	ms := float64(wait) / float64(time.Millisecond)
+	if ceil := telemetry.BucketUpperMillis(ms, telemetry.DefaultLatencyBuckets); ceil >= 0 {
+		return int64(ceil)
 	}
-	return b
+	return int64((wait+time.Second-1)/time.Second) * 1000
 }
 
 func (s *Server) dispatchAs(tenantID string, req *Request) Response {
@@ -587,18 +579,20 @@ func (s *Server) dispatchAs(tenantID string, req *Request) Response {
 			names = granted
 		}
 		return Response{OK: true, Datasets: names}
-	case OpStats:
-		snap := s.stats.snapshot()
-		return Response{OK: true, Stats: &snap}
-	case OpRegister:
-		// Dataset registration is the data-owner interface: admin-only under
-		// tenancy. Grants do not apply — they authorize querying, not
-		// (re)defining datasets.
+	case OpStats, OpRegister:
+		// Both are admin-only under tenancy. Dataset registration is the
+		// data-owner interface (grants authorize querying, not (re)defining
+		// datasets), and the stats snapshot's exact substituted-block count
+		// and latency total include every tenant's queries.
 		if s.cfg.Tenants != nil && !s.cfg.Tenants.IsAdmin(tenantID) {
 			s.tel.Counter("tenant.authz_refusals").Inc()
-			return Response{Error: fmt.Sprintf("tenant %q is not authorized to register datasets", tenantID)}
+			return Response{Error: fmt.Sprintf("tenant %q is not authorized for the %s op", tenantID, req.Op)}
 		}
-		return s.handleRegister(req)
+		if req.Op == OpRegister {
+			return s.handleRegister(req)
+		}
+		snap := s.stats.snapshot()
+		return Response{OK: true, Stats: &snap}
 	case OpBudget:
 		if refusal := s.authorizeDataset(tenantID, req.Dataset); refusal != nil {
 			return *refusal

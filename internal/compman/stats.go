@@ -33,8 +33,9 @@ type ServerStats struct {
 	// all degraded queries, session members included; the engine replaced
 	// these with the data-independent range midpoint.
 	BlocksSubstituted int64
-	// QueryRetries counts engine re-runs after a post-charge failure
-	// (bounded by ServerConfig.MaxQueryRetries). Retries never re-charge.
+	// QueryRetries always reads 0: a settled charge runs the engine exactly
+	// once. The field stays because the version-4 stats grammar writes
+	// every field; the next wire version drops it.
 	QueryRetries int64
 	// TotalQueryMillis accumulates wall-clock time spent answering
 	// successful queries; divide by QueriesOK for the mean latency.
@@ -60,7 +61,6 @@ type statsCollector struct {
 	queriesAborted    *telemetry.Counter
 	queriesDegraded   *telemetry.Counter
 	blocksSubstituted *telemetry.Counter
-	queryRetries      *telemetry.Counter
 	queriesOverloaded *telemetry.Counter
 	latency           *telemetry.Histogram
 	totalQueryMillis  atomic.Int64
@@ -77,7 +77,6 @@ func newStatsCollector(tel *telemetry.Registry) *statsCollector {
 		queriesAborted:    tel.Counter("compman.queries_aborted"),
 		queriesDegraded:   tel.Counter("compman.queries_degraded"),
 		blocksSubstituted: tel.Counter("compman.blocks_substituted"),
-		queryRetries:      tel.Counter("compman.query_retries"),
 		queriesOverloaded: tel.Counter("compman.queries_overloaded"),
 		latency:           tel.Histogram("compman.query_latency_millis", telemetry.DefaultLatencyBuckets),
 	}
@@ -111,10 +110,6 @@ func (c *statsCollector) record(outcome string, resp *Response, d time.Duration)
 	}
 }
 
-func (c *statsCollector) recordRetry() {
-	c.queryRetries.Inc()
-}
-
 // recordOverloaded tallies a zero-ε scheduler refusal (queue full or
 // deadline unmeetable). Deliberately not a ServerStats field: the wire
 // stats grammar stays version-stable; operators watch
@@ -134,7 +129,6 @@ func (c *statsCollector) snapshot() ServerStats {
 		QueriesAborted:    c.queriesAborted.Value(),
 		QueriesDegraded:   c.queriesDegraded.Value(),
 		BlocksSubstituted: c.blocksSubstituted.Value(),
-		QueryRetries:      c.queryRetries.Value(),
 		TotalQueryMillis:  c.totalQueryMillis.Load(),
 	}
 }

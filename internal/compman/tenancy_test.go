@@ -128,6 +128,40 @@ func TestTenantAuthorizationScopesDatasets(t *testing.T) {
 	}
 }
 
+// The stats op reports every tenant's queries, so under tenancy it is
+// admin-only, gated like registration: a refusal moves no ε and counts as
+// an authorization refusal.
+func TestTenantStatsAdminOnly(t *testing.T) {
+	srv, _, keys := startTenantServer(t, 100, ServerConfig{})
+	alice := dialAs(t, srv, keys["alice"])
+	bob := dialAs(t, srv, keys["bob"])
+	if _, err := alice.Query(meanQuery(0.5, 250)); err != nil {
+		t.Fatal(err)
+	}
+
+	refusals := srv.Telemetry().Counter("tenant.authz_refusals")
+	before := refusals.Value()
+	_, err := alice.Stats()
+	if err == nil || !strings.Contains(err.Error(), "not authorized") {
+		t.Errorf("non-admin stats: err = %v, want an authorization refusal", err)
+	}
+	var qe *QueryError
+	if errors.As(err, &qe) && qe.EpsilonCharged != 0 {
+		t.Errorf("stats refusal charged %v ε", qe.EpsilonCharged)
+	}
+	if got := refusals.Value() - before; got != 1 {
+		t.Errorf("tenant.authz_refusals moved by %d, want 1", got)
+	}
+
+	stats, err := bob.Stats()
+	if err != nil {
+		t.Fatalf("admin stats: %v", err)
+	}
+	if stats.QueriesOK != 1 {
+		t.Errorf("admin sees QueriesOK = %d, want alice's 1", stats.QueriesOK)
+	}
+}
+
 // TestTenantQuotaIsolation is the tenancy tentpole's budget contract:
 // exhausting tenant A's quota must not block tenant B, must not move the
 // dataset-global budget, and must classify as a budget refusal.

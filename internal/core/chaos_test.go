@@ -212,24 +212,29 @@ func TestHangWithoutBlockTimeoutAbortsOnContext(t *testing.T) {
 	}
 }
 
-// MaxFailFrac turns a mostly-substituted release into a refusal.
-func TestMaxFailFracAborts(t *testing.T) {
+// A run whose every block crashed still releases (§6.2): each block
+// contributes the in-range substitute, the noise is drawn as for any run,
+// and each block executes exactly once.
+func TestEveryBlockCrashedStillReleases(t *testing.T) {
 	rows := make([]mathutil.Vec, 64)
 	for i := range rows {
 		rows[i] = mathutil.Vec{30}
 	}
 	sched := &faultinject.Schedule{Plan: []faultinject.Kind{faultinject.CrashBefore}}
-	_, err := Run(context.Background(), analytics.Mean{Col: 0}, rows,
+	res, err := Run(context.Background(), analytics.Mean{Col: 0}, rows,
 		RangeSpec{Mode: ModeTight, Output: []dp.Range{{Lo: 0, Hi: 100}}},
-		Options{
-			Epsilon:     1,
-			BlockSize:   16,
-			Parallelism: 1,
-			MaxFailFrac: 0.5,
-			NewChamber:  faultFactory(sched, 1),
-		})
-	if !errors.Is(err, ErrTooManyFailures) {
-		t.Errorf("err = %v, want ErrTooManyFailures", err)
+		Options{Epsilon: 1, BlockSize: 16, Parallelism: 1, NewChamber: faultFactory(sched, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NumBlocks != 4 || res.FailedBlocks != res.NumBlocks {
+		t.Errorf("FailedBlocks = %d of %d, want all 4", res.FailedBlocks, res.NumBlocks)
+	}
+	if n := sched.Counts()[faultinject.CrashBefore]; n != res.NumBlocks {
+		t.Errorf("%d block executions, want %d", n, res.NumBlocks)
+	}
+	if res.EpsilonSpent != 1 || math.IsNaN(res.Output[0]) || math.IsInf(res.Output[0], 0) {
+		t.Errorf("release = %v at ε %v", res.Output, res.EpsilonSpent)
 	}
 }
 

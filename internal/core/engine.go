@@ -46,13 +46,6 @@ type Options struct {
 	// connections, stuck subprocesses — so a single bad executor degrades
 	// accuracy instead of stalling the query forever.
 	BlockTimeout time.Duration
-	// MaxFailFrac, when positive, aborts the run with ErrTooManyFailures if
-	// more than this fraction of blocks was substituted — a quality guard
-	// for operational failures (dead workers), since a result computed
-	// mostly from substitutes is noise around a constant. Note the abort
-	// signal reveals the failure count, exactly as Result.FailedBlocks
-	// already does; see SECURITY.md on the failure-channel trade-off.
-	MaxFailFrac float64
 	// NewChamber builds the isolation chamber used for block executions;
 	// nil selects an in-process chamber. The hosted platform injects a
 	// subprocess chamber here.
@@ -131,11 +124,6 @@ func (r *Result) SubstitutionRate() float64 {
 	}
 	return float64(r.FailedBlocks) / float64(r.NumBlocks)
 }
-
-// ErrTooManyFailures reports that a run exceeded Options.MaxFailFrac: so
-// many blocks were substituted that the result would be mostly noise around
-// the data-independent substitute. The privacy charge for the run stands.
-var ErrTooManyFailures = errors.New("core: too many failed blocks")
 
 // Run executes program over rows under the sample-and-aggregate framework
 // and returns an Options.Epsilon-differentially private result. It does not
@@ -253,11 +241,6 @@ func Run(ctx context.Context, program analytics.Program, rows []mathutil.Vec, sp
 		}
 		blockSpan.End(status)
 		return nil, err
-	}
-	if opts.MaxFailFrac > 0 && float64(failed) > opts.MaxFailFrac*float64(part.NumBlocks()) {
-		blockSpan.End(telemetry.StatusError)
-		return nil, fmt.Errorf("%w: %d of %d blocks substituted (limit %.0f%%)",
-			ErrTooManyFailures, failed, part.NumBlocks(), opts.MaxFailFrac*100)
 	}
 	blockSpan.End(telemetry.StatusOK)
 

@@ -33,8 +33,9 @@ import (
 // fingerprintScheme versions the hash layout. Bump it whenever a field is
 // added or reordered so entries written by an older layout (none can exist
 // in-process, but belt and braces for future persistence) can never alias.
-// Scheme 3 is the first shared by the embedded and served hosts.
-const fingerprintScheme = 3
+// Scheme 3 is the first shared by the embedded and served hosts; scheme 4
+// drops the failed-block fraction the engine no longer reads.
+const fingerprintScheme = 4
 
 // hashProgram writes a program's canonical identity, or reports that the
 // program cannot be fingerprinted. Every case writes a distinct type tag
@@ -147,7 +148,6 @@ func hashBody(h *qcache.Hasher, q *Query) bool {
 	h.I64(q.Options.Seed)
 	h.I64(int64(q.Options.Quantum))
 	h.I64(int64(q.Options.BlockTimeout))
-	h.F64(q.Options.MaxFailFrac)
 	h.Bool(q.Options.UserLevel)
 	h.Int(q.Options.UserColumn)
 	return true

@@ -72,7 +72,6 @@ func TestFingerprintDistinct(t *testing.T) {
 		"accuracy-rho":    func(q *Query) { q.Options.Epsilon = 0; q.Accuracy = &aging.AccuracyGoal{Rho: 0.8, Confidence: 0.9} },
 		"quantum":         func(q *Query) { q.Options.Quantum = 100 * time.Millisecond },
 		"block-timeout":   func(q *Query) { q.Options.BlockTimeout = time.Second },
-		"max-fail-frac":   func(q *Query) { q.Options.MaxFailFrac = 0.5 },
 		"percentile-pair": func(q *Query) { q.Ranges.PercentileLow = 0.1; q.Ranges.PercentileHigh = 0.9 },
 	}
 	seen := map[qcache.Fingerprint]string{mustFingerprint(t, baseQuery(), 7): "base"}

@@ -2,14 +2,14 @@
 // once: look the dataset up, fingerprint the query and consult the
 // noisy-answer cache, complete the range spec (§4.1), size the blocks
 // (§4.3), settle the ε charge — explicit or from an accuracy goal (§5.1) —
-// run sample-and-aggregate under the host's deadline and retry budget, and
-// fill the cache with clean releases. Single queries (Stage.Run) and §5.2
+// run sample-and-aggregate once under the host's deadline, and fill the
+// cache with clean releases. Single queries (Stage.Run) and §5.2
 // sessions (Stage.RunSession) share every step.
 //
 // Hosts are adapters: the embedded gupt.Platform maps its public Query onto
 // this package's Query; compman.Server resolves its wire ProgramSpec /
 // TranslateSpec first and adds what only a served deployment has — tenant
-// id, trace and metrics sinks, a worker-pool chamber factory, retries and
+// id, trace and metrics sinks, a worker-pool chamber factory and
 // deadlines. Nothing here knows about transports, authentication or
 // scheduling.
 package query
@@ -39,17 +39,9 @@ type Stage struct {
 	// Cache is the noisy-answer cache; nil disables caching (and skips
 	// fingerprinting altogether).
 	Cache *qcache.Cache
-	// Retries re-runs the engine up to this many times when a run fails
-	// after its charge settled. Retries never re-charge: the ε was spent
-	// once, and re-running releases at most one output for it.
-	Retries int
-	// Timeout bounds one query's engine time (all attempts share it). A
-	// run that exceeds it aborts with its charge consumed — forced slowness
-	// never refunds budget (§6.2).
+	// Timeout bounds one query's engine time. A run past it aborts with its
+	// charge consumed: forced slowness never refunds budget (§6.2).
 	Timeout time.Duration
-	// OnRetry observes each retry (attempt counts from 1) with the error
-	// that caused it.
-	OnRetry func(attempt int, err error)
 }
 
 // Query describes one differentially private computation over a resolved
@@ -279,10 +271,10 @@ func (s *Stage) Run(ctx context.Context, q *Query) (*core.Result, float64, error
 	return res, opts.Epsilon, nil
 }
 
-// execute runs the engine for a computation whose charge has settled,
-// bounded by the stage timeout, the caller's deadline and the retry budget.
-// Retries are deterministic: the seed is perturbed per attempt so a
-// seed-dependent failure is not replayed verbatim.
+// execute runs the engine once for a computation whose charge has settled,
+// bounded by the stage timeout and the caller's deadline. Failed blocks
+// degrade the answer and never fail the run (§6.2), so the only errors left
+// after the charge are the deadline and ones the inputs determine.
 func (s *Stage) execute(ctx context.Context, program analytics.Program, rows []mathutil.Vec, spec core.RangeSpec, opts core.Options, deadline time.Time) (*core.Result, error) {
 	if s.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -294,27 +286,12 @@ func (s *Stage) execute(ctx context.Context, program analytics.Program, rows []m
 		ctx, cancel = context.WithDeadline(ctx, deadline)
 		defer cancel()
 	}
-	seed := opts.Seed
-	var err error
-	// A negative Retries must still execute the charged query once.
-	for attempt := 0; attempt == 0 || attempt <= s.Retries; attempt++ {
-		if attempt > 0 {
-			opts.Seed = seed + int64(attempt)*0x9E3779B9
-			if s.OnRetry != nil {
-				s.OnRetry(attempt, err)
-			}
-		}
-		var res *core.Result
-		if res, err = core.Run(ctx, program, rows, spec, opts); err == nil {
-			return res, nil
-		}
-		if ctx.Err() != nil {
-			// The deadline expired (or the caller gave up); further
-			// attempts cannot finish.
-			return nil, fmt.Errorf("query aborted: %w", err)
-		}
+	res, err := core.Run(ctx, program, rows, spec, opts)
+	if err != nil && ctx.Err() != nil {
+		// The deadline expired (or the caller gave up).
+		return nil, fmt.Errorf("query aborted: %w", err)
 	}
-	return nil, err
+	return res, err
 }
 
 // resultSize approximates a cached result's footprint for the cache's bytes

@@ -9,9 +9,9 @@ import (
 )
 
 // The canonical query-lifecycle stages, in pipeline order. Every query
-// produces at most one span per stage (a retried engine run re-enters the
-// engine stages; the spans append in order, so a retry is visible as a
-// repeated stage sequence in the trace).
+// produces at most one span per stage: a settled charge runs the engine
+// once. A session's trace repeats the engine stages once per member, in
+// member order.
 const (
 	StageAdmission   = "admission"   // decode, program/range resolution, chamber setup
 	StageBudget      = "budget"      // privacy charge against the dataset accountant

@@ -358,7 +358,8 @@ func (r *Registry) SetLimits(id string, qps float64, burst, maxInflight int) err
 	return nil
 }
 
-// SetAdmin toggles the admin capability (dataset registration).
+// SetAdmin toggles the admin capability (dataset registration and the
+// server-wide stats op).
 func (r *Registry) SetAdmin(id string, admin bool) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
