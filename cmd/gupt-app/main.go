@@ -1,8 +1,8 @@
 // Command gupt-app bundles GUPT's built-in analysis programs as a
 // standalone executable speaking the sandbox chamber protocol: one JSON
-// Request on stdin, one JSON Response on stdout. The computation manager
-// launches it (or any analyst-supplied binary with the same contract)
-// inside a subprocess chamber, once per data block.
+// Request on stdin, one JSON Response on stdout. A sandbox.Subprocess
+// chamber launches it once per data block: the §6 and §6.1 experiments do,
+// and so can an embedded Query's Chambers. The hosted service does not.
 //
 // Usage:
 //

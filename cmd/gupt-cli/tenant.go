@@ -22,12 +22,13 @@ import (
 //	gupt-cli tenant grant <id> <dataset>         ("*" grants all datasets)
 //	gupt-cli tenant quota <id> <dataset> <eps>
 //	gupt-cli tenant limits <id> <qps> <burst> <maxInflight>
+//	gupt-cli tenant admin <id> <true|false>      (registration and -op stats)
 //	gupt-cli tenant list
 //
 // create prints the tenant's raw API key exactly once — the server stores
 // only its hash, so a lost key means issuing a new one.
 func runTenant(args []string) error {
-	usage := "usage: gupt-cli tenant <create|grant|quota|limits|list> [-admin addr] [-token t] <args...>"
+	usage := "usage: gupt-cli tenant <create|grant|quota|limits|admin|list> [-admin addr] [-token t] <args...>"
 	if len(args) == 0 {
 		return fmt.Errorf("%s", usage)
 	}
@@ -115,6 +116,19 @@ func runTenant(args []string) error {
 			return err
 		}
 		fmt.Printf("limits %s: %g qps, burst %d, max inflight %d\n", pos[0], qps, burst, inflight)
+		return nil
+	case "admin":
+		if err := need(2, "<id> <true|false>"); err != nil {
+			return err
+		}
+		on, err := strconv.ParseBool(pos[1])
+		if err != nil {
+			return fmt.Errorf("admin: %w", err)
+		}
+		if err := adminPost(*admin, *token, "/tenants/admin", map[string]any{"id": pos[0], "admin": on}, nil); err != nil {
+			return err
+		}
+		fmt.Printf("admin %s = %v\n", pos[0], on)
 		return nil
 	case "list":
 		if err := need(0, ""); err != nil {

@@ -25,7 +25,6 @@ func main() {
 
 	var (
 		listen     = flag.String("listen", "127.0.0.1:7201", "address to listen on")
-		scratch    = flag.String("scratch", "", "root for subprocess chamber scratch dirs (default: system temp)")
 		adminAddr  = flag.String("admin-addr", "", "operator admin HTTP endpoint (/metrics, /healthz, /debug/pprof); empty disables")
 		adminToken = flag.String("admin-token", "", "shared secret gating the admin HTTP endpoint (all routes except /healthz); empty leaves it open")
 	)
@@ -33,9 +32,8 @@ func main() {
 
 	tel := telemetry.NewRegistry()
 	w := compman.NewWorker(compman.WorkerConfig{
-		ScratchRoot: *scratch,
-		Logger:      log.Default(),
-		Telemetry:   tel,
+		Logger:    log.Default(),
+		Telemetry: tel,
 	})
 
 	// The worker's own admin plane: chamber counters and its per-stage

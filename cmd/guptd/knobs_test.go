@@ -28,7 +28,6 @@ type setter struct {
 // unit test sets has no row to go in.
 var serverKnobs = map[string]setter{
 	"DefaultQuantum":      {flag: "quantum"},
-	"ScratchRoot":         {flag: "scratch"},
 	"WorkerAddrs":         {code: "wiring: the -workers list, split at commas"},
 	"IdleTimeout":         {flag: "idle"},
 	"BlockTimeout":        {flag: "block-timeout"},
@@ -63,17 +62,35 @@ var otherFlags = map[string]string{
 	"dataset":         "registerSpec, one table per use",
 }
 
+// workerKnobs is the same inventory for compman.WorkerConfig, set by
+// cmd/gupt-worker.
+var workerKnobs = map[string]setter{
+	"ChamberWrapper": {code: "internal/faultinject (chaos drills)"},
+	"Logger":         {code: "wiring: gupt-worker's process log"},
+	"Telemetry":      {code: "wiring: the registry the admin endpoint serves"},
+}
+
+// workerOtherFlags lists the gupt-worker flags that set no worker field.
+var workerOtherFlags = map[string]string{
+	"listen":      "the work wire's listen address",
+	"admin-addr":  "the admin HTTP endpoint",
+	"admin-token": "the admin endpoint's token gate",
+}
+
 const (
-	wantFlags        = 23
-	wantServerFields = 18
+	wantFlags        = 22
+	wantServerFields = 17
+	wantWorkerFlags  = 3
+	wantWorkerFields = 3
 )
 
-// mainFlags parses main.go and returns each flag's name mapped to the
-// variable its value lands in, plus the identifiers each field of the
-// ServerConfig and SchedConfig literals is built from.
-func mainFlags(t *testing.T) (flags map[string]string, fieldVars map[string]map[string]bool) {
+// mainFlags parses a command's main.go and returns each flag's name mapped
+// to the variable its value lands in, plus the identifiers each field of
+// the named config literals is built from (keyed by the literal's prefix
+// and the field name).
+func mainFlags(t *testing.T, file string, literals map[string]string) (flags map[string]string, fieldVars map[string]map[string]bool) {
 	t.Helper()
-	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, 0)
+	f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +148,8 @@ func mainFlags(t *testing.T) (flags map[string]string, fieldVars map[string]map[
 			if !ok {
 				return true
 			}
-			switch sel.Sel.Name {
-			case "ServerConfig":
-				literal(n, "")
-			case "SchedConfig":
-				literal(n, "Sched.")
+			if prefix, ok := literals[sel.Sel.Name]; ok {
+				literal(n, prefix)
 			}
 		}
 		return true
@@ -143,11 +157,10 @@ func mainFlags(t *testing.T) (flags map[string]string, fieldVars map[string]map[
 	return flags, fieldVars
 }
 
-// serverFields lists ServerConfig's fields by reflection, with the struct
-// Sched expanded into SchedConfig's fields.
-func serverFields() []string {
+// configFields lists a config struct's fields by reflection, with the
+// struct Sched expanded into SchedConfig's fields.
+func configFields(cfg reflect.Type) []string {
 	var fields []string
-	cfg := reflect.TypeOf(compman.ServerConfig{})
 	for i := 0; i < cfg.NumField(); i++ {
 		f := cfg.Field(i)
 		if f.Type != reflect.TypeOf(compman.SchedConfig{}) {
@@ -161,19 +174,55 @@ func serverFields() []string {
 	return fields
 }
 
-// Every knob has a caller: each server setting is set by a guptd flag or by
-// a named piece of code, each flag sets a server setting or is listed with
-// its other use, and the counts move only when this inventory does.
-func TestKnobInventory(t *testing.T) {
-	flags, fieldVars := mainFlags(t)
+// inventory is one daemon's knobs: the flags its main.go defines and the
+// config struct they build, each against its rows.
+type inventory struct {
+	name       string
+	main       string            // the command's main.go
+	literals   map[string]string // config literal type -> field-name prefix
+	config     reflect.Type
+	knobs      map[string]setter
+	otherFlags map[string]string
+	wantFlags  int
+	wantFields int
+}
 
-	fields := serverFields()
-	if len(fields) != wantServerFields {
-		t.Errorf("ServerConfig + SchedConfig have %d fields, want %d", len(fields), wantServerFields)
+// guptdLiterals are the config literals guptd's main.go builds.
+var guptdLiterals = map[string]string{"ServerConfig": "", "SchedConfig": "Sched."}
+
+var inventories = []inventory{
+	{
+		name: "guptd", main: "main.go", literals: guptdLiterals,
+		config: reflect.TypeOf(compman.ServerConfig{}),
+		knobs:  serverKnobs, otherFlags: otherFlags,
+		wantFlags: wantFlags, wantFields: wantServerFields,
+	},
+	{
+		name: "gupt-worker", main: "../gupt-worker/main.go", literals: map[string]string{"WorkerConfig": ""},
+		config: reflect.TypeOf(compman.WorkerConfig{}),
+		knobs:  workerKnobs, otherFlags: workerOtherFlags,
+		wantFlags: wantWorkerFlags, wantFields: wantWorkerFields,
+	},
+}
+
+// Every knob has a caller: each guptd and gupt-worker setting is set by a
+// flag or by a named piece of code, each flag sets a setting or is listed
+// with its other use, and the counts move only when this inventory does.
+func TestKnobInventory(t *testing.T) {
+	for _, inv := range inventories {
+		t.Run(inv.name, inv.check)
+	}
+}
+
+func (inv inventory) check(t *testing.T) {
+	flags, fieldVars := mainFlags(t, inv.main, inv.literals)
+	fields := configFields(inv.config)
+	if len(fields) != inv.wantFields {
+		t.Errorf("the config has %d fields, want %d", len(fields), inv.wantFields)
 	}
 	flagSetsField := map[string]string{}
 	for _, field := range fields {
-		row, ok := serverKnobs[field]
+		row, ok := inv.knobs[field]
 		switch {
 		case !ok:
 			t.Errorf("field %s has no row: name the flag or code that sets it, or delete it", field)
@@ -198,31 +247,31 @@ func TestKnobInventory(t *testing.T) {
 	for _, f := range fields {
 		known[f] = true
 	}
-	for field := range serverKnobs {
+	for field := range inv.knobs {
 		if !known[field] {
-			t.Errorf("row for %s, which ServerConfig does not have", field)
+			t.Errorf("row for %s, which the config does not have", field)
 		}
 	}
 
-	if len(flags) != wantFlags {
+	if len(flags) != inv.wantFlags {
 		names := make([]string, 0, len(flags))
 		for name := range flags {
 			names = append(names, name)
 		}
 		sort.Strings(names)
-		t.Errorf("guptd defines %d flags, want %d: %v", len(flags), wantFlags, names)
+		t.Errorf("main.go defines %d flags, want %d: %v", len(flags), inv.wantFlags, names)
 	}
 	for name := range flags {
-		_, other := otherFlags[name]
+		_, other := inv.otherFlags[name]
 		field, sets := flagSetsField[name]
 		switch {
 		case !other && !sets:
-			t.Errorf("flag -%s has no row: name the server field it sets or its other use", name)
+			t.Errorf("flag -%s has no row: name the config field it sets or its other use", name)
 		case other && sets:
-			t.Errorf("flag -%s is listed both as setting %s and as %q", name, field, otherFlags[name])
+			t.Errorf("flag -%s is listed both as setting %s and as %q", name, field, inv.otherFlags[name])
 		}
 	}
-	for name := range otherFlags {
+	for name := range inv.otherFlags {
 		if _, ok := flags[name]; !ok {
 			t.Errorf("row for flag -%s, which main.go does not define", name)
 		}
@@ -282,7 +331,7 @@ func docFlags(doc string) []string {
 // defines: a deleted flag makes the documented command exit with "flag
 // provided but not defined".
 func TestDocsUseDefinedFlags(t *testing.T) {
-	flags, _ := mainFlags(t)
+	flags, _ := mainFlags(t, "main.go", guptdLiterals)
 	for _, doc := range runnableDocs {
 		b, err := os.ReadFile(doc)
 		if err != nil {

@@ -55,7 +55,6 @@ func main() {
 		auditMax     = flag.Int64("audit-max-bytes", 0, "rotate audit segments at this size (0 = default 4MiB)")
 		auditFsync   = flag.Bool("audit-fsync", false, "fsync the audit log after every record (durability over throughput)")
 		quantum      = flag.Duration("quantum", 0, "per-block timing quantum applied to all queries (0 disables)")
-		scratch      = flag.String("scratch", "", "root for subprocess chamber scratch dirs (default: system temp)")
 		ledgerDir    = flag.String("ledger-dir", "", "durable privacy-ledger directory (write-ahead log + snapshots); spent budget survives crashes")
 		workers      = flag.String("workers", "", "comma-separated gupt-worker addresses for cluster execution")
 		workerConns  = flag.Int("worker-conns", 1, "concurrent block exchanges per worker host; engine parallelism is workers x this")
@@ -175,7 +174,6 @@ func main() {
 
 	cfg := compman.ServerConfig{
 		DefaultQuantum: *quantum,
-		ScratchRoot:    *scratch,
 		WorkerAddrs:    workerAddrs,
 		IdleTimeout:    *idle,
 		BlockTimeout:   *blockTimeout,

@@ -98,7 +98,7 @@ func TestAdminTokenGate(t *testing.T) {
 	for _, want := range []string{
 		"/metrics", "/traces", "/queries", "/budget", "/flight", "/workers",
 		"/ledger", "/cache", "/datasets", "/healthz", "/debug/pprof/",
-		"/tenants", "/tenants/grant", "/tenants/quota", "/tenants/limits",
+		"/tenants", "/tenants/grant", "/tenants/quota", "/tenants/limits", "/tenants/admin",
 	} {
 		found := false
 		for _, p := range patterns {
@@ -273,5 +273,65 @@ func TestTenantAdminEndToEnd(t *testing.T) {
 	}
 	if !reloaded.Authorized("alice", "census") {
 		t.Fatal("reloaded registry lost alice's census grant")
+	}
+}
+
+// TestTenantAdminGrant: the admin capability is granted through the
+// operator surface, not by editing the tenants file. A tenant created over
+// /tenants is refused the stats op, POST /tenants/admin grants it, the
+// stats op is then served, and the grant survives a reload; granting false
+// takes it back.
+func TestTenantAdminGrant(t *testing.T) {
+	const token = "op-token"
+	tenantsFile := filepath.Join(t.TempDir(), "tenants.json")
+	tenants, err := tenant.Load(tenantsFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serverAddr, admin := startTenantGuptd(t, censusRegistry(t), tenants, token)
+	base := "http://" + admin
+
+	code, body := adminDo(t, http.MethodPost, base+"/tenants", token, []byte(`{"id":"carol"}`))
+	if code != http.StatusOK {
+		t.Fatalf("create = %d: %s", code, body)
+	}
+	var created struct{ APIKey string }
+	if err := json.Unmarshal(body, &created); err != nil {
+		t.Fatal(err)
+	}
+	c, err := compman.Dial(serverAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetAPIKey(created.APIKey)
+
+	setAdmin := func(on bool) {
+		t.Helper()
+		if code, body := adminDo(t, http.MethodPost, base+"/tenants/admin", token,
+			[]byte(fmt.Sprintf(`{"id":"carol","admin":%v}`, on))); code != http.StatusOK {
+			t.Fatalf("admin %v = %d: %s", on, code, body)
+		}
+	}
+	if _, err := c.Stats(); err == nil || !strings.Contains(err.Error(), "not authorized for the stats op") {
+		t.Fatalf("stats before the grant: err = %v, want an authorization refusal", err)
+	}
+	setAdmin(true)
+	if _, err := c.Stats(); err != nil {
+		t.Fatalf("stats after the grant: %v", err)
+	}
+	reloaded, err := tenant.Load(tenantsFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reloaded.IsAdmin("carol") {
+		t.Fatal("the admin grant was not persisted")
+	}
+	setAdmin(false)
+	if _, err := c.Stats(); err == nil {
+		t.Fatal("stats served after the grant was taken back")
+	}
+	if code, _ := adminDo(t, http.MethodPost, base+"/tenants/admin", token, []byte(`{"id":"nobody","admin":true}`)); code != http.StatusBadRequest {
+		t.Errorf("admin grant to an unknown tenant = %d, want 400", code)
 	}
 }

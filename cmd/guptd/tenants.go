@@ -19,6 +19,8 @@ import (
 //	POST /tenants/grant  {"id": "...", "dataset": "..."} ("*" = all)
 //	POST /tenants/quota  {"id": "...", "dataset": "...", "epsilon": F}
 //	POST /tenants/limits {"id": "...", "qps": F, "burst": N, "maxInflight": N}
+//	POST /tenants/admin  {"id": "...", "admin": bool} (dataset registration
+//	                     and the stats op over the analyst wire)
 //
 // Every mutation persists the registry to its -tenants-file before
 // answering, so an acknowledged change survives a restart.
@@ -38,34 +40,9 @@ func tenantHandlers(tenants *tenant.Registry) map[string]http.Handler {
 		Burst       int     `json:"burst"`
 		MaxInflight int     `json:"maxInflight"`
 	}
-
-	decode := func(w http.ResponseWriter, req *http.Request, v any) bool {
-		if req.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
-			return false
-		}
-		if err := json.NewDecoder(req.Body).Decode(v); err != nil {
-			http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
-			return false
-		}
-		return true
-	}
-	// persist saves the registry after a mutation; a failed save fails the
-	// request (the change is live in memory but the operator must know it
-	// will not survive a restart).
-	persist := func(w http.ResponseWriter) bool {
-		if err := tenants.Save(); err != nil {
-			log.Printf("persisting tenants: %v", err)
-			http.Error(w, fmt.Sprintf("applied but not persisted: %v", err), http.StatusInternalServerError)
-			return false
-		}
-		return true
-	}
-	writeJSON := func(w http.ResponseWriter, v any) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(v)
+	type adminReq struct {
+		ID    string `json:"id"`
+		Admin bool   `json:"admin"`
 	}
 
 	h := make(map[string]http.Handler)
@@ -86,7 +63,7 @@ func tenantHandlers(tenants *tenant.Registry) map[string]http.Handler {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
-			if !persist(w) {
+			if !persistTenants(w, tenants) {
 				return
 			}
 			// The raw key's single appearance; store it client-side.
@@ -95,47 +72,53 @@ func tenantHandlers(tenants *tenant.Registry) map[string]http.Handler {
 			http.Error(w, "GET or POST required", http.StatusMethodNotAllowed)
 		}
 	})
-	h["/tenants/grant"] = http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		var body grantReq
-		if !decode(w, req, &body) {
-			return
-		}
-		if err := tenants.Grant(body.ID, body.Dataset); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if !persist(w) {
-			return
-		}
-		writeJSON(w, map[string]string{"status": "ok"})
+	h["/tenants/grant"] = tenantMutation(tenants, func(b grantReq) error { return tenants.Grant(b.ID, b.Dataset) })
+	h["/tenants/quota"] = tenantMutation(tenants, func(b quotaReq) error { return tenants.SetQuota(b.ID, b.Dataset, b.Epsilon) })
+	h["/tenants/limits"] = tenantMutation(tenants, func(b limitsReq) error {
+		return tenants.SetLimits(b.ID, b.QPS, b.Burst, b.MaxInflight)
 	})
-	h["/tenants/quota"] = http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		var body quotaReq
-		if !decode(w, req, &body) {
-			return
-		}
-		if err := tenants.SetQuota(body.ID, body.Dataset, body.Epsilon); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if !persist(w) {
-			return
-		}
-		writeJSON(w, map[string]string{"status": "ok"})
-	})
-	h["/tenants/limits"] = http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		var body limitsReq
-		if !decode(w, req, &body) {
-			return
-		}
-		if err := tenants.SetLimits(body.ID, body.QPS, body.Burst, body.MaxInflight); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if !persist(w) {
-			return
-		}
-		writeJSON(w, map[string]string{"status": "ok"})
-	})
+	h["/tenants/admin"] = tenantMutation(tenants, func(b adminReq) error { return tenants.SetAdmin(b.ID, b.Admin) })
 	return h
+}
+
+// tenantMutation is one POST route: it decodes a body of type T, applies
+// it, persists the registry and answers {"status": "ok"}.
+func tenantMutation[T any](tenants *tenant.Registry, apply func(T) error) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.Method != http.MethodPost {
+			http.Error(w, "POST required", http.StatusMethodNotAllowed)
+			return
+		}
+		var body T
+		if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
+			http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+			return
+		}
+		if err := apply(body); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if persistTenants(w, tenants) {
+			writeJSON(w, map[string]string{"status": "ok"})
+		}
+	})
+}
+
+// persistTenants saves the registry after a mutation; a failed save fails
+// the request (the change is live in memory but the operator must know it
+// will not survive a restart).
+func persistTenants(w http.ResponseWriter, tenants *tenant.Registry) bool {
+	if err := tenants.Save(); err != nil {
+		log.Printf("persisting tenants: %v", err)
+		http.Error(w, fmt.Sprintf("applied but not persisted: %v", err), http.StatusInternalServerError)
+		return false
+	}
+	return true
+}
+
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
 }

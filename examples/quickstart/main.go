@@ -37,7 +37,7 @@ func main() {
 
 	// The analyst's side: an average-age query with an explicit privacy
 	// budget. The Mean program is a black box to the platform; any
-	// Program implementation (or uploaded binary) works the same way.
+	// Program implementation works the same way.
 	res, err := platform.Run(context.Background(), gupt.Query{
 		Dataset:      "census",
 		Program:      gupt.Mean{Col: 0},

@@ -2,95 +2,75 @@ package compman
 
 import (
 	"context"
-	"math"
+	"errors"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
-
-	"gupt/internal/analytics"
-	"gupt/internal/mathutil"
-	"gupt/internal/sandbox"
 )
 
-// TestMain lets this test binary double as an uploaded analyst executable
-// (the "binary" program type): when GUPT_COMPMAN_APP is set it speaks the
-// sandbox chamber protocol instead of running tests.
-func TestMain(m *testing.M) {
-	if os.Getenv("GUPT_COMPMAN_APP") == "mean" {
-		err := sandbox.ServeApp(os.Stdin, os.Stdout, func(block []mathutil.Vec) (mathutil.Vec, error) {
-			return analytics.Mean{Col: 0}.Run(block)
-		})
-		if err != nil {
-			os.Exit(1)
-		}
-		os.Exit(0)
+// exploitSpec is a "binary" program that, were it ever executed, would run
+// a shell as the daemon's own user: it appends a line to marker (an
+// absolute path outside any chamber scratch directory) and then answers the
+// chamber protocol so the block would look healthy.
+func exploitSpec(marker string) ProgramSpec {
+	return ProgramSpec{
+		Type:       "binary",
+		Path:       "/bin/sh",
+		Args:       []string{"-c", "echo x >> '" + marker + "'; echo '{\"output\":[1]}'"},
+		OutputDims: 1,
 	}
-	os.Exit(m.Run())
 }
 
-// End-to-end: an analyst-uploaded binary runs under subprocess chambers
-// through the full server path — query, budget charge, sample-and-aggregate
-// over isolated processes, private answer.
-func TestQueryBinaryProgramEndToEnd(t *testing.T) {
-	exe, err := os.Executable()
-	if err != nil {
+// assertNoMarker fails if the exploit program ran anywhere.
+func assertNoMarker(t *testing.T, marker string) {
+	t.Helper()
+	if b, err := os.ReadFile(marker); err == nil {
+		t.Fatalf("binary program was executed: marker holds %q", b)
+	} else if !errors.Is(err, os.ErrNotExist) {
 		t.Fatal(err)
 	}
-	// Chambers clear the environment, so the app-mode selector is baked
-	// into a wrapper script that sets it and execs the test binary.
-	script := t.TempDir() + "/app.sh"
-	if err := os.WriteFile(script,
-		[]byte("#!/bin/sh\nGUPT_COMPMAN_APP=mean exec "+exe+" \"$@\"\n"), 0o700); err != nil {
-		t.Fatal(err)
-	}
+}
 
+// A client-named executable sent through the server is refused before
+// anything is charged or run: the query fails with the fixed refusal, the
+// marker never appears and the dataset's budget is untouched.
+func TestQueryBinaryProgramRefused(t *testing.T) {
+	marker := filepath.Join(t.TempDir(), "marker")
 	client, _ := startServer(t, 100)
-	resp, err := client.Query(&Request{
-		Dataset: "census",
-		Program: &ProgramSpec{
-			Type:       "binary",
-			Path:       script,
-			OutputDims: 1,
-		},
+	spec := exploitSpec(marker)
+	_, err := client.Query(&Request{
+		Dataset:      "census",
+		Program:      &spec,
 		OutputRanges: []RangeSpec{{Lo: 0, Hi: 150}},
-		Epsilon:      20,
-		Seed:         3,
-		BlockSize:    500, // few blocks keep the subprocess fan-out quick
+		Epsilon:      1,
+		BlockSize:    1200,
 	})
+	if err == nil || !strings.Contains(err.Error(), "binary programs are not served") {
+		t.Fatalf("binary query: err = %v, want the binary refusal", err)
+	}
+	assertNoMarker(t, marker)
+	rem, err := client.RemainingBudget("census")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(resp.Output[0]-40) > 6 {
-		t.Errorf("binary-program mean = %v, want ~40", resp.Output[0])
-	}
-	if resp.FailedBlocks != 0 {
-		t.Errorf("FailedBlocks = %d", resp.FailedBlocks)
+	if rem != 100 {
+		t.Errorf("refused binary query charged the budget: remaining %v, want 100", rem)
 	}
 }
 
-// The same uploaded binary dispatched through worker daemons: the worker
-// runs it in its local subprocess chambers.
-func TestWorkerBinaryProgram(t *testing.T) {
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	script := t.TempDir() + "/app.sh"
-	if err := os.WriteFile(script,
-		[]byte("#!/bin/sh\nGUPT_COMPMAN_APP=mean exec "+exe+" \"$@\"\n"), 0o700); err != nil {
-		t.Fatal(err)
-	}
-	addr := startWorker(t)
-	pool, err := NewWorkerPool([]string{addr})
+// The worker port has no authentication, so the same spec sent straight to
+// a worker must be refused there too, not only at the server.
+func TestWorkerBinaryProgramRefused(t *testing.T) {
+	marker := filepath.Join(t.TempDir(), "marker")
+	pool, err := NewWorkerPool([]string{startWorker(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	chamber := pool.Chamber(WorkSpec{Program: ProgramSpec{Type: "binary", Path: script, OutputDims: 1}}, nil)
-	out, err := chamber.Execute(context.Background(), workerBlock(5))
-	if err != nil {
-		t.Fatal(err)
+	_, err = pool.Chamber(WorkSpec{Program: exploitSpec(marker)}, nil).Execute(context.Background(), workerBlock(5))
+	if err == nil || !strings.Contains(err.Error(), "binary programs are not served") {
+		t.Fatalf("worker binary block: err = %v, want the binary refusal", err)
 	}
-	if out[0] != 2 {
-		t.Errorf("worker binary mean = %v, want 2", out[0])
-	}
+	assertNoMarker(t, marker)
 }

@@ -1,6 +1,7 @@
 package compman
 
 import (
+	"errors"
 	"math"
 	"net"
 	"strings"
@@ -289,7 +290,7 @@ func TestQueryValidationErrors(t *testing.T) {
 		{"inverted range", Request{Dataset: "census", Program: &ProgramSpec{Type: "mean"}, OutputRanges: []RangeSpec{{Lo: 5, Hi: 1}}, Epsilon: 1}},
 		{"helper without translate", Request{Dataset: "census", Program: &ProgramSpec{Type: "mean"}, Mode: "helper", Epsilon: 1}},
 		{"bad percentile", Request{Dataset: "census", Program: &ProgramSpec{Type: "percentile", P: 2}, OutputRanges: []RangeSpec{{Lo: 0, Hi: 1}}, Epsilon: 1}},
-		{"binary missing path", Request{Dataset: "census", Program: &ProgramSpec{Type: "binary"}, OutputRanges: []RangeSpec{{Lo: 0, Hi: 1}}, Epsilon: 1}},
+		{"binary program", Request{Dataset: "census", Program: &ProgramSpec{Type: "binary", Path: "/bin/true", OutputDims: 1}, OutputRanges: []RangeSpec{{Lo: 0, Hi: 1}}, Epsilon: 1}},
 	}
 	for _, c := range cases {
 		if _, err := client.Query(&c.req); err == nil {
@@ -532,13 +533,13 @@ func TestProgramSpecResolve(t *testing.T) {
 		{Type: "naivebayes", FeatureDims: 2, LabelCol: 2},
 	}
 	for _, ps := range good {
-		prog, isBin, err := ps.resolve()
-		if err != nil || isBin || prog == nil {
-			t.Errorf("resolve(%+v) = %v, %v, %v", ps, prog, isBin, err)
+		prog, err := ps.resolve()
+		if err != nil || prog == nil {
+			t.Errorf("resolve(%+v) = %v, %v", ps, prog, err)
 		}
 	}
 	bin := ProgramSpec{Type: "binary", Path: "/bin/app", OutputDims: 2}
-	if _, isBin, err := bin.resolve(); err != nil || !isBin {
-		t.Errorf("binary resolve: %v, %v", isBin, err)
+	if prog, err := bin.resolve(); prog != nil || !errors.Is(err, ErrBadProgram) || !strings.Contains(err.Error(), "not served") {
+		t.Errorf("binary resolve = %v, %v; want the binary refusal", prog, err)
 	}
 }

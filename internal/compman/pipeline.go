@@ -58,10 +58,10 @@ func (s *Server) handleQuery(req *Request, tenantID string, tr *telemetry.Trace,
 // pipelineQuery resolves the wire forms (program spec, ranges, mode,
 // translate spec) into the pipeline's query description and adds what the
 // server decides: ledger label, quantum and failure policy, and the chamber
-// factory — subprocess isolation for uploaded executables, the worker pool
-// when one is configured, both under the configured ChamberWrapper.
+// factory — the worker pool when one is configured, under the configured
+// ChamberWrapper.
 func (s *Server) pipelineQuery(req *Request, tenantID string, tr *telemetry.Trace) (*query.Query, error) {
-	program, isBinary, err := req.Program.resolve()
+	program, err := req.Program.resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -115,18 +115,8 @@ func (s *Server) pipelineQuery(req *Request, tenantID string, tr *telemetry.Trac
 	// A query can lengthen the operator's quantum, never shorten it: a
 	// shorter one would switch off the timing defense for its blocks.
 	q.Options.Quantum = max(q.Options.Quantum, time.Duration(req.QuantumMillis)*time.Millisecond)
-	if isBinary {
-		// Uploaded executables always run under subprocess isolation; the
-		// in-process path is reserved for the platform's own library.
-		path, args := req.Program.Path, req.Program.Args
-		q.Program = query.Binary{Path: path, Args: args, Dims: req.Program.OutputDims}
-		q.Options.NewChamber = func(_ analytics.Program, pol sandbox.Policy) sandbox.Chamber {
-			return &sandbox.Subprocess{Path: path, Args: args, Policy: pol, ScratchRoot: s.cfg.ScratchRoot}
-		}
-	}
-	// Cluster execution: fan the blocks out over the worker daemons. The
-	// workers resolve the same program spec (and run binaries under their
-	// local subprocess chambers), so this overrides any local factory.
+	// Cluster execution: fan the blocks out over the worker daemons, which
+	// resolve the same program spec.
 	if s.poolErr != nil {
 		return nil, fmt.Errorf("compman: worker pool unavailable: %w", s.poolErr)
 	}
@@ -181,9 +171,6 @@ func (s *Server) handleSession(req *Request, tenantID string, tr *telemetry.Trac
 	}
 	for i := range spec.Queries {
 		m := &spec.Queries[i]
-		if m.Program.Type == "binary" {
-			return Response{Error: fmt.Sprintf("session query %d: binary programs are not supported in sessions", i)}
-		}
 		q, err := s.pipelineQuery(&Request{
 			Dataset:      req.Dataset,
 			Program:      &m.Program,

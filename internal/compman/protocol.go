@@ -61,13 +61,12 @@ func rangesFromWire(rs []RangeSpec) ([]dp.Range, error) {
 }
 
 // ProgramSpec names an analysis program over the wire. Closures cannot
-// cross the network, so analysts choose between the platform's built-in
-// program library and an uploaded executable run under subprocess
-// isolation.
+// cross the network, so analysts choose from the platform's built-in
+// program library; nothing a request names is ever executed.
 type ProgramSpec struct {
 	// Type selects the program: "mean", "median", "variance", "percentile",
-	// "covariance", "histogram", "kmeans", "logreg", "linreg",
-	// "naivebayes", or "binary".
+	// "covariance", "histogram", "kmeans", "logreg", "linreg" or
+	// "naivebayes". "binary" is refused.
 	Type string
 	// Col is the target column for the scalar statistics; ColB is the
 	// second column for "covariance".
@@ -87,9 +86,9 @@ type ProgramSpec struct {
 	Iters       int
 	LearnRate   float64
 	Seed        int64
-	// Path, Args and OutputDims describe an uploaded executable for
-	// Type "binary": it speaks the sandbox stdin/stdout protocol and is
-	// always run inside a subprocess chamber.
+	// Path, Args and OutputDims are retired: they described an analyst
+	// executable, and Type "binary" is refused. They stay because the
+	// version-4 wire writes every field, and leave with version 5.
 	Path       string
 	Args       []string
 	OutputDims int
@@ -98,30 +97,30 @@ type ProgramSpec struct {
 // ErrBadProgram is returned for unresolvable program specifications.
 var ErrBadProgram = errors.New("compman: invalid program spec")
 
-// resolve builds the in-process Program for a spec, or reports that the
-// spec names a binary (which the server runs via subprocess chambers).
-func (ps ProgramSpec) resolve() (analytics.Program, bool, error) {
+// resolve builds the in-process Program for a spec. The server and the
+// worker both resolve through it, so neither daemon runs anything else.
+func (ps ProgramSpec) resolve() (analytics.Program, error) {
 	switch ps.Type {
 	case "mean":
-		return analytics.Mean{Col: ps.Col}, false, nil
+		return analytics.Mean{Col: ps.Col}, nil
 	case "median":
-		return analytics.Median{Col: ps.Col}, false, nil
+		return analytics.Median{Col: ps.Col}, nil
 	case "variance":
-		return analytics.Variance{Col: ps.Col}, false, nil
+		return analytics.Variance{Col: ps.Col}, nil
 	case "percentile":
 		if ps.P <= 0 || ps.P >= 1 {
-			return nil, false, fmt.Errorf("%w: percentile p=%v", ErrBadProgram, ps.P)
+			return nil, fmt.Errorf("%w: percentile p=%v", ErrBadProgram, ps.P)
 		}
-		return analytics.Percentile{Col: ps.Col, P: ps.P}, false, nil
+		return analytics.Percentile{Col: ps.Col, P: ps.P}, nil
 	case "kmeans":
-		return analytics.KMeans{K: ps.K, FeatureDims: ps.FeatureDims, Iters: ps.Iters, Seed: ps.Seed}, false, nil
+		return analytics.KMeans{K: ps.K, FeatureDims: ps.FeatureDims, Iters: ps.Iters, Seed: ps.Seed}, nil
 	case "covariance":
-		return analytics.Covariance{ColA: ps.Col, ColB: ps.ColB}, false, nil
+		return analytics.Covariance{ColA: ps.Col, ColB: ps.ColB}, nil
 	case "histogram":
 		if ps.Bins <= 0 || !(ps.Hi > ps.Lo) {
-			return nil, false, fmt.Errorf("%w: histogram needs bins>0 and hi>lo", ErrBadProgram)
+			return nil, fmt.Errorf("%w: histogram needs bins>0 and hi>lo", ErrBadProgram)
 		}
-		return analytics.Histogram{Col: ps.Col, Lo: ps.Lo, Hi: ps.Hi, Bins: ps.Bins}, false, nil
+		return analytics.Histogram{Col: ps.Col, Lo: ps.Lo, Hi: ps.Hi, Bins: ps.Bins}, nil
 	case "logreg":
 		lr := ps.LearnRate
 		if lr == 0 {
@@ -129,18 +128,15 @@ func (ps ProgramSpec) resolve() (analytics.Program, bool, error) {
 		}
 		return analytics.LogisticRegression{
 			FeatureDims: ps.FeatureDims, LabelCol: ps.LabelCol, Iters: ps.Iters, LearnRate: lr,
-		}, false, nil
+		}, nil
 	case "linreg":
-		return analytics.LinearRegression{FeatureDims: ps.FeatureDims, TargetCol: ps.LabelCol}, false, nil
+		return analytics.LinearRegression{FeatureDims: ps.FeatureDims, TargetCol: ps.LabelCol}, nil
 	case "naivebayes":
-		return analytics.NaiveBayes{FeatureDims: ps.FeatureDims, LabelCol: ps.LabelCol}, false, nil
+		return analytics.NaiveBayes{FeatureDims: ps.FeatureDims, LabelCol: ps.LabelCol}, nil
 	case "binary":
-		if ps.Path == "" || ps.OutputDims <= 0 {
-			return nil, false, fmt.Errorf("%w: binary needs path and outputDims", ErrBadProgram)
-		}
-		return nil, true, nil
+		return nil, fmt.Errorf("%w: binary programs are not served", ErrBadProgram)
 	default:
-		return nil, false, fmt.Errorf("%w: unknown type %q", ErrBadProgram, ps.Type)
+		return nil, fmt.Errorf("%w: unknown type %q", ErrBadProgram, ps.Type)
 	}
 }
 

@@ -32,9 +32,6 @@ type ServerConfig struct {
 	// QuantumMillis can raise it, never lower it. Zero leaves timing
 	// normalization off unless a query requests it.
 	DefaultQuantum time.Duration
-	// ScratchRoot hosts per-execution scratch directories for subprocess
-	// chambers; empty means the OS temp dir.
-	ScratchRoot string
 	// WorkerAddrs lists worker daemons (cmd/gupt-worker) to distribute
 	// block executions across — the paper's cluster deployment. Empty
 	// keeps execution on the server node.

@@ -79,7 +79,7 @@ func TestSessionOverWireValidation(t *testing.T) {
 		}}}, "not found"},
 		{"binary member", "census", &SessionSpec{TotalEpsilon: 1, Queries: []SessionQuery{{
 			Program: ProgramSpec{Type: "binary", Path: "/x", OutputDims: 1}, OutputRanges: []RangeSpec{{Lo: 0, Hi: 1}},
-		}}}, "not supported"},
+		}}}, "not served"},
 		{"range arity", "census", &SessionSpec{TotalEpsilon: 1, Queries: []SessionQuery{{
 			Program: ProgramSpec{Type: "mean"}, OutputRanges: []RangeSpec{{Lo: 0, Hi: 1}, {Lo: 0, Hi: 1}},
 		}}}, "ranges"},

@@ -28,8 +28,7 @@ import (
 
 // WorkSpec tells a worker what computation a block belongs to.
 type WorkSpec struct {
-	// Program selects the computation; binary specs are executed under the
-	// worker's local subprocess chambers.
+	// Program selects the computation from the built-in library.
 	Program ProgramSpec
 	// QuantumMillis arms the timing-attack defense on the worker.
 	QuantumMillis int64
@@ -62,8 +61,6 @@ type WorkResponse struct {
 
 // WorkerConfig tunes a worker daemon.
 type WorkerConfig struct {
-	// ScratchRoot hosts subprocess chamber scratch dirs.
-	ScratchRoot string
 	// ChamberWrapper, when set, wraps every chamber the worker builds —
 	// the fault-injection surface (internal/faultinject) on the worker
 	// node; production deployments normally leave it nil.
@@ -235,9 +232,9 @@ func decodeWork(payload []byte, buf *mathutil.RowBuf) (WorkSpec, []mathutil.Vec,
 // execute runs one decoded block. The block is private to this request —
 // the program's one copy — and release, which gives its storage back, is
 // handed to the in-process chamber to call once the program is really done
-// (sandbox.InProcess.Release). Every other outcome — a subprocess chamber, a
-// wrapper that never reaches the program, an error — just drops the storage
-// for the collector, which is always safe.
+// (sandbox.InProcess.Release). Every other outcome — a wrapper that never
+// reaches the program, an error — just drops the storage for the collector,
+// which is always safe.
 func (w *Worker) execute(spec WorkSpec, block []mathutil.Vec, release func()) WorkResponse {
 	resp := WorkResponse{TraceID: spec.TraceID}
 
@@ -246,7 +243,7 @@ func (w *Worker) execute(spec WorkSpec, block []mathutil.Vec, release func()) Wo
 	// also feed the worker's local bucketed histograms so a worker node is
 	// observable on its own admin endpoint.
 	setupStart := time.Now()
-	program, isBinary, err := spec.Program.resolve()
+	program, err := spec.Program.resolve()
 	if err != nil {
 		resp.Error = err.Error()
 		resp.Spans = append(resp.Spans, w.span(telemetry.StageWorkerSetup, telemetry.StatusError, setupStart))
@@ -256,17 +253,7 @@ func (w *Worker) execute(spec WorkSpec, block []mathutil.Vec, release func()) Wo
 	if spec.QuantumMillis > 0 {
 		pol.Quantum = time.Duration(spec.QuantumMillis) * time.Millisecond
 	}
-	var chamber sandbox.Chamber
-	if isBinary {
-		chamber = &sandbox.Subprocess{
-			Path:        spec.Program.Path,
-			Args:        spec.Program.Args,
-			Policy:      pol,
-			ScratchRoot: w.cfg.ScratchRoot,
-		}
-	} else {
-		chamber = &sandbox.InProcess{Program: program, Policy: pol, OwnsBlock: true, Release: release}
-	}
+	var chamber sandbox.Chamber = &sandbox.InProcess{Program: program, Policy: pol, OwnsBlock: true, Release: release}
 	if w.cfg.ChamberWrapper != nil {
 		chamber = w.cfg.ChamberWrapper(chamber)
 	}

@@ -126,8 +126,8 @@ func TestChaosAllFaultKindsAccounted(t *testing.T) {
 	if res.NumBlocks != 80 {
 		t.Errorf("NumBlocks = %d, want 80", res.NumBlocks)
 	}
-	if want := 50.0 / 80; res.SubstitutionRate() != want {
-		t.Errorf("SubstitutionRate = %v, want %v", res.SubstitutionRate(), want)
+	if rate, want := float64(res.FailedBlocks)/float64(res.NumBlocks), 50.0/80; rate != want {
+		t.Errorf("substituted fraction = %v, want %v", rate, want)
 	}
 	if math.IsNaN(res.Output[0]) || math.IsInf(res.Output[0], 0) {
 		t.Errorf("garbage leaked into the release: output %v", res.Output)

@@ -114,17 +114,6 @@ type Result struct {
 	CacheHit bool
 }
 
-// SubstitutionRate reports the fraction of blocks that contributed the
-// substitute value instead of a real output — the run's degradation level.
-// 0 means every block computed; 1 means the output is pure noise around
-// the range midpoints.
-func (r *Result) SubstitutionRate() float64 {
-	if r.NumBlocks == 0 {
-		return 0
-	}
-	return float64(r.FailedBlocks) / float64(r.NumBlocks)
-}
-
 // Run executes program over rows under the sample-and-aggregate framework
 // and returns an Options.Epsilon-differentially private result. It does not
 // touch any budget ledger — callers (the computation manager) charge the

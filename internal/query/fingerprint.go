@@ -94,11 +94,6 @@ func hashProgram(h *qcache.Hasher, prog analytics.Program) bool {
 		h.Int(pr.Dims)
 		h.F64(pr.Fill)
 		return hashProgram(h, pr.Inner)
-	case Binary:
-		h.Str("binary")
-		h.Str(pr.Path)
-		h.Strs(pr.Args)
-		h.Int(pr.Dims)
 	default:
 		return false
 	}

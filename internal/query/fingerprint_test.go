@@ -52,8 +52,6 @@ func TestFingerprintDistinct(t *testing.T) {
 		"program-logreg":  func(q *Query) { q.Program = analytics.LogisticRegression{FeatureDims: 2, LabelCol: 2, LearnRate: 0.1} },
 		"logreg-rate":     func(q *Query) { q.Program = analytics.LogisticRegression{FeatureDims: 2, LabelCol: 2, LearnRate: 0.2} },
 		"program-pad":     func(q *Query) { q.Program = analytics.Pad{Inner: analytics.Mean{Col: 2}, Dims: 2} },
-		"program-binary":  func(q *Query) { q.Program = Binary{Path: "/bin/app", Dims: 1} },
-		"binary-args":     func(q *Query) { q.Program = Binary{Path: "/bin/app", Args: []string{"-x"}, Dims: 1} },
 		"block-size":      func(q *Query) { q.Options.BlockSize = 251 },
 		"gamma":           func(q *Query) { q.Options.Gamma = 4 },
 		"auto-block":      func(q *Query) { q.AutoBlockSize = true },
@@ -131,7 +129,6 @@ func TestFingerprintCachability(t *testing.T) {
 			q.Ranges.Mode = core.ModeHelper
 			q.Linear = &Linear{InputDim: []int{0}, Scale: []float64{1}, Offset: []float64{0}}
 		}, true},
-		"binary program": {func(q *Query) { q.Program = Binary{Path: "/bin/app", Dims: 1} }, true},
 	}
 	for name, c := range cases {
 		q := baseQuery()

@@ -113,21 +113,6 @@ func (l *Linear) Func(outputDims int) (func([]dp.Range) []dp.Range, error) {
 	}, nil
 }
 
-// Binary stands in for an uploaded executable: the host's subprocess
-// chamber runs the binary itself, but the engine needs the declared output
-// dimensionality and a name, and the fingerprint needs the identity.
-type Binary struct {
-	Path string
-	Args []string
-	Dims int
-}
-
-func (b Binary) Name() string    { return "binary:" + b.Path }
-func (b Binary) OutputDims() int { return b.Dims }
-func (b Binary) Run([]mathutil.Vec) (mathutil.Vec, error) {
-	return nil, errors.New("query: binary programs run only inside subprocess chambers")
-}
-
 // planRanges are the output ranges known before the run — what block-size
 // tuning and accuracy translation plan against. Helper mode has none.
 func (q *Query) planRanges() []dp.Range {
