@@ -62,11 +62,12 @@ bench-smoke:
 
 # alloc-guards runs the allocation count and byte guards of the block path
 # (chamber, worker, engine and the k-means/logreg kernels), the RNG pool's,
-# the table builder's row index, a client connection's read buffer, the
-# audit append and the served-query retention guard (live heap per answered
-# query) without the race detector: under it sync.Pool
-# drops a quarter of what is Put on purpose and 12,000 served queries take
-# minutes, so these guards skip themselves in the race pass.
+# the table builder's cells, a registration's constant count
+# (TestRegisterAllocations), a client connection's read buffer, the audit
+# append and the served-query retention guard (live heap per answered
+# query) without the race detector: under it sync.Pool drops a quarter of
+# what is Put on purpose and 12,000 served queries take minutes, so these
+# guards skip themselves in the race pass.
 alloc-guards:
 	$(GO) test -count=1 -run 'Allocations|SteadyStateBytes|RetainedBytes|TestRowBuf|TestCloneRows' ./internal/mathutil ./internal/analytics ./internal/core ./internal/sandbox ./internal/compman ./internal/dataset ./internal/telemetry/audit
 
@@ -101,6 +102,7 @@ fuzz:
 	$(GO) test ./internal/ledger -run xxx -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mathutil -run xxx -fuzz FuzzRNGMatchesMathRand -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mathutil -run xxx -fuzz FuzzGatherMatchesCopyRows -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/compman -run xxx -fuzz FuzzStridedMatchesParent -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/analytics -run xxx -fuzz FuzzKMeansMatchesParent -fuzztime $(FUZZTIME)
 
 # bench runs the one benchmark harness (BENCHMARK.json, bench/README.md):

@@ -162,6 +162,31 @@ func TestPlatformLooseAndHelperModes(t *testing.T) {
 	}
 }
 
+// Helper ranges under user-level privacy are refused before the charge, at
+// zero ε: the helper's percentile estimate ranks single rows, so a user with
+// k rows would spend k times the ε charged.
+func TestPlatformUserLevelHelperRefused(t *testing.T) {
+	p := newCensusPlatform(t, 100, 0)
+	_, err := p.Run(context.Background(), Query{
+		Dataset: "census",
+		Program: Mean{Col: 0},
+		Mode:    Helper,
+		Translate: func(in []Range) []Range {
+			return []Range{{Lo: in[0].Lo - 10, Hi: in[0].Hi + 10}}
+		},
+		Epsilon:   4,
+		BlockSize: 200,
+		Seed:      6,
+		UserLevel: true,
+	})
+	if err == nil || !strings.Contains(err.Error(), "user-level") {
+		t.Fatalf("helper ranges at user level: err = %v, want the refusal", err)
+	}
+	if rem, err := p.RemainingBudget("census"); err != nil || rem != 100 {
+		t.Errorf("refused query: remaining %v, err %v; want 100", rem, err)
+	}
+}
+
 func TestPlatformAutoBlockSize(t *testing.T) {
 	p := newCensusPlatform(t, 100, 0.1)
 	res, err := p.Run(context.Background(), Query{

@@ -230,6 +230,40 @@ func TestQueryHelperModeWithTranslateSpec(t *testing.T) {
 	}
 }
 
+// Helper ranges under user-level privacy are refused before the charge:
+// the helper's percentile estimate ranks single rows, so a user with k rows
+// would spend k times the ε charged. The same request at record level runs.
+func TestQueryUserLevelHelperRefused(t *testing.T) {
+	client, _ := startServer(t, 100)
+	req := &Request{
+		Dataset: "census",
+		Program: &ProgramSpec{Type: "mean", Col: 0},
+		Mode:    "helper",
+		Translate: &TranslateSpec{
+			InputDim: []int{0},
+			Scale:    []float64{1},
+			Offset:   []float64{0},
+		},
+		Epsilon:   4,
+		BlockSize: 200,
+		Seed:      6,
+		UserLevel: true,
+	}
+	if _, err := client.Query(req); err == nil || !strings.Contains(err.Error(), "user-level") {
+		t.Fatalf("helper ranges at user level: err = %v, want the refusal", err)
+	}
+	if rem, err := client.RemainingBudget("census"); err != nil || rem != 100 {
+		t.Errorf("refused query: remaining %v, err %v; want 100", rem, err)
+	}
+	req.UserLevel = false
+	if _, err := client.Query(req); err != nil {
+		t.Fatalf("helper ranges at record level: %v", err)
+	}
+	if rem, err := client.RemainingBudget("census"); err != nil || rem != 96 {
+		t.Errorf("record-level query: remaining %v, err %v; want 96", rem, err)
+	}
+}
+
 func TestQueryAccuracyGoal(t *testing.T) {
 	client, _ := startServer(t, 100)
 	resp, err := client.Query(&Request{

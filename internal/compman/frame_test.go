@@ -120,11 +120,13 @@ func randomShape(rng *rand.Rand) (rows []mathutil.Vec, idx []int, shape string) 
 	}
 }
 
-// The pool encodes a block straight from the table, one row at a time; the
-// frame must be the one the public encoder writes over a view of the same
-// rows, and that the replaced encoder wrote, byte for byte, for every shape.
-// An empty block is the uniform 0×0 layout, a zero-width first row or a
-// ragged block the per-row one.
+// The pool encodes a block straight from the table, one row at a time by
+// stride; the frame must be the one the public encoder writes over a view
+// of the same rows, and that the replaced encoder wrote, byte for byte, for
+// every shape. An empty block is the uniform 0×0 layout, a zero-width first
+// row or a ragged block the per-row one. A table is rectangular, so the
+// strided encoder meets the rectangular shapes; the public encoder meets
+// them all.
 func TestWorkFrameMatchesRequestEncoder(t *testing.T) {
 	spec := sampleWorkRequest().Spec
 	rng := rand.New(rand.NewSource(38))
@@ -148,13 +150,23 @@ func TestWorkFrameMatchesRequestEncoder(t *testing.T) {
 		if !bytes.Equal(public, want) {
 			t.Fatalf("%s: AppendWorkRequestFrame differs from the reference encoder", shape)
 		}
+		table, err := mathutil.FlattenRows(rows)
+		if err != nil {
+			return // ragged: no table has this shape
+		}
+		if idx == nil {
+			idx = make([]int, len(rows))
+			for i := range idx {
+				idx[i] = i
+			}
+		}
 		// Into a dirty buffer, as the pool's recycled frames are.
-		got, err := appendWorkFrame([]byte("stale bytes of an earlier frame"), &spec, rows, idx)
+		got, err := appendBlockFrame([]byte("stale bytes of an earlier frame"), &spec, table, idx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: appendWorkFrame differs from the reference encoder", shape)
+			t.Fatalf("%s: appendBlockFrame differs from the reference encoder", shape)
 		}
 	}
 	check(nil, nil, "no rows, idx nil")
@@ -225,7 +237,7 @@ func TestPoolChamberNilIndexIsEmptyBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	rows := []mathutil.Vec{{1}, {2}, {3}}
+	rows := mathutil.NewMatrix([]float64{1, 2, 3}, 3, 1)
 	chamber := pool.Chamber(meanSpec, nil).(sandbox.RowChamber)
 	_, _ = chamber.ExecuteRows(context.Background(), 0, rows, nil)
 	if got := stop(); len(got) != 1 || got[0] != "" {
@@ -248,10 +260,11 @@ func TestFanoutCancelledBlocksLeaveIndicesAlone(t *testing.T) {
 	chamber := pool.Chamber(meanSpec, nil).(sandbox.RowChamber)
 
 	const n, blocks, size, parallel = 4000, 96, 20, 8
-	rows := make([]mathutil.Vec, n)
-	for i := range rows {
-		rows[i] = mathutil.Vec{float64(i)}
+	cells := make([]float64, n)
+	for i := range cells {
+		cells[i] = float64(i)
 	}
+	rows := mathutil.NewMatrix(cells, n, 1)
 	rng := rand.New(rand.NewSource(7))
 	perm := rng.Perm(n)
 	delays := make([]time.Duration, blocks)
@@ -266,8 +279,8 @@ func TestFanoutCancelledBlocksLeaveIndicesAlone(t *testing.T) {
 		var block []mathutil.Vec
 		sum := 0.0
 		for _, i := range perm[b*size : (b+1)*size] {
-			block = append(block, rows[i])
-			sum += rows[i][0]
+			block = append(block, rows.Row(i))
+			sum += cells[i]
 		}
 		handed[blockString(block)] = true
 		means[b] = sum / size
@@ -344,12 +357,12 @@ func poolBlock(tb testing.TB) func() (mathutil.Vec, error) {
 		w.Close()
 		wg.Wait()
 	})
-	grid := gridBlock(385, 11)
-	rows := make([]mathutil.Vec, len(grid))
-	for i, r := range grid {
-		rows[i] = r
+	cells := make([]float64, 0, 385*11)
+	for _, r := range gridBlock(385, 11) {
+		cells = append(cells, r...)
 	}
-	idx := rand.New(rand.NewSource(1)).Perm(len(rows))
+	rows := mathutil.NewMatrix(cells, 385, 11)
+	idx := rand.New(rand.NewSource(1)).Perm(rows.Len())
 	chamber := pool.Chamber(meanSpec, nil).(sandbox.RowChamber)
 	return func() (mathutil.Vec, error) { return chamber.ExecuteRows(context.Background(), 0, rows, idx) }
 }

@@ -305,24 +305,19 @@ func (e *wireEncoder) ranges(rs []RangeSpec) {
 	}
 }
 
-// appendMatrix encodes the matrix rows[idx[0]], rows[idx[1]], … — every row
-// in order when idx is nil — reading each row once and building no view of
-// it. The uniform case, every row the width of the first, which is every
-// engine block and every registered table, is laid out as one contiguous
-// run of rows*cols values so the decoder can rebuild it with two
+// appendMatrix encodes the matrix of rows, reading each row once. The
+// uniform case, every row the width of the first, is laid out as one
+// contiguous run of rows*cols values so the decoder can rebuild it with two
 // allocations total. A later row of another width sends the encoder back
 // to the matrix's start, in the per-row layout. Zero-width rows go per-row
 // too, where each costs its 4-byte length: in the uniform layout no cell
 // would bound how many there are. An empty matrix is uniform 0×0.
-func appendMatrix[R ~[]float64](e *wireEncoder, rows []R, idx []int) {
+func appendMatrix[R ~[]float64](e *wireEncoder, rows []R) {
 	n := len(rows)
-	if idx != nil {
-		n = len(idx)
-	}
 	start := len(e.b)
 	cols := 0
 	if n > 0 {
-		cols = len(rowAt(rows, idx, 0))
+		cols = len(rows[0])
 	}
 	if n == 0 || cols > 0 {
 		e.u8(1)
@@ -331,7 +326,7 @@ func appendMatrix[R ~[]float64](e *wireEncoder, rows []R, idx []int) {
 		b := slices.Grow(e.b, 8*n*cols)
 		i := 0
 		for ; i < n; i++ {
-			r := rowAt(rows, idx, i)
+			r := rows[i]
 			if len(r) != cols {
 				break
 			}
@@ -347,17 +342,45 @@ func appendMatrix[R ~[]float64](e *wireEncoder, rows []R, idx []int) {
 	}
 	e.u8(0)
 	e.u32(uint32(n))
-	for i := 0; i < n; i++ {
-		e.f64s(rowAt(rows, idx, i))
+	for _, r := range rows {
+		e.f64s(r)
 	}
 }
 
-// rowAt is appendMatrix's i-th row.
-func rowAt[R ~[]float64](rows []R, idx []int, i int) []float64 {
-	if idx == nil {
-		return rows[i]
+// appendBlock encodes rows idx[0], idx[1], … of m, the bytes appendMatrix
+// writes for a view of those rows, reading each row from m's cells by
+// stride. Every row has m's width, so a block is uniform unless its rows
+// are zero-width, which go per-row as appendMatrix sends them; an empty
+// block is uniform 0×0 whatever m's width.
+func appendBlock(e *wireEncoder, m mathutil.Matrix, idx []int) {
+	n, w := len(idx), m.Width()
+	if n == 0 {
+		w = 0
+	} else if w == 0 {
+		e.u8(0)
+		e.u32(uint32(n))
+		for range idx {
+			e.u32(0)
+		}
+		return
 	}
-	return rows[idx[i]]
+	e.u8(1)
+	e.u32(uint32(n))
+	e.u32(uint32(w))
+	cells := m.Cells()
+	b := slices.Grow(e.b, 8*n*w)
+	if w == 1 {
+		for _, i := range idx {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(cells[i]))
+		}
+	} else {
+		for _, i := range idx {
+			for _, x := range cells[i*w : (i+1)*w] {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+			}
+		}
+	}
+	e.b = b
 }
 
 // --- decoder ---
@@ -669,7 +692,7 @@ func encodeRequestBody(e *wireEncoder, req *Request) {
 	e.boolb(req.Register != nil)
 	if req.Register != nil {
 		e.str(req.Register.Name)
-		appendMatrix(e, req.Register.Rows, nil)
+		appendMatrix(e, req.Register.Rows)
 		e.strs(req.Register.Columns)
 		e.f64(req.Register.TotalBudget)
 		e.ranges(req.Register.Ranges)
@@ -925,18 +948,27 @@ func AppendResponseFrame(dst []byte, resp *Response) ([]byte, error) {
 
 // AppendWorkRequestFrame appends the framed binary encoding of req to dst.
 func AppendWorkRequestFrame(dst []byte, req *WorkRequest) ([]byte, error) {
-	return appendWorkFrame(dst, &req.Spec, req.Block, nil)
+	return appendWorkFrame(dst, &req.Spec, req.Block)
 }
 
-// appendWorkFrame appends the work request frame of spec and the block
-// rows[idx[0]], rows[idx[1]], … (every row when idx is nil) to dst: the
-// frame AppendWorkRequestFrame would encode from a view of those rows,
-// without the view.
-func appendWorkFrame[R ~[]float64](dst []byte, spec *WorkSpec, rows []R, idx []int) ([]byte, error) {
+// appendWorkFrame appends the work request frame of spec and rows to dst.
+func appendWorkFrame[R ~[]float64](dst []byte, spec *WorkSpec, rows []R) ([]byte, error) {
 	e := newFrameEncoder(dst)
 	e.u8(wireMsgWorkRequest)
 	encodeWorkSpec(e, spec)
-	appendMatrix(e, rows, idx)
+	appendMatrix(e, rows)
+	return e.finishFrame()
+}
+
+// appendBlockFrame appends the work request frame of spec and the block of
+// rows idx[0], idx[1], … of m to dst: the frame AppendWorkRequestFrame
+// would encode from a view of those rows, read from m by stride without
+// the view.
+func appendBlockFrame(dst []byte, spec *WorkSpec, m mathutil.Matrix, idx []int) ([]byte, error) {
+	e := newFrameEncoder(dst)
+	e.u8(wireMsgWorkRequest)
+	encodeWorkSpec(e, spec)
+	appendBlock(e, m, idx)
 	return e.finishFrame()
 }
 

@@ -678,37 +678,38 @@ type poolChamber struct {
 // Execute implements sandbox.Chamber for callers without a block index:
 // the block goes to the least-loaded healthy worker.
 func (c *poolChamber) Execute(ctx context.Context, block []mathutil.Vec) (mathutil.Vec, error) {
-	return c.send(ctx, -1, block, nil)
+	return c.ExecuteBlock(ctx, -1, block)
 }
 
 // ExecuteBlock implements sandbox.BlockChamber: block idx is
 // rendezvous-assigned its home worker so assignment is stable under fleet
 // membership changes (only blocks homed on a removed worker move).
 func (c *poolChamber) ExecuteBlock(ctx context.Context, idx int, block []mathutil.Vec) (mathutil.Vec, error) {
-	return c.send(ctx, idx, block, nil)
+	f := getWorkFrame()
+	defer f.release()
+	b, err := appendWorkFrame(f.b[:0], &c.spec, block)
+	return c.send(ctx, idx, f, b, err)
 }
 
 // ExecuteRows implements sandbox.RowChamber, the engine's path: the block
-// is encoded straight from rows[idx[j]] into its work frame, so it is
-// copied once, onto the wire. Assignment is as under ExecuteBlock.
-func (c *poolChamber) ExecuteRows(ctx context.Context, block int, rows []mathutil.Vec, idx []int) (mathutil.Vec, error) {
-	if idx == nil {
-		idx = []int{} // an empty block: to the encoder, nil means every row
-	}
-	return c.send(ctx, block, rows, idx)
+// is encoded straight from the table, row idx[j] read from its cells by
+// stride, into its work frame, so it is copied once, onto the wire.
+// Assignment is as under ExecuteBlock.
+func (c *poolChamber) ExecuteRows(ctx context.Context, block int, rows mathutil.Matrix, idx []int) (mathutil.Vec, error) {
+	f := getWorkFrame()
+	defer f.release()
+	b, err := appendBlockFrame(f.b[:0], &c.spec, rows, idx)
+	return c.send(ctx, block, f, b, err)
 }
 
-// send encodes the block rows[idx[j]] (every row when idx is nil) into a
-// pooled work frame and dispatches it. The frame is complete before any
-// exchange starts, and every exchange of the block sends that same frame,
-// so nothing reads rows or idx after send returns: idx may alias the
-// engine's recycled permutation, which the next query overwrites while a
-// cancelled block's exchanges are still finishing in the background.
-func (c *poolChamber) send(ctx context.Context, block int, rows []mathutil.Vec, idx []int) (mathutil.Vec, error) {
-	f := workFramePool.Get().(*workFrame)
-	f.refs.Store(1)
-	defer f.release()
-	b, err := appendWorkFrame(f.b[:0], &c.spec, rows, idx)
+// send dispatches the block's work frame b, encoded into f's storage, or
+// reports err, the encoder's. The frame is complete before any exchange
+// starts, and every exchange of the block sends that same frame, so
+// nothing reads the rows or the index list after the encoder returns: the
+// index list may alias the engine's recycled permutation, which the next
+// query overwrites while a cancelled block's exchanges are still finishing
+// in the background.
+func (c *poolChamber) send(ctx context.Context, block int, f *workFrame, b []byte, err error) (mathutil.Vec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("compman: encode block: %w", err)
 	}
@@ -726,6 +727,13 @@ type workFrame struct {
 }
 
 var workFramePool = sync.Pool{New: func() any { return new(workFrame) }}
+
+// getWorkFrame takes a frame from workFramePool, held by its caller.
+func getWorkFrame() *workFrame {
+	f := workFramePool.Get().(*workFrame)
+	f.refs.Store(1)
+	return f
+}
 
 func (f *workFrame) release() {
 	if f.refs.Add(-1) == 0 {

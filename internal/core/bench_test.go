@@ -11,13 +11,15 @@ import (
 	"gupt/internal/mathutil"
 )
 
-func benchRows(n int) []mathutil.Vec {
+// benchRows is an n-row census-like age column laid out as a registered
+// table is: one row-major Matrix.
+func benchRows(n int) mathutil.Matrix {
 	rng := mathutil.NewRNG(1)
-	rows := make([]mathutil.Vec, n)
-	for i := range rows {
-		rows[i] = mathutil.Vec{mathutil.Clamp(40+10*rng.NormFloat64(), 0, 150)}
+	cells := make([]float64, n)
+	for i := range cells {
+		cells[i] = mathutil.Clamp(40+10*rng.NormFloat64(), 0, 150)
 	}
-	return rows
+	return mathutil.NewMatrix(cells, n, 1)
 }
 
 func BenchmarkMakePartition(b *testing.B) {
@@ -56,7 +58,7 @@ func BenchmarkRunMeanQuery(b *testing.B) {
 // from the rows — but the benchmark harness's replay still times one.
 func TestViewAllocations(t *testing.T) {
 	rng := mathutil.NewRNG(7)
-	rows := benchRows(10000)
+	rows := benchRows(10000).Rows()
 	part, err := MakePartition(rng, len(rows), 500, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +152,7 @@ func TestConcurrentRunsOnRecycledStorage(t *testing.T) {
 func BenchmarkBlockGather(b *testing.B) {
 	rng := mathutil.NewRNG(7)
 	rows := benchRows(30000)
-	part, err := MakePartition(rng, len(rows), 450, 1)
+	part, err := MakePartition(rng, rows.Len(), 450, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -114,24 +114,52 @@ type Result struct {
 	CacheHit bool
 }
 
+// Rows is what Run reads its records from: a table's Matrix, which Run
+// reads in place, or a slice of rows, which must all have one width and
+// which Run flattens into a Matrix once per call.
+type Rows interface {
+	[]mathutil.Vec | mathutil.Matrix
+}
+
+// ErrUserLevelHelper refuses helper-mode ranges under user-level privacy:
+// the helper's percentile estimate ranks single rows at RangeEps each, so a
+// user with k rows would move it k-fold and spend k·RangeEps. It is returned
+// before anything reads the rows, and query.Query.validate returns it before
+// the charge.
+var ErrUserLevelHelper = fmt.Errorf("%w: helper ranges are not available under user-level privacy", ErrRangeSpec)
+
 // Run executes program over rows under the sample-and-aggregate framework
 // and returns an Options.Epsilon-differentially private result. It does not
 // touch any budget ledger — callers (the computation manager) charge the
 // dataset's accountant before invoking Run.
-func Run(ctx context.Context, program analytics.Program, rows []mathutil.Vec, spec RangeSpec, opts Options) (*Result, error) {
+func Run[R Rows](ctx context.Context, program analytics.Program, rows R, spec RangeSpec, opts Options) (*Result, error) {
 	if program == nil {
 		return nil, errors.New("core: nil program")
 	}
-	n := len(rows)
+	m, ok := any(rows).(mathutil.Matrix)
+	if !ok {
+		var err error
+		if m, err = mathutil.FlattenRows(any(rows).([]mathutil.Vec)); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+	}
+	return run(ctx, program, m, spec, opts)
+}
+
+func run(ctx context.Context, program analytics.Program, rows mathutil.Matrix, spec RangeSpec, opts Options) (*Result, error) {
+	n := rows.Len()
 	if n == 0 {
 		return nil, errors.New("core: empty dataset")
 	}
 	if err := dpCheckEpsilon(opts.Epsilon); err != nil {
 		return nil, err
 	}
+	if opts.UserLevel && spec.Mode == ModeHelper {
+		return nil, ErrUserLevelHelper
+	}
 	opts = opts.withDefaults(n)
 
-	inputDims := len(rows[0])
+	inputDims := rows.Width()
 	outputDims := program.OutputDims()
 	if outputDims <= 0 {
 		return nil, fmt.Errorf("core: program %q declares %d output dims", program.Name(), outputDims)
@@ -292,17 +320,18 @@ func Run(ctx context.Context, program analytics.Program, rows []mathutil.Vec, sp
 // arity, non-finite values) contributes the substitute vector, so the
 // release pipeline sees a complete, well-formed matrix of block outputs.
 // Only cancellation of the caller's context aborts the run.
-func runBlocks(ctx context.Context, program analytics.Program, rows []mathutil.Vec, part *Partition, substitute mathutil.Vec, opts Options) (*blockMatrix, int, error) {
+func runBlocks(ctx context.Context, program analytics.Program, rows mathutil.Matrix, part *Partition, substitute mathutil.Vec, opts Options) (*blockMatrix, int, error) {
 	// Chambers report failures as errors; substitution happens below, the
 	// one place it happens, so every failed block is counted.
 	pol := sandbox.Policy{Quantum: opts.Quantum, Metrics: opts.Metrics}
-	// Every chamber gets the shared rows and the block's index list, and
-	// makes the one private copy (or wire encoding) itself, straight from
-	// rows. A chamber that makes no promise about the rows it is handed gets
-	// a fresh copy of each block from sandbox.Rows instead, because rows may
-	// be the registered table itself. The block index is routing metadata
-	// (the distributed pool's block→worker assignment); block outputs are
-	// keyed by index in the output matrix regardless.
+	// Every chamber gets the shared table and the block's index list, and
+	// makes the one private copy (or wire encoding) itself, reading each row
+	// from the table's cells by stride. A chamber that makes no promise
+	// about the rows it is handed gets a fresh copy of each block from
+	// sandbox.Rows instead, because rows may be the registered table
+	// itself. The block index is routing metadata (the distributed pool's
+	// block→worker assignment); block outputs are keyed by index in the
+	// output matrix regardless.
 	chamber := sandbox.Rows(opts.NewChamber(program, pol))
 
 	// Block-outcome counters and the occupancy gauge. All nil-safe: with

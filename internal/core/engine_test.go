@@ -210,8 +210,17 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(context.Background(), nil, rows, spec, Options{Epsilon: 1}); err == nil {
 		t.Error("nil program accepted")
 	}
-	if _, err := Run(context.Background(), analytics.Mean{Col: 0}, nil, spec, Options{Epsilon: 1}); err == nil {
+	if _, err := Run(context.Background(), analytics.Mean{Col: 0}, []mathutil.Vec(nil), spec, Options{Epsilon: 1}); err == nil {
 		t.Error("empty dataset accepted")
+	}
+	if _, err := Run(context.Background(), analytics.Mean{Col: 0}, []mathutil.Vec{{1}, {2, 3}}, spec, Options{Epsilon: 1}); err == nil {
+		t.Error("ragged rows accepted")
+	}
+	// Helper ranges under user-level privacy, refused before any row is
+	// read.
+	helper := RangeSpec{Mode: ModeHelper, Input: []dp.Range{{Lo: 0, Hi: 150}}, Translate: func(in []dp.Range) []dp.Range { return in }}
+	if _, err := Run(context.Background(), analytics.Mean{Col: 0}, rows, helper, Options{Epsilon: 1, UserLevel: true}); !errors.Is(err, ErrUserLevelHelper) || !errors.Is(err, ErrRangeSpec) {
+		t.Errorf("helper ranges at user level: err = %v, want ErrUserLevelHelper", err)
 	}
 	if _, err := Run(context.Background(), analytics.Mean{Col: 0}, rows, spec, Options{Epsilon: 0}); !errors.Is(err, dp.ErrInvalidEpsilon) {
 		t.Error("zero epsilon accepted")

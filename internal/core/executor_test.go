@@ -30,7 +30,7 @@ func (c countingChamber) Execute(context.Context, []mathutil.Vec) (mathutil.Vec,
 	panic("the engine calls ExecuteRows on a RowChamber")
 }
 
-func (c countingChamber) ExecuteRows(ctx context.Context, block int, rows []mathutil.Vec, idx []int) (mathutil.Vec, error) {
+func (c countingChamber) ExecuteRows(ctx context.Context, block int, rows mathutil.Matrix, idx []int) (mathutil.Vec, error) {
 	now := c.cur.Add(1)
 	defer c.cur.Add(-1)
 	for peak := c.peak.Load(); now > peak && !c.peak.CompareAndSwap(peak, now); peak = c.peak.Load() {

@@ -103,16 +103,19 @@ func MakeGroupedPartition(rng *mathutil.RNG, n int, groups [][]int, blockSize, g
 // given column — the common case where a user identifier is stored as a
 // numeric column. Groups are returned in ascending key order so the
 // partition is deterministic given the RNG.
-func GroupRowsByColumn(rows []mathutil.Vec, col int) ([][]int, error) {
-	if len(rows) == 0 {
+func GroupRowsByColumn(rows mathutil.Matrix, col int) ([][]int, error) {
+	if rows.Len() == 0 {
 		return nil, fmt.Errorf("core: no rows to group")
 	}
-	if col < 0 || col >= len(rows[0]) {
-		return nil, fmt.Errorf("core: group column %d out of range for %d-dim rows", col, len(rows[0]))
+	w := rows.Width()
+	if col < 0 || col >= w {
+		return nil, fmt.Errorf("core: group column %d out of range for %d-dim rows", col, w)
 	}
 	byKey := make(map[float64][]int)
-	for i, r := range rows {
-		byKey[r[col]] = append(byKey[r[col]], i)
+	cells := rows.Cells()
+	for i := 0; i < rows.Len(); i++ {
+		k := cells[i*w+col]
+		byKey[k] = append(byKey[k], i)
 	}
 	keys := make([]float64, 0, len(byKey))
 	for k := range byKey {

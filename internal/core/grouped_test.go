@@ -24,9 +24,18 @@ func userRows(seed int64, users, recordsPerUser int) []mathutil.Vec {
 	return rows
 }
 
+// flatten lays rows out as a registered table is: one row-major Matrix.
+func flatten(rows []mathutil.Vec) mathutil.Matrix {
+	m, err := mathutil.FlattenRows(rows)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
 func TestGroupRowsByColumn(t *testing.T) {
 	rows := userRows(1, 10, 3)
-	groups, err := GroupRowsByColumn(rows, 0)
+	groups, err := GroupRowsByColumn(flatten(rows), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,17 +52,17 @@ func TestGroupRowsByColumn(t *testing.T) {
 			}
 		}
 	}
-	if _, err := GroupRowsByColumn(rows, 9); err == nil {
+	if _, err := GroupRowsByColumn(flatten(rows), 9); err == nil {
 		t.Error("bad column accepted")
 	}
-	if _, err := GroupRowsByColumn(nil, 0); err == nil {
+	if _, err := GroupRowsByColumn(mathutil.Matrix{}, 0); err == nil {
 		t.Error("empty rows accepted")
 	}
 }
 
 func TestMakeGroupedPartitionKeepsUsersTogether(t *testing.T) {
 	rows := userRows(2, 50, 4) // 200 rows
-	groups, err := GroupRowsByColumn(rows, 0)
+	groups, err := GroupRowsByColumn(flatten(rows), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +92,7 @@ func TestMakeGroupedPartitionKeepsUsersTogether(t *testing.T) {
 
 func TestMakeGroupedPartitionResampling(t *testing.T) {
 	rows := userRows(4, 60, 2) // 120 rows
-	groups, _ := GroupRowsByColumn(rows, 0)
+	groups, _ := GroupRowsByColumn(flatten(rows), 0)
 	const gamma = 3
 	p, err := MakeGroupedPartition(mathutil.NewRNG(5), len(rows), groups, 12, gamma)
 	if err != nil {
@@ -144,7 +153,7 @@ func TestMakeGroupedPartitionProperty(t *testing.T) {
 		perUser := int(perUserRaw%4) + 1
 		n := users * perUser
 		rows := userRows(seed, users, perUser)
-		groups, err := GroupRowsByColumn(rows, 0)
+		groups, err := GroupRowsByColumn(flatten(rows), 0)
 		if err != nil {
 			return false
 		}

@@ -52,20 +52,28 @@ type Partition struct {
 	Gamma int
 	// N is the number of dataset rows partitioned.
 	N int
-	// perm is the recycled permutation a γ = 1 partition's Blocks alias.
-	perm *[]int
+	// scratch is the recycled storage of a γ = 1 partition: the
+	// permutation its Blocks alias, and Blocks itself.
+	scratch *partScratch
 }
 
-// permPool recycles γ = 1 permutations (n ints per query) between runs.
-var permPool = sync.Pool{New: func() any { return new([]int) }}
+// partScratch is a γ = 1 partition's storage (n ints and ℓ slice headers
+// per query), recycled between runs through partPool.
+type partScratch struct {
+	perm   []int
+	blocks [][]int
+}
 
-// release gives the partition's permutation back for the next run to draw
-// into; the partition and every view of it are dead afterwards. Optional: a
-// partition that is never released is simply collected.
+var partPool = sync.Pool{New: func() any { return new(partScratch) }}
+
+// release gives the partition's permutation and block list back for the
+// next run to draw into; the partition and every view of it are dead
+// afterwards. Optional: a partition that is never released is simply
+// collected.
 func (p *Partition) release() {
-	if p.perm != nil {
-		permPool.Put(p.perm)
-		p.perm, p.Blocks = nil, nil
+	if p.scratch != nil {
+		partPool.Put(p.scratch)
+		p.scratch, p.Blocks = nil, nil
 	}
 }
 
@@ -103,13 +111,17 @@ func MakePartition(rng *mathutil.RNG, n, blockSize, gamma int) (*Partition, erro
 	// an empty block would be substituted by the range midpoint and bias
 	// the aggregate.
 	if gamma == 1 {
-		recycled := permPool.Get().(*[]int)
-		if cap(*recycled) < n {
-			*recycled = make([]int, n)
+		scratch := partPool.Get().(*partScratch)
+		if cap(scratch.perm) < n {
+			scratch.perm = make([]int, n)
 		}
-		perm := (*recycled)[:n]
+		if cap(scratch.blocks) < numBlocks {
+			scratch.blocks = make([][]int, numBlocks)
+		}
+		perm := scratch.perm[:n]
 		rng.PermInto(perm)
-		blocks := make([][]int, numBlocks)
+		// Every block header is rewritten below.
+		blocks := scratch.blocks[:numBlocks:numBlocks]
 		base, extra := n/numBlocks, n%numBlocks
 		pos := 0
 		for b := range blocks {
@@ -122,7 +134,7 @@ func MakePartition(rng *mathutil.RNG, n, blockSize, gamma int) (*Partition, erro
 			blocks[b] = perm[pos : pos+size : pos+size]
 			pos += size
 		}
-		return &Partition{Blocks: blocks, BlockSize: blockSize, Gamma: 1, N: n, perm: recycled}, nil
+		return &Partition{Blocks: blocks, BlockSize: blockSize, Gamma: 1, N: n, scratch: scratch}, nil
 	}
 
 	blocks := make([][]int, numBlocks)
@@ -228,10 +240,10 @@ func (p *Partition) Sensitivity(width float64) float64 {
 
 // View returns the rows of block i aliasing rows directly — one slice
 // header allocation, zero row copies. The engine does not build views: it
-// hands chambers rows and p.Blocks[i] (sandbox.RowChamber), and each
-// chamber's one copy reads the block straight from rows. A view handed to
-// a mutating consumer would corrupt the dataset for every other block
-// sharing those rows (γ > 1) and for every later query.
+// hands chambers the table's Matrix and p.Blocks[i] (sandbox.RowChamber),
+// and each chamber's one copy reads the block from the table by stride. A
+// view handed to a mutating consumer would corrupt the dataset for every
+// other block sharing those rows (γ > 1) and for every later query.
 func (p *Partition) View(rows []mathutil.Vec, i int) []mathutil.Vec {
 	idx := p.Blocks[i]
 	view := make([]mathutil.Vec, len(idx))

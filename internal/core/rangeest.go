@@ -106,13 +106,14 @@ func (s RangeSpec) validate(inputDims, outputDims int) error {
 // for each input dimension, a DP inter-percentile estimate inside the
 // public bound, spending rangeEps per dimension, then the analyst's
 // translation.
-func estimateHelperRanges(rng *mathutil.RNG, rows []mathutil.Vec, spec RangeSpec, input []dp.Range, rangeEps float64, outputDims int) ([]dp.Range, error) {
+func estimateHelperRanges(rng *mathutil.RNG, rows mathutil.Matrix, spec RangeSpec, input []dp.Range, rangeEps float64, outputDims int) ([]dp.Range, error) {
 	pLo, pHi := spec.percentilePair()
 	tight := make([]dp.Range, len(input))
-	col := make([]float64, len(rows))
+	col := make([]float64, rows.Len())
+	cells, w := rows.Cells(), rows.Width()
 	for d := range input {
-		for i, r := range rows {
-			col[i] = r[d]
+		for i := range col {
+			col[i] = cells[i*w+d]
 		}
 		iqr, err := dp.PercentileRange(rng, col, pLo, pHi, input[d], rangeEps)
 		if err != nil {

@@ -18,6 +18,7 @@ func ReadCSV(r io.Reader, header bool) (*Table, error) {
 	cr.FieldsPerRecord = -1 // we validate rectangularity ourselves with better errors
 
 	var t *Table
+	var row mathutil.Vec
 	line := 0
 	for {
 		rec, err := cr.Read()
@@ -35,13 +36,15 @@ func ReadCSV(r io.Reader, header bool) (*Table, error) {
 			}
 			t = New(nil)
 		}
-		row := make(mathutil.Vec, len(rec))
+		// Append copies the row into the table's cells, so one row buffer
+		// serves every line.
+		row = row[:0]
 		for i, f := range rec {
 			v, err := strconv.ParseFloat(f, 64)
 			if err != nil {
 				return nil, fmt.Errorf("dataset: csv line %d field %d: %w", line, i+1, err)
 			}
-			row[i] = v
+			row = append(row, v)
 		}
 		if err := t.Append(row); err != nil {
 			return nil, fmt.Errorf("dataset: csv line %d: %w", line, err)
@@ -63,8 +66,9 @@ func (t *Table) WriteCSV(w io.Writer) error {
 		}
 	}
 	rec := make([]string, t.Dims())
-	for _, row := range t.rows {
-		for i, v := range row {
+	m := t.Matrix()
+	for r := 0; r < m.Len(); r++ {
+		for i, v := range m.Row(r) {
 			rec[i] = strconv.FormatFloat(v, 'g', -1, 64)
 		}
 		if err := cw.Write(rec); err != nil {

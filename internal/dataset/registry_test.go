@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"gupt/internal/allocguard"
 	"gupt/internal/dp"
 	"gupt/internal/mathutil"
 )
@@ -177,5 +178,36 @@ func TestRegistrySharedAccountant(t *testing.T) {
 	}
 	if err := r2.Accountant.Spend("q", 0.5); !errors.Is(err, dp.ErrBudgetExhausted) {
 		t.Errorf("second handle allowed overspend, err=%v", err)
+	}
+}
+
+// Registering a table allocates a constant number of objects for its
+// cells, however many rows it has: the table is one row-major array, and
+// the aged split copies each part into one array of its own. Built row by
+// row, the same registration allocated one object per row.
+func TestRegisterAllocations(t *testing.T) {
+	allocguard.SkipUnderRace(t, "the race detector adds allocations of its own")
+	register := func(tbl *Table, opts RegisterOptions) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := NewRegistry().Register("d", tbl, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// Measured 5 and 14 at both sizes; a garbage collection that starts
+	// inside one of the large allocations can add one of its own.
+	for _, c := range []struct {
+		name string
+		opts RegisterOptions
+		max  float64
+	}{
+		{"whole table", RegisterOptions{TotalBudget: 1}, 6},
+		{"aged split", RegisterOptions{TotalBudget: 1, AgedFraction: 0.1, Seed: 3}, 15},
+	} {
+		for _, n := range []int{200, 20000} {
+			if allocs := register(sampleTable(t, n), c.opts); allocs > c.max {
+				t.Errorf("%s: registering %d rows allocates %.0f times, want ≤ %.0f", c.name, n, allocs, c.max)
+			}
+		}
 	}
 }

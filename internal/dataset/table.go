@@ -21,11 +21,16 @@ var ErrDimensionMismatch = errors.New("dataset: row dimension mismatch")
 // Table is an immutable-after-build collection of k-dimensional real-valued
 // records, the unit of data that GUPT computations run against. A table may
 // carry optional column names and per-column attribute ranges supplied by
-// the data owner. Once registered, its rows are shared read-only by every
-// concurrent query (View); only copies ever reach an analysis program.
+// the data owner. Its records are one row-major array of fixed width, the
+// trusted side's only copy: once registered it is shared read-only by every
+// concurrent query (Matrix), and only copies ever reach an analysis program.
 type Table struct {
-	cols   []string
-	rows   []mathutil.Vec
+	cols  []string
+	cells []float64 // n rows of w cells, row-major
+	n, w  int
+	// grow is the row count Grow reserved before the first row fixed the
+	// width of a table without column names.
+	grow   int
 	ranges []dp.Range // nil if the owner supplied no attribute ranges
 }
 
@@ -33,7 +38,7 @@ type Table struct {
 // Append. A nil or empty cols is allowed for anonymous columns once the
 // first row fixes the dimensionality.
 func New(cols []string) *Table {
-	return &Table{cols: append([]string(nil), cols...)}
+	return &Table{cols: append([]string(nil), cols...), w: len(cols)}
 }
 
 // FromRows builds a table directly from rows, which must be non-empty and
@@ -55,57 +60,69 @@ func (t *Table) Append(row mathutil.Vec) error {
 	if len(t.cols) > 0 && len(row) != len(t.cols) {
 		return fmt.Errorf("%w: row has %d values, table has %d columns", ErrDimensionMismatch, len(row), len(t.cols))
 	}
-	if len(t.rows) > 0 && len(row) != len(t.rows[0]) {
-		return fmt.Errorf("%w: row has %d values, table rows have %d", ErrDimensionMismatch, len(row), len(t.rows[0]))
+	if t.n > 0 && len(row) != t.w {
+		return fmt.Errorf("%w: row has %d values, table rows have %d", ErrDimensionMismatch, len(row), t.w)
 	}
-	t.rows = append(t.rows, row.Clone())
+	if t.n == 0 && len(t.cols) == 0 {
+		t.w = len(row)
+		t.cells = slices.Grow(t.cells, t.grow*t.w)
+	}
+	t.cells = append(t.cells, row...)
+	t.n++
 	return nil
 }
 
 // Grow makes room for n more rows, so that the next n Appends do not
-// reallocate the row index. A builder that knows its row count calls it
-// first: growing a 20,000-row index one Append at a time allocates about
-// five times its final size.
+// reallocate the cells. A builder that knows its row count calls it first:
+// growing a 20,000-row table one Append at a time allocates about twice its
+// final size. Before the first row of a table without column names the
+// width is unknown, and the reservation is made when that row fixes it.
 func (t *Table) Grow(n int) {
-	t.rows = slices.Grow(t.rows, n)
+	if t.n == 0 && len(t.cols) == 0 {
+		t.grow = n
+		return
+	}
+	t.cells = slices.Grow(t.cells, n*t.w)
 }
 
 // NumRows returns the number of records.
-func (t *Table) NumRows() int { return len(t.rows) }
+func (t *Table) NumRows() int { return t.n }
 
 // Dims returns the record dimensionality, or 0 for an empty table with no
 // declared columns.
-func (t *Table) Dims() int {
-	if len(t.rows) > 0 {
-		return len(t.rows[0])
-	}
-	return len(t.cols)
-}
+func (t *Table) Dims() int { return t.w }
 
 // Columns returns a copy of the column names (possibly empty).
 func (t *Table) Columns() []string { return append([]string(nil), t.cols...) }
 
 // Row returns a copy of record i.
-func (t *Table) Row(i int) mathutil.Vec { return t.rows[i].Clone() }
+func (t *Table) Row(i int) mathutil.Vec { return t.Matrix().Row(i).Clone() }
 
 // Rows returns a deep copy of all records, which the caller owns. The
-// query pipeline does not use it: the engine reads the shared View and the
+// query pipeline does not use it: the engine reads the shared Matrix and the
 // chamber makes the one private copy per block.
-func (t *Table) Rows() []mathutil.Vec { return mathutil.CloneRows(t.rows) }
+func (t *Table) Rows() []mathutil.Vec { return t.Matrix().Clone().Rows() }
 
-// View returns the table's records without copying them. The result is
-// shared with every other reader and must be treated as read-only — rows
-// and row headers alike. It exists for the trusted engine, which reads it
-// to partition and hands untrusted programs a private copy of each block
-// in recycled storage (the state-attack defense; sandbox.InProcess has the
-// rules); nothing outside the trusted side may see it.
-func (t *Table) View() []mathutil.Vec { return t.rows }
+// Matrix returns the table's records without copying them. The result is
+// shared with every other reader and must be treated as read-only. It
+// exists for the trusted engine, which reads it to partition and hands
+// untrusted programs a private copy of each block in recycled storage (the
+// state-attack defense; sandbox.InProcess has the rules); nothing outside
+// the trusted side may see it.
+func (t *Table) Matrix() mathutil.Matrix {
+	return mathutil.NewMatrix(t.cells[:t.n*t.w], t.n, t.w)
+}
+
+// View returns one header per record over the shared cells, with the same
+// rules as Matrix: no cell is copied, and nothing outside the trusted side
+// may see the result. It allocates the headers on every call.
+func (t *Table) View() []mathutil.Vec { return t.Matrix().Rows() }
 
 // Column returns a copy of column j across all records.
 func (t *Table) Column(j int) []float64 {
-	out := make([]float64, len(t.rows))
-	for i, r := range t.rows {
-		out[i] = r[j]
+	out := make([]float64, t.n)
+	for i := range out {
+		out[i] = t.cells[i*t.w : (i+1)*t.w][j]
 	}
 	return out
 }
@@ -115,9 +132,10 @@ func (t *Table) Column(j int) []float64 {
 func (t *Table) Subset(indices []int) *Table {
 	sub := New(t.cols)
 	sub.ranges = append([]dp.Range(nil), t.ranges...)
-	sub.Grow(len(indices))
+	sub.w, sub.n = t.w, len(indices)
+	sub.cells = make([]float64, 0, len(indices)*t.w)
 	for _, i := range indices {
-		sub.rows = append(sub.rows, t.rows[i].Clone())
+		sub.cells = append(sub.cells, t.cells[i*t.w:(i+1)*t.w]...)
 	}
 	return sub
 }
@@ -152,7 +170,7 @@ func (t *Table) Ranges() []dp.Range {
 // sample.
 func (t *Table) Split(rng *mathutil.RNG, frac float64) (*Table, *Table) {
 	frac = mathutil.Clamp(frac, 0, 1)
-	n := len(t.rows)
+	n := t.n
 	cut := int(frac * float64(n))
 	perm := rng.Perm(n)
 	return t.Subset(perm[:cut]), t.Subset(perm[cut:])

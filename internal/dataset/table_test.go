@@ -57,9 +57,12 @@ func TestTableRowsAreCopies(t *testing.T) {
 	if tbl.Row(0)[0] != 1 {
 		t.Error("Rows exposed internal storage")
 	}
-	// View is the one accessor that does not copy: the trusted engine reads
-	// the registered rows through it in place.
-	if view := tbl.View(); len(view) != 1 || &view[0][0] != &tbl.rows[0][0] {
+	// Matrix and View are the accessors that do not copy: the trusted
+	// engine reads the registered cells through Matrix in place.
+	if m := tbl.Matrix(); m.Len() != 1 || m.Width() != 2 || &m.Cells()[0] != &tbl.cells[0] {
+		t.Error("Matrix copied the table instead of aliasing it")
+	}
+	if view := tbl.View(); len(view) != 1 || &view[0][0] != &tbl.cells[0] {
 		t.Error("View copied the table instead of aliasing it")
 	}
 }
@@ -71,25 +74,31 @@ func TestTableRaggedRejected(t *testing.T) {
 	}
 }
 
-// A builder that calls Grow first allocates the row index once: a table
-// built by FromRows costs one allocation per row plus that index, never the
-// chain of ever-larger indices that appending row by row leaves behind.
+// A builder that calls Grow first allocates the cells once: a table built
+// by FromRows costs a constant number of allocations however many rows it
+// has, never one per row, nor the chain of ever-larger arrays that
+// appending row by row leaves behind.
 func TestTableBuildAllocations(t *testing.T) {
 	const n = 2000
 	rows := make([]mathutil.Vec, n)
 	for i := range rows {
 		rows[i] = mathutil.Vec{float64(i)}
 	}
-	tbl := New(nil)
-	tbl.Grow(n)
-	index := &tbl.rows[:1][0]
-	for _, r := range rows {
-		if err := tbl.Append(r); err != nil {
+	for _, cols := range [][]string{nil, {"x"}} {
+		tbl := New(cols)
+		tbl.Grow(n)
+		if err := tbl.Append(rows[0]); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if &tbl.rows[0] != index {
-		t.Error("Append reallocated the row index after Grow")
+		cells := &tbl.cells[0]
+		for _, r := range rows[1:] {
+			if err := tbl.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if &tbl.cells[0] != cells {
+			t.Errorf("columns %v: Append reallocated the cells after Grow", cols)
+		}
 	}
 
 	allocguard.SkipUnderRace(t, "the race detector adds allocations of its own")
@@ -98,8 +107,8 @@ func TestTableBuildAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// n row copies, the index, the table and its column names.
-	if max := float64(n + 3); allocs > max {
+	// The cells, the table and its column names.
+	if max := 3.0; allocs > max {
 		t.Errorf("FromRows(%d rows) made %.0f allocations, want ≤ %.0f", n, allocs, max)
 	}
 }

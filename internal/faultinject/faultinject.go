@@ -219,7 +219,7 @@ func (c *Chamber) Execute(ctx context.Context, block []mathutil.Vec) (mathutil.V
 // delays and never touches the rows, so an inner RowChamber (the
 // distributed pool keeps its block→worker assignment) reads them in place,
 // and any other inner chamber gets a private copy of each block.
-func (c *Chamber) ExecuteRows(ctx context.Context, block int, rows []mathutil.Vec, idx []int) (mathutil.Vec, error) {
+func (c *Chamber) ExecuteRows(ctx context.Context, block int, rows mathutil.Matrix, idx []int) (mathutil.Vec, error) {
 	return c.execute(ctx, func(ctx context.Context) (mathutil.Vec, error) {
 		return sandbox.Rows(c.Inner).ExecuteRows(ctx, block, rows, idx)
 	})

@@ -1,6 +1,9 @@
 package mathutil
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // RowBuf is recycled storage for one private block of rows: a header slice
 // over one flat backing array, both kept between uses so that a block path
@@ -13,6 +16,15 @@ import "sync"
 type RowBuf struct {
 	rows []Vec
 	data []float64
+	// cut holds consecutive cutW-cell headers over data, each capacity cut
+	// to its length: a pristine copy that no program ever sees, from which
+	// a uniform use rewrites all of its headers in one copy instead of one
+	// slice expression per row. A buffer builds it on a use that finds its
+	// header slice already big enough, so a buffer used once never does, and
+	// rebuilds it when the width changes, when it is too short, and when
+	// data is reallocated.
+	cut  []Vec
+	cutW int
 }
 
 var rowBufPool = sync.Pool{New: func() any { return new(RowBuf) }}
@@ -29,15 +41,38 @@ func (b *RowBuf) Release() {
 }
 
 // grow returns n headers over total floats of b's storage, allocating only
-// when an earlier use was smaller. Contents are stale until overwritten.
-func (b *RowBuf) grow(n, total int) ([]Vec, []float64) {
-	if cap(b.rows) < n {
+// when an earlier use was smaller, and reports whether the headers are
+// reused. Contents are stale until overwritten.
+func (b *RowBuf) grow(n, total int) ([]Vec, []float64, bool) {
+	reused := cap(b.rows) >= n
+	if !reused {
 		b.rows = make([]Vec, n)
 	}
 	if cap(b.data) < total {
 		b.data = make([]float64, total)
+		b.cut = nil
 	}
-	return b.rows[:n:n], b.data[:total]
+	return b.rows[:n:n], b.data[:total], reused
+}
+
+// cutRows rewrites every header of rows as consecutive w-cell rows of b's
+// storage, from the first cell on, each with its capacity cut to its
+// length; rows and reused come from grow(len(rows), len(rows)*w).
+func (b *RowBuf) cutRows(rows []Vec, w int, reused bool) {
+	if b.cutW != w || len(b.cut) < len(rows) {
+		if !reused {
+			for j := range rows {
+				rows[j] = b.data[j*w : (j+1)*w : (j+1)*w]
+			}
+			return
+		}
+		b.cut = slices.Grow(b.cut[:0], len(rows))[:len(rows)]
+		for j := range b.cut {
+			b.cut[j] = b.data[j*w : (j+1)*w : (j+1)*w]
+		}
+		b.cutW = w
+	}
+	copy(rows, b.cut)
 }
 
 // CopyRows deep-copies src into b's storage and returns the copy, laid out
@@ -48,7 +83,7 @@ func (b *RowBuf) CopyRows(src []Vec) []Vec {
 	for _, r := range src {
 		total += len(r)
 	}
-	rows, data := b.grow(len(src), total)
+	rows, data, _ := b.grow(len(src), total)
 	off := 0
 	for i, r := range src {
 		end := off + copy(data[off:], r)
@@ -58,77 +93,32 @@ func (b *RowBuf) CopyRows(src []Vec) []Vec {
 	return rows
 }
 
-// Gather deep-copies src[idx[0]], src[idx[1]], … into b's storage and
+// Gather deep-copies rows idx[0], idx[1], … of src into b's storage and
 // returns the copy, laid out like CopyRows: one flat backing array, each
-// row's capacity cut to its length. It is CopyRows over a view of those
-// rows without building the view, so a block is read from the table once.
-func (b *RowBuf) Gather(src []Vec, idx []int) []Vec {
-	total := 0
-	if len(idx) > 0 {
-		width := len(src[idx[0]])
-		if width == 1 {
-			if rows, ok := b.gatherColumn(src, idx); ok {
-				return rows
-			}
+// row's capacity cut to its length. Each row is read from src by stride, so
+// a block is read from the table once and builds no view of it first: one
+// load per cell at width 1, one copy per row otherwise. The headers are
+// written in a second pass, one copy independent of the table.
+func (b *RowBuf) Gather(src Matrix, idx []int) []Vec {
+	w, cells := src.w, src.cells
+	rows, data, reused := b.grow(len(idx), len(idx)*w)
+	if w == 1 {
+		for j, i := range idx {
+			data[j] = cells[i]
 		}
-		// Sized for rectangular rows, so that each row is visited once; a
-		// row longer than the first sends the gather round again at the
-		// exact size.
-		total = len(idx) * width
+	} else {
+		for j, i := range idx {
+			copy(data[j*w:(j+1)*w], cells[i*w:(i+1)*w])
+		}
 	}
-	if rows, ok := b.gather(src, idx, total); ok {
-		return rows
-	}
-	total = 0
-	for _, i := range idx {
-		total += len(src[i])
-	}
-	rows, _ := b.gather(src, idx, total)
+	b.cutRows(rows, w, reused)
 	return rows
-}
-
-// gatherColumn is Gather for a block of one-cell rows, in two passes: the
-// cells first, one load and one store each, then the headers, which are
-// sequential and independent of the table. It reports false, leaving the
-// storage for gather to overwrite, at the first row of another width.
-func (b *RowBuf) gatherColumn(src []Vec, idx []int) ([]Vec, bool) {
-	rows, data := b.grow(len(idx), len(idx))
-	for j, i := range idx {
-		r := src[i]
-		if len(r) != 1 {
-			return nil, false
-		}
-		data[j] = r[0]
-	}
-	for j := range rows {
-		rows[j] = data[j : j+1 : j+1]
-	}
-	return rows, true
-}
-
-// gather is Gather into total floats of b's storage, one row at a time; it
-// reports false when the rows do not fit.
-func (b *RowBuf) gather(src []Vec, idx []int, total int) ([]Vec, bool) {
-	rows, data := b.grow(len(idx), total)
-	off := 0
-	for j, i := range idx {
-		r := src[i]
-		if len(r) > len(data)-off {
-			return nil, false
-		}
-		end := off + copy(data[off:], r)
-		rows[j] = data[off:end:end]
-		off = end
-	}
-	return rows, true
 }
 
 // Grid returns n rows of cols stale floats each in b's storage, for a
 // caller (the work-frame decoder) that fills every cell itself.
 func (b *RowBuf) Grid(n, cols int) []Vec {
-	rows, data := b.grow(n, n*cols)
-	for i := range rows {
-		rows[i] = data[i*cols : (i+1)*cols : (i+1)*cols]
-	}
+	rows, _, reused := b.grow(n, n*cols)
+	b.cutRows(rows, cols, reused)
 	return rows
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 func gridRows(n, cols int, base float64) []Vec {
@@ -97,40 +98,37 @@ func assertSameRows(t *testing.T, got, want []Vec) {
 	}
 }
 
+// gridMatrix is gridRows as one row-major Matrix.
+func gridMatrix(n, cols int, base float64) Matrix {
+	m, err := FlattenRows(gridRows(n, cols, base))
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
 // Gather is CopyRows over the view of the same index list: the same rows in
-// the same order, every capacity cut, and nothing aliased, for rectangular
-// rows, ragged rows, one-column rows (with and without a row of another
-// width further on) and an empty list, into fresh storage and into storage
-// a larger, wider block left stale.
+// the same order, every capacity cut, and nothing aliased, for wide rows,
+// one-column rows, zero-width rows, repeated indices and an empty list, into
+// fresh storage and into storage a larger, wider block left stale.
 func TestRowBufGatherMatchesCopyRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	ragged := make([]Vec, 300)
-	for i := range ragged {
-		ragged[i] = make(Vec, rng.Intn(6))
-		for k := range ragged[i] {
-			ragged[i][k] = rng.NormFloat64()
-		}
-	}
-	colWider := gridRows(60, 1, 0)
-	colWider[37] = Vec{-1, -2, -3}
-	colEmpty := gridRows(60, 1, 0)
-	colEmpty[37] = Vec{}
 	cases := map[string]struct {
-		src []Vec
+		src Matrix
 		idx []int
 	}{
-		"rectangular":            {gridRows(400, 3, 0), rng.Perm(400)[:150]},
-		"repeats":                {gridRows(50, 2, 7), []int{4, 4, 0, 49, 4, 17}},
-		"ragged":                 {ragged, rng.Perm(300)},
-		"empty":                  {gridRows(10, 3, 0), []int{}},
-		"nil":                    {gridRows(10, 3, 0), nil},
-		"one column":             {gridRows(400, 1, 0), rng.Perm(400)[:150]},
-		"one column, then wider": {colWider, []int{0, 5, 37, 2, 59, 37}},
-		"one column, then empty": {colEmpty, []int{0, 5, 37, 2, 59, 37}},
+		"rectangular": {gridMatrix(400, 3, 0), rng.Perm(400)[:150]},
+		"repeats":     {gridMatrix(50, 2, 7), []int{4, 4, 0, 49, 4, 17}},
+		"wide":        {gridMatrix(300, 11, -5), rng.Perm(300)},
+		"empty":       {gridMatrix(10, 3, 0), []int{}},
+		"nil":         {gridMatrix(10, 3, 0), nil},
+		"one column":  {gridMatrix(400, 1, 0), rng.Perm(400)[:150]},
+		"zero width":  {gridMatrix(60, 0, 0), []int{0, 5, 37, 2, 59, 37}},
 	}
 	stale := gridRows(1000, 5, -1e6)
 	for name, c := range cases {
-		want := new(RowBuf).CopyRows(view(c.src, c.idx))
+		src := c.src.Rows()
+		want := new(RowBuf).CopyRows(view(src, c.idx))
 		var reused RowBuf
 		reused.CopyRows(stale)
 		for _, buf := range []*RowBuf{new(RowBuf), &reused} {
@@ -138,7 +136,7 @@ func TestRowBufGatherMatchesCopyRows(t *testing.T) {
 			assertSameRows(t, got, want)
 			assertNoReachBack(t, got)
 			for j, i := range c.idx {
-				if len(got[j]) > 0 && &got[j][0] == &c.src[i][0] {
+				if len(got[j]) > 0 && &got[j][0] == &src[i][0] {
 					t.Fatalf("%s: row %d aliases source row %d", name, j, i)
 				}
 			}
@@ -146,10 +144,11 @@ func TestRowBufGatherMatchesCopyRows(t *testing.T) {
 	}
 }
 
-// FuzzGatherMatchesCopyRows builds a table from one byte string, a byte per
-// row giving its width (0–11), and an index list from the other, and checks
-// Gather against CopyRows over the view, into fresh storage and into storage
-// that a larger, wider block left stale.
+// FuzzGatherMatchesCopyRows builds a table from one byte string, its first
+// byte giving the width (0–11) of every row and its length the row count,
+// and an index list from the other, and checks Gather against CopyRows over
+// the view, into fresh storage and into storage that a larger, wider block
+// left stale.
 func FuzzGatherMatchesCopyRows(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 1}, []byte{3, 0, 2, 0})
 	f.Add([]byte{1, 1, 4, 1}, []byte{0, 2, 1})
@@ -160,20 +159,17 @@ func FuzzGatherMatchesCopyRows(f *testing.F) {
 		if len(widths) == 0 {
 			return
 		}
-		src := make([]Vec, len(widths))
-		cell := 0.0
-		for i, w := range widths {
-			src[i] = make(Vec, w%12)
-			for k := range src[i] {
-				cell++
-				src[i][k] = cell
-			}
+		w := int(widths[0] % 12)
+		cells := make([]float64, len(widths)*w)
+		for k := range cells {
+			cells[k] = float64(k + 1)
 		}
+		src := NewMatrix(cells, len(widths), w)
 		idx := make([]int, len(picks))
 		for j, p := range picks {
-			idx[j] = int(p) % len(src)
+			idx[j] = int(p) % len(widths)
 		}
-		want := new(RowBuf).CopyRows(view(src, idx))
+		want := new(RowBuf).CopyRows(view(src.Rows(), idx))
 		var reused RowBuf
 		reused.Grid(len(idx)+3, 12)
 		for _, buf := range []*RowBuf{new(RowBuf), &reused} {
@@ -187,12 +183,71 @@ func FuzzGatherMatchesCopyRows(f *testing.F) {
 // Gathering into storage that already fits allocates nothing: a chamber's
 // pooled buffer serves block after block.
 func TestRowBufGatherReuseAllocations(t *testing.T) {
-	src := gridRows(2000, 1, 0)
-	idx := rand.New(rand.NewSource(5)).Perm(len(src))[:300]
+	src := gridMatrix(2000, 1, 0)
+	idx := rand.New(rand.NewSource(5)).Perm(src.Len())[:300]
 	var buf RowBuf
 	buf.Gather(src, idx)
 	if allocs := testing.AllocsPerRun(50, func() { buf.Gather(src, idx) }); allocs != 0 {
 		t.Errorf("Gather into storage that already fits allocates %.0f times, want 0", allocs)
+	}
+}
+
+// assertTiled fails unless every row has w cells and row j starts w cells
+// after row j-1: the rows tile one array from its first cell on.
+func assertTiled(t *testing.T, rows []Vec, w int) {
+	t.Helper()
+	for j, r := range rows {
+		if len(r) != w {
+			t.Fatalf("row %d has %d cells, want %d", j, len(r), w)
+		}
+		if w > 0 && j > 0 && uintptr(unsafe.Pointer(&r[0])) != uintptr(unsafe.Pointer(&rows[0][0]))+uintptr(8*w*j) {
+			t.Fatalf("row %d does not start %d cells after row %d", j, w, j-1)
+		}
+	}
+}
+
+// One buffer serves blocks of changing widths and sizes, gathered and
+// decoded (Grid), and a vandal rewrites the headers it was handed after
+// every use: swaps them, points one at another row's cells, empties one
+// and drops one. Each shape is used twice in a row, so the second use
+// finds its header template ready. Every use must still rewrite all of its
+// headers, from the first cell of its own storage on, with both capacities
+// cut (the recycling rule the header template must keep).
+func TestRowBufReusedHeadersRewritten(t *testing.T) {
+	var buf RowBuf
+	vandalise := func(rows []Vec) {
+		if len(rows) < 3 {
+			return
+		}
+		rows[0], rows[1] = rows[1], rows[0]
+		rows[2] = rows[len(rows)-1]
+		if r := rows[len(rows)-1]; cap(r) > 0 {
+			rows[len(rows)-1] = r[:0]
+		}
+		rows[len(rows)/2] = nil
+	}
+	rng := rand.New(rand.NewSource(9))
+	for step, s := range []struct{ w, n int }{
+		{1, 300}, {1, 300}, {1, 120}, {3, 100}, {3, 100}, {1, 300}, {0, 40}, {11, 200}, {11, 385}, {2, 50}, {11, 385},
+	} {
+		src := gridMatrix(500, s.w, float64(1000*step))
+		for range 2 {
+			idx := rng.Perm(500)[:s.n]
+			got := buf.Gather(src, idx)
+			assertSameRows(t, got, new(RowBuf).CopyRows(view(src.Rows(), idx)))
+			assertNoReachBack(t, got)
+			assertTiled(t, got, s.w)
+			vandalise(got)
+		}
+		for range 2 {
+			g := buf.Grid(s.n, s.w+1)
+			if len(g) != s.n {
+				t.Fatalf("step %d: grid has %d rows, want %d", step, len(g), s.n)
+			}
+			assertNoReachBack(t, g)
+			assertTiled(t, g, s.w+1)
+			vandalise(g)
+		}
 	}
 }
 
@@ -254,8 +309,8 @@ func BenchmarkRowBufCopyRows(b *testing.B) {
 // The same block gathered from a 20,000-row table by index, as the
 // in-process chamber copies a block.
 func BenchmarkRowBufGather(b *testing.B) {
-	src := gridRows(20000, 11, 0)
-	idx := rand.New(rand.NewSource(1)).Perm(len(src))[:385]
+	src := gridMatrix(20000, 11, 0)
+	idx := rand.New(rand.NewSource(1)).Perm(src.Len())[:385]
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf := GetRowBuf()

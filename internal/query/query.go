@@ -137,6 +137,8 @@ func (q *Query) validate() error {
 		return errors.New("auto block size requires output ranges (tight or loose mode)")
 	case q.Ranges.Mode == core.ModeHelper && q.Ranges.Translate == nil && q.Linear == nil:
 		return errors.New("helper mode needs a range translation")
+	case q.Ranges.Mode == core.ModeHelper && q.Options.UserLevel:
+		return core.ErrUserLevelHelper
 	}
 	return nil
 }
@@ -235,11 +237,11 @@ func (s *Stage) Run(ctx context.Context, q *Query) (*core.Result, float64, error
 	charge.End(telemetry.StatusOK)
 
 	// The engine stages (partition → blocks → aggregation → noising) span
-	// themselves inside core.Run. It reads the registered rows in place —
-	// nothing before this point touched row data, so refusals and cache
-	// hits cost the same on any table size — and the chamber makes each
-	// block's private copy.
-	res, err := s.execute(ctx, q.Program, reg.Private.View(), spec, opts, q.Deadline)
+	// themselves inside core.Run. It reads the registered table's cells in
+	// place — nothing before this point touched row data, so refusals and
+	// cache hits cost the same on any table size — and the chamber makes
+	// each block's private copy.
+	res, err := s.execute(ctx, q.Program, reg.Private.Matrix(), spec, opts, q.Deadline)
 	if err != nil {
 		return nil, opts.Epsilon, err
 	}
@@ -260,7 +262,7 @@ func (s *Stage) Run(ctx context.Context, q *Query) (*core.Result, float64, error
 // bounded by the stage timeout and the caller's deadline. Failed blocks
 // degrade the answer and never fail the run (§6.2), so the only errors left
 // after the charge are the deadline and ones the inputs determine.
-func (s *Stage) execute(ctx context.Context, program analytics.Program, rows []mathutil.Vec, spec core.RangeSpec, opts core.Options, deadline time.Time) (*core.Result, error) {
+func (s *Stage) execute(ctx context.Context, program analytics.Program, rows mathutil.Matrix, spec core.RangeSpec, opts core.Options, deadline time.Time) (*core.Result, error) {
 	if s.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.Timeout)

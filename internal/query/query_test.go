@@ -166,3 +166,41 @@ func BenchmarkStageRunRefused(b *testing.B) {
 		}
 	}
 }
+
+// Helper ranges under user-level privacy are refused before the charge, at
+// zero ε: the helper's percentile estimate ranks single rows, so a user
+// with k rows would spend k times the ε it was charged.
+func TestUserLevelHelperRefusedBeforeCharge(t *testing.T) {
+	rows := make([]mathutil.Vec, 400)
+	for i := range rows {
+		rows[i] = mathutil.Vec{float64(i % 40), float64(i % 50)}
+	}
+	tbl, err := dataset.FromRows([]string{"user", "v"}, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := dataset.NewRegistry()
+	r, err := reg.Register("ds", tbl, dataset.RegisterOptions{TotalBudget: 10, Ranges: []dp.Range{{Lo: 0, Hi: 40}, {Lo: 0, Hi: 50}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &Stage{Registry: reg, Budget: budget.NewManager(reg), Cache: qcache.New(qcache.Config{MaxEntries: 4})}
+	q := &Query{
+		Dataset: "ds", Program: analytics.Mean{Col: 1},
+		Ranges:  core.RangeSpec{Mode: core.ModeHelper},
+		Linear:  &Linear{InputDim: []int{1}, Scale: []float64{1}, Offset: []float64{0}},
+		Options: core.Options{Epsilon: 1, BlockSize: 20, UserLevel: true, UserColumn: 0},
+	}
+	res, charged, err := s.Run(context.Background(), q)
+	if !errors.Is(err, core.ErrUserLevelHelper) || res != nil || charged != 0 {
+		t.Errorf("helper ranges at user level: res %v, charged %v, err %v; want a refusal", res, charged, err)
+	}
+	if rem := r.Accountant.Remaining(); rem != 10 {
+		t.Errorf("remaining = %v after the refusal, want 10", rem)
+	}
+	// The same query at record level runs and is charged.
+	q.Options.UserLevel = false
+	if _, charged, err := s.Run(context.Background(), q); err != nil || charged != 1 {
+		t.Errorf("helper ranges at record level: charged %v, err %v", charged, err)
+	}
+}

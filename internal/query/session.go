@@ -125,7 +125,7 @@ func (s *Stage) RunSession(ctx context.Context, sess *Session) ([]MemberResult, 
 		return nil, 0, err
 	}
 
-	rows := reg.Private.View()
+	rows := reg.Private.Matrix()
 	clean := true
 	for i := range sess.Members {
 		m := &sess.Members[i]

@@ -57,15 +57,16 @@ type BlockChamber interface {
 }
 
 // RowChamber is the Chamber extension the engine calls: a block handed
-// over as the shared rows plus the block's index list, so that the
-// chamber's one copy of the block (a private buffer, a work frame, stdin
-// JSON) reads straight from the table and no view of the block is built
-// first. ExecuteRows reads rows only through idx, never writes them, and
-// keeps nothing of them after returning; the untrusted program sees only
-// the chamber's copy. block is routing metadata only, as in BlockChamber.
+// over as the shared table (one row-major Matrix) plus the block's index
+// list, so that the chamber's one copy of the block (a private buffer, a
+// work frame, stdin JSON) reads each row straight from the table by stride
+// and no view of the block is built first. ExecuteRows reads rows only
+// through idx, never writes them, and keeps nothing of them after
+// returning; the untrusted program sees only the chamber's copy. block is
+// routing metadata only, as in BlockChamber.
 type RowChamber interface {
 	Chamber
-	ExecuteRows(ctx context.Context, block int, rows []mathutil.Vec, idx []int) (mathutil.Vec, error)
+	ExecuteRows(ctx context.Context, block int, rows mathutil.Matrix, idx []int) (mathutil.Vec, error)
 }
 
 // Rows returns c as a RowChamber: c itself when it is one, and otherwise an
@@ -82,7 +83,7 @@ func Rows(c Chamber) RowChamber {
 
 type copyingChamber struct{ Chamber }
 
-func (c copyingChamber) ExecuteRows(ctx context.Context, block int, rows []mathutil.Vec, idx []int) (mathutil.Vec, error) {
+func (c copyingChamber) ExecuteRows(ctx context.Context, block int, rows mathutil.Matrix, idx []int) (mathutil.Vec, error) {
 	private := new(mathutil.RowBuf).Gather(rows, idx)
 	if bc, ok := c.Chamber.(BlockChamber); ok {
 		return bc.ExecuteBlock(ctx, block, private)
@@ -193,7 +194,7 @@ func (c *InProcess) Execute(ctx context.Context, block []mathutil.Vec) (mathutil
 // ExecuteRows implements RowChamber: the block is gathered from rows into
 // the program's private copy in one pass, whatever OwnsBlock says, and runs
 // as under Execute.
-func (c *InProcess) ExecuteRows(ctx context.Context, _ int, rows []mathutil.Vec, idx []int) (mathutil.Vec, error) {
+func (c *InProcess) ExecuteRows(ctx context.Context, _ int, rows mathutil.Matrix, idx []int) (mathutil.Vec, error) {
 	start, err := c.begin()
 	if err != nil {
 		return nil, err

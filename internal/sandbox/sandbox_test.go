@@ -87,6 +87,16 @@ func testBlock(n int) []mathutil.Vec {
 	return out
 }
 
+// testTable is testBlock laid out as a registered table is: row i holds i,
+// in one row-major Matrix.
+func testTable(n int) mathutil.Matrix {
+	cells := make([]float64, n)
+	for i := range cells {
+		cells[i] = float64(i)
+	}
+	return mathutil.NewMatrix(cells, n, 1)
+}
+
 func subprocessChamber(t *testing.T, mode string, policy Policy) *Subprocess {
 	t.Helper()
 	exe, err := os.Executable()
@@ -148,10 +158,11 @@ func TestInProcessOwnsBlock(t *testing.T) {
 	if saw != &block[0][0] {
 		t.Error("owning chamber copied a block it was told is already private")
 	}
-	if _, err := owning.ExecuteRows(context.Background(), 0, block, []int{0, 1, 2}); err != nil {
+	table := testTable(3)
+	if _, err := owning.ExecuteRows(context.Background(), 0, table, []int{0, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if saw == &block[0][0] {
+	if saw == &table.Cells()[0] {
 		t.Error("owning chamber ran the program on shared rows handed to ExecuteRows")
 	}
 	copying := &InProcess{Program: probe}
@@ -177,7 +188,7 @@ func TestInProcessExecuteRows(t *testing.T) {
 		}
 		return mathutil.Vec{float64(len(block))}, nil
 	}}
-	rows := testBlock(10)
+	rows := testTable(10)
 	idx := []int{7, 2, 2, 9}
 	out, err := (&InProcess{Program: vandal}).ExecuteRows(context.Background(), 3, rows, idx)
 	if err != nil || len(out) != 1 || out[0] != 4 {
@@ -186,12 +197,12 @@ func TestInProcessExecuteRows(t *testing.T) {
 	if fmt.Sprint(saw) != "[7 2 2 9]" {
 		t.Errorf("program saw %v, want the rows of idx in order", saw)
 	}
-	if first == &rows[7][0] {
+	if first == &rows.Cells()[7] {
 		t.Error("program ran on the shared rows")
 	}
-	for i, r := range rows {
-		if r[0] != float64(i) {
-			t.Fatalf("shared row %d = %v after the run", i, r[0])
+	for i, x := range rows.Cells() {
+		if x != float64(i) {
+			t.Fatalf("shared row %d = %v after the run", i, x)
 		}
 	}
 }
@@ -229,15 +240,15 @@ func TestRowsAdaptsUndeclaredChambers(t *testing.T) {
 	}
 	plain, indexed := &hoarder{}, &indexedHoarder{}
 	for _, c := range []Chamber{plain, indexed} {
-		rows := testBlock(6)
+		rows := testTable(6)
 		rc := Rows(c)
 		for b, idx := range [][]int{{5, 1}, {1, 3, 4}} {
 			if out, err := rc.ExecuteRows(context.Background(), b+10, rows, idx); err != nil || out[0] != float64(len(idx)) {
 				t.Fatalf("block %d: out = %v, err = %v", b, out, err)
 			}
 		}
-		for i, r := range rows {
-			if r[0] != float64(i) {
+		for i, x := range rows.Cells() {
+			if x != float64(i) {
 				t.Fatalf("%T reached shared row %d", c, i)
 			}
 		}
@@ -332,7 +343,7 @@ func TestSubprocessBasic(t *testing.T) {
 // ExecuteRows sends the app rows[idx[0]], rows[idx[1]], … in that order.
 func TestSubprocessExecuteRows(t *testing.T) {
 	ch := subprocessChamber(t, "mean", Policy{})
-	out, err := ch.ExecuteRows(context.Background(), 0, testBlock(5), []int{4, 4, 1})
+	out, err := ch.ExecuteRows(context.Background(), 0, testTable(5), []int{4, 4, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,10 +53,10 @@ func (c *Subprocess) Execute(ctx context.Context, block []mathutil.Vec) (mathuti
 
 // ExecuteRows implements RowChamber: the block's rows are encoded onto the
 // child's stdin straight from rows, which this process never mutates.
-func (c *Subprocess) ExecuteRows(ctx context.Context, _ int, rows []mathutil.Vec, idx []int) (mathutil.Vec, error) {
+func (c *Subprocess) ExecuteRows(ctx context.Context, _ int, rows mathutil.Matrix, idx []int) (mathutil.Vec, error) {
 	req := Request{Block: make([][]float64, len(idx))}
 	for j, i := range idx {
-		req.Block[j] = rows[i]
+		req.Block[j] = rows.Row(i)
 	}
 	return c.run(ctx, &req)
 }
