@@ -10,8 +10,13 @@ build:
 test:
 	$(GO) test ./...
 
+# vet also type-checks the two packages with an amd64-only assembly path for
+# arm64, so their pure-Go fallback (mathutil's ExpInto without the vector
+# loop) is compiled somewhere; asmdecl checks the amd64 frames in the first
+# pass.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/mathutil ./internal/analytics
 
 race:
 	$(GO) test -race ./...
@@ -104,6 +109,7 @@ fuzz:
 	$(GO) test ./internal/mathutil -run xxx -fuzz FuzzGatherMatchesCopyRows -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/compman -run xxx -fuzz FuzzStridedMatchesParent -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/analytics -run xxx -fuzz FuzzKMeansMatchesParent -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/analytics -run xxx -fuzz FuzzLogRegMatchesReference -fuzztime $(FUZZTIME)
 
 # bench runs the one benchmark harness (BENCHMARK.json, bench/README.md):
 # seven fixed workloads, end-to-end metrics plus the per-layer table.

@@ -249,7 +249,8 @@ type Query struct {
 	Chambers func(Program, sandbox.Policy) sandbox.Chamber
 	// UserLevel switches the privacy unit from records to users: all rows
 	// sharing the value of UserColumn stay together in blocks, so ε covers
-	// a user's entire record set (paper §8.1, extension).
+	// a user's entire record set (paper §8.1, extension). A user with more
+	// rows than the block size contributes its first block-size rows.
 	UserLevel  bool
 	UserColumn int
 }

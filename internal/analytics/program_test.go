@@ -276,19 +276,25 @@ func BenchmarkKMeansPartition(b *testing.B) {
 
 // BenchmarkLogRegBlock is served_ml's logreg block: 385 LifeSci rows, ten
 // features and the 0/1 label, 50 gradient passes ("block"). The other
-// sub-benchmarks time one part of it each over the same rows and passes:
-// "exp" the sigmoid's 19,250 math.Exp calls on the arguments the passes
-// feed it, "dots" the two-row dot products, "update" the gradient sums.
+// sub-benchmarks time one sweep of it each over the same rows and passes:
+// "exp" the sigmoid's 19,250 exponentials on the arguments the passes feed
+// it, through ExpInto and through a math.Exp loop; "dots" the u = w·x + b
+// sweep; "update" the gradient sweep.
 func BenchmarkLogRegBlock(b *testing.B) {
 	block := workload.LifeSci(1, 385).Rows()
-	f := workload.LifeSciDims
+	f, n := workload.LifeSciDims, len(block)
 	prog := LogisticRegression{FeatureDims: f, LabelCol: f, Iters: 50, LearnRate: 0.5}
 	zs, errs := logRegPasses(prog, block)
-	w := make([]float64, f)
+	ts := make([]float64, len(zs))
+	for i, z := range zs {
+		ts[i] = -math.Abs(z)
+	}
+	c := loadCols(make([]float64, (f+1)*n), block, f)
+	w := make([]float64, f+1)
 	for j := range w {
 		w[j] = 0.1 * float64(j+1)
 	}
-	grad := make([]float64, f)
+	u, e, grad := make([]float64, n), make([]float64, len(ts)), make([]float64, (f+4)/4*4)
 	b.Run("block", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -298,46 +304,36 @@ func BenchmarkLogRegBlock(b *testing.B) {
 		}
 	})
 	b.Run("exp", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, z := range zs {
-				benchSink += math.Exp(-math.Abs(z)) // Sigmoid's one Exp, either branch
+		b.Run("ExpInto", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for pass := 0; pass < prog.Iters; pass++ {
+					mathutil.ExpInto(e[pass*n:(pass+1)*n], ts[pass*n:(pass+1)*n])
+				}
 			}
-		}
+		})
+		b.Run("math.Exp", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for j, t := range ts {
+					e[j] = math.Exp(t)
+				}
+			}
+		})
 	})
 	b.Run("dots", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for pass := 0; pass < prog.Iters; pass++ {
-				for r := 0; r+1 < len(block); r += 2 {
-					x0, x1 := block[r][:f], block[r+1][:f]
-					var dot0, dot1 float64
-					for j, wj := range w {
-						dot0 += wj * x0[j]
-						dot1 += wj * x1[j]
-					}
-					benchSink += dot0 + dot1
-				}
+				c.dots(u, w)
 			}
 		}
 	})
 	b.Run("update", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for pass := 0; pass < prog.Iters; pass++ {
-				e := errs[pass*len(block):]
-				clear(grad)
-				for r := 0; r+1 < len(block); r += 2 {
-					x0, x1 := block[r][:f], block[r+1][:f]
-					for j := range grad {
-						grad[j] = grad[j] + e[r]*x0[j] + e[r+1]*x1[j]
-					}
-				}
-				benchSink += grad[0]
+				c.grads(grad, errs[pass*n:(pass+1)*n])
 			}
 		}
 	})
 }
-
-// benchSink keeps the logreg parts' results live.
-var benchSink float64
 
 // logRegPasses replays l's gradient passes over block one row at a time and
 // returns each row's sigmoid argument and error term, pass after pass.

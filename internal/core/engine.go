@@ -53,7 +53,8 @@ type Options struct {
 	// UserLevel switches the privacy unit from records to users: all rows
 	// sharing the value of UserColumn are placed in the same block(s), so
 	// the ε guarantee covers a user's entire record set (paper §8.1,
-	// implemented as an extension — see MakeGroupedPartition).
+	// implemented as an extension — see MakeGroupedPartition). A user with
+	// more than BlockSize rows contributes its first BlockSize of them.
 	UserLevel  bool
 	UserColumn int
 	// Metrics receives engine-level observability: block outcome counters

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"gupt/internal/mathutil"
@@ -22,7 +23,15 @@ import (
 // blocks. groups lists row indices per group; every row must appear in
 // exactly one group. blockSize is the target records per block; the block
 // count is γ·n/β as usual, but actual block sizes vary with group sizes.
-// No group may exceed the target block size.
+//
+// Each group contributes at most blockSize rows: a larger one keeps its first
+// blockSize rows in table order (lowest indices) and its other rows take part
+// in no block. The bound looks only at the group's own rows, so it holds at
+// user level; refusing a large group instead would tell the analyst, after
+// the charge, that some user owns more than blockSize rows. Every error below
+// depends only on n, blockSize, gamma and the shape of groups (which
+// GroupRowsByColumn always builds well-formed), and names no group and no
+// row count.
 func MakeGroupedPartition(rng *mathutil.RNG, n int, groups [][]int, blockSize, gamma int) (*Partition, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("core: cannot partition %d rows", n)
@@ -38,27 +47,23 @@ func MakeGroupedPartition(rng *mathutil.RNG, n int, groups [][]int, blockSize, g
 	}
 	seen := make([]bool, n)
 	total := 0
-	for gi, g := range groups {
+	for _, g := range groups {
 		if len(g) == 0 {
-			return nil, fmt.Errorf("core: group %d is empty", gi)
-		}
-		if len(g) > blockSize {
-			return nil, fmt.Errorf("core: group %d has %d records, exceeding block size %d — raise the block size so one user fits in one block",
-				gi, len(g), blockSize)
+			return nil, fmt.Errorf("core: a group is empty")
 		}
 		for _, r := range g {
 			if r < 0 || r >= n {
-				return nil, fmt.Errorf("core: group %d references row %d outside [0, %d)", gi, r, n)
+				return nil, fmt.Errorf("core: a group references a row outside [0, %d)", n)
 			}
 			if seen[r] {
-				return nil, fmt.Errorf("core: row %d appears in multiple groups", r)
+				return nil, fmt.Errorf("core: a row appears in more than one group")
 			}
 			seen[r] = true
 			total++
 		}
 	}
 	if total != n {
-		return nil, fmt.Errorf("core: groups cover %d of %d rows", total, n)
+		return nil, fmt.Errorf("core: the groups do not cover all %d rows", n)
 	}
 
 	numBlocks := gamma * n / blockSize
@@ -78,6 +83,11 @@ func MakeGroupedPartition(rng *mathutil.RNG, n int, groups [][]int, blockSize, g
 	type blockLoad struct{ idx, load int }
 	for _, gi := range order {
 		g := groups[gi]
+		if len(g) > blockSize {
+			g = slices.Clone(g)
+			slices.Sort(g)
+			g = g[:blockSize]
+		}
 		// Rank blocks by load; take the gamma lightest.
 		ranked := make([]blockLoad, numBlocks)
 		for b := range ranked {
@@ -102,7 +112,10 @@ func MakeGroupedPartition(rng *mathutil.RNG, n int, groups [][]int, blockSize, g
 // GroupRowsByColumn buckets row indices by the (exact float64) value of the
 // given column — the common case where a user identifier is stored as a
 // numeric column. Groups are returned in ascending key order so the
-// partition is deterministic given the RNG.
+// partition is deterministic given the RNG; each lists its rows in table
+// order. Rows whose identifier is NaN, which equals no value, form one group
+// ahead of the others: whose rows they are is unknown, so they are bounded
+// together. Its errors depend only on the table's shape.
 func GroupRowsByColumn(rows mathutil.Matrix, col int) ([][]int, error) {
 	if rows.Len() == 0 {
 		return nil, fmt.Errorf("core: no rows to group")
@@ -112,9 +125,14 @@ func GroupRowsByColumn(rows mathutil.Matrix, col int) ([][]int, error) {
 		return nil, fmt.Errorf("core: group column %d out of range for %d-dim rows", col, w)
 	}
 	byKey := make(map[float64][]int)
+	var unknown []int
 	cells := rows.Cells()
 	for i := 0; i < rows.Len(); i++ {
 		k := cells[i*w+col]
+		if k != k {
+			unknown = append(unknown, i)
+			continue
+		}
 		byKey[k] = append(byKey[k], i)
 	}
 	keys := make([]float64, 0, len(byKey))
@@ -122,9 +140,12 @@ func GroupRowsByColumn(rows mathutil.Matrix, col int) ([][]int, error) {
 		keys = append(keys, k)
 	}
 	sort.Float64s(keys)
-	groups := make([][]int, len(keys))
-	for i, k := range keys {
-		groups[i] = byKey[k]
+	groups := make([][]int, 0, len(keys)+1)
+	if unknown != nil {
+		groups = append(groups, unknown)
+	}
+	for _, k := range keys {
+		groups = append(groups, byKey[k])
 	}
 	return groups, nil
 }

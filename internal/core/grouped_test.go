@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -131,7 +132,6 @@ func TestMakeGroupedPartitionValidation(t *testing.T) {
 	}{
 		{"no groups", 4, nil, 2, 1},
 		{"empty group", 4, [][]int{{0, 1}, {}}, 2, 1},
-		{"group too large", 4, [][]int{{0, 1, 2}, {3}}, 2, 1},
 		{"row out of range", 4, [][]int{{0, 9}}, 2, 1},
 		{"duplicate row", 4, [][]int{{0, 1}, {1, 2}}, 2, 1},
 		{"missing rows", 4, [][]int{{0, 1}}, 2, 1},
@@ -142,6 +142,77 @@ func TestMakeGroupedPartitionValidation(t *testing.T) {
 		if _, err := MakeGroupedPartition(rng, c.n, c.groups, c.beta, c.gam); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
+	}
+}
+
+// A group larger than the block size contributes its first β rows in table
+// order, whatever order the group lists them in, and its other rows reach no
+// block; every other group is placed whole, as before.
+func TestMakeGroupedPartitionBoundsContribution(t *testing.T) {
+	const n, beta = 60, 8
+	big := []int{41, 3, 17, 5, 59, 0, 22, 9, 33, 12, 50, 27} // 12 rows, listed out of order
+	groups := [][]int{big}
+	inBig := map[int]bool{}
+	for _, r := range big {
+		inBig[r] = true
+	}
+	var rest []int
+	for r := 0; r < n; r++ {
+		if !inBig[r] {
+			rest = append(rest, r)
+		}
+	}
+	for ; len(rest) > 0; rest = rest[2:] { // the other 48 rows in pairs
+		groups = append(groups, rest[:2])
+	}
+	for _, gamma := range []int{1, 2} {
+		p, err := MakeGroupedPartition(mathutil.NewRNG(11), n, groups, beta, gamma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := []int{0, 3, 5, 9, 12, 17, 22, 27} // big's eight lowest row indices
+		count := make([]int, n)
+		for _, block := range p.Blocks {
+			for _, r := range block {
+				count[r]++
+			}
+		}
+		for r := 0; r < n; r++ {
+			want := gamma
+			if inBig[r] && !slices.Contains(kept, r) {
+				want = 0
+			}
+			if count[r] != want {
+				t.Errorf("γ=%d: row %d is in %d blocks, want %d", gamma, r, count[r], want)
+			}
+		}
+	}
+}
+
+// Rows whose user identifier is NaN form one group ahead of the others.
+// NaN equals no map key, so looking NaN up by key finds no rows: an empty
+// group, and a user-level query that fails after its charge.
+func TestGroupRowsByColumnNaNUsers(t *testing.T) {
+	rows := userRows(3, 6, 2) // users 0–5, rows 2u and 2u+1
+	rows[3][0], rows[8][0], rows[9][0] = math.NaN(), math.NaN(), math.NaN()
+	groups, err := GroupRowsByColumn(flatten(rows), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]int{{3, 8, 9}, {0, 1}, {2}, {4, 5}, {6, 7}, {10, 11}}
+	if len(groups) != len(want) {
+		t.Fatalf("groups = %v, want %v", groups, want)
+	}
+	for i := range want {
+		if !slices.Equal(groups[i], want[i]) {
+			t.Fatalf("groups = %v, want %v", groups, want)
+		}
+	}
+	res, err := Run(context.Background(), analytics.Mean{Col: 1}, rows,
+		RangeSpec{Mode: ModeTight, Output: []dp.Range{{Lo: 0, Hi: 150}}},
+		Options{Epsilon: 1, Seed: 2, BlockSize: 2, UserLevel: true, UserColumn: 0})
+	if err != nil || len(res.Output) != 1 {
+		t.Fatalf("user-level mean over NaN user ids: %v, %v", res, err)
 	}
 }
 
@@ -210,14 +281,20 @@ func TestRunUserLevel(t *testing.T) {
 	}
 }
 
-func TestRunUserLevelRejectsOversizedUser(t *testing.T) {
-	// One user owns more rows than a block can hold: refuse rather than
-	// silently weaken the guarantee.
+// Users who own more rows than a block holds answer at every block size:
+// each contributes its first β rows. Failing instead would make whether a
+// charged query answers a function of the largest user's row count.
+func TestRunUserLevelBoundsOversizedUser(t *testing.T) {
 	rows := userRows(8, 2, 50) // 2 users x 50 records
-	_, err := Run(context.Background(), analytics.Mean{Col: 1}, rows,
-		RangeSpec{Mode: ModeTight, Output: []dp.Range{{Lo: 0, Hi: 150}}},
-		Options{Epsilon: 1, Seed: 1, BlockSize: 10, UserLevel: true, UserColumn: 0})
-	if err == nil {
-		t.Fatal("oversized user accepted")
+	for _, beta := range []int{1, 10, 49, 50} {
+		res, err := Run(context.Background(), analytics.Mean{Col: 1}, rows,
+			RangeSpec{Mode: ModeTight, Output: []dp.Range{{Lo: 0, Hi: 150}}},
+			Options{Epsilon: 1, Seed: 1, BlockSize: beta, UserLevel: true, UserColumn: 0})
+		if err != nil {
+			t.Fatalf("β=%d: %v", beta, err)
+		}
+		if res.BlockSize != beta || len(res.Output) != 1 {
+			t.Errorf("β=%d: result %+v", beta, res)
+		}
 	}
 }

@@ -204,3 +204,52 @@ func TestUserLevelHelperRefusedBeforeCharge(t *testing.T) {
 		t.Errorf("helper ranges at record level: charged %v, err %v", charged, err)
 	}
 }
+
+// A user who owns more rows than a block holds no longer decides whether a
+// user-level query answers: each user contributes at most β rows, so the
+// query answers and is charged ε once at every β, below the largest user's
+// row count and above it. A failure below it would state that count after
+// the charge.
+func TestUserLevelOversizedUserAnswersAtEveryBlockSize(t *testing.T) {
+	rows := make([]mathutil.Vec, 400)
+	for i := range rows {
+		user := 1 + i/3
+		if i%13 == 0 && i < 13*30 {
+			user = 0 // user 0 owns 30 rows spread over the table
+		}
+		rows[i] = mathutil.Vec{float64(i % 50), float64(user)}
+	}
+	tbl, err := dataset.FromRows([]string{"v", "user"}, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := dataset.NewRegistry()
+	r, err := reg.Register("ds", tbl, dataset.RegisterOptions{TotalBudget: 10, AgedFraction: 0.15, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	largest := 0
+	for _, row := range r.Private.View() {
+		if row[1] == 0 {
+			largest++
+		}
+	}
+	t.Logf("user 0 keeps %d of its 30 rows after the aged split", largest)
+	s := &Stage{Registry: reg, Budget: budget.NewManager(reg)}
+	spent := 0.0
+	for _, beta := range []int{10, 20, largest - 1, largest, largest + 3} {
+		q := &Query{
+			Dataset: "ds", Program: analytics.Mean{Col: 0},
+			Ranges:  core.RangeSpec{Mode: core.ModeTight, Output: []dp.Range{{Lo: 0, Hi: 50}}},
+			Options: core.Options{Epsilon: 1, BlockSize: beta, Seed: 1, UserLevel: true, UserColumn: 1},
+		}
+		res, charged, err := s.Run(context.Background(), q)
+		if err != nil || res == nil || charged != 1 {
+			t.Fatalf("β=%d: res %v, charged %v, err %v; want an answer for ε = 1", beta, res, charged, err)
+		}
+		spent += charged
+		if rem := r.Accountant.Remaining(); rem != 10-spent {
+			t.Errorf("β=%d: remaining %v, want %v", beta, rem, 10-spent)
+		}
+	}
+}
