@@ -53,9 +53,12 @@ audit-kill:
 # straggler duplication, failover, EDF admission), then five passes each of
 # the engine's block workers (index claims, cancellation, a worker replaced
 # after its goroutine ended, concurrent runs on recycled storage) and of the
-# in-process chamber's two arms and abandoned buffers.
+# in-process chamber's two arms and abandoned buffers. The pool's connect,
+# drop and Close share each host's lock, so the tests that start, kill and
+# restart workers under a live server run five times too.
 fanout-race:
 	$(GO) test -race -count=1 -run 'TestFanout|TestScheduler|TestServerOverload|TestServerDeadline|TestWorker' ./internal/compman
+	$(GO) test -race -count=5 -run 'TestServerJoinsWorkerStartedLater|TestServerRefusesWhileFleetDown|TestServerWithUnreachableWorkers|TestWireOldPeersFailClosed' ./internal/compman
 	$(GO) test -race -count=5 -run 'TestRun|TestConcurrentRuns' ./internal/core
 	$(GO) test -race -count=5 -run 'TestInProcess|TestAbandoned' ./internal/sandbox
 

@@ -18,8 +18,15 @@ import (
 // tests that take a worker down mid-fleet rather than at cleanup.
 func startKillableWorker(t *testing.T) (addr string, kill func()) {
 	t.Helper()
+	return startWorkerAt(t, "127.0.0.1:0")
+}
+
+// startWorkerAt is startKillableWorker listening on addr, for tests that
+// start a worker where the pool already expects one.
+func startWorkerAt(t *testing.T, listen string) (addr string, kill func()) {
+	t.Helper()
 	w := NewWorker(WorkerConfig{})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	l, err := net.Listen("tcp", listen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,6 +306,7 @@ func TestFanoutLateInstrumentStillCounts(t *testing.T) {
 	}
 
 	execute(homedOn(healthy, slow)) // before Instrument: nowhere to count
+	execute(homedOn(dead, healthy)) // the slot the kill below breaks holds a connection
 	tel := telemetry.NewRegistry()
 	pool.Instrument(tel)
 

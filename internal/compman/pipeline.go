@@ -28,7 +28,7 @@ func (s *Server) handleQuery(req *Request, tenantID string, tr *telemetry.Trace,
 	if req.Program == nil {
 		return Response{Error: "query missing program"}
 	}
-	q, err := s.pipelineQuery(req, tenantID, tr)
+	q, err := s.pipelineQuery(req, tenantID, tr, deadline)
 	if err != nil {
 		return errResponse(err)
 	}
@@ -59,8 +59,9 @@ func (s *Server) handleQuery(req *Request, tenantID string, tr *telemetry.Trace,
 // translate spec) into the pipeline's query description and adds what the
 // server decides: ledger label, quantum and failure policy, and the chamber
 // factory — the worker pool when one is configured, under the configured
-// ChamberWrapper.
-func (s *Server) pipelineQuery(req *Request, tenantID string, tr *telemetry.Trace) (*query.Query, error) {
+// ChamberWrapper. A pool that can reach no worker refuses the query here,
+// before its charge; deadline bounds that check.
+func (s *Server) pipelineQuery(req *Request, tenantID string, tr *telemetry.Trace, deadline time.Time) (*query.Query, error) {
 	program, err := req.Program.resolve()
 	if err != nil {
 		return nil, err
@@ -117,10 +118,10 @@ func (s *Server) pipelineQuery(req *Request, tenantID string, tr *telemetry.Trac
 	q.Options.Quantum = max(q.Options.Quantum, time.Duration(req.QuantumMillis)*time.Millisecond)
 	// Cluster execution: fan the blocks out over the worker daemons, which
 	// resolve the same program spec.
-	if s.poolErr != nil {
-		return nil, fmt.Errorf("compman: worker pool unavailable: %w", s.poolErr)
-	}
 	if s.pool != nil {
+		if err := s.poolReady(deadline); err != nil {
+			return nil, fmt.Errorf("compman: worker pool unavailable: %w", err)
+		}
 		progSpec := *req.Program
 		q.Options.NewChamber = func(_ analytics.Program, pol sandbox.Policy) sandbox.Chamber {
 			return s.pool.Chamber(WorkSpec{
@@ -133,6 +134,24 @@ func (s *Server) pipelineQuery(req *Request, tenantID string, tr *telemetry.Trac
 	}
 	q.Options.NewChamber = s.wrapChamberFactory(q.Options.NewChamber)
 	return q, nil
+}
+
+// poolReady runs the pool's readiness check under the query's deadline and
+// QueryTimeout, so a worker that never answers its dial cannot hold the
+// query past either.
+func (s *Server) poolReady(deadline time.Time) error {
+	ctx := context.Background()
+	if s.cfg.QueryTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
+		defer cancel()
+	}
+	if !deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, deadline)
+		defer cancel()
+	}
+	return s.pool.ready(ctx)
 }
 
 // wrapChamberFactory applies the configured ChamberWrapper around a
@@ -178,7 +197,7 @@ func (s *Server) handleSession(req *Request, tenantID string, tr *telemetry.Trac
 			BlockSize:    m.BlockSize,
 			Gamma:        m.Gamma,
 			Seed:         m.Seed,
-		}, tenantID, tr)
+		}, tenantID, tr, deadline)
 		if err != nil {
 			return errResponse(fmt.Errorf("session query %d: %w", i, err))
 		}

@@ -103,17 +103,17 @@ func TestWorkerConnReadsFrameLargerThanItsBuffer(t *testing.T) {
 			return AppendWorkResponseFrame(nil, &WorkResponse{Output: bigOutput(), TraceID: req.Spec.TraceID})
 		})
 	}()
-	wc, err := dialWorker(l.Addr().String())
+	pool, err := NewWorkerPool([]string{l.Addr().String()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer wc.conn.Close()
+	defer pool.Close()
 	req := sampleWorkRequest()
 	frame, err := AppendWorkRequestFrame(nil, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := wc.execute(context.Background(), frame, req.Spec.TraceID)
+	resp, err := pool.hosts[0].do(context.Background(), frame, req.Spec.TraceID)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,12 @@
 package compman
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"strings"
-	"sync"
 	"time"
 
 	"gupt/internal/budget"
@@ -114,7 +111,6 @@ type Server struct {
 	reg      *dataset.Registry
 	cfg      ServerConfig
 	pool     *WorkerPool // nil when executing locally
-	poolErr  error       // non-nil when WorkerAddrs were set but unreachable
 	tel      *telemetry.Registry
 	stats    *statsCollector
 	flight   *telemetry.FlightRecorder // the per-query record: /queries, /flight, /traces
@@ -123,16 +119,12 @@ type Server struct {
 	stage    query.Stage               // shared query pipeline: budget manager, cache, run policy
 	limiter  *ratelimit.Limiter        // per-tenant admission gate; nil when tenancy off
 	sched    *scheduler                // deadline-aware admission; nil when disabled
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	wg       sync.WaitGroup
+	wire     frameServer               // the analyst-facing accept loop
 }
 
-// NewServer creates a server over the given registry. If cfg.WorkerAddrs is
-// set, every worker must be reachable at construction time.
+// NewServer creates a server over the given registry. It dials no worker:
+// each query checks that the pool can reach one before its charge, so the
+// workers may start after the server.
 func NewServer(reg *dataset.Registry, cfg ServerConfig) *Server {
 	tel := cfg.Telemetry
 	if tel == nil {
@@ -146,7 +138,15 @@ func NewServer(reg *dataset.Registry, cfg ServerConfig) *Server {
 		flight:   telemetry.NewFlightRecorder(0),
 		inflight: tel.Gauge("compman.queries_inflight"),
 		plane:    telemetry.NewBudgetPlane(tel),
-		conns:    make(map[net.Conn]struct{}),
+	}
+	s.wire = frameServer{
+		handle:    s.handle,
+		idle:      cfg.IdleTimeout,
+		conns:     tel.Gauge("compman.connections"),
+		logf:      s.logf,
+		prefix:    "compman: ",
+		closedErr: errors.New("compman: server closed"),
+		writeText: "write response",
 	}
 	s.stage = query.Stage{
 		Registry: reg,
@@ -193,20 +193,13 @@ func NewServer(reg *dataset.Registry, cfg ServerConfig) *Server {
 		s.flight.StartWatchdog(tel.Counter("compman.queries_slow"), cfg.QueryTimeout, time.Second)
 	}
 	if len(cfg.WorkerAddrs) > 0 {
-		pool, err := NewWorkerPoolConfig(PoolConfig{
+		// Fails only on an empty address list, which this branch excludes.
+		s.pool, _ = NewWorkerPoolConfig(PoolConfig{
 			Addrs:          cfg.WorkerAddrs,
 			ConnsPerWorker: cfg.WorkerConns,
 			StragglerAfter: cfg.StragglerAfter,
 		})
-		if err != nil {
-			// Fail queries, not the constructor: the operator sees the
-			// cause both in the log and on every refused query.
-			s.poolErr = err
-			s.logf("compman: worker pool unavailable: %v", err)
-		} else {
-			s.pool = pool
-			s.pool.Instrument(tel)
-		}
+		s.pool.Instrument(tel)
 	}
 	return s
 }
@@ -249,72 +242,14 @@ func (s *Server) WorkerStats() []telemetry.WorkerStatus {
 func (s *Server) InvalidateCache(dataset string) int { return s.stage.Cache.Invalidate(dataset) }
 
 // Addr returns the address Serve is listening on, or nil before Serve.
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.listener == nil {
-		return nil
-	}
-	return s.listener.Addr()
-}
+func (s *Server) Addr() net.Addr { return s.wire.addr() }
 
 // Serve accepts connections on l until Close is called. It blocks.
-func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errors.New("compman: server closed")
-	}
-	s.listener = l
-	s.mu.Unlock()
-
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return fmt.Errorf("compman: accept: %w", err)
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		s.tel.Gauge("compman.connections").Inc()
-		go func() {
-			defer s.wg.Done()
-			defer s.tel.Gauge("compman.connections").Dec()
-			s.handleConn(conn)
-		}()
-	}
-}
+func (s *Server) Serve(l net.Listener) error { return s.wire.serve(l) }
 
 // Close stops accepting, closes live connections, and waits for handlers.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	l := s.listener
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	var err error
-	if l != nil {
-		err = l.Close()
-	}
-	s.wg.Wait()
+	err := s.wire.close()
 	if s.pool != nil {
 		s.pool.Close()
 	}
@@ -328,65 +263,16 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-func (s *Server) handleConn(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	br := bufio.NewReaderSize(conn, 64*1024)
-	// Connect-time handshake: anything but a current hello is dropped
-	// without a reply — fail closed, § wire.go.
-	if s.cfg.IdleTimeout > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+// handle answers one framed request: a body that fails to decode gets an
+// error response, anything else goes through dispatch.
+func (s *Server) handle(payload, dst []byte) ([]byte, error) {
+	var resp Response
+	if req, derr := decodePayload(payload, wireMsgRequest, "request", decodeRequestBody); derr != nil {
+		resp = Response{Error: derr.Error()}
+	} else {
+		resp = s.dispatch(req)
 	}
-	if err := sniffWire(conn, br); err != nil {
-		if err != io.EOF {
-			s.logf("compman: wire sniff: %v", err)
-		}
-		return
-	}
-	s.serveBinary(conn, br)
-}
-
-// serveBinary is the framed-wire request loop. Both scratch buffers are
-// checked out of the shared pool once per connection and reused for every
-// message; a body-level decode error is answered with an error response,
-// while a frame-level error (bad length or CRC) means the stream can no
-// longer be trusted to be in sync and tears the connection down.
-func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
-	rbuf, wbuf := getWireBuf(), getWireBuf()
-	defer putWireBuf(rbuf)
-	defer putWireBuf(wbuf)
-	for {
-		if s.cfg.IdleTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		}
-		payload, err := readWireFrame(br, rbuf)
-		if err != nil {
-			if err != io.EOF {
-				s.logf("compman: read frame: %v", err)
-			}
-			return
-		}
-		var resp Response
-		if req, derr := decodePayload(payload, wireMsgRequest, "request", decodeRequestBody); derr != nil {
-			resp = Response{Error: derr.Error()}
-		} else {
-			resp = s.dispatch(req)
-		}
-		frame, err := AppendResponseFrame((*wbuf)[:0], &resp)
-		if err != nil {
-			s.logf("compman: encode response: %v", err)
-			return
-		}
-		if _, err := conn.Write(frame); err != nil {
-			s.logf("compman: write response: %v", err)
-			return
-		}
-		*wbuf = frame[:0]
-	}
+	return AppendResponseFrame(dst, &resp)
 }
 
 // dispatch is the front door: authenticate the principal, then route the

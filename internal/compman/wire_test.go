@@ -326,7 +326,12 @@ func TestWireOldPeersFailClosed(t *testing.T) {
 	})
 	t.Run("pool-refuses-v3-worker", func(t *testing.T) {
 		l := fakePeer(t, wireHello(3))
-		_, err := NewWorkerPool([]string{l.Addr().String()})
+		pool, err := NewWorkerPool([]string{l.Addr().String()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pool.Close()
+		err = pool.ready(context.Background())
 		if !errors.Is(err, ErrPeerTooOld) {
 			t.Fatalf("pool error = %v, want ErrPeerTooOld", err)
 		}

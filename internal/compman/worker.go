@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"sort"
@@ -76,127 +75,33 @@ type WorkerConfig struct {
 // Worker is the per-node client component of the computation manager: it
 // accepts block-execution requests and runs them in local chambers.
 type Worker struct {
-	cfg WorkerConfig
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	wg       sync.WaitGroup
+	cfg  WorkerConfig
+	wire frameServer
 }
 
 // NewWorker creates a worker daemon.
 func NewWorker(cfg WorkerConfig) *Worker {
-	return &Worker{cfg: cfg, conns: make(map[net.Conn]struct{})}
+	w := &Worker{cfg: cfg}
+	w.wire = frameServer{
+		handle:    w.handle,
+		logf:      w.logf,
+		prefix:    "compman: worker ",
+		closedErr: errors.New("compman: worker closed"),
+		writeText: "write",
+	}
+	return w
 }
 
 // Serve accepts connections until Close. It blocks.
-func (w *Worker) Serve(l net.Listener) error {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return errors.New("compman: worker closed")
-	}
-	w.listener = l
-	w.mu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			w.mu.Lock()
-			closed := w.closed
-			w.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return fmt.Errorf("compman: worker accept: %w", err)
-		}
-		w.mu.Lock()
-		if w.closed {
-			w.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		w.conns[conn] = struct{}{}
-		w.wg.Add(1)
-		w.mu.Unlock()
-		go func() {
-			defer w.wg.Done()
-			w.handleConn(conn)
-		}()
-	}
-}
+func (w *Worker) Serve(l net.Listener) error { return w.wire.serve(l) }
 
 // Close stops the worker: the listener and every live connection are
 // closed, then in-flight executions are waited for.
-func (w *Worker) Close() error {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return nil
-	}
-	w.closed = true
-	l := w.listener
-	for c := range w.conns {
-		c.Close()
-	}
-	w.mu.Unlock()
-	var err error
-	if l != nil {
-		err = l.Close()
-	}
-	w.wg.Wait()
-	return err
-}
-
-func (w *Worker) handleConn(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		w.mu.Lock()
-		delete(w.conns, conn)
-		w.mu.Unlock()
-	}()
-	br := bufio.NewReaderSize(conn, 64*1024)
-	if err := sniffWire(conn, br); err != nil {
-		if err != io.EOF {
-			w.logf("compman: worker wire sniff: %v", err)
-		}
-		return
-	}
-	w.serveBinary(conn, br)
-}
+func (w *Worker) Close() error { return w.wire.close() }
 
 func (w *Worker) logf(format string, args ...any) {
 	if w.cfg.Logger != nil {
 		w.cfg.Logger.Printf(format, args...)
-	}
-}
-
-// serveBinary is the worker's framed-wire loop: one WorkRequest frame in,
-// one WorkResponse frame out, pooled buffers reused across blocks — the
-// path every block of a cluster query crosses, so it must not allocate
-// per message.
-func (w *Worker) serveBinary(conn net.Conn, br *bufio.Reader) {
-	rbuf, wbuf := getWireBuf(), getWireBuf()
-	defer putWireBuf(rbuf)
-	defer putWireBuf(wbuf)
-	for {
-		payload, err := readWireFrame(br, rbuf)
-		if err != nil {
-			if err != io.EOF {
-				w.logf("compman: worker read frame: %v", err)
-			}
-			return
-		}
-		frame, err := w.handle(payload, (*wbuf)[:0])
-		if err != nil {
-			w.logf("compman: worker encode response: %v", err)
-			return
-		}
-		if _, err := conn.Write(frame); err != nil {
-			w.logf("compman: worker write: %v", err)
-			return
-		}
-		*wbuf = frame[:0]
 	}
 }
 
@@ -307,7 +212,8 @@ type WorkerPool struct {
 
 // PoolConfig tunes a worker pool beyond the address list.
 type PoolConfig struct {
-	// Addrs lists the worker daemons; all must be reachable at construction.
+	// Addrs lists the worker daemons. None is dialed at construction: each
+	// connection is dialed on first use.
 	Addrs []string
 	// ConnsPerWorker bounds concurrent block exchanges per worker host;
 	// 0 means 1 (one in-flight block per worker, the historical behavior).
@@ -331,17 +237,9 @@ type PoolConfig struct {
 func (p *WorkerPool) Instrument(tel *telemetry.Registry) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	m := newPoolMetrics(tel)
-	p.metrics.Store(m)
+	p.metrics.Store(newPoolMetrics(tel))
 	for _, h := range p.hosts {
 		h.instrument(tel)
-		h.mu.Lock()
-		for _, wc := range h.all {
-			wc.mu.Lock()
-			wc.redials = m.redials
-			wc.mu.Unlock()
-		}
-		h.mu.Unlock()
 	}
 }
 
@@ -362,29 +260,29 @@ func newPoolMetrics(tel *telemetry.Registry) *poolMetrics {
 	}
 }
 
-// workerConn is one connection to a worker. It sends work frames encoded
-// before its exchange began and keeps only its read buffer.
+// workerConn is one connection slot of a worker host. Whoever took it from
+// the host's slots owns it until handing it back, so none of its fields
+// needs a lock. conn is nil until the slot is dialed and again after a
+// transport failure dropped it. The slot sends work frames encoded before
+// its exchange began and keeps only its read buffers.
 type workerConn struct {
-	mu      sync.Mutex
-	addr    string
-	conn    net.Conn
-	r       *bufio.Reader
-	rbuf    []byte // reused binary frame read buffer
-	broken  bool   // transport failed; redial before reuse
-	redials *telemetry.Counter
+	conn net.Conn
+	r    *bufio.Reader
+	rbuf []byte // reused binary frame read buffer
+	held bool   // the slot has held a connection: its next dial is a redial
 }
 
-// NewWorkerPool dials every worker address. All must be reachable; a
-// worker on a retired wire version fails pool construction with an error
-// naming the worker and wrapping ErrPeerTooOld.
+// NewWorkerPool builds a pool over the worker addresses. It dials nothing;
+// a worker that is unreachable, or on a retired wire version, shows at
+// first use, with an error naming the worker (wrapping ErrPeerTooOld for
+// the latter).
 func NewWorkerPool(addrs []string) (*WorkerPool, error) {
 	return NewWorkerPoolConfig(PoolConfig{Addrs: addrs})
 }
 
-// NewWorkerPoolConfig dials every configured worker address. One connection
-// per worker is established eagerly (so a dead or too-old worker fails pool
-// construction loudly); the rest of each host's connection budget is dialed
-// lazily as block concurrency demands it.
+// NewWorkerPoolConfig builds a pool over the configured workers. Every
+// connection slot starts empty and is dialed when an exchange first takes
+// it, so construction fails only on an empty address list.
 func NewWorkerPoolConfig(cfg PoolConfig) (*WorkerPool, error) {
 	if len(cfg.Addrs) == 0 {
 		return nil, errors.New("compman: worker pool needs at least one address")
@@ -400,22 +298,16 @@ func NewWorkerPoolConfig(cfg PoolConfig) (*WorkerPool, error) {
 	}
 	p.metrics.Store(newPoolMetrics(nil))
 	for _, addr := range cfg.Addrs {
-		wc, err := dialWorker(addr)
-		if err != nil {
-			p.Close()
-			return nil, err
-		}
 		h := &workerHost{
 			addr:  addr,
 			label: "worker:" + addr,
 			pool:  p,
 			slots: make(chan *workerConn, connsPer),
+			open:  make(map[net.Conn]struct{}),
 		}
 		h.instrument(nil)
-		h.all = append(h.all, wc)
-		h.slots <- wc
-		for i := 1; i < connsPer; i++ {
-			h.slots <- nil // dialed on demand
+		for i := 0; i < connsPer; i++ {
+			h.slots <- new(workerConn)
 		}
 		p.hosts = append(p.hosts, h)
 	}
@@ -444,13 +336,13 @@ type workerHost struct {
 	// metrics holds the host's gauges, resolved once per registry.
 	metrics atomic.Pointer[hostMetrics]
 
-	// slots is the connection budget: a *workerConn ready for use, or nil
-	// meaning "a connection may be dialed". Taking a slot bounds this
-	// host's concurrent exchanges.
+	// slots is the connection budget. Taking a slot bounds this host's
+	// concurrent exchanges; a slot without a connection is dialed by the
+	// acquire that takes it.
 	slots chan *workerConn
 
-	mu  sync.Mutex
-	all []*workerConn // every dialed conn, for Close
+	mu   sync.Mutex
+	open map[net.Conn]struct{} // the slots' open connections, for Close and /workers
 
 	inflight atomic.Int64 // blocks currently dispatched here
 	done     atomic.Int64 // blocks answered (including app-level errors)
@@ -499,25 +391,19 @@ func (h *workerHost) noteSuccess() {
 	}
 }
 
-// acquire takes a connection slot, dialing lazily when the slot is still
-// unused. Blocks when every slot is busy — the engine's parallelism is
+// acquire takes a connection slot, dialing it when it holds no
+// connection. Blocks when every slot is busy — the engine's parallelism is
 // normally sized to the pool so this only gates bursts.
 func (h *workerHost) acquire(ctx context.Context) (*workerConn, error) {
 	select {
 	case wc := <-h.slots:
-		if wc != nil {
-			return wc, nil
+		if wc.conn == nil {
+			if err := h.connect(ctx, wc); err != nil {
+				h.slots <- wc // hand the slot back empty
+				return nil, err
+			}
 		}
-		fresh, err := dialWorker(h.addr)
-		if err != nil {
-			h.slots <- nil // hand the slot back undialed
-			return nil, err
-		}
-		fresh.redials = h.pool.metrics.Load().redials
-		h.mu.Lock()
-		h.all = append(h.all, fresh)
-		h.mu.Unlock()
-		return fresh, nil
+		return wc, nil
 	case <-h.pool.closedCh:
 		return nil, errPoolClosed
 	case <-ctx.Done():
@@ -525,18 +411,11 @@ func (h *workerHost) acquire(ctx context.Context) (*workerConn, error) {
 	}
 }
 
-func (h *workerHost) release(wc *workerConn) {
-	if h.pool.isClosed() {
-		wc.conn.Close()
-		return
-	}
-	h.slots <- wc // never blocks: one slot was taken per acquire
-}
-
 // do runs one block exchange on this host, maintaining its in-flight and
 // health accounting: it sends frame, a complete work request frame whose
-// spec carries traceID. Errors are transport-level (retryable elsewhere);
-// application failures arrive inside the response.
+// spec carries traceID. A transport failure gets one immediate redial and
+// retry on this worker, sending the same frame. Errors are transport-level
+// (retryable elsewhere); application failures arrive inside the response.
 func (h *workerHost) do(ctx context.Context, frame []byte, traceID string) (*WorkResponse, error) {
 	h.inflight.Add(1)
 	g := h.metrics.Load().inflight
@@ -552,8 +431,15 @@ func (h *workerHost) do(ctx context.Context, frame []byte, traceID string) (*Wor
 		}
 		return nil, err
 	}
-	resp, err := wc.execute(ctx, frame, traceID)
-	h.release(wc)
+	resp, err := h.roundTrip(ctx, wc, frame, traceID)
+	if err != nil {
+		if dialErr := h.connect(ctx, wc); dialErr != nil {
+			err = fmt.Errorf("compman: worker %s unreachable after %v", h.addr, err)
+		} else {
+			resp, err = h.roundTrip(ctx, wc, frame, traceID)
+		}
+	}
+	h.slots <- wc // never blocks: one slot was taken per acquire
 	if err != nil {
 		h.noteFailure()
 	} else {
@@ -564,28 +450,58 @@ func (h *workerHost) do(ctx context.Context, frame []byte, traceID string) (*Wor
 
 var errPoolClosed = errors.New("compman: worker pool is closed")
 
-func dialWorker(addr string) (*workerConn, error) {
-	conn, err := net.Dial("tcp", addr)
+// connect dials the empty slot wc under ctx and runs the handshake. The
+// handshake runs on every dial: a worker restarted on a different release
+// is refused instead of desynchronizing. The open connection is tracked
+// under h.mu, where Close finds it.
+func (h *workerHost) connect(ctx context.Context, wc *workerConn) error {
+	if wc.held {
+		h.pool.metrics.Load().redials.Inc()
+	}
+	var d net.Dialer
+	conn, err := d.DialContext(ctx, "tcp", h.addr)
 	if err != nil {
-		return nil, fmt.Errorf("compman: dial worker %s: %w", addr, err)
+		return fmt.Errorf("compman: dial worker %s: %w", h.addr, err)
 	}
-	wc := &workerConn{
-		addr: addr,
-		conn: conn,
-		r:    bufio.NewReaderSize(conn, 64*1024),
+	if deadline, ok := ctx.Deadline(); ok {
+		_ = conn.SetDeadline(deadline)
 	}
-	// The handshake re-runs on every redial: a worker restarted on a
-	// different release is refused instead of desynchronizing.
-	if err := negotiateWire(conn, wc.r); err != nil {
+	r := bufio.NewReaderSize(conn, 64*1024)
+	if err := negotiateWire(conn, r); err != nil {
 		conn.Close()
 		if errors.Is(err, ErrPeerTooOld) {
 			// Name the stale worker explicitly: "dial failed" would send the
 			// operator hunting the network when the fix is a worker upgrade.
-			return nil, fmt.Errorf("compman: worker %s is too old for this server: %w", addr, err)
+			return fmt.Errorf("compman: worker %s is too old for this server: %w", h.addr, err)
 		}
-		return nil, fmt.Errorf("compman: worker %s: %w", addr, err)
+		return fmt.Errorf("compman: worker %s: %w", h.addr, err)
 	}
-	return wc, nil
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.pool.isClosed() {
+		conn.Close()
+		return errPoolClosed
+	}
+	h.open[conn] = struct{}{}
+	wc.conn, wc.r, wc.held = conn, r, true
+	return nil
+}
+
+// drop closes the slot's connection after a transport failure and empties
+// the slot; its next use dials afresh.
+func (h *workerHost) drop(wc *workerConn) {
+	h.mu.Lock()
+	delete(h.open, wc.conn)
+	h.mu.Unlock()
+	wc.conn.Close()
+	wc.conn = nil
+}
+
+// openConns counts the host's open connections.
+func (h *workerHost) openConns() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.open)
 }
 
 // Close releases all worker connections. In-flight exchanges fail with
@@ -603,11 +519,47 @@ func (p *WorkerPool) Close() {
 	p.mu.Unlock()
 	for _, h := range hosts {
 		h.mu.Lock()
-		for _, wc := range h.all {
-			wc.conn.Close()
+		for c := range h.open {
+			c.Close()
 		}
 		h.mu.Unlock()
 	}
+}
+
+// ready reports whether a block can reach a worker. It passes at once when
+// some host holds an open connection. Otherwise it dials the hosts in turn
+// under ctx until one connects, which is how a worker started late, or
+// restarted after the whole fleet went down, rejoins; the error is the
+// first host's when none does.
+func (p *WorkerPool) ready(ctx context.Context) error {
+	hosts := p.snapshot()
+	if len(hosts) == 0 {
+		return errPoolClosed
+	}
+	for _, h := range hosts {
+		if h.openConns() > 0 {
+			return nil
+		}
+	}
+	var first error
+	for _, h := range hosts {
+		wc, err := h.acquire(ctx)
+		if err == nil {
+			h.slots <- wc
+			return nil
+		}
+		if first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// snapshot copies the host list.
+func (p *WorkerPool) snapshot() []*workerHost {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]*workerHost(nil), p.hosts...)
 }
 
 func (p *WorkerPool) isClosed() bool {
@@ -637,17 +589,12 @@ func (p *WorkerPool) Parallelism() int {
 
 // WorkerStats snapshots per-worker fleet accounting for the admin plane.
 func (p *WorkerPool) WorkerStats() []telemetry.WorkerStatus {
-	p.mu.Lock()
-	hosts := append([]*workerHost(nil), p.hosts...)
-	p.mu.Unlock()
+	hosts := p.snapshot()
 	out := make([]telemetry.WorkerStatus, 0, len(hosts))
 	for _, h := range hosts {
-		h.mu.Lock()
-		conns := len(h.all)
-		h.mu.Unlock()
 		out = append(out, telemetry.WorkerStatus{
 			Addr:      h.addr,
-			Conns:     conns,
+			Conns:     h.openConns(),
 			MaxConns:  cap(h.slots),
 			Inflight:  h.inflight.Load(),
 			Done:      h.done.Load(),
@@ -742,8 +689,8 @@ func (f *workFrame) release() {
 }
 
 // run dispatches one encoded block. Transport-level failures (worker
-// restart, network blip, corrupted reply) are retried — first by the
-// connection's own redial, then by failing over down the candidate ranking,
+// restart, network blip, corrupted reply) are retried — first by one
+// redial of the same worker, then by failing over down the candidate ranking,
 // each remaining worker once — so a flaky or dead worker degrades accuracy
 // (the engine substitutes blocks only when the whole fleet is unusable)
 // rather than aborting the query. When StragglerAfter is set and the first
@@ -862,13 +809,11 @@ func (c *poolChamber) noteDispatch(h *workerHost, stage string, start time.Time,
 // ranking of hash(worker, idx) — a deterministic per-block permutation, so
 // the home assignment is stable under membership changes and failover
 // walks a fixed secondary ranking. Index-less blocks rank by current load.
-// Unhealthy hosts are demoted to the end (kept as last resorts: the redial
-// machinery may still revive them), and a saturated or unhealthy home is
+// Unhealthy hosts are demoted to the end (kept as last resorts: a dial of
+// an empty slot may still revive them), and a saturated or unhealthy home is
 // spilled to the least-loaded healthy host with free capacity.
 func (p *WorkerPool) candidates(idx int) []*workerHost {
-	p.mu.Lock()
-	hosts := append([]*workerHost(nil), p.hosts...)
-	p.mu.Unlock()
+	hosts := p.snapshot()
 	if len(hosts) == 0 {
 		return nil
 	}
@@ -932,81 +877,42 @@ func rendezvousScore(addr string, idx int) uint64 {
 	return h
 }
 
-// execute sends frame, a work request frame whose spec carries traceID, on
-// this worker, redialing a broken connection before and once after a
-// transport failure; the retry sends the same frame. A non-nil error is
-// always transport-level (retryable on another worker); application
-// failures come back inside the response.
-func (wc *workerConn) execute(ctx context.Context, frame []byte, traceID string) (*WorkResponse, error) {
-	wc.mu.Lock()
-	defer wc.mu.Unlock()
-	if wc.broken {
-		if dialErr := wc.redialLocked(); dialErr != nil {
-			return nil, dialErr
-		}
+// roundTrip performs one request/response exchange on the slot wc, which
+// must hold a connection. On a transport failure it drops the connection.
+// Errors are transport-level only; an application failure arrives in
+// resp.Error.
+func (h *workerHost) roundTrip(ctx context.Context, wc *workerConn, frame []byte, traceID string) (*WorkResponse, error) {
+	deadline, _ := ctx.Deadline() // zero, clearing the last one, when ctx has none
+	_ = wc.conn.SetDeadline(deadline)
+	resp, err := h.exchange(wc, frame)
+	if err == nil && traceID != "" && resp.TraceID != "" && resp.TraceID != traceID {
+		// A reply for a different request means request/response pairing
+		// slipped — same treatment as a corrupted stream.
+		err = fmt.Errorf("compman: worker %s: trace echo %q for request %q (stream desynchronized)", h.addr, resp.TraceID, traceID)
 	}
-	resp, err := wc.roundTrip(ctx, frame, traceID)
-	if err == nil {
-		return resp, nil
-	}
-	// Transient blip: one immediate redial + retry on the same worker.
-	if dialErr := wc.redialLocked(); dialErr != nil {
-		return nil, fmt.Errorf("compman: worker %s unreachable after %v", wc.addr, err)
-	}
-	return wc.roundTrip(ctx, frame, traceID)
-}
-
-// redialLocked replaces a broken connection; the caller holds wc.mu.
-func (wc *workerConn) redialLocked() error {
-	wc.redials.Inc()
-	fresh, err := dialWorker(wc.addr)
-	if err != nil {
-		return err
-	}
-	wc.conn.Close()
-	wc.conn, wc.r, wc.broken = fresh.conn, fresh.r, false
-	return nil
-}
-
-// roundTrip performs one request/response exchange; the caller holds wc.mu.
-// On transport failure it marks the connection broken. Errors are
-// transport-level only; an application failure arrives in resp.Error.
-func (wc *workerConn) roundTrip(ctx context.Context, frame []byte, traceID string) (*WorkResponse, error) {
-	if deadline, ok := ctx.Deadline(); ok {
-		_ = wc.conn.SetDeadline(deadline)
-	} else {
-		_ = wc.conn.SetDeadline(time.Time{})
-	}
-	resp, err := wc.exchangeBinary(frame)
 	if err != nil {
 		// Send/receive failures and corrupted replies all leave the stream
 		// unsynchronized; drop the connection rather than risk pairing
 		// future replies wrongly.
-		wc.broken = true
+		h.drop(wc)
 		return nil, err
-	}
-	if traceID != "" && resp.TraceID != "" && resp.TraceID != traceID {
-		// A reply for a different request means request/response pairing
-		// slipped — same treatment as a corrupted stream.
-		wc.broken = true
-		return nil, fmt.Errorf("compman: worker %s: trace echo %q for request %q (stream desynchronized)", wc.addr, resp.TraceID, traceID)
 	}
 	return resp, nil
 }
 
-// exchangeBinary sends frame and reads the reply on the framed wire; wc.mu
-// held. The read buffer persists across blocks.
-func (wc *workerConn) exchangeBinary(frame []byte) (*WorkResponse, error) {
+// exchange sends frame on wc and reads the reply on the framed wire. The
+// slot's read buffer persists across blocks.
+func (h *workerHost) exchange(wc *workerConn, frame []byte) (*WorkResponse, error) {
 	if _, err := wc.conn.Write(frame); err != nil {
-		return nil, fmt.Errorf("compman: worker %s send: %w", wc.addr, err)
+		return nil, fmt.Errorf("compman: worker %s send: %w", h.addr, err)
 	}
 	payload, err := readWireFrame(wc.r, &wc.rbuf)
 	if err != nil {
-		return nil, fmt.Errorf("compman: worker %s receive: %w", wc.addr, err)
+		return nil, fmt.Errorf("compman: worker %s receive: %w", h.addr, err)
 	}
 	resp, err := decodePayload(payload, wireMsgWorkResponse, "work response", decodeWorkResponseBody)
 	if err != nil {
-		return nil, fmt.Errorf("compman: worker %s: %w", wc.addr, err)
+		return nil, fmt.Errorf("compman: worker %s: %w", h.addr, err)
 	}
 	return resp, nil
 }

@@ -141,7 +141,13 @@ func TestWorkerPoolValidation(t *testing.T) {
 	if _, err := NewWorkerPool(nil); err == nil {
 		t.Error("empty pool accepted")
 	}
-	if _, err := NewWorkerPool([]string{"127.0.0.1:1"}); err == nil {
+	// An unreachable worker builds a pool; the readiness check fails.
+	pool, err := NewWorkerPool([]string{"127.0.0.1:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	if err := pool.ready(context.Background()); err == nil {
 		t.Error("unreachable worker accepted")
 	}
 }
@@ -231,6 +237,86 @@ func TestServerWithUnreachableWorkers(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "worker pool unavailable") {
 		t.Errorf("err = %v, want worker pool unavailable", err)
 	}
+}
+
+// remainingBudget reads the census dataset's remaining ε.
+func remainingBudget(t *testing.T, c *Client) float64 {
+	t.Helper()
+	rem, err := c.RemainingBudget("census")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rem
+}
+
+// refusedUncharged runs one query that must be refused for want of a
+// worker, with the remaining budget left as it was.
+func refusedUncharged(t *testing.T, c *Client) {
+	t.Helper()
+	before := remainingBudget(t, c)
+	if _, err := c.Query(meanQuery(0.5, 250)); err == nil || !strings.Contains(err.Error(), "worker pool unavailable") {
+		t.Fatalf("err = %v, want worker pool unavailable", err)
+	}
+	if rem := remainingBudget(t, c); rem != before {
+		t.Errorf("the refusal moved the budget: %v -> %v", before, rem)
+	}
+}
+
+// answered runs one query that every block must answer.
+func answered(t *testing.T, c *Client) {
+	t.Helper()
+	resp, err := c.Query(meanQuery(0.5, 250))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.FailedBlocks != 0 {
+		t.Errorf("%d of %d blocks substituted, want 0", resp.FailedBlocks, resp.NumBlocks)
+	}
+}
+
+// A server started before its worker refuses queries before their charge
+// until the worker listens, and then answers without a restart.
+func TestServerJoinsWorkerStartedLater(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close()
+	c, _ := startServerCfg(t, 10, ServerConfig{WorkerAddrs: []string{addr}})
+	refusedUncharged(t, c)
+	startWorkerAt(t, addr)
+	answered(t, c)
+}
+
+// When the only worker dies, the query that finds out is charged for its
+// degraded answer; the next one is refused before its charge; a worker
+// restarted at the same address answers the one after.
+func TestServerRefusesWhileFleetDown(t *testing.T) {
+	addr, kill := startKillableWorker(t)
+	c, srv := startServerCfg(t, 10, ServerConfig{WorkerAddrs: []string{addr}})
+	answered(t, c)
+	kill()
+
+	before := remainingBudget(t, c)
+	resp, err := c.Query(meanQuery(0.5, 250))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.FailedBlocks != resp.NumBlocks || resp.EpsilonCharged != 0.5 {
+		t.Errorf("query after the kill: %d of %d blocks substituted, ε %v charged; want all, 0.5",
+			resp.FailedBlocks, resp.NumBlocks, resp.EpsilonCharged)
+	}
+	if rem := remainingBudget(t, c); math.Abs(before-0.5-rem) > 1e-9 {
+		t.Errorf("remaining budget %v after the degraded query, want %v", rem, before-0.5)
+	}
+	if conns := srv.WorkerStats()[0].Conns; conns != 0 {
+		t.Errorf("the dead worker reports %d open connections, want 0", conns)
+	}
+
+	refusedUncharged(t, c)
+	startWorkerAt(t, addr)
+	answered(t, c)
 }
 
 // A worker restart mid-session: the pool redials transparently and the
