@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt bench-vet check fuzz bench bench-smoke alloc-guards repro fanout-race ledger-kill audit-kill prom-lint
+.PHONY: all build test race vet fmt bench-vet check fuzz bench bench-smoke alloc-guards avx-off repro fanout-race ledger-kill audit-kill prom-lint
 
 all: check
 
@@ -11,15 +11,22 @@ test:
 	$(GO) test ./...
 
 # vet also type-checks the two packages with an amd64-only assembly path for
-# arm64, so their pure-Go fallback (mathutil's ExpInto without the vector
-# loop) is compiled somewhere; asmdecl checks the amd64 frames in the first
-# pass.
+# arm64, so their pure-Go fallbacks (mathutil's ExpInto without the vector
+# loop, analytics' logistic-regression sweeps as Go loops) are compiled
+# somewhere; asmdecl checks the amd64 frames in the first pass.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/mathutil ./internal/analytics
 
 race:
 	$(GO) test -race ./...
+
+# avx-off runs the two packages with four-lane AVX kernels once more with
+# the runtime's AVX detection off, which turns their shared gate off: the
+# Go fallbacks then run end to end on an AVX host too, not only where a test
+# flips the gate.
+avx-off:
+	GODEBUG=cpu.avx=off $(GO) test -count=1 ./internal/mathutil ./internal/analytics
 
 # fmt fails when any Go file in the tree, the benchmark harness's module
 # included, is not gofmt-formatted, and lists the files that are not.
@@ -58,7 +65,7 @@ audit-kill:
 # restart workers under a live server run five times too.
 fanout-race:
 	$(GO) test -race -count=1 -run 'TestFanout|TestScheduler|TestServerOverload|TestServerDeadline|TestWorker' ./internal/compman
-	$(GO) test -race -count=5 -run 'TestServerJoinsWorkerStartedLater|TestServerRefusesWhileFleetDown|TestServerWithUnreachableWorkers|TestWireOldPeersFailClosed' ./internal/compman
+	$(GO) test -race -count=5 -run 'TestServerJoinsWorkerStartedLater|TestServerRefusesWhileFleetDown|TestServerCacheHitWhileFleetDown|TestServerWithUnreachableWorkers|TestWireOldPeersFailClosed' ./internal/compman
 	$(GO) test -race -count=5 -run 'TestRun|TestConcurrentRuns' ./internal/core
 	$(GO) test -race -count=5 -run 'TestInProcess|TestAbandoned' ./internal/sandbox
 
@@ -91,11 +98,12 @@ repro:
 	done && echo "repro: fig3/4/5/7/8/9.csv byte-identical to results/"
 
 # check is the pre-merge gate: the gofmt gate and static analysis of both
-# modules plus the full suite under the race detector, plus dedicated passes
-# of both kill matrices and the fan-out concurrency tests, plus the
-# allocation guards, the Prometheus exposition lint, one iteration of every
-# micro-benchmark and the figure reproduction.
-check: fmt vet bench-vet race fanout-race ledger-kill audit-kill alloc-guards prom-lint bench-smoke repro
+# modules plus the full suite under the race detector, the vector kernels'
+# packages with AVX off, plus dedicated passes of both kill matrices and the
+# fan-out concurrency tests, plus the allocation guards, the Prometheus
+# exposition lint, one iteration of every micro-benchmark and the figure
+# reproduction.
+check: fmt vet bench-vet race avx-off fanout-race ledger-kill audit-kill alloc-guards prom-lint bench-smoke repro
 
 # fuzz runs each fuzz target briefly; lengthen FUZZTIME for soak runs.
 FUZZTIME ?= 10s

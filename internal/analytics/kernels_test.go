@@ -2,6 +2,7 @@ package analytics
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"gupt/internal/allocguard"
@@ -261,6 +262,162 @@ func TestLogRegBlockAllocations(t *testing.T) {
 	}
 }
 
+// sweepCell draws one cell for TestSweepsMatchLoops: mostly values on an
+// ordinary scale, and −0, +0, subnormals, magnitudes up to 3·10⁴ (large
+// enough that −|u| falls below ExpInto's vector window) and, when poison
+// is set, NaN and ±Inf.
+func sweepCell(rng *mathutil.RNG, poison bool) float64 {
+	k := rng.Intn(24)
+	if !poison && k >= 4 && k <= 6 {
+		k = 7
+	}
+	switch k {
+	case 0:
+		return math.Copysign(0, -1)
+	case 1:
+		return 0
+	case 2:
+		return math.SmallestNonzeroFloat64 * float64(1+rng.Intn(1<<20))
+	case 3:
+		return -0x1p-1030
+	case 4:
+		return math.NaN()
+	case 5:
+		return math.Inf(1)
+	case 6:
+		return math.Inf(-1)
+	case 7, 8:
+		return (2*rng.Float64() - 1) * 3e4
+	case 9:
+		return float64(rng.Intn(2))
+	default:
+		return rng.NormFloat64() * 3
+	}
+}
+
+// Each sweep of a gradient pass must compute its Go loop's bits (every NaN
+// counted as one value) with the vector kernels on and off, at every width
+// from 1 to 40 features (several twelve-column chunks of grads) and every
+// row count from 0 to 40 plus 385 and 386, so every n mod 16 occurs. Each
+// shape runs on finite cells, where a wide sum stays finite and shows any
+// change of rounding or order, and on cells holding NaN and ±Inf.
+func TestSweepsMatchLoops(t *testing.T) {
+	paths := []bool{false}
+	if useVectorSweeps {
+		paths = append(paths, true)
+	} else {
+		t.Log("no vector kernels on this CPU or GODEBUG: checking the fallback only")
+	}
+	defer func(v bool) { useVectorSweeps = v }(useVectorSweeps)
+	rng := mathutil.NewRNG(49)
+	var poison bool
+	fill := func(xs []float64) []float64 {
+		for i := range xs {
+			xs[i] = sweepCell(rng, poison)
+		}
+		return xs
+	}
+	same := func(what string, vector bool, f, n int, got, want []float64) {
+		t.Helper()
+		if !sameBits(got, want) {
+			t.Fatalf("vector=%v poison=%v f=%d n=%d %s:\n kernel %v\n loop   %v", vector, poison, f, n, what, got, want)
+		}
+	}
+	ns := []int{385, 386}
+	for n := 0; n <= 40; n++ {
+		ns = append(ns, n)
+	}
+	for _, vector := range paths {
+		useVectorSweeps = vector
+		for f := 1; f <= 40; f++ {
+			for _, n := range ns {
+				for _, poison = range []bool{false, true} {
+					cells := fill(make([]float64, (f+1)*n))
+					for i := f * n; i < len(cells); i++ {
+						cells[i] = 1 // the ones column
+					}
+					c := logregCols{cells: cells, n: n, f: f}
+					w := fill(make([]float64, f+1))
+					u, uLoop := make([]float64, n), make([]float64, n)
+					c.dots(u, w)
+					c.dotsLoop(uLoop, w)
+					same("dots", vector, f, n, u, uLoop)
+
+					err := fill(make([]float64, n))
+					grad, gradLoop := make([]float64, (f+4)/4*4), make([]float64, (f+4)/4*4)
+					c.grads(grad, err)
+					c.gradsLoop(gradLoop, err)
+					same("grads", vector, f, n, grad, gradLoop)
+
+					y := make([]float64, n)
+					for i := range y {
+						y[i] = float64(rng.Intn(2))
+					}
+					z := fill(make([]float64, n))
+					copy(u, z)
+					copy(uLoop, z)
+					sigmoidErrs(u, make([]float64, n), y)
+					sigmoidErrsLoop(uLoop, make([]float64, n), y)
+					same("sigmoidErrs", vector, f, n, u, uLoop)
+				}
+			}
+		}
+	}
+}
+
+// The pooled scratch keeps one layout: after a 385×11 block (served_ml's)
+// the buffer logregPool hands back holds (f+4)·n + (f+4)/4·4 floats, and
+// after a 20,000×11 regression, whose scratch is over maxPooledBytes, none
+// of that scratch. A second, row-major copy for grads would pin
+// ≈ 1.9 MB more for the life of the process (served_ml's peak_rss_mb
+// +19 %).
+func TestLogRegScratchDoesNotGrow(t *testing.T) {
+	allocguard.SkipUnderRace(t, "sync.Pool is deliberately lossy under the race detector")
+	const f = 10
+	for _, n := range []int{20000, 385} {
+		block := kernelBlock(mathutil.NewRNG(3), n, f+1, false)
+		lr := LogisticRegression{FeatureDims: f, LabelCol: f, Iters: 2, LearnRate: 0.5}
+		want := (f+4)*n + (f+4)/4*4
+		pooled := 8*want <= maxPooledBytes
+		for try := 0; ; try++ {
+			runtime.GC() // twice: empty the pool and its victim cache
+			runtime.GC()
+			if _, err := lr.Run(block); err != nil {
+				t.Fatal(err)
+			}
+			buf := logregPool.Get().(*[]float64)
+			logregPool.Put(buf)
+			if cap(*buf) > want || 8*cap(*buf) > maxPooledBytes {
+				t.Fatalf("a %d×%d block left %d floats of pooled scratch, want at most %d and at most %d bytes",
+					n, f+1, cap(*buf), want, maxPooledBytes)
+			}
+			if !pooled || cap(*buf) > 0 {
+				break
+			}
+			if try == 2 {
+				t.Fatalf("the pool never handed back a %d×%d block's scratch", n, f+1)
+			}
+		}
+	}
+}
+
+// A k-means block whose scratch is over maxPooledBytes leaves none of it in
+// the pool.
+func TestKMeansDropsOversizedScratch(t *testing.T) {
+	allocguard.SkipUnderRace(t, "sync.Pool is deliberately lossy under the race detector")
+	block := mixtureBlock(mathutil.NewRNG(4), 20000, 11)
+	runtime.GC()
+	runtime.GC()
+	if _, err := (KMeans{K: 4, FeatureDims: 10, Iters: 2, Seed: 1}).Run(block); err != nil {
+		t.Fatal(err)
+	}
+	sc := kmeansPool.Get().(*kmeansScratch)
+	kmeansPool.Put(sc)
+	if 32*cap(sc.upper) > maxPooledBytes {
+		t.Errorf("a 20,000-row k-means block left %d points of scratch in the pool", cap(sc.upper))
+	}
+}
+
 // Sigmoid picks its numerator with z's sign bit instead of branching on
 // z >= 0; it must return what the two-branch form returns, bit for bit
 // (every NaN counted as one value), on every class of argument.
@@ -287,7 +444,7 @@ func TestSigmoidMatchesTwoBranchForm(t *testing.T) {
 }
 
 // fuzzLogRegBlock builds a logistic-regression input from fuzz bytes: n
-// (1–400), F (1–12), Iters (1–20) and, from the fifth byte, the learning
+// (1–400), F (1–40, so up to four twelve-column chunks of grads), Iters (1–20) and, from the fifth byte, the learning
 // rate, L1 on or off, an extra column, which column holds the label, and
 // whether the block may hold non-finite cells and large ones; then one
 // kind byte and one value byte per cell, F+1 or F+2 cells per row, from the
@@ -301,7 +458,7 @@ func fuzzLogRegBlock(data []byte) (LogisticRegression, []mathutil.Vec) {
 	copy(head, data)
 	rest := data[min(len(data), 5):]
 	n := 1 + int(uint16(head[0])|uint16(head[1])<<8)%400
-	f := 1 + int(head[2])%12
+	f := 1 + int(head[2])%40
 	lr := LogisticRegression{FeatureDims: f, LabelCol: f, Iters: 1 + int(head[3])%20,
 		LearnRate: []float64{0.05, 0.3, 0.5, 2}[head[4]%4], L2: 0.01}
 	if head[4]&4 != 0 {

@@ -72,7 +72,11 @@ func (k KMeans) run(block []mathutil.Vec) (mathutil.Vec, int, error) {
 	rng := mathutil.GetRNG(k.Seed)
 	defer rng.Release()
 	sc := kmeansPool.Get().(*kmeansScratch)
-	defer kmeansPool.Put(sc)
+	defer func() {
+		if 32*cap(sc.upper) <= maxPooledBytes { // upper, lower, labels and open
+			kmeansPool.Put(sc)
+		}
+	}()
 	sc.reset(n, k.K, f)
 	centers := sc.centers
 
@@ -133,7 +137,8 @@ func (k KMeans) run(block []mathutil.Vec) (mathutil.Vec, int, error) {
 }
 
 // kmeansScratch is one run's working storage. It grows to the largest block
-// and K·F it has served and goes back to kmeansPool when the run ends.
+// and K·F it has served and goes back to kmeansPool when the run ends,
+// unless its per-point slices are over maxPooledBytes.
 type kmeansScratch struct {
 	// upper[i] and lower[i] bound point i's distance to its own center from
 	// above and to every other center from below (assign). During seeding
@@ -151,6 +156,18 @@ type kmeansScratch struct {
 }
 
 var kmeansPool = sync.Pool{New: func() any { return new(kmeansScratch) }}
+
+// maxPooledBytes bounds the per-point scratch a kernel's pool keeps: 512 KiB
+// is a 4,680-row logistic-regression block over ten features, or a
+// 16,384-row k-means block. GUPT's default block over an n-row table is
+// n^0.6 rows, so a ten-feature logistic regression passes it only on a
+// table of over a million rows, and a block that size runs far longer than
+// one allocation takes. A pooled
+// buffer stays live for as long as blocks keep reusing it: without the
+// bound, one whole-table run (the benchmark's ground truth over 20,000 rows)
+// pinned ≈ 2.9 MB for the life of the process and raised the GC's heap goal
+// with it.
+const maxPooledBytes = 512 << 10
 
 // reset sizes the scratch for n points, k centers and f features. Every
 // slice is overwritten before it is read, except counts and labels, which

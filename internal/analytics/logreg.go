@@ -48,8 +48,10 @@ func (l LogisticRegression) OutputDims() int { return l.FeatureDims + 1 }
 //
 // Each sum adds the same terms in the same order as the one-row loop, and
 // ExpInto is math.Exp bit for bit, so the released bits are that loop's
-// (TestKernelsMatchReference, FuzzLogRegMatchesReference). The block is only
-// read.
+// (TestKernelsMatchReference, FuzzLogRegMatchesReference). Where ExpInto's
+// four-lane path runs, so do the sweeps' (logreg_amd64.s), each lane
+// repeating the Go loop's operations in its order; elsewhere the Go loops
+// run. The block is only read.
 func (l LogisticRegression) Run(block []mathutil.Vec) (mathutil.Vec, error) {
 	if len(block) == 0 {
 		return nil, ErrEmptyBlock
@@ -64,7 +66,11 @@ func (l LogisticRegression) Run(block []mathutil.Vec) (mathutil.Vec, error) {
 
 	f, n := l.FeatureDims, len(block)
 	buf := logregPool.Get().(*[]float64)
-	defer logregPool.Put(buf)
+	defer func() {
+		if 8*cap(*buf) <= maxPooledBytes {
+			logregPool.Put(buf)
+		}
+	}()
 	// The scratch is cols, then y, u and e (n each), then grad with room for
 	// whole groups of four columns. Every cell is written before it is read.
 	*buf = grow(*buf, (f+4)*n+(f+4)/4*4)
@@ -93,8 +99,12 @@ func (l LogisticRegression) Run(block []mathutil.Vec) (mathutil.Vec, error) {
 }
 
 // logregPool holds logistic regression's scratch; it grows to the largest
-// block it has served.
+// block it has served, up to maxPooledBytes.
 var logregPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// useVectorSweeps runs the three sweeps as four-lane AVX kernels. It is
+// ExpInto's gate: one CPU and GODEBUG decision for every vector kernel.
+var useVectorSweeps = mathutil.VectorKernels()
 
 // logregCols is a block of n rows laid out for the sweeps: feature column j
 // at cells[j·n, (j+1)·n) for j < f, then a column of ones.
@@ -124,9 +134,27 @@ func (c logregCols) col(j int) []float64 {
 }
 
 // dots sets u_i = Σ_j w_j·x_ij for every row i, each sum from +0 in column
-// order. A pass over u takes four columns: the four terms are added to u_i
-// one after another, so every sum is still one chain in column order.
+// order. The AVX kernel takes the rows in groups of four, one row a lane,
+// and the last len(u) mod 4 rows are summed here.
 func (c logregCols) dots(u, w []float64) {
+	if !useVectorSweeps {
+		c.dotsLoop(u, w)
+		return
+	}
+	dotsAVX(u, w, c.cells, c.n)
+	for i := len(u) &^ 3; i < len(u); i++ {
+		var ui float64
+		for j, wj := range w {
+			ui += wj * c.col(j)[i]
+		}
+		u[i] = ui
+	}
+}
+
+// dotsLoop is dots in Go. A pass over u takes four columns: the four terms
+// are added to u_i one after another, so every sum is still one chain in
+// column order.
+func (c logregCols) dotsLoop(u, w []float64) {
 	clear(u)
 	j := 0
 	for ; j+4 <= len(w); j += 4 {
@@ -145,9 +173,36 @@ func (c logregCols) dots(u, w []float64) {
 }
 
 // grads sets grad_j = Σ_i err_i·x_ij for every column j, the ones column
-// included, each sum from +0 in row order, four columns per pass over err
-// (four independent sums; grad is padded to a multiple of four).
+// included, each sum from +0 in row order. grad is padded to a multiple of
+// four; past the ones column, col repeats it.
+//
+// The AVX kernel reads the same column-major cells, one column a lane, and
+// takes up to twelve columns per pass over err, two rows at a time; an odd
+// last row is added here, after the kernel has stored each sum, so every sum
+// keeps its row order.
 func (c logregCols) grads(grad, err []float64) {
+	n := len(err)
+	if !useVectorSweeps || n < 2 {
+		c.gradsLoop(grad, err)
+		return
+	}
+	for j := 0; j <= c.f; j += 12 {
+		groups := min(3, (c.f-j)/4+1)
+		last := j + 4*(groups-1) // the first column of the chunk's last group
+		pad := func(k int) int { return (min(last+k, c.f) - last) * c.n * 8 }
+		gradsAVX(&grad[j], &c.cells[j*c.n], &err[0], n/2, c.n*8, groups, pad(1), pad(2), pad(3))
+	}
+	if n%2 == 1 {
+		e := err[n-1]
+		for j := range grad[:(c.f+4)/4*4] {
+			grad[j] += e * c.col(j)[n-1]
+		}
+	}
+}
+
+// gradsLoop is grads in Go: four columns per pass over err, four
+// independent sums.
+func (c logregCols) gradsLoop(grad, err []float64) {
 	for j := 0; j <= c.f; j += 4 {
 		x0, x1, x2, x3 := c.col(j)[:len(err)], c.col(j + 1)[:len(err)], c.col(j + 2)[:len(err)], c.col(j + 3)[:len(err)]
 		var g0, g1, g2, g3 float64
@@ -162,8 +217,29 @@ func (c logregCols) grads(grad, err []float64) {
 }
 
 // sigmoidErrs replaces each u_i by Sigmoid(u_i) − y_i, with e (as long as u)
-// as scratch for e^−|u_i|.
+// as scratch for e^−|u_i|. The AVX kernels take the rows before and after
+// ExpInto in groups of four, one row a lane, and the last len(u) mod 4 rows
+// go through the same steps here.
 func sigmoidErrs(u, e, y []float64) {
+	if !useVectorSweeps {
+		sigmoidErrsLoop(u, e, y)
+		return
+	}
+	e, y = e[:len(u)], y[:len(u)]
+	tail := len(u) &^ 3
+	negAbsAVX(e, u)
+	for i := tail; i < len(u); i++ {
+		e[i] = -math.Abs(u[i])
+	}
+	mathutil.ExpInto(e, e)
+	logisticErrsAVX(u, e, y)
+	for i := tail; i < len(u); i++ {
+		u[i] = logistic(u[i], e[i]) - y[i]
+	}
+}
+
+// sigmoidErrsLoop is sigmoidErrs in Go.
+func sigmoidErrsLoop(u, e, y []float64) {
 	e, y = e[:len(u)], y[:len(u)]
 	for i, ui := range u {
 		e[i] = -math.Abs(ui)

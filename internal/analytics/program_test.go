@@ -279,7 +279,8 @@ func BenchmarkKMeansPartition(b *testing.B) {
 // sub-benchmarks time one sweep of it each over the same rows and passes:
 // "exp" the sigmoid's 19,250 exponentials on the arguments the passes feed
 // it, through ExpInto and through a math.Exp loop; "dots" the u = w·x + b
-// sweep; "update" the gradient sweep.
+// sweep; "sigmoid" sigmoidErrs on the passes' arguments (each pass's copy
+// into u included); "grads" the gradient sweep.
 func BenchmarkLogRegBlock(b *testing.B) {
 	block := workload.LifeSci(1, 385).Rows()
 	f, n := workload.LifeSciDims, len(block)
@@ -295,6 +296,10 @@ func BenchmarkLogRegBlock(b *testing.B) {
 		w[j] = 0.1 * float64(j+1)
 	}
 	u, e, grad := make([]float64, n), make([]float64, len(ts)), make([]float64, (f+4)/4*4)
+	y := make([]float64, n)
+	for i, row := range block {
+		y[i] = label(row[f])
+	}
 	b.Run("block", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -326,7 +331,15 @@ func BenchmarkLogRegBlock(b *testing.B) {
 			}
 		}
 	})
-	b.Run("update", func(b *testing.B) {
+	b.Run("sigmoid", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for pass := 0; pass < prog.Iters; pass++ {
+				copy(u, zs[pass*n:(pass+1)*n])
+				sigmoidErrs(u, e, y)
+			}
+		}
+	})
+	b.Run("grads", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for pass := 0; pass < prog.Iters; pass++ {
 				c.grads(grad, errs[pass*n:(pass+1)*n])

@@ -28,12 +28,12 @@ func (s *Server) handleQuery(req *Request, tenantID string, tr *telemetry.Trace,
 	if req.Program == nil {
 		return Response{Error: "query missing program"}
 	}
-	q, err := s.pipelineQuery(req, tenantID, tr, deadline)
+	q, err := s.pipelineQuery(req, tenantID, tr)
 	if err != nil {
 		return errResponse(err)
 	}
 	q.Deadline = deadline
-	res, charged, err := s.stage.Run(context.Background(), q)
+	res, charged, err := s.stage.Run(s.queryContext(deadline), q)
 	if err != nil {
 		// A run that failed after its charge settled still consumed budget
 		// (§6.2 — aborts never refund): report the failure along with the
@@ -59,9 +59,8 @@ func (s *Server) handleQuery(req *Request, tenantID string, tr *telemetry.Trace,
 // translate spec) into the pipeline's query description and adds what the
 // server decides: ledger label, quantum and failure policy, and the chamber
 // factory — the worker pool when one is configured, under the configured
-// ChamberWrapper. A pool that can reach no worker refuses the query here,
-// before its charge; deadline bounds that check.
-func (s *Server) pipelineQuery(req *Request, tenantID string, tr *telemetry.Trace, deadline time.Time) (*query.Query, error) {
+// ChamberWrapper.
+func (s *Server) pipelineQuery(req *Request, tenantID string, tr *telemetry.Trace) (*query.Query, error) {
 	program, err := req.Program.resolve()
 	if err != nil {
 		return nil, err
@@ -119,9 +118,6 @@ func (s *Server) pipelineQuery(req *Request, tenantID string, tr *telemetry.Trac
 	// Cluster execution: fan the blocks out over the worker daemons, which
 	// resolve the same program spec.
 	if s.pool != nil {
-		if err := s.poolReady(deadline); err != nil {
-			return nil, fmt.Errorf("compman: worker pool unavailable: %w", err)
-		}
 		progSpec := *req.Program
 		q.Options.NewChamber = func(_ analytics.Program, pol sandbox.Policy) sandbox.Chamber {
 			return s.pool.Chamber(WorkSpec{
@@ -136,11 +132,27 @@ func (s *Server) pipelineQuery(req *Request, tenantID string, tr *telemetry.Trac
 	return q, nil
 }
 
+// queryContext is the context a query or session runs the pipeline under.
+// With a worker pool it carries the pool's readiness check, which the stage
+// runs after its cache lookup: a pool that can reach no worker refuses the
+// computation before its charge, and a cached answer is served without it.
+func (s *Server) queryContext(deadline time.Time) context.Context {
+	ctx := context.Background()
+	if s.pool == nil {
+		return ctx
+	}
+	return query.WithReadiness(ctx, func(ctx context.Context) error {
+		if err := s.poolReady(ctx, deadline); err != nil {
+			return fmt.Errorf("compman: worker pool unavailable: %w", err)
+		}
+		return nil
+	})
+}
+
 // poolReady runs the pool's readiness check under the query's deadline and
 // QueryTimeout, so a worker that never answers its dial cannot hold the
 // query past either.
-func (s *Server) poolReady(deadline time.Time) error {
-	ctx := context.Background()
+func (s *Server) poolReady(ctx context.Context, deadline time.Time) error {
 	if s.cfg.QueryTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
@@ -197,13 +209,13 @@ func (s *Server) handleSession(req *Request, tenantID string, tr *telemetry.Trac
 			BlockSize:    m.BlockSize,
 			Gamma:        m.Gamma,
 			Seed:         m.Seed,
-		}, tenantID, tr, deadline)
+		}, tenantID, tr)
 		if err != nil {
 			return errResponse(fmt.Errorf("session query %d: %w", i, err))
 		}
 		sess.Members[i] = *q
 	}
-	members, charged, err := s.stage.RunSession(context.Background(), &sess)
+	members, charged, err := s.stage.RunSession(s.queryContext(deadline), &sess)
 	if err != nil {
 		return errResponse(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -317,6 +318,47 @@ func TestServerRefusesWhileFleetDown(t *testing.T) {
 	refusedUncharged(t, c)
 	startWorkerAt(t, addr)
 	answered(t, c)
+}
+
+// A repeat of a released query needs no worker: with the fleet down, it is
+// served from the cache at zero ε, while a new query is still refused
+// before its charge.
+func TestServerCacheHitWhileFleetDown(t *testing.T) {
+	addr, kill := startKillableWorker(t)
+	c, _ := startServerCfg(t, 10, ServerConfig{WorkerAddrs: []string{addr}, CacheEntries: 16})
+	first, err := c.Query(meanQuery(0.5, 250))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kill()
+	// The query that finds the worker gone is charged for its degraded
+	// answer, and the pool drops its connection.
+	degraded := meanQuery(0.5, 250)
+	degraded.Seed = 8
+	if resp, err := c.Query(degraded); err != nil || resp.FailedBlocks != resp.NumBlocks {
+		t.Fatalf("query after the kill: %+v, %v; want every block substituted", resp, err)
+	}
+
+	before := remainingBudget(t, c)
+	resp, err := c.Query(meanQuery(0.5, 250))
+	if err != nil {
+		t.Fatalf("repeat with the fleet down: %v", err)
+	}
+	if !resp.CacheHit || resp.EpsilonCharged != 0 || !slices.Equal(resp.Output, first.Output) {
+		t.Errorf("repeat with the fleet down: cache hit %v, ε %v charged, output %v; want a hit, 0, %v",
+			resp.CacheHit, resp.EpsilonCharged, resp.Output, first.Output)
+	}
+	if rem := remainingBudget(t, c); rem != before {
+		t.Errorf("the cache hit moved the budget: %v -> %v", before, rem)
+	}
+	fresh := meanQuery(0.5, 250)
+	fresh.Seed = 9
+	if _, err := c.Query(fresh); err == nil || !strings.Contains(err.Error(), "worker pool unavailable") {
+		t.Fatalf("new query with the fleet down: err = %v, want worker pool unavailable", err)
+	}
+	if rem := remainingBudget(t, c); rem != before {
+		t.Errorf("the refusal moved the budget: %v -> %v", before, rem)
+	}
 }
 
 // A worker restart mid-session: the pool redials transparently and the

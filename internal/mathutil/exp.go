@@ -11,6 +11,12 @@ import (
 // from the CPU and GODEBUG.
 var useExpVector = cpuHasAVXFMA() && godebugKeepsFMA(os.Getenv("GODEBUG"))
 
+// VectorKernels reports whether this process runs its four-lane AVX
+// kernels: ExpInto's here and logistic regression's sweeps in analytics.
+// All of them share this one gate, decided once at start-up from the CPU
+// (AVX and FMA, YMM state saved by the OS) and GODEBUG.
+func VectorKernels() bool { return useExpVector }
+
 // ExpInto sets dst[i] to math.Exp(src[i]) for every i of src, bit for bit.
 // dst must be at least as long as src, and may be src itself.
 //

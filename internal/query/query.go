@@ -197,6 +197,9 @@ func (s *Stage) Run(ctx context.Context, q *Query) (*core.Result, float64, error
 			return &res, 0, nil
 		}
 	}
+	if err := ready(ctx); err != nil {
+		return nil, 0, err
+	}
 
 	spec, err := q.rangeSpec(reg)
 	if err != nil {
@@ -256,6 +259,25 @@ func (s *Stage) Run(ctx context.Context, q *Query) (*core.Result, float64, error
 	}
 	release.End(telemetry.StatusOK)
 	return res, opts.Epsilon, nil
+}
+
+// readyKey is the context key of a host's readiness check.
+type readyKey struct{}
+
+// WithReadiness returns a copy of ctx carrying check, a host's test that it
+// can run a computation at all (guptd's: some worker answers). Run and
+// RunSession call it after the cache lookup and before the charge, so a
+// repeat needs no readiness and a refusal costs no ε.
+func WithReadiness(ctx context.Context, check func(context.Context) error) context.Context {
+	return context.WithValue(ctx, readyKey{}, check)
+}
+
+// ready runs the readiness check ctx carries, if any.
+func ready(ctx context.Context) error {
+	if check, ok := ctx.Value(readyKey{}).(func(context.Context) error); ok {
+		return check(ctx)
+	}
+	return nil
 }
 
 // execute runs the engine once for a computation whose charge has settled,

@@ -117,6 +117,9 @@ func (s *Stage) RunSession(ctx context.Context, sess *Session) ([]MemberResult, 
 			return out, 0, nil
 		}
 	}
+	if err := ready(ctx); err != nil {
+		return nil, 0, err
+	}
 
 	// One atomic charge for the whole session; per-member epsilons then
 	// flow from the session's own pot, so a mid-session failure cannot
