@@ -63,7 +63,7 @@ func main() {
 		maxQueue     = flag.Int("max-queue", 0, "scheduler wait-queue bound; arrivals past it are refused with a retry hint (0 = 4x max-concurrent)")
 		idle         = flag.Duration("idle", 0, "disconnect clients idle for this long (0 disables)")
 		blockTimeout = flag.Duration("block-timeout", 0, "per-block execution deadline; overruns are substituted (0 disables)")
-		queryTimeout = flag.Duration("query-timeout", 0, "whole-query deadline; overruns abort with budget consumed (0 disables)")
+		queryTimeout = flag.Duration("query-timeout", 0, "whole-request deadline: a plan that cannot finish in it is refused at zero epsilon, and overruns abort with budget consumed (0 disables)")
 		cacheEntries = flag.Int("cache-entries", 1024, "noisy-answer cache capacity: repeat queries are re-served their published answer at zero extra ε (0 disables)")
 		cacheTTL     = flag.Duration("cache-ttl", 10*time.Minute, "expire cached answers after this long (0 keeps them until evicted)")
 		tenancy      = flag.Bool("tenancy", false, "require tenant API keys: authenticate, authorize, rate-limit, and quota every request (see -tenants-file)")

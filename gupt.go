@@ -300,23 +300,12 @@ func (q *Query) pipeline() *query.Query {
 
 // EstimateEpsilon previews the ε an accuracy goal would cost on a dataset
 // without charging anything — useful for analysts budgeting a session. It
-// requires the dataset to have an aged sample.
+// plans the query Run would (blockSize 0 selects n^0.6) and requires the
+// dataset to have an aged sample.
 func (p *Platform) EstimateEpsilon(name string, program Program, blockSize int, ranges []Range, goal AccuracyGoal) (float64, error) {
-	reg, err := p.stage.Registry.Lookup(name)
-	if err != nil {
-		return 0, err
-	}
-	if !reg.HasAged() {
-		return 0, aging.ErrNoAgedData
-	}
-	if blockSize == 0 {
-		blockSize = core.DefaultBlockSize(reg.Private.NumRows())
-	}
-	est, err := aging.EstimateEpsilon(program, reg.Aged.View(), reg.Private.NumRows(), blockSize, ranges, goal)
-	if err != nil {
-		return 0, err
-	}
-	return est.Epsilon, nil
+	q := Query{Dataset: name, Program: program, OutputRanges: ranges, BlockSize: blockSize, Accuracy: &goal}
+	plan, err := p.stage.Plan(q.pipeline())
+	return plan.Options.Epsilon, err
 }
 
 // DefaultBlockSize returns the paper's default block size n^0.6 for a

@@ -10,9 +10,6 @@ import (
 	"fmt"
 	"math"
 
-	"gupt/internal/aging"
-	"gupt/internal/analytics"
-	"gupt/internal/core"
 	"gupt/internal/dataset"
 	"gupt/internal/dp"
 	"gupt/internal/telemetry"
@@ -226,37 +223,4 @@ func (m *Manager) Remaining(datasetName string) (float64, error) {
 		return 0, err
 	}
 	return r.Accountant.Remaining(), nil
-}
-
-// ChargeForAccuracy translates an accuracy goal into the minimal ε using
-// the dataset's aged sample (paper §5.1) and debits exactly that amount.
-// It returns the estimate so the caller can run the query at the granted
-// budget. The estimate itself touches only aged data and costs nothing.
-func (m *Manager) ChargeForAccuracy(datasetName, label string, program analytics.Program, blockSize int, ranges []dp.Range, goal aging.AccuracyGoal) (aging.EpsilonEstimate, error) {
-	return m.ChargeForAccuracyAs("", datasetName, label, program, blockSize, ranges, goal)
-}
-
-// ChargeForAccuracyAs is ChargeForAccuracy attributed to a tenant id. The
-// estimate runs first (aged data only, costs nothing), so the tenant's
-// quota is reserved for the exact ε the goal translates to.
-func (m *Manager) ChargeForAccuracyAs(tenant, datasetName, label string, program analytics.Program, blockSize int, ranges []dp.Range, goal aging.AccuracyGoal) (aging.EpsilonEstimate, error) {
-	r, err := m.reg.Lookup(datasetName)
-	if err != nil {
-		return aging.EpsilonEstimate{}, err
-	}
-	if !r.HasAged() {
-		return aging.EpsilonEstimate{}, aging.ErrNoAgedData
-	}
-	n := r.Private.NumRows()
-	if blockSize == 0 {
-		blockSize = core.DefaultBlockSize(n)
-	}
-	est, err := aging.EstimateEpsilon(program, r.Aged.View(), n, blockSize, ranges, goal)
-	if err != nil {
-		return aging.EpsilonEstimate{}, err
-	}
-	if err := m.ChargeAs(tenant, datasetName, label, est.Epsilon); err != nil {
-		return aging.EpsilonEstimate{}, err
-	}
-	return est, nil
 }

@@ -6,8 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"gupt/internal/aging"
-	"gupt/internal/analytics"
 	"gupt/internal/dataset"
 	"gupt/internal/dp"
 	"gupt/internal/mathutil"
@@ -156,46 +154,5 @@ func TestManagerCharge(t *testing.T) {
 	}
 	if _, err := m.Remaining("missing"); !errors.Is(err, dataset.ErrNotFound) {
 		t.Errorf("unknown dataset err = %v", err)
-	}
-}
-
-func TestChargeForAccuracy(t *testing.T) {
-	m, name := managerFixture(t, 100.0, 0.2)
-	goal := aging.AccuracyGoal{Rho: 0.9, Confidence: 0.9}
-	ranges := []dp.Range{{Lo: 0, Hi: 150}}
-	est, err := m.ChargeForAccuracy(name, "avg", analytics.Mean{Col: 0}, 0, ranges, goal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.Epsilon <= 0 {
-		t.Fatalf("estimated eps = %v", est.Epsilon)
-	}
-	rem, _ := m.Remaining(name)
-	if math.Abs((100-rem)-est.Epsilon) > 1e-9 {
-		t.Errorf("charged %v but estimate was %v", 100-rem, est.Epsilon)
-	}
-}
-
-func TestChargeForAccuracyNoAgedData(t *testing.T) {
-	m, name := managerFixture(t, 10, 0)
-	_, err := m.ChargeForAccuracy(name, "avg", analytics.Mean{Col: 0}, 0,
-		[]dp.Range{{Lo: 0, Hi: 150}}, aging.AccuracyGoal{Rho: 0.9, Confidence: 0.9})
-	if !errors.Is(err, aging.ErrNoAgedData) {
-		t.Errorf("err = %v, want ErrNoAgedData", err)
-	}
-}
-
-func TestChargeForAccuracyBudgetGate(t *testing.T) {
-	// A tiny total budget: the estimate may exceed it, and then nothing is
-	// charged (the failed spend is atomic).
-	m, name := managerFixture(t, 1e-6, 0.2)
-	_, err := m.ChargeForAccuracy(name, "avg", analytics.Mean{Col: 0}, 0,
-		[]dp.Range{{Lo: 0, Hi: 150}}, aging.AccuracyGoal{Rho: 0.9, Confidence: 0.9})
-	if !errors.Is(err, dp.ErrBudgetExhausted) {
-		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
-	}
-	rem, _ := m.Remaining(name)
-	if rem != 1e-6 {
-		t.Errorf("failed charge consumed budget: remaining %v", rem)
 	}
 }

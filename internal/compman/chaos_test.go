@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"net"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -209,9 +211,10 @@ func TestBudgetChargedOnAbort(t *testing.T) {
 
 // A session's ε is charged atomically before anything runs; a member query
 // that aborts must keep its allocation consumed while the rest of the batch
-// completes (§5.2 + §6.2). The first member's chambers (500-row blocks)
-// wait on their context until the query timeout aborts it; the second
-// member's (450-row blocks) compute.
+// keeps its answers (§5.2 + §6.2). The members share the request's one
+// deadline, so the one that computes (450-row blocks) runs first; the
+// second member's chambers (500-row blocks) wait on their context until the
+// query timeout aborts it.
 func TestSessionPartialFailureKeepsFullCharge(t *testing.T) {
 	wrapper := func(inner sandbox.Chamber) sandbox.Chamber {
 		return chamberFunc(func(ctx context.Context, block []mathutil.Vec) (mathutil.Vec, error) {
@@ -231,8 +234,8 @@ func TestSessionPartialFailureKeepsFullCharge(t *testing.T) {
 	results, err := c.Session("census", &SessionSpec{
 		TotalEpsilon: total,
 		Queries: []SessionQuery{
-			{Program: ProgramSpec{Type: "mean", Col: 0}, OutputRanges: []RangeSpec{{Lo: 0, Hi: 150}}, BlockSize: 500},
 			{Program: ProgramSpec{Type: "mean", Col: 0}, OutputRanges: []RangeSpec{{Lo: 0, Hi: 150}}, BlockSize: 450},
+			{Program: ProgramSpec{Type: "mean", Col: 0}, OutputRanges: []RangeSpec{{Lo: 0, Hi: 150}}, BlockSize: 500},
 		},
 	})
 	if err != nil {
@@ -241,17 +244,17 @@ func TestSessionPartialFailureKeepsFullCharge(t *testing.T) {
 	if len(results) != 2 {
 		t.Fatalf("got %d results, want 2", len(results))
 	}
-	if results[0].Error == "" {
-		t.Error("first query survived its query timeout; expected an abort in its slot")
+	if results[1].Error == "" {
+		t.Error("second query survived the query timeout; expected an abort in its slot")
 	}
-	if results[0].EpsilonSpent <= 0 {
-		t.Errorf("aborted query reports EpsilonSpent = %v; its allocation must stay consumed", results[0].EpsilonSpent)
+	if results[1].EpsilonSpent <= 0 {
+		t.Errorf("aborted query reports EpsilonSpent = %v; its allocation must stay consumed", results[1].EpsilonSpent)
 	}
-	if results[1].Error != "" {
-		t.Errorf("second query failed: %s", results[1].Error)
+	if results[0].Error != "" {
+		t.Errorf("first query failed: %s", results[0].Error)
 	}
-	if len(results[1].Output) != 1 || results[1].FailedBlocks != 0 {
-		t.Errorf("second query output = %v with %d failed blocks, want one clean dimension", results[1].Output, results[1].FailedBlocks)
+	if len(results[0].Output) != 1 || results[0].FailedBlocks != 0 {
+		t.Errorf("first query output = %v with %d failed blocks, want one clean dimension", results[0].Output, results[0].FailedBlocks)
 	}
 	rem, err := c.RemainingBudget("census")
 	if err != nil {
@@ -401,5 +404,36 @@ func TestWorkerProtocolChaos(t *testing.T) {
 	}
 	if got := proxy.Schedule.Counts(); len(got) < 2 {
 		t.Errorf("proxy injected too few fault kinds to be meaningful: %v", got)
+	}
+}
+
+// A plan that cannot finish by its deadline is refused before its charge.
+// Over the census table's 4 500 private rows a fixed β = 1 makes ℓ = 4 500
+// blocks, and under a 2 ms quantum at P = 2 they need at least 4.5 s: the
+// query is refused at zero ε against the 1 s QueryTimeout, and says so in
+// public numbers only. The same query with no quantum answers. The refusal
+// is arithmetic on ℓ, P and q, so it does not depend on timing.
+func TestServerRefusesUnfinishablePlan(t *testing.T) {
+	// P is GOMAXPROCS for a server without workers.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	c, _ := startServerCfg(t, 100, ServerConfig{DefaultQuantum: 2 * time.Millisecond, QueryTimeout: time.Second})
+	_, err := c.Query(meanQuery(1, 1))
+	var qe *QueryError
+	if !errors.As(err, &qe) || qe.EpsilonCharged != 0 {
+		t.Fatalf("err %v; want a refusal at zero ε", err)
+	}
+	for _, part := range []string{"cannot finish before its deadline", "ℓ = 4500 blocks", "P = 2", "2ms quantum", "at least 4.5s", "is left"} {
+		if !strings.Contains(qe.Msg, part) {
+			t.Errorf("refusal %q does not name %q", qe.Msg, part)
+		}
+	}
+	if rem, err := c.RemainingBudget("census"); err != nil || rem != 100 {
+		t.Errorf("remaining %v (err %v) after the refusal, want 100", rem, err)
+	}
+
+	c, _ = startServerCfg(t, 100, ServerConfig{QueryTimeout: time.Second})
+	resp, err := c.Query(meanQuery(1, 1))
+	if err != nil || resp.NumBlocks != 4500 || resp.EpsilonCharged != 1 {
+		t.Fatalf("no quantum: resp %+v, err %v; want 4500 blocks for ε = 1", resp, err)
 	}
 }

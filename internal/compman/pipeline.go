@@ -21,10 +21,10 @@ import (
 // handleQuery maps an OpQuery request onto the shared pipeline
 // (internal/query), which looks the dataset up, consults the noisy-answer
 // cache, settles the privacy charge and runs the engine, then shapes the
-// response. tenantID is the authenticated principal ("" = single-tenant
-// mode); tr records the query's lifecycle spans; deadline is the client's
-// absolute answer-by time (zero: none).
-func (s *Server) handleQuery(req *Request, tenantID string, tr *telemetry.Trace, deadline time.Time) Response {
+// response. ctx carries the client's deadline; tenantID is the authenticated
+// principal ("" = single-tenant mode); tr records the query's lifecycle
+// spans.
+func (s *Server) handleQuery(ctx context.Context, req *Request, tenantID string, tr *telemetry.Trace) Response {
 	if req.Program == nil {
 		return Response{Error: "query missing program"}
 	}
@@ -32,8 +32,7 @@ func (s *Server) handleQuery(req *Request, tenantID string, tr *telemetry.Trace,
 	if err != nil {
 		return errResponse(err)
 	}
-	q.Deadline = deadline
-	res, charged, err := s.stage.Run(s.queryContext(deadline), q)
+	res, charged, err := s.stage.Run(ctx, q)
 	if err != nil {
 		// A run that failed after its charge settled still consumed budget
 		// (§6.2 — aborts never refund): report the failure along with the
@@ -132,40 +131,6 @@ func (s *Server) pipelineQuery(req *Request, tenantID string, tr *telemetry.Trac
 	return q, nil
 }
 
-// queryContext is the context a query or session runs the pipeline under.
-// With a worker pool it carries the pool's readiness check, which the stage
-// runs after its cache lookup: a pool that can reach no worker refuses the
-// computation before its charge, and a cached answer is served without it.
-func (s *Server) queryContext(deadline time.Time) context.Context {
-	ctx := context.Background()
-	if s.pool == nil {
-		return ctx
-	}
-	return query.WithReadiness(ctx, func(ctx context.Context) error {
-		if err := s.poolReady(ctx, deadline); err != nil {
-			return fmt.Errorf("compman: worker pool unavailable: %w", err)
-		}
-		return nil
-	})
-}
-
-// poolReady runs the pool's readiness check under the query's deadline and
-// QueryTimeout, so a worker that never answers its dial cannot hold the
-// query past either.
-func (s *Server) poolReady(ctx context.Context, deadline time.Time) error {
-	if s.cfg.QueryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
-		defer cancel()
-	}
-	if !deadline.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, deadline)
-		defer cancel()
-	}
-	return s.pool.ready(ctx)
-}
-
 // wrapChamberFactory applies the configured ChamberWrapper around a
 // chamber factory (nil selects the engine's in-process default).
 func (s *Server) wrapChamberFactory(base func(analytics.Program, sandbox.Policy) sandbox.Chamber) func(analytics.Program, sandbox.Policy) sandbox.Chamber {
@@ -187,7 +152,7 @@ func (s *Server) wrapChamberFactory(base func(analytics.Program, sandbox.Policy)
 // member is resolved exactly like a standalone query with tight ranges, so
 // members fan out over the worker pool the same way. tenantID attributes
 // the charge and partitions the session cache ("" = single-tenant mode).
-func (s *Server) handleSession(req *Request, tenantID string, tr *telemetry.Trace, deadline time.Time) Response {
+func (s *Server) handleSession(ctx context.Context, req *Request, tenantID string, tr *telemetry.Trace) Response {
 	spec := req.Session
 	if spec == nil {
 		return Response{Error: "session op missing payload"}
@@ -198,7 +163,6 @@ func (s *Server) handleSession(req *Request, tenantID string, tr *telemetry.Trac
 		Label:        fmt.Sprintf("session:%s:%d-queries", req.Dataset, len(spec.Queries)),
 		TotalEpsilon: spec.TotalEpsilon,
 		Members:      make([]query.Query, len(spec.Queries)),
-		Deadline:     deadline,
 	}
 	for i := range spec.Queries {
 		m := &spec.Queries[i]
@@ -215,7 +179,7 @@ func (s *Server) handleSession(req *Request, tenantID string, tr *telemetry.Trac
 		}
 		sess.Members[i] = *q
 	}
-	members, charged, err := s.stage.RunSession(s.queryContext(deadline), &sess)
+	members, charged, err := s.stage.RunSession(ctx, &sess)
 	if err != nil {
 		return errResponse(err)
 	}

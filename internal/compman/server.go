@@ -41,9 +41,11 @@ type ServerConfig struct {
 	// or wedged worker connection costs one substituted block, not the
 	// query. Zero disables the per-block deadline.
 	BlockTimeout time.Duration
-	// QueryTimeout bounds a whole query's execution. A query that exceeds
-	// it aborts with its privacy charge consumed — the analyst cannot
-	// convert forced slowness into refunded budget (§6.2). Zero disables.
+	// QueryTimeout bounds a whole request, query or session, from its
+	// start (query.Stage.Timeout). A plan that cannot finish in it is
+	// refused at zero ε; a run that exceeds it aborts with its privacy
+	// charge consumed — the analyst cannot convert forced slowness into
+	// refunded budget (§6.2). Zero disables.
 	QueryTimeout time.Duration
 	// ChamberWrapper, when set, wraps every chamber the server builds —
 	// in-process, subprocess and worker-pool alike. This is the fault
@@ -160,19 +162,13 @@ func NewServer(reg *dataset.Registry, cfg ServerConfig) *Server {
 	// fell below a quarter of its quota on Y" is exactly the event an
 	// operator wants on the books before exhaustion, not after.
 	s.plane.SetOnEvent(func(ev telemetry.BudgetEvent) {
-		if s.cfg.Audit == nil {
-			return
-		}
-		err := s.cfg.Audit.Append(audit.Record{
+		s.appendAudit(audit.Record{
 			Type:    audit.TypeBudgetThreshold,
 			Dataset: ev.Dataset,
 			Tenant:  ev.Tenant,
 			Reason:  fmt.Sprintf("remaining_below_%g", ev.Fraction),
 			Detail:  fmt.Sprintf("remaining %g of %g", ev.EpsilonRemaining, ev.EpsilonTotal),
 		})
-		if err != nil {
-			s.logf("compman: audit append: %v", err)
-		}
 	})
 	// Seed the burn-down plane's global rows so /budget shows every
 	// registered dataset before its first charge.
@@ -200,6 +196,13 @@ func NewServer(reg *dataset.Registry, cfg ServerConfig) *Server {
 			StragglerAfter: cfg.StragglerAfter,
 		})
 		s.pool.Instrument(tel)
+		// No worker reachable refuses a computation, not a cache hit.
+		s.stage.Ready = func(ctx context.Context) error {
+			if err := s.pool.ready(ctx); err != nil {
+				return fmt.Errorf("compman: worker pool unavailable: %w", err)
+			}
+			return nil
+		}
 	}
 	return s
 }
@@ -342,31 +345,30 @@ func (s *Server) admit(tenantID string) (release func(), retryAfter time.Duratio
 	return release, retryAfter, ok
 }
 
-// rateLimited builds the zero-ε rejection for a rate-limit refusal and
-// audits it (with the reason and retry hint): rejections are part of the
-// query record even though no budget moved, so a flood shows up in the
-// books. The refusal gets a span and a flight record too — refused queries
-// are observable queries.
-func (s *Server) rateLimited(tenantID, datasetName string, retryAfter time.Duration, tr *telemetry.Trace) Response {
-	resp := Response{
-		Error:            "rate limited: tenant " + tenantID + " over its admission policy",
-		RetryAfterMillis: retryHintMillis(retryAfter),
-		TraceID:          tr.ID,
+// refuse is the one exit for a zero-ε front-door refusal (rate limited,
+// queue full, deadline unmeetable, cancelled while queued). A refusal is a
+// query on the books: an overloaded one counts in the stats, the audit
+// record carries the reason and the client's retry hint (no latency bucket:
+// nothing ran), and the flight recorder publishes the trace.
+func (s *Server) refuse(tenantID, datasetName string, tr *telemetry.Trace, resp Response, outcome, reason string) *Response {
+	resp.TraceID = tr.ID
+	if outcome == "overloaded" {
+		s.stats.recordOverloaded()
 	}
-	tr.StartSpan(telemetry.StageSchedDecision).End("rate_limited")
-	s.auditRefusalAs(tenantID, datasetName, &resp, "rate_limited", "rate_limited")
-	s.recordRefusedTrace(tr, "rate_limited", "rate_limited", resp.RetryAfterMillis)
-	return resp
-}
-
-// recordRefusedTrace publishes a refused query's trace to the flight
-// recorder (/flight and /traces), so a refusal is as observable as a served
-// query.
-func (s *Server) recordRefusedTrace(tr *telemetry.Trace, outcome, reason string, retryAfterMillis int64) {
+	s.appendAudit(audit.Record{
+		Type:             audit.TypeQuery,
+		TraceID:          resp.TraceID,
+		Dataset:          datasetName,
+		Tenant:           tenantID,
+		Outcome:          outcome,
+		Reason:           reason,
+		RetryAfterMillis: resp.RetryAfterMillis,
+	})
 	s.flight.Record(tr, outcome, telemetry.FlightExtra{
 		Reason:           reason,
-		RetryAfterMillis: retryAfterMillis,
+		RetryAfterMillis: resp.RetryAfterMillis,
 	})
+	return &resp
 }
 
 // schedule passes the request through the deadline-aware scheduler. A nil
@@ -374,8 +376,8 @@ func (s *Server) recordRefusedTrace(tr *telemetry.Trace, outcome, reason string,
 // release is called; otherwise the refusal response is final — built and
 // audited here (reason and retry hint included), always before any ε
 // moved. The returned deadline is the absolute answer-by time derived from
-// req.DeadlineMillis (zero when the client set none); execution must not
-// outlive it.
+// req.DeadlineMillis (zero when the client set none); the query runs under
+// a context that carries it.
 //
 // tr gets the scheduler's self-observation spans: a
 // sched.queue span covering the time spent in the admission queue and a
@@ -404,34 +406,22 @@ func (s *Server) schedule(ctx context.Context, tenantID string, req *Request, tr
 		return release, deadline, nil
 	case schedBusy:
 		decision.End(telemetry.StatusRefusedBusy)
-		resp := Response{
+		return nil, deadline, s.refuse(tenantID, req.Dataset, tr, Response{
 			Error:            "server overloaded: query queue is full",
 			RetryAfterMillis: retryHintMillis(retryAfter),
-			TraceID:          tr.ID,
-		}
-		s.stats.recordOverloaded()
-		s.auditRefusalAs(tenantID, req.Dataset, &resp, "overloaded", "queue_full")
-		s.recordRefusedTrace(tr, "overloaded", "queue_full", resp.RetryAfterMillis)
-		return nil, deadline, &resp
+		}, "overloaded", "queue_full")
 	case schedExpired:
 		decision.End(telemetry.StatusRefusedExpired)
-		resp := Response{
+		return nil, deadline, s.refuse(tenantID, req.Dataset, tr, Response{
 			Error:            "deadline unmeetable: query would expire before a slot frees up",
 			RetryAfterMillis: retryHintMillis(retryAfter),
-			TraceID:          tr.ID,
-		}
-		s.stats.recordOverloaded()
-		s.auditRefusalAs(tenantID, req.Dataset, &resp, "overloaded", "deadline_unmeetable")
-		s.recordRefusedTrace(tr, "overloaded", "deadline_unmeetable", resp.RetryAfterMillis)
-		return nil, deadline, &resp
+		}, "overloaded", "deadline_unmeetable")
 	default: // schedCancelled: the connection went away; the response is unsendable
 		decision.End(telemetry.StatusCancelled)
-		resp := Response{Error: "query cancelled while queued", TraceID: tr.ID}
 		// The client cannot see this response, but the books still should:
 		// a cancelled-while-queued query is a scheduler refusal too.
-		s.auditRefusalAs(tenantID, req.Dataset, &resp, "cancelled", "cancelled_while_queued")
-		s.recordRefusedTrace(tr, "cancelled", "cancelled_while_queued", 0)
-		return nil, deadline, &resp
+		return nil, deadline, s.refuse(tenantID, req.Dataset, tr, Response{Error: "query cancelled while queued"},
+			"cancelled", "cancelled_while_queued")
 	}
 }
 
@@ -502,7 +492,11 @@ func (s *Server) dispatchAs(tenantID string, req *Request) Response {
 		tr.Tenant = tenantID
 		releaseSlot, retryAfter, ok := s.admit(tenantID)
 		if !ok {
-			return s.rateLimited(tenantID, req.Dataset, retryAfter, tr)
+			tr.StartSpan(telemetry.StageSchedDecision).End("rate_limited")
+			return *s.refuse(tenantID, req.Dataset, tr, Response{
+				Error:            "rate limited: tenant " + tenantID + " over its admission policy",
+				RetryAfterMillis: retryHintMillis(retryAfter),
+			}, "rate_limited", "rate_limited")
 		}
 		defer releaseSlot()
 		schedRelease, deadline, refusal := s.schedule(context.Background(), tenantID, req, tr)
@@ -513,11 +507,13 @@ func (s *Server) dispatchAs(tenantID string, req *Request) Response {
 		start := time.Now()
 		s.inflight.Inc()
 		s.flight.Begin(tr)
+		ctx, cancel := query.WithDeadline(context.Background(), deadline)
+		defer cancel()
 		var resp Response
 		if req.Op == OpSession {
-			resp = s.handleSession(req, tenantID, tr, deadline)
+			resp = s.handleSession(ctx, req, tenantID, tr)
 		} else {
-			resp = s.handleQuery(req, tenantID, tr, deadline)
+			resp = s.handleQuery(ctx, req, tenantID, tr)
 		}
 		s.inflight.Dec()
 		resp.TraceID = tr.ID
@@ -564,16 +560,23 @@ func queryOutcome(resp *Response) string {
 	}
 }
 
-// auditRecordAs appends one tamper-evident record for a settled query,
-// session, or rate-limit rejection, attributed to the tenant that ran it
-// ("" = single-tenant mode; the field is then omitted, keeping pre-tenancy
-// chains byte-identical). Append failures are logged, not fatal: refusing
-// queries on a disk error would be a denial-of-service lever.
-func (s *Server) auditRecordAs(tenantID, dataset string, resp *Response, outcome string, elapsed time.Duration) {
+// appendAudit appends rec to the audit chain, when there is one. Append
+// failures are logged, not fatal: refusing queries on a disk error would be
+// a denial-of-service lever.
+func (s *Server) appendAudit(rec audit.Record) {
 	if s.cfg.Audit == nil {
 		return
 	}
-	err := s.cfg.Audit.Append(audit.Record{
+	if err := s.cfg.Audit.Append(rec); err != nil {
+		s.logf("compman: audit append: %v", err)
+	}
+}
+
+// auditRecordAs appends one tamper-evident record for a settled query or
+// session, attributed to the tenant that ran it ("" = single-tenant mode;
+// the field is then omitted, keeping pre-tenancy chains byte-identical).
+func (s *Server) auditRecordAs(tenantID, dataset string, resp *Response, outcome string, elapsed time.Duration) {
+	s.appendAudit(audit.Record{
 		Type:                audit.TypeQuery,
 		TraceID:             resp.TraceID,
 		Dataset:             dataset,
@@ -583,31 +586,6 @@ func (s *Server) auditRecordAs(tenantID, dataset string, resp *Response, outcome
 		Blocks:              resp.NumBlocks,
 		LatencyBucketMillis: telemetry.BucketUpperMillis(float64(elapsed)/float64(time.Millisecond), telemetry.DefaultLatencyBuckets),
 	})
-	if err != nil {
-		s.logf("compman: audit append: %v", err)
-	}
-}
-
-// auditRefusalAs is auditRecordAs for refusals: no latency bucket (nothing
-// ran), but the machine-readable reason and the retry hint the client was
-// given, so `gupt-cli audit verify` replay sees every refusal with enough
-// context to explain it.
-func (s *Server) auditRefusalAs(tenantID, dataset string, resp *Response, outcome, reason string) {
-	if s.cfg.Audit == nil {
-		return
-	}
-	err := s.cfg.Audit.Append(audit.Record{
-		Type:             audit.TypeQuery,
-		TraceID:          resp.TraceID,
-		Dataset:          dataset,
-		Tenant:           tenantID,
-		Outcome:          outcome,
-		Reason:           reason,
-		RetryAfterMillis: resp.RetryAfterMillis,
-	})
-	if err != nil {
-		s.logf("compman: audit append: %v", err)
-	}
 }
 
 // auditUnsafeTrace folds a settled query's raw-duration trace line into
@@ -616,18 +594,14 @@ func (s *Server) auditRefusalAs(tenantID, dataset string, resp *Response, outcom
 // operator set UnsafeTraces — see SECURITY.md on why they are unsafe to
 // expose to adversarial analysts.
 func (s *Server) auditUnsafeTrace(tr *telemetry.Trace) {
-	if !s.cfg.UnsafeTraces || s.cfg.Audit == nil {
-		return
-	}
-	err := s.cfg.Audit.Append(audit.Record{
-		Type:      audit.TypeUnsafeTrace,
-		TraceID:   tr.ID,
-		Dataset:   tr.Dataset,
-		UnsafeRaw: true,
-		Detail:    tr.String(),
-	})
-	if err != nil {
-		s.logf("compman: audit append: %v", err)
+	if s.cfg.UnsafeTraces && s.cfg.Audit != nil {
+		s.appendAudit(audit.Record{
+			Type:      audit.TypeUnsafeTrace,
+			TraceID:   tr.ID,
+			Dataset:   tr.Dataset,
+			UnsafeRaw: true,
+			Detail:    tr.String(),
+		})
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,24 +66,6 @@ type Options struct {
 	Trace *telemetry.Trace
 }
 
-func (o Options) withDefaults(n int) Options {
-	if o.BlockSize == 0 {
-		o.BlockSize = DefaultBlockSize(n)
-	}
-	if o.Gamma == 0 {
-		o.Gamma = 1
-	}
-	if o.Parallelism == 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if o.NewChamber == nil {
-		o.NewChamber = func(prog analytics.Program, pol sandbox.Policy) sandbox.Chamber {
-			return &sandbox.InProcess{Program: prog, Policy: pol}
-		}
-	}
-	return o
-}
-
 // Result is the differentially private output of one run, plus
 // data-independent (or itself differentially private) diagnostics.
 type Result struct {
@@ -122,21 +103,16 @@ type Rows interface {
 	[]mathutil.Vec | mathutil.Matrix
 }
 
-// ErrUserLevelHelper refuses helper-mode ranges under user-level privacy:
-// the helper's percentile estimate ranks single rows at RangeEps each, so a
-// user with k rows would move it k-fold and spend k·RangeEps. It is returned
-// before anything reads the rows, and query.Query.validate returns it before
-// the charge.
+// ErrUserLevelHelper refuses helper-mode ranges under user-level privacy
+// (NewPlan returns it): the helper's percentile estimate ranks single rows
+// at RangeEps each, so a user with k rows would spend k·RangeEps.
 var ErrUserLevelHelper = fmt.Errorf("%w: helper ranges are not available under user-level privacy", ErrRangeSpec)
 
 // Run executes program over rows under the sample-and-aggregate framework
-// and returns an Options.Epsilon-differentially private result. It does not
-// touch any budget ledger — callers (the computation manager) charge the
-// dataset's accountant before invoking Run.
+// and returns an Options.Epsilon-differentially private result: NewPlan,
+// then Execute. It does not touch any budget ledger — callers (the
+// computation manager) charge the dataset's accountant before invoking Run.
 func Run[R Rows](ctx context.Context, program analytics.Program, rows R, spec RangeSpec, opts Options) (*Result, error) {
-	if program == nil {
-		return nil, errors.New("core: nil program")
-	}
 	m, ok := any(rows).(mathutil.Matrix)
 	if !ok {
 		var err error
@@ -144,28 +120,24 @@ func Run[R Rows](ctx context.Context, program analytics.Program, rows R, spec Ra
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
-	return run(ctx, program, m, spec, opts)
-}
-
-func run(ctx context.Context, program analytics.Program, rows mathutil.Matrix, spec RangeSpec, opts Options) (*Result, error) {
-	n := rows.Len()
-	if n == 0 {
-		return nil, errors.New("core: empty dataset")
-	}
-	if err := dpCheckEpsilon(opts.Epsilon); err != nil {
+	p, err := NewPlan(program, m.Len(), m.Width(), spec, opts)
+	if err != nil {
 		return nil, err
 	}
-	if opts.UserLevel && spec.Mode == ModeHelper {
-		return nil, ErrUserLevelHelper
-	}
-	opts = opts.withDefaults(n)
+	return p.Execute(ctx, m)
+}
 
-	inputDims := rows.Width()
-	outputDims := program.OutputDims()
-	if outputDims <= 0 {
-		return nil, fmt.Errorf("core: program %q declares %d output dims", program.Name(), outputDims)
+// Execute runs the plan over rows, which must have the shape it was planned
+// for. Failed blocks are substituted; what can still fail is the caller's
+// context and what the rows decide (a helper translation's output).
+func (p *Plan) Execute(ctx context.Context, rows mathutil.Matrix) (*Result, error) {
+	if rows.Len() != p.N || rows.Width() != p.Width {
+		return nil, fmt.Errorf("core: plan for %d×%d rows run on %d×%d", p.N, p.Width, rows.Len(), rows.Width())
 	}
-	if err := spec.validate(inputDims, outputDims); err != nil {
+	program, spec, opts, n := p.Program, p.Spec, p.Options, p.N
+	outputDims := program.OutputDims()
+	split, err := p.split()
+	if err != nil {
 		return nil, err
 	}
 
@@ -193,7 +165,6 @@ func run(ctx context.Context, program analytics.Program, rows mathutil.Matrix, s
 	defer partSpan.End(telemetry.StatusError)
 
 	var part *Partition
-	var err error
 	if opts.UserLevel {
 		groups, gerr := GroupRowsByColumn(rows, opts.UserColumn)
 		if gerr != nil {
@@ -210,20 +181,6 @@ func run(ctx context.Context, program analytics.Program, rows mathutil.Matrix, s
 	// returns (runBlocks waits for its own; chambers copy what they keep).
 	defer part.release()
 
-	// Theorem 1 budget split.
-	var split dp.BudgetSplit
-	switch spec.Mode {
-	case ModeTight:
-		split, err = dp.SplitTight(opts.Epsilon, outputDims)
-	case ModeLoose:
-		split, err = dp.SplitLoose(opts.Epsilon, outputDims)
-	case ModeHelper:
-		split, err = dp.SplitHelper(opts.Epsilon, inputDims, outputDims)
-	}
-	if err != nil {
-		return nil, err
-	}
-
 	// Resolve the ranges known before block execution. For ModeLoose the
 	// effective range is estimated later from block outputs; until then the
 	// analyst's loose range bounds the substitute value.
@@ -232,11 +189,7 @@ func run(ctx context.Context, program analytics.Program, rows mathutil.Matrix, s
 	case ModeTight, ModeLoose:
 		preRanges = append([]dp.Range(nil), spec.Output...)
 	case ModeHelper:
-		input := spec.Input
-		if input == nil {
-			return nil, fmt.Errorf("%w: %s requires input ranges (from the spec or the dataset)", ErrRangeSpec, spec.Mode)
-		}
-		preRanges, err = estimateHelperRanges(rangeRNG, rows, spec, input, split.RangeEps, outputDims)
+		preRanges, err = estimateHelperRanges(rangeRNG, rows, spec, spec.Input, split.RangeEps, outputDims)
 		if err != nil {
 			return nil, err
 		}
@@ -457,11 +410,4 @@ func wellFormedOutput(out mathutil.Vec, dims int) bool {
 		}
 	}
 	return true
-}
-
-func dpCheckEpsilon(eps float64) error {
-	if !(eps > 0) {
-		return fmt.Errorf("%w: got %v", dp.ErrInvalidEpsilon, eps)
-	}
-	return nil
 }

@@ -33,17 +33,9 @@ import (
 // GroupRowsByColumn always builds well-formed), and names no group and no
 // row count.
 func MakeGroupedPartition(rng *mathutil.RNG, n int, groups [][]int, blockSize, gamma int) (*Partition, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("core: cannot partition %d rows", n)
-	}
-	if blockSize < 1 || blockSize > n {
-		return nil, fmt.Errorf("core: block size %d out of range [1, %d]", blockSize, n)
-	}
-	if gamma < 1 {
-		return nil, fmt.Errorf("core: resampling factor %d must be >= 1", gamma)
-	}
-	if len(groups) == 0 {
-		return nil, fmt.Errorf("core: no groups")
+	numBlocks, err := geometry(n, blockSize, gamma)
+	if err != nil {
+		return nil, err
 	}
 	seen := make([]bool, n)
 	total := 0
@@ -64,14 +56,6 @@ func MakeGroupedPartition(rng *mathutil.RNG, n int, groups [][]int, blockSize, g
 	}
 	if total != n {
 		return nil, fmt.Errorf("core: the groups do not cover all %d rows", n)
-	}
-
-	numBlocks := gamma * n / blockSize
-	if numBlocks < 1 {
-		numBlocks = 1
-	}
-	if gamma > numBlocks {
-		return nil, fmt.Errorf("core: resampling factor %d exceeds block count %d", gamma, numBlocks)
 	}
 
 	// Greedy balanced assignment: visit groups in random order (largest
@@ -121,8 +105,8 @@ func GroupRowsByColumn(rows mathutil.Matrix, col int) ([][]int, error) {
 		return nil, fmt.Errorf("core: no rows to group")
 	}
 	w := rows.Width()
-	if col < 0 || col >= w {
-		return nil, fmt.Errorf("core: group column %d out of range for %d-dim rows", col, w)
+	if err := checkColumn(col, w); err != nil {
+		return nil, err
 	}
 	byKey := make(map[float64][]int)
 	var unknown []int

@@ -14,7 +14,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
@@ -83,26 +82,12 @@ func (p *Partition) NumBlocks() int { return len(p.Blocks) }
 // MakePartition builds the block structure for n rows with nominal block
 // size β and resampling factor γ, following §4.2: ℓ = γ·n/β bins of
 // capacity ~β, each record placed uniformly into γ distinct bins that are
-// not yet full. γ = 1 reduces to Algorithm 1's disjoint partition.
-//
-// Requirements: 1 ≤ β ≤ n and 1 ≤ γ ≤ ℓ (a record cannot occupy more
-// distinct blocks than exist).
+// not yet full. γ = 1 reduces to Algorithm 1's disjoint partition. The
+// shape must pass geometry, the rule NewPlan checks.
 func MakePartition(rng *mathutil.RNG, n, blockSize, gamma int) (*Partition, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("core: cannot partition %d rows", n)
-	}
-	if blockSize < 1 || blockSize > n {
-		return nil, fmt.Errorf("core: block size %d out of range [1, %d]", blockSize, n)
-	}
-	if gamma < 1 {
-		return nil, fmt.Errorf("core: resampling factor %d must be >= 1", gamma)
-	}
-	numBlocks := gamma * n / blockSize
-	if numBlocks < 1 {
-		numBlocks = 1
-	}
-	if gamma > numBlocks {
-		return nil, fmt.Errorf("core: resampling factor %d exceeds block count %d (raise n/β)", gamma, numBlocks)
+	numBlocks, err := geometry(n, blockSize, gamma)
+	if err != nil {
+		return nil, err
 	}
 
 	// γ = 1 is Algorithm 1's plain partition: a shuffled permutation cut

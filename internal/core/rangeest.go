@@ -92,6 +92,11 @@ func (s RangeSpec) validate(inputDims, outputDims int) error {
 		if s.Input != nil && len(s.Input) != inputDims {
 			return fmt.Errorf("%w: %s got %d input ranges for %d input dims", ErrRangeSpec, s.Mode, len(s.Input), inputDims)
 		}
+		for i, r := range s.Input {
+			if err := r.Validate(); err != nil {
+				return fmt.Errorf("%w: input dim %d: %v", ErrRangeSpec, i, err)
+			}
+		}
 	default:
 		return fmt.Errorf("%w: unknown mode %d", ErrRangeSpec, int(s.Mode))
 	}

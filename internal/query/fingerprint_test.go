@@ -147,7 +147,7 @@ func TestFingerprintCachability(t *testing.T) {
 
 // TestFingerprintRepresentationStable describes one query the ways the two
 // hosts do — freshly allocated slices, defaults spelled out or left zero,
-// host-side fields (label, trace, chambers, deadline) set or not — and
+// host-side fields (label, trace, chambers) set or not — and
 // requires one fingerprint: the key is over the released distribution, not
 // over how the description was assembled.
 func TestFingerprintRepresentationStable(t *testing.T) {
@@ -157,7 +157,6 @@ func TestFingerprintRepresentationStable(t *testing.T) {
 		"zero-value mode": func(q *Query) { q.Ranges.Mode = 0 },
 		"empty input":     func(q *Query) { q.Ranges.Input = []dp.Range{} },
 		"label":           func(q *Query) { q.Label = "census:mean" },
-		"deadline":        func(q *Query) { q.Deadline = time.Now().Add(time.Hour) },
 		"parallelism":     func(q *Query) { q.Options.Parallelism = 8 },
 		"host chambers": func(q *Query) {
 			q.Options.NewChamber = func(p analytics.Program, pol sandbox.Policy) sandbox.Chamber { return nil }

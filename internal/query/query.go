@@ -1,10 +1,12 @@
 // Package query is GUPT's computation-manager pipeline (paper §3, Fig. 2),
 // once: look the dataset up, fingerprint the query and consult the
-// noisy-answer cache, complete the range spec (§4.1), size the blocks
-// (§4.3), settle the ε charge — explicit or from an accuracy goal (§5.1) —
-// run sample-and-aggregate once under the host's deadline, and fill the
-// cache with clean releases. Single queries (Stage.Run) and §5.2
-// sessions (Stage.RunSession) share every step.
+// noisy-answer cache, plan the run from public inputs — complete the range
+// spec (§4.1), size the blocks (§4.3), settle ε, explicit or from an
+// accuracy goal (§5.1), and refuse what cannot finish by the deadline — then
+// check the host is ready, charge the plan's ε, run sample-and-aggregate
+// once under the request's one deadline, and fill the cache with clean
+// releases. Single queries (Stage.Run) and §5.2 sessions (Stage.RunSession)
+// share every step.
 //
 // Hosts are adapters: the embedded gupt.Platform maps its public Query onto
 // this package's Query; compman.Server resolves its wire ProgramSpec /
@@ -39,9 +41,15 @@ type Stage struct {
 	// Cache is the noisy-answer cache; nil disables caching (and skips
 	// fingerprinting altogether).
 	Cache *qcache.Cache
-	// Timeout bounds one query's engine time. A run past it aborts with its
-	// charge consumed: forced slowness never refunds budget (§6.2).
+	// Timeout bounds a whole request, session or query, from its start, as
+	// does the context's deadline. A plan that cannot finish in time is
+	// refused before its charge; a run past it aborts with its charge
+	// consumed: forced slowness never refunds budget (§6.2).
 	Timeout time.Duration
+	// Ready, when set, checks that the host can run a computation at all
+	// (guptd's: some worker answers). It runs after the plan and before the
+	// charge, so a cache hit needs no readiness and a refusal costs no ε.
+	Ready func(context.Context) error
 }
 
 // Query describes one differentially private computation over a resolved
@@ -76,8 +84,6 @@ type Query struct {
 	// analyst: an unknown chamber may change the released distribution,
 	// and the fingerprint cannot see inside it.
 	Uncachable bool
-	// Deadline is the caller's absolute answer-by time (zero: none).
-	Deadline time.Time
 }
 
 // Linear is the canonical range translation for Helper mode: output
@@ -122,23 +128,14 @@ func (q *Query) planRanges() []dp.Range {
 	return q.Ranges.Output
 }
 
-// validate refuses malformed queries before anything is charged.
+// validate refuses a query description that cannot be fingerprinted or
+// planned; the plan checks the rest.
 func (q *Query) validate() error {
 	switch {
 	case q.Program == nil:
 		return errors.New("query needs a program")
 	case q.Options.Epsilon > 0 && q.Accuracy != nil:
 		return errors.New("set either epsilon or accuracy, not both")
-	case !(q.Options.Epsilon > 0) && q.Accuracy == nil:
-		return errors.New("query needs a positive epsilon or an accuracy goal")
-	case q.Accuracy != nil && q.planRanges() == nil:
-		return errors.New("accuracy goals need output ranges (tight or loose mode)")
-	case q.AutoBlockSize && q.Options.BlockSize == 0 && q.planRanges() == nil:
-		return errors.New("auto block size requires output ranges (tight or loose mode)")
-	case q.Ranges.Mode == core.ModeHelper && q.Ranges.Translate == nil && q.Linear == nil:
-		return errors.New("helper mode needs a range translation")
-	case q.Ranges.Mode == core.ModeHelper && q.Options.UserLevel:
-		return core.ErrUserLevelHelper
 	}
 	return nil
 }
@@ -170,6 +167,7 @@ func (s *Stage) Run(ctx context.Context, q *Query) (*core.Result, float64, error
 	// return skips the explicit ok below.
 	admission := q.Options.Trace.StartSpan(telemetry.StageAdmission)
 	defer admission.End(telemetry.StatusError)
+	start := time.Now()
 
 	reg, err := s.Registry.Lookup(q.Dataset)
 	if err != nil {
@@ -197,105 +195,54 @@ func (s *Stage) Run(ctx context.Context, q *Query) (*core.Result, float64, error
 			return &res, 0, nil
 		}
 	}
-	if err := ready(ctx); err != nil {
-		return nil, 0, err
-	}
-
-	spec, err := q.rangeSpec(reg)
+	// The plan decides everything public — geometry, ε, the deadline — and
+	// what cannot run is refused before the charge, at zero ε.
+	p, err := s.plan(q, reg)
 	if err != nil {
 		return nil, 0, err
 	}
-	opts := q.Options
-
-	// Auto block size (§4.3) from the aged sample.
-	if q.AutoBlockSize && opts.BlockSize == 0 {
-		if !reg.HasAged() {
-			return nil, 0, aging.ErrNoAgedData
-		}
-		planEps := opts.Epsilon
-		if planEps <= 0 {
-			planEps = 1 // planning default when the accuracy goal resolves ε later
-		}
-		choice, err := aging.OptimizeBlockSize(q.Program, reg.Aged.View(), reg.Private.NumRows(), planEps, q.planRanges())
-		if err != nil {
-			return nil, 0, err
-		}
-		opts.BlockSize = choice.BlockSize
+	ctx, cancel, err := s.prepare(ctx, start, p)
+	if err != nil {
+		return nil, 0, err
 	}
+	defer cancel()
 	admission.End(telemetry.StatusOK)
 
 	// Settle the privacy charge.
-	charge := opts.Trace.StartSpan(telemetry.StageBudget)
-	if opts.Epsilon > 0 {
-		err = s.Budget.ChargeAs(q.Tenant, q.Dataset, q.Label, opts.Epsilon)
-	} else {
-		var est aging.EpsilonEstimate
-		est, err = s.Budget.ChargeForAccuracyAs(q.Tenant, q.Dataset, q.Label, q.Program, opts.BlockSize, q.planRanges(), *q.Accuracy)
-		opts.Epsilon, opts.BlockSize = est.Epsilon, est.BlockSize
-	}
-	if err != nil {
+	charge := p.Options.Trace.StartSpan(telemetry.StageBudget)
+	if err := s.Budget.ChargeAs(q.Tenant, q.Dataset, q.Label, p.Options.Epsilon); err != nil {
 		charge.End(telemetry.StatusError)
 		return nil, 0, err
 	}
 	charge.End(telemetry.StatusOK)
 
 	// The engine stages (partition → blocks → aggregation → noising) span
-	// themselves inside core.Run. It reads the registered table's cells in
+	// themselves inside Execute. It reads the registered table's cells in
 	// place — nothing before this point touched row data, so refusals and
 	// cache hits cost the same on any table size — and the chamber makes
 	// each block's private copy.
-	res, err := s.execute(ctx, q.Program, reg.Private.Matrix(), spec, opts, q.Deadline)
+	res, err := execute(ctx, &p, reg.Private.Matrix())
 	if err != nil {
-		return nil, opts.Epsilon, err
+		return nil, p.Options.Epsilon, err
 	}
 
 	// Fill with clean releases only: a degraded answer (blocks substituted)
 	// is safe to re-serve but would pin the degradation past the fault that
 	// caused it. The stored value has CacheHit unset; each hit sets the flag
 	// on its own copy.
-	release := opts.Trace.StartSpan(telemetry.StageRelease)
+	release := p.Options.Trace.StartSpan(telemetry.StageRelease)
 	if cachable && res.FailedBlocks == 0 {
 		s.Cache.Put(fp, q.Dataset, *res, resultSize(res))
 	}
 	release.End(telemetry.StatusOK)
-	return res, opts.Epsilon, nil
+	return res, p.Options.Epsilon, nil
 }
 
-// readyKey is the context key of a host's readiness check.
-type readyKey struct{}
-
-// WithReadiness returns a copy of ctx carrying check, a host's test that it
-// can run a computation at all (guptd's: some worker answers). Run and
-// RunSession call it after the cache lookup and before the charge, so a
-// repeat needs no readiness and a refusal costs no ε.
-func WithReadiness(ctx context.Context, check func(context.Context) error) context.Context {
-	return context.WithValue(ctx, readyKey{}, check)
-}
-
-// ready runs the readiness check ctx carries, if any.
-func ready(ctx context.Context) error {
-	if check, ok := ctx.Value(readyKey{}).(func(context.Context) error); ok {
-		return check(ctx)
-	}
-	return nil
-}
-
-// execute runs the engine once for a computation whose charge has settled,
-// bounded by the stage timeout and the caller's deadline. Failed blocks
-// degrade the answer and never fail the run (§6.2), so the only errors left
-// after the charge are the deadline and ones the inputs determine.
-func (s *Stage) execute(ctx context.Context, program analytics.Program, rows mathutil.Matrix, spec core.RangeSpec, opts core.Options, deadline time.Time) (*core.Result, error) {
-	if s.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.Timeout)
-		defer cancel()
-	}
-	if !deadline.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, deadline)
-		defer cancel()
-	}
-	res, err := core.Run(ctx, program, rows, spec, opts)
+// execute runs a plan whose charge has settled. Failed blocks degrade the
+// answer and never fail the run (§6.2), so the only errors left after the
+// charge are the deadline and ones the rows determine.
+func execute(ctx context.Context, p *core.Plan, rows mathutil.Matrix) (*core.Result, error) {
+	res, err := p.Execute(ctx, rows)
 	if err != nil && ctx.Err() != nil {
 		// The deadline expired (or the caller gave up).
 		return nil, fmt.Errorf("query aborted: %w", err)

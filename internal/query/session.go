@@ -21,11 +21,9 @@ type Session struct {
 
 	TotalEpsilon float64
 	// Members are queries with Tight or Loose output ranges. The session
-	// owns the tenant, the dataset, the ε and the deadline: a member's own
-	// Tenant, Dataset, Label, Options.Epsilon, Accuracy and Deadline are
-	// ignored.
-	Members  []Query
-	Deadline time.Time
+	// owns the tenant, the dataset and the ε: a member's own Tenant,
+	// Dataset, Label, Options.Epsilon and Accuracy are ignored.
+	Members []Query
 }
 
 // MemberResult is one member's outcome. The session's budget is charged up
@@ -52,15 +50,21 @@ func CheckMember(q *Query) error {
 	return nil
 }
 
-// Plan returns the per-member ε allocation the session would charge,
+// PlanSession returns the per-member ε allocation the session would charge,
 // without charging it: proportional to each member's noise scale
 // ζ = Σ outputWidth · β / n.
-func (s *Stage) Plan(sess *Session) ([]float64, error) {
-	alloc, _, err := s.plan(sess)
+func (s *Stage) PlanSession(sess *Session) ([]float64, error) {
+	plans, _, err := s.planSession(sess)
+	alloc := make([]float64, len(plans))
+	for i := range plans {
+		alloc[i] = plans[i].Options.Epsilon
+	}
 	return alloc, err
 }
 
-func (s *Stage) plan(sess *Session) ([]float64, *dataset.Registered, error) {
+// planSession plans every member as a single query at a provisional ε of
+// 1, then gives each its share of the session's ε, which its β decides.
+func (s *Stage) planSession(sess *Session) ([]core.Plan, *dataset.Registered, error) {
 	if len(sess.Members) == 0 {
 		return nil, nil, errors.New("empty session")
 	}
@@ -68,23 +72,26 @@ func (s *Stage) plan(sess *Session) ([]float64, *dataset.Registered, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	n := reg.Private.NumRows()
+	plans := make([]core.Plan, len(sess.Members))
 	zetas := make([]float64, len(sess.Members))
 	for i := range sess.Members {
-		m := &sess.Members[i]
-		if err := CheckMember(m); err != nil {
+		m := sess.Members[i]
+		if err := CheckMember(&m); err != nil {
 			return nil, nil, fmt.Errorf("session query %d: %w", i, err)
 		}
-		beta := m.Options.BlockSize
-		if beta == 0 {
-			beta = core.DefaultBlockSize(n)
+		m.Options.Epsilon, m.Accuracy = 1, nil
+		if plans[i], err = s.plan(&m, reg); err != nil {
+			return nil, nil, fmt.Errorf("session query %d: %w", i, err)
 		}
-		if zetas[i], err = budget.Zeta(m.Ranges.Output, beta, n); err != nil {
+		if zetas[i], err = budget.Zeta(m.Ranges.Output, plans[i].Options.BlockSize, plans[i].N); err != nil {
 			return nil, nil, fmt.Errorf("session query %d: %w", i, err)
 		}
 	}
 	alloc, err := budget.Distribute(sess.TotalEpsilon, zetas)
-	return alloc, reg, err
+	for i := range alloc {
+		plans[i].Options.Epsilon = alloc[i]
+	}
+	return plans, reg, err
 }
 
 // RunSession charges the session budget (all-or-nothing) and executes every
@@ -96,7 +103,8 @@ func (s *Stage) plan(sess *Session) ([]float64, *dataset.Registered, error) {
 // aborting would waste the survivors' budget, and refunding any of it would
 // reopen the §6.2 privacy-budget attack.
 func (s *Stage) RunSession(ctx context.Context, sess *Session) ([]MemberResult, float64, error) {
-	alloc, reg, err := s.plan(sess)
+	start := time.Now()
+	plans, reg, err := s.planSession(sess)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -112,14 +120,18 @@ func (s *Stage) RunSession(ctx context.Context, sess *Session) ([]MemberResult, 
 			}
 			for i, r := range v.([]core.Result) {
 				r.CacheHit = true // on this member's own copy
-				out[i] = MemberResult{Result: &r, Epsilon: alloc[i]}
+				out[i] = MemberResult{Result: &r, Epsilon: plans[i].Options.Epsilon}
 			}
 			return out, 0, nil
 		}
 	}
-	if err := ready(ctx); err != nil {
+	// The members run one after another under the request's one deadline:
+	// the session is refused before its charge unless all can finish by it.
+	ctx, cancel, err := s.prepare(ctx, start, plans...)
+	if err != nil {
 		return nil, 0, err
 	}
+	defer cancel()
 
 	// One atomic charge for the whole session; per-member epsilons then
 	// flow from the session's own pot, so a mid-session failure cannot
@@ -130,14 +142,9 @@ func (s *Stage) RunSession(ctx context.Context, sess *Session) ([]MemberResult, 
 
 	rows := reg.Private.Matrix()
 	clean := true
-	for i := range sess.Members {
-		m := &sess.Members[i]
-		opts := m.Options
-		opts.Epsilon = alloc[i]
-		// Members are Tight or Loose (CheckMember), so the analyst's range
-		// spec is already complete.
-		res, err := s.execute(ctx, m.Program, rows, m.Ranges, opts, sess.Deadline)
-		out[i] = MemberResult{Result: res, Err: err, Epsilon: alloc[i]}
+	for i := range plans {
+		res, err := execute(ctx, &plans[i], rows)
+		out[i] = MemberResult{Result: res, Err: err, Epsilon: plans[i].Options.Epsilon}
 		clean = clean && err == nil && res.FailedBlocks == 0
 	}
 	// Fill only when every member released cleanly, the same stance as

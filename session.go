@@ -58,7 +58,7 @@ func (s *Session) Add(q Query) error {
 // charging it. Allocations are proportional to each query's noise scale
 // ζ = Σ outputWidth · β / n.
 func (s *Session) Plan() ([]float64, error) {
-	return s.platform.stage.Plan(&s.plan)
+	return s.platform.stage.PlanSession(&s.plan)
 }
 
 // Run charges the session budget (atomically: all-or-nothing against the
