@@ -62,11 +62,12 @@ audit-kill:
 # after its goroutine ended, concurrent runs on recycled storage) and of the
 # in-process chamber's two arms and abandoned buffers. The pool's connect,
 # drop and Close share each host's lock, so the tests that start, kill and
-# restart workers under a live server run five times too, as does the
-# served refusal of a plan that cannot finish by its deadline.
+# restart workers under a live server run five times too, as do the
+# served refusals of a plan that cannot finish by its deadline, on the
+# configured fleet and on the part of it that answers.
 fanout-race:
 	$(GO) test -race -count=1 -run 'TestFanout|TestScheduler|TestServerOverload|TestServerDeadline|TestWorker' ./internal/compman
-	$(GO) test -race -count=5 -run 'TestServerJoinsWorkerStartedLater|TestServerRefusesWhileFleetDown|TestServerCacheHitWhileFleetDown|TestServerWithUnreachableWorkers|TestWireOldPeersFailClosed|TestServerRefusesUnfinishablePlan' ./internal/compman
+	$(GO) test -race -count=5 -run 'TestServerJoinsWorkerStartedLater|TestServerRefusesWhileFleetDown|TestServerCacheHitWhileFleetDown|TestServerWithUnreachableWorkers|TestWireOldPeersFailClosed|TestServerRefusesUnfinishablePlan|TestServerBoundCountsLiveWorkers' ./internal/compman
 	$(GO) test -race -count=5 -run 'TestRun|TestConcurrentRuns' ./internal/core
 	$(GO) test -race -count=5 -run 'TestInProcess|TestAbandoned' ./internal/sandbox
 

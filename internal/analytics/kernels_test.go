@@ -607,28 +607,44 @@ func fuzzBlock(data []byte) (KMeans, []mathutil.Vec) {
 
 // The pruned kernel must release exactly what the kernel that measured every
 // distance of every iteration released (parentKMeans), bit for bit, after
-// exactly as many iterations, and leave the block as it found it.
+// exactly as many iterations, with the vector kernels on and off, and leave
+// the block as it found it. The seed corpus holds served_ml's shape (384 and
+// 385 rows, F = 10, K = 4) and point counts of every residue mod 4, so the
+// kernels' tails are in every short fuzz run.
 func FuzzKMeansMatchesParent(f *testing.F) {
 	f.Add([]byte{0x80, 0x01, 3, 9, 19, 7})
 	f.Add([]byte{0x10, 0x00, 8, 2, 24, 1, 0, 1, 8, 9, 5, 5, 5})
 	f.Add([]byte{0x40, 0x02, 4, 1, 12, 3, 7, 31, 200, 7, 24, 1, 7, 25, 1, 7, 27, 9, 7, 29, 99})
 	f.Add([]byte{0x05, 0x00, 6, 4, 9, 2})
 	f.Add([]byte{0x57, 0x02, 0, 5, 3, 4})
+	f.Add([]byte{0x7f, 0x01, 3, 9, 19, 7})          // 384×10, K = 4
+	f.Add([]byte{0x81, 0x01, 4, 19, 24, 11})        // 386×11, F = 10, K = 5
+	f.Add([]byte{0x82, 0x01, 8, 9, 6, 5, 5, 5, 5})  // 387×10, K = 9
+	f.Add([]byte{0x06, 0x00, 2, 19, 9, 3, 5, 5, 5}) // 7×11, F = 10, K = 3
+	paths := []bool{false}
+	if useVectorSweeps {
+		paths = append(paths, true)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		defer func(v bool) { useVectorSweeps = v }(useVectorSweeps)
 		km, block := fuzzBlock(data)
 		before := mathutil.CloneRows(block)
-		got, gotIters, gerr := km.run(block)
 		want, wantIters, werr := parentKMeans(km, before)
-		if (gerr == nil) != (werr == nil) {
-			t.Fatalf("%s: error %v, parent %v", km.Name(), gerr, werr)
-		}
-		if !sameBits(got, want) || gotIters != wantIters {
-			t.Fatalf("%s over %d rows:\n kernel %v after %d iterations\n parent %v after %d", km.Name(), len(block), got, gotIters, want, wantIters)
-		}
-		for i, r := range block {
-			for j := range r {
-				if math.Float64bits(r[j]) != math.Float64bits(before[i][j]) {
-					t.Fatalf("%s: row %d = %v after the run, was %v", km.Name(), i, r, before[i])
+		for _, vector := range paths {
+			useVectorSweeps = vector
+			got, gotIters, gerr := km.run(block)
+			if (gerr == nil) != (werr == nil) {
+				t.Fatalf("vector=%v %s: error %v, parent %v", vector, km.Name(), gerr, werr)
+			}
+			if !sameBits(got, want) || gotIters != wantIters {
+				t.Fatalf("vector=%v %s over %d rows:\n kernel %v after %d iterations\n parent %v after %d",
+					vector, km.Name(), len(block), got, gotIters, want, wantIters)
+			}
+			for i, r := range block {
+				for j := range r {
+					if math.Float64bits(r[j]) != math.Float64bits(before[i][j]) {
+						t.Fatalf("vector=%v %s: row %d = %v after the run, was %v", vector, km.Name(), i, r, before[i])
+					}
 				}
 			}
 		}

@@ -73,7 +73,7 @@ func (k KMeans) run(block []mathutil.Vec) (mathutil.Vec, int, error) {
 	defer rng.Release()
 	sc := kmeansPool.Get().(*kmeansScratch)
 	defer func() {
-		if 32*cap(sc.upper) <= maxPooledBytes { // upper, lower, labels and open
+		if kmeansPointBytes*cap(sc.upper) <= maxPooledBytes {
 			kmeansPool.Put(sc)
 		}
 	}()
@@ -147,19 +147,26 @@ type kmeansScratch struct {
 	upper, lower []float64
 	labels       []int // each point's center
 	open         []int // the points assign has not settled yet
+	near         []int // the nearest center of each point nearestAVX measures
 	centers      []float64
+	centersT     []float64 // the centers feature-major, for nearestAVX (transposeCenters)
 	sums         []float64
 	counts       []int
 	drift        []float64 // how far each center moved in the last update, rounded up; +Inf after a reseed
+	loss         []float64 // the largest drift of any other center (assign)
 	changed      []bool    // the cluster gained or lost a point in this iteration
 	up, down     float64   // 1 ± the bounds' relative slack
 }
 
 var kmeansPool = sync.Pool{New: func() any { return new(kmeansScratch) }}
 
+// kmeansPointBytes is the scratch a run keeps per point: upper, lower,
+// labels, open and near.
+const kmeansPointBytes = 40
+
 // maxPooledBytes bounds the per-point scratch a kernel's pool keeps: 512 KiB
 // is a 4,680-row logistic-regression block over ten features, or a
-// 16,384-row k-means block. GUPT's default block over an n-row table is
+// 13,107-row k-means block. GUPT's default block over an n-row table is
 // n^0.6 rows, so a ten-feature logistic regression passes it only on a
 // table of over a million rows, and a block that size runs far longer than
 // one allocation takes. A pooled
@@ -174,8 +181,11 @@ const maxPooledBytes = 512 << 10
 // start at zero.
 func (sc *kmeansScratch) reset(n, k, f int) {
 	sc.upper, sc.lower, sc.labels, sc.open = grow(sc.upper, n), grow(sc.lower, n), grow(sc.labels, n), grow(sc.open, n)
+	sc.near = grow(sc.near, n)
 	sc.centers, sc.sums = grow(sc.centers, k*f), grow(sc.sums, k*f)
+	sc.centersT = grow(sc.centersT, (k+3)&^3*f)
 	sc.counts, sc.drift, sc.changed = grow(sc.counts, k), grow(sc.drift, k), grow(sc.changed, k)
+	sc.loss = grow(sc.loss, k)
 	clear(sc.counts)
 	clear(sc.labels)
 	slack := float64(f+16) * 0x1p-44
@@ -191,7 +201,8 @@ func grow[T any](s []T, n int) []T {
 }
 
 // seedRound measures every point against center c, four points at a time,
-// and notes each distance s in its seeding round. upper holds the k-means++
+// and notes each distance s in its seeding round; with the vector kernels
+// on, seedRoundAVX does both for all but the last n mod 4 points. upper holds the k-means++
 // weight d2: the distance to the center nearest picks among those measured
 // so far, so a strictly smaller distance takes over, and while every
 // distance so far is +Inf or NaN nearest picks center 0 and d2 keeps its
@@ -213,6 +224,10 @@ func (sc *kmeansScratch) seedRound(block []mathutil.Vec, center []float64, c int
 		}
 	}
 	i := 0
+	if useVectorSweeps {
+		i = n &^ 3
+		seedRoundAVX(block, center, c, weights[:i], lower, labels)
+	}
 	for ; i+4 <= n; i += 4 {
 		s0, s1, s2, s3 := dist4(block[i][:f], block[i+1][:f], block[i+2][:f], block[i+3][:f],
 			center, center, center, center)
@@ -283,10 +298,13 @@ func (sc *kmeansScratch) bounds(own, other float64) (float64, float64) {
 // not settle: first the distance to the point's own center, four points at
 // a time, then, for those that this does not settle either, every center
 // (nearestTwo). Counts and changed follow every point that switches
-// cluster.
+// cluster. With the vector kernels on, ownDistsAVX measures the own-center
+// distances of all but the last len(open) mod 4 points, and nearestAVX runs
+// nearestTwo for every point left open.
 func (sc *kmeansScratch) assign(block []mathutil.Vec, f int) {
 	// Every point's lower bound loses the largest drift of a center other
-	// than its own.
+	// than its own, loss[a] for a point in cluster a: looked up, not
+	// branched on, since the cluster is a coin flip from point to point.
 	top, next, topC := 0.0, 0.0, -1
 	for c, d := range sc.drift {
 		if d > top {
@@ -295,15 +313,19 @@ func (sc *kmeansScratch) assign(block []mathutil.Vec, f int) {
 			next = d
 		}
 	}
+	for c := range sc.loss {
+		sc.loss[c] = top
+	}
+	if topC >= 0 {
+		sc.loss[topC] = next
+	}
 	open, k := sc.open, 0
+	upper, lower, up, down := sc.upper[:len(sc.labels)], sc.lower[:len(sc.labels)], sc.up, sc.down
+	drift, loss := sc.drift, sc.loss[:len(sc.drift)]
 	for i, a := range sc.labels {
-		u := (sc.upper[i] + sc.drift[a]) * sc.up
-		m := top
-		if a == topC {
-			m = next
-		}
-		l := (sc.lower[i] - m) * sc.down
-		sc.upper[i], sc.lower[i] = u, l
+		u := (upper[i] + drift[a]) * up
+		l := (lower[i] - loss[a]) * down
+		upper[i], lower[i] = u, l
 		open[k] = i
 		if !(u < l) {
 			k++
@@ -321,6 +343,13 @@ func (sc *kmeansScratch) assign(block []mathutil.Vec, f int) {
 			k++
 		}
 	}
+	if useVectorSweeps {
+		t = len(open) &^ 3
+		ownDistsAVX(sc.upper, block, open[:t], sc.labels, centers, f)
+		for _, i := range open[:t] {
+			tighten(i, sc.upper[i])
+		}
+	}
 	for ; t+4 <= len(open); t += 4 {
 		i0, i1, i2, i3 := open[t], open[t+1], open[t+2], open[t+3]
 		s0, s1, s2, s3 := dist4(block[i0][:f], block[i1][:f], block[i2][:f], block[i3][:f],
@@ -333,20 +362,49 @@ func (sc *kmeansScratch) assign(block []mathutil.Vec, f int) {
 	for ; t < len(open); t++ {
 		tighten(open[t], dist2(block[open[t]][:f], own(open[t])))
 	}
-	for _, i := range open[:k] {
+	open = open[:k]
+	if useVectorSweeps && k > 0 {
+		sc.transposeCenters(f)
+		nearestAVX(sc.near, open, block, sc.centersT, len(sc.counts), f, sc.upper, sc.lower)
+		for t, i := range open {
+			sc.upper[i], sc.lower[i] = sc.bounds(sc.upper[i], sc.lower[i])
+			sc.relabel(i, sc.near[t])
+		}
+		return
+	}
+	for _, i := range open {
 		c, best, second := nearestTwo(centers, block[i][:f])
 		sc.upper[i], sc.lower[i] = sc.bounds(best, second)
-		if a := sc.labels[i]; c != a {
-			sc.labels[i] = c
-			sc.counts[a]--
-			sc.counts[c]++
-			sc.changed[a], sc.changed[c] = true, true
+		sc.relabel(i, c)
+	}
+}
+
+// relabel moves point i to cluster c, if it is not there already.
+func (sc *kmeansScratch) relabel(i, c int) {
+	if a := sc.labels[i]; c != a {
+		sc.labels[i] = c
+		sc.counts[a]--
+		sc.counts[c]++
+		sc.changed[a], sc.changed[c] = true, true
+	}
+}
+
+// transposeCenters lays the centers out feature-major in centersT for
+// nearestAVX: feature j of center c at j·k4 + c, k4 being K rounded up to
+// four. The lanes past K hold zeros, and their sums are never folded.
+func (sc *kmeansScratch) transposeCenters(f int) {
+	k := len(sc.counts)
+	k4 := (k + 3) &^ 3
+	clear(sc.centersT)
+	for c := 0; c < k; c++ {
+		for j, x := range sc.centers[c*f : (c+1)*f] {
+			sc.centersT[j*k4+c] = x
 		}
 	}
 }
 
 // resum recomputes the sums of the changed clusters, adding each cluster's
-// points in block order.
+// points in block order, through resumAVX when the vector kernels are on.
 func (sc *kmeansScratch) resum(block []mathutil.Vec, f int) {
 	dirty := false
 	for c, changed := range sc.changed {
@@ -358,6 +416,10 @@ func (sc *kmeansScratch) resum(block []mathutil.Vec, f int) {
 	if !dirty {
 		return
 	}
+	if useVectorSweeps {
+		resumAVX(sc.sums, block, sc.labels, sc.changed, f)
+		return
+	}
 	for i, r := range block {
 		c := sc.labels[i]
 		if !sc.changed[c] {
@@ -365,9 +427,21 @@ func (sc *kmeansScratch) resum(block []mathutil.Vec, f int) {
 		}
 		s := sc.sums[c*f : (c+1)*f]
 		for j, x := range r[:f] {
-			s[j] += x
+			s[j] = addFirst(s[j], x)
 		}
 	}
+}
+
+// addFirst returns s + x with the NaN that ADDSD s, x keeps: s's, quieted,
+// when s is a NaN. Go lets the compiler order a float add's operands, and
+// with them which of two NaNs the sum keeps; a build with fuzzing
+// instrumentation adds a re-sum's cell first. The sums' NaNs reach update's
+// bit comparison and so decide when k-means stops, and resumAVX keeps s's.
+func addFirst(s, x float64) float64 {
+	if s != s {
+		return math.Float64frombits(math.Float64bits(s) | 1<<51)
+	}
+	return s + x
 }
 
 // update moves every changed cluster's center to its points' mean, reseeds
@@ -428,7 +502,7 @@ func dist4(p0, p1, p2, p3, c0, c1, c2, c3 []float64) (s0, s1, s2, s3 float64) {
 		d3 := p3[j] - c3[j]
 		s3 += d3 * d3
 	}
-	return s0, s1, s2, s3
+	return nanDist(s0, p0, c0), nanDist(s1, p1, c1), nanDist(s2, p2, c2), nanDist(s3, p3, c3)
 }
 
 // dist2 is Vec.Dist2 over flat slices: (p[j]−c[j])² summed in index order.
@@ -437,6 +511,28 @@ func dist2(p, c []float64) float64 {
 	for j, x := range p {
 		d := x - c[j]
 		s += d * d
+	}
+	return nanDist(s, p, c)
+}
+
+// nanDist returns s, p's squared distance to c, or, when s is NaN, that
+// distance again with every add keeping the running sum's NaN (addFirst),
+// as the kernels and the normal build's loops do. A build with race or
+// fuzzing instrumentation orders some of these adds the other way, and
+// would keep another NaN.
+func nanDist(s float64, p, c []float64) float64 {
+	if s == s {
+		return s
+	}
+	return dist2First(p, c)
+}
+
+// dist2First is dist2 with every add through addFirst.
+func dist2First(p, c []float64) float64 {
+	var s float64
+	for j, x := range p {
+		d := x - c[j]
+		s = addFirst(s, d*d)
 	}
 	return s
 }
@@ -469,10 +565,10 @@ func nearestTwo(centers, p []float64) (int, float64, float64) {
 			d3 := x - c3[i]
 			s3 += d3 * d3
 		}
-		best, second, bestIdx = keep(s0, c, best, second, bestIdx)
-		best, second, bestIdx = keep(s1, c+1, best, second, bestIdx)
-		best, second, bestIdx = keep(s2, c+2, best, second, bestIdx)
-		best, second, bestIdx = keep(s3, c+3, best, second, bestIdx)
+		best, second, bestIdx = keep(nanDist(s0, p, c0), c, best, second, bestIdx)
+		best, second, bestIdx = keep(nanDist(s1, p, c1), c+1, best, second, bestIdx)
+		best, second, bestIdx = keep(nanDist(s2, p, c2), c+2, best, second, bestIdx)
+		best, second, bestIdx = keep(nanDist(s3, p, c3), c+3, best, second, bestIdx)
 	}
 	for ; c < k; c++ {
 		best, second, bestIdx = keep(dist2(p, centers[c*f:][:f]), c, best, second, bestIdx)

@@ -10,7 +10,9 @@ import (
 // parentKMeans and parentNearestFlat are KMeans.run and its nearest-center
 // search as they were before the kernel learned to skip points whose center
 // cannot change (distance bounds, labels from the seeding, re-sums of the
-// changed clusters only), copied verbatim but for their names. They run
+// changed clusters only), copied verbatim but for their names and for the
+// re-sum's add, which is addFirst as in the kernel so that the NaN a sum
+// keeps does not depend on how the build orders the operands. They run
 // every distance of every iteration, so FuzzKMeansMatchesParent holds the
 // pruned kernel to their output bits and iteration counts.
 
@@ -69,7 +71,7 @@ func parentKMeans(k KMeans, block []mathutil.Vec) (mathutil.Vec, int, error) {
 			counts[c]++
 			s := sums[c*f : (c+1)*f]
 			for j, x := range p {
-				s[j] += x
+				s[j] = addFirst(s[j], x)
 			}
 		}
 		// An iteration is a pure function of the centers, the block and the

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"gupt/internal/mathutil"
@@ -250,6 +251,12 @@ func BenchmarkKMeansBlockClustered(b *testing.B) {
 // Unlike the one clustered block above, which stops after 2 iterations,
 // the partition's blocks take about 4 on average, with a tail to 20. The
 // K = 1 sub-benchmark is the same partition with a single cluster.
+//
+// The other sub-benchmarks replay one sweep of the K = 4 runs over the same
+// blocks, from the states the runs reached (recordKMeans): "seed" every
+// seeding round, "assign" every assignment after the first iteration, each
+// from a copy of its starting bounds, labels, counts and centers, and
+// "resum" every re-sum. Each reports ns/block for its sweep alone.
 func BenchmarkKMeansPartition(b *testing.B) {
 	rows := workload.LifeSci(1, 20000).Rows()
 	numBlocks := len(rows) / int(math.Round(math.Pow(float64(len(rows)), 0.6)))
@@ -257,6 +264,9 @@ func BenchmarkKMeansPartition(b *testing.B) {
 	blocks := make([][]mathutil.Vec, numBlocks)
 	for i, r := range perm {
 		blocks[i%numBlocks] = append(blocks[i%numBlocks], rows[r].Clone())
+	}
+	perBlock := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*numBlocks), "ns/block")
 	}
 	for _, k := range []int{workload.LifeSciClusters, 1} {
 		prog := KMeans{K: k, FeatureDims: workload.LifeSciDims, Iters: 20, Seed: 7}
@@ -269,9 +279,124 @@ func BenchmarkKMeansPartition(b *testing.B) {
 					}
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*numBlocks), "ns/block")
+			perBlock(b)
 		})
 	}
+
+	prog := KMeans{K: workload.LifeSciClusters, FeatureDims: workload.LifeSciDims, Iters: 20, Seed: 7}
+	f := prog.FeatureDims
+	runs := make([]kmeansRecord, numBlocks)
+	for i, block := range blocks {
+		runs[i] = recordKMeans(prog, block)
+		if _, iters, _ := prog.run(block); iters != len(runs[i].resums) {
+			b.Fatalf("block %d: the recording ran %d iterations, KMeans.run %d", i, len(runs[i].resums), iters)
+		}
+	}
+	sc := new(kmeansScratch)
+	b.Run("seed", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for r, block := range blocks {
+				sc.reset(len(block), prog.K, f)
+				for c := 0; c < prog.K; c++ {
+					sc.seedRound(block, runs[r].centers[c*f:(c+1)*f], c)
+				}
+			}
+		}
+		perBlock(b)
+	})
+	b.Run("assign", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for r, block := range blocks {
+				sc.reset(len(block), prog.K, f)
+				for _, st := range runs[r].assigns {
+					copy(sc.upper, st.upper)
+					copy(sc.lower, st.lower)
+					copy(sc.labels, st.labels)
+					copy(sc.counts, st.counts)
+					copy(sc.changed, st.changed)
+					copy(sc.drift, st.drift)
+					copy(sc.centers, st.centers)
+					sc.assign(block, f)
+				}
+			}
+		}
+		perBlock(b)
+	})
+	b.Run("resum", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for r, block := range blocks {
+				sc.reset(len(block), prog.K, f)
+				for _, st := range runs[r].resums {
+					sc.labels, sc.changed = st.labels, st.changed
+					sc.resum(block, f)
+				}
+			}
+		}
+		perBlock(b)
+	})
+}
+
+// kmeansRecord is one k-means run's sweeps: the seeded centers, and the
+// scratch each assign and each resum started from.
+type kmeansRecord struct {
+	centers         []float64
+	assigns, resums []kmeansState
+}
+
+// kmeansState is the part of a kmeansScratch that assign and resum read.
+type kmeansState struct {
+	upper, lower, drift, centers []float64
+	labels, counts               []int
+	changed                      []bool
+}
+
+// recordKMeans runs KMeans.run's steps on block and records its sweeps.
+func recordKMeans(km KMeans, block []mathutil.Vec) kmeansRecord {
+	n, f := len(block), km.FeatureDims
+	rng := mathutil.NewRNG(km.Seed)
+	sc := new(kmeansScratch)
+	sc.reset(n, km.K, f)
+	state := func() kmeansState {
+		return kmeansState{
+			upper: slices.Clone(sc.upper), lower: slices.Clone(sc.lower), drift: slices.Clone(sc.drift),
+			centers: slices.Clone(sc.centers), labels: slices.Clone(sc.labels), counts: slices.Clone(sc.counts),
+			changed: slices.Clone(sc.changed),
+		}
+	}
+	copy(sc.centers, block[rng.Intn(n)][:f])
+	if km.K > 1 {
+		for c := 0; c < km.K; c++ {
+			sc.seedRound(block, sc.centers[c*f:(c+1)*f], c)
+			if c+1 < km.K {
+				copy(sc.centers[(c+1)*f:(c+2)*f], block[rng.Categorical(sc.upper)][:f])
+			}
+		}
+		for i := range sc.upper {
+			sc.upper[i], sc.lower[i] = sc.bounds(sc.upper[i], sc.lower[i])
+		}
+	}
+	rec := kmeansRecord{centers: slices.Clone(sc.centers)}
+	for _, c := range sc.labels {
+		sc.counts[c]++
+	}
+	for c := range sc.changed {
+		sc.changed[c] = true
+	}
+	for iters := 0; iters < km.Iters; iters++ {
+		if iters > 0 {
+			clear(sc.changed)
+			if km.K > 1 {
+				rec.assigns = append(rec.assigns, state())
+				sc.assign(block, f)
+			}
+		}
+		rec.resums = append(rec.resums, state())
+		sc.resum(block, f)
+		if !sc.update(rng, block, f) {
+			break
+		}
+	}
+	return rec
 }
 
 // BenchmarkLogRegBlock is served_ml's logreg block: 385 LifeSci rows, ten

@@ -41,7 +41,12 @@ func startServerCfg(t *testing.T, totalBudget float64, cfg ServerConfig) (*Clien
 	}); err != nil {
 		t.Fatal(err)
 	}
+	return serveRegistry(t, reg, cfg)
+}
 
+// serveRegistry serves reg under cfg until the test ends and dials it.
+func serveRegistry(t *testing.T, reg *dataset.Registry, cfg ServerConfig) (*Client, *Server) {
+	t.Helper()
 	srv := NewServer(reg, cfg)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

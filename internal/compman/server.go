@@ -196,12 +196,14 @@ func NewServer(reg *dataset.Registry, cfg ServerConfig) *Server {
 			StragglerAfter: cfg.StragglerAfter,
 		})
 		s.pool.Instrument(tel)
-		// No worker reachable refuses a computation, not a cache hit.
-		s.stage.Ready = func(ctx context.Context) error {
-			if err := s.pool.ready(ctx); err != nil {
-				return fmt.Errorf("compman: worker pool unavailable: %w", err)
+		// No worker reachable refuses a computation, not a cache hit; P
+		// is the hosts that hold or just opened a connection.
+		s.stage.Ready = func(ctx context.Context) (int, error) {
+			live, err := s.pool.ready(ctx)
+			if err != nil {
+				return 0, fmt.Errorf("compman: worker pool unavailable: %w", err)
 			}
-			return nil
+			return live * s.pool.connsPer, nil
 		}
 	}
 	return s

@@ -331,7 +331,7 @@ func TestWireOldPeersFailClosed(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer pool.Close()
-		err = pool.ready(context.Background())
+		_, err = pool.ready(context.Background())
 		if !errors.Is(err, ErrPeerTooOld) {
 			t.Fatalf("pool error = %v, want ErrPeerTooOld", err)
 		}

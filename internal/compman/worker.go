@@ -526,33 +526,50 @@ func (p *WorkerPool) Close() {
 	}
 }
 
-// ready reports whether a block can reach a worker. It passes at once when
-// some host holds an open connection. Otherwise it dials the hosts in turn
-// under ctx until one connects, which is how a worker started late, or
-// restarted after the whole fleet went down, rejoins; the error is the
-// first host's when none does.
-func (p *WorkerPool) ready(ctx context.Context) error {
+// ready reports how many hosts a block can reach now: those that hold an
+// open connection. When none does, it dials every host at once under ctx,
+// which is how a fleet started late, or restarted after it all went down,
+// rejoins, and counts the ones that connect; the error is the first
+// host's when none does. A host that holds no connection while another
+// does is not dialed here, and not counted until a block dials it, so the
+// count errs low, never high.
+func (p *WorkerPool) ready(ctx context.Context) (int, error) {
 	hosts := p.snapshot()
 	if len(hosts) == 0 {
-		return errPoolClosed
+		return 0, errPoolClosed
 	}
+	live := 0
 	for _, h := range hosts {
 		if h.openConns() > 0 {
-			return nil
+			live++
 		}
 	}
-	var first error
-	for _, h := range hosts {
-		wc, err := h.acquire(ctx)
+	if live > 0 {
+		return live, nil
+	}
+	errs := make([]error, len(hosts))
+	var wg sync.WaitGroup
+	for i, h := range hosts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wc, err := h.acquire(ctx)
+			if err == nil {
+				h.slots <- wc
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err == nil {
-			h.slots <- wc
-			return nil
-		}
-		if first == nil {
-			first = err
+			live++
 		}
 	}
-	return first
+	if live == 0 {
+		return 0, errs[0]
+	}
+	return live, nil
 }
 
 // snapshot copies the host list.
@@ -578,9 +595,9 @@ func (p *WorkerPool) Size() int {
 	return len(p.hosts)
 }
 
-// Parallelism returns how many blocks the fleet can hold in flight at
-// once — workers × connections per worker. The engine's parallelism knob
-// should be set to this.
+// Parallelism returns how many blocks the configured fleet can hold in
+// flight at once — workers × connections per worker. A query plans with
+// it; readiness then lowers it to the hosts that hold a connection.
 func (p *WorkerPool) Parallelism() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()

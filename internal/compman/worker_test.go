@@ -3,6 +3,7 @@ package compman
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"math"
 	"net"
 	"runtime"
@@ -148,7 +149,7 @@ func TestWorkerPoolValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	if err := pool.ready(context.Background()); err == nil {
+	if _, err := pool.ready(context.Background()); err == nil {
 		t.Error("unreachable worker accepted")
 	}
 }
@@ -288,6 +289,44 @@ func TestServerJoinsWorkerStartedLater(t *testing.T) {
 	refusedUncharged(t, c)
 	startWorkerAt(t, addr)
 	answered(t, c)
+}
+
+// The deadline bound counts the workers that answer, not the ones
+// configured: with one of two workers running, a 60-block mean under a
+// 20 ms quantum needs 1.2 s on the one, so a 1 s deadline refuses it at
+// zero ε; counting both (0.6 s) would charge it and abort it at 1 s. With
+// both running, a server that has dialed neither yet counts both, and the
+// same query is charged.
+func TestServerBoundCountsLiveWorkers(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	down := l.Addr().String()
+	l.Close()
+	cfg := ServerConfig{DefaultQuantum: 20 * time.Millisecond, QueryTimeout: time.Second}
+	cfg.WorkerAddrs = []string{startWorker(t), down}
+	c, _ := serveRegistry(t, buildCensusRegistry(t, 10), cfg)
+	_, err = c.Query(meanQuery(1, 33))
+	var qe *QueryError
+	if !errors.As(err, &qe) || qe.EpsilonCharged != 0 {
+		t.Fatalf("err %v; want a refusal at zero ε", err)
+	}
+	for _, part := range []string{"cannot finish before its deadline", "ℓ = 60 blocks", "P = 1", "20ms quantum", "at least 1.2s"} {
+		if !strings.Contains(qe.Msg, part) {
+			t.Errorf("refusal %q does not name %q", qe.Msg, part)
+		}
+	}
+	if rem := remainingBudget(t, c); rem != 10 {
+		t.Errorf("remaining budget %v after the refusal, want 10", rem)
+	}
+
+	cfg.WorkerAddrs = []string{cfg.WorkerAddrs[0], startWorker(t)}
+	c, _ = serveRegistry(t, buildCensusRegistry(t, 10), cfg)
+	resp, err := c.Query(meanQuery(1, 33))
+	if errors.As(err, &qe) && qe.EpsilonCharged == 0 || err == nil && resp.EpsilonCharged != 1 {
+		t.Errorf("both workers running: resp %+v, err %v; want the query charged", resp, err)
+	}
 }
 
 // When the only worker dies, the query that finds out is charged for its

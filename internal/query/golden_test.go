@@ -67,8 +67,9 @@ func runOne(q *Query) func(*Stage) ([]*core.Result, error) {
 // the seed they hand it, fails here by name.
 var goldenQueries = []goldenQuery{
 	{
-		// Accuracy goal: ChargeForAccuracyAs picks ε from the aged sample
-		// at the default β = n^0.6 of the private rows.
+		// Accuracy goal: Stage.plan picks ε from the aged sample with
+		// aging.EstimateEpsilon, at the default β = n^0.6 of the private
+		// rows.
 		name: "accuracy",
 		run: runOne(&Query{
 			Dataset: "census", Program: analytics.Mean{Col: 0},

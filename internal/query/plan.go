@@ -68,35 +68,46 @@ func (s *Stage) plan(q *Query, reg *dataset.Registered) (core.Plan, error) {
 }
 
 // prepare puts the request's one deadline — the earlier of ctx's and
-// Timeout after start — on ctx, refusing with ErrUnfinishable plans whose
-// least run times add up to the time left or more (naming only public
-// numbers), then runs the host's readiness check under it.
-func (s *Stage) prepare(ctx context.Context, start time.Time, plans ...core.Plan) (context.Context, context.CancelFunc, error) {
+// Timeout after start — on ctx and runs the host's readiness check under
+// it, which lowers each plan's P to what the host can hold in flight now.
+// Then it refuses with ErrUnfinishable plans whose least run times add up
+// to the time left or more, naming only public numbers.
+func (s *Stage) prepare(ctx context.Context, start time.Time, plans []core.Plan) (context.Context, context.CancelFunc, error) {
 	deadline, ok := ctx.Deadline()
 	if t := start.Add(s.Timeout); s.Timeout > 0 && (!ok || t.Before(deadline)) {
 		deadline, ok = t, true
 	}
 	cancel := context.CancelFunc(func() {})
 	if ok {
-		var least time.Duration
-		for i := range plans {
-			least += plans[i].MinDuration()
-		}
-		if left := time.Until(deadline); least >= left {
-			left = max(left, 0).Round(time.Millisecond)
-			if p := &plans[0]; len(plans) == 1 {
-				return nil, nil, fmt.Errorf("%w: ℓ = %d blocks at P = %d under a %v quantum take at least %v, and %v is left",
-					ErrUnfinishable, p.NumBlocks, p.Options.Parallelism, p.Options.Quantum, least, left)
-			}
-			return nil, nil, fmt.Errorf("%w: %d members take at least %v in all, and %v is left", ErrUnfinishable, len(plans), least, left)
-		}
 		ctx, cancel = context.WithDeadline(ctx, deadline)
 	}
 	if s.Ready != nil {
-		if err := s.Ready(ctx); err != nil {
+		live, err := s.Ready(ctx)
+		if err != nil {
 			cancel()
 			return nil, nil, err
 		}
+		for i := range plans {
+			if p := &plans[i].Options.Parallelism; live > 0 && live < *p {
+				*p = live
+			}
+		}
+	}
+	if !ok {
+		return ctx, cancel, nil
+	}
+	var least time.Duration
+	for i := range plans {
+		least += plans[i].MinDuration()
+	}
+	if left := time.Until(deadline); least >= left {
+		cancel()
+		left = max(left, 0).Round(time.Millisecond)
+		if p := &plans[0]; len(plans) == 1 {
+			return nil, nil, fmt.Errorf("%w: ℓ = %d blocks at P = %d under a %v quantum take at least %v, and %v is left",
+				ErrUnfinishable, p.NumBlocks, p.Options.Parallelism, p.Options.Quantum, least, left)
+		}
+		return nil, nil, fmt.Errorf("%w: %d members take at least %v in all, and %v is left", ErrUnfinishable, len(plans), least, left)
 	}
 	return ctx, cancel, nil
 }

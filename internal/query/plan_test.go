@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -140,5 +141,45 @@ func TestSessionSharesOneDeadline(t *testing.T) {
 	}
 	if rem := r.Accountant.Remaining(); rem != 9 {
 		t.Errorf("remaining %v, want 9: one charge for the first session, none for the refusal", rem)
+	}
+}
+
+// Readiness runs before the deadline bound and lowers each plan's P to what
+// the host reports: eight blocks under a 20 ms quantum fit a 100 ms Timeout
+// at the planned P = 4, not at the one slot the host says it has, and are
+// refused before the charge. Zero leaves P as planned; a readiness error
+// refuses before the bound.
+func TestReadyLowersPBeforeTheBound(t *testing.T) {
+	s, r := planStage(t, 10, 0)
+	s.Timeout = 100 * time.Millisecond
+	q := &Query{
+		Dataset: "ds", Program: analytics.Mean{Col: 0},
+		Ranges:  core.RangeSpec{Output: []dp.Range{{Lo: 0, Hi: 150}}},
+		Options: core.Options{Epsilon: 1, BlockSize: 250, Parallelism: 4, Quantum: 20 * time.Millisecond},
+	}
+	down := errors.New("no host")
+	for _, c := range []struct {
+		live    int
+		err     error
+		want    error
+		charged float64
+	}{
+		{live: 1, want: ErrUnfinishable},
+		{live: 0, charged: 1},
+		{live: 8, charged: 1},
+		{err: down, want: down},
+	} {
+		s.Ready = func(context.Context) (int, error) { return c.live, c.err }
+		before := r.Accountant.Remaining()
+		_, charged, err := s.Run(context.Background(), q)
+		if !errors.Is(err, c.want) || (c.want == nil && err != nil) || charged != c.charged {
+			t.Errorf("ready (%d, %v): charged %v, err %v; want %v charged, err %v", c.live, c.err, charged, err, c.charged, c.want)
+		}
+		if c.want == ErrUnfinishable && !strings.Contains(err.Error(), "P = 1") {
+			t.Errorf("refusal %q does not name P = 1", err)
+		}
+		if rem := r.Accountant.Remaining(); rem != before-c.charged {
+			t.Errorf("ready (%d, %v): remaining %v, want %v", c.live, c.err, rem, before-c.charged)
+		}
 	}
 }

@@ -47,9 +47,12 @@ type Stage struct {
 	// consumed: forced slowness never refunds budget (§6.2).
 	Timeout time.Duration
 	// Ready, when set, checks that the host can run a computation at all
-	// (guptd's: some worker answers). It runs after the plan and before the
-	// charge, so a cache hit needs no readiness and a refusal costs no ε.
-	Ready func(context.Context) error
+	// (guptd's: some worker answers) and reports how many blocks it can
+	// hold in flight now, its P; zero leaves each plan's P as planned. It
+	// runs after the plan and before the deadline bound and the charge, so
+	// a cache hit needs no readiness, the bound sees the live fleet, and a
+	// refusal costs no ε.
+	Ready func(context.Context) (int, error)
 }
 
 // Query describes one differentially private computation over a resolved
@@ -197,15 +200,17 @@ func (s *Stage) Run(ctx context.Context, q *Query) (*core.Result, float64, error
 	}
 	// The plan decides everything public — geometry, ε, the deadline — and
 	// what cannot run is refused before the charge, at zero ε.
-	p, err := s.plan(q, reg)
+	plan, err := s.plan(q, reg)
 	if err != nil {
 		return nil, 0, err
 	}
-	ctx, cancel, err := s.prepare(ctx, start, p)
+	plans := []core.Plan{plan}
+	ctx, cancel, err := s.prepare(ctx, start, plans)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer cancel()
+	p := &plans[0]
 	admission.End(telemetry.StatusOK)
 
 	// Settle the privacy charge.
@@ -221,7 +226,7 @@ func (s *Stage) Run(ctx context.Context, q *Query) (*core.Result, float64, error
 	// place — nothing before this point touched row data, so refusals and
 	// cache hits cost the same on any table size — and the chamber makes
 	// each block's private copy.
-	res, err := execute(ctx, &p, reg.Private.Matrix())
+	res, err := execute(ctx, p, reg.Private.Matrix())
 	if err != nil {
 		return nil, p.Options.Epsilon, err
 	}

@@ -127,7 +127,7 @@ func (s *Stage) RunSession(ctx context.Context, sess *Session) ([]MemberResult, 
 	}
 	// The members run one after another under the request's one deadline:
 	// the session is refused before its charge unless all can finish by it.
-	ctx, cancel, err := s.prepare(ctx, start, plans...)
+	ctx, cancel, err := s.prepare(ctx, start, plans)
 	if err != nil {
 		return nil, 0, err
 	}
