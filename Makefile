@@ -67,7 +67,7 @@ audit-kill:
 # configured fleet and on the part of it that answers.
 fanout-race:
 	$(GO) test -race -count=1 -run 'TestFanout|TestScheduler|TestServerOverload|TestServerDeadline|TestWorker' ./internal/compman
-	$(GO) test -race -count=5 -run 'TestServerJoinsWorkerStartedLater|TestServerRefusesWhileFleetDown|TestServerCacheHitWhileFleetDown|TestServerWithUnreachableWorkers|TestWireOldPeersFailClosed|TestServerRefusesUnfinishablePlan|TestServerBoundCountsLiveWorkers' ./internal/compman
+	$(GO) test -race -count=5 -run 'TestServerJoinsWorkerStartedLater|TestServerRefusesWhileFleetDown|TestServerCacheHitWhileFleetDown|TestServerWithUnreachableWorkers|TestWireOldPeersFailClosed|TestServerRefusesUnfinishablePlan|TestServerBoundCountsLiveWorkers|TestServerRejoinsRestartedWorker' ./internal/compman
 	$(GO) test -race -count=5 -run 'TestRun|TestConcurrentRuns' ./internal/core
 	$(GO) test -race -count=5 -run 'TestInProcess|TestAbandoned' ./internal/sandbox
 
@@ -89,15 +89,24 @@ alloc-guards:
 	$(GO) test -count=1 -run 'Allocations|SteadyStateBytes|RetainedBytes|TestRowBuf|TestCloneRows' ./internal/mathutil ./internal/analytics ./internal/core ./internal/sandbox ./internal/compman ./internal/dataset ./internal/telemetry/audit
 
 # repro regenerates the paper's figures (~35 s) and requires the six
-# mechanism figures to come out byte-identical to results/: the cheapest
-# whole-system proof that a data-path change left every released number
-# alone. Fig. 6 and the timing tables are wall-clock and are not compared.
+# mechanism figures to come out byte-identical to results/, and the
+# report's budget-distribution, block-size optimizer and resampling
+# paragraphs to match results/full-run.txt's: the cheapest whole-system
+# proof that a data-path change left every released number alone. Fig. 6
+# and the timing tables are wall-clock and are not compared.
+REPRO_SECTIONS = 'Budget distribution ablation' 'Block-size optimizer validation' 'Resampling ablation'
 repro:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
-	$(GO) run ./cmd/gupt-bench -seed 42 -csv "$$dir" >/dev/null && \
+	$(GO) run ./cmd/gupt-bench -seed 42 -csv "$$dir" >"$$dir/full-run.txt" && \
 	for f in fig3 fig4 fig5 fig7 fig8 fig9; do \
 		cmp "$$dir/$$f.csv" results/$$f.csv || exit 1; \
-	done && echo "repro: fig3/4/5/7/8/9.csv byte-identical to results/"
+	done && \
+	for s in $(REPRO_SECTIONS); do \
+		awk -v RS= -v s="$$s" 'index($$0, s) == 1' "$$dir/full-run.txt" >"$$dir/new" && \
+		awk -v RS= -v s="$$s" 'index($$0, s) == 1' results/full-run.txt >"$$dir/old" && \
+		test -s "$$dir/old" && cmp -s "$$dir/new" "$$dir/old" || \
+		{ echo "repro: \"$$s\" differs from results/full-run.txt"; diff "$$dir/old" "$$dir/new"; exit 1; }; \
+	done && echo "repro: fig3/4/5/7/8/9.csv and three report sections identical to results/"
 
 # check is the pre-merge gate: the gofmt gate and static analysis of both
 # modules plus the full suite under the race detector, the vector kernels'

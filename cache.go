@@ -8,10 +8,10 @@ package gupt
 // draws; the hosted server (cmd/guptd) enables it by default instead.
 //
 // The fingerprint (internal/query) must be exact: custom Program
-// implementations, ProgramFunc closures, Translate functions and custom
-// Chambers make a query uncachable — the hash cannot see inside a closure,
-// and a wrong "identical" here would re-serve an answer from a different
-// distribution. Uncachable queries simply run normally every time.
+// implementations, ProgramFunc closures and Translate functions make a
+// query uncachable — the hash cannot see inside a closure, and a wrong
+// "identical" here would re-serve an answer from a different distribution.
+// Uncachable queries simply run normally every time.
 
 import (
 	"time"

@@ -1,8 +1,8 @@
 // Command gupt-app bundles GUPT's built-in analysis programs as a
 // standalone executable speaking the sandbox chamber protocol: one JSON
 // Request on stdin, one JSON Response on stdout. A sandbox.Subprocess
-// chamber launches it once per data block: the §6 and §6.1 experiments do,
-// and so can an embedded Query's Chambers. The hosted service does not.
+// chamber launches it once per data block, as the §6 experiments do.
+// Neither the embedded platform nor the hosted service does.
 //
 // Usage:
 //

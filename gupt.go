@@ -42,7 +42,6 @@ import (
 	"gupt/internal/dp"
 	"gupt/internal/mathutil"
 	"gupt/internal/query"
-	"gupt/internal/sandbox"
 )
 
 // Re-exported building blocks. These are aliases, so values returned by the
@@ -241,12 +240,8 @@ type Query struct {
 	// BlockTimeout bounds each block execution from outside the chamber: a
 	// block whose chamber has not returned by the deadline contributes the
 	// data-independent substitute value instead of stalling the query. Use
-	// it whenever Chambers may wedge (remote workers, subprocesses).
+	// it whenever a custom Program may not return.
 	BlockTimeout time.Duration
-	// Chambers optionally overrides the isolation chamber used for block
-	// executions (e.g. subprocess isolation for untrusted binaries); nil
-	// selects in-process chambers.
-	Chambers func(Program, sandbox.Policy) sandbox.Chamber
 	// UserLevel switches the privacy unit from records to users: all rows
 	// sharing the value of UserColumn stay together in blocks, so ε covers
 	// a user's entire record set (paper §8.1, extension). A user with more
@@ -266,8 +261,7 @@ func (p *Platform) Run(ctx context.Context, q Query) (*Result, error) {
 }
 
 // pipeline maps the public query onto the shared pipeline's description
-// (internal/query). Analyst-supplied chambers are opaque to the cache
-// fingerprint, so they make the query uncachable.
+// (internal/query).
 func (q *Query) pipeline() *query.Query {
 	label := q.Dataset
 	if q.Program != nil {
@@ -288,13 +282,11 @@ func (q *Query) pipeline() *query.Query {
 			Seed:         q.Seed,
 			Quantum:      q.Quantum,
 			BlockTimeout: q.BlockTimeout,
-			NewChamber:   q.Chambers,
 			UserLevel:    q.UserLevel,
 			UserColumn:   q.UserColumn,
 		},
 		Accuracy:      q.Accuracy,
 		AutoBlockSize: q.AutoBlockSize,
-		Uncachable:    q.Chambers != nil,
 	}
 }
 

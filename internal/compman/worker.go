@@ -197,10 +197,14 @@ func (w *Worker) span(stage, status string, start time.Time) telemetry.RemoteSpa
 // are keyed by index and all RNG streams are server-side — any assignment
 // produces bit-identical query results.
 type WorkerPool struct {
-	mu       sync.Mutex
-	hosts    []*workerHost
-	closed   bool
-	closedCh chan struct{}
+	mu     sync.Mutex
+	hosts  []*workerHost
+	closed bool
+	// alive ends when Close runs; readiness's background dials run under
+	// it, and Close waits for them in dials.
+	alive context.Context
+	stop  context.CancelFunc
+	dials sync.WaitGroup
 
 	// metrics holds the pool's metric handles, resolved once per registry
 	// so that a block looks none of them up.
@@ -292,10 +296,10 @@ func NewWorkerPoolConfig(cfg PoolConfig) (*WorkerPool, error) {
 		connsPer = 1
 	}
 	p := &WorkerPool{
-		closedCh:       make(chan struct{}),
 		connsPer:       connsPer,
 		stragglerAfter: cfg.StragglerAfter,
 	}
+	p.alive, p.stop = context.WithCancel(context.Background())
 	p.metrics.Store(newPoolMetrics(nil))
 	for _, addr := range cfg.Addrs {
 		h := &workerHost{
@@ -349,6 +353,7 @@ type workerHost struct {
 	failed   atomic.Int64 // transport-level failures
 	streak   atomic.Int64 // consecutive transport failures
 	sick     atomic.Bool  // streak crossed unhealthyAfter; cleared on success
+	dialing  atomic.Bool  // a background dial from ready is running
 }
 
 // unhealthyAfter is how many consecutive transport failures mark a worker
@@ -385,6 +390,11 @@ func (h *workerHost) noteFailure() {
 
 func (h *workerHost) noteSuccess() {
 	h.done.Add(1)
+	h.heal()
+}
+
+// heal clears the failure streak and the sick mark.
+func (h *workerHost) heal() {
 	h.streak.Store(0)
 	if h.sick.Swap(false) {
 		h.metrics.Load().unhealthy.Set(0)
@@ -404,7 +414,7 @@ func (h *workerHost) acquire(ctx context.Context) (*workerConn, error) {
 			}
 		}
 		return wc, nil
-	case <-h.pool.closedCh:
+	case <-h.pool.alive.Done():
 		return nil, errPoolClosed
 	case <-ctx.Done():
 		return nil, ctx.Err()
@@ -466,8 +476,15 @@ func (h *workerHost) connect(ctx context.Context, wc *workerConn) error {
 	if deadline, ok := ctx.Deadline(); ok {
 		_ = conn.SetDeadline(deadline)
 	}
+	// The handshake ends with ctx too, deadline or not, so Close ends a
+	// background dial's handshake with a peer that never answers.
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	r := bufio.NewReaderSize(conn, 64*1024)
-	if err := negotiateWire(conn, r); err != nil {
+	err = negotiateWire(conn, r)
+	if !stop() && err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
 		conn.Close()
 		if errors.Is(err, ErrPeerTooOld) {
 			// Name the stale worker explicitly: "dial failed" would send the
@@ -505,7 +522,8 @@ func (h *workerHost) openConns() int {
 }
 
 // Close releases all worker connections. In-flight exchanges fail with
-// transport errors and are not retried anywhere.
+// transport errors and are not retried anywhere; readiness's background
+// dials end, and Close returns once they have.
 func (p *WorkerPool) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -513,7 +531,7 @@ func (p *WorkerPool) Close() {
 		return
 	}
 	p.closed = true
-	close(p.closedCh)
+	p.stop()
 	hosts := p.hosts
 	p.hosts = nil
 	p.mu.Unlock()
@@ -524,6 +542,7 @@ func (p *WorkerPool) Close() {
 		}
 		h.mu.Unlock()
 	}
+	p.dials.Wait()
 }
 
 // ready reports how many hosts a block can reach now: those that hold an
@@ -531,20 +550,27 @@ func (p *WorkerPool) Close() {
 // which is how a fleet started late, or restarted after it all went down,
 // rejoins, and counts the ones that connect; the error is the first
 // host's when none does. A host that holds no connection while another
-// does is not dialed here, and not counted until a block dials it, so the
-// count errs low, never high.
+// does is not counted, so the count errs low, never high; it is dialed in
+// the background instead (redial), which is how a worker that restarts
+// while another is up rejoins.
 func (p *WorkerPool) ready(ctx context.Context) (int, error) {
 	hosts := p.snapshot()
 	if len(hosts) == 0 {
 		return 0, errPoolClosed
 	}
 	live := 0
+	var down []*workerHost
 	for _, h := range hosts {
 		if h.openConns() > 0 {
 			live++
+		} else {
+			down = append(down, h)
 		}
 	}
 	if live > 0 {
+		for _, h := range down {
+			h.redial()
+		}
 		return live, nil
 	}
 	errs := make([]error, len(hosts))
@@ -553,11 +579,7 @@ func (p *WorkerPool) ready(ctx context.Context) (int, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wc, err := h.acquire(ctx)
-			if err == nil {
-				h.slots <- wc
-			}
-			errs[i] = err
+			errs[i] = h.dial(ctx)
 		}()
 	}
 	wg.Wait()
@@ -572,6 +594,39 @@ func (p *WorkerPool) ready(ctx context.Context) (int, error) {
 	return live, nil
 }
 
+// dial connects a slot of h under ctx unless the one it takes holds a
+// connection already. A host that connects is healthy again: candidates
+// ranks it by its home blocks once more.
+func (h *workerHost) dial(ctx context.Context) error {
+	wc, err := h.acquire(ctx)
+	if err != nil {
+		return err
+	}
+	h.slots <- wc
+	h.heal()
+	return nil
+}
+
+// redial starts one dial of h that no query waits for, unless one is
+// still running: a blackholed host would otherwise hold every query's
+// readiness check until its deadline. Without it a sick host, ranked last,
+// is never dialed while another host has a free slot. Close ends the dial
+// and waits for it.
+func (h *workerHost) redial() {
+	p := h.pool
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed || !h.dialing.CompareAndSwap(false, true) {
+		return
+	}
+	p.dials.Add(1)
+	go func() {
+		defer p.dials.Done()
+		defer h.dialing.Store(false)
+		_ = h.dial(p.alive)
+	}()
+}
+
 // snapshot copies the host list.
 func (p *WorkerPool) snapshot() []*workerHost {
 	p.mu.Lock()
@@ -579,14 +634,7 @@ func (p *WorkerPool) snapshot() []*workerHost {
 	return append([]*workerHost(nil), p.hosts...)
 }
 
-func (p *WorkerPool) isClosed() bool {
-	select {
-	case <-p.closedCh:
-		return true
-	default:
-		return false
-	}
-}
+func (p *WorkerPool) isClosed() bool { return p.alive.Err() != nil }
 
 // Size returns the number of pooled workers.
 func (p *WorkerPool) Size() int {

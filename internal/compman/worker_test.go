@@ -359,6 +359,40 @@ func TestServerRefusesWhileFleetDown(t *testing.T) {
 	answered(t, c)
 }
 
+// A worker that restarts while another stays up rejoins within two
+// queries: the first finds it holding no connection and dials it in the
+// background, which clears its sick mark; the second counts it in P and
+// sends it its home blocks. Without the background dial it stays idle,
+// ranked last as sick and dialed by nothing while the other worker has a
+// free slot.
+func TestServerRejoinsRestartedWorker(t *testing.T) {
+	a := startWorker(t)
+	b, kill := startKillableWorker(t)
+	c, srv := startServerCfg(t, 10, ServerConfig{WorkerAddrs: []string{a, b}})
+	answered(t, c)
+	kill()
+	answered(t, c) // B's blocks fail over to A
+	if st := srv.WorkerStats()[1]; !st.Unhealthy || st.Conns != 0 {
+		t.Fatalf("after the failover B is %+v; want it sick and holding no connection", st)
+	}
+	startWorkerAt(t, b)
+
+	answered(t, c)
+	for deadline := time.Now().Add(5 * time.Second); srv.WorkerStats()[1].Conns == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the restarted worker was never dialed")
+		}
+	}
+	if live, err := srv.pool.ready(context.Background()); live != 2 || err != nil {
+		t.Errorf("readiness counts %d hosts (err %v), want 2", live, err)
+	}
+	before := srv.WorkerStats()[1].Done
+	answered(t, c)
+	if st := srv.WorkerStats()[1]; st.Done == before || st.Unhealthy {
+		t.Errorf("the restarted worker answered %d blocks of the second query (%+v)", st.Done-before, st)
+	}
+}
+
 // A repeat of a released query needs no worker: with the fleet down, it is
 // served from the cache at zero ε, while a new query is still refused
 // before its charge.
@@ -776,5 +810,65 @@ func TestWorkMatrixZeroColumnRowsBounded(t *testing.T) {
 	_, block, err := decodeWork(workPayload(t, meanSpec, rows), new(mathutil.RowBuf))
 	if err != nil || len(block) != 3 || len(block[0]) != 0 {
 		t.Errorf("3 zero-width rows recycled-decoded as %v, %v", block, err)
+	}
+}
+
+// Close ends a background dial even inside its handshake, and waits for
+// it: a host that accepts connections and never answers the hello would
+// otherwise hold the dial, which has no deadline, and its goroutine past
+// the pool's end.
+func TestWorkerPoolCloseEndsRedial(t *testing.T) {
+	mute, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []net.Conn
+	var mu sync.Mutex
+	go func() {
+		for {
+			c, err := mute.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, c)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		mute.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range held {
+			c.Close()
+		}
+	})
+	pool, err := NewWorkerPool([]string{startWorker(t), mute.Addr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if live, err := pool.ready(ctx); live != 1 || err != nil {
+		t.Fatalf("cold readiness counts %d (err %v), want the one worker that answers", live, err)
+	}
+	host := pool.hosts[1]
+	if live, err := pool.ready(context.Background()); live != 1 || err != nil || !host.dialing.Load() {
+		t.Fatalf("readiness counts %d (err %v), dialing the mute host %v; want 1 and a dial", live, err, host.dialing.Load())
+	}
+	accepted := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(held)
+	}
+	for deadline := time.Now().Add(5 * time.Second); accepted() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the background dial never reached the mute host")
+		}
+	}
+	pool.Close()
+	if host.dialing.Load() {
+		t.Fatal("the background dial outlived Close")
 	}
 }

@@ -2,27 +2,18 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
 	"gupt/internal/analytics"
-	"gupt/internal/budget"
 	"gupt/internal/core"
+	"gupt/internal/dataset"
 	"gupt/internal/dp"
 	"gupt/internal/mathutil"
+	"gupt/internal/query"
 	"gupt/internal/workload"
 )
-
-// coreRunMedian is a small helper for the resampling ablation.
-func coreRunMedian(rows []mathutil.Vec, seed int64, gamma int) (float64, error) {
-	out, err := core.Run(context.Background(), analytics.Median{Col: 0}, rows,
-		core.RangeSpec{Mode: core.ModeTight, Output: []dp.Range{{Lo: 0, Hi: 150}}},
-		core.Options{Epsilon: 1000, Seed: seed, BlockSize: 60, Gamma: gamma})
-	if err != nil {
-		return 0, err
-	}
-	return out.Output[0], nil
-}
 
 // DistributionResult is the §5.2/Example 4 ablation: running an average and
 // a variance query on the census ages under (a) an equal split of the total
@@ -39,34 +30,30 @@ type DistributionResult struct {
 	Queries  []string
 }
 
-// BudgetDistribution runs the ablation.
+// BudgetDistribution runs the ablation: the equal split as two standalone
+// queries at half the total each, the proportional split as one session,
+// which the stage splits in proportion to each member's ζ.
 func BudgetDistribution(cfg Config) (*DistributionResult, error) {
 	n := cfg.scale(workload.CensusRows, 6000)
 	data := workload.CensusIncome(cfg.Seed, n)
-	rows := data.Rows()
 	col := data.Column(0)
 	trueMean := mathutil.Mean(col)
 	trueVar := mathutil.Variance(col)
+	l, err := newLab(data, dataset.RegisterOptions{TotalBudget: unexhaustible})
+	if err != nil {
+		return nil, err
+	}
 
 	const totalEps = 2.0
 	const beta = 64
 	maxAge := 150.0
-	meanRange := []dp.Range{{Lo: 0, Hi: maxAge}}
+	meanQuery := query.Query{Program: analytics.Mean{Col: 0},
+		Ranges:  core.RangeSpec{Mode: core.ModeTight, Output: []dp.Range{{Lo: 0, Hi: maxAge}}},
+		Options: core.Options{BlockSize: beta}}
 	// Variance of ages lies in [0, max^2/4].
-	varRange := []dp.Range{{Lo: 0, Hi: maxAge * maxAge / 4}}
-
-	zMean, err := budget.Zeta(meanRange, beta, n)
-	if err != nil {
-		return nil, err
-	}
-	zVar, err := budget.Zeta(varRange, beta, n)
-	if err != nil {
-		return nil, err
-	}
-	prop, err := budget.Distribute(totalEps, []float64{zMean, zVar})
-	if err != nil {
-		return nil, err
-	}
+	varQuery := query.Query{Program: analytics.Variance{Col: 0},
+		Ranges:  core.RangeSpec{Mode: core.ModeTight, Output: []dp.Range{{Lo: 0, Hi: maxAge * maxAge / 4}}},
+		Options: core.Options{BlockSize: beta}}
 
 	res := &DistributionResult{
 		AbsErr:   map[string]map[string]float64{},
@@ -74,32 +61,38 @@ func BudgetDistribution(cfg Config) (*DistributionResult, error) {
 		Policies: []string{"equal split", "proportional split"},
 		Queries:  []string{"mean", "variance"},
 	}
-	allocations := map[string]map[string]float64{
-		"equal split":        {"mean": totalEps / 2, "variance": totalEps / 2},
-		"proportional split": {"mean": prop[0], "variance": prop[1]},
+	policies := map[string]func(members []query.Query) ([]query.MemberResult, error){
+		"equal split": func(members []query.Query) ([]query.MemberResult, error) {
+			out := make([]query.MemberResult, len(members))
+			for i, q := range members {
+				q.Options.Epsilon = totalEps / float64(len(members))
+				out[i].Result, out[i].Epsilon, out[i].Err = l.run(q)
+			}
+			return out, nil
+		},
+		"proportional split": func(members []query.Query) ([]query.MemberResult, error) {
+			out, _, err := l.stage.RunSession(context.Background(),
+				&query.Session{Dataset: l.data.Name, TotalEpsilon: totalEps, Members: members})
+			return out, err
+		},
 	}
 	trials := cfg.scale(30, 8)
-	for policy, alloc := range allocations {
-		res.Epsilons[policy] = alloc
+	for policy, run := range policies {
 		res.AbsErr[policy] = map[string]float64{}
 		var meanErr, varErr float64
 		for trial := 0; trial < trials; trial++ {
 			seed := cfg.Seed + int64(trial)
-			m, err := core.Run(context.Background(), analytics.Mean{Col: 0}, rows,
-				core.RangeSpec{Mode: core.ModeTight, Output: meanRange},
-				core.Options{Epsilon: alloc["mean"], Seed: seed, BlockSize: beta})
-			if err != nil {
-				return nil, fmt.Errorf("distribution %s mean: %w", policy, err)
+			meanQuery.Options.Seed, varQuery.Options.Seed = seed, seed+7919
+			out, err := run([]query.Query{meanQuery, varQuery})
+			if err == nil {
+				err = errors.Join(out[0].Err, out[1].Err)
 			}
-			meanErr += math.Abs(m.Output[0] - trueMean)
-
-			v, err := core.Run(context.Background(), analytics.Variance{Col: 0}, rows,
-				core.RangeSpec{Mode: core.ModeTight, Output: varRange},
-				core.Options{Epsilon: alloc["variance"], Seed: seed + 7919, BlockSize: beta})
 			if err != nil {
-				return nil, fmt.Errorf("distribution %s variance: %w", policy, err)
+				return nil, fmt.Errorf("distribution %s: %w", policy, err)
 			}
-			varErr += math.Abs(v.Output[0] - trueVar)
+			res.Epsilons[policy] = map[string]float64{"mean": out[0].Epsilon, "variance": out[1].Epsilon}
+			meanErr += math.Abs(out[0].Result.Output[0] - trueMean)
+			varErr += math.Abs(out[1].Result.Output[0] - trueVar)
 		}
 		res.AbsErr[policy]["mean"] = meanErr / float64(trials)
 		res.AbsErr[policy]["variance"] = varErr / float64(trials)

@@ -44,10 +44,6 @@ func newTable(header ...string) *table { return &table{header: header} }
 
 func (t *table) addRow(cells ...string) { t.rows = append(t.rows, cells) }
 
-func (t *table) addRowf(format string, args ...any) {
-	t.addRow(strings.Split(fmt.Sprintf(format, args...), "|")...)
-}
-
 func (t *table) String() string {
 	widths := make([]int, len(t.header))
 	for i, h := range t.header {

@@ -1,11 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"gupt/internal/analytics"
 	"gupt/internal/core"
+	"gupt/internal/dataset"
 	"gupt/internal/dp"
 	"gupt/internal/mathutil"
 	"gupt/internal/workload"
@@ -77,16 +77,19 @@ func Fig3(cfg Config) (*Fig3Result, error) {
 	}
 	res.BlockBaseline = analytics.ClassificationAccuracy(blockParams, rows, workload.LifeSciDims, workload.LifeSciDims)
 
+	l, err := newLab(data, dataset.RegisterOptions{TotalBudget: unexhaustible})
+	if err != nil {
+		return nil, err
+	}
 	ranges := logRegRanges(1)
 	res.Epsilons = []float64{2, 4, 6, 8, 10}
 	for _, eps := range res.Epsilons {
-		out, err := core.Run(context.Background(), prog, rows,
-			core.RangeSpec{Mode: core.ModeTight, Output: ranges},
+		out, err := l.release(prog, core.RangeSpec{Mode: core.ModeTight, Output: ranges},
 			core.Options{Epsilon: eps, Seed: cfg.Seed + int64(eps*100)})
 		if err != nil {
 			return nil, fmt.Errorf("fig3: eps=%v: %w", eps, err)
 		}
-		acc := analytics.ClassificationAccuracy(out.Output, rows, workload.LifeSciDims, workload.LifeSciDims)
+		acc := analytics.ClassificationAccuracy(out, rows, workload.LifeSciDims, workload.LifeSciDims)
 		res.GUPTTight = append(res.GUPTTight, acc)
 	}
 	return res, nil

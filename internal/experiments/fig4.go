@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"gupt/internal/analytics"
@@ -103,26 +102,28 @@ func Fig4(cfg Config) (*Fig4Result, error) {
 	blockSize := cfg.scale(64, 16)
 	tightRanges := kmeansRanges(features, false)
 	looseRanges := kmeansRanges(features, true)
+	l, err := rowsLab(features)
+	if err != nil {
+		return nil, err
+	}
 	for _, eps := range res.Epsilons {
-		tight, err := core.Run(context.Background(), prog, features,
-			core.RangeSpec{Mode: core.ModeTight, Output: tightRanges},
+		tight, err := l.release(prog, core.RangeSpec{Mode: core.ModeTight, Output: tightRanges},
 			core.Options{Epsilon: eps, Seed: cfg.Seed + int64(eps*1000), BlockSize: blockSize})
 		if err != nil {
 			return nil, fmt.Errorf("fig4: tight eps=%v: %w", eps, err)
 		}
-		icv, err := icvOfFlat(tight.Output, features)
+		icv, err := icvOfFlat(tight, features)
 		if err != nil {
 			return nil, err
 		}
 		res.GUPTTight = append(res.GUPTTight, 100*icv/baseICV)
 
-		loose, err := core.Run(context.Background(), prog, features,
-			core.RangeSpec{Mode: core.ModeLoose, Output: looseRanges},
+		loose, err := l.release(prog, core.RangeSpec{Mode: core.ModeLoose, Output: looseRanges},
 			core.Options{Epsilon: eps, Seed: cfg.Seed + int64(eps*1000) + 1, BlockSize: blockSize})
 		if err != nil {
 			return nil, fmt.Errorf("fig4: loose eps=%v: %w", eps, err)
 		}
-		icv, err = icvOfFlat(loose.Output, features)
+		icv, err = icvOfFlat(loose, features)
 		if err != nil {
 			return nil, err
 		}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"gupt/internal/analytics"
@@ -69,6 +68,10 @@ func Fig5(cfg Config) (*Fig5Result, error) {
 		}
 	}
 
+	l, err := rowsLab(features)
+	if err != nil {
+		return nil, err
+	}
 	// Average each configuration over a few seeds so per-run noise does not
 	// mask the trend.
 	const trials = 3
@@ -91,13 +94,12 @@ func Fig5(cfg Config) (*Fig5Result, error) {
 			var total float64
 			for trial := int64(0); trial < trials; trial++ {
 				prog := lifeSciKMeans(iters, cfg.Seed)
-				out, err := core.Run(context.Background(), prog, features,
-					core.RangeSpec{Mode: core.ModeTight, Output: kmeansRanges(features, false)},
+				out, err := l.release(prog, core.RangeSpec{Mode: core.ModeTight, Output: kmeansRanges(features, false)},
 					core.Options{Epsilon: eps, Seed: cfg.Seed + int64(iters) + trial*7919, BlockSize: cfg.scale(64, 16)})
 				if err != nil {
 					return nil, fmt.Errorf("fig5: gupt iters=%d eps=%v: %w", iters, eps, err)
 				}
-				icv, err := icvOfFlat(out.Output, features)
+				icv, err := icvOfFlat(out, features)
 				if err != nil {
 					return nil, err
 				}

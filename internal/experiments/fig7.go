@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -9,8 +8,10 @@ import (
 	"gupt/internal/aging"
 	"gupt/internal/analytics"
 	"gupt/internal/core"
+	"gupt/internal/dataset"
 	"gupt/internal/dp"
 	"gupt/internal/mathutil"
+	"gupt/internal/query"
 	"gupt/internal/workload"
 )
 
@@ -27,6 +28,38 @@ func fig7BlockSize(n int) int {
 	return beta
 }
 
+// fig7Goal is the variable policy's accuracy goal: "90% accuracy for 90%
+// of results".
+var fig7Goal = aging.AccuracyGoal{Rho: 0.9, Confidence: 0.9}
+
+// policyEpsilon is each budget policy of Figs. 7 and 8: a constant ε, or
+// zero for the variable policy, which states fig7Goal and is charged the ε
+// the stage settles for it on the aged sample (§5.1).
+var policyEpsilon = map[string]float64{
+	"constant eps=1":   1,
+	"constant eps=0.3": 0.3,
+	"variable eps":     0,
+}
+
+// censusLab registers the census table of Figs. 7 and 8 with a total
+// budget, 10% of it fully aged (the paper's setup).
+func censusLab(cfg Config, total float64) (*lab, error) {
+	n := cfg.scale(workload.CensusRows, 6000)
+	return newLab(workload.CensusIncome(cfg.Seed, n),
+		dataset.RegisterOptions{TotalBudget: total, AgedFraction: 0.1, Seed: cfg.Seed})
+}
+
+// avgAgeQuery is the average-age query of Figs. 7 and 8 under a policy.
+func (l *lab) avgAgeQuery(policy string, seed int64) query.Query {
+	q := query.Query{Program: analytics.Mean{Col: 0},
+		Ranges:  core.RangeSpec{Mode: core.ModeTight, Output: []dp.Range{workload.CensusLooseRange()}},
+		Options: core.Options{Epsilon: policyEpsilon[policy], Seed: seed, BlockSize: fig7BlockSize(l.data.Private.NumRows())}}
+	if q.Options.Epsilon == 0 {
+		q.Accuracy = &fig7Goal
+	}
+	return q
+}
+
 // Fig7Result reproduces Figure 7: the CDF of result accuracy for the
 // average-age query on the census dataset under three budget policies —
 // constant ε = 1, constant ε = 0.3, and the variable ε chosen by GUPT to
@@ -36,7 +69,8 @@ type Fig7Result struct {
 	// sorted ascending (so index/len is the CDF).
 	Accuracies map[string][]float64
 	Policies   []string
-	// VariableEpsilon is the ε the accuracy goal translated to.
+	// VariableEpsilon is the ε the stage charged the variable policy's
+	// queries for the accuracy goal.
 	VariableEpsilon float64
 	// ExpectedAccuracy is the goal line (0.9).
 	ExpectedAccuracy float64
@@ -45,46 +79,31 @@ type Fig7Result struct {
 }
 
 // Fig7 runs the experiment: many repetitions of the same query under each
-// policy, accuracy recorded per repetition.
+// policy, accuracy recorded per repetition. The figure does not measure
+// budget, so its dataset's budget cannot be exhausted.
 func Fig7(cfg Config) (*Fig7Result, error) {
-	n := cfg.scale(workload.CensusRows, 6000)
-	data := workload.CensusIncome(cfg.Seed, n)
-
-	// 10% of the dataset is treated as fully aged (the paper's setup).
-	aged, private := data.Split(mathutil.NewRNG(cfg.Seed), 0.1)
-	rows := private.Rows()
-	truth := mathutil.Mean(private.Column(0))
-
-	goal := aging.AccuracyGoal{Rho: 0.9, Confidence: 0.9}
-	ranges := []dp.Range{workload.CensusLooseRange()}
-	beta := fig7BlockSize(len(rows))
-	est, err := aging.EstimateEpsilon(analytics.Mean{Col: 0}, aged.Rows(),
-		len(rows), beta, ranges, goal)
+	l, err := censusLab(cfg, unexhaustible)
 	if err != nil {
-		return nil, fmt.Errorf("fig7: epsilon estimation: %w", err)
+		return nil, err
 	}
+	truth := mathutil.Mean(l.data.Private.Column(0))
 
 	trials := cfg.scale(100, 20)
 	res := &Fig7Result{
 		Accuracies:       make(map[string][]float64),
 		Policies:         []string{"constant eps=1", "constant eps=0.3", "variable eps"},
-		VariableEpsilon:  est.Epsilon,
-		ExpectedAccuracy: goal.Rho,
+		ExpectedAccuracy: fig7Goal.Rho,
 		TrueMean:         truth,
 	}
-	policies := map[string]float64{
-		"constant eps=1":   1,
-		"constant eps=0.3": 0.3,
-		"variable eps":     est.Epsilon,
-	}
-	for name, eps := range policies {
+	for _, name := range res.Policies {
 		accs := make([]float64, 0, trials)
 		for trial := 0; trial < trials; trial++ {
-			out, err := core.Run(context.Background(), analytics.Mean{Col: 0}, rows,
-				core.RangeSpec{Mode: core.ModeTight, Output: ranges},
-				core.Options{Epsilon: eps, Seed: cfg.Seed + int64(trial), BlockSize: beta})
+			out, eps, err := l.run(l.avgAgeQuery(name, cfg.Seed+int64(trial)))
 			if err != nil {
 				return nil, fmt.Errorf("fig7: %s trial %d: %w", name, trial, err)
+			}
+			if name == "variable eps" {
+				res.VariableEpsilon = eps
 			}
 			acc := 1 - math.Abs(out.Output[0]-truth)/truth
 			if acc < 0 {
@@ -119,9 +138,10 @@ func (r *Fig7Result) Table() string {
 	t := newTable("policy", "epsilon", "p10 accuracy", "median accuracy", "p90 accuracy", "frac >= goal")
 	for _, p := range r.Policies {
 		accs := r.Accuracies[p]
-		eps := map[string]float64{
-			"constant eps=1": 1, "constant eps=0.3": 0.3, "variable eps": r.VariableEpsilon,
-		}[p]
+		eps := policyEpsilon[p]
+		if eps == 0 {
+			eps = r.VariableEpsilon
+		}
 		t.addRow(p, f(eps),
 			f(mathutil.QuantileSorted(accs, 0.1)),
 			f(mathutil.QuantileSorted(accs, 0.5)),

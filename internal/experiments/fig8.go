@@ -1,13 +1,10 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
-	"gupt/internal/aging"
-	"gupt/internal/analytics"
 	"gupt/internal/dp"
-	"gupt/internal/mathutil"
-	"gupt/internal/workload"
 )
 
 // Fig8Result reproduces Figure 8: the normalized lifetime of a dataset's
@@ -24,43 +21,34 @@ type Fig8Result struct {
 	VariableEpsilon    float64
 }
 
-// Fig8 runs the experiment: a fixed total budget is drawn down by repeated
-// identical queries under each policy until refused.
+// Fig8 runs the experiment: each policy's queries run against a fresh
+// registration of the dataset with the same total budget, each charged by
+// the budget manager, until it refuses one.
 func Fig8(cfg Config) (*Fig8Result, error) {
-	n := cfg.scale(workload.CensusRows, 6000)
-	data := workload.CensusIncome(cfg.Seed, n)
-	aged, private := data.Split(mathutil.NewRNG(cfg.Seed), 0.1)
-
-	goal := aging.AccuracyGoal{Rho: 0.9, Confidence: 0.9}
-	ranges := []dp.Range{workload.CensusLooseRange()}
-	est, err := aging.EstimateEpsilon(analytics.Mean{Col: 0}, aged.Rows(),
-		private.NumRows(), fig7BlockSize(private.NumRows()), ranges, goal)
-	if err != nil {
-		return nil, fmt.Errorf("fig8: epsilon estimation: %w", err)
-	}
-
 	const totalBudget = 30.0
-	policies := map[string]float64{
-		"constant eps=1":   1,
-		"constant eps=0.3": 0.3,
-		"variable eps":     est.Epsilon,
-	}
 	res := &Fig8Result{
 		Policies:           []string{"constant eps=1", "variable eps", "constant eps=0.3"},
 		Queries:            make(map[string]int),
 		NormalizedLifetime: make(map[string]float64),
-		VariableEpsilon:    est.Epsilon,
 	}
-	for name, eps := range policies {
-		acct := dp.NewAccountant(totalBudget)
-		count := 0
-		for acct.Spend("avg-age", eps) == nil {
-			count++
-			if count > 1_000_000 {
-				return nil, fmt.Errorf("fig8: runaway policy %s (eps=%v)", name, eps)
+	for _, name := range res.Policies {
+		l, err := censusLab(cfg, totalBudget)
+		if err != nil {
+			return nil, err
+		}
+		for {
+			_, eps, err := l.run(l.avgAgeQuery(name, cfg.Seed+int64(res.Queries[name])))
+			if errors.Is(err, dp.ErrBudgetExhausted) {
+				break
+			}
+			if err != nil {
+				return nil, fmt.Errorf("fig8: %s query %d: %w", name, res.Queries[name], err)
+			}
+			res.Queries[name]++
+			if name == "variable eps" {
+				res.VariableEpsilon = eps
 			}
 		}
-		res.Queries[name] = count
 	}
 	base := res.Queries["constant eps=1"]
 	for name, q := range res.Queries {

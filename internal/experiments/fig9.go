@@ -1,12 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"gupt/internal/analytics"
 	"gupt/internal/core"
+	"gupt/internal/dataset"
 	"gupt/internal/dp"
 	"gupt/internal/mathutil"
 	"gupt/internal/workload"
@@ -31,7 +31,6 @@ type Fig9Result struct {
 func Fig9(cfg Config) (*Fig9Result, error) {
 	n := cfg.scale(workload.AdsRows, 1200)
 	data := workload.InternetAds(cfg.Seed, n)
-	rows := data.Rows()
 	col := data.Column(0)
 
 	res := &Fig9Result{
@@ -46,6 +45,10 @@ func Fig9(cfg Config) (*Fig9Result, error) {
 	}
 	trials := cfg.scale(30, 6)
 	ranges := []dp.Range{workload.AdsRange()}
+	l, err := newLab(data, dataset.RegisterOptions{TotalBudget: unexhaustible})
+	if err != nil {
+		return nil, err
+	}
 
 	type queryDef struct {
 		name  string
@@ -63,13 +66,12 @@ func Fig9(cfg Config) (*Fig9Result, error) {
 		for _, beta := range res.BlockSizes {
 			var sqErr float64
 			for trial := 0; trial < trials; trial++ {
-				out, err := core.Run(context.Background(), q.prog, rows,
-					core.RangeSpec{Mode: core.ModeTight, Output: ranges},
+				out, err := l.release(q.prog, core.RangeSpec{Mode: core.ModeTight, Output: ranges},
 					core.Options{Epsilon: q.eps, Seed: cfg.Seed + int64(trial*1000+beta), BlockSize: beta})
 				if err != nil {
 					return nil, fmt.Errorf("fig9: %s beta=%d: %w", q.name, beta, err)
 				}
-				d := out.Output[0] - q.truth
+				d := out[0] - q.truth
 				sqErr += d * d
 			}
 			rmse := math.Sqrt(sqErr / float64(trials))

@@ -1,15 +1,15 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 
-	"gupt/internal/aging"
 	"gupt/internal/analytics"
 	"gupt/internal/core"
+	"gupt/internal/dataset"
 	"gupt/internal/dp"
 	"gupt/internal/mathutil"
+	"gupt/internal/query"
 	"gupt/internal/workload"
 )
 
@@ -24,65 +24,58 @@ type OptimizerRow struct {
 	DefaultRMSE float64 // measured at n^0.6
 }
 
-// OptimizerResult validates that OptimizeBlockSize (driven only by the
-// aged sample, Eq. 2) picks block sizes whose *measured* error on the
-// private data beats the default — the mechanism behind the Fig. 9 claim
-// that "GUPT can significantly reduce the total error by estimating the
-// optimal block size".
+// OptimizerResult validates that the stage's block-size tuning
+// (AutoBlockSize, driven only by the aged sample, Eq. 2) picks block sizes
+// whose *measured* error on the private data beats the default — the
+// mechanism behind the Fig. 9 claim that "GUPT can significantly reduce the
+// total error by estimating the optimal block size".
 type OptimizerResult struct {
 	Query string
 	Rows  []OptimizerRow
 }
 
 // Optimizer runs the validation for the median query on the internet-ads
-// workload at the paper's two budgets.
+// workload at the paper's two budgets: the chosen row asks the stage to
+// tune β on the aged sample (AutoBlockSize), the default row leaves β to
+// the stage's n^0.6, and each reads the β the stage ran from its result.
 func Optimizer(cfg Config) (*OptimizerResult, error) {
 	n := cfg.scale(workload.AdsRows, 1200)
-	data := workload.InternetAds(cfg.Seed, n)
-	aged, private := data.Split(mathutil.NewRNG(cfg.Seed), 0.2)
-	rows := private.Rows()
-	truth := mathutil.Median(private.Column(0))
-	ranges := []dp.Range{workload.AdsRange()}
+	l, err := newLab(workload.InternetAds(cfg.Seed, n),
+		dataset.RegisterOptions{TotalBudget: unexhaustible, AgedFraction: 0.2, Seed: cfg.Seed})
+	if err != nil {
+		return nil, err
+	}
+	truth := mathutil.Median(l.data.Private.Column(0))
 	prog := analytics.Median{Col: 0}
 	trials := cfg.scale(30, 8)
 
-	measure := func(beta int, eps float64) (float64, error) {
+	measure := func(eps float64, auto bool) (beta int, rmse float64, err error) {
 		var sqErr float64
 		for trial := 0; trial < trials; trial++ {
-			out, err := core.Run(context.Background(), prog, rows,
-				core.RangeSpec{Mode: core.ModeTight, Output: ranges},
-				core.Options{Epsilon: eps, Seed: cfg.Seed + int64(trial), BlockSize: beta})
+			out, _, err := l.run(query.Query{Program: prog,
+				Ranges:        core.RangeSpec{Mode: core.ModeTight, Output: []dp.Range{workload.AdsRange()}},
+				Options:       core.Options{Epsilon: eps, Seed: cfg.Seed + int64(trial)},
+				AutoBlockSize: auto})
 			if err != nil {
-				return 0, err
+				return 0, 0, err
 			}
 			d := out.Output[0] - truth
 			sqErr += d * d
+			beta = out.BlockSize
 		}
-		return math.Sqrt(sqErr/float64(trials)) / truth, nil
+		return beta, math.Sqrt(sqErr/float64(trials)) / truth, nil
 	}
 
 	res := &OptimizerResult{Query: prog.Name()}
 	for _, eps := range []float64{2, 6} {
-		choice, err := aging.OptimizeBlockSize(prog, aged.Rows(), len(rows), eps, ranges)
-		if err != nil {
+		row := OptimizerRow{Epsilon: eps}
+		if row.ChosenBeta, row.ChosenRMSE, err = measure(eps, true); err != nil {
 			return nil, fmt.Errorf("optimizer eps=%v: %w", eps, err)
 		}
-		chosenRMSE, err := measure(choice.BlockSize, eps)
-		if err != nil {
-			return nil, err
+		if row.DefaultBeta, row.DefaultRMSE, err = measure(eps, false); err != nil {
+			return nil, fmt.Errorf("optimizer eps=%v: %w", eps, err)
 		}
-		defBeta := core.DefaultBlockSize(len(rows))
-		defRMSE, err := measure(defBeta, eps)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, OptimizerRow{
-			Epsilon:     eps,
-			ChosenBeta:  choice.BlockSize,
-			ChosenRMSE:  chosenRMSE,
-			DefaultBeta: defBeta,
-			DefaultRMSE: defRMSE,
-		})
+		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"gupt/internal/analytics"
+	"gupt/internal/core"
+	"gupt/internal/dp"
 	"gupt/internal/mathutil"
 	"gupt/internal/sandbox"
 	"gupt/internal/workload"
@@ -155,15 +157,21 @@ func ResamplingVariance(cfg Config) (*ResamplingResult, error) {
 	if cfg.Quick {
 		res.Gammas = []int{1, 4}
 	}
+	l, err := rowsLab(rows)
+	if err != nil {
+		return nil, err
+	}
 	trials := cfg.scale(50, 12)
 	for _, gamma := range res.Gammas {
 		outs := make([]float64, 0, trials)
 		for trial := 0; trial < trials; trial++ {
-			out, err := coreRunMedian(rows, cfg.Seed+int64(trial), gamma)
+			out, err := l.release(analytics.Median{Col: 0},
+				core.RangeSpec{Mode: core.ModeTight, Output: []dp.Range{{Lo: 0, Hi: 150}}},
+				core.Options{Epsilon: 1000, Seed: cfg.Seed + int64(trial), BlockSize: 60, Gamma: gamma})
 			if err != nil {
 				return nil, fmt.Errorf("resampling gamma=%d: %w", gamma, err)
 			}
-			outs = append(outs, out)
+			outs = append(outs, out[0])
 		}
 		res.Variances = append(res.Variances, mathutil.Variance(outs))
 	}

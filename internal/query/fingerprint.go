@@ -14,10 +14,11 @@ package query
 // The fingerprint must be exact: only queries whose every component can be
 // hashed canonically are cached. Programs are fingerprinted by a type
 // switch over the platform's value-struct programs; custom Program
-// implementations, Func closures, Translate closures and analyst-supplied
-// chambers make a query uncachable — the hash cannot see inside a closure,
-// and a wrong "identical" would re-serve an answer from a different
-// distribution. Uncachable queries simply run every time.
+// implementations, Func closures and Translate closures make a query
+// uncachable — the hash cannot see inside a closure, and a wrong
+// "identical" would re-serve an answer from a different distribution.
+// Uncachable queries simply run every time. The chamber factory is the
+// host's execution choice, never the analyst's, and is not hashed.
 //
 // Serving a cached release on a match is safe by post-processing whatever
 // the cache policy; distinctness is what keeps the cache useful rather than
@@ -113,7 +114,7 @@ func hashRanges(h *qcache.Hasher, rs []dp.Range) {
 // which the caller hashes once. It reports false if the query is
 // uncachable.
 func hashBody(h *qcache.Hasher, q *Query) bool {
-	if q.Ranges.Translate != nil || q.Uncachable || !hashProgram(h, q.Program) {
+	if q.Ranges.Translate != nil || !hashProgram(h, q.Program) {
 		return false
 	}
 	h.Int(int(q.Ranges.Mode))

@@ -118,10 +118,6 @@ func TestFingerprintCachability(t *testing.T) {
 			q.Ranges.Mode = core.ModeHelper
 			q.Ranges.Translate = func(in []dp.Range) []dp.Range { return in }
 		}, false},
-		"analyst chambers": {func(q *Query) {
-			q.Options.NewChamber = func(p analytics.Program, pol sandbox.Policy) sandbox.Chamber { return nil }
-			q.Uncachable = true
-		}, false},
 		"host chambers": {func(q *Query) {
 			q.Options.NewChamber = func(p analytics.Program, pol sandbox.Policy) sandbox.Chamber { return nil }
 		}, true},

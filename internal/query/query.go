@@ -82,11 +82,6 @@ type Query struct {
 	Options       core.Options
 	Accuracy      *aging.AccuracyGoal
 	AutoBlockSize bool
-
-	// Uncachable is set by a host whose chamber factory came from the
-	// analyst: an unknown chamber may change the released distribution,
-	// and the fingerprint cannot see inside it.
-	Uncachable bool
 }
 
 // Linear is the canonical range translation for Helper mode: output

@@ -2,7 +2,11 @@ package query
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
+	"math"
+	"sync"
 	"testing"
 
 	"gupt/internal/allocguard"
@@ -13,6 +17,7 @@ import (
 	"gupt/internal/dp"
 	"gupt/internal/mathutil"
 	"gupt/internal/qcache"
+	"gupt/internal/sandbox"
 )
 
 func TestLinearFunc(t *testing.T) {
@@ -251,5 +256,100 @@ func TestUserLevelOversizedUserAnswersAtEveryBlockSize(t *testing.T) {
 		if rem := r.Accountant.Remaining(); rem != 10-spent {
 			t.Errorf("β=%d: remaining %v, want %v", beta, rem, 10-spent)
 		}
+	}
+}
+
+// vandal is the state-attack program: it computes its inner program's
+// honest answer, then zeroes every row of its block and reverses the block.
+type vandal struct{ analytics.Program }
+
+func (v vandal) Run(block []mathutil.Vec) (mathutil.Vec, error) {
+	out, err := v.Program.Run(block)
+	for i, j := 0, len(block)-1; i < j; i, j = i+1, j-1 {
+		block[i], block[j] = block[j], block[i]
+	}
+	for _, r := range block {
+		for k := range r {
+			r[k] = 0
+		}
+	}
+	return out, err
+}
+
+// bareChamber runs its program on the very block it is handed and is not a
+// sandbox.RowChamber, so sandbox.Rows owes it a private copy.
+type bareChamber struct{ prog analytics.Program }
+
+func (c bareChamber) Execute(_ context.Context, block []mathutil.Vec) (mathutil.Vec, error) {
+	return c.prog.Run(block)
+}
+
+// tableHash digests every cell of every row in order, with row boundaries,
+// so zeroed, reordered or swapped rows all show.
+func tableHash(tbl *dataset.Table) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, r := range tbl.View() {
+		for _, v := range r {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+		h.Write([]byte{0xff})
+	}
+	return h.Sum64()
+}
+
+// A charged query reads the registered table's cells in place, so a host
+// chamber factory whose chambers are not RowChambers must still hand each
+// block a private copy: a program that vandalises its block changes neither
+// the table nor any answer, alone or with two attacks at once. γ = 2 puts
+// every record in two blocks.
+func TestUndeclaredChamberCannotReachTheTable(t *testing.T) {
+	ctx := context.Background()
+	query := func(seed int64, attack bool) *Query {
+		q := &Query{Dataset: "ds", Program: analytics.Mean{Col: 0},
+			Ranges:  core.RangeSpec{Output: []dp.Range{{Lo: 0, Hi: 150}}},
+			Options: core.Options{Epsilon: 1, BlockSize: 100, Gamma: 2, Seed: seed}}
+		if attack {
+			q.Options.NewChamber = func(prog analytics.Program, _ sandbox.Policy) sandbox.Chamber {
+				return bareChamber{vandal{prog}}
+			}
+		}
+		return q
+	}
+	// What a stage no vandal ever touched releases for each seed.
+	fresh, _ := planStage(t, 1000, 0)
+	want := map[int64]float64{}
+	for seed := int64(31); seed <= 34; seed++ {
+		res, _, err := fresh.Run(ctx, query(seed, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[seed] = res.Output[0]
+	}
+
+	s, r := planStage(t, 1000, 0)
+	registered := tableHash(r.Private)
+	check := func(seed int64, attack bool) {
+		res, _, err := s.Run(ctx, query(seed, attack))
+		if err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		} else if math.Float64bits(res.Output[0]) != math.Float64bits(want[seed]) {
+			t.Errorf("seed %d (attack=%v) released %v, an untouched stage %v", seed, attack, res.Output[0], want[seed])
+		}
+	}
+	check(31, true)
+	check(32, false)
+	var wg sync.WaitGroup
+	for _, seed := range []int64{33, 34} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			check(seed, true)
+		}()
+	}
+	wg.Wait()
+	if got := tableHash(r.Private); got != registered {
+		t.Errorf("table hashes %x after the attacks, %x at registration", got, registered)
 	}
 }

@@ -404,20 +404,14 @@ func (v vandal) Run(block []mathutil.Vec) (mathutil.Vec, error) {
 	return out, err
 }
 
-// bareChamber runs the program on the very block it is handed and is not a
-// sandbox.RowChamber, so sandbox.Rows owes it a private copy.
-type bareChamber struct{ prog Program }
-
-func (c bareChamber) Execute(_ context.Context, block []mathutil.Vec) (mathutil.Vec, error) {
-	return c.prog.Run(block)
-}
-
 // TestMutatingProgramCannotReachTheTable is the invariant the shared
 // read-only table view rests on: queries read the registered rows in place,
 // so the one private copy per (record, block) must stand between every
-// program and them — in the in-process chamber (embedded and served), in
-// the worker's decoded frame, and in sandbox.Rows for chambers that are
-// not RowChambers. γ = 2 puts every record in two blocks.
+// program and them — in the in-process chamber (embedded and served) and in
+// the worker's decoded frame. (internal/query's
+// TestUndeclaredChamberCannotReachTheTable covers sandbox.Rows' copy for
+// chambers that are not RowChambers.) γ = 2 puts every record in two
+// blocks.
 func TestMutatingProgramCannotReachTheTable(t *testing.T) {
 	ctx := context.Background()
 	age := []Range{{Lo: 0, Hi: 150}}
@@ -446,12 +440,12 @@ func TestMutatingProgramCannotReachTheTable(t *testing.T) {
 		table *dataset.Table
 		run   func(seed int64, attack bool) ([]float64, error)
 	}
-	embedded := func(name string, chambers func(Program, sandbox.Policy) sandbox.Chamber) host {
+	embedded := func(name string) host {
 		p, tbl := embeddedHost(t)
 		return host{name, tbl, func(seed int64, attack bool) ([]float64, error) {
 			q := query(seed)
 			if attack {
-				q.Program, q.Chambers = vandal{q.Program}, chambers
+				q.Program = vandal{q.Program}
 			}
 			res, err := p.Run(ctx, q)
 			if err != nil {
@@ -483,10 +477,9 @@ func TestMutatingProgramCannotReachTheTable(t *testing.T) {
 		}}
 	}
 	hosts := []host{
-		embedded("embedded", nil),
+		embedded("embedded"),
 		served("local server", 0),
 		served("2-worker fan-out", 2),
-		embedded("undeclared chamber", func(prog Program, _ sandbox.Policy) sandbox.Chamber { return bareChamber{prog} }),
 	}
 
 	for _, h := range hosts {
