@@ -67,7 +67,7 @@ audit-kill:
 # configured fleet and on the part of it that answers.
 fanout-race:
 	$(GO) test -race -count=1 -run 'TestFanout|TestScheduler|TestServerOverload|TestServerDeadline|TestWorker' ./internal/compman
-	$(GO) test -race -count=5 -run 'TestServerJoinsWorkerStartedLater|TestServerRefusesWhileFleetDown|TestServerCacheHitWhileFleetDown|TestServerWithUnreachableWorkers|TestWireOldPeersFailClosed|TestServerRefusesUnfinishablePlan|TestServerBoundCountsLiveWorkers|TestServerRejoinsRestartedWorker' ./internal/compman
+	$(GO) test -race -count=5 -run 'TestServerJoinsWorkerStartedLater|TestServerRefusesWhileFleetDown|TestServerCacheHitWhileFleetDown|TestServerWithUnreachableWorkers|TestWireOldPeersFailClosed|TestServerRefusesUnfinishablePlan|TestServerBoundCountsLiveWorkers|TestServerRejoinsRestartedWorker|TestServerRejoinsAfterMuteWorker' ./internal/compman
 	$(GO) test -race -count=5 -run 'TestRun|TestConcurrentRuns' ./internal/core
 	$(GO) test -race -count=5 -run 'TestInProcess|TestAbandoned' ./internal/sandbox
 

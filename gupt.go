@@ -337,7 +337,7 @@ func (p *Platform) SynthesizeAgedSample(name string, eps float64, bins, count in
 			count = 100
 		}
 	}
-	if err := reg.Spend("synthesize-aged", eps); err != nil {
+	if err := p.stage.Budget.Charge(name, "synthesize-aged", eps); err != nil {
 		return err
 	}
 	rows, err := aging.SynthesizeAged(mathutil.NewRNG(seed), reg.Private.View(), ranges, bins, count, eps)

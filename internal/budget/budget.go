@@ -72,18 +72,14 @@ func Zeta(ranges []dp.Range, blockSize, n int) (float64, error) {
 // QuotaKeeper is the per-tenant ε quota layer (implemented by
 // tenant.Registry). Reserve debits a tenant's quota on a dataset, refusing
 // when the ceiling would be exceeded; Release backs out a reservation whose
-// downstream global charge was refused. The quota sits ON TOP of the
-// dataset-global budget: both must admit a charge.
+// downstream global charge was refused; QuotaState reports the tenant's
+// authoritative post-charge position, which the ε burn-down plane reads so
+// tenant rows track the real balance instead of re-deriving it from charge
+// deltas. The quota sits ON TOP of the dataset-global budget: both must
+// admit a charge.
 type QuotaKeeper interface {
 	Reserve(tenant, dataset string, eps float64) error
 	Release(tenant, dataset string, eps float64)
-}
-
-// QuotaReporter is optionally implemented by the QuotaKeeper
-// (tenant.Registry does): authoritative post-charge quota state, read by
-// the ε burn-down plane so tenant rows track the real balance instead of
-// re-deriving it from charge deltas.
-type QuotaReporter interface {
 	QuotaState(tenant, dataset string) (spent, quota float64, limited bool)
 }
 
@@ -134,8 +130,8 @@ func (m *Manager) burn(tenant, datasetName string, eps float64, r *dataset.Regis
 		return
 	}
 	spent, quota, limited := 0.0, 0.0, false
-	if rep, ok := m.quotas.(QuotaReporter); ok {
-		spent, quota, limited = rep.QuotaState(tenant, datasetName)
+	if m.quotas != nil {
+		spent, quota, limited = m.quotas.QuotaState(tenant, datasetName)
 	}
 	if !limited {
 		quota = 0 // unlimited row: the plane tracks spend without a ceiling
@@ -149,13 +145,15 @@ func (m *Manager) Charge(datasetName, label string, eps float64) error {
 	return m.ChargeAs("", datasetName, label, eps)
 }
 
-// ChargeAs is Charge attributed to a tenant id. Admission order: the
+// ChargeAs is Charge attributed to a tenant id ("" is the default
+// principal and skips quotas). With CacheHitAs it is the one road to a
+// dataset's charger (Registered.SpendAs). Admission order: the
 // tenant's quota reservation first (a refusal here is free — nothing
 // durable happened), then the dataset-global durable charge; a global
 // refusal releases the reservation. A crash between the two can only lose
 // the release, leaving the tenant's quota over-counted — the safe
 // direction, and the quota balance is rebuilt from the ledger at next boot
-// anyway. The empty tenant is exactly Charge.
+// anyway.
 func (m *Manager) ChargeAs(tenant, datasetName, label string, eps float64) error {
 	r, err := m.reg.Lookup(datasetName)
 	if err != nil {
@@ -191,18 +189,12 @@ func (m *Manager) record(datasetName string, err error) error {
 	return err
 }
 
-// CacheHit journals an ε=0 re-release of a previously published answer for
-// the named dataset. No budget moves — the accountant is never touched —
+// CacheHitAs journals an ε=0 re-release of a previously published answer
+// for the named dataset, attributed to a tenant id. No budget or quota
+// moves — a cache hit is post-processing of an answer already paid for —
 // but when a durable ledger backs the dataset, a cache_hit record lands in
 // the WAL so the books distinguish re-releases from fresh spends. The
 // counters (budget.cache_hits[.<dataset>]) carry event counts only.
-func (m *Manager) CacheHit(datasetName, label string) error {
-	return m.CacheHitAs("", datasetName, label)
-}
-
-// CacheHitAs is CacheHit attributed to a tenant id, so the WAL shows whose
-// cached answer was re-released. Still budget- and quota-neutral: a cache
-// hit is post-processing of an answer already paid for.
 func (m *Manager) CacheHitAs(tenant, datasetName, label string) error {
 	r, err := m.reg.Lookup(datasetName)
 	if err != nil {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"gupt/internal/telemetry"
 )
 
 func TestSessionOverWire(t *testing.T) {
@@ -97,5 +99,38 @@ func TestSessionOverWireValidation(t *testing.T) {
 	rem, _ := client.RemainingBudget("census")
 	if rem != 1 {
 		t.Errorf("failed sessions consumed budget: %v", rem)
+	}
+}
+
+// A served session's trace shows its charge: the flight recorder keeps the
+// same admission, budget and release spans for it as for a single query,
+// each closed ok, so /queries and /traces show where the session spent its
+// time before and after its members ran.
+func TestSessionTraceShowsCharge(t *testing.T) {
+	client, srv := startServer(t, 100)
+	if _, err := client.Session("census", &SessionSpec{
+		TotalEpsilon: 2,
+		Queries: []SessionQuery{{
+			Program:      ProgramSpec{Type: "mean", Col: 0},
+			OutputRanges: []RangeSpec{{Lo: 0, Hi: 150}},
+			Seed:         1,
+		}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	traces := srv.Recorder().Traces()
+	if len(traces) != 1 {
+		t.Fatalf("%d traces recorded, want 1", len(traces))
+	}
+	status := map[string]string{}
+	for _, sp := range traces[0].Spans {
+		if sp.Process == "" {
+			status[sp.Stage] = sp.Status
+		}
+	}
+	for _, stage := range []string{telemetry.StageAdmission, telemetry.StageBudget, telemetry.StageRelease} {
+		if status[stage] != telemetry.StatusOK {
+			t.Errorf("session trace: %s span %q, want ok (spans %+v)", stage, status[stage], traces[0].Spans)
+		}
 	}
 }

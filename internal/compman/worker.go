@@ -607,11 +607,17 @@ func (h *workerHost) dial(ctx context.Context) error {
 	return nil
 }
 
+// redialTimeout bounds one background dial, handshake included: a host
+// that accepts and never answers the hello is dropped after it and tried
+// again by a later readiness check, instead of pinning its dial until
+// Close. A healthy worker answers in well under a millisecond.
+const redialTimeout = time.Second
+
 // redial starts one dial of h that no query waits for, unless one is
 // still running: a blackholed host would otherwise hold every query's
 // readiness check until its deadline. Without it a sick host, ranked last,
-// is never dialed while another host has a free slot. Close ends the dial
-// and waits for it.
+// is never dialed while another host has a free slot. The dial ends after
+// redialTimeout, or when Close ends it; Close waits for it.
 func (h *workerHost) redial() {
 	p := h.pool
 	p.mu.Lock()
@@ -623,7 +629,9 @@ func (h *workerHost) redial() {
 	go func() {
 		defer p.dials.Done()
 		defer h.dialing.Store(false)
-		_ = h.dial(p.alive)
+		ctx, cancel := context.WithTimeout(p.alive, redialTimeout)
+		defer cancel()
+		_ = h.dial(ctx)
 	}()
 }
 

@@ -26,12 +26,14 @@ var (
 	ErrDuplicate = errors.New("dataset: already registered")
 )
 
-// Spender is a privacy-charge sink: Spend debits eps against a dataset's
-// budget, returning dp.ErrBudgetExhausted when it cannot. The durable
-// ledger (internal/ledger) implements it to interpose log-before-charge
-// persistence in front of the in-memory accountant.
-type Spender interface {
-	Spend(label string, eps float64) error
+// Charger is a dataset's privacy-charge sink: SpendAs debits eps on behalf
+// of tenant ("" is the default principal), returning dp.ErrBudgetExhausted
+// when it cannot, and RecordCacheHitAs journals an ε=0 cache re-release.
+// The durable ledger (ledger.Backed) implements it, putting
+// log-before-charge persistence in front of the in-memory accountant.
+type Charger interface {
+	SpendAs(tenant, label string, eps float64) error
+	RecordCacheHitAs(tenant, label string) error
 }
 
 // Registered is a dataset under the registry's management: the private
@@ -47,14 +49,14 @@ type Registered struct {
 	// aging-based optimizers then fall back to defaults.
 	Aged *Table
 	// Accountant enforces the dataset's lifetime ε budget. Read budget
-	// state (Remaining, Spent, Queries) here; route debits through Spend
-	// so a durable charger, when bound, sees every charge.
+	// state (Remaining, Spent, Queries) here; charge through
+	// budget.Manager so a durable charger, when bound, sees every debit.
 	Accountant *dp.Accountant
 
 	// charger, when bound, replaces the bare accountant on the charge
 	// path. Written only before the dataset is reachable (at registration,
 	// via the registry hook, or at boot before serving) — see BindCharger.
-	charger Spender
+	charger Charger
 
 	// version is the dataset's content version: assigned from the global
 	// clock at registration and bumped on every mutation of the dataset's
@@ -78,78 +80,32 @@ func (r *Registered) BumpContentVersion() uint64 {
 	return v
 }
 
-// CacheHitRecorder is the optional interface a charger implements to
-// journal ε=0 cache re-releases. The durable ledger's Backed accountant
-// implements it so the WAL distinguishes a cache hit from a fresh spend.
-type CacheHitRecorder interface {
-	RecordCacheHit(label string) error
-}
-
-// TenantSpender is the optional interface a charger implements to attribute
-// charges to a principal (PR 8). The durable ledger's Backed accountant
-// implements it so the WAL's tenant column survives crash recovery.
-// Chargers without it serve multi-tenant traffic fine — attribution just
-// degrades to the default principal.
-type TenantSpender interface {
-	SpendAs(tenant, label string, eps float64) error
-}
-
-// TenantCacheHitRecorder is CacheHitRecorder with tenant attribution.
-type TenantCacheHitRecorder interface {
-	RecordCacheHitAs(tenant, label string) error
-}
-
-// RecordCacheHit journals an ε=0 cache re-release against the dataset's
-// charger, when one is bound and supports it. It never touches the
-// accountant: a cache hit moves no budget by construction.
-func (r *Registered) RecordCacheHit(label string) error {
-	if rec, ok := r.charger.(CacheHitRecorder); ok {
-		return rec.RecordCacheHit(label)
-	}
-	return nil
-}
-
-// RecordCacheHitAs is RecordCacheHit attributed to a tenant id. Falls back
-// through the tenant-blind recorder when the charger predates tenancy, and
-// to a no-op when no charger is bound.
-func (r *Registered) RecordCacheHitAs(tenant, label string) error {
-	if tenant != "" {
-		if rec, ok := r.charger.(TenantCacheHitRecorder); ok {
-			return rec.RecordCacheHitAs(tenant, label)
-		}
-	}
-	return r.RecordCacheHit(label)
-}
-
-// BindCharger routes the dataset's future charges through s (typically a
-// ledger.Backed). It must be called before the dataset serves charges —
+// BindCharger routes the dataset's future charges and cache hits through c
+// (a ledger.Backed). It must be called before the dataset serves charges —
 // at boot, or from the registry's registration hook, which runs before
 // Register publishes the dataset — because the binding itself is not
-// synchronized with concurrent Spend calls.
-func (r *Registered) BindCharger(s Spender) { r.charger = s }
+// synchronized with concurrent SpendAs calls.
+func (r *Registered) BindCharger(c Charger) { r.charger = c }
 
-// Spend debits eps from the dataset's budget under label. All platform
-// charge paths go through here: with a durable charger bound the debit is
-// crash-safe (log-before-charge), otherwise it hits the in-memory
-// accountant directly.
-func (r *Registered) Spend(label string, eps float64) error {
+// SpendAs debits eps from the dataset's budget under label, attributed to
+// tenant. With a charger bound the debit is crash-safe (log-before-charge)
+// and the tenant reaches the WAL; otherwise it hits the in-memory
+// accountant directly, unattributed. Only budget.Manager calls it.
+func (r *Registered) SpendAs(tenant, label string, eps float64) error {
 	if r.charger != nil {
-		return r.charger.Spend(label, eps)
+		return r.charger.SpendAs(tenant, label, eps)
 	}
 	return r.Accountant.Spend(label, eps)
 }
 
-// SpendAs debits eps attributed to a tenant id (PR 8). With a
-// tenant-aware charger bound (the durable ledger) the attribution reaches
-// the WAL; otherwise it degrades to an unattributed Spend so embedded and
-// legacy deployments keep working. The empty tenant is exactly Spend.
-func (r *Registered) SpendAs(tenant, label string, eps float64) error {
-	if tenant != "" {
-		if ts, ok := r.charger.(TenantSpender); ok {
-			return ts.SpendAs(tenant, label, eps)
-		}
+// RecordCacheHitAs journals an ε=0 cache re-release attributed to tenant
+// with the bound charger (a no-op when none is). It never touches the
+// accountant: a cache hit moves no budget by construction.
+func (r *Registered) RecordCacheHitAs(tenant, label string) error {
+	if r.charger != nil {
+		return r.charger.RecordCacheHitAs(tenant, label)
 	}
-	return r.Spend(label, eps)
+	return nil
 }
 
 // HasAged reports whether an aged sample is available.
@@ -254,7 +210,7 @@ func (reg *Registry) Register(name string, t *Table, opts RegisterOptions) (*Reg
 	}
 	if reg.hook != nil {
 		// Runs before the dataset is visible to Lookup, so a bound charger
-		// is in place before any concurrent Spend can reach it. Lock
+		// is in place before any concurrent SpendAs can reach it. Lock
 		// ordering: Registry.mu → (hook) Ledger.mu → Accountant.mu.
 		if err := reg.hook(r); err != nil {
 			return nil, err

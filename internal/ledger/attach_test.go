@@ -101,7 +101,7 @@ func TestSpendWithoutCharger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Spend("q", 1.5); err != nil {
+	if err := r.SpendAs("", "q", 1.5); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Accountant.Spent(); got != 1.5 {

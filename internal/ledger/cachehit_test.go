@@ -23,12 +23,12 @@ func TestCacheHitsAreBudgetInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := b.Spend("q1", 1.5); err != nil {
+			if err := b.SpendAs("", "q1", 1.5); err != nil {
 				t.Fatal(err)
 			}
 			const hits = 25
 			for i := 0; i < hits; i++ {
-				if err := b.RecordCacheHit("census:mean"); err != nil {
+				if err := b.RecordCacheHitAs("", "census:mean"); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -29,7 +29,7 @@ func groupCommitLedger(t *testing.T, appended chan<- struct{}) (*Ledger, *Backed
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Spend("warm-up", 0.01); err != nil {
+	if err := b.SpendAs("", "warm-up", 0.01); err != nil {
 		t.Fatal(err)
 	}
 	return l, b, tel
@@ -62,7 +62,7 @@ func TestGroupCommitBatchesBehindInFlightFsync(t *testing.T) {
 	var wg sync.WaitGroup
 	charge := func() {
 		defer wg.Done()
-		if err := b.Spend("q", 0.01); err != nil {
+		if err := b.SpendAs("", "q", 0.01); err != nil {
 			t.Errorf("charge: %v", err)
 		}
 	}
@@ -110,7 +110,7 @@ func TestGroupCommitContendedChargersShareFsyncs(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perCharger; i++ {
-				if err := b.Spend("q", 0.01); err != nil {
+				if err := b.SpendAs("", "q", 0.01); err != nil {
 					t.Errorf("charge: %v", err)
 					return
 				}
@@ -141,7 +141,7 @@ func TestGroupCommitLoneChargerOneFsyncPerCharge(t *testing.T) {
 	fsyncs0, synced0 := fsyncs.Value(), synced.Value()
 	const n = 20
 	for i := 0; i < n; i++ {
-		if err := b.Spend("q", 0.01); err != nil {
+		if err := b.SpendAs("", "q", 0.01); err != nil {
 			t.Fatal(err)
 		}
 	}

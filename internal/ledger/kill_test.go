@@ -189,7 +189,7 @@ func recoverAndCheck(t *testing.T, dir string, acks int, eps, total float64) {
 		t.Fatalf("rebind after kill: %v", err)
 	}
 	if acct.Remaining() > eps {
-		if err := b.Spend("post-restart", eps); err != nil {
+		if err := b.SpendAs("", "post-restart", eps); err != nil {
 			t.Fatalf("charging after restart: %v", err)
 		}
 	}

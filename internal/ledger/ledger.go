@@ -176,9 +176,6 @@ func Open(dir string, opts Options) (*Ledger, error) {
 // replayed record count). The map is shared; treat it as read-only.
 func (l *Ledger) Recovered() *Recovered { return l.recovered }
 
-// Dir returns the ledger directory.
-func (l *Ledger) Dir() string { return l.dir }
-
 // crash fires the test-only crash hook.
 func (l *Ledger) crash(point string) {
 	if l.opts.CrashPoint != nil {
@@ -228,6 +225,16 @@ func (l *Ledger) waitDurable(seq uint64) error {
 	return nil
 }
 
+// usableLocked is nil while the ledger takes appends: ErrClosed after
+// Close, the poisoning error after a WAL swap that could not be made
+// durable. Callers hold l.mu.
+func (l *Ledger) usableLocked() error {
+	if l.closed {
+		return ErrClosed
+	}
+	return l.poisoned
+}
+
 // register ensures the dataset exists in the ledger with the given total,
 // appending a register record when it is new or its total changed.
 func (l *Ledger) register(name string, total float64) (*datasetState, error) {
@@ -236,11 +243,8 @@ func (l *Ledger) register(name string, total float64) (*datasetState, error) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return nil, ErrClosed
-	}
-	if l.poisoned != nil {
-		return nil, l.poisoned
+	if err := l.usableLocked(); err != nil {
+		return nil, err
 	}
 	st, ok := l.state[name]
 	if ok && st.total == total {
@@ -255,6 +259,67 @@ func (l *Ledger) register(name string, total float64) (*datasetState, error) {
 	}
 	st.total = total
 	return st, nil
+}
+
+// journal is the one append step of charges and cache hits. It checks
+// rec's strings, refuses on a closed, poisoned or unbound ledger, appends
+// rec and, still under l.mu, runs apply with the dataset's live state and
+// the record's seq. An apply error is returned at once, with no compaction
+// and no durable wait: apply has already settled the record's fate (a
+// refund). Otherwise journal compacts when due and acks only once the
+// group commit covers the record.
+func (l *Ledger) journal(rec Record, apply func(st *datasetState, seq uint64) error) error {
+	if err := validateString("dataset name", rec.Dataset); err != nil {
+		return err
+	}
+	if err := validateString("charge label", rec.Label); err != nil {
+		return err
+	}
+	if err := validateString("tenant id", rec.Tenant); err != nil {
+		return err
+	}
+	l.mu.Lock()
+	if err := l.usableLocked(); err != nil {
+		l.mu.Unlock()
+		return err
+	}
+	st, ok := l.state[rec.Dataset]
+	if !ok {
+		l.mu.Unlock()
+		return fmt.Errorf("ledger: dataset %q not bound", rec.Dataset)
+	}
+	seq, err := l.appendLocked(rec)
+	if err != nil {
+		// Fail closed: a record that cannot be made durable debits nothing
+		// and releases no answer.
+		l.mu.Unlock()
+		return err
+	}
+	if err := apply(st, seq); err != nil {
+		l.mu.Unlock()
+		return err
+	}
+	// Snapshot and truncate the WAL once it outgrows the threshold. A
+	// failed compaction leaves the WAL intact (it just keeps growing), so
+	// it is reported but never loses state.
+	var compactErr error
+	if t := l.opts.SnapshotThreshold; t >= 0 && l.wal.size >= t {
+		compactErr = l.compactLocked()
+	}
+	benign := compactErr != nil && l.poisoned == nil
+	l.mu.Unlock()
+
+	if err := l.waitDurable(seq); err != nil {
+		// The in-memory debit stands (over-count-safe); the request fails
+		// closed because its record may not be durable.
+		return err
+	}
+	if benign && l.opts.Logger != nil {
+		// Pre-rename compaction failures leave the old WAL intact; the
+		// poisoned case already logged itself in compactLocked.
+		l.opts.Logger.Printf("ledger: compaction failed (log keeps growing): %v", compactErr)
+	}
+	return nil
 }
 
 // charge is the log-before-charge path. Sequence:
@@ -276,47 +341,20 @@ func (l *Ledger) charge(name, label, tenant string, eps float64, acct *dp.Accoun
 		// garbage (NaN/negative) epsilon that would poison replay sums.
 		return fmt.Errorf("%w: got %v", dp.ErrInvalidEpsilon, eps)
 	}
-	if err := validateString("dataset name", name); err != nil {
-		return err
-	}
-	if err := validateString("charge label", label); err != nil {
-		return err
-	}
-	if err := validateString("tenant id", tenant); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	if l.poisoned != nil {
-		err := l.poisoned
-		l.mu.Unlock()
-		return err
-	}
-	st, ok := l.state[name]
-	if !ok {
-		l.mu.Unlock()
-		return fmt.Errorf("ledger: dataset %q not bound", name)
-	}
-	seq, err := l.appendLocked(Record{Type: RecordCharge, Dataset: name, Label: label, Epsilon: eps, Tenant: tenant})
-	if err != nil {
-		// Fail closed: if the charge cannot be made durable the in-memory
-		// accountant is never debited and no answer is released.
-		l.mu.Unlock()
-		return err
-	}
-	st.spent += eps
-	st.charges++
-	st.addTenantSpent(tenant, eps)
+	rec := Record{Type: RecordCharge, Dataset: name, Label: label, Epsilon: eps, Tenant: tenant}
+	return l.journal(rec, func(st *datasetState, seq uint64) error {
+		st.spent += eps
+		st.charges++
+		st.addTenantSpent(tenant, eps)
 
-	// The accountant's exhaustion check runs here, under the ledger lock,
-	// so concurrent charges against one dataset serialize their
-	// check-then-refund pairs (see the lock-ordering note on Ledger).
-	spendErr := acct.Spend(label, eps)
-	if spendErr != nil {
-		l.crash(CrashAfterSpend) // point still exercised on the refusal path
+		// The accountant's exhaustion check runs here, under the ledger
+		// lock, so concurrent charges against one dataset serialize their
+		// check-then-refund pairs (see the lock-ordering note on Ledger).
+		spendErr := acct.Spend(label, eps)
+		l.crash(CrashAfterSpend) // on the refusal path too
+		if spendErr == nil {
+			return nil
+		}
 		if _, rerr := l.appendLocked(Record{Type: RecordRefund, Dataset: name, ChargeSeq: seq, Epsilon: eps, Tenant: tenant}); rerr == nil {
 			st.spent -= eps
 			st.charges--
@@ -328,25 +366,8 @@ func (l *Ledger) charge(name, label, tenant string, eps float64, acct *dp.Accoun
 			// safe direction.
 			l.opts.Logger.Printf("ledger: refund append failed, provisional charge %d stands: %v", seq, rerr)
 		}
-		l.mu.Unlock()
 		return spendErr
-	}
-	l.crash(CrashAfterSpend)
-	compactErr := l.maybeCompactLocked()
-	benign := compactErr != nil && l.poisoned == nil
-	l.mu.Unlock()
-
-	if err := l.waitDurable(seq); err != nil {
-		// The in-memory debit stands (over-count-safe); the query fails
-		// closed because its charge may not be durable.
-		return err
-	}
-	if benign && l.opts.Logger != nil {
-		// Pre-rename compaction failures leave the old WAL intact; the
-		// poisoned case already logged itself in compactLocked.
-		l.opts.Logger.Printf("ledger: compaction failed (log keeps growing): %v", compactErr)
-	}
-	return nil
+	})
 }
 
 // cacheHit journals an ε=0 re-release of a previously published answer.
@@ -357,46 +378,10 @@ func (l *Ledger) charge(name, label, tenant string, eps float64, acct *dp.Accoun
 // release. Losing one in a crash is benign (no budget direction exists to
 // err in), so durability here buys auditability, not safety.
 func (l *Ledger) cacheHit(name, label, tenant string) error {
-	if err := validateString("dataset name", name); err != nil {
-		return err
-	}
-	if err := validateString("charge label", label); err != nil {
-		return err
-	}
-	if err := validateString("tenant id", tenant); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	if l.poisoned != nil {
-		err := l.poisoned
-		l.mu.Unlock()
-		return err
-	}
-	if _, ok := l.state[name]; !ok {
-		l.mu.Unlock()
-		return fmt.Errorf("ledger: dataset %q not bound", name)
-	}
-	seq, err := l.appendLocked(Record{Type: RecordCacheHit, Dataset: name, Label: label, Tenant: tenant})
-	if err != nil {
-		l.mu.Unlock()
-		return err
-	}
-	l.cacheHitsRec.Inc()
-	compactErr := l.maybeCompactLocked()
-	benign := compactErr != nil && l.poisoned == nil
-	l.mu.Unlock()
-
-	if err := l.waitDurable(seq); err != nil {
-		return err
-	}
-	if benign && l.opts.Logger != nil {
-		l.opts.Logger.Printf("ledger: compaction failed (log keeps growing): %v", compactErr)
-	}
-	return nil
+	return l.journal(Record{Type: RecordCacheHit, Dataset: name, Label: label, Tenant: tenant}, func(*datasetState, uint64) error {
+		l.cacheHitsRec.Inc()
+		return nil
+	})
 }
 
 // Spent returns the ledger's replayed+live spent total for a dataset.
@@ -410,8 +395,7 @@ func (l *Ledger) Spent(name string) float64 {
 }
 
 // SpentByTenant returns a copy of the dataset's per-tenant settled ε
-// (tenant id → ε; the default principal "" is never a key). Serves the
-// admin per-tenant ledger view and tests.
+// (tenant id → ε; the default principal "" is never a key).
 func (l *Ledger) SpentByTenant(name string) map[string]float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -424,19 +408,6 @@ func (l *Ledger) SpentByTenant(name string) map[string]float64 {
 		out[tid] = eps
 	}
 	return out
-}
-
-// maybeCompactLocked snapshots and truncates the WAL once it outgrows the
-// threshold. Callers hold l.mu. Compaction failures leave the WAL intact
-// (it just keeps growing), so they are reported but never lose state.
-func (l *Ledger) maybeCompactLocked() error {
-	if l.opts.SnapshotThreshold < 0 || l.wal.size < l.opts.SnapshotThreshold {
-		return nil
-	}
-	if l.poisoned != nil {
-		return l.poisoned
-	}
-	return l.compactLocked()
 }
 
 func (l *Ledger) compactLocked() error {
@@ -532,11 +503,8 @@ func (l *Ledger) compactLocked() error {
 func (l *Ledger) Compact() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.poisoned != nil {
-		return l.poisoned
+	if err := l.usableLocked(); err != nil {
+		return err
 	}
 	return l.compactLocked()
 }

@@ -35,10 +35,10 @@ func TestChargePersistsAcrossReopen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := b.Spend("q1", 1.5); err != nil {
+			if err := b.SpendAs("", "q1", 1.5); err != nil {
 				t.Fatal(err)
 			}
-			if err := b.Spend("q2", 0.25); err != nil {
+			if err := b.SpendAs("", "q2", 0.25); err != nil {
 				t.Fatal(err)
 			}
 			if got := acct.Spent(); got != 1.75 {
@@ -73,10 +73,10 @@ func TestExhaustedChargeIsRefunded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Spend("ok", 0.75); err != nil {
+	if err := b.SpendAs("", "ok", 0.75); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Spend("too-big", 0.5); !errors.Is(err, dp.ErrBudgetExhausted) {
+	if err := b.SpendAs("", "too-big", 0.5); !errors.Is(err, dp.ErrBudgetExhausted) {
 		t.Fatalf("Spend(0.5) err = %v, want ErrBudgetExhausted", err)
 	}
 	if got := l.Spent("ds"); got != 0.75 {
@@ -94,7 +94,7 @@ func TestExhaustedChargeIsRefunded(t *testing.T) {
 		t.Fatalf("recovered spent = %v, want 0.75", got)
 	}
 	// The refused charge must still be spendable after recovery.
-	if err := b2.Spend("refill", 0.25); err != nil {
+	if err := b2.SpendAs("", "refill", 0.25); err != nil {
 		t.Fatalf("spending the refunded budget after recovery: %v", err)
 	}
 }
@@ -112,7 +112,7 @@ func TestCompactionPreservesTotals(t *testing.T) {
 	}
 	const n, eps = 200, 0.5
 	for i := 0; i < n; i++ {
-		if err := b.Spend("q", eps); err != nil {
+		if err := b.SpendAs("", "q", eps); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,7 +148,7 @@ func TestCompactExplicit(t *testing.T) {
 	l := openTest(t, dir, Options{SnapshotThreshold: -1})
 	acct := dp.NewAccountant(10)
 	b, _ := l.Bind("ds", acct)
-	if err := b.Spend("q", 2); err != nil {
+	if err := b.SpendAs("", "q", 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Compact(); err != nil {
@@ -211,12 +211,12 @@ func TestChargeErrors(t *testing.T) {
 		t.Fatalf("charging unbound dataset: err = %v", err)
 	}
 	for _, eps := range []float64{0, -1} {
-		if err := b.Spend("bad", eps); !errors.Is(err, dp.ErrInvalidEpsilon) {
+		if err := b.SpendAs("", "bad", eps); !errors.Is(err, dp.ErrInvalidEpsilon) {
 			t.Fatalf("Spend(%v) err = %v, want ErrInvalidEpsilon", eps, err)
 		}
 	}
 	l.Close()
-	if err := b.Spend("after-close", 0.1); !errors.Is(err, ErrClosed) {
+	if err := b.SpendAs("", "after-close", 0.1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Spend after Close err = %v, want ErrClosed", err)
 	}
 	if got := acct.Spent(); got != 0 {
@@ -232,7 +232,7 @@ func TestTelemetryCounters(t *testing.T) {
 	acct := dp.NewAccountant(3)
 	b, _ := l.Bind("ds", acct)
 	for i := 0; i < 40; i++ {
-		b.Spend("q", 0.1) // the tail of these exhausts the budget → refunds
+		b.SpendAs("", "q", 0.1) // the tail of these exhausts the budget → refunds
 	}
 	if tel.Counter("ledger.appends").Value() == 0 {
 		t.Error("ledger.appends did not move")
@@ -262,7 +262,7 @@ func TestStatus(t *testing.T) {
 	l := openTest(t, dir, Options{Sync: SyncBatched})
 	acct := dp.NewAccountant(10)
 	b, _ := l.Bind("ds", acct)
-	if err := b.Spend("q", 1); err != nil {
+	if err := b.SpendAs("", "q", 1); err != nil {
 		t.Fatal(err)
 	}
 	st := l.Status()
@@ -294,7 +294,7 @@ func TestBatchedAckDurability(t *testing.T) {
 	acct := dp.NewAccountant(1000)
 	b, _ := l.Bind("ds", acct)
 	for i := 0; i < 50; i++ {
-		if err := b.Spend("q", 0.01); err != nil {
+		if err := b.SpendAs("", "q", 0.01); err != nil {
 			t.Fatal(err)
 		}
 		// Every acknowledged charge must already be durable on disk: a
@@ -337,7 +337,7 @@ func TestCompactDirFsyncFailurePoisons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Spend("q", 3); err != nil {
+	if err := b.SpendAs("", "q", 3); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Compact(); err == nil || !strings.Contains(err.Error(), "injected") {
@@ -357,7 +357,7 @@ func TestCompactDirFsyncFailurePoisons(t *testing.T) {
 		t.Fatalf("WALBytes = %d, want %d (fresh marker-only WAL)", st.WALBytes, markerLen)
 	}
 	// Charges fail closed from here on, and nothing leaks into the books.
-	if err := b.Spend("q2", 1); err == nil || !strings.Contains(err.Error(), "not durable") {
+	if err := b.SpendAs("", "q2", 1); err == nil || !strings.Contains(err.Error(), "not durable") {
 		t.Fatalf("Spend on poisoned ledger err = %v, want fail-closed", err)
 	}
 	if got := acct.Spent(); got != 3 {
@@ -397,7 +397,7 @@ func TestOverLongStringsRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Spend(long, 0.1); err == nil {
+	if err := b.SpendAs("", long, 0.1); err == nil {
 		t.Fatal("Spend accepted an over-long label")
 	}
 	if got := acct.Spent(); got != 0 {
@@ -409,7 +409,7 @@ func TestOverLongStringsRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := be.Spend("q", 0.5); err != nil {
+	if err := be.SpendAs("", "q", 0.5); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()

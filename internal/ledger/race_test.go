@@ -39,7 +39,7 @@ func TestConcurrentChargesOneDataset(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < perG; i++ {
-						err := b.Spend("race", eps)
+						err := b.SpendAs("", "race", eps)
 						mu.Lock()
 						switch {
 						case err == nil:
@@ -104,7 +104,7 @@ func TestGroupCommitRacesCompaction(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				if err := b.Spend("q", 0.25); err != nil {
+				if err := b.SpendAs("", "q", 0.25); err != nil {
 					t.Errorf("charge during compaction churn: %v", err)
 					return
 				}
@@ -155,7 +155,7 @@ func TestExplicitCompactRacesFlushLeader(t *testing.T) {
 					return
 				default:
 				}
-				if err := b.Spend("q", 0.25); err != nil {
+				if err := b.SpendAs("", "q", 0.25); err != nil {
 					t.Errorf("charge racing Compact: %v", err)
 					return
 				}
@@ -202,7 +202,7 @@ func TestConcurrentChargesManyDatasets(t *testing.T) {
 		go func(n string) {
 			defer wg.Done()
 			for i := 0; i < perDataset; i++ {
-				if err := backed[n].Spend("q", 0.5); err != nil {
+				if err := backed[n].SpendAs("", "q", 0.5); err != nil {
 					t.Errorf("%s: %v", n, err)
 					return
 				}

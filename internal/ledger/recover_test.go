@@ -52,7 +52,7 @@ func TestRecoverSnapshotOnly(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, dir, Options{})
 	b, _ := l.Bind("ds", dp.NewAccountant(10))
-	if err := b.Spend("q", 3); err != nil {
+	if err := b.SpendAs("", "q", 3); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Compact(); err != nil {
@@ -77,7 +77,7 @@ func TestRecoverSnapshotOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b2.Spend("q2", 1); err != nil {
+	if err := b2.SpendAs("", "q2", 1); err != nil {
 		t.Fatal(err)
 	}
 	l2.Close()
@@ -97,7 +97,7 @@ func TestRecoverTornTail(t *testing.T) {
 		dir := t.TempDir()
 		l := openTest(t, dir, Options{})
 		b, _ := l.Bind("ds", dp.NewAccountant(10))
-		if err := b.Spend("q", 2); err != nil {
+		if err := b.SpendAs("", "q", 2); err != nil {
 			t.Fatal(err)
 		}
 		l.Close()
@@ -139,7 +139,7 @@ func TestRecoverTornTail(t *testing.T) {
 		// Reopen and append over the clean boundary.
 		l2 := openTest(t, dir, Options{})
 		b2, _ := l2.Bind("ds", dp.NewAccountant(10))
-		if err := b2.Spend("q2", 1); err != nil {
+		if err := b2.SpendAs("", "q2", 1); err != nil {
 			t.Fatal(err)
 		}
 		l2.Close()
@@ -186,7 +186,7 @@ func TestRecoverOverBudgetClampsToExhausted(t *testing.T) {
 	l := openTest(t, dir, Options{})
 	b, _ := l.Bind("ds", dp.NewAccountant(100))
 	for i := 0; i < 8; i++ {
-		if err := b.Spend("q", 10); err != nil {
+		if err := b.SpendAs("", "q", 10); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -202,7 +202,7 @@ func TestRecoverOverBudgetClampsToExhausted(t *testing.T) {
 	if got := acct.Remaining(); got != 0 {
 		t.Fatalf("remaining = %v, want 0 (clamped to exhausted)", got)
 	}
-	if err := b2.Spend("q", 1); !errors.Is(err, dp.ErrBudgetExhausted) {
+	if err := b2.SpendAs("", "q", 1); !errors.Is(err, dp.ErrBudgetExhausted) {
 		t.Fatalf("Spend on clamped dataset err = %v, want ErrBudgetExhausted", err)
 	}
 	// The ledger still remembers the true (higher) spend.
@@ -242,7 +242,7 @@ func TestBindAfterPreCharge(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, dir, Options{})
 	b, _ := l.Bind("ds", dp.NewAccountant(10))
-	if err := b.Spend("q", 4); err != nil {
+	if err := b.SpendAs("", "q", 4); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()

@@ -55,7 +55,7 @@ func TestTenantBalancesRecoverAndSurviveCompaction(t *testing.T) {
 	if err := b.SpendAs("bob", "q2", 0.25); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Spend("q3", 0.125); err != nil { // default principal
+	if err := b.SpendAs("", "q3", 0.125); err != nil { // default principal
 		t.Fatal(err)
 	}
 	if err := b.RecordCacheHitAs("alice", "q1"); err != nil {

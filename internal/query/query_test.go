@@ -56,8 +56,8 @@ func TestLinearFunc(t *testing.T) {
 // cache hit, like a ledger whose disk went away between two requests.
 type brokenJournal struct{ acct *dp.Accountant }
 
-func (b brokenJournal) Spend(label string, eps float64) error { return b.acct.Spend(label, eps) }
-func (b brokenJournal) RecordCacheHit(string) error           { return errors.New("wal: disk gone") }
+func (b brokenJournal) SpendAs(_, label string, eps float64) error { return b.acct.Spend(label, eps) }
+func (b brokenJournal) RecordCacheHitAs(string, string) error      { return errors.New("wal: disk gone") }
 
 // A cache_hit record that cannot be journaled fails the request, for
 // queries and sessions alike: a re-release the books cannot show is not
@@ -104,8 +104,9 @@ func TestCacheHitJournalFailureFailsRequest(t *testing.T) {
 // noQuota refuses every tenant-attributed reservation.
 type noQuota struct{}
 
-func (noQuota) Reserve(string, string, float64) error { return errors.New("tenant quota exhausted") }
-func (noQuota) Release(string, string, float64)       {}
+func (noQuota) Reserve(string, string, float64) error              { return errors.New("tenant quota exhausted") }
+func (noQuota) Release(string, string, float64)                    {}
+func (noQuota) QuotaState(string, string) (float64, float64, bool) { return 0, 0, true }
 
 // refusalStage serves an n-row table through a stage whose tenant quota
 // layer refuses every charge, and returns a query that layer refuses

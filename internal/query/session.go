@@ -9,6 +9,7 @@ import (
 	"gupt/internal/budget"
 	"gupt/internal/core"
 	"gupt/internal/dataset"
+	"gupt/internal/telemetry"
 )
 
 // Session is a batch of queries against one dataset under a single budget,
@@ -22,7 +23,8 @@ type Session struct {
 	TotalEpsilon float64
 	// Members are queries with Tight or Loose output ranges. The session
 	// owns the tenant, the dataset and the ε: a member's own Tenant,
-	// Dataset, Label, Options.Epsilon and Accuracy are ignored.
+	// Dataset, Label, Options.Epsilon and Accuracy are ignored. Their
+	// shared Options.Trace also takes the session's own stage spans.
 	Members []Query
 }
 
@@ -103,6 +105,13 @@ func (s *Stage) planSession(sess *Session) ([]core.Plan, *dataset.Registered, er
 // aborting would waste the survivors' budget, and refunding any of it would
 // reopen the §6.2 privacy-budget attack.
 func (s *Stage) RunSession(ctx context.Context, sess *Session) ([]MemberResult, float64, error) {
+	// The same three stage spans as Run, on the members' shared trace.
+	var tr *telemetry.Trace
+	if len(sess.Members) > 0 {
+		tr = sess.Members[0].Options.Trace
+	}
+	admission := tr.StartSpan(telemetry.StageAdmission)
+	defer admission.End(telemetry.StatusError)
 	start := time.Now()
 	plans, reg, err := s.planSession(sess)
 	if err != nil {
@@ -122,6 +131,7 @@ func (s *Stage) RunSession(ctx context.Context, sess *Session) ([]MemberResult, 
 				r.CacheHit = true // on this member's own copy
 				out[i] = MemberResult{Result: &r, Epsilon: plans[i].Options.Epsilon}
 			}
+			admission.End(telemetry.StatusOK)
 			return out, 0, nil
 		}
 	}
@@ -132,13 +142,17 @@ func (s *Stage) RunSession(ctx context.Context, sess *Session) ([]MemberResult, 
 		return nil, 0, err
 	}
 	defer cancel()
+	admission.End(telemetry.StatusOK)
 
 	// One atomic charge for the whole session; per-member epsilons then
 	// flow from the session's own pot, so a mid-session failure cannot
 	// leave the ledger inconsistent with what was released.
+	charge := tr.StartSpan(telemetry.StageBudget)
 	if err := s.Budget.ChargeAs(sess.Tenant, sess.Dataset, sess.Label, sess.TotalEpsilon); err != nil {
+		charge.End(telemetry.StatusError)
 		return nil, 0, err
 	}
+	charge.End(telemetry.StatusOK)
 
 	rows := reg.Private.Matrix()
 	clean := true
@@ -150,6 +164,7 @@ func (s *Stage) RunSession(ctx context.Context, sess *Session) ([]MemberResult, 
 	// Fill only when every member released cleanly, the same stance as
 	// standalone queries: re-serving a partially failed batch would pin its
 	// failures.
+	release := tr.StartSpan(telemetry.StageRelease)
 	if cachable && clean {
 		stored := make([]core.Result, len(out))
 		var size int64
@@ -159,5 +174,6 @@ func (s *Stage) RunSession(ctx context.Context, sess *Session) ([]MemberResult, 
 		}
 		s.Cache.Put(fp, sess.Dataset, stored, size)
 	}
+	release.End(telemetry.StatusOK)
 	return out, sess.TotalEpsilon, nil
 }
