@@ -80,13 +80,14 @@ bench-smoke:
 # alloc-guards runs the allocation count and byte guards of the block path
 # (chamber, worker, engine and the k-means/logreg kernels), the RNG pool's,
 # the table builder's cells, a registration's constant count
-# (TestRegisterAllocations), a client connection's read buffer, the audit
-# append and the served-query retention guard (live heap per answered
-# query) without the race detector: under it sync.Pool drops a quarter of
-# what is Put on purpose and 12,000 served queries take minutes, so these
-# guards skip themselves in the race pass.
+# (TestRegisterAllocations), a query's fixed cost through the stage
+# (TestStageRunAllocations: charged, cache hit, refused), a client
+# connection's read buffer, the audit append and the served-query retention
+# guard (live heap per answered query) without the race detector: under
+# it sync.Pool drops a quarter of what is Put on purpose and 12,000 served
+# queries take minutes, so these guards skip themselves in the race pass.
 alloc-guards:
-	$(GO) test -count=1 -run 'Allocations|SteadyStateBytes|RetainedBytes|TestRowBuf|TestCloneRows' ./internal/mathutil ./internal/analytics ./internal/core ./internal/sandbox ./internal/compman ./internal/dataset ./internal/telemetry/audit
+	$(GO) test -count=1 -run 'Allocations|SteadyStateBytes|RetainedBytes|TestRowBuf|TestCloneRows' ./internal/mathutil ./internal/analytics ./internal/core ./internal/sandbox ./internal/compman ./internal/dataset ./internal/query ./internal/telemetry/audit
 
 # repro regenerates the paper's figures (~35 s) and requires the six
 # mechanism figures to come out byte-identical to results/, and the

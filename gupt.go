@@ -138,12 +138,9 @@ type DatasetOptions struct {
 // Register adds a dataset of rows (each a vector of float64 attributes)
 // under the given name. cols optionally names the columns.
 func (p *Platform) Register(name string, rows [][]float64, cols []string, opts DatasetOptions) error {
-	tbl := dataset.New(cols)
-	tbl.Grow(len(rows))
-	for i, r := range rows {
-		if err := tbl.Append(mathutil.Vec(r)); err != nil {
-			return fmt.Errorf("gupt: row %d: %w", i, err)
-		}
+	tbl, err := dataset.FromRows(cols, rows)
+	if err != nil {
+		return fmt.Errorf("gupt: %w", err)
 	}
 	regOpts := dataset.RegisterOptions{
 		TotalBudget:  opts.TotalBudget,
@@ -152,16 +149,11 @@ func (p *Platform) Register(name string, rows [][]float64, cols []string, opts D
 		Seed:         opts.Seed,
 	}
 	if opts.AgedRows != nil {
-		aged := dataset.New(cols)
-		aged.Grow(len(opts.AgedRows))
-		for i, r := range opts.AgedRows {
-			if err := aged.Append(mathutil.Vec(r)); err != nil {
-				return fmt.Errorf("gupt: aged row %d: %w", i, err)
-			}
+		if regOpts.Aged, err = dataset.FromRows(cols, opts.AgedRows); err != nil {
+			return fmt.Errorf("gupt: aged %w", err)
 		}
-		regOpts.Aged = aged
 	}
-	_, err := p.stage.Registry.Register(name, tbl, regOpts)
+	_, err = p.stage.Registry.Register(name, tbl, regOpts)
 	return err
 }
 
@@ -344,12 +336,9 @@ func (p *Platform) SynthesizeAgedSample(name string, eps float64, bins, count in
 	if err != nil {
 		return err
 	}
-	aged := dataset.New(reg.Private.Columns())
-	aged.Grow(len(rows))
-	for i, r := range rows {
-		if err := aged.Append(r); err != nil {
-			return fmt.Errorf("gupt: synthetic row %d: %w", i, err)
-		}
+	aged, err := dataset.FromRows(reg.Private.Columns(), rows)
+	if err != nil {
+		return fmt.Errorf("gupt: synthetic %w", err)
 	}
 	reg.Aged = aged
 	// The aged sample feeds block-size planning and accuracy translation,

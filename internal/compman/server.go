@@ -12,7 +12,6 @@ import (
 	"gupt/internal/budget"
 	"gupt/internal/dataset"
 	"gupt/internal/dp"
-	"gupt/internal/mathutil"
 	"gupt/internal/qcache"
 	"gupt/internal/query"
 	"gupt/internal/ratelimit"
@@ -618,12 +617,9 @@ func (s *Server) handleRegister(req *Request) Response {
 	if err != nil {
 		return errResponse(err)
 	}
-	tbl := dataset.New(spec.Columns)
-	tbl.Grow(len(spec.Rows))
-	for i, r := range spec.Rows {
-		if err := tbl.Append(mathutil.Vec(r)); err != nil {
-			return Response{Error: fmt.Sprintf("row %d: %v", i, err)}
-		}
+	tbl, err := dataset.FromRows(spec.Columns, spec.Rows)
+	if err != nil {
+		return Response{Error: err.Error()}
 	}
 	_, err = s.reg.Register(spec.Name, tbl, dataset.RegisterOptions{
 		TotalBudget:  spec.TotalBudget,

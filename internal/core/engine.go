@@ -141,23 +141,8 @@ func (p *Plan) Execute(ctx context.Context, rows mathutil.Matrix) (*Result, erro
 		return nil, err
 	}
 
-	// The root and its splits are pooled generators (the same streams as
-	// NewRNG and Split). Every draw from them is made on this goroutine
-	// and none is kept past Run, so they go back when Run returns. The
-	// range seed is drawn in every mode, so the noise seed after it stays
-	// put, but only loose and helper ranges seed a generator from it.
-	rng := mathutil.GetRNG(opts.Seed)
-	defer rng.Release()
-	partRNG := mathutil.GetRNG(rng.Int63())
-	defer partRNG.Release()
-	rangeSeed := rng.Int63()
-	noiseRNG := mathutil.GetRNG(rng.Int63())
-	defer noiseRNG.Release()
-	var rangeRNG *mathutil.RNG
-	if spec.Mode != ModeTight {
-		rangeRNG = mathutil.GetRNG(rangeSeed)
-		defer rangeRNG.Release()
-	}
+	c := p.newCoins()
+	defer c.release()
 
 	// Span pattern: End keeps only its first call, so the deferred error
 	// status fires only when an early return skips the explicit ok.
@@ -170,9 +155,9 @@ func (p *Plan) Execute(ctx context.Context, rows mathutil.Matrix) (*Result, erro
 		if gerr != nil {
 			return nil, gerr
 		}
-		part, err = MakeGroupedPartition(partRNG, n, groups, opts.BlockSize, opts.Gamma)
+		part, err = MakeGroupedPartition(c.partition, n, groups, opts.BlockSize, opts.Gamma)
 	} else {
-		part, err = MakePartition(partRNG, n, opts.BlockSize, opts.Gamma)
+		part, err = MakePartition(c.partition, n, opts.BlockSize, opts.Gamma)
 	}
 	if err != nil {
 		return nil, err
@@ -189,7 +174,7 @@ func (p *Plan) Execute(ctx context.Context, rows mathutil.Matrix) (*Result, erro
 	case ModeTight, ModeLoose:
 		preRanges = append([]dp.Range(nil), spec.Output...)
 	case ModeHelper:
-		preRanges, err = estimateHelperRanges(rangeRNG, rows, spec, spec.Input, split.RangeEps, outputDims)
+		preRanges, err = estimateHelperRanges(c.ranges, rows, spec, spec.Input, split.RangeEps, outputDims)
 		if err != nil {
 			return nil, err
 		}
@@ -221,7 +206,7 @@ func (p *Plan) Execute(ctx context.Context, rows mathutil.Matrix) (*Result, erro
 	// ModeLoose: tighten the output range privately from the block outputs.
 	effective := preRanges
 	if spec.Mode == ModeLoose {
-		effective, err = estimateLooseRanges(rangeRNG, outputs, spec, split.RangeEps, part.Gamma)
+		effective, err = estimateLooseRanges(c.ranges, outputs, spec, split.RangeEps, part.Gamma)
 		if err != nil {
 			return nil, err
 		}
@@ -248,7 +233,7 @@ func (p *Plan) Execute(ctx context.Context, rows mathutil.Matrix) (*Result, erro
 	for d := 0; d < outputDims; d++ {
 		sens[d] = part.Sensitivity(effective[d].Width())
 	}
-	final, err := dp.LaplaceVec(noiseRNG, avgs, sens, split.AggregateEps)
+	final, err := dp.LaplaceVec(c.noise, avgs, sens, split.AggregateEps)
 	if err != nil {
 		return nil, err
 	}

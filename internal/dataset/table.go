@@ -41,13 +41,13 @@ func New(cols []string) *Table {
 	return &Table{cols: append([]string(nil), cols...), w: len(cols)}
 }
 
-// FromRows builds a table directly from rows, which must be non-empty and
-// rectangular. The rows are copied.
-func FromRows(cols []string, rows []mathutil.Vec) (*Table, error) {
+// FromRows builds a table directly from rows, which must be rectangular.
+// The rows are copied. A row that does not fit fails as "row i: …".
+func FromRows[R ~[]float64](cols []string, rows []R) (*Table, error) {
 	t := New(cols)
 	t.Grow(len(rows))
 	for i, r := range rows {
-		if err := t.Append(r); err != nil {
+		if err := t.Append(mathutil.Vec(r)); err != nil {
 			return nil, fmt.Errorf("row %d: %w", i, err)
 		}
 	}

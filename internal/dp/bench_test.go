@@ -45,20 +45,6 @@ func BenchmarkPercentile(b *testing.B) {
 	}
 }
 
-func BenchmarkExponential(b *testing.B) {
-	rng := mathutil.NewRNG(1)
-	utilities := make([]float64, 256)
-	for i := range utilities {
-		utilities[i] = float64(i % 17)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Exponential(rng, utilities, 1, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkAccountantSpend(b *testing.B) {
 	a := NewAccountant(float64(b.N) + 1)
 	b.ResetTimer()

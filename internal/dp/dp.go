@@ -1,8 +1,8 @@
 // Package dp implements the differential-privacy primitives GUPT is built
-// from: the Laplace mechanism, the exponential mechanism, the
-// exponential-mechanism-based percentile estimator of Smith (STOC '11) used
-// by GUPT's output-range estimation, a sequential-composition privacy
-// accountant, and the per-dimension budget splits of the paper's Theorem 1.
+// from: the Laplace mechanism, the exponential-mechanism percentile
+// estimator of Smith (STOC '11) used by GUPT's output-range estimation, a
+// sequential-composition privacy accountant, and the per-dimension budget
+// splits of the paper's Theorem 1.
 //
 // Conventions. Privacy parameters are the standard ε of pure
 // ε-differential privacy (Definition 1 in the paper). All mechanisms take an

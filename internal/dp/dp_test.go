@@ -138,54 +138,6 @@ func TestNoisyCountSumAvg(t *testing.T) {
 	}
 }
 
-func TestExponentialPrefersHighUtility(t *testing.T) {
-	g := mathutil.NewRNG(29)
-	utilities := []float64{0, 0, 100}
-	wins := 0
-	for i := 0; i < 1000; i++ {
-		idx, err := Exponential(g, utilities, 1, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if idx == 2 {
-			wins++
-		}
-	}
-	if wins < 990 {
-		t.Errorf("high-utility candidate won %d/1000", wins)
-	}
-}
-
-func TestExponentialUniformWhenTied(t *testing.T) {
-	g := mathutil.NewRNG(31)
-	counts := make([]int, 4)
-	for i := 0; i < 40000; i++ {
-		idx, err := Exponential(g, []float64{5, 5, 5, 5}, 1, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[idx]++
-	}
-	for i, c := range counts {
-		if f := float64(c) / 40000; math.Abs(f-0.25) > 0.02 {
-			t.Errorf("tied candidate %d frequency %v, want ~0.25", i, f)
-		}
-	}
-}
-
-func TestExponentialRejectsBadParams(t *testing.T) {
-	g := mathutil.NewRNG(1)
-	if _, err := Exponential(g, nil, 1, 1); err == nil {
-		t.Error("no candidates accepted")
-	}
-	if _, err := Exponential(g, []float64{1}, 0, 1); err == nil {
-		t.Error("zero sensitivity accepted")
-	}
-	if _, err := Exponential(g, []float64{1}, 1, 0); err == nil {
-		t.Error("zero epsilon accepted")
-	}
-}
-
 func TestPercentileBasicAccuracy(t *testing.T) {
 	g := mathutil.NewRNG(37)
 	xs := make([]float64, 2001)
@@ -244,27 +196,5 @@ func TestPercentileDegenerateData(t *testing.T) {
 	}
 	if _, err := Percentile(g, []float64{1}, 1, Range{Lo: 0, Hi: 1}, 1); err == nil {
 		t.Error("p=1 accepted")
-	}
-}
-
-func TestInterquartileRange(t *testing.T) {
-	g := mathutil.NewRNG(47)
-	xs := make([]float64, 4001)
-	for i := range xs {
-		xs[i] = float64(i) / 4000 // uniform on [0,1]
-	}
-	r := Range{Lo: 0, Hi: 1}
-	iqr, err := InterquartileRange(g, xs, r, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iqr.Lo > iqr.Hi {
-		t.Errorf("inverted IQR: %+v", iqr)
-	}
-	if math.Abs(iqr.Lo-0.25) > 0.1 || math.Abs(iqr.Hi-0.75) > 0.1 {
-		t.Errorf("IQR = %+v, want ~[0.25, 0.75]", iqr)
-	}
-	if iqr.Lo < r.Lo || iqr.Hi > r.Hi {
-		t.Errorf("IQR escapes public range: %+v", iqr)
 	}
 }

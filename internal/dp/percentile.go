@@ -99,9 +99,3 @@ func PercentileRange(rng *mathutil.RNG, xs []float64, pLo, pHi float64, r Range,
 	}
 	return Range{Lo: lo, Hi: hi}, nil
 }
-
-// InterquartileRange is PercentileRange at the paper's default (25th, 75th)
-// pair.
-func InterquartileRange(rng *mathutil.RNG, xs []float64, r Range, eps float64) (Range, error) {
-	return PercentileRange(rng, xs, 0.25, 0.75, r, eps)
-}

@@ -113,70 +113,68 @@ type Schedule struct {
 	// SlowBy is the delay a SlowStart fault adds; zero selects 10ms.
 	SlowBy time.Duration
 
-	mu     sync.Mutex
-	rng    *mathutil.RNG
-	calls  int
-	counts [numKinds]int
+	draws draws[Kind]
 }
 
 // next draws the fault for the next execution.
-func (s *Schedule) next() Kind {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i := s.calls
-	s.calls++
-	var k Kind
-	if len(s.Plan) > 0 {
-		k = s.Plan[i%len(s.Plan)]
+func (s *Schedule) next() Kind { return s.draws.next(s.Seed, s.Rates, s.Plan, numKinds) }
+
+// Counts reports how many times each fault kind has been injected,
+// including None for untouched executions.
+func (s *Schedule) Counts() map[Kind]int { return s.draws.counts() }
+
+// draws is the decision machinery Schedule and ProtoSchedule share: call i
+// takes plan[i % len(plan)] when a plan is set, and otherwise one uniform
+// draw from seed's stream, laid over the positive rates in kind order (kind
+// 0 is the no-fault kind), so map iteration order never influences which
+// fault a draw selects. Decisions are counted per kind.
+type draws[K ~int] struct {
+	mu    sync.Mutex
+	rng   *mathutil.RNG
+	calls int
+	n     map[K]int
+}
+
+func (d *draws[K]) next(seed int64, rates map[K]float64, plan []K, numKinds int) K {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	i := d.calls
+	d.calls++
+	var k K
+	if len(plan) > 0 {
+		k = plan[i%len(plan)]
 	} else {
-		if s.rng == nil {
-			s.rng = mathutil.NewRNG(s.Seed)
+		if d.rng == nil {
+			d.rng = mathutil.NewRNG(seed)
 		}
-		u := s.rng.Float64()
-		for kind, rate := range orderedRates(s.Rates) {
+		u := d.rng.Float64()
+		for kind := K(1); int(kind) < numKinds; kind++ {
+			rate := rates[kind]
+			if !(rate > 0) {
+				continue
+			}
 			if u < rate {
-				k = Kind(kind)
+				k = kind
 				break
 			}
 			u -= rate
 		}
 	}
-	s.counts[k]++
+	if d.n == nil {
+		d.n = make(map[K]int)
+	}
+	d.n[k]++
 	return k
 }
 
-// orderedRates flattens the rate map into a dense array so the draw above
-// consumes rates in a fixed kind order — map iteration order must never
-// influence which fault a given uniform draw selects.
-func orderedRates(rates map[Kind]float64) [numKinds]float64 {
-	var out [numKinds]float64
-	for k, r := range rates {
-		if k > None && int(k) < numKinds && r > 0 {
-			out[k] = r
-		}
+func (d *draws[K]) counts() map[K]int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	out := make(map[K]int, len(d.n))
+	for k, c := range d.n {
+		out[k] = c
 	}
 	return out
-}
-
-// Counts reports how many times each fault kind has been injected,
-// including None for untouched executions.
-func (s *Schedule) Counts() map[Kind]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[Kind]int)
-	for k, c := range s.counts {
-		if c > 0 {
-			out[Kind(k)] = c
-		}
-	}
-	return out
-}
-
-// Calls reports how many injection decisions the schedule has made.
-func (s *Schedule) Calls() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.calls
 }
 
 func (s *Schedule) hangFor() time.Duration {

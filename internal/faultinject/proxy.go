@@ -8,8 +8,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"gupt/internal/mathutil"
 )
 
 // Binary-wire layout facts, mirrored from internal/compman/wire.go (which
@@ -75,57 +73,15 @@ type ProtoSchedule struct {
 	// StallFor is the ProtoStall delay; zero selects 50ms.
 	StallFor time.Duration
 
-	mu     sync.Mutex
-	rng    *mathutil.RNG
-	calls  int
-	counts [numProtoFaults]int
+	draws draws[ProtoFault]
 }
 
 func (s *ProtoSchedule) next() ProtoFault {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i := s.calls
-	s.calls++
-	var f ProtoFault
-	if len(s.Plan) > 0 {
-		f = s.Plan[i%len(s.Plan)]
-	} else {
-		if s.rng == nil {
-			s.rng = mathutil.NewRNG(s.Seed)
-		}
-		u := s.rng.Float64()
-		// Dense fixed-order draw, as in Schedule.next: map iteration order
-		// must not influence outcomes.
-		var rates [numProtoFaults]float64
-		for k, r := range s.Rates {
-			if k > ProtoNone && int(k) < numProtoFaults && r > 0 {
-				rates[k] = r
-			}
-		}
-		for kind, rate := range rates {
-			if u < rate {
-				f = ProtoFault(kind)
-				break
-			}
-			u -= rate
-		}
-	}
-	s.counts[f]++
-	return f
+	return s.draws.next(s.Seed, s.Rates, s.Plan, numProtoFaults)
 }
 
 // Counts reports how many times each fault has been injected.
-func (s *ProtoSchedule) Counts() map[ProtoFault]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[ProtoFault]int)
-	for f, c := range s.counts {
-		if c > 0 {
-			out[ProtoFault(f)] = c
-		}
-	}
-	return out
-}
+func (s *ProtoSchedule) Counts() map[ProtoFault]int { return s.draws.counts() }
 
 func (s *ProtoSchedule) stallFor() time.Duration {
 	if s.StallFor > 0 {

@@ -93,7 +93,7 @@ func TestAttachFailClosed(t *testing.T) {
 	}
 }
 
-// Registered.Spend without a bound charger still hits the accountant —
+// Registered.SpendAs without a bound charger still hits the accountant —
 // the non-durable default path keeps working.
 func TestSpendWithoutCharger(t *testing.T) {
 	reg := dataset.NewRegistry()

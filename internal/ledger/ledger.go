@@ -394,22 +394,6 @@ func (l *Ledger) Spent(name string) float64 {
 	return 0
 }
 
-// SpentByTenant returns a copy of the dataset's per-tenant settled ε
-// (tenant id → ε; the default principal "" is never a key).
-func (l *Ledger) SpentByTenant(name string) map[string]float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	st, ok := l.state[name]
-	if !ok || len(st.tenantSpent) == 0 {
-		return nil
-	}
-	out := make(map[string]float64, len(st.tenantSpent))
-	for tid, eps := range st.tenantSpent {
-		out[tid] = eps
-	}
-	return out
-}
-
 func (l *Ledger) compactLocked() error {
 	// Bring the current WAL fully durable first: every in-flight group
 	// commit waiter is then already satisfied, so swapping files cannot

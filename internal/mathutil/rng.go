@@ -113,13 +113,6 @@ func (g *RNG) PermInto(m []int) {
 	g.src.perm(m)
 }
 
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.r.Shuffle(n, swap)
-}
-
 // Laplace returns a draw from the Laplace distribution with mean 0 and the
 // given scale b (standard deviation b·√2), via inverse-CDF sampling.
 func (g *RNG) Laplace(scale float64) float64 {
@@ -161,14 +154,6 @@ func (g *RNG) LaplaceFill(dst, scales []float64) {
 	for i, s := range scales {
 		dst[i] = g.laplaceLocked(s)
 	}
-}
-
-// Exponential returns a draw from the exponential distribution with the
-// given mean.
-func (g *RNG) Exponential(mean float64) float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.r.ExpFloat64() * mean
 }
 
 // LogNormal returns exp(N(mu, sigma^2)).

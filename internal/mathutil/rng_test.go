@@ -17,19 +17,6 @@ func TestInt63NonNegative(t *testing.T) {
 	}
 }
 
-func TestShuffleIsPermutation(t *testing.T) {
-	g := NewRNG(2)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	g.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make([]bool, len(xs))
-	for _, x := range xs {
-		if seen[x] {
-			t.Fatalf("duplicate after shuffle: %v", xs)
-		}
-		seen[x] = true
-	}
-}
-
 // PermInto must be math/rand's Perm draw for draw, whatever the recycled
 // slice held, so that seeds keep producing the partitions they always did.
 func TestPermIntoMatchesRandPerm(t *testing.T) {
@@ -135,7 +122,7 @@ func drawMix(g *RNG, n int) []float64 {
 	perm := make([]int, 7)
 	for i := 0; i < n; i++ {
 		g.PermInto(perm)
-		out = append(out, g.Float64(), g.NormFloat64(), g.Exponential(1), g.Laplace(2),
+		out = append(out, g.Float64(), g.NormFloat64(), g.Laplace(2),
 			float64(g.Intn(1+i)), float64(g.Int63()), float64(perm[i%7]))
 	}
 	return out
@@ -223,21 +210,6 @@ func BenchmarkPermIntoCold(b *testing.B) {
 				g.PermInto(m)
 			}
 		})
-	}
-}
-
-func TestExponentialMean(t *testing.T) {
-	g := NewRNG(3)
-	const mean = 4.0
-	xs := make([]float64, 100000)
-	for i := range xs {
-		xs[i] = g.Exponential(mean)
-		if xs[i] < 0 {
-			t.Fatal("negative exponential draw")
-		}
-	}
-	if m := Mean(xs); math.Abs(m-mean) > 0.1 {
-		t.Errorf("Exponential mean = %v, want ~%v", m, mean)
 	}
 }
 

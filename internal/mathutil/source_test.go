@@ -95,17 +95,11 @@ func TestSourceMatchesMathRand(t *testing.T) {
 		}
 
 		for i := 0; i < 100; i++ {
-			got := [...]float64{g.Float64(), g.NormFloat64(), g.Exponential(1)}
-			want := [...]float64{w.Float64(), w.NormFloat64(), w.ExpFloat64()}
+			got := [...]float64{g.Float64(), g.NormFloat64()}
+			want := [...]float64{w.Float64(), w.NormFloat64()}
 			if got != want {
-				t.Fatalf("seed %d: Float64, NormFloat64, ExpFloat64 = %v, math/rand gives %v", seed, got, want)
+				t.Fatalf("seed %d: Float64, NormFloat64 = %v, math/rand gives %v", seed, got, want)
 			}
-		}
-		a, b := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-		g.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
-		w.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
-		if got, want := g.Int63(), w.Int63(); got != want || [10]int(a) != [10]int(b) {
-			t.Fatalf("seed %d: Shuffle gives %v then %d, math/rand %v then %d", seed, a, got, b, want)
 		}
 	}
 }
