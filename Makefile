@@ -13,10 +13,13 @@ test:
 # vet also type-checks the two packages with an amd64-only assembly path for
 # arm64, so their pure-Go fallbacks (mathutil's ExpInto without the vector
 # loop, analytics' logistic-regression sweeps as Go loops) are compiled
-# somewhere; asmdecl checks the amd64 frames in the first pass.
+# somewhere; asmdecl checks the amd64 frames in the first pass. The s390x
+# pass does the same on a big-endian platform, where the work wire decodes
+# cells one at a time instead of copying them (compman's cellsByCopy).
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/mathutil ./internal/analytics
+	GOARCH=s390x $(GO) vet ./internal/compman ./internal/mathutil
 
 race:
 	$(GO) test -race ./...
@@ -64,10 +67,12 @@ audit-kill:
 # drop and Close share each host's lock, so the tests that start, kill and
 # restart workers under a live server run five times too, as do the
 # served refusals of a plan that cannot finish by its deadline, on the
-# configured fleet and on the part of it that answers.
+# configured fleet and on the part of it that answers, and a cancelled
+# block's late reply racing the next query's blocks for the pool's
+# recycled dispatch state.
 fanout-race:
 	$(GO) test -race -count=1 -run 'TestFanout|TestScheduler|TestServerOverload|TestServerDeadline|TestWorker' ./internal/compman
-	$(GO) test -race -count=5 -run 'TestServerJoinsWorkerStartedLater|TestServerRefusesWhileFleetDown|TestServerCacheHitWhileFleetDown|TestServerWithUnreachableWorkers|TestWireOldPeersFailClosed|TestServerRefusesUnfinishablePlan|TestServerBoundCountsLiveWorkers|TestServerRejoinsRestartedWorker|TestServerRejoinsAfterMuteWorker' ./internal/compman
+	$(GO) test -race -count=5 -run 'TestServerJoinsWorkerStartedLater|TestServerRefusesWhileFleetDown|TestServerCacheHitWhileFleetDown|TestServerWithUnreachableWorkers|TestWireOldPeersFailClosed|TestServerRefusesUnfinishablePlan|TestServerBoundCountsLiveWorkers|TestServerRejoinsRestartedWorker|TestServerRejoinsAfterMuteWorker|TestFanoutLateReplyLandsNowhere' ./internal/compman
 	$(GO) test -race -count=5 -run 'TestRun|TestConcurrentRuns' ./internal/core
 	$(GO) test -race -count=5 -run 'TestInProcess|TestAbandoned' ./internal/sandbox
 
@@ -78,7 +83,8 @@ bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x -benchmem ./internal/core ./internal/sandbox ./internal/dataset ./internal/compman ./internal/query ./internal/analytics ./internal/mathutil .
 
 # alloc-guards runs the allocation count and byte guards of the block path
-# (chamber, worker, engine and the k-means/logreg kernels), the RNG pool's,
+# (chamber, worker, engine, the k-means/logreg kernels, and the pool's round
+# trip plain, traced and under a quantum), the RNG pool's,
 # the table builder's cells, a registration's constant count
 # (TestRegisterAllocations), a query's fixed cost through the stage
 # (TestStageRunAllocations: charged, cache hit, refused), a client

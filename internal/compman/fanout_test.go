@@ -172,8 +172,8 @@ func TestFanoutPoolCandidateStability(t *testing.T) {
 	defer poolB.Close()
 
 	for idx := 0; idx < 64; idx++ {
-		a := poolA.candidates(idx)
-		b := poolB.candidates(idx)
+		a := poolA.candidates(idx, new(blockRun))
+		b := poolB.candidates(idx, new(blockRun))
 		if a[0].addr != b[0].addr {
 			t.Fatalf("block %d homed on %s by one pool, %s by the other", idx, a[0].addr, b[0].addr)
 		}

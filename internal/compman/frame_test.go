@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -16,6 +17,7 @@ import (
 	"gupt/internal/allocguard"
 	"gupt/internal/mathutil"
 	"gupt/internal/sandbox"
+	"gupt/internal/telemetry"
 )
 
 // referenceMatrix is the matrix encoder the pool's one-pass encoder
@@ -333,11 +335,96 @@ func TestFanoutCancelledBlocksLeaveIndicesAlone(t *testing.T) {
 	}
 }
 
-// poolBlock runs a 385×11 table, in shuffled order, as one block through a
-// pool chamber and a loopback worker of this process.
-func poolBlock(tb testing.TB) func() (mathutil.Vec, error) {
+// A block whose caller gives up returns while its exchange runs on, and
+// the dispatch state the block used stays with that exchange until its
+// late reply is in. Meanwhile the next query's blocks run through the same
+// pool, on the same goroutine, so that they would be handed that state
+// again were it recycled when the block returned. Each must answer exactly
+// what a clean run answers, and the late reply must land nowhere: in no
+// answer, and in neither query's trace.
+func TestFanoutLateReplyLandsNowhere(t *testing.T) {
+	stalled, resume := make(chan struct{}, 1), make(chan struct{})
+	pool := loopbackPool(t, WorkerConfig{ChamberWrapper: func(inner sandbox.Chamber) sandbox.Chamber {
+		return chamberFunc(func(ctx context.Context, block []mathutil.Vec) (mathutil.Vec, error) {
+			if block[0][0] < 0 {
+				stalled <- struct{}{}
+				<-resume
+			} else {
+				time.Sleep(200 * time.Microsecond)
+			}
+			return inner.Execute(ctx, block)
+		})
+	}}, 2)
+
+	const n, blocks, size = 4000, 40, 50
+	cells := make([]float64, n)
+	for i := range cells {
+		cells[i] = float64(i) + 1/float64(i+3)
+	}
+	rows := mathutil.NewMatrix(cells, n, 1)
+	perm := rand.New(rand.NewSource(3)).Perm(n)
+	late := mathutil.NewMatrix([]float64{-1, -2, -3}, 3, 1)
+
+	clean := make([]mathutil.Vec, blocks)
+	chamber := pool.Chamber(meanSpec, nil).(sandbox.RowChamber)
+	for b := range clean {
+		out, err := chamber.ExecuteRows(context.Background(), b, rows, perm[b*size:(b+1)*size])
+		if err != nil {
+			t.Fatal(err)
+		}
+		clean[b] = out
+	}
+
+	for round := 0; round < 3; round++ {
+		first := telemetry.NewTrace(nil, fmt.Sprintf("late-%d", round), "grid")
+		spec := meanSpec
+		spec.TraceID = first.ID
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			<-stalled
+			cancel()
+		}()
+		if _, err := pool.Chamber(spec, first).(sandbox.RowChamber).ExecuteRows(ctx, 0, late, []int{0, 1, 2}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("round %d: the stalled block returned %v, want its cancellation", round, err)
+		}
+
+		next := telemetry.NewTrace(nil, fmt.Sprintf("next-%d", round), "grid")
+		spec.TraceID = next.ID
+		chamber := pool.Chamber(spec, next).(sandbox.RowChamber)
+		for b := 0; b < blocks; b++ {
+			if b == blocks/4 {
+				close(resume) // the late reply arrives while the next blocks run
+			}
+			out, err := chamber.ExecuteRows(context.Background(), b, rows, perm[b*size:(b+1)*size])
+			if err != nil {
+				t.Fatalf("round %d block %d: %v", round, b, err)
+			}
+			if !bitsEqual(out, clean[b]) {
+				t.Fatalf("round %d block %d answered %v, a clean run %v", round, b, out, clean[b])
+			}
+		}
+		resume = make(chan struct{})
+
+		for deadline := time.Now().Add(10 * time.Second); pool.hosts[0].inflight.Load() > 0; {
+			if time.Now().After(deadline) {
+				t.Fatal("the stalled block's exchange never finished")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if spans := first.Spans(); len(spans) != 0 {
+			t.Errorf("round %d: the abandoned block's trace holds %d spans, want none", round, len(spans))
+		}
+		if spans := next.Spans(); len(spans) != 3*blocks {
+			t.Errorf("round %d: the next query's trace holds %d spans, want %d", round, len(spans), 3*blocks)
+		}
+	}
+}
+
+// loopbackPool starts a worker of this process with cfg and returns a pool
+// over it with conns connection slots.
+func loopbackPool(tb testing.TB, cfg WorkerConfig, conns int) *WorkerPool {
 	tb.Helper()
-	w := NewWorker(WorkerConfig{})
+	w := NewWorker(cfg)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		tb.Fatal(err)
@@ -348,7 +435,7 @@ func poolBlock(tb testing.TB) func() (mathutil.Vec, error) {
 		defer wg.Done()
 		_ = w.Serve(l)
 	}()
-	pool, err := NewWorkerPool([]string{l.Addr().String()})
+	pool, err := NewWorkerPoolConfig(PoolConfig{Addrs: []string{l.Addr().String()}, ConnsPerWorker: conns})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -357,19 +444,36 @@ func poolBlock(tb testing.TB) func() (mathutil.Vec, error) {
 		w.Close()
 		wg.Wait()
 	})
+	return pool
+}
+
+// gridTable is gridBlock(385, 11) as a table, and its rows in shuffled
+// order: one engine block.
+func gridTable() (mathutil.Matrix, []int) {
 	cells := make([]float64, 0, 385*11)
 	for _, r := range gridBlock(385, 11) {
 		cells = append(cells, r...)
 	}
 	rows := mathutil.NewMatrix(cells, 385, 11)
-	idx := rand.New(rand.NewSource(1)).Perm(rows.Len())
+	return rows, rand.New(rand.NewSource(1)).Perm(rows.Len())
+}
+
+// poolBlock runs a 385×11 table, in shuffled order, as one block through a
+// pool chamber and a loopback worker of this process.
+func poolBlock(tb testing.TB) func() (mathutil.Vec, error) {
+	tb.Helper()
+	pool := loopbackPool(tb, WorkerConfig{}, 1)
+	rows, idx := gridTable()
 	chamber := pool.Chamber(meanSpec, nil).(sandbox.RowChamber)
 	return func() (mathutil.Vec, error) { return chamber.ExecuteRows(context.Background(), 0, rows, idx) }
 }
 
-// A fanned-out block costs the pool its one work frame, recycled, and the
-// reply: nothing per row. With a [][]float64 view of the block per call it
-// cost 385 × 24 bytes more.
+// A fanned-out block costs the pool nothing but its output, on both ends of
+// the wire: the program's, the chamber's copy of it and the reply's, 8 bytes
+// each for a mean. The dispatch state, the reply's spans and trace echo, the
+// worker's spec, program and chamber are all reused. With a [][]float64
+// view of the block per call it cost 10,824 bytes, and with a fresh result
+// channel, ranking and reply per block, 1,048.
 func TestPoolChamberSteadyStateBytes(t *testing.T) {
 	allocguard.SkipUnderRace(t, "sync.Pool is deliberately lossy under the race detector")
 	block := poolBlock(t)
@@ -382,10 +486,78 @@ func TestPoolChamberSteadyStateBytes(t *testing.T) {
 			t.Fatalf("mean of column 0 = %v, want [2112]", out)
 		}
 	}
-	// Measured 1,048 bytes, the worker's ≈ 0.7 KiB included; the bound is
-	// that + 20 %. With the view it was 10,824.
-	if bytes := allocguard.Bytes(run); bytes > 1258 {
-		t.Errorf("one 385×11 block through the pool allocates %d bytes in steady state, want <= 1258", bytes)
+	// Measured 24 bytes; the bound is that + 20 %, rounded up to the
+	// allocator's 8-byte step.
+	if bytes := allocguard.Bytes(run); bytes > 32 {
+		t.Errorf("one 385×11 block through the pool allocates %d bytes in steady state, want <= 32", bytes)
+	}
+}
+
+// histSpec has the k-means shape of output, 40 floats, without k-means's
+// own work: a 40-bin histogram of column 0.
+var histSpec = WorkSpec{Program: ProgramSpec{Type: "histogram", Col: 0, Lo: 0, Hi: 385 * 11, Bins: 40}}
+
+// A traced query's blocks through the pool, to a worker that keeps its own
+// metrics, each block answering 40 floats: beyond the three copies of each
+// output, a block costs its three merged spans, 64 bytes each in the
+// trace, and nothing to find their histograms on either end.
+func TestPoolChamberTracedSteadyStateBytes(t *testing.T) {
+	allocguard.SkipUnderRace(t, "sync.Pool is deliberately lossy under the race detector")
+	wreg, sreg := telemetry.NewRegistry(), telemetry.NewRegistry()
+	pool := loopbackPool(t, WorkerConfig{Telemetry: wreg}, 1)
+	rows, idx := gridTable()
+	const blocks = 8
+	var tr *telemetry.Trace
+	query := func() {
+		tr = telemetry.NewTrace(sreg, "0123456789abcdef", "grid")
+		spec := histSpec
+		spec.TraceID = tr.ID
+		chamber := pool.Chamber(spec, tr).(sandbox.RowChamber)
+		for b := 0; b < blocks; b++ {
+			out, err := chamber.ExecuteRows(context.Background(), b, rows, idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out) != 40 || out[0] != 10.0/385 {
+				t.Fatalf("histogram of column 0 = %v, want 40 bins, the first holding 10 rows of 385", out)
+			}
+		}
+	}
+	// Measured 1,297 bytes: 960 of outputs, the trace's 2 KiB of merged
+	// spans over 8 blocks, and the trace and chamber themselves. The bound
+	// is that + 20 %.
+	if bytes := allocguard.Bytes(query) / blocks; bytes > 1556 {
+		t.Errorf("one block of a traced 8-block query allocates %d bytes in steady state, want <= 1556", bytes)
+	}
+	if got := len(tr.Spans()); got != 3*blocks {
+		t.Errorf("the query's trace holds %d spans, want %d: three per block", got, 3*blocks)
+	}
+	if h := wreg.Snapshot().Histograms["trace.stage."+telemetry.StageWorkerExecute+".millis"]; h.Count == 0 {
+		t.Error("the worker's execute histogram saw no block")
+	}
+}
+
+// With a quantum the worker runs the program on a goroutine of its own,
+// which the in-process chamber pays for; the pool's side is unchanged.
+func TestPoolChamberQuantumSteadyStateBytes(t *testing.T) {
+	allocguard.SkipUnderRace(t, "sync.Pool is deliberately lossy under the race detector")
+	pool := loopbackPool(t, WorkerConfig{}, 1)
+	rows, idx := gridTable()
+	spec := meanSpec
+	spec.QuantumMillis = 1
+	chamber := pool.Chamber(spec, nil).(sandbox.RowChamber)
+	run := func() {
+		out, err := chamber.ExecuteRows(context.Background(), 0, rows, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != 1 || out[0] != 192*11 {
+			t.Fatalf("mean of column 0 = %v, want [2112]", out)
+		}
+	}
+	// Measured 744–768 bytes; the bound is 768 + 20 %.
+	if bytes := allocguard.Bytes(run); bytes > 922 {
+		t.Errorf("one quantum-bound block through the pool allocates %d bytes in steady state, want <= 922", bytes)
 	}
 }
 

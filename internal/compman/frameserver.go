@@ -16,11 +16,10 @@ import (
 // on every connection, then one frame answered at a time until the peer
 // leaves or close is called.
 type frameServer struct {
-	// handle answers one request payload by appending its response frame to
-	// dst. A body that fails to decode is the handler's to answer; a frame
-	// that fails to read (bad length or CRC) means the stream is out of sync
-	// and tears the connection down before the handler sees it.
-	handle func(payload, dst []byte) ([]byte, error)
+	// open returns one connection's handler, once, after its hello. The
+	// handler answers that connection's frames one at a time, so it may keep
+	// state from frame to frame.
+	open func() frameHandler
 	// idle, when positive, drops a connection that sends nothing for this
 	// long, bounding slow-loris style connection hoarding.
 	idle  time.Duration
@@ -39,6 +38,12 @@ type frameServer struct {
 	closed   bool
 	wg       sync.WaitGroup
 }
+
+// frameHandler answers one request payload by appending its response frame
+// to dst. A body that fails to decode is the handler's to answer; a frame
+// that fails to read (bad length or CRC) means the stream is out of sync
+// and tears the connection down before the handler sees it.
+type frameHandler func(payload, dst []byte) ([]byte, error)
 
 // serve accepts connections on l until close is called. It blocks.
 func (fs *frameServer) serve(l net.Listener) error {
@@ -129,6 +134,7 @@ func (fs *frameServer) serveConn(conn net.Conn) {
 		}
 		return
 	}
+	handle := fs.open()
 	rbuf, wbuf := getWireBuf(), getWireBuf()
 	defer putWireBuf(rbuf)
 	defer putWireBuf(wbuf)
@@ -141,7 +147,7 @@ func (fs *frameServer) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		frame, err := fs.handle(payload, (*wbuf)[:0])
+		frame, err := handle(payload, (*wbuf)[:0])
 		if err != nil {
 			fs.logf(fs.prefix+"encode response: %v", err)
 			return

@@ -113,8 +113,8 @@ func TestWorkerConnReadsFrameLargerThanItsBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := pool.hosts[0].do(context.Background(), frame, req.Spec.TraceID)
-	if err != nil {
+	var resp WorkResponse
+	if err := pool.hosts[0].do(context.Background(), frame, req.Spec.TraceID, &resp); err != nil {
 		t.Fatal(err)
 	}
 	checkBigOutput(t, resp.Output)

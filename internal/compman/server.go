@@ -141,7 +141,7 @@ func NewServer(reg *dataset.Registry, cfg ServerConfig) *Server {
 		plane:    telemetry.NewBudgetPlane(tel),
 	}
 	s.wire = frameServer{
-		handle:    s.handle,
+		open:      func() frameHandler { return s.handle },
 		idle:      cfg.IdleTimeout,
 		conns:     tel.Gauge("compman.connections"),
 		logf:      s.logf,

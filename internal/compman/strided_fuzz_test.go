@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
 	"gupt/internal/mathutil"
+	"gupt/internal/telemetry"
 )
 
 // parentRowBuf is mathutil.RowBuf's storage and its row-header gather as
@@ -154,7 +156,9 @@ func parentWorkFrame(t *testing.T, spec *WorkSpec, rows []mathutil.Vec, idx []in
 // order), and payload supplies each cell's raw bits, so NaN payloads and
 // ±Inf are compared bit for bit. The gather also runs into storage a wider,
 // larger block left stale, and the public encoder over the view must write
-// the parent's frame for every row in order.
+// the parent's frame for every row in order. Both frames then go through
+// the worker's recycled decode (checkWorkDecode), and a reply built from
+// the same inputs through the pool's (checkReplyDecode).
 func FuzzStridedMatchesParent(f *testing.F) {
 	bits := func(xs ...uint64) []byte {
 		var b []byte
@@ -235,5 +239,113 @@ func FuzzStridedMatchesParent(f *testing.F) {
 		if !bytes.Equal(public, parentWorkFrame(t, &spec, view, nil)) {
 			t.Fatalf("%d×%d table: AppendWorkRequestFrame differs from the parent's encoder", n, w)
 		}
+		checkWorkDecode(t, frame)
+		checkWorkDecode(t, public)
+		checkReplyDecode(t, cells, picks)
 	})
+}
+
+// checkWorkDecode decodes a work request frame the way a worker does,
+// decodeWork into a fresh RowBuf and into one a larger, wider block left
+// full of NaNs, each with the cells copied as bytes and converted one at a
+// time (cellsByCopy), and over a fresh spec and one an earlier block left.
+// Every decode must give DecodeWorkRequestFrame's spec and its cells bit
+// for bit.
+func checkWorkDecode(t *testing.T, frame []byte) {
+	t.Helper()
+	want, _, err := DecodeWorkRequestFrame(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, _, err := DecodeFrame(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(v bool) { cellsByCopy = v }(cellsByCopy)
+	for _, byCopy := range []bool{true, false} {
+		cellsByCopy = byCopy
+		var stale mathutil.RowBuf
+		_, junk := stale.Grid(len(want.Block)+5, 13)
+		for k := range junk {
+			junk[k] = math.Float64frombits(0x7ff8dead0000beef)
+		}
+		for _, buf := range []*mathutil.RowBuf{new(mathutil.RowBuf), &stale} {
+			for _, spec := range []WorkSpec{{}, {Program: ProgramSpec{Type: "kmeans", Path: "p", Args: []string{"a"}}, TraceID: "an earlier query"}} {
+				block, prog, err := decodeWork(payload, &spec, buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var e wireEncoder
+				if encodeProgramSpec(&e, &want.Spec.Program); !bytes.Equal(prog, e.b) {
+					t.Fatalf("copy %v: decodeWork's program bytes %x, the spec's encoding %x", byCopy, prog, e.b)
+				}
+				if !reflect.DeepEqual(spec, want.Spec) {
+					t.Fatalf("copy %v: decodeWork's spec %+v, DecodeWorkRequestFrame's %+v", byCopy, spec, want.Spec)
+				}
+				if len(block) != len(want.Block) {
+					t.Fatalf("copy %v: decodeWork gave %d rows, DecodeWorkRequestFrame %d", byCopy, len(block), len(want.Block))
+				}
+				for j, r := range want.Block {
+					if !bitsEqual(block[j], r) {
+						t.Fatalf("copy %v: row %d decoded as %v, DecodeWorkRequestFrame's %v", byCopy, j, block[j], r)
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkReplyDecode builds a work response from the fuzz inputs — cells as
+// its output and span durations, picks as its error, trace id and span
+// names, known to the decoder's interning or not, and as often as not
+// invalid UTF-8 — and decodes it through the pool's decodeReply, into a
+// fresh response and into one an earlier reply left, expecting its trace id
+// and expecting another. Every decode must give DecodeWorkResponseFrame's
+// fields, or its error.
+func checkReplyDecode(t *testing.T, cells []float64, picks []byte) {
+	t.Helper()
+	names := []string{
+		telemetry.StageWorkerSetup, telemetry.StageWorkerExecute, telemetry.StatusOK,
+		telemetry.StatusError, telemetry.StageFanoutDispatch, "", string(picks),
+	}
+	resp := WorkResponse{Output: cells, Error: string(picks[len(picks)/2:]), TraceID: string(picks[:len(picks)/3])}
+	for i, p := range picks {
+		millis := float64(i)
+		if len(cells) > 0 {
+			millis = cells[i%len(cells)]
+		}
+		resp.Spans = append(resp.Spans, telemetry.RemoteSpan{Stage: names[int(p)%len(names)], Status: names[int(p/7)%len(names)], Millis: millis})
+	}
+	frame, err := AppendWorkResponseFrame(nil, &resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, wantErr := DecodeWorkResponseFrame(frame)
+	payload, _, err := DecodeFrame(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	earlier := func() *WorkResponse {
+		return &WorkResponse{Output: []float64{1}, Error: "e", TraceID: "t", Spans: make([]telemetry.RemoteSpan, 9, 40)}
+	}
+	for _, traceID := range []string{resp.TraceID, "another query"} {
+		for _, got := range []*WorkResponse{new(WorkResponse), earlier()} {
+			err := decodeReply(payload, got, traceID)
+			if wantErr != nil || err != nil {
+				if wantErr == nil || err == nil || err.Error() != wantErr.Error() {
+					t.Fatalf("decodeReply: %v; DecodeWorkResponseFrame: %v", err, wantErr)
+				}
+				continue
+			}
+			if !bitsEqual(got.Output, want.Output) || got.Error != want.Error || got.TraceID != want.TraceID || len(got.Spans) != len(want.Spans) {
+				t.Fatalf("decodeReply gave %+v, DecodeWorkResponseFrame %+v", got, want)
+			}
+			for i, s := range want.Spans {
+				g := got.Spans[i]
+				if g.Stage != s.Stage || g.Status != s.Status || math.Float64bits(g.Millis) != math.Float64bits(s.Millis) {
+					t.Fatalf("span %d decoded as %+v, DecodeWorkResponseFrame's %+v", i, g, s)
+				}
+			}
+		}
+	}
 }

@@ -45,6 +45,7 @@ import (
 	"slices"
 	"sync"
 	"unicode/utf8"
+	"unsafe"
 
 	"gupt/internal/mathutil"
 	"gupt/internal/telemetry"
@@ -187,11 +188,16 @@ func sniffWire(conn net.Conn, r *bufio.Reader) error {
 }
 
 // readWireFrame reads one frame's payload into *buf (grown as needed and
-// reused across calls) and returns it. io.EOF surfaces untouched only at a
-// clean frame boundary; a stream ending mid-frame is ErrUnexpectedEOF.
+// reused across calls) and returns it. The header is read into *buf too, so
+// that nothing escapes to the heap per frame. io.EOF surfaces untouched
+// only at a clean frame boundary; a stream ending mid-frame is
+// ErrUnexpectedEOF.
 func readWireFrame(r *bufio.Reader, buf *[]byte) ([]byte, error) {
-	var hdr [wireFrameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(*buf) < wireFrameHeaderLen {
+		*buf = make([]byte, wireFrameHeaderLen)
+	}
+	hdr := (*buf)[:wireFrameHeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[0:4])
@@ -467,24 +473,56 @@ func (d *wireDecoder) count(min int) int {
 	return int(n)
 }
 
-func (d *wireDecoder) str() string {
+// strBytes reads a string field and returns its bytes, a view of the
+// payload; nil on error.
+func (d *wireDecoder) strBytes() []byte {
 	n := d.u32()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > maxWireString {
 		d.failf("%w: string length %d exceeds limit", ErrWireFrame, n)
-		return ""
+		return nil
 	}
 	b := d.take(int(n))
 	if b == nil {
-		return ""
+		return nil
 	}
 	if !utf8.Valid(b) {
 		// Every string on the wire is text the server may echo into logs,
 		// labels and errors; bytes that are not UTF-8 are a forged frame.
 		d.failf("%w: string field is not valid UTF-8", ErrWireFrame)
-		return ""
+		return nil
+	}
+	return b
+}
+
+func (d *wireDecoder) str() string { return string(d.strBytes()) }
+
+// strOr reads a string field as str does, but returns old itself, with no
+// allocation, when the field spells it: a field that repeats from message
+// to message (a connection's program, a query's trace id) is built once.
+func (d *wireDecoder) strOr(old string) string {
+	b := d.strBytes()
+	if string(b) == old {
+		return old
+	}
+	return string(b)
+}
+
+// name reads a span's stage or status as str does, returning the
+// telemetry constant, with no allocation, for the names a worker sends.
+func (d *wireDecoder) name() string {
+	b := d.strBytes()
+	switch string(b) {
+	case telemetry.StageWorkerSetup:
+		return telemetry.StageWorkerSetup
+	case telemetry.StageWorkerExecute:
+		return telemetry.StageWorkerExecute
+	case telemetry.StatusOK:
+		return telemetry.StatusOK
+	case telemetry.StatusError:
+		return telemetry.StatusError
 	}
 	return string(b)
 }
@@ -512,10 +550,30 @@ func (d *wireDecoder) f64s() []float64 {
 		return nil
 	}
 	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
+	decodeCells(out, raw)
 	return out
+}
+
+// cellsByCopy says whether this platform's float64s are little-endian IEEE
+// bits in memory, the wire's layout, so that decodeCells can copy a run of
+// cells as bytes. Decided once, from the platform; only big-endian hosts
+// take the per-cell loop.
+var cellsByCopy = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// decodeCells fills dst from raw, len(dst) little-endian float64s, bit for
+// bit (NaN payloads included): one copy into a byte view of dst where the
+// layouts agree, one conversion per cell where they do not.
+func decodeCells(dst []float64, raw []byte) {
+	if len(dst) == 0 {
+		return
+	}
+	if cellsByCopy {
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(&dst[0])), 8*len(dst)), raw)
+		return
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+	}
 }
 
 func (d *wireDecoder) ints() []int {
@@ -555,9 +613,7 @@ func (d *wireDecoder) matrix() [][]float64 {
 		}
 		out := make([][]float64, rows)
 		backing := make([]float64, rows*cols)
-		for i := range backing {
-			backing[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-		}
+		decodeCells(backing, raw)
 		for i := range out {
 			out[i] = backing[uint64(i)*cols : uint64(i+1)*cols]
 		}
@@ -603,7 +659,8 @@ func (d *wireDecoder) uniformCells() (rows, cols uint64, raw []byte) {
 // matrixInto is matrix for the worker's serve loop: a uniform matrix — every
 // engine block — is decoded straight into buf's recycled storage as the
 // []mathutil.Vec a chamber takes, every header rewritten with its capacity
-// cut (mathutil.RowBuf). A ragged one is rare and decoded fresh.
+// cut (mathutil.RowBuf), its cells in one decodeCells. A ragged one is rare
+// and decoded fresh.
 func (d *wireDecoder) matrixInto(buf *mathutil.RowBuf) []mathutil.Vec {
 	if len(d.b) == 0 || d.b[0] != 1 {
 		ragged := d.matrix()
@@ -615,13 +672,8 @@ func (d *wireDecoder) matrixInto(buf *mathutil.RowBuf) []mathutil.Vec {
 	}
 	d.u8()
 	rows, cols, raw := d.uniformCells()
-	out := buf.Grid(int(rows), int(cols))
-	for i, r := range out {
-		base := raw[8*i*int(cols):]
-		for j := range r {
-			r[j] = math.Float64frombits(binary.LittleEndian.Uint64(base[8*j:]))
-		}
-	}
+	out, cells := buf.Grid(int(rows), int(cols))
+	decodeCells(cells, raw)
 	return out
 }
 
@@ -646,9 +698,11 @@ func encodeProgramSpec(e *wireEncoder, ps *ProgramSpec) {
 	e.i64(int64(ps.OutputDims))
 }
 
-func decodeProgramSpec(d *wireDecoder) ProgramSpec {
-	return ProgramSpec{
-		Type:        d.str(),
+// decodeProgramSpec decodes into ps, overwriting every field; a string
+// field that spells ps's old value keeps it (wireDecoder.strOr).
+func decodeProgramSpec(d *wireDecoder, ps *ProgramSpec) {
+	*ps = ProgramSpec{
+		Type:        d.strOr(ps.Type),
 		Col:         d.intf(),
 		ColB:        d.intf(),
 		P:           d.f64(),
@@ -661,7 +715,7 @@ func decodeProgramSpec(d *wireDecoder) ProgramSpec {
 		Iters:       d.intf(),
 		LearnRate:   d.f64(),
 		Seed:        d.i64(),
-		Path:        d.str(),
+		Path:        d.strOr(ps.Path),
 		Args:        d.strs(),
 		OutputDims:  d.intf(),
 	}
@@ -731,8 +785,8 @@ func decodeRequestBody(d *wireDecoder) *Request {
 		Dataset: d.str(),
 	}
 	if d.boolb() {
-		ps := decodeProgramSpec(d)
-		req.Program = &ps
+		req.Program = new(ProgramSpec)
+		decodeProgramSpec(d, req.Program)
 	}
 	req.Mode = d.str()
 	req.OutputRanges = d.rangesf()
@@ -767,13 +821,12 @@ func decodeRequestBody(d *wireDecoder) *Request {
 		if d.err == nil && n > 0 {
 			s.Queries = make([]SessionQuery, n)
 			for i := range s.Queries {
-				s.Queries[i] = SessionQuery{
-					Program:      decodeProgramSpec(d),
-					OutputRanges: d.rangesf(),
-					BlockSize:    d.intf(),
-					Gamma:        d.intf(),
-					Seed:         d.i64(),
-				}
+				q := &s.Queries[i]
+				decodeProgramSpec(d, &q.Program)
+				q.OutputRanges = d.rangesf()
+				q.BlockSize = d.intf()
+				q.Gamma = d.intf()
+				q.Seed = d.i64()
 			}
 		}
 		req.Session = s
@@ -881,16 +934,23 @@ func encodeWorkSpec(e *wireEncoder, spec *WorkSpec) {
 	e.str(spec.TraceID)
 }
 
-func decodeWorkSpec(d *wireDecoder) WorkSpec {
-	return WorkSpec{
-		Program:       decodeProgramSpec(d),
-		QuantumMillis: d.i64(),
-		TraceID:       d.str(),
-	}
+// decodeWorkSpec decodes into spec, keeping each string field that spells
+// its old value, as decodeProgramSpec does. prog is the bytes the program
+// spec was decoded from.
+func decodeWorkSpec(d *wireDecoder, spec *WorkSpec) (prog []byte) {
+	rest := d.b
+	decodeProgramSpec(d, &spec.Program)
+	prog = rest[:len(rest)-len(d.b)]
+	spec.QuantumMillis = d.i64()
+	spec.TraceID = d.strOr(spec.TraceID)
+	return prog
 }
 
 func decodeWorkRequestBody(d *wireDecoder) *WorkRequest {
-	return &WorkRequest{Spec: decodeWorkSpec(d), Block: d.matrix()}
+	req := new(WorkRequest)
+	decodeWorkSpec(d, &req.Spec)
+	req.Block = d.matrix()
+	return req
 }
 
 func encodeWorkResponseBody(e *wireEncoder, resp *WorkResponse) {
@@ -907,23 +967,32 @@ func encodeWorkResponseBody(e *wireEncoder, resp *WorkResponse) {
 }
 
 func decodeWorkResponseBody(d *wireDecoder) *WorkResponse {
-	resp := &WorkResponse{
-		Output:  d.f64s(),
-		Error:   d.str(),
-		TraceID: d.str(),
-	}
+	resp := new(WorkResponse)
+	decodeWorkResponse(d, resp, "")
+	return resp
+}
+
+// decodeWorkResponse decodes into resp, overwriting every field, and is
+// the pool's decoder: resp's span storage is reused, a TraceID that echoes
+// traceID is traceID itself, and the worker's stage and status names are
+// the telemetry constants, so a reply allocates only its Output (and an
+// Error or an unexpected name, if it carries one).
+func decodeWorkResponse(d *wireDecoder, resp *WorkResponse, traceID string) {
+	resp.Output = d.f64s()
+	resp.Error = d.str()
+	resp.TraceID = d.strOr(traceID)
+	resp.Spans = resp.Spans[:0]
 	// A RemoteSpan is at least 16 bytes on the wire.
 	if n := d.count(16); d.err == nil && n > 0 {
-		resp.Spans = make([]telemetry.RemoteSpan, n)
+		resp.Spans = slices.Grow(resp.Spans, n)[:n]
 		for i := range resp.Spans {
 			resp.Spans[i] = telemetry.RemoteSpan{
-				Stage:  d.str(),
-				Status: d.str(),
+				Stage:  d.name(),
+				Status: d.name(),
 				Millis: d.f64(),
 			}
 		}
 	}
-	return resp
 }
 
 // --- framed message entry points ---
@@ -984,21 +1053,40 @@ func AppendWorkResponseFrame(dst []byte, resp *WorkResponse) ([]byte, error) {
 // expected message kind and rejecting trailing bytes (a CRC-valid payload
 // with slack is forged, not torn — same stance as the ledger).
 func decodePayload[T any](p []byte, kind byte, what string, body func(*wireDecoder) *T) (*T, error) {
-	if len(p) == 0 {
-		return nil, fmt.Errorf("malformed %s: %w: empty payload", what, ErrWireFrame)
+	d, err := openPayload(p, kind, what)
+	if err != nil {
+		return nil, err
 	}
-	if p[0] != kind {
-		return nil, fmt.Errorf("malformed %s: %w: unexpected message kind %d", what, ErrWireFrame, p[0])
-	}
-	d := wireDecoder{b: p[1:]}
 	msg := body(&d)
-	if d.err != nil {
-		return nil, fmt.Errorf("malformed %s: %w", what, d.err)
-	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("malformed %s: %w: %d trailing payload bytes", what, ErrWireFrame, len(d.b))
+	if err := d.close(what); err != nil {
+		return nil, err
 	}
 	return msg, nil
+}
+
+// openPayload checks a payload's message kind and returns a decoder over
+// its body: decodePayload's first half, for a caller decoding into storage
+// of its own.
+func openPayload(p []byte, kind byte, what string) (wireDecoder, error) {
+	if len(p) == 0 {
+		return wireDecoder{}, fmt.Errorf("malformed %s: %w: empty payload", what, ErrWireFrame)
+	}
+	if p[0] != kind {
+		return wireDecoder{}, fmt.Errorf("malformed %s: %w: unexpected message kind %d", what, ErrWireFrame, p[0])
+	}
+	return wireDecoder{b: p[1:]}, nil
+}
+
+// close is decodePayload's second half: the body's first error, or its
+// trailing bytes.
+func (d *wireDecoder) close(what string) error {
+	if d.err != nil {
+		return fmt.Errorf("malformed %s: %w", what, d.err)
+	}
+	if len(d.b) != 0 {
+		return fmt.Errorf("malformed %s: %w: %d trailing payload bytes", what, ErrWireFrame, len(d.b))
+	}
+	return nil
 }
 
 // DecodeFrame splits one frame off the front of b, verifying length and

@@ -2,16 +2,17 @@ package compman
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"log"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"gupt/internal/analytics"
 	"gupt/internal/mathutil"
 	"gupt/internal/sandbox"
 	"gupt/internal/telemetry"
@@ -83,7 +84,7 @@ type Worker struct {
 func NewWorker(cfg WorkerConfig) *Worker {
 	w := &Worker{cfg: cfg}
 	w.wire = frameServer{
-		handle:    w.handle,
+		open:      func() frameHandler { return w.newLoop().handle },
 		logf:      w.logf,
 		prefix:    "compman: worker ",
 		closedErr: errors.New("compman: worker closed"),
@@ -105,84 +106,142 @@ func (w *Worker) logf(format string, args ...any) {
 	}
 }
 
+// workerLoop is one connection's state on a worker, reused for every block
+// the connection carries: the spec decoded in place, the program resolved
+// from it, the response and the storage the next block runs in.
+type workerLoop struct {
+	w    *Worker
+	spec WorkSpec
+	// prog was resolved from the program spec whose wire encoding is
+	// progWire; a block whose program spec encodes to the same bytes — the
+	// encoding is canonical, floats by their bits — resolves nothing.
+	prog     analytics.Program
+	progWire []byte
+	resp     WorkResponse
+	exec     *blockExec
+}
+
+func (w *Worker) newLoop() *workerLoop {
+	return &workerLoop{w: w, exec: newBlockExec()}
+}
+
+// blockExec is the storage a block's program runs in: the decoded block and
+// the in-process chamber around the program. The program holds it from
+// Execute until the chamber's Release, which the goroutine that ran the
+// program calls once Run has ended. A program abandoned at its quantum, or
+// one a chamber wrapper never ran, still holds it when the next block comes:
+// that block runs in a new blockExec, and the old one stays with whatever
+// may still read it.
+type blockExec struct {
+	buf     mathutil.RowBuf
+	chamber sandbox.InProcess
+	held    atomic.Bool
+}
+
+func newBlockExec() *blockExec {
+	x := new(blockExec)
+	x.chamber.OwnsBlock = true
+	x.chamber.Release = func() { x.held.Store(false) }
+	return x
+}
+
 // handle is one block's life on the worker, socket excluded: decode the work
 // payload into recycled storage, execute it, append the response frame to dst.
-func (w *Worker) handle(payload, dst []byte) ([]byte, error) {
-	var resp WorkResponse
-	buf := mathutil.GetRowBuf()
-	if spec, block, derr := decodeWork(payload, buf); derr != nil {
-		resp.Error = derr.Error()
-	} else {
-		resp = w.execute(spec, block, buf.Release)
+func (l *workerLoop) handle(payload, dst []byte) ([]byte, error) {
+	if l.exec.held.Load() {
+		l.exec = newBlockExec()
 	}
-	return AppendWorkResponseFrame(dst, &resp)
+	l.resp = WorkResponse{Spans: l.resp.Spans[:0]}
+	if block, prog, err := decodeWork(payload, &l.spec, &l.exec.buf); err != nil {
+		l.resp.Error = err.Error()
+	} else {
+		l.execute(block, prog)
+	}
+	return AppendWorkResponseFrame(dst, &l.resp)
 }
 
 // decodeWork is the serve loop's decodePayload: the same checks as
-// DecodeWorkRequestFrame's body, but the block lands in buf's recycled
+// DecodeWorkRequestFrame's body, but the spec is decoded into spec, keeping
+// the strings that did not change, and the block lands in buf's recycled
 // storage, already typed for a chamber, instead of in fresh allocations.
-func decodeWork(payload []byte, buf *mathutil.RowBuf) (WorkSpec, []mathutil.Vec, error) {
-	var block []mathutil.Vec
-	spec, err := decodePayload(payload, wireMsgWorkRequest, "work request", func(d *wireDecoder) *WorkSpec {
-		spec := decodeWorkSpec(d)
-		block = d.matrixInto(buf)
-		return &spec
-	})
+// prog is the payload's encoding of the program spec.
+func decodeWork(payload []byte, spec *WorkSpec, buf *mathutil.RowBuf) (block []mathutil.Vec, prog []byte, err error) {
+	d, err := openPayload(payload, wireMsgWorkRequest, "work request")
 	if err != nil {
-		return WorkSpec{}, nil, err
+		return nil, nil, err
 	}
-	return *spec, block, nil
+	prog = decodeWorkSpec(&d, spec)
+	block = d.matrixInto(buf)
+	if err := d.close("work request"); err != nil {
+		return nil, nil, err
+	}
+	return block, prog, nil
 }
 
-// execute runs one decoded block. The block is private to this request —
-// the program's one copy — and release, which gives its storage back, is
-// handed to the in-process chamber to call once the program is really done
-// (sandbox.InProcess.Release). Every other outcome — a wrapper that never
-// reaches the program, an error — just drops the storage for the collector,
-// which is always safe.
-func (w *Worker) execute(spec WorkSpec, block []mathutil.Vec, release func()) WorkResponse {
-	resp := WorkResponse{TraceID: spec.TraceID}
+// execute runs one block, decoded into l.exec with the program spec whose
+// encoding is prog, and fills l.resp. The block
+// is private to this request — the program's one copy — so the in-process
+// chamber runs the program on it directly, and hands l.exec back through its
+// Release once the program is really done. Every other outcome — a wrapper
+// that never reaches the program, an error — leaves l.exec held, and the
+// next block takes a new one.
+func (l *workerLoop) execute(block []mathutil.Vec, prog []byte) {
+	w, x, resp := l.w, l.exec, &l.resp
+	resp.TraceID = l.spec.TraceID
 
 	// The worker records its own spans — chamber setup and block execution —
 	// and ships them back for merging into the server-side trace. Durations
 	// also feed the worker's local bucketed histograms so a worker node is
 	// observable on its own admin endpoint.
 	setupStart := time.Now()
-	program, err := spec.Program.resolve()
+	program, err := l.program(prog)
 	if err != nil {
 		resp.Error = err.Error()
 		resp.Spans = append(resp.Spans, w.span(telemetry.StageWorkerSetup, telemetry.StatusError, setupStart))
-		return resp
+		return
 	}
-	pol := sandbox.Policy{Metrics: w.cfg.Telemetry}
-	if spec.QuantumMillis > 0 {
-		pol.Quantum = time.Duration(spec.QuantumMillis) * time.Millisecond
+	x.chamber.Program = program
+	x.chamber.Policy = sandbox.Policy{Metrics: w.cfg.Telemetry}
+	if l.spec.QuantumMillis > 0 {
+		x.chamber.Policy.Quantum = time.Duration(l.spec.QuantumMillis) * time.Millisecond
 	}
-	var chamber sandbox.Chamber = &sandbox.InProcess{Program: program, Policy: pol, OwnsBlock: true, Release: release}
+	var chamber sandbox.Chamber = &x.chamber
 	if w.cfg.ChamberWrapper != nil {
 		chamber = w.cfg.ChamberWrapper(chamber)
 	}
 	resp.Spans = append(resp.Spans, w.span(telemetry.StageWorkerSetup, telemetry.StatusOK, setupStart))
 
 	execStart := time.Now()
+	x.held.Store(true)
 	out, err := chamber.Execute(context.Background(), block)
 	if err != nil {
 		resp.Error = err.Error()
 		resp.Spans = append(resp.Spans, w.span(telemetry.StageWorkerExecute, telemetry.StatusError, execStart))
-		return resp
+		return
 	}
 	resp.Output = out
 	resp.Spans = append(resp.Spans, w.span(telemetry.StageWorkerExecute, telemetry.StatusOK, execStart))
-	return resp
+}
+
+// program resolves the spec's program, or returns the last block's when the
+// spec's encoding, wire, is the same.
+func (l *workerLoop) program(wire []byte) (analytics.Program, error) {
+	if l.prog != nil && bytes.Equal(wire, l.progWire) {
+		return l.prog, nil
+	}
+	prog, err := l.spec.Program.resolve()
+	if err != nil {
+		return nil, err
+	}
+	l.prog, l.progWire = prog, append(l.progWire[:0], wire...)
+	return prog, nil
 }
 
 // span closes one worker-side stage: it feeds the local bucketed histogram
 // and returns the wire form for the server-side merge.
 func (w *Worker) span(stage, status string, start time.Time) telemetry.RemoteSpan {
 	d := time.Since(start)
-	if w.cfg.Telemetry != nil {
-		w.cfg.Telemetry.Histogram("trace.stage."+stage+".millis", telemetry.DefaultLatencyBuckets).Observe(d)
-	}
+	w.cfg.Telemetry.StageHistogram(stage).Observe(d)
 	return telemetry.RemoteSpan{Stage: stage, Status: status, Millis: float64(d) / float64(time.Millisecond)}
 }
 
@@ -423,10 +482,11 @@ func (h *workerHost) acquire(ctx context.Context) (*workerConn, error) {
 
 // do runs one block exchange on this host, maintaining its in-flight and
 // health accounting: it sends frame, a complete work request frame whose
-// spec carries traceID. A transport failure gets one immediate redial and
-// retry on this worker, sending the same frame. Errors are transport-level
-// (retryable elsewhere); application failures arrive inside the response.
-func (h *workerHost) do(ctx context.Context, frame []byte, traceID string) (*WorkResponse, error) {
+// spec carries traceID, and decodes the reply into resp. A transport
+// failure gets one immediate redial and retry on this worker, sending the
+// same frame. Errors are transport-level (retryable elsewhere); application
+// failures arrive inside the response.
+func (h *workerHost) do(ctx context.Context, frame []byte, traceID string, resp *WorkResponse) error {
 	h.inflight.Add(1)
 	g := h.metrics.Load().inflight
 	g.Inc()
@@ -439,14 +499,14 @@ func (h *workerHost) do(ctx context.Context, frame []byte, traceID string) (*Wor
 		if ctx.Err() == nil && !h.pool.isClosed() {
 			h.noteFailure() // dial failure, not caller cancellation
 		}
-		return nil, err
+		return err
 	}
-	resp, err := h.roundTrip(ctx, wc, frame, traceID)
+	err = h.roundTrip(ctx, wc, frame, traceID, resp)
 	if err != nil {
 		if dialErr := h.connect(ctx, wc); dialErr != nil {
 			err = fmt.Errorf("compman: worker %s unreachable after %v", h.addr, err)
 		} else {
-			resp, err = h.roundTrip(ctx, wc, frame, traceID)
+			err = h.roundTrip(ctx, wc, frame, traceID, resp)
 		}
 	}
 	h.slots <- wc // never blocks: one slot was taken per acquire
@@ -455,7 +515,7 @@ func (h *workerHost) do(ctx context.Context, frame []byte, traceID string) (*Wor
 	} else {
 		h.noteSuccess()
 	}
-	return resp, err
+	return err
 }
 
 var errPoolClosed = errors.New("compman: worker pool is closed")
@@ -705,10 +765,10 @@ func (c *poolChamber) Execute(ctx context.Context, block []mathutil.Vec) (mathut
 // rendezvous-assigned its home worker so assignment is stable under fleet
 // membership changes (only blocks homed on a removed worker move).
 func (c *poolChamber) ExecuteBlock(ctx context.Context, idx int, block []mathutil.Vec) (mathutil.Vec, error) {
-	f := getWorkFrame()
-	defer f.release()
-	b, err := appendWorkFrame(f.b[:0], &c.spec, block)
-	return c.send(ctx, idx, f, b, err)
+	x := getBlockRun()
+	defer x.release()
+	b, err := appendWorkFrame(x.frame[:0], &c.spec, block)
+	return c.send(ctx, idx, x, b, err)
 }
 
 // ExecuteRows implements sandbox.RowChamber, the engine's path: the block
@@ -716,49 +776,105 @@ func (c *poolChamber) ExecuteBlock(ctx context.Context, idx int, block []mathuti
 // stride, into its work frame, so it is copied once, onto the wire.
 // Assignment is as under ExecuteBlock.
 func (c *poolChamber) ExecuteRows(ctx context.Context, block int, rows mathutil.Matrix, idx []int) (mathutil.Vec, error) {
-	f := getWorkFrame()
-	defer f.release()
-	b, err := appendBlockFrame(f.b[:0], &c.spec, rows, idx)
-	return c.send(ctx, block, f, b, err)
+	x := getBlockRun()
+	defer x.release()
+	b, err := appendBlockFrame(x.frame[:0], &c.spec, rows, idx)
+	return c.send(ctx, block, x, b, err)
 }
 
-// send dispatches the block's work frame b, encoded into f's storage, or
+// send dispatches the block's work frame b, encoded into x's storage, or
 // reports err, the encoder's. The frame is complete before any exchange
 // starts, and every exchange of the block sends that same frame, so
 // nothing reads the rows or the index list after the encoder returns: the
 // index list may alias the engine's recycled permutation, which the next
 // query overwrites while a cancelled block's exchanges are still finishing
 // in the background.
-func (c *poolChamber) send(ctx context.Context, block int, f *workFrame, b []byte, err error) (mathutil.Vec, error) {
+func (c *poolChamber) send(ctx context.Context, block int, x *blockRun, b []byte, err error) (mathutil.Vec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("compman: encode block: %w", err)
 	}
-	f.b = b
-	return c.run(ctx, block, f)
+	x.frame = b
+	return c.run(ctx, block, x)
 }
 
-// workFrame is one block's encoded work request, shared by every exchange
-// of the block. refs counts its holders: send until run returns, and each
-// launched exchange until its workerHost.do returns. The last one puts the
-// frame back in workFramePool.
-type workFrame struct {
-	b    []byte
-	refs atomic.Int32
+// blockRun is one block's dispatch state: its encoded work frame, its
+// ranked hosts, one attempt per host and the channel the attempts report
+// on, all kept in blockRunPool from block to block. refs counts its holders:
+// the chamber call until run returns, and each launched attempt until it
+// has reported. The last one drains the reports nobody read and puts it
+// back, so the attempts of a block that returned early (cancelled, or won
+// by a straggler duplicate) finish in the background on state that no
+// other block shares.
+type blockRun struct {
+	refs  atomic.Int32
+	c     *poolChamber
+	ctx   context.Context
+	frame []byte
+	cands []*workerHost
+	tries []*attempt // tries[i] dispatches to cands[i]
+	next  int        // cands[next] is the next host launch tries
+	// results has room for an attempt per host, so a report never blocks.
+	results chan *attempt
+
+	keys []uint64      // candidates' scratch: the ranking keys
+	sick []*workerHost // candidates' scratch: the demoted hosts
 }
 
-var workFramePool = sync.Pool{New: func() any { return new(workFrame) }}
+var blockRunPool = sync.Pool{New: func() any { return new(blockRun) }}
 
-// getWorkFrame takes a frame from workFramePool, held by its caller.
-func getWorkFrame() *workFrame {
-	f := workFramePool.Get().(*workFrame)
-	f.refs.Store(1)
-	return f
+// getBlockRun takes a blockRun from blockRunPool, held by its caller.
+func getBlockRun() *blockRun {
+	x := blockRunPool.Get().(*blockRun)
+	x.refs.Store(1)
+	return x
 }
 
-func (f *workFrame) release() {
-	if f.refs.Add(-1) == 0 {
-		workFramePool.Put(f)
+func (x *blockRun) release() {
+	if x.refs.Add(-1) != 0 {
+		return
 	}
+	for len(x.results) > 0 {
+		<-x.results
+	}
+	x.c, x.ctx = nil, nil
+	blockRunPool.Put(x)
+}
+
+// attempt is one dispatch of a block to one host, and its report: the
+// reply is decoded into resp, whose storage it keeps. fn is do, bound once,
+// so launching the attempt on a goroutine of its own allocates nothing.
+type attempt struct {
+	x     *blockRun
+	host  *workerHost
+	stage string    // which dispatch kind launched it
+	start time.Time // when it was launched
+	resp  WorkResponse
+	err   error
+	span  [1]telemetry.RemoteSpan // its fan-out span, for the query trace
+	fn    func()
+}
+
+func (a *attempt) do() {
+	x := a.x
+	a.err = a.host.do(x.ctx, x.frame, x.c.spec.TraceID, &a.resp)
+	x.results <- a
+	x.release()
+}
+
+// launch dispatches the block to the next-ranked candidate, tagging the
+// attempt with its dispatch kind (first try, straggler duplicate, or
+// failover) so the observed outcome becomes a per-worker fan-out span in
+// the query trace. The attempt holds x until it has reported.
+func (x *blockRun) launch(stage string) bool {
+	if x.next >= len(x.cands) {
+		return false
+	}
+	a := x.tries[x.next]
+	a.host, a.stage, a.start = x.cands[x.next], stage, time.Now()
+	x.next++
+	x.refs.Add(1)
+	go a.fn()
+	return true
 }
 
 // run dispatches one encoded block. Transport-level failures (worker
@@ -772,45 +888,26 @@ func (f *workFrame) release() {
 // completes in the background, keeping its connection synchronized.
 // Application-level errors come back as resp.Error and are never retried:
 // the worker is healthy, the computation itself failed.
-func (c *poolChamber) run(ctx context.Context, idx int, f *workFrame) (mathutil.Vec, error) {
+func (c *poolChamber) run(ctx context.Context, idx int, x *blockRun) (mathutil.Vec, error) {
 	m := c.pool.metrics.Load()
 	m.inflight.Inc()
 	defer m.inflight.Dec()
 
-	cands := c.pool.candidates(idx)
+	cands := c.pool.candidates(idx, x)
 	if len(cands) == 0 {
 		return nil, errPoolClosed
 	}
+	for len(x.tries) < len(cands) {
+		a := &attempt{x: x}
+		a.fn = a.do
+		x.tries = append(x.tries, a)
+	}
+	if cap(x.results) < len(cands) {
+		x.results = make(chan *attempt, len(cands))
+	}
+	x.c, x.ctx, x.next = c, ctx, 0
 
-	type result struct {
-		host  *workerHost
-		resp  *WorkResponse
-		err   error
-		stage string    // which dispatch kind launched this exchange
-		start time.Time // when it was dispatched
-	}
-	results := make(chan result, len(cands))
-	next := 0
-	// launch dispatches the block to the next-ranked candidate, tagging the
-	// exchange with its dispatch kind (first try, straggler duplicate, or
-	// failover) so the observed outcome becomes a per-worker fan-out span in
-	// the query trace. The exchange holds the frame until it is done.
-	launch := func(stage string) bool {
-		if next >= len(cands) {
-			return false
-		}
-		h := cands[next]
-		next++
-		start := time.Now()
-		f.refs.Add(1)
-		go func() {
-			resp, err := h.do(ctx, f.b, c.spec.TraceID)
-			f.release()
-			results <- result{h, resp, err, stage, start}
-		}()
-		return true
-	}
-	launch(telemetry.StageFanoutDispatch)
+	x.launch(telemetry.StageFanoutDispatch)
 	var straggler <-chan time.Time
 	if d := c.pool.stragglerAfter; d > 0 && len(cands) > 1 {
 		t := time.NewTimer(d)
@@ -828,16 +925,16 @@ func (c *poolChamber) run(ctx context.Context, idx int, f *workFrame) (mathutil.
 			return nil, ctx.Err()
 		case <-straggler:
 			straggler = nil
-			if launch(telemetry.StageFanoutStraggler) {
+			if x.launch(telemetry.StageFanoutStraggler) {
 				pending++
 				m.stragglers.Inc()
 			}
-		case r := <-results:
+		case a := <-x.results:
 			pending--
-			c.noteDispatch(r.host, r.stage, r.start, r.err == nil && r.resp.Error == "")
-			if r.err != nil {
-				lastErr = r.err // transport-level: retryable on another worker
-				if launch(telemetry.StageFanoutFailover) {
+			c.noteDispatch(a)
+			if a.err != nil {
+				lastErr = a.err // transport-level: retryable on another worker
+				if x.launch(telemetry.StageFanoutFailover) {
 					pending++
 					m.failovers.Inc()
 				} else if pending == 0 {
@@ -848,13 +945,13 @@ func (c *poolChamber) run(ctx context.Context, idx int, f *workFrame) (mathutil.
 			// The reply's spans merge into the query trace whether the block
 			// succeeded or failed — a failing chamber is exactly what the
 			// operator wants visible in the span tree.
-			c.tr.AddRemoteSpans(r.host.label, r.resp.Spans)
-			if r.resp.Error != "" {
+			c.tr.AddRemoteSpans(a.host.label, a.resp.Spans)
+			if a.resp.Error != "" {
 				// Application-level: the worker is healthy, the computation
 				// itself failed. Never retried.
-				return nil, fmt.Errorf("compman: worker %s: %s", r.host.addr, r.resp.Error)
+				return nil, fmt.Errorf("compman: worker %s: %s", a.host.addr, a.resp.Error)
 			}
-			return mathutil.Vec(r.resp.Output), nil
+			return mathutil.Vec(a.resp.Output), nil
 		}
 	}
 }
@@ -865,51 +962,65 @@ func (c *poolChamber) run(ctx context.Context, idx int, f *workFrame) (mathutil.
 // worker, and the duration covers dispatch to observed outcome. Dispatches
 // that lose the first-result-wins race finish in the background unobserved
 // and record no span. Nil-trace safe.
-func (c *poolChamber) noteDispatch(h *workerHost, stage string, start time.Time, ok bool) {
+func (c *poolChamber) noteDispatch(a *attempt) {
 	status := telemetry.StatusOK
-	if !ok {
+	if a.err != nil || a.resp.Error != "" {
 		status = telemetry.StatusError
 	}
-	c.tr.AddRemoteSpans(h.label, []telemetry.RemoteSpan{{
-		Stage:  stage,
+	a.span[0] = telemetry.RemoteSpan{
+		Stage:  a.stage,
 		Status: status,
-		Millis: float64(time.Since(start)) / float64(time.Millisecond),
-	}})
+		Millis: float64(time.Since(a.start)) / float64(time.Millisecond),
+	}
+	c.tr.AddRemoteSpans(a.host.label, a.span[:])
 }
 
-// candidates returns the hosts to try for a block, in dispatch order. For
-// an indexed block the order is the rendezvous (highest-random-weight)
-// ranking of hash(worker, idx) — a deterministic per-block permutation, so
-// the home assignment is stable under membership changes and failover
-// walks a fixed secondary ranking. Index-less blocks rank by current load.
-// Unhealthy hosts are demoted to the end (kept as last resorts: a dial of
-// an empty slot may still revive them), and a saturated or unhealthy home is
-// spilled to the least-loaded healthy host with free capacity.
-func (p *WorkerPool) candidates(idx int) []*workerHost {
-	hosts := p.snapshot()
-	if len(hosts) == 0 {
+// candidates ranks the hosts to try for a block into x.cands, in dispatch
+// order, and returns them. For an indexed block the order is the rendezvous
+// (highest-random-weight) ranking of hash(worker, idx) — a deterministic
+// per-block permutation, so the home assignment is stable under membership
+// changes and failover walks a fixed secondary ranking. Index-less blocks
+// rank by current load. Unhealthy hosts are demoted to the end (kept as last
+// resorts: a dial of an empty slot may still revive them), and a saturated
+// or unhealthy home is spilled to the least-loaded healthy host with free
+// capacity.
+func (p *WorkerPool) candidates(idx int, x *blockRun) []*workerHost {
+	p.mu.Lock()
+	cands := append(x.cands[:0], p.hosts...)
+	p.mu.Unlock()
+	x.cands = cands
+	if len(cands) == 0 {
 		return nil
 	}
-	if idx >= 0 {
-		sort.SliceStable(hosts, func(a, b int) bool {
-			return rendezvousScore(hosts[a].addr, idx) > rendezvousScore(hosts[b].addr, idx)
-		})
-	} else {
-		sort.SliceStable(hosts, func(a, b int) bool {
-			return hosts[a].inflight.Load() < hosts[b].inflight.Load()
-		})
+	// Each host's key, ascending in dispatch order, then a stable insertion
+	// sort: a fleet is a handful of hosts.
+	keys := x.keys[:0]
+	for _, h := range cands {
+		if idx >= 0 {
+			keys = append(keys, ^rendezvousScore(h.addr, idx))
+		} else {
+			keys = append(keys, uint64(h.inflight.Load()))
+		}
+	}
+	x.keys = keys
+	for i := 1; i < len(cands); i++ {
+		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
+			keys[j], keys[j-1] = keys[j-1], keys[j]
+			cands[j], cands[j-1] = cands[j-1], cands[j]
+		}
 	}
 	// Demote unhealthy hosts, preserving relative order within each class.
-	cands := make([]*workerHost, 0, len(hosts))
-	var sick []*workerHost
-	for _, h := range hosts {
+	sick, n := x.sick[:0], 0
+	for _, h := range cands {
 		if h.sick.Load() {
 			sick = append(sick, h)
 		} else {
-			cands = append(cands, h)
+			cands[n] = h
+			n++
 		}
 	}
-	cands = append(cands, sick...)
+	copy(cands[n:], sick)
+	x.sick = sick
 	// Least-loaded spill: a busy home must not queue a block while another
 	// healthy worker sits idle.
 	if len(cands) > 1 && (cands[0].saturated() || cands[0].sick.Load()) {
@@ -951,13 +1062,13 @@ func rendezvousScore(addr string, idx int) uint64 {
 }
 
 // roundTrip performs one request/response exchange on the slot wc, which
-// must hold a connection. On a transport failure it drops the connection.
-// Errors are transport-level only; an application failure arrives in
-// resp.Error.
-func (h *workerHost) roundTrip(ctx context.Context, wc *workerConn, frame []byte, traceID string) (*WorkResponse, error) {
+// must hold a connection, decoding the reply into resp. On a transport
+// failure it drops the connection. Errors are transport-level only; an
+// application failure arrives in resp.Error.
+func (h *workerHost) roundTrip(ctx context.Context, wc *workerConn, frame []byte, traceID string, resp *WorkResponse) error {
 	deadline, _ := ctx.Deadline() // zero, clearing the last one, when ctx has none
 	_ = wc.conn.SetDeadline(deadline)
-	resp, err := h.exchange(wc, frame)
+	err := h.exchange(wc, frame, traceID, resp)
 	if err == nil && traceID != "" && resp.TraceID != "" && resp.TraceID != traceID {
 		// A reply for a different request means request/response pairing
 		// slipped — same treatment as a corrupted stream.
@@ -968,24 +1079,36 @@ func (h *workerHost) roundTrip(ctx context.Context, wc *workerConn, frame []byte
 		// unsynchronized; drop the connection rather than risk pairing
 		// future replies wrongly.
 		h.drop(wc)
-		return nil, err
+		return err
 	}
-	return resp, nil
+	return nil
 }
 
-// exchange sends frame on wc and reads the reply on the framed wire. The
-// slot's read buffer persists across blocks.
-func (h *workerHost) exchange(wc *workerConn, frame []byte) (*WorkResponse, error) {
+// exchange sends frame on wc and decodes the reply on the framed wire into
+// resp, checking its trace echo against traceID in place. The slot's read
+// buffer persists across blocks.
+func (h *workerHost) exchange(wc *workerConn, frame []byte, traceID string, resp *WorkResponse) error {
 	if _, err := wc.conn.Write(frame); err != nil {
-		return nil, fmt.Errorf("compman: worker %s send: %w", h.addr, err)
+		return fmt.Errorf("compman: worker %s send: %w", h.addr, err)
 	}
 	payload, err := readWireFrame(wc.r, &wc.rbuf)
 	if err != nil {
-		return nil, fmt.Errorf("compman: worker %s receive: %w", h.addr, err)
+		return fmt.Errorf("compman: worker %s receive: %w", h.addr, err)
 	}
-	resp, err := decodePayload(payload, wireMsgWorkResponse, "work response", decodeWorkResponseBody)
+	if err := decodeReply(payload, resp, traceID); err != nil {
+		return fmt.Errorf("compman: worker %s: %w", h.addr, err)
+	}
+	return nil
+}
+
+// decodeReply is the pool's decodePayload for a work response: the same
+// checks as DecodeWorkResponseFrame's body, decoded into resp's storage
+// (decodeWorkResponse), a trace echo of traceID kept as traceID itself.
+func decodeReply(payload []byte, resp *WorkResponse, traceID string) error {
+	d, err := openPayload(payload, wireMsgWorkResponse, "work response")
 	if err != nil {
-		return nil, fmt.Errorf("compman: worker %s: %w", h.addr, err)
+		return err
 	}
-	return resp, nil
+	decodeWorkResponse(&d, resp, traceID)
+	return d.close("work response")
 }

@@ -1,6 +1,7 @@
 package compman
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -616,21 +617,24 @@ func TestWorkerRunsProgramOnDecodedBlock(t *testing.T) {
 		}}
 		return &c
 	}})
-	spec, block, err := decodeWork(workPayload(t, meanSpec, gridBlock(385, 1)), new(mathutil.RowBuf))
+	l := w.newLoop()
+	block, prog, err := decodeWork(workPayload(t, meanSpec, gridBlock(385, 1)), &l.spec, &l.exec.buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp := w.execute(spec, block, nil); resp.Error != "" {
-		t.Fatal(resp.Error)
+	if l.execute(block, prog); l.resp.Error != "" {
+		t.Fatal(l.resp.Error)
 	}
 	if saw != &block[0][0] {
 		t.Error("the worker copied the decoded block again before the program ran")
 	}
 
-	w = NewWorker(WorkerConfig{})
+	spec := l.spec
+	l = NewWorker(WorkerConfig{}).newLoop()
+	l.spec = spec
 	allocs := testing.AllocsPerRun(50, func() {
-		if resp := w.execute(spec, block, nil); resp.Error != "" {
-			t.Fatal(resp.Error)
+		if l.execute(block, prog); l.resp.Error != "" {
+			t.Fatal(l.resp.Error)
 		}
 	})
 	if allocs > 16 {
@@ -642,20 +646,20 @@ func TestWorkerRunsProgramOnDecodedBlock(t *testing.T) {
 // excluded: decode the work frame into recycled storage, execute it, encode
 // the response.
 func BenchmarkWorkerHandleBlock(b *testing.B) {
-	w := NewWorker(WorkerConfig{})
+	l := NewWorker(WorkerConfig{}).newLoop()
 	payload := workPayload(b, meanSpec, gridBlock(385, 1))
 	var out []byte
 	var err error
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out, err = w.handle(payload, out[:0]); err != nil {
+		if out, err = l.handle(payload, out[:0]); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// respOutput decodes the response frame Worker.handle appended.
+// respOutput decodes the response frame a worker's handle appended.
 func respOutput(t *testing.T, frame []byte) []float64 {
 	t.Helper()
 	resp, _, err := DecodeWorkResponseFrame(frame)
@@ -668,17 +672,55 @@ func respOutput(t *testing.T, frame []byte) []float64 {
 	return resp.Output
 }
 
-// The serve loop's recycled path — decode, execute, encode — allocates no
-// row storage in steady state. With a fresh decode plus a second header
-// slice per block, a 385×11 frame cost ≈ 62 KiB here.
+// A connection keeps the program it resolved while the program spec's
+// encoding stays the same; a block whose spec differs in any field, a
+// float's sign of zero included, resolves the program it names.
+func TestWorkerLoopResolvesChangedProgram(t *testing.T) {
+	block := gridBlock(4, 2)
+	answer := func(l *workerLoop, spec WorkSpec) []float64 {
+		frame, err := l.handle(workPayload(t, spec, block), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return respOutput(t, frame)
+	}
+	hist := WorkSpec{Program: ProgramSpec{Type: "histogram", Col: 1, Lo: 0, Hi: 8, Bins: 2}}
+	negZero := hist
+	negZero.Program.Lo = math.Copysign(0, -1)
+	l := NewWorker(WorkerConfig{}).newLoop()
+	for i, spec := range []WorkSpec{
+		meanSpec,
+		{Program: ProgramSpec{Type: "mean", Col: 1}},
+		meanSpec,
+		{Program: ProgramSpec{Type: "percentile", Col: 1, P: 0.25}},
+		{Program: ProgramSpec{Type: "percentile", Col: 1, P: 0.75}},
+		hist,
+		negZero,
+	} {
+		got, want := answer(l, spec), answer(NewWorker(WorkerConfig{}).newLoop(), spec)
+		if !slices.Equal(got, want) {
+			t.Errorf("block %d (%+v) answered %v after the blocks before it, %v alone", i, spec.Program, got, want)
+		}
+		var e wireEncoder
+		if encodeProgramSpec(&e, &spec.Program); !bytes.Equal(l.progWire, e.b) {
+			t.Errorf("block %d (%+v) ran a program resolved from another spec", i, spec.Program)
+		}
+	}
+}
+
+// The serve loop's recycled path — decode, execute, encode — allocates
+// nothing but the block's output in steady state: the connection keeps its
+// spec, resolved program, chamber and response. With a fresh decode plus a
+// second header slice per block, a 385×11 frame cost ≈ 62 KiB here, and
+// with those rebuilt per block, 712 bytes.
 func TestWorkerSteadyStateBytes(t *testing.T) {
 	allocguard.SkipUnderRace(t, "sync.Pool is deliberately lossy under the race detector")
-	w := NewWorker(WorkerConfig{})
+	l := NewWorker(WorkerConfig{}).newLoop()
 	payload := workPayload(t, meanSpec, gridBlock(385, 11))
 	var out []byte
 	run := func() {
 		var err error
-		if out, err = w.handle(payload, out[:0]); err != nil {
+		if out, err = l.handle(payload, out[:0]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -686,9 +728,10 @@ func TestWorkerSteadyStateBytes(t *testing.T) {
 	if got := respOutput(t, out); len(got) != 1 || got[0] != 192*11 {
 		t.Fatalf("mean of column 0 = %v, want [2112]", got)
 	}
-	// Measured 712 bytes; the bound is that + 20 %.
-	if bytes := allocguard.Bytes(run); bytes > 854 {
-		t.Errorf("one 385×11 block through the worker allocates %d bytes in steady state, want <= 854", bytes)
+	// Measured 16 bytes, the program's output and the chamber's copy of it;
+	// the bound is that + 20 %, rounded up to the allocator's 8-byte step.
+	if bytes := allocguard.Bytes(run); bytes > 24 {
+		t.Errorf("one 385×11 block through the worker allocates %d bytes in steady state, want <= 24", bytes)
 	}
 }
 
@@ -696,7 +739,8 @@ func TestWorkerSteadyStateBytes(t *testing.T) {
 // hand the program the same rows the allocating decode would.
 func TestWorkerDecodesRaggedBlock(t *testing.T) {
 	ragged := [][]float64{{4, 1}, {6}, {8, 2, 3}}
-	spec, block, err := decodeWork(workPayload(t, meanSpec, ragged), new(mathutil.RowBuf))
+	l := NewWorker(WorkerConfig{}).newLoop()
+	block, prog, err := decodeWork(workPayload(t, meanSpec, ragged), &l.spec, &l.exec.buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -708,8 +752,8 @@ func TestWorkerDecodesRaggedBlock(t *testing.T) {
 			t.Errorf("row %d = %v, want %v", i, block[i], ragged[i])
 		}
 	}
-	if resp := NewWorker(WorkerConfig{}).execute(spec, block, nil); resp.Error != "" || resp.Output[0] != 6 {
-		t.Errorf("mean over the ragged block = %+v, want 6", resp)
+	if l.execute(block, prog); l.resp.Error != "" || l.resp.Output[0] != 6 {
+		t.Errorf("mean over the ragged block = %+v, want 6", l.resp)
 	}
 }
 
@@ -718,11 +762,12 @@ func TestWorkerDecodesRaggedBlock(t *testing.T) {
 // the rows it does see are its own.
 func TestWorkerDecodedBlockCannotReachBack(t *testing.T) {
 	var buf mathutil.RowBuf
-	if _, _, err := decodeWork(workPayload(t, meanSpec, gridBlock(500, 11)), &buf); err != nil {
+	var spec WorkSpec
+	if _, _, err := decodeWork(workPayload(t, meanSpec, gridBlock(500, 11)), &spec, &buf); err != nil {
 		t.Fatal(err)
 	}
 	small := gridBlock(100, 3)
-	_, block, err := decodeWork(workPayload(t, meanSpec, small), &buf)
+	block, _, err := decodeWork(workPayload(t, meanSpec, small), &spec, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -771,7 +816,8 @@ func TestWorkerAbandonedProgramKeepsItsFrame(t *testing.T) {
 	for _, r := range slow[1:] {
 		want += r[0]
 	}
-	frame, err := w.handle(workPayload(t, spec, slow), nil)
+	l := w.newLoop()
+	frame, err := l.handle(workPayload(t, spec, slow), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -784,7 +830,7 @@ func TestWorkerAbandonedProgramKeepsItsFrame(t *testing.T) {
 	}
 	payload := workPayload(t, spec, other)
 	for i := 0; i < 50; i++ {
-		if frame, err = w.handle(payload, frame[:0]); err != nil {
+		if frame, err = l.handle(payload, frame[:0]); err != nil {
 			t.Fatal(err)
 		}
 		resp, _, err := DecodeWorkResponseFrame(frame)
@@ -824,7 +870,7 @@ func TestWorkMatrixShapeOverflowRefused(t *testing.T) {
 	if _, err := decodePayload(forged, wireMsgWorkRequest, "work request", decodeWorkRequestBody); err == nil || !strings.Contains(err.Error(), "exceeds payload") {
 		t.Errorf("allocating decode of a 2^31×2^30 header: %v, want a refusal", err)
 	}
-	if _, _, err := decodeWork(forged, new(mathutil.RowBuf)); err == nil || !strings.Contains(err.Error(), "exceeds payload") {
+	if _, _, err := decodeWork(forged, new(WorkSpec), new(mathutil.RowBuf)); err == nil || !strings.Contains(err.Error(), "exceeds payload") {
 		t.Errorf("recycled decode of a 2^31×2^30 header: %v, want a refusal", err)
 	}
 }
@@ -845,7 +891,7 @@ func TestWorkMatrixZeroColumnRowsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWorker(WorkerConfig{})
+	l := NewWorker(WorkerConfig{}).newLoop()
 	for _, c := range []struct {
 		name string
 		run  func() string // the refusal's text
@@ -857,7 +903,7 @@ func TestWorkMatrixZeroColumnRowsBounded(t *testing.T) {
 			return ""
 		}},
 		{"Worker.handle", func() string {
-			out, err := w.handle(forged, nil)
+			out, err := l.handle(forged, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -889,7 +935,7 @@ func TestWorkMatrixZeroColumnRowsBounded(t *testing.T) {
 	if err != nil || len(got.Block) != 3 || len(got.Block[2]) != 0 {
 		t.Errorf("3 zero-width rows decoded as %+v, %v", got, err)
 	}
-	_, block, err := decodeWork(workPayload(t, meanSpec, rows), new(mathutil.RowBuf))
+	block, _, err := decodeWork(workPayload(t, meanSpec, rows), new(WorkSpec), new(mathutil.RowBuf))
 	if err != nil || len(block) != 3 || len(block[0]) != 0 {
 		t.Errorf("3 zero-width rows recycled-decoded as %v, %v", block, err)
 	}

@@ -115,10 +115,11 @@ func (b *RowBuf) Gather(src Matrix, idx []int) []Vec {
 	return rows
 }
 
-// Grid returns n rows of cols stale floats each in b's storage, for a
-// caller (the work-frame decoder) that fills every cell itself.
-func (b *RowBuf) Grid(n, cols int) []Vec {
-	rows, _, reused := b.grow(n, n*cols)
+// Grid returns n rows of cols stale floats each in b's storage, and the
+// n*cols cells under them in row-major order, for a caller (the work-frame
+// decoder) that fills every cell itself, in one pass over cells.
+func (b *RowBuf) Grid(n, cols int) ([]Vec, []float64) {
+	rows, cells, reused := b.grow(n, n*cols)
 	b.cutRows(rows, cols, reused)
-	return rows
+	return rows, cells
 }

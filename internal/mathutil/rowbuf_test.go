@@ -240,7 +240,7 @@ func TestRowBufReusedHeadersRewritten(t *testing.T) {
 			vandalise(got)
 		}
 		for range 2 {
-			g := buf.Grid(s.n, s.w+1)
+			g, _ := buf.Grid(s.n, s.w+1)
 			if len(g) != s.n {
 				t.Fatalf("step %d: grid has %d rows, want %d", step, len(g), s.n)
 			}
@@ -254,9 +254,9 @@ func TestRowBufReusedHeadersRewritten(t *testing.T) {
 func TestRowBufGridReuse(t *testing.T) {
 	var buf RowBuf
 	buf.Grid(500, 11)
-	g := buf.Grid(100, 4)
-	if len(g) != 100 {
-		t.Fatalf("grid has %d rows, want 100", len(g))
+	g, cells := buf.Grid(100, 4)
+	if len(g) != 100 || len(cells) != 400 {
+		t.Fatalf("grid has %d rows over %d cells, want 100 over 400", len(g), len(cells))
 	}
 	assertNoReachBack(t, g)
 	for i, r := range g {
@@ -267,13 +267,19 @@ func TestRowBufGridReuse(t *testing.T) {
 			r[j] = float64(i*4 + j)
 		}
 	}
-	// Rows tile the backing array without overlap.
+	// Rows tile the backing array without overlap, and the cells are that
+	// array in row-major order.
 	for i, r := range g {
 		if r[0] != float64(i*4) || r[3] != float64(i*4+3) {
 			t.Fatalf("row %d = %v: rows overlap", i, r)
 		}
 	}
-	if g := buf.Grid(3, 0); len(g) != 3 || len(g[0]) != 0 {
+	for k, x := range cells {
+		if x != float64(k) {
+			t.Fatalf("cell %d = %v, want %d: the cells are not the rows' storage", k, x, k)
+		}
+	}
+	if g, _ := buf.Grid(3, 0); len(g) != 3 || len(g[0]) != 0 {
 		t.Errorf("zero-width grid = %v", g)
 	}
 }

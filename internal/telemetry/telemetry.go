@@ -113,6 +113,9 @@ type Registry struct {
 	gauges      map[string]*Gauge
 	floatGauges map[string]*FloatGauge
 	histograms  map[string]*Histogram
+	// stages holds each trace.stage.<stage>.millis histogram under its
+	// stage, so a span finds it without building the name.
+	stages map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
@@ -122,6 +125,7 @@ func NewRegistry() *Registry {
 		gauges:      make(map[string]*Gauge),
 		floatGauges: make(map[string]*FloatGauge),
 		histograms:  make(map[string]*Histogram),
+		stages:      make(map[string]*Histogram),
 	}
 }
 
@@ -207,6 +211,27 @@ func (r *Registry) Histogram(name string, boundsMillis []float64) *Histogram {
 		h = NewHistogram(boundsMillis)
 		r.histograms[name] = h
 	}
+	return h
+}
+
+// StageHistogram returns the histogram every span of stage feeds,
+// trace.stage.<stage>.millis on DefaultLatencyBuckets. It is found by the
+// stage itself, so a span's observation builds no name; the name is built
+// once, when the stage is first seen. A nil registry returns nil.
+func (r *Registry) StageHistogram(stage string) *Histogram {
+	if r == nil {
+		return nil
+	}
+	r.mu.RLock()
+	h := r.stages[stage]
+	r.mu.RUnlock()
+	if h != nil {
+		return h
+	}
+	h = r.Histogram("trace.stage."+stage+".millis", DefaultLatencyBuckets)
+	r.mu.Lock()
+	r.stages[stage] = h
+	r.mu.Unlock()
 	return h
 }
 

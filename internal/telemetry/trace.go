@@ -86,8 +86,8 @@ func (s *Span) End(status string) {
 	s.done = true
 	s.Status = status
 	s.Duration = time.Since(s.start)
-	if s.tr != nil && s.tr.reg != nil {
-		s.tr.reg.Histogram("trace.stage."+s.Stage+".millis", DefaultLatencyBuckets).Observe(s.Duration)
+	if s.tr != nil {
+		s.tr.reg.StageHistogram(s.Stage).Observe(s.Duration)
 	}
 }
 
@@ -109,6 +109,20 @@ type RemoteSpan struct {
 // per block. Overflow is counted, not silently dropped.
 const maxRemoteSpans = 128
 
+// remoteChunk is how many merged spans share one allocation (2 KiB): a
+// trace holds at most four.
+const remoteChunk = maxRemoteSpans / 4
+
+// remoteSpan is a merged span as a trace keeps it. It arrives complete, so
+// it carries none of a local Span's bookkeeping, and remoteChunk of them
+// share one allocation. after is how many local spans were opened before
+// it arrived, which places it among them in start order.
+type remoteSpan struct {
+	process, stage, status string
+	dur                    time.Duration
+	after                  int
+}
+
 // maxWireStringLen bounds stage/status strings accepted off the wire; the
 // worker is trusted, but a corrupted frame must not grow unbounded labels.
 const maxWireStringLen = 64
@@ -128,11 +142,14 @@ type Trace struct {
 	// id only — key material never reaches the telemetry layer.
 	Tenant string
 
-	mu            sync.Mutex
-	reg           *Registry
-	start         time.Time
-	spans         []*Span
-	lastStage     string // stage of the last span StartSpan opened
+	mu        sync.Mutex
+	reg       *Registry
+	start     time.Time
+	spans     []*Span // this process's spans, in start order
+	lastStage string  // stage of the last span StartSpan opened
+	// remote holds the merged spans in arrival order, remoteChunk to an
+	// array; remoteCount of them are filled.
+	remote        []*[remoteChunk]remoteSpan
 	remoteCount   int
 	remoteDropped int
 }
@@ -194,22 +211,42 @@ func (t *Trace) AddRemoteSpans(process string, spans []RemoteSpan) {
 			t.remoteDropped++
 			continue
 		}
-		t.remoteCount++
-		stage := capString(rs.Stage)
 		status := capString(rs.Status)
 		if status == "" {
 			status = StatusOK
 		}
-		s := &Span{
-			Stage:    stage,
-			Status:   status,
-			Process:  process,
-			Duration: time.Duration(rs.Millis * float64(time.Millisecond)),
-			done:     true,
+		if t.remoteCount%remoteChunk == 0 {
+			t.remote = append(t.remote, new([remoteChunk]remoteSpan))
 		}
-		t.spans = append(t.spans, s)
-		if t.reg != nil {
-			t.reg.Histogram("trace.stage."+stage+".millis", DefaultLatencyBuckets).Observe(s.Duration)
+		m := &t.remote[t.remoteCount/remoteChunk][t.remoteCount%remoteChunk]
+		t.remoteCount++
+		*m = remoteSpan{
+			process: process,
+			stage:   capString(rs.Stage),
+			status:  status,
+			dur:     time.Duration(rs.Millis * float64(time.Millisecond)),
+			after:   len(t.spans),
+		}
+		t.reg.StageHistogram(m.stage).Observe(m.dur)
+	}
+}
+
+// walk calls f with every span in start order, local and merged: each
+// merged span comes after the local spans opened before it arrived. local
+// is the span itself for a local span and nil for a merged one, which s
+// stands for as an ended span. t.mu must be held.
+func (t *Trace) walk(f func(s Span, local *Span)) {
+	r := 0
+	for i := 0; i <= len(t.spans); i++ {
+		for ; r < t.remoteCount; r++ {
+			m := &t.remote[r/remoteChunk][r%remoteChunk]
+			if m.after > i {
+				break
+			}
+			f(Span{Stage: m.stage, Status: m.status, Process: m.process, Duration: m.dur, done: true}, nil)
+		}
+		if i < len(t.spans) {
+			f(*t.spans[i], t.spans[i])
 		}
 	}
 }
@@ -228,7 +265,14 @@ func (t *Trace) Spans() []*Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]*Span(nil), t.spans...)
+	out := make([]*Span, 0, len(t.spans)+t.remoteCount)
+	t.walk(func(s Span, local *Span) {
+		if local == nil {
+			local = &s
+		}
+		out = append(out, local)
+	})
+	return out
 }
 
 // Elapsed is the wall-clock time since the trace started.
@@ -255,7 +299,7 @@ func (t *Trace) String() string {
 	if t.Tenant != "" {
 		fmt.Fprintf(&sb, " tenant=%s", t.Tenant)
 	}
-	for _, s := range t.spans {
+	t.walk(func(s Span, _ *Span) {
 		status := s.Status
 		if !s.done {
 			status = "open"
@@ -265,7 +309,7 @@ func (t *Trace) String() string {
 		} else {
 			fmt.Fprintf(&sb, " %s=%s/%s", s.Stage, status, s.Duration.Round(time.Microsecond))
 		}
-	}
+	})
 	return sb.String()
 }
 
@@ -334,9 +378,9 @@ func (t *Trace) snapshot(outcome string) TraceSnapshot {
 		StartUnix:           t.start.Unix(),
 		ElapsedBucketMillis: BucketUpperMillis(float64(elapsed)/float64(time.Millisecond), DefaultLatencyBuckets),
 		RemoteSpansDropped:  t.remoteDropped,
-		Spans:               make([]SpanSnapshot, 0, len(t.spans)),
+		Spans:               make([]SpanSnapshot, 0, len(t.spans)+t.remoteCount),
 	}
-	for _, s := range t.spans {
+	t.walk(func(s Span, _ *Span) {
 		status := s.Status
 		if !s.done {
 			status = "open"
@@ -347,6 +391,6 @@ func (t *Trace) snapshot(outcome string) TraceSnapshot {
 			Status:       status,
 			BucketMillis: BucketUpperMillis(float64(s.Duration)/float64(time.Millisecond), DefaultLatencyBuckets),
 		})
-	}
+	})
 	return snap
 }
